@@ -32,8 +32,7 @@ def energy_table(state: QuantumState, deltas) -> None:
     for delta in deltas:
         params = base.replace(delta=float(delta))
         closed = model_c_energy(state, params)
-        bracket = (closed - 0.3, closed + 0.3)
-        exact = oracle_energy(ModelKind.C, state, params, bracket, target="exact")
+        exact = oracle_energy(ModelKind.C, state, params, target="exact").energy
         rel = abs(closed - exact) / max(1.0, abs(exact))
         print(f"{delta:>7g} {closed:>14.8f} {exact:>14.8f} {rel:>10.2e}")
 

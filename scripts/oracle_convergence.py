@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Grid-refinement study of the numerical oracle against the closed forms.
 
-Shows the relative error of the oracle level as n_points doubles, for one
-representative state of each model. Useful when picking n_points for a
+Shows the relative error of the oracle level as n_points doubles, next
+to the oracle's own estimate of it, for one representative state of each
+model. Useful when picking n_points for a
 verification run at a tolerance other than the default.
 """
 
@@ -29,18 +30,15 @@ def main() -> None:
         closed = energy(kind, state, params)
         print(f"# model {kind.value}, state (n_rho={state.n_rho}, m={state.m}), "
               f"closed form E = {closed:.12g}")
-        print(f"{'n_points':>9} {'E_oracle':>20} {'rel_err':>10} {'seconds':>8}")
+        print(f"{'n_points':>9} {'E_oracle':>20} {'rel_err':>10} {'rel_est':>10} {'seconds':>8}")
         n = 1000
         while n <= args.max_points:
-            half = max(0.5, 0.1 * abs(closed))
             t0 = time.perf_counter()
-            got = oracle_energy(
-                kind, state, params, (closed - half, closed + half),
-                n_points=n, target=target,
-            )
+            got, err = oracle_energy(kind, state, params, n_points=n, target=target)
             dt = time.perf_counter() - t0
-            rel = abs(got - closed) / max(1.0, abs(closed))
-            print(f"{n:>9} {got:>20.12g} {rel:>10.2e} {dt:>8.2f}")
+            scale = max(1.0, abs(closed))
+            rel = abs(got - closed) / scale
+            print(f"{n:>9} {got:>20.12g} {rel:>10.2e} {err / scale:>10.2e} {dt:>8.2f}")
             n *= 2
         print()
 

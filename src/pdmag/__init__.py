@@ -3,7 +3,7 @@ power-law magnetic field, hbar = 2*m0 = 1.
 
 Closed-form spectra and wavefunctions for three solvable mass profiles,
 the field machinery that generates the inverse-power magnetic field, a
-generic Nikiforov-Uvarov solver, an independent finite-difference oracle,
+generic Nikiforov-Uvarov solver, an independent finite-volume oracle,
 and sweep/crossing utilities, all behind one CLI (``pdmag``).
 """
 
@@ -11,7 +11,6 @@ from .errors import (
     BoundStateError,
     BracketingError,
     DomainError,
-    GridAccuracyWarning,
     NormalizationError,
     UnphysicalBranchError,
 )
@@ -33,7 +32,7 @@ from .models import (
     wavefunction,
 )
 from .nu import NUCoefficients, NUSolution, nu_quantize
-from .oracle import fd_eigenvalues, node_count, oracle_energy, radial_potential, residual
+from .oracle import OracleLevel, node_count, oracle_energy, radial_potential, residual
 from .params import PhysicalParams, QuantumState, e_tilde, m_tilde
 from .sweeps import CrossingPoint, SweepSpec, find_crossings, sweep
 
@@ -45,11 +44,11 @@ __all__ = [
     "BracketingError",
     "CrossingPoint",
     "DomainError",
-    "GridAccuracyWarning",
     "ModelKind",
     "NUCoefficients",
     "NUSolution",
     "NormalizationError",
+    "OracleLevel",
     "PhysicalParams",
     "QuantumState",
     "RadialFunction",
@@ -59,7 +58,6 @@ __all__ = [
     "e_tilde",
     "effective_potential",
     "energy",
-    "fd_eigenvalues",
     "find_crossings",
     "greene_aldrich",
     "m_tilde",

@@ -220,14 +220,14 @@ def _cmd_verify(args) -> int:
     )
     for state, reason in skipped:
         print(f"# skipped n_rho={state.n_rho} m={state.m}: {reason}", file=sys.stderr)
-    lines = ["n_rho,m,E_closed,E_oracle,abs_err,residual,nodes"]
+    lines = ["n_rho,m,E_closed,E_oracle,abs_err,residual,nodes,oracle_err"]
     worst = 0.0
     for row in rows:
         rel = row.abs_err / max(1e-12, abs(row.e_closed))
         worst = max(worst, rel)
         lines.append(
             f"{row.state.n_rho},{row.state.m},{_fmt(row.e_closed)},{_fmt(row.e_oracle)},"
-            f"{_fmt(row.abs_err)},{_fmt(row.residual)},{row.nodes}"
+            f"{_fmt(row.abs_err)},{_fmt(row.residual)},{row.nodes},{_fmt(row.oracle_err)}"
         )
     _emit(lines, args.out)
     if worst > args.tol:

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class DomainError(ValueError):
@@ -35,10 +35,3 @@ class BracketingError(RuntimeError):
 class NormalizationError(RuntimeError):
     """Quadrature normalization failed (divergent tail or insufficient grid)."""
 
-
-class GridAccuracyWarning(UserWarning):
-    """Eigenvalues moved more than the requested tolerance under grid doubling."""
-
-    def __init__(self, message: str, drift: float):
-        super().__init__(message)
-        self.drift = drift

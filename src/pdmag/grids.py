@@ -1,7 +1,7 @@
 """Uniform radial grids and sampled radial functions.
 
-Shared by the eigen-solvers and the quadrature normalization so neither
-module has to import the other.
+Shared by the closed-form normalization and the quadrature layer so
+neither module has to import the other.
 """
 
 from __future__ import annotations
@@ -32,27 +32,8 @@ class RadialGrid:
             raise DomainError(f"n_points must be >= 100, got {self.n_points}")
 
     @property
-    def spacing(self) -> float:
-        return (self.rho_max - self.rho_min) / (self.n_points - 1)
-
-    @property
     def nodes(self) -> np.ndarray:
         return np.linspace(self.rho_min, self.rho_max, self.n_points)
-
-    @classmethod
-    def default_for(cls, e_tilde_target: float, n_points: int = 4000) -> "RadialGrid":
-        """Default eigen-solver grid for a given spectral target.
-
-        rho_max covers 25 decay lengths of the exp(-sqrt(-e_tilde)*rho)
-        tail; rho_min sits one spacing off the origin so the left Dirichlet
-        ghost node lands exactly on rho = 0.
-        """
-        if not e_tilde_target < 0:
-            raise DomainError(
-                f"default grid needs e_tilde_target < 0, got {e_tilde_target}"
-            )
-        rho_max = 25.0 / np.sqrt(-e_tilde_target)
-        return cls(rho_min=rho_max / n_points, rho_max=rho_max, n_points=n_points)
 
 
 @dataclass

@@ -1,40 +1,43 @@
 """Independent numerical checks for the closed-form results.
 
-The reduced radial problem couples the energy into the potential through
-the -g(rho) E term, so solving for a level means an outer root-find in E
-wrapped around an inner fixed-potential eigensolve:
+The energy enters the reduced radial equation only through the term
+-g(rho) E, with a mass profile g > 0:
 
-    F(E) = eig_n(W(.; E)) - Et_target,   Et_target = -(kz^2 + e^2 B0^2 mu^2).
+    -U'' + W0(rho) U - E g(rho) U = Et U,   Et = -(kz^2 + e^2 B0^2 mu^2).
 
-F is strictly decreasing in E (first-order perturbation gives dF/dE =
--<g> < 0), so bisection is safe once a sign change is bracketed.
+At the fixed spectral target Et every level is therefore an eigenvalue of
+the symmetric-definite Sturm-Liouville pencil (H0 - Et M) v = E G v with
+weight g, and level n_rho is the pencil eigenvalue with n_rho nodes. No
+root-find in E is needed.
 
-Two inner discretizations are used. ``fd_eigenvalues`` is the plain
-three-point scheme for arbitrary potentials. ``oracle_energy`` instead
-splits the potential as c2/rho^2 + c1/rho + smooth and solves the
-transformed problem U = rho^p v (p = 1/2 + sqrt(c2 + 1/4)) with a
-finite-volume scheme whose fluxes and cell moments are integrated
-exactly, which keeps the power-law behavior at the origin from degrading
-the order of convergence.
+The pencil is discretized by finite volumes on the transformed problem
+U = rho^p v, with p = 1/2 + sqrt(c2 + 1/4) taken from the c2/rho^2 part of
+W0. Interface fluxes and power-law cell moments are integrated exactly,
+which keeps the power-law behaviour at the origin from degrading the
+second order of convergence. G is diagonal, so each grid costs one
+symmetric tridiagonal eigensolve. Solving on n and 2n cells and taking one
+Richardson step gives the level together with an estimate of its own
+error.
+
+Model B (g = eta/rho^2) puts E into c2 and so into p. There one pencil
+solve of the E = 0 split gives the start, and a safeguarded Newton
+iteration on F(E) = eig_n(E) - Et, with the Hellmann-Feynman slope
+-eta <rho^-2> taken from the eigenvector, takes it to the root (about five
+eigensolves a level).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import (
-    BoundStateError,
-    BracketingError,
-    DomainError,
-    GridAccuracyWarning,
-)
+from .errors import BoundStateError, BracketingError, DomainError
 from .fields import shape_function
-from .grids import RadialFunction, RadialGrid
+from .grids import RadialFunction
 from .models import (
     ModelKind,
     confining_potential,
@@ -49,17 +52,21 @@ from .models import (
 from .params import PhysicalParams, QuantumState, e_tilde, m_tilde
 
 __all__ = [
-    "RadialGrid",
-    "RadialFunction",
-    "fd_eigenvalues",
     "radial_potential",
     "spectral_target",
+    "OracleLevel",
     "oracle_energy",
     "residual",
     "node_count",
     "VerifyRow",
     "verify_states",
 ]
+
+# Absolute tolerance of the tridiagonal eigensolves. LAPACK's default,
+# eps times the 1-norm of the matrix, is far too loose for model C, whose
+# weight falls to ~1e-12 at the far end of the grid and so makes the
+# scaled matrix huge there while the wanted eigenvalues stay of order one.
+_EIG_TOL = 1e-14
 
 
 def _eval_potential(potential, x: np.ndarray) -> np.ndarray:
@@ -71,78 +78,6 @@ def _eval_potential(potential, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise DomainError("potential must be finite on the grid")
     return w
-
-
-def _fd_once(potential, grid: RadialGrid, count: int, with_vectors: bool):
-    w = _eval_potential(potential, grid.nodes)
-    h = grid.spacing
-    diag = 2.0 / h**2 + w
-    off = np.full(grid.n_points - 1, -1.0 / h**2)
-    if with_vectors:
-        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
-        return vals, vecs
-    vals = eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
-    )
-    return vals, None
-
-
-def _doubled(grid: RadialGrid) -> RadialGrid:
-    # Halve the spacing while keeping the implied Dirichlet walls (one
-    # spacing beyond each end) exactly where they were; otherwise the wall
-    # itself moves and contaminates the drift estimate at first order.
-    h = grid.spacing
-    a = grid.rho_min - h
-    b = grid.rho_max + h
-    n2 = 2 * grid.n_points + 1
-    h2 = h / 2.0
-    if a + h2 > 0:
-        return RadialGrid(a + h2, b - h2, n2)
-    return RadialGrid(grid.rho_min, grid.rho_max, 2 * grid.n_points)
-
-
-def fd_eigenvalues(
-    potential,
-    grid: RadialGrid,
-    count: int,
-    accuracy_check: float | None = None,
-    with_vectors: bool = False,
-):
-    """Lowest `count` eigenvalues of -U'' + W U = Et U with Dirichlet ends.
-
-    Standard second-order three-point discretization over all grid nodes;
-    the boundary values one spacing beyond each end are held at zero. The
-    symmetric tridiagonal matrix is diagonalized by bisection with Sturm
-    counts (LAPACK stebz) restricted to the requested indices.
-
-    With accuracy_check set, the eigenvalues are recomputed on a
-    spacing-halved grid and a GridAccuracyWarning carrying the drift is
-    emitted if any of them moved by more than the given tolerance.
-
-    with_vectors=True additionally returns the eigenvectors as
-    RadialFunction objects.
-    """
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
-    if count > grid.n_points:
-        raise DomainError(f"count = {count} exceeds the number of grid nodes")
-    vals, vecs = _fd_once(potential, grid, count, with_vectors)
-    if accuracy_check is not None:
-        fine_vals, _ = _fd_once(potential, _doubled(grid), count, False)
-        drift = float(np.max(np.abs(fine_vals - vals)))
-        if drift > accuracy_check:
-            warnings.warn(
-                GridAccuracyWarning(
-                    f"eigenvalues drift by {drift:.3e} (tolerance {accuracy_check:.3e}) "
-                    f"when the spacing is halved; grid with n_points={grid.n_points} "
-                    "is too coarse",
-                    drift=drift,
-                ),
-                stacklevel=2,
-            )
-    if with_vectors:
-        return vals, [RadialFunction(grid, vecs[:, j]) for j in range(count)]
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +159,7 @@ def radial_potential(kind: ModelKind, state: QuantumState, params: PhysicalParam
 
 
 # ---------------------------------------------------------------------------
-# Finite-volume inner solver on the transformed problem
+# Finite-volume discretization of the transformed problem
 # ---------------------------------------------------------------------------
 
 
@@ -235,55 +170,108 @@ def _powint(a, b, q: float):
     return (b ** (q + 1.0) - a ** (q + 1.0)) / (q + 1.0)
 
 
-def _fv_eigenvalue(p: float, c1: float, rho_max: float, n_points: int, index: int, smooth=None) -> float:
-    """Eigenvalue `index` of -U'' + [ (p^2-1/4)/rho^2 + c1/rho + smooth ] U = Et U.
+@dataclass(frozen=True)
+class _FVGrid:
+    """Cells of the finite-volume scheme for U = rho^p v on (0, rho_max].
 
-    Transformed via U = rho^p v to -(w v')' + w (c1/rho + smooth) v = Et w v
-    with weight w = rho^(2p); discretized by finite volumes on cells around
-    nodes rho_i = i h, with interface fluxes 1/integral(r^(-2p)) (exact for
-    w v' constant) and exact power-law cell moments. The origin cell is
-    [0, 1.5h] and carries zero flux through rho = 0.
+    Nodes sit at rho_i = i h, i = 1..n; cell i spans [i - 1/2, i + 1/2] h
+    except the origin cell [0, 3/2] h, which carries no flux through
+    rho = 0. Cell integrals are kept in units of h, scaled by h^(-2p):
+    coul_i and moment_i are the integrals of s^(2p-1) and s^(2p) over the
+    cell in s = rho/h.
     """
-    n = n_points
-    h = rho_max / n
-    i = np.arange(1, n + 1, dtype=float)
-    twop = 2.0 * p
-    aflux = 1.0 / _powint(i, i + 1.0, -twop)
-    cell_lo = np.where(i == 1.0, 0.0, i - 0.5)
-    cell_hi = i + 0.5
-    moment = (cell_hi ** (twop + 1.0) - cell_lo ** (twop + 1.0)) / (twop + 1.0)
-    coul = (cell_hi**twop - cell_lo**twop) / twop
-    a_left = np.concatenate(([0.0], aflux[:-1]))
-    diag_a = (a_left + aflux) / h + c1 * coul
-    if smooth is not None:
-        diag_a = diag_a + smooth(i * h) * moment * h
-    off_a = -aflux[:-1] / h
-    mass = moment * h
-    d = np.sqrt(mass)
-    diag = diag_a / mass
-    off = off_a / (d[:-1] * d[1:])
-    vals = eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(index, index)
+
+    p: float
+    h: float
+    index: np.ndarray
+    cell_lo: np.ndarray
+    cell_hi: np.ndarray
+    coul: np.ndarray
+    moment: np.ndarray
+
+    @classmethod
+    def build(cls, p: float, rho_max: float, n_points: int) -> "_FVGrid":
+        i = np.arange(1, n_points + 1, dtype=float)
+        cell_lo = np.where(i == 1.0, 0.0, i - 0.5)
+        cell_hi = i + 0.5
+        twop = 2.0 * p
+        return cls(
+            p=p,
+            h=rho_max / n_points,
+            index=i,
+            cell_lo=cell_lo,
+            cell_hi=cell_hi,
+            coul=_powint(cell_lo, cell_hi, twop - 1.0),
+            moment=_powint(cell_lo, cell_hi, twop),
+        )
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.index * self.h
+
+    @property
+    def mass(self) -> np.ndarray:
+        """Cell integral of the weight rho^(2p): the M of the pencil."""
+        return self.moment * self.h
+
+    def operator(self, c1: float, smooth=None):
+        """(diagonal, off-diagonal) of -(w v')' + w (c1/rho + smooth) v."""
+        i, h = self.index, self.h
+        aflux = 1.0 / _powint(i, i + 1.0, -2.0 * self.p)
+        a_left = np.concatenate(([0.0], aflux[:-1]))
+        diag = (a_left + aflux) / h + c1 * self.coul
+        if smooth is not None:
+            diag = diag + _eval_potential(smooth, self.nodes) * self.mass
+        return diag, -aflux[:-1] / h
+
+    def centroid(self) -> np.ndarray:
+        """rho-bar_i: centroid of the weight rho^(2p-1) over cell i."""
+        return self.h * self.moment / self.coul
+
+
+def _pencil(diag, off, weight, index: int, with_vector: bool = False):
+    """Eigenvalue `index` of the tridiagonal pencil (diag, off) v = lam weight v.
+
+    Scaled by weight^(-1/2) to a symmetric tridiagonal problem and solved by
+    bisection with Sturm counts. With with_vector=True also returns the
+    scaled eigenvector y = weight^(1/2) v, normalized to sum(y^2) = 1.
+    """
+    d = np.sqrt(weight)
+    a = diag / weight
+    b = off / (d[:-1] * d[1:])
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DomainError("finite-volume pencil must be finite on the grid")
+    found = eigh_tridiagonal(
+        a, b, eigvals_only=not with_vector, select="i",
+        select_range=(index, index), tol=_EIG_TOL,
     )
-    return float(vals[0])
+    if with_vector:
+        vals, vecs = found
+        return float(vals[0]), vecs[:, 0]
+    return float(found[0])
 
 
-def _singular_split(kind: ModelKind, state: QuantumState, params: PhysicalParams, E: float, target: str):
-    """Decompose W(rho; E) as c2/rho^2 + c1/rho + smooth(rho).
+# ---------------------------------------------------------------------------
+# The reduced equation split for the scheme
+# ---------------------------------------------------------------------------
 
-    The constant part of W is kept inside `smooth`; the right-hand side is
-    always e_tilde(params).
+
+def _singular_split(kind: ModelKind, state: QuantumState, params: PhysicalParams, target: str):
+    """Decompose W0 = W(rho; E = 0) as c2/rho^2 + c1/rho + smooth(rho).
+
+    The constant part of W0 is kept inside `smooth`; the right-hand side is
+    always e_tilde(params). The -g(rho) E term is left to the caller.
     """
     mt = m_tilde(state, params)
-    e, b0, mu, beta, eta = params.e, params.b0, params.mu, params.beta, params.eta
+    e, b0, mu, beta = params.e, params.b0, params.mu, params.beta
     if kind is ModelKind.A:
-        core = model_a_core(state, params, E)
+        core = model_a_core(state, params, 0.0)
         return core.ell_tilde_abs**2 - 0.25, -core.alpha_tilde, None
     if kind is ModelKind.B:
         w = mt - e * b0 * beta / 2.0
         beta_acute = 2.0 * e * mt * b0 * mu - e**2 * b0**2 * mu * beta
-        return w * w - eta * E, -beta_acute, None
-    core = model_c_coefficients(state, params, E)
+        return w * w, -beta_acute, None
+    core = model_c_coefficients(state, params, 0.0)
     d = params.delta
     if target == "exact":
         a3 = core.a3
@@ -321,35 +309,181 @@ def _t_hat(x):
     return out if out.ndim else float(out)
 
 
+def _rho_g(kind: ModelKind, params: PhysicalParams, target: str, rho):
+    """rho g(rho) / eta for the profiles whose E term splits as 1/rho."""
+    if kind is ModelKind.A:
+        return np.ones_like(rho)
+    x = params.delta * rho
+    if target == "ga":
+        return x / np.expm1(x)
+    return np.exp(-x)
+
+
+# ---------------------------------------------------------------------------
+# The oracle
+# ---------------------------------------------------------------------------
+
+
+class OracleLevel(NamedTuple):
+    """A level from the oracle and the estimate |E_2n - E_n|/3 of its error."""
+
+    energy: float
+    error: float
+
+
+def _richardson(e_coarse: float, e_fine: float) -> OracleLevel:
+    # The scheme converges at second order, so one halving step of
+    # Richardson extrapolation cancels the leading error term.
+    shift = (e_fine - e_coarse) / 3.0
+    return OracleLevel(e_fine + shift, abs(shift))
+
+
+def _linear_level(kind, state, params, target, et, rho_max, n_points, refine) -> OracleLevel:
+    """Models A and C: E enters only as -E g with g = eta rho_g(rho)/rho."""
+    c2, c1, smooth = _singular_split(kind, state, params, target)
+    if c2 + 0.25 < 0:
+        raise BoundStateError(
+            f"fall to center: centrifugal strength c2 = {c2} is below -1/4, no lowest level"
+        )
+    p = 0.5 + math.sqrt(c2 + 0.25)
+
+    def solve(n: int) -> float:
+        grid = _FVGrid.build(p, rho_max, n)
+        diag, off = grid.operator(c1, smooth)
+        weight = params.eta * grid.coul * _rho_g(kind, params, target, grid.centroid())
+        return _pencil(diag - et * grid.mass, off, weight, state.n_rho)
+
+    e_coarse = solve(n_points)
+    if not refine:
+        return OracleLevel(e_coarse, math.nan)
+    return _richardson(e_coarse, solve(2 * n_points))
+
+
+def _inverse_square(grid: _FVGrid) -> np.ndarray:
+    """Cell integrals of rho^(2p-2) in the units of _FVGrid.mass."""
+    return _powint(grid.cell_lo, grid.cell_hi, 2.0 * grid.p - 2.0) / grid.h
+
+
+def _model_b_start(c2_0, c1, eta, et, rho_max, n_points, index) -> float:
+    """Pencil estimate of the model B level from the E = 0 split.
+
+    Solved in U = rho v (p = 1), where the whole c2(E)/rho^2 =
+    (c2(0) - eta E)/rho^2 stays in the equation and the E term has weight
+    eta/rho^2. Freezing p at p(0) >= 1 instead leaves v ~ rho^(p* - p(0))
+    singular at the origin whenever the level has a smaller p*, and the
+    start can then land on the wrong level.
+    """
+    grid = _FVGrid.build(1.0, rho_max, n_points)
+    diag, off = grid.operator(c1)
+    inv_sq = _inverse_square(grid)
+    return _pencil(diag + c2_0 * inv_sq - et * grid.mass, off, eta * inv_sq, index)
+
+
+def _model_b_level(state, params, et, rho_max, n_points, tol, refine) -> OracleLevel:
+    """Model B: safeguarded Newton on F(E) = eig_n(E) - Et.
+
+    E sits in c2(E) = c2(0) - eta E, so the iteration runs in
+    u = p - 1/2 = sqrt(c2(E) + 1/4), which keeps F smooth up to the
+    fall-to-center threshold u = 0 where dF/dE diverges. F increases with
+    u; by Hellmann-Feynman dF/dE = -eta <rho^-2>, so dF/du = 2 u <rho^-2>.
+    The safeguard (lo, hi) holds the iterates with F < 0 and F > 0 seen
+    so far, starting from (0, inf); a Newton step that leaves it is
+    replaced by bisection.
+    """
+    c2_0, c1, _ = _singular_split(ModelKind.B, state, params, "exact")
+    eta = params.eta
+    u_sq_0 = c2_0 + 0.25  # E = (u_sq_0 - u^2) / eta
+
+    def f_and_slope(u: float, n: int, with_slope: bool = True):
+        grid = _FVGrid.build(0.5 + u, rho_max, n)
+        diag, off = grid.operator(c1)
+        if not with_slope:
+            return _pencil(diag, off, grid.mass, state.n_rho) - et, None
+        val, y = _pencil(diag, off, grid.mass, state.n_rho, with_vector=True)
+        return val - et, 2.0 * u * float(np.sum(y * y * _inverse_square(grid) / grid.mass))
+
+    e_start = _model_b_start(c2_0, c1, eta, et, rho_max, n_points, state.n_rho)
+    u = math.sqrt(abs(u_sq_0 - eta * e_start))  # a start past the threshold is mirrored back
+
+    lo, hi = 0.0, math.inf
+    f_lo = f_hi = None
+    for _ in range(100):
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi) if hi < math.inf else lo + 1.0
+        f, slope = f_and_slope(u, n_points)
+        if f < 0:
+            lo, f_lo = u, f
+        else:
+            hi, f_hi = u, f
+        usable = math.isfinite(slope) and slope > 0
+        if (hi - lo) * (hi + lo) <= eta * tol:  # safeguard narrower than tol in E
+            if f_lo is None:
+                raise BoundStateError(
+                    f"model B has no level n_rho = {state.n_rho} (m = {state.m}) "
+                    "above the fall-to-center threshold on this grid"
+                )
+            break
+        if not usable:
+            u = math.nan  # forces a bisection step
+            continue
+        step = -f / slope
+        u += step
+        if lo < u < hi and abs(step * (2.0 * u - step)) <= eta * tol:  # |E step| <= tol
+            break
+    else:
+        usable = False
+    if not usable:
+        raise BracketingError(
+            f"Newton iteration for model B state (n_rho={state.n_rho}, m={state.m}) "
+            "did not converge",
+            f_lo=f_lo,
+            f_hi=f_hi,
+        )
+    e_coarse = (u_sq_0 - u * u) / eta
+    if not refine:
+        return OracleLevel(e_coarse, math.nan)
+    # One more solve on the halved spacing; the fine-grid root is one
+    # Newton step away from the coarse one.
+    f_fine, _ = f_and_slope(u, 2 * n_points, with_slope=False)
+    u_fine = u - f_fine / slope
+    return _richardson(e_coarse, (u_sq_0 - u_fine * u_fine) / eta)
+
+
 def oracle_energy(
     kind: ModelKind,
     state: QuantumState,
     params: PhysicalParams,
-    bracket: tuple[float, float],
+    *,
     tol: float = 1e-8,
     n_points: int = 4000,
     rho_max: float | None = None,
     target: str = "exact",
     refine: bool = True,
-):
-    """Level n_rho of the nonlinear-in-E eigenproblem, found by bisection.
+) -> OracleLevel:
+    """Level n_rho of the reduced equation, found without a starting guess.
 
-    The bracket must straddle the root: F(lo) > 0 > F(hi) with
-    F(E) = eig_{n_rho}(E) - e_tilde. Past the fall-to-center threshold
-    (centrifugal strength below -1/4) F is treated as -infinity, which is
-    consistent with its decreasing direction. Bisection runs to
-    |Delta E| <= tol; refine=True then polishes the root with a
-    spacing-halved Richardson extrapolation of the eigenvalue and one
-    Newton correction using the locally observed slope of F.
+    Returns OracleLevel(energy, error). Models A and C take one pencil
+    eigensolve on n_points cells and one on 2 n_points cells; model B
+    iterates Newton on n_points cells until the step is below tol, then
+    adds one solve on 2 n_points cells. refine=True extrapolates the two
+    grids (Richardson) and reports |E_2n - E_n|/3 as the error;
+    refine=False returns the n_points level with error NaN (unknown).
     """
     if params.sigma != 1.0:
-        raise DomainError("oracle_energy covers the sigma = 1 models; for other sigma use fd_eigenvalues with radial_potential")
+        raise DomainError(
+            f"oracle_energy needs sigma = 1, got sigma = {params.sigma}: the "
+            "singular split of the reduced equation exists only there"
+        )
     if target not in ("exact", "ga"):
         raise DomainError(f"target must be 'exact' or 'ga', got {target!r}")
     if target == "ga" and kind is not ModelKind.C:
         raise DomainError("Greene-Aldrich target applies to model C only")
     if target == "ga" and params.delta <= 0:
         raise DomainError("Greene-Aldrich target requires delta > 0")
+    if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 1:
+        raise DomainError(f"n_points must be a positive integer, got {n_points!r}")
+    if state.n_rho >= n_points:
+        raise DomainError(f"n_rho = {state.n_rho} exceeds the {n_points} grid cells")
     et = e_tilde(params)
     if not et < 0:
         raise BoundStateError(
@@ -357,88 +491,9 @@ def oracle_energy(
         )
     if rho_max is None:
         rho_max = 25.0 / math.sqrt(-et)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise DomainError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
-
-    def f_of(energy: float, npts: int) -> float:
-        c2, c1, smooth = _singular_split(kind, state, params, energy, target)
-        if c2 + 0.25 < 0:
-            return -math.inf
-        p = 0.5 + math.sqrt(c2 + 0.25)
-        return _fv_eigenvalue(p, c1, rho_max, npts, state.n_rho, smooth) - et
-
-    f_lo = f_of(lo, n_points)
-    if f_lo == 0.0:
-        return lo
-    f_hi = f_of(hi, n_points)
-    if f_hi == 0.0:
-        return hi
-    if not (f_lo > 0.0 and f_hi < 0.0):
-        raise BracketingError(
-            f"no sign change of F on [{lo}, {hi}] for model {kind.value} "
-            f"state (n_rho={state.n_rho}, m={state.m})",
-            f_lo=f_lo,
-            f_hi=f_hi,
-        )
-
-    finite_evals: list[tuple[float, float]] = [(lo, f_lo)]
-    if math.isfinite(f_hi):
-        finite_evals.append((hi, f_hi))
-    cur_lo, cur_hi, fc_lo, fc_hi = lo, hi, f_lo, f_hi
-    while cur_hi - cur_lo > tol:
-        mid = 0.5 * (cur_lo + cur_hi)
-        fm = f_of(mid, n_points)
-        if math.isfinite(fm):
-            slack = 1e-9 * max(
-                1.0, abs(fc_lo), abs(fc_hi) if math.isfinite(fc_hi) else 0.0
-            )
-            decreasing = fm <= fc_lo + slack and (
-                not math.isfinite(fc_hi) or fm >= fc_hi - slack
-            )
-            if not decreasing:
-                raise BracketingError(
-                    "F(E) is not decreasing inside the bracket; refusing to bisect",
-                    f_lo=fc_lo,
-                    f_hi=fc_hi,
-                )
-            finite_evals.append((mid, fm))
-        if fm == 0.0:
-            cur_lo = cur_hi = mid
-            break
-        if fm > 0.0:
-            cur_lo, fc_lo = mid, fm
-        else:
-            cur_hi, fc_hi = mid, fm
-    root = 0.5 * (cur_lo + cur_hi)
-    if not refine:
-        return root
-
-    c2, c1, smooth = _singular_split(kind, state, params, root, target)
-    if c2 + 0.25 < 0:
-        return root
-    p = 0.5 + math.sqrt(c2 + 0.25)
-    eig_coarse = _fv_eigenvalue(p, c1, rho_max, n_points, state.n_rho, smooth)
-    eig_fine = _fv_eigenvalue(p, c1, rho_max, 2 * n_points, state.n_rho, smooth)
-    # The scheme converges at second order, so one halving step of
-    # Richardson extrapolation cancels the leading error term.
-    richardson = eig_fine + (eig_fine - eig_coarse) / 3.0
-    slope = _local_slope(finite_evals, root, tol)
-    if slope is None or slope >= 0:
-        return root
-    return root - (richardson - et) / slope
-
-
-def _local_slope(evals: list[tuple[float, float]], root: float, tol: float):
-    """dF/dE estimated from the two recorded evaluations nearest the root."""
-    if len(evals) < 2:
-        return None
-    by_dist = sorted(evals, key=lambda ef: abs(ef[0] - root))
-    e_a, f_a = by_dist[0]
-    for e_b, f_b in by_dist[1:]:
-        if abs(e_b - e_a) > 0.25 * tol:
-            return (f_a - f_b) / (e_a - e_b)
-    return None
+    if kind is ModelKind.B:
+        return _model_b_level(state, params, et, rho_max, n_points, tol, refine)
+    return _linear_level(kind, state, params, target, et, rho_max, n_points, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +504,10 @@ def _local_slope(evals: list[tuple[float, float]], root: float, tol: float):
 def residual(f, potential, e_tilde_target: float, rho_points=None) -> float:
     """Max-norm residual of -U'' + W U - Et U, scaled by max|U|.
 
-    A RadialFunction is checked with the same three-point stencil the
-    discrete solver uses (so its own eigenvectors come out at rounding
-    level). A callable is checked pointwise with five-point fourth-order
-    stencils at a relative step of 1e-3, on rho_points (default: 4000
-    points spanning [0.05, 30]).
+    f is checked pointwise with five-point fourth-order stencils at a
+    relative step of 1e-3, on rho_points (default: 4000 points spanning
+    [0.05, 30]).
     """
-    if isinstance(f, RadialFunction):
-        u = f.values
-        x = f.grid.nodes
-        h = f.grid.spacing
-        w = _eval_potential(potential, x)
-        upp = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
-        res = -upp + (w[1:-1] - e_tilde_target) * u[1:-1]
-        return float(np.max(np.abs(res)) / np.max(np.abs(u)))
     if rho_points is None:
         rho_points = np.linspace(0.05, 30.0, 4000)
     x = np.asarray(rho_points, dtype=float)
@@ -500,12 +545,16 @@ def node_count(f) -> int:
 
 @dataclass(frozen=True)
 class VerifyRow:
+    """One state's comparison. oracle_err is the oracle's own error estimate
+    (NaN when unknown), so an abs_err near it is oracle-limited."""
+
     state: QuantumState
     e_closed: float
     e_oracle: float
     abs_err: float
     residual: float
     nodes: int
+    oracle_err: float = math.nan
 
 
 def verify_states(
@@ -521,7 +570,8 @@ def verify_states(
     (state, reason) pairs for states without a bound level. Model C is
     checked against the Greene-Aldrich form by default since that is the
     equation its closed formula solves exactly; pass target='exact' to
-    measure the approximation error instead.
+    measure the approximation error instead. The oracle never sees the
+    closed-form level it is compared with.
     """
     if target is None:
         target = "ga" if kind is ModelKind.C else "exact"
@@ -534,14 +584,8 @@ def verify_states(
         except DomainError as err:
             skipped.append((state, str(err)))
             continue
-        half = max(0.5, 0.1 * abs(e_closed))
-        e_oracle = oracle_energy(
-            kind,
-            state,
-            params,
-            (e_closed - half, e_closed + half),
-            n_points=n_points,
-            target=target,
+        e_oracle, oracle_err = oracle_energy(
+            kind, state, params, n_points=n_points, target=target
         )
         wf_kwargs = {"component": "U"}
         if kind is ModelKind.C:
@@ -561,6 +605,7 @@ def verify_states(
                 abs_err=abs(e_closed - e_oracle),
                 residual=res,
                 nodes=nodes,
+                oracle_err=oracle_err,
             )
         )
     return rows, skipped

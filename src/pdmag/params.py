@@ -59,6 +59,9 @@ class PhysicalParams:
     v2: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.__dict__.values())):
+            name, value = next((k, v) for k, v in self.__dict__.items() if not math.isfinite(v))
+            raise DomainError(f"{name} must be finite, got {value!r}")
         if not self.eta > 0:
             raise DomainError(f"eta must be positive (mass scale), got {self.eta}")
         if self.delta < 0:

@@ -46,8 +46,7 @@ PROTOCOL_PARAMS = [
 
 
 def oracle_matches(kind, state, params, closed, rel_tol, target="exact"):
-    half = max(0.5, 0.1 * abs(closed))
-    got = oracle_energy(kind, state, params, (closed - half, closed + half), target=target)
+    got = oracle_energy(kind, state, params, target=target).energy
     return abs(got - closed) <= rel_tol * max(1.0, abs(closed))
 
 

@@ -146,8 +146,12 @@ class TestVerify:
         )
         assert code == 0
         out = lines_of(capsys.readouterr().out)
-        assert out[0] == "n_rho,m,E_closed,E_oracle,abs_err,residual,nodes"
+        assert out[0] == "n_rho,m,E_closed,E_oracle,abs_err,residual,nodes,oracle_err"
         assert len(out) == 3
+        for row in out[1:]:
+            abs_err, oracle_err = float(row.split(",")[4]), float(row.split(",")[7])
+            assert 0.0 < oracle_err < 1e-4
+            assert abs_err <= oracle_err
 
     def test_exit_two_beyond_tolerance(self, capsys):
         code = run(
@@ -156,6 +160,25 @@ class TestVerify:
         )
         assert code == 2
         assert "verification failed" in capsys.readouterr().err
+
+    def test_wrong_closed_form_fails_verification(self, capsys, monkeypatch):
+        # the oracle is never seeded from the closed form it checks, so a
+        # closed form 20 % off is a verification failure (exit 2), not a
+        # solver error (exit 1)
+        import pdmag.oracle
+
+        true_energy = pdmag.oracle.closed_form_energy
+        monkeypatch.setattr(
+            pdmag.oracle, "closed_form_energy", lambda *a, **k: 1.2 * true_energy(*a, **k)
+        )
+        code = run(["verify", "--model", "a", "--nrho-max", "0", "--m-min", "0", "--m-max", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "verification failed" in captured.err
+        assert "no sign change" not in captured.err
+        e_closed, e_oracle = (float(x) for x in lines_of(captured.out)[1].split(",")[2:4])
+        assert e_closed == pytest.approx(1.8, rel=1e-12)
+        assert e_oracle == pytest.approx(1.5, rel=1e-5)
 
 
 class TestGreeneAldrich:
@@ -176,6 +199,12 @@ class TestGreeneAldrich:
 
 
 class TestPlumbing:
+    def test_non_finite_parameter_is_a_validation_error(self, capsys):
+        assert run(["spectrum", "--model", "c", "--delta", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "delta must be finite" in captured.err
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "params.cfg"
         cfg.write_text("mu = 0.5\nkz = 1.0\n", encoding="utf-8")

@@ -1,9 +1,11 @@
-"""The finite-difference eigensolver and the closed-form cross checks.
+"""The finite-volume oracle and the closed-form cross checks.
 
 Reference problems with known spectra: the half-line oscillator
 W = rho^2 with a Dirichlet wall at the origin (levels 3, 7, 11) and the
 attractive-Coulomb reduced equation W = -2/rho, whose implied effective
-angular momentum is 1/2, so the levels are -1/(n+1)^2.
+angular momentum is 1/2, so the levels are -1/(n+1)^2. Read as a pencil
+in the Coulomb strength, -U'' - (Z/rho) U = -U/4 has the charges
+Z = n + 1.
 """
 
 import math
@@ -11,12 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from pdmag.errors import (
-    BoundStateError,
-    BracketingError,
-    DomainError,
-    GridAccuracyWarning,
-)
+from pdmag.errors import BoundStateError, DomainError
 from pdmag.grids import RadialFunction, RadialGrid
 from pdmag.models import (
     ModelKind,
@@ -27,7 +24,8 @@ from pdmag.models import (
     model_c_energy,
 )
 from pdmag.oracle import (
-    fd_eigenvalues,
+    _FVGrid,
+    _pencil,
     node_count,
     oracle_energy,
     radial_potential,
@@ -38,74 +36,82 @@ from pdmag.oracle import (
 from pdmag.params import PhysicalParams, QuantumState, e_tilde
 
 
-def wall_at_origin(rho_max, n_points):
-    # RadialGrid(b/n, b, n) has spacing exactly b/n, so the implied left
-    # Dirichlet ghost node lands on rho = 0
-    return RadialGrid(rho_max / n_points, rho_max, n_points)
-
-
 def oscillator(rho):
     return rho * rho
 
 
-def coulomb(rho):
-    return -2.0 / rho
+def fv_levels(c1, rho_max, n_points, count, smooth=None, p=1.0):
+    """Lowest levels of -U'' + [p(p-1)/rho^2 + c1/rho + smooth] U = Et U."""
+    grid = _FVGrid.build(p, rho_max, n_points)
+    diag, off = grid.operator(c1, smooth)
+    return np.array([_pencil(diag, off, grid.mass, k) for k in range(count)])
+
+
+def coulomb_pencil(rho_max, n_points):
+    """(diag, off, weight) of -U'' + U/4 = Z U/rho on the finite-volume cells (p = 1)."""
+    grid = _FVGrid.build(1.0, rho_max, n_points)
+    diag, off = grid.operator(0.0)
+    return diag + 0.25 * grid.mass, off, grid.coul
 
 
 class TestFdEigenvalues:
+    """The finite-volume inner solver on problems with known spectra."""
+
     def test_half_line_oscillator_levels(self):
-        vals = fd_eigenvalues(oscillator, wall_at_origin(12.0, 16000), 3)
+        vals = fv_levels(0.0, 12.0, 16000, 3, smooth=oscillator)
         np.testing.assert_allclose(vals, [3.0, 7.0, 11.0], atol=1e-5)
 
     def test_coulomb_levels(self):
-        vals = fd_eigenvalues(coulomb, wall_at_origin(60.0, 8000), 3)
+        vals = fv_levels(-2.0, 60.0, 8000, 3)
         exact = [-1.0, -0.25, -1.0 / 9.0]
         np.testing.assert_allclose(vals, exact, rtol=1e-4)
 
+    def test_coulomb_charges_as_pencil_eigenvalues(self):
+        diag, off, weight = coulomb_pencil(60.0, 8000)
+        charges = [_pencil(diag, off, weight, k) for k in range(3)]
+        np.testing.assert_allclose(charges, [1.0, 2.0, 3.0], rtol=1e-4)
+
     def test_second_order_convergence(self):
         exact = 3.0
-        errs = [
-            abs(fd_eigenvalues(oscillator, wall_at_origin(12.0, n), 1)[0] - exact)
-            for n in (1000, 2000)
-        ]
+        errs = [abs(fv_levels(0.0, 12.0, n, 1, smooth=oscillator)[0] - exact) for n in (1000, 2000)]
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.2)
 
-    def test_coarse_grid_warns(self):
-        with pytest.warns(GridAccuracyWarning, match="too coarse") as rec:
-            fd_eigenvalues(oscillator, wall_at_origin(12.0, 150), 1, accuracy_check=1e-8)
-        assert rec[0].message.drift > 1e-8
+    def test_coarse_grid_reports_a_large_error(self, unit_params):
+        level = oracle_energy(ModelKind.A, QuantumState(0, 0), unit_params, n_points=150)
+        assert level.error > 1e-8
 
-    def test_fine_grid_does_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fd_eigenvalues(oscillator, wall_at_origin(12.0, 16000), 1, accuracy_check=1e-3)
+    def test_fine_grid_reports_a_small_error(self, unit_params):
+        level = oracle_energy(ModelKind.A, QuantumState(0, 0), unit_params, n_points=16000)
+        assert level.error < 1e-3
+        assert abs(level.energy - 1.5) <= level.error
 
     def test_eigenvector_satisfies_discrete_equation(self):
-        # rounding floor of the scaled residual tracks eps * 2/h^2, so a
-        # moderate grid keeps it below 1e-10
-        grid = wall_at_origin(12.0, 1000)
-        vals, vecs = fd_eigenvalues(oscillator, grid, 2, with_vectors=True)
-        assert isinstance(vecs[0], RadialFunction)
-        for val, vec in zip(vals, vecs):
-            assert residual(vec, oscillator, val) <= 1e-10
+        # the scaled vector y = weight^(1/2) v must solve the pencil to
+        # rounding: (diag v + off-diagonal terms) = Z weight v
+        diag, off, weight = coulomb_pencil(60.0, 1000)
+        for k in range(2):
+            charge, y = _pencil(diag, off, weight, k, with_vector=True)
+            v = y / np.sqrt(weight)
+            lhs = diag * v
+            lhs[:-1] += off * v[1:]
+            lhs[1:] += off * v[:-1]
+            scale = np.max(np.abs(diag * v))
+            assert np.max(np.abs(lhs - charge * weight * v)) <= 1e-10 * scale
 
-    def test_count_validation(self):
-        grid = wall_at_origin(12.0, 200)
+    def test_count_validation(self, unit_params):
+        state = QuantumState(0, 0)
         with pytest.raises(DomainError, match="positive integer"):
-            fd_eigenvalues(oscillator, grid, 0)
+            oracle_energy(ModelKind.A, state, unit_params, n_points=0)
         with pytest.raises(DomainError, match="positive integer"):
-            fd_eigenvalues(oscillator, grid, True)
+            oracle_energy(ModelKind.A, state, unit_params, n_points=True)
         with pytest.raises(DomainError, match="exceeds"):
-            fd_eigenvalues(oscillator, grid, 201)
+            oracle_energy(ModelKind.A, QuantumState(200, 0), unit_params, n_points=200)
 
     def test_nonfinite_potential_rejected(self):
-        grid = RadialGrid(0.0001, 10.0, 500)
         with pytest.raises(DomainError, match="finite"):
-            fd_eigenvalues(lambda r: np.where(r < 5.0, 0.0, np.inf), grid, 1)
+            fv_levels(0.0, 10.0, 500, 1, smooth=lambda r: np.where(r < 5.0, 0.0, np.inf))
         with pytest.raises(DomainError, match="one value per node"):
-            fd_eigenvalues(lambda r: np.array([1.0, 2.0]), grid, 1)
+            fv_levels(0.0, 10.0, 500, 1, smooth=lambda r: np.array([1.0, 2.0]))
 
 
 class TestRadialGrid:
@@ -116,14 +122,6 @@ class TestRadialGrid:
             RadialGrid(1.0, 0.5, 500)
         with pytest.raises(DomainError, match="n_points"):
             RadialGrid(0.1, 10.0, 50)
-
-    def test_default_grid_covers_the_tail(self):
-        grid = RadialGrid.default_for(-4.0)
-        assert grid.rho_max == pytest.approx(12.5)
-        assert grid.n_points == 4000
-        assert grid.rho_min == pytest.approx(grid.rho_max / 4000)
-        with pytest.raises(DomainError, match="e_tilde_target < 0"):
-            RadialGrid.default_for(0.5)
 
     def test_function_shape_checked(self):
         grid = RadialGrid(0.1, 10.0, 500)
@@ -166,7 +164,8 @@ class TestRadialPotential:
         params = PhysicalParams(sigma=0.5, kz=1.0)
         state = QuantumState(0, 1)
         w = radial_potential(ModelKind.A, state, params, 0.0)
-        vals = fd_eigenvalues(w, wall_at_origin(30.0, 4000), 3)
+        # m_tilde = 1 puts 3/4 rho^-2 in W, i.e. p = 3/2; the rest is smooth
+        vals = fv_levels(0.0, 30.0, 4000, 3, smooth=lambda r: w(r) - 0.75 / r**2, p=1.5)
         assert np.all(np.isfinite(vals))
         assert np.all(np.diff(vals) > 0)
 
@@ -192,18 +191,18 @@ class TestRadialPotential:
 
 class TestOracleEnergy:
     def test_model_a_anchor(self, unit_params):
-        e = oracle_energy(ModelKind.A, QuantumState(0, 0), unit_params, (1.0, 2.0))
+        e = oracle_energy(ModelKind.A, QuantumState(0, 0), unit_params).energy
         assert e == pytest.approx(1.5, rel=1e-5)
 
     def test_model_b_anchor(self, unit_params):
-        e = oracle_energy(ModelKind.B, QuantumState(0, 1), unit_params, (0.5, 1.5))
+        e = oracle_energy(ModelKind.B, QuantumState(0, 1), unit_params).energy
         assert e == pytest.approx(1.0, rel=1e-5)
 
     def test_model_c_greene_aldrich_matches_closed_form(self, weak_field_params):
         params = weak_field_params.replace(delta=0.1)
         state = QuantumState(0, 1)
         closed = model_c_energy(state, params)
-        e = oracle_energy(ModelKind.C, state, params, (closed - 0.3, closed + 0.3), target="ga")
+        e = oracle_energy(ModelKind.C, state, params, target="ga").energy
         assert e == pytest.approx(closed, rel=1e-6)
 
     @pytest.mark.parametrize(
@@ -216,32 +215,54 @@ class TestOracleEnergy:
     )
     def test_spot_checks_against_closed_forms(self, kind, state, params):
         closed = (model_a_energy if kind is ModelKind.A else model_b_energy)(state, params)
-        half = max(0.5, 0.1 * abs(closed))
-        e = oracle_energy(kind, state, params, (closed - half, closed + half))
+        e = oracle_energy(kind, state, params).energy
         assert e == pytest.approx(closed, rel=1e-5)
 
     def test_unrefined_root_is_coarser_but_close(self, unit_params):
-        e = oracle_energy(
-            ModelKind.A, QuantumState(0, 0), unit_params, (1.0, 2.0), refine=False
-        )
-        assert e == pytest.approx(1.5, abs=1e-3)
+        level = oracle_energy(ModelKind.A, QuantumState(0, 0), unit_params, refine=False)
+        assert level.energy == pytest.approx(1.5, abs=1e-3)
+        assert math.isnan(level.error)
 
-    def test_bracket_without_sign_change(self, unit_params):
-        with pytest.raises(BracketingError, match="no sign change") as exc:
-            oracle_energy(ModelKind.A, QuantumState(0, 0), unit_params, (3.0, 5.0))
-        assert exc.value.f_lo is not None and exc.value.f_lo < 0
-        assert exc.value.f_hi is not None and exc.value.f_hi < 0
+    def test_error_estimate_bounds_the_error(self, unit_params):
+        for kind, state in ((ModelKind.A, QuantumState(1, 1)), (ModelKind.B, QuantumState(0, 2))):
+            level = oracle_energy(kind, state, unit_params)
+            closed = (model_a_energy if kind is ModelKind.A else model_b_energy)(state, unit_params)
+            assert 0.0 < level.error < 1e-4
+            assert abs(level.energy - closed) <= level.error
+
+    def test_unbound_model_b_state_has_no_level(self, unit_params):
+        # model_b_energy rejects (1, 1) at unit parameters; the oracle finds
+        # no level above the fall-to-center threshold on its own
+        with pytest.raises(BoundStateError, match="no level n_rho = 1"):
+            oracle_energy(ModelKind.B, QuantumState(1, 1), unit_params)
+
+    def test_eigensolves_per_level(self, unit_params, weak_field_params, monkeypatch):
+        import pdmag.oracle
+
+        calls = []
+        solve = pdmag.oracle.eigh_tridiagonal
+        monkeypatch.setattr(
+            pdmag.oracle, "eigh_tridiagonal", lambda *a, **k: calls.append(1) or solve(*a, **k)
+        )
+        oracle_energy(ModelKind.A, QuantumState(2, 1), unit_params)
+        assert len(calls) == 2
+        calls.clear()
+        oracle_energy(ModelKind.C, QuantumState(1, 0), weak_field_params.replace(delta=0.1), target="ga")
+        assert len(calls) == 2
+        calls.clear()
+        oracle_energy(ModelKind.B, QuantumState(1, 3), PhysicalParams(mu=1.2))
+        assert len(calls) <= 8
 
     def test_validation(self, unit_params):
         state = QuantumState(0, 0)
         with pytest.raises(BoundStateError, match="no bound spectrum"):
-            oracle_energy(ModelKind.A, state, PhysicalParams(b0=0.0), (0.0, 1.0))
-        with pytest.raises(DomainError, match="lo < hi"):
-            oracle_energy(ModelKind.A, state, unit_params, (2.0, 1.0))
-        with pytest.raises(DomainError, match="sigma"):
-            oracle_energy(ModelKind.A, state, PhysicalParams(sigma=2.0), (1.0, 2.0))
+            oracle_energy(ModelKind.A, state, PhysicalParams(b0=0.0))
+        with pytest.raises(DomainError, match="sigma = 1, got sigma = 2.0"):
+            oracle_energy(ModelKind.A, state, PhysicalParams(sigma=2.0))
         with pytest.raises(DomainError, match="model C only"):
-            oracle_energy(ModelKind.A, state, unit_params, (1.0, 2.0), target="ga")
+            oracle_energy(ModelKind.A, state, unit_params, target="ga")
+        with pytest.raises(TypeError):
+            oracle_energy(ModelKind.A, state, unit_params, (1.0, 2.0))
 
     def test_exact_vs_ga_gap_grows_with_delta(self, weak_field_params):
         # the substituted form and the true exponential-mass equation drift
@@ -251,12 +272,49 @@ class TestOracleEnergy:
         gaps = []
         for delta in (0.01, 0.05, 0.1):
             params = weak_field_params.replace(delta=delta)
-            closed = model_c_energy(state, params)
-            bracket = (closed - 0.3, closed + 0.3)
-            e_ga = oracle_energy(ModelKind.C, state, params, bracket, target="ga")
-            e_exact = oracle_energy(ModelKind.C, state, params, bracket, target="exact")
+            e_ga = oracle_energy(ModelKind.C, state, params, target="ga").energy
+            e_exact = oracle_energy(ModelKind.C, state, params, target="exact").energy
             gaps.append(abs(e_ga - e_exact))
         assert gaps[0] < gaps[1] < gaps[2]
+
+    @pytest.mark.parametrize(
+        "state, params",
+        [
+            # weight exp(-delta rho) down to ~1e-12 at rho_max; with LAPACK's
+            # default eigensolve tolerance the second level came out as 1.3e7
+            (QuantumState(0, -1), dict(beta=-4.282096315048737, kz=0.004628488781760809,
+                                       alpha_ab=-0.3879500076998107, eta=0.8441716106960454,
+                                       mu=0.2057208093981136, delta=0.23463880883740817)),
+            (QuantumState(1, 0), dict(beta=-2.4948840449098264, kz=0.02681866446745862,
+                                      alpha_ab=0.423836115586133, eta=1.30261021362774,
+                                      mu=0.14907695756112258, delta=0.273105891014101)),
+        ],
+    )
+    def test_model_c_graded_weight(self, state, params):
+        params = PhysicalParams(**params)
+        closed = model_c_energy(state, params)
+        e = oracle_energy(ModelKind.C, state, params, target="ga").energy
+        assert e == pytest.approx(closed, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "state, params",
+        [
+            # p = 1/2 + |ell_acute| is 0.528 and 0.519: just above the
+            # fall-to-center threshold, where dF/dE diverges
+            (QuantumState(2, 3), dict(beta=-0.5418126039238071, kz=0.2919970223731425,
+                                      alpha_ab=0.3972202640963146, eta=0.5781749423641799,
+                                      mu=0.5400672091221896)),
+            (QuantumState(1, 0), dict(beta=-4.7150269240412195, kz=0.669257781070847,
+                                      alpha_ab=0.4519517260825777, eta=0.8551963135347265,
+                                      mu=0.8832844348322915)),
+        ],
+    )
+    def test_model_b_near_fall_to_center(self, state, params):
+        params = PhysicalParams(**params)
+        closed = model_b_energy(state, params)
+        level = oracle_energy(ModelKind.B, state, params)
+        assert math.isfinite(level.error)
+        assert level.energy == pytest.approx(closed, rel=1e-5)
 
 
 class TestResidual:
@@ -299,9 +357,10 @@ class TestNodeCount:
         assert node_count(np.sin(x)) == 5
 
     def test_radial_function_input(self):
-        grid = wall_at_origin(12.0, 2000)
-        _, vecs = fd_eigenvalues(oscillator, grid, 3, with_vectors=True)
-        assert [node_count(v) for v in vecs] == [0, 1, 2]
+        diag, off, weight = coulomb_pencil(60.0, 2000)
+        grid = RadialGrid(60.0 / 2000, 60.0, 2000)
+        vecs = [_pencil(diag, off, weight, k, with_vector=True)[1] for k in range(3)]
+        assert [node_count(RadialFunction(grid, v)) for v in vecs] == [0, 1, 2]
 
 
 class TestVerifyStates:
@@ -314,6 +373,7 @@ class TestVerifyStates:
             assert row.abs_err <= 1e-5 * max(1.0, abs(row.e_closed))
             assert row.residual <= 1e-6
             assert row.nodes == row.state.n_rho
+            assert 0.0 < row.oracle_err <= 1e-5 * max(1.0, abs(row.e_closed))
 
     def test_model_b_skips_unbound_states(self, unit_params):
         states = [QuantumState(0, 1), QuantumState(1, 1)]

@@ -39,6 +39,12 @@ class TestPhysicalParams:
         with pytest.raises(DomainError, match="b0"):
             PhysicalParams(b0=-2.0)
 
+    @pytest.mark.parametrize("name", ["b0", "mu", "delta", "v0", "v1", "v2", "eta", "kz"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            PhysicalParams(**{name: value})
+
     def test_frozen(self):
         with pytest.raises(Exception):
             PhysicalParams().e = 2.0  # type: ignore[misc]
