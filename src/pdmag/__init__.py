@@ -15,7 +15,6 @@ from .errors import (
     UnphysicalBranchError,
 )
 from .fields import magnetic_field, shape_function, vector_potential, verify_curl
-from .grids import RadialFunction, RadialGrid
 from .models import (
     ModelKind,
     effective_potential,
@@ -23,12 +22,9 @@ from .models import (
     greene_aldrich,
     mass_function,
     model_a_energy,
-    model_a_wavefunction,
     model_b_energy,
-    model_b_wavefunction,
     model_c_coefficients,
     model_c_energy,
-    model_c_wavefunction,
     wavefunction,
 )
 from .nu import NUCoefficients, NUSolution, nu_quantize
@@ -51,8 +47,6 @@ __all__ = [
     "OracleLevel",
     "PhysicalParams",
     "QuantumState",
-    "RadialFunction",
-    "RadialGrid",
     "SweepSpec",
     "UnphysicalBranchError",
     "e_tilde",
@@ -64,12 +58,9 @@ __all__ = [
     "magnetic_field",
     "mass_function",
     "model_a_energy",
-    "model_a_wavefunction",
     "model_b_energy",
-    "model_b_wavefunction",
     "model_c_coefficients",
     "model_c_energy",
-    "model_c_wavefunction",
     "node_count",
     "nu_quantize",
     "oracle_energy",

@@ -145,13 +145,8 @@ def _cmd_wavefunction(args) -> int:
     kind = ModelKind.parse(args.model)
     state = _parse_state(args.state)
     rhos = _rho_grid(args)
-    extra = {}
-    if kind is ModelKind.C:
-        extra["form"] = args.form
-    elif args.form != "paper":
-        raise DomainError("--form applies to model C only")
-    r_values = wavefunction(kind, state, params, rhos, component="R", **extra)
-    u_values = wavefunction(kind, state, params, rhos, component="U", **extra)
+    r_values = wavefunction(kind, state, params, rhos, form=args.form, component="R")
+    u_values = wavefunction(kind, state, params, rhos, form=args.form, component="U")
     lines = ["rho,R,U"]
     for rho, r, u in zip(rhos, r_values, u_values):
         lines.append(f"{_fmt(rho)},{_fmt(r)},{_fmt(u)}")

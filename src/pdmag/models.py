@@ -18,11 +18,11 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BoundStateError, DomainError, NormalizationError
-from .grids import RadialFunction, RadialGrid
+from .errors import BoundStateError, DomainError
 from .nu import NUCoefficients
 from .params import PhysicalParams, QuantumState, m_tilde
 from .specfun import jacobi, laguerre, normalize
@@ -40,13 +40,10 @@ __all__ = [
     "effective_potential",
     "model_a_core",
     "model_a_energy",
-    "model_a_wavefunction",
     "model_b_core",
     "model_b_energy",
-    "model_b_wavefunction",
     "model_c_coefficients",
     "model_c_energy",
-    "model_c_wavefunction",
     "greene_aldrich",
     "energy",
     "wavefunction",
@@ -216,66 +213,6 @@ def model_a_energy(state: QuantumState, params: PhysicalParams) -> float:
     ) / eta
 
 
-def _model_a_shape(state: QuantumState, params: PhysicalParams):
-    """(power p, decay s, Laguerre order a): up to constants,
-    U = rho^p e^(-s rho) L_n^a(2 s rho) and R differs by sqrt(eta)/rho."""
-    s = params.decay_rate
-    ell = math.sqrt(_w(state, params) ** 2 + 1.0 / 16.0)
-    return ell + 0.5, s, 2.0 * ell
-
-
-def _norm_constant(u_values_of, scale: float, power: float, n_rho: int) -> float:
-    """1/sqrt(integral of U^2) on a truncated grid wide enough for the decay."""
-    span = (40.0 + 14.0 * n_rho + 6.0 * max(power, 0.0)) / scale
-    n = 20001
-    last_err: NormalizationError | None = None
-    for _ in range(3):
-        grid = RadialGrid(span / n, span, n)
-        try:
-            return normalize(RadialFunction(grid, u_values_of(grid.nodes)))
-        except NormalizationError as err:
-            last_err = err
-            n = 2 * n - 1
-    raise last_err
-
-
-@lru_cache(maxsize=512)
-def _model_a_norm(state: QuantumState, params: PhysicalParams) -> float:
-    p, s, a = _model_a_shape(state, params)
-
-    def u(nodes):
-        return nodes**p * np.exp(-s * nodes) * laguerre(state.n_rho, a, 2.0 * s * nodes)
-
-    return _norm_constant(u, s, p, state.n_rho)
-
-
-def model_a_wavefunction(
-    state: QuantumState,
-    params: PhysicalParams,
-    rho,
-    component: str = "R",
-    normalized: bool = True,
-):
-    """Radial eigenfunction of Model A at the quantized energy.
-
-    component 'R' gives the physical radial factor
-    N rho^(|ell|-1/2) e^(-s rho) L_n^(2|ell|)(2 s rho); component 'U' gives
-    the reduced function rho R / sqrt(eta). With normalized=True, N makes
-    the integral of U^2 over (0, inf) equal 1.
-    """
-    model_a_energy(state, params)  # runs the validity checks
-    if component not in ("R", "U"):
-        raise DomainError(f"component must be 'R' or 'U', got {component!r}")
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr <= 0):
-        raise DomainError("rho must be positive")
-    p, s, a = _model_a_shape(state, params)
-    u = rho_arr**p * np.exp(-s * rho_arr) * laguerre(state.n_rho, a, 2.0 * s * rho_arr)
-    scale = _model_a_norm(state, params) if normalized else 1.0
-    out = scale * u if component == "U" else scale * math.sqrt(params.eta) * u / rho_arr
-    return out if np.ndim(rho) else float(out)
-
-
 # ---------------------------------------------------------------------------
 # Model B: g = eta / rho^2
 # ---------------------------------------------------------------------------
@@ -338,48 +275,6 @@ def model_b_energy(state: QuantumState, params: PhysicalParams) -> float:
     return (_w(state, params) ** 2 + 0.25 - ell**2) / params.eta
 
 
-@lru_cache(maxsize=512)
-def _model_b_norm(state: QuantumState, params: PhysicalParams) -> float:
-    ell = _model_b_ell(state, params)
-    s = params.decay_rate
-    p = ell + 0.5
-
-    def u(nodes):
-        return nodes**p * np.exp(-s * nodes) * laguerre(state.n_rho, 2.0 * ell, 2.0 * s * nodes)
-
-    return _norm_constant(u, s, p, state.n_rho)
-
-
-def model_b_wavefunction(
-    state: QuantumState,
-    params: PhysicalParams,
-    rho,
-    component: str = "R",
-    normalized: bool = True,
-):
-    """Radial eigenfunction of Model B at the quantized energy.
-
-    R = N rho^(|ell_acute|-1) e^(-s rho) L_n^(2|ell_acute|)(2 s rho);
-    U = rho^(3/2) R / sqrt(eta). Normalization matches Model A's convention.
-    """
-    model_b_energy(state, params)
-    if component not in ("R", "U"):
-        raise DomainError(f"component must be 'R' or 'U', got {component!r}")
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr <= 0):
-        raise DomainError("rho must be positive")
-    ell = _model_b_ell(state, params)
-    s = params.decay_rate
-    p = ell + 0.5
-    u = rho_arr**p * np.exp(-s * rho_arr) * laguerre(state.n_rho, 2.0 * ell, 2.0 * s * rho_arr)
-    scale = _model_b_norm(state, params) if normalized else 1.0
-    if component == "U":
-        out = scale * u
-    else:
-        out = scale * math.sqrt(params.eta) * u / rho_arr**1.5
-    return out if np.ndim(rho) else float(out)
-
-
 # ---------------------------------------------------------------------------
 # Model C: g = eta e^(-delta rho) / rho with Yukawa + Kratzer confinement
 # ---------------------------------------------------------------------------
@@ -430,8 +325,10 @@ class ModelCCore:
 
 
 def _model_c_radicals(state: QuantumState, params: PhysicalParams) -> tuple[float, float]:
-    """(r0, G) with eps1t = sqrt(r0) + delta G and
-    eps2t = 2 sqrt(r0) G + 2 delta (w^2 + V2) - 2 e B0 mu w - V1."""
+    """The quantization ingredients (eps1t, eps2t):
+    eps1t = sqrt(r0) + delta G and
+    eps2t = 2 sqrt(r0) G + 2 delta (w^2 + V2) - 2 e B0 mu w - V1,
+    with G = sqrt(w^2 + V2 + 1/16); both radicands must be non-negative."""
     w = _w(state, params)
     e, b0, mu, d = params.e, params.b0, params.mu, params.delta
     r0 = (
@@ -446,7 +343,15 @@ def _model_c_radicals(state: QuantumState, params: PhysicalParams) -> tuple[floa
     g_rad = w**2 + params.v2 + 1.0 / 16.0
     if g_rad < 0:
         raise DomainError(f"no real bound level: radicand w^2 + V2 + 1/16 = {g_rad} is negative")
-    return r0, math.sqrt(g_rad)
+    big_g = math.sqrt(g_rad)
+    eps1t = math.sqrt(r0) + d * big_g
+    eps2t = (
+        2.0 * math.sqrt(r0) * big_g
+        + 2.0 * d * (w**2 + params.v2)
+        - 2.0 * e * b0 * mu * w
+        - params.v1
+    )
+    return eps1t, eps2t
 
 
 def model_c_coefficients(state: QuantumState, params: PhysicalParams, E: float) -> ModelCCore:
@@ -459,14 +364,7 @@ def model_c_coefficients(state: QuantumState, params: PhysicalParams, E: float) 
     a2 = e**2 * b0**2 * mu * params.beta - 2.0 * e * mt * b0 * mu + 3.0 * d / 8.0 - params.v1
     a3 = params.v0 + params.eta * E
     a4 = params.s_squared + d**2 / 16.0
-    r0, big_g = _model_c_radicals(state, params)
-    eps1t = math.sqrt(r0) + d * big_g
-    eps2t = (
-        2.0 * math.sqrt(r0) * big_g
-        + 2.0 * d * (w**2 + params.v2)
-        - 2.0 * e * b0 * mu * w
-        - params.v1
-    )
+    eps1t, eps2t = _model_c_radicals(state, params)
     return ModelCCore(a1=a1, a2=a2, a3=a3, a4=a4, eps1t=eps1t, eps2t=eps2t, delta=d)
 
 
@@ -478,95 +376,124 @@ def model_c_energy(state: QuantumState, params: PhysicalParams) -> float:
     reproduces Model A exactly when the confinement is off).
     """
     _require_sigma_one(params)
-    r0, big_g = _model_c_radicals(state, params)
-    w = _w(state, params)
-    e, b0, mu, d = params.e, params.b0, params.mu, params.delta
+    eps1t, eps2t = _model_c_radicals(state, params)
     n = state.n_rho
-    eps1t = math.sqrt(r0) + d * big_g
-    eps2t = (
-        2.0 * math.sqrt(r0) * big_g
-        + 2.0 * d * (w**2 + params.v2)
-        - 2.0 * e * b0 * mu * w
-        - params.v1
-    )
-    return ((n**2 + n + 0.5) * d + (2 * n + 1) * eps1t + eps2t - params.v0) / params.eta
+    return ((n**2 + n + 0.5) * params.delta + (2 * n + 1) * eps1t + eps2t - params.v0) / params.eta
 
 
-@lru_cache(maxsize=512)
-def _model_c_norm(state: QuantumState, params: PhysicalParams, form: str) -> float:
-    E = model_c_energy(state, params)
-    core = model_c_coefficients(state, params, E)
-    nu_c = core.nu_coefficients()
-    kappa, upsilon = nu_c.kappa, nu_c.upsilon
-    d = params.delta
-    rate = d * kappa / 2.0
-    if rate <= 0:
-        raise NormalizationError(
-            f"reduced function does not decay (delta*kappa/2 = {rate}); cannot normalize"
-        )
-    p = 0.5 * (1.0 + upsilon)
-
-    def u(nodes):
-        return _model_c_u(state, nodes, d, kappa, upsilon, form)
-
-    return _norm_constant(u, rate, p, state.n_rho)
+# ---------------------------------------------------------------------------
+# Wavefunctions: one assembly over a per-model table of closed forms
+# ---------------------------------------------------------------------------
 
 
-def _model_c_u(state, rho_arr, d, kappa, upsilon, form):
-    """Unnormalized reduced function for either closed form."""
-    xi = np.exp(-d * rho_arr)
-    one_minus_xi = -np.expm1(-d * rho_arr)
-    poly = jacobi(state.n_rho, kappa, upsilon, 1.0 - 2.0 * xi)
-    if form == "xi":
-        return xi ** (kappa / 2.0) * one_minus_xi ** (0.5 * (1.0 + upsilon)) * poly
-    # Paper form: the rho-power prefactor with the small-rho matching factor
-    # delta^((1+upsilon)/2) so the two forms agree as delta*rho -> 0.
-    return (
-        d ** (0.5 * (1.0 + upsilon))
-        * rho_arr ** (0.5 * (1.0 + upsilon))
-        * np.exp(-d * kappa * rho_arr / 2.0)
-        * poly
-    )
+class _ClosedForm(NamedTuple):
+    """One closed-form radial function, up to its norm.
 
-
-def model_c_wavefunction(
-    state: QuantumState,
-    params: PhysicalParams,
-    rho,
-    form: str = "paper",
-    component: str = "R",
-    normalized: bool = True,
-):
-    """Radial eigenfunction of Model C at the quantized energy.
-
-    form 'paper' evaluates
-    R = N rho^((upsilon-1)/2) e^(-delta rho (1+kappa)/2) P_n^(kappa,upsilon)(1 - 2 e^(-delta rho));
-    form 'xi' rebuilds R = sqrt(g/rho) U from the xi-variable solution
-    U = xi^(kappa/2) (1-xi)^((1+upsilon)/2) P_n^(kappa,upsilon)(1-2xi),
-    which solves the approximated equation exactly. Component 'U' returns
-    rho e^(delta rho / 2) R / sqrt(eta) for either form.
+    u(rho) is the reduced function U and R = sqrt(eta) e^(-tail rho) U / rho^r_power;
+    norm holds the arguments of specfun.normalize for the integral of U^2.
     """
+
+    u: Callable
+    r_power: float
+    tail: float
+    norm: tuple
+
+
+def _laguerre_form(state: QuantumState, s: float, ell: float, r_power: float) -> _ClosedForm:
+    """Models A and B: U = rho^p e^(-s rho) L_n^a(2 s rho) with p = ell + 1/2
+    and a = 2 ell; in x = 2 s rho, int U^2 drho = (2s)^-(a+2) times the
+    'laguerre' integral."""
+    n, p, a = state.n_rho, ell + 0.5, 2.0 * ell
+
+    def u(rho):
+        return rho**p * np.exp(-s * rho) * laguerre(n, a, 2.0 * s * rho)
+
+    return _ClosedForm(u, r_power, 0.0, ("laguerre", n, a, 0.0, -(a + 2.0) * math.log(2.0 * s)))
+
+
+def _model_a_form(state: QuantumState, params: PhysicalParams, form: str) -> _ClosedForm:
+    """R = N rho^(|ell_tilde|-1/2) e^(-s rho) L_n^(2|ell_tilde|)(2 s rho) = sqrt(eta) U / rho."""
+    model_a_energy(state, params)  # runs the validity checks
+    ell = math.sqrt(_w(state, params) ** 2 + 1.0 / 16.0)
+    return _laguerre_form(state, params.decay_rate, ell, 1.0)
+
+
+def _model_b_form(state: QuantumState, params: PhysicalParams, form: str) -> _ClosedForm:
+    """R = N rho^(|ell_acute|-1) e^(-s rho) L_n^(2|ell_acute|)(2 s rho)
+    = sqrt(eta) U / rho^(3/2)."""
+    model_b_energy(state, params)
+    return _laguerre_form(state, params.decay_rate, _model_b_ell(state, params), 1.5)
+
+
+def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _ClosedForm:
+    """form 'paper': R = N rho^((upsilon-1)/2) e^(-delta rho (1+kappa)/2)
+    P_n^(kappa,upsilon)(1 - 2 e^(-delta rho)), with the small-rho matching
+    factor delta^((1+upsilon)/2) so the two forms agree as delta rho -> 0;
+    form 'xi': U = xi^(kappa/2) (1-xi)^((1+upsilon)/2) P_n^(kappa,upsilon)(1-2xi),
+    xi = e^(-delta rho), which solves the approximated equation exactly.
+    R = sqrt(eta) e^(-delta rho/2) U / rho for either form; in x = delta rho,
+    int U^2 drho = 1/delta times the integral named by the form."""
     if params.delta <= 0:
         raise DomainError(
             "model C wavefunction needs delta > 0; at delta = 0 use model A reduction"
         )
+    nu_c = model_c_coefficients(state, params, model_c_energy(state, params)).nu_coefficients()
+    n, d, kappa, upsilon = state.n_rho, params.delta, nu_c.kappa, nu_c.upsilon
+    p = 0.5 * (1.0 + upsilon)
+
+    def u(rho):
+        xi = np.exp(-d * rho)
+        poly = jacobi(n, kappa, upsilon, 1.0 - 2.0 * xi)
+        if form == "xi":
+            return xi ** (kappa / 2.0) * (-np.expm1(-d * rho)) ** p * poly
+        return d**p * rho**p * np.exp(-d * kappa * rho / 2.0) * poly
+
+    return _ClosedForm(u, 1.0, d / 2.0, (form, n, kappa, upsilon, -math.log(d)))
+
+
+_CLOSED_FORMS = {ModelKind.A: _model_a_form, ModelKind.B: _model_b_form, ModelKind.C: _model_c_form}
+
+
+@lru_cache(maxsize=512)
+def _norm(kind: ModelKind, state: QuantumState, params: PhysicalParams, form: str) -> float:
+    return normalize(*_CLOSED_FORMS[kind](state, params, form).norm)
+
+
+def wavefunction(
+    kind: ModelKind,
+    state: QuantumState,
+    params: PhysicalParams,
+    rho,
+    *,
+    form: str = "paper",
+    component: str = "R",
+    normalized: bool = True,
+):
+    """Closed-form radial function of any model at its quantized energy.
+
+    component 'R' gives the physical radial factor, 'U' the reduced
+    function of the -U'' + W U = Et U equation (U = rho R / sqrt(eta) for
+    A, rho^(3/2) R / sqrt(eta) for B, rho e^(delta rho/2) R / sqrt(eta)
+    for C). form picks model C's 'paper' or 'xi' closed form. With
+    normalized=True the integral of U^2 over (0, inf) is exactly 1.
+    """
     if form not in ("paper", "xi"):
         raise DomainError(f"form must be 'paper' or 'xi', got {form!r}")
+    if form != "paper" and kind is not ModelKind.C:
+        raise DomainError(f"form {form!r} applies to model C only")
+    closed = _CLOSED_FORMS[kind](state, params, form)
     if component not in ("R", "U"):
         raise DomainError(f"component must be 'R' or 'U', got {component!r}")
-    E = model_c_energy(state, params)
-    core = model_c_coefficients(state, params, E)
-    nu_c = core.nu_coefficients()
-    kappa, upsilon = nu_c.kappa, nu_c.upsilon
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr <= 0):
         raise DomainError("rho must be positive")
-    u = _model_c_u(state, rho_arr, params.delta, kappa, upsilon, form)
-    scale = _model_c_norm(state, params, form) if normalized else 1.0
+    u = closed.u(rho_arr)
+    scale = _norm(kind, state, params, form) if normalized else 1.0
     if component == "U":
         out = scale * u
     else:
-        out = scale * math.sqrt(params.eta) * np.exp(-params.delta * rho_arr / 2.0) * u / rho_arr
+        tail = np.exp(-closed.tail * rho_arr) if closed.tail else 1.0
+        out = scale * math.sqrt(params.eta) * tail * u / rho_arr**closed.r_power
     return out if np.ndim(rho) else float(out)
 
 
@@ -603,12 +530,3 @@ def energy(kind: ModelKind, state: QuantumState, params: PhysicalParams) -> floa
     if kind is ModelKind.B:
         return model_b_energy(state, params)
     return model_c_energy(state, params)
-
-
-def wavefunction(kind: ModelKind, state: QuantumState, params: PhysicalParams, rho, **kwargs):
-    """Closed-form radial function for any model tag."""
-    if kind is ModelKind.A:
-        return model_a_wavefunction(state, params, rho, **kwargs)
-    if kind is ModelKind.B:
-        return model_b_wavefunction(state, params, rho, **kwargs)
-    return model_c_wavefunction(state, params, rho, **kwargs)

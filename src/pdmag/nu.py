@@ -136,41 +136,20 @@ def lambda_n(c: NUCoefficients, n: int) -> float:
 def nu_quantize(a1t: float, a2t: float, a4t: float, n: int) -> float:
     """The a3t value at which lambda_of meets lambda_n.
 
-    lambda_of is strictly increasing and linear in a3t while lambda_n does
-    not depend on it, so the root is unique. Found by growing a bracket
-    geometrically and bisecting, keeping the routine generic rather than
-    baked to one closed form.
+    lambda_of = a3t - 2 a1t + a2t - sqrt((a1t - a2t + a4t)(4 a1t + 1))
+    - 1/2 - sqrt_u - q has slope 1 in a3t while lambda_n does not depend
+    on it, so the root is unique and in closed form.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"n must be a non-negative integer, got {n!r}")
-
-    def f(a3t: float) -> float:
-        c = NUCoefficients(a1t, a2t, a3t, a4t)
-        return lambda_of(c) - lambda_n(c, n)
-
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if f(lo) <= 0.0 <= f(hi):
-            break
-        lo *= 2.0
-        hi *= 2.0
-    else:
-        raise DomainError("failed to bracket the quantization root in a3t")
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-13 * max(1.0, abs(mid)):
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    c = NUCoefficients(a1t, a2t, 0.0, a4t)  # checks the invariants; a3t drops out
+    return (
+        lambda_n(c, n)
+        + 2.0 * a1t
+        - a2t
+        + math.sqrt((a1t - a2t + a4t) * (4.0 * a1t + 1.0))
+        + 0.5
+        + c.sqrt_u
+        + c.q
+    )
 
 
 def nu_eigenfunction(c: NUCoefficients, n: int, xi):

@@ -37,7 +37,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import BoundStateError, BracketingError, DomainError
 from .fields import shape_function
-from .grids import RadialFunction
 from .models import (
     ModelKind,
     confining_potential,
@@ -529,7 +528,7 @@ def residual(f, potential, e_tilde_target: float, rho_points=None) -> float:
 
 def node_count(f) -> int:
     """Number of strict sign changes, ignoring entries below 1e-12 max|f|."""
-    v = f.values if isinstance(f, RadialFunction) else np.asarray(f, dtype=float)
+    v = np.asarray(f, dtype=float)
     vmax = np.max(np.abs(v))
     kept = v[np.abs(v) > 1e-12 * vmax]
     if kept.size < 2:

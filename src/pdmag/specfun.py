@@ -1,4 +1,4 @@
-"""Orthogonal-polynomial evaluation and quadrature normalization.
+"""Orthogonal-polynomial evaluation and the exact norms of the closed forms.
 
 Both families are evaluated by their forward three-term recurrences, which
 are stable for the parameter ranges used here (parameters > -1, degrees of
@@ -7,15 +7,13 @@ a few tens at most).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DomainError, NormalizationError
-from .grids import RadialFunction
 
-__all__ = ["PolynomialSpec", "laguerre", "jacobi", "normalize"]
+__all__ = ["laguerre", "jacobi", "normalize"]
 
 
 def _check_degree(n: int) -> None:
@@ -69,68 +67,98 @@ def jacobi(n: int, kappa: float, upsilon: float, x):
     return p if p.ndim else float(p)
 
 
-@dataclass(frozen=True)
-class PolynomialSpec:
-    """A polynomial pick: family, degree, and family parameters.
+# Node budget of the Gauss-Laguerre rule behind the 'paper' norm.
+_MAX_NODES = 1024
 
-    family 'laguerre' takes one parameter (a); 'jacobi' takes two
-    (kappa, upsilon). All parameters must exceed -1.
+
+def _gauss_laguerre(m: int, alpha: float):
+    """Nodes and weights of the m-point rule for the weight x^alpha e^(-x),
+    with the weights scaled to sum to 1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Laguerre recurrence. The weights come from the Christoffel function,
+    1 / sum_k p_k(x)^2 over the orthonormal polynomials, because eigenvector
+    components lose their relative accuracy exactly where the weights are
+    small. A weight whose sum overflows is below 1e-308 and set to 0.
     """
-
-    family: str
-    n: int
-    parameters: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.family not in ("laguerre", "jacobi"):
-            raise DomainError(f"unknown family {self.family!r}")
-        _check_degree(self.n)
-        expected = 1 if self.family == "laguerre" else 2
-        if len(self.parameters) != expected:
-            raise DomainError(
-                f"{self.family} takes {expected} parameter(s), got {len(self.parameters)}"
-            )
-        if any(p <= -1 for p in self.parameters):
-            raise DomainError("polynomial parameters must be > -1")
-
-    def evaluate(self, x):
-        if self.family == "laguerre":
-            return laguerre(self.n, self.parameters[0], x)
-        return jacobi(self.n, *self.parameters, x)
+    k = np.arange(m, dtype=float)
+    diag = 2.0 * k + alpha + 1.0
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    p_prev, p, total = np.zeros(m), np.ones(m), np.ones(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m - 1):
+            back = off[j - 1] * p_prev if j else 0.0
+            p, p_prev = ((x - diag[j]) * p - back) / off[j], p
+            total += p * p
+    weights = 1.0 / total
+    return x, np.where(np.isfinite(weights), weights, 0.0)
 
 
-def normalize(f: RadialFunction) -> float:
-    """Scale factor N with integral of |N*f|^2 over the grid equal to 1.
+def _log_laguerre_integral(n: int, a: float) -> float:
+    # int_0^inf x^(a+1) e^(-x) [L_n^a(x)]^2 dx = (2n+a+1) Gamma(n+a+1) / n!
+    return math.log(2 * n + a + 1.0) + math.lgamma(n + a + 1.0) - math.lgamma(n + 1.0)
 
-    Composite Simpson quadrature; the error is estimated by comparing with
-    the every-other-node subgrid (grid halving) and must come out below
-    1e-8 relative. A tail of |f|^2 that grows toward rho_max means the
-    sample cannot be normalized and is rejected.
+
+def _log_xi_integral(n: int, kappa: float, upsilon: float) -> float:
+    # int_0^1 xi^(kappa-1) (1-xi)^(1+upsilon) [P_n(1-2xi)]^2 dxi
+    #   = Gamma(n+kappa+1) Gamma(n+upsilon+1) / (n! Gamma(n+kappa+upsilon+1))
+    #     * [1/kappa - 1/(2n+kappa+upsilon+1)]
+    return (
+        math.lgamma(n + kappa + 1.0)
+        + math.lgamma(n + upsilon + 1.0)
+        - math.lgamma(n + 1.0)
+        - math.lgamma(n + kappa + upsilon + 1.0)
+        + math.log((2 * n + upsilon + 1.0) / (kappa * (2 * n + kappa + upsilon + 1.0)))
+    )
+
+
+def _log_paper_integral(n: int, kappa: float, upsilon: float) -> float:
+    """log of int_0^inf x^(1+upsilon) e^(-kappa x) [P_n(1-2e^(-x))]^2 dx.
+
+    Gauss-Laguerre in y = c x with weight y^(1+upsilon) e^(-y), from 2n+32
+    nodes up, doubled until two rules agree to 1e-13. P_n^2 holds e^(-jx)
+    for j = 0..2n, so the integrand decays at rates kappa to kappa+2n; the
+    geometric mean c of the two ends keeps every term within reach of a
+    rule of a few hundred nodes, where c = kappa needs thousands for
+    kappa < 1 and n = 10.
     """
-    y = f.values**2
-    x = f.grid.nodes
+    alpha = 1.0 + upsilon
+    c = math.sqrt(kappa * (kappa + 2.0 * n))
+    m, last = 2 * n + 32, None
+    while m <= _MAX_NODES:
+        y, w = _gauss_laguerre(m, alpha)
+        with np.errstate(divide="ignore"):
+            w = np.exp(np.log(w) + (1.0 - kappa / c) * y)
+        total = float(np.dot(w, jacobi(n, kappa, upsilon, 1.0 - 2.0 * np.exp(-y / c)) ** 2))
+        if last is not None and abs(total - last) <= 1e-13 * total:
+            return math.log(total) + math.lgamma(alpha + 1.0) - (alpha + 1.0) * math.log(c)
+        m, last = 2 * m, total
+    raise NormalizationError(
+        f"Gauss-Laguerre norm did not converge within {_MAX_NODES} nodes "
+        f"(n = {n}, kappa = {kappa}, upsilon = {upsilon}); last two rules gave "
+        f"{last!r} and {total!r}"
+    )
 
-    n = len(x)
-    eighth = n // 8
-    if eighth >= 4:
-        tail_prev = simpson(y[-2 * eighth : -eighth + 1], x=x[-2 * eighth : -eighth + 1])
-        tail_last = simpson(y[-eighth:], x=x[-eighth:])
-        total_rough = simpson(y, x=x)
-        if tail_last > tail_prev and tail_last > 1e-15 * total_rough:
+
+def normalize(form: str, n: int, a: float, b: float = 0.0, log_scale: float = 0.0) -> float:
+    """Scale factor N with the integral of (N U)^2 over (0, inf) equal to 1.
+
+    The closed forms have int U^2 drho = e^log_scale * I, with I one of
+        'laguerre': int_0^inf x^(a+1) e^(-x) [L_n^a(x)]^2 dx, in closed form;
+        'xi':       int_0^inf e^(-a x) (1-e^(-x))^(1+b) [P_n^(a,b)(1-2e^(-x))]^2 dx,
+                    in closed form;
+        'paper':    int_0^inf x^(1+b) e^(-a x) [P_n^(a,b)(1-2e^(-x))]^2 dx,
+                    by Gauss-Laguerre quadrature.
+    The two Jacobi integrals diverge unless a = kappa > 0, and a rule
+    that does not converge within its node budget is rejected.
+    """
+    if form == "laguerre":
+        log_integral = _log_laguerre_integral(n, a)
+    else:
+        if not a > 0:
             raise NormalizationError(
-                "tail of |f|^2 increases toward rho_max; integral looks divergent "
-                f"(last-eighth integral {tail_last:.3e} > previous {tail_prev:.3e})"
+                f"reduced function does not decay (kappa = {a}); cannot normalize"
             )
-
-    integral = simpson(y, x=x)
-    if not integral > 0:
-        raise NormalizationError(f"norm integral must be positive, got {integral}")
-    coarse = simpson(y[::2], x=x[::2])
-    # Simpson is O(h^4): the fine-grid error is ~ |fine - coarse| / 15.
-    est = abs(integral - coarse) / 15.0
-    if est > 1e-8 * integral:
-        raise NormalizationError(
-            f"quadrature error estimate {est / integral:.2e} relative exceeds 1e-8; "
-            "use a finer grid"
-        )
-    return 1.0 / np.sqrt(integral)
+        log_integral = (_log_xi_integral if form == "xi" else _log_paper_integral)(n, a, b)
+    return math.exp(-0.5 * (log_scale + log_integral))

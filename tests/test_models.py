@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from pdmag.errors import BoundStateError, DomainError
 from pdmag.models import (
@@ -23,13 +23,10 @@ from pdmag.models import (
     mass_function,
     model_a_core,
     model_a_energy,
-    model_a_wavefunction,
     model_b_core,
     model_b_energy,
-    model_b_wavefunction,
     model_c_coefficients,
     model_c_energy,
-    model_c_wavefunction,
     wavefunction,
 )
 from pdmag.params import PhysicalParams, QuantumState
@@ -168,36 +165,36 @@ class TestModelAEnergy:
 class TestModelAWavefunction:
     def test_ground_state_nodeless(self, unit_params):
         rho = np.linspace(0.05, 30.0, 2000)
-        u = model_a_wavefunction(QuantumState(0, 0), unit_params, rho, component="U")
+        u = wavefunction(ModelKind.A, QuantumState(0, 0), unit_params, rho, component="U")
         assert count_sign_changes(u) == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_node_count_matches_n(self, n, unit_params):
         rho = np.linspace(0.01, 60.0, 6000)
-        u = model_a_wavefunction(QuantumState(n, 1), unit_params, rho, component="U")
+        u = wavefunction(ModelKind.A, QuantumState(n, 1), unit_params, rho, component="U")
         assert count_sign_changes(u) == n
 
     def test_tail_decay_rate(self):
         params = PhysicalParams(kz=1.0)  # s = sqrt(2)
         state = QuantumState(0, 1)
         r1, r2 = 18.0, 19.0
-        u1 = model_a_wavefunction(state, params, r1, component="U")
-        u2 = model_a_wavefunction(state, params, r2, component="U")
+        u1 = wavefunction(ModelKind.A, state, params, r1, component="U")
+        u2 = wavefunction(ModelKind.A, state, params, r2, component="U")
         p = math.sqrt(1.0 + 1.0 / 16.0) + 0.5
         rate = -math.log((u2 / u1) / (r2 / r1) ** p) / (r2 - r1)
         assert rate == pytest.approx(params.decay_rate, rel=1e-12)
 
     def test_normalized_square_integral_is_one(self, unit_params):
         rho = np.linspace(1e-6, 60.0, 120001)
-        u = model_a_wavefunction(QuantumState(2, 1), unit_params, rho, component="U")
+        u = wavefunction(ModelKind.A, QuantumState(2, 1), unit_params, rho, component="U")
         assert simpson(u**2, x=rho) == pytest.approx(1.0, rel=1e-6)
 
     def test_u_is_rho_r_over_sqrt_eta(self):
         params = PhysicalParams(eta=2.5, kz=0.5)
         state = QuantumState(1, -1)
         rho = np.array([0.3, 1.0, 4.0])
-        r = model_a_wavefunction(state, params, rho, component="R")
-        u = model_a_wavefunction(state, params, rho, component="U")
+        r = wavefunction(ModelKind.A, state, params, rho, component="R")
+        u = wavefunction(ModelKind.A, state, params, rho, component="U")
         np.testing.assert_allclose(u, rho * r / math.sqrt(params.eta), rtol=1e-13)
 
 
@@ -247,14 +244,14 @@ class TestModelBWavefunction:
     def test_ground_state_nodeless(self):
         params = PhysicalParams(mu=2.0)
         rho = np.linspace(0.05, 30.0, 2000)
-        r = model_b_wavefunction(QuantumState(0, 2), params, rho)
+        r = wavefunction(ModelKind.B, QuantumState(0, 2), params, rho)
         assert count_sign_changes(r) == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_node_count_matches_n(self, n):
         params = PhysicalParams(mu=1.0)
         rho = np.linspace(0.01, 40.0, 6000)
-        u = model_b_wavefunction(QuantumState(n, 7), params, rho, component="U")
+        u = wavefunction(ModelKind.B, QuantumState(n, 7), params, rho, component="U")
         assert count_sign_changes(u) == n
 
     def test_small_rho_exponent(self):
@@ -263,8 +260,8 @@ class TestModelBWavefunction:
         E = model_b_energy(state, params)
         ell = model_b_core(state, params, E).ell_acute_abs
         r1, r2 = 1e-4, 2e-4
-        v1 = model_b_wavefunction(state, params, r1)
-        v2 = model_b_wavefunction(state, params, r2)
+        v1 = wavefunction(ModelKind.B, state, params, r1)
+        v2 = wavefunction(ModelKind.B, state, params, r2)
         slope = math.log(v2 / v1) / math.log(r2 / r1)
         assert slope == pytest.approx(ell - 1.0, abs=1e-3)
 
@@ -353,14 +350,14 @@ class TestModelCWavefunction:
         params = weak_field_params.replace(delta=0.1)
         rho = np.linspace(0.05, 40.0, 2000)
         for form in ("paper", "xi"):
-            r = model_c_wavefunction(QuantumState(0, 1), params, rho, form=form)
+            r = wavefunction(ModelKind.C, QuantumState(0, 1), params, rho, form=form)
             assert count_sign_changes(r) == 0
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_node_count_matches_n(self, n, weak_field_params):
         params = weak_field_params.replace(delta=0.1)
         rho = np.linspace(0.01, 120.0, 12000)
-        u = model_c_wavefunction(QuantumState(n, 1), params, rho, component="U", form="xi")
+        u = wavefunction(ModelKind.C, QuantumState(n, 1), params, rho, component="U", form="xi")
         assert count_sign_changes(u) == n
 
     def test_forms_agree_at_small_delta_rho(self, weak_field_params):
@@ -368,16 +365,49 @@ class TestModelCWavefunction:
         state = QuantumState(0, 1)
 
         def ratio(rho):
-            a = model_c_wavefunction(state, params, rho, form="paper", normalized=False)
-            b = model_c_wavefunction(state, params, rho, form="xi", normalized=False)
+            a = wavefunction(ModelKind.C, state, params, rho, form="paper", normalized=False)
+            b = wavefunction(ModelKind.C, state, params, rho, form="xi", normalized=False)
             return a / b
 
         assert abs(ratio(1e-3) - 1.0) <= 1e-4
         assert abs(ratio(1e-3) - 1.0) < abs(ratio(1.0) - 1.0)
 
+    def test_xi_form_is_model_c_only(self, unit_params):
+        with pytest.raises(DomainError, match="model C only"):
+            wavefunction(ModelKind.A, QuantumState(0, 1), unit_params, 1.0, form="xi")
+
     def test_zero_delta_needs_reduction(self, unit_params):
         with pytest.raises(DomainError, match="model A reduction"):
-            model_c_wavefunction(QuantumState(0, 1), unit_params, 1.0)
+            wavefunction(ModelKind.C, QuantumState(0, 1), unit_params, 1.0)
+
+
+class TestExactNorms:
+    """Unit norm of U by adaptive quadrature. The first three cases are
+    cold tables whose norm the former 20001-point Simpson normalizer got
+    wrong by 8e-7 to 5.5e-6."""
+
+    @pytest.mark.parametrize(
+        "kind, state, params, form",
+        [
+            (ModelKind.B, (0, 0),
+             dict(beta=-1.172, kz=0.621, alpha_ab=0.012, eta=1.302, mu=1.78), "paper"),
+            (ModelKind.B, (3, 2),
+             dict(beta=-2.718, kz=0.191, alpha_ab=-0.164, eta=0.806, mu=1.719), "paper"),
+            (ModelKind.C, (3, 0), dict(delta=0.268, mu=0.385), "xi"),
+            (ModelKind.A, (2, -1), dict(kz=0.4, beta=-0.5), "paper"),
+            (ModelKind.C, (2, 1), dict(delta=0.05, mu=0.3), "paper"),
+            (ModelKind.C, (1, -2), dict(delta=0.2, mu=0.4, kz=0.3), "paper"),
+        ],
+    )
+    def test_unit_norm(self, kind, state, params, form):
+        params = PhysicalParams(**params)
+        state = QuantumState(*state)
+
+        def u2(rho):
+            return wavefunction(kind, state, params, rho, form=form, component="U") ** 2
+
+        integral = quad(u2, 0.0, np.inf, limit=1000, epsabs=0.0, epsrel=1e-12)[0]
+        assert abs(integral - 1.0) <= 1e-9
 
 
 class TestGreeneAldrich:
@@ -419,10 +449,26 @@ class TestDispatch:
         assert energy(ModelKind.B, state, unit_params) == model_b_energy(state, unit_params)
         params_c = unit_params.replace(delta=0.1, mu=0.15)
         assert energy(ModelKind.C, state, params_c) == model_c_energy(state, params_c)
+        # each kind gets its own closed form and its own R factor
+        rho = np.array([1.0, 2.0])
+        ell = math.sqrt(1.0 + 1.0 / 16.0)  # w = 1 at the unit parameters
+        s = unit_params.decay_rate
+        explicit = rho ** (ell + 0.5) * np.exp(-s * rho) * (1.0 + 2.0 * ell - 2.0 * s * rho)
         np.testing.assert_allclose(
-            wavefunction(ModelKind.A, state, unit_params, np.array([1.0, 2.0])),
-            model_a_wavefunction(state, unit_params, np.array([1.0, 2.0])),
+            wavefunction(
+                ModelKind.A, QuantumState(1, 1), unit_params, rho, component="U", normalized=False
+            ),
+            explicit,
+            rtol=1e-14,
         )
+        for kind, params, factor in (
+            (ModelKind.A, unit_params, 1.0 / rho),
+            (ModelKind.B, unit_params, rho**-1.5),
+            (ModelKind.C, params_c, np.exp(-0.05 * rho) / rho),
+        ):
+            u = wavefunction(kind, state, params, rho, component="U")
+            r = wavefunction(kind, state, params, rho, component="R")
+            np.testing.assert_allclose(r, factor * u, rtol=1e-14)
 
     def test_sigma_other_than_one_has_no_closed_form(self):
         params = PhysicalParams(sigma=0.5)

@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 from pdmag.errors import BoundStateError, DomainError
-from pdmag.grids import RadialFunction, RadialGrid
 from pdmag.models import (
     ModelKind,
     effective_potential,
     model_a_energy,
-    model_a_wavefunction,
     model_b_energy,
     model_c_energy,
+    wavefunction,
 )
 from pdmag.oracle import (
     _FVGrid,
@@ -112,21 +111,6 @@ class TestFdEigenvalues:
             fv_levels(0.0, 10.0, 500, 1, smooth=lambda r: np.where(r < 5.0, 0.0, np.inf))
         with pytest.raises(DomainError, match="one value per node"):
             fv_levels(0.0, 10.0, 500, 1, smooth=lambda r: np.array([1.0, 2.0]))
-
-
-class TestRadialGrid:
-    def test_validation(self):
-        with pytest.raises(DomainError, match="rho_min"):
-            RadialGrid(0.0, 10.0, 500)
-        with pytest.raises(DomainError, match="exceed"):
-            RadialGrid(1.0, 0.5, 500)
-        with pytest.raises(DomainError, match="n_points"):
-            RadialGrid(0.1, 10.0, 50)
-
-    def test_function_shape_checked(self):
-        grid = RadialGrid(0.1, 10.0, 500)
-        with pytest.raises(DomainError, match="shape"):
-            RadialFunction(grid, np.zeros(499))
 
 
 class TestSpectralTarget:
@@ -324,7 +308,7 @@ class TestResidual:
         w = radial_potential(ModelKind.A, state, unit_params, E)
 
         def u(rho):
-            return model_a_wavefunction(state, unit_params, rho, component="U")
+            return wavefunction(ModelKind.A, state, unit_params, rho, component="U")
 
         assert residual(u, w, e_tilde(unit_params)) <= 1e-6
 
@@ -336,7 +320,7 @@ class TestResidual:
         w = radial_potential(ModelKind.A, state, unit_params, E)
 
         def u(rho):
-            return model_a_wavefunction(state, unit_params, rho, component="U")
+            return wavefunction(ModelKind.A, state, unit_params, rho, component="U")
 
         assert residual(u, w, e_tilde(unit_params) + 0.1) == pytest.approx(0.1, rel=1e-4)
 
@@ -349,7 +333,7 @@ class TestNodeCount:
     def test_closed_form_nodes(self, unit_params):
         rho = np.linspace(0.05, 30.0, 4000)
         for n in (0, 1, 3):
-            u = model_a_wavefunction(QuantumState(n, 1), unit_params, rho, component="U")
+            u = wavefunction(ModelKind.A, QuantumState(n, 1), unit_params, rho, component="U")
             assert node_count(u) == n
 
     def test_plain_oscillation(self):
@@ -357,10 +341,10 @@ class TestNodeCount:
         assert node_count(np.sin(x)) == 5
 
     def test_radial_function_input(self):
+        # sampled radial functions (pencil eigenvectors) go in as plain arrays
         diag, off, weight = coulomb_pencil(60.0, 2000)
-        grid = RadialGrid(60.0 / 2000, 60.0, 2000)
         vecs = [_pencil(diag, off, weight, k, with_vector=True)[1] for k in range(3)]
-        assert [node_count(RadialFunction(grid, v)) for v in vecs] == [0, 1, 2]
+        assert [node_count(v) for v in vecs] == [0, 1, 2]
 
 
 class TestVerifyStates:

@@ -1,5 +1,5 @@
 """Polynomial recurrences against explicit expansions, Rodrigues forms,
-classical orthogonality, and the quadrature normalizer."""
+classical orthogonality, and the exact norms of the closed forms."""
 
 import math
 
@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import quad
 from scipy.special import roots_genlaguerre
 
+from pdmag import specfun
 from pdmag.errors import DomainError, NormalizationError
-from pdmag.grids import RadialFunction, RadialGrid
-from pdmag.specfun import PolynomialSpec, jacobi, laguerre, normalize
+from pdmag.models import ModelKind, wavefunction
+from pdmag.params import PhysicalParams, QuantumState
+from pdmag.specfun import jacobi, laguerre, normalize
 
 params_gt_minus_one = st.floats(min_value=-0.9, max_value=4.0)
 xs = st.floats(min_value=-25.0, max_value=25.0)
@@ -156,53 +158,118 @@ def test_jacobi_rejects_out_of_range():
         jacobi(2, 0.0, 0.0, 1.5)
 
 
-def test_polynomial_spec_dispatch():
-    assert PolynomialSpec("laguerre", 2, (1.0,)).evaluate(2.0) == pytest.approx(-1.0)
-    assert PolynomialSpec("jacobi", 1, (0.5, 0.5)).evaluate(1.0) == pytest.approx(1.5)
-    with pytest.raises(DomainError):
-        PolynomialSpec("hermite", 1, (0.0,))
-    with pytest.raises(DomainError):
-        PolynomialSpec("jacobi", 1, (0.5,))
-    with pytest.raises(DomainError):
-        PolynomialSpec("laguerre", 1, (-1.0,))
+def test_polynomial_point_values():
+    assert laguerre(2, 1.0, 2.0) == pytest.approx(-1.0)
+    assert jacobi(1, 0.5, 0.5, 1.0) == pytest.approx(1.5)
 
 
 # ---------------------------------------------------------------------------
-# normalize
+# normalize: exact norms of the closed forms
 # ---------------------------------------------------------------------------
 
 
-def _sampled(fn, rho_max=40.0, n=20001):
-    grid = RadialGrid(1e-8, rho_max, n)
-    return RadialFunction(grid, fn(grid.nodes))
+def _integrand(form, n, a, b):
+    """The unit-scale U^2 whose integral normalize(form, n, a, b) inverts."""
+    if form == "laguerre":
+        return lambda x: x ** (a + 1.0) * math.exp(-x) * laguerre(n, a, x) ** 2
+
+    def p2(x):
+        return jacobi(n, a, b, 1.0 - 2.0 * math.exp(-x)) ** 2
+
+    if form == "xi":
+        return lambda x: math.exp(-a * x) * (-math.expm1(-x)) ** (1.0 + b) * p2(x)
+    return lambda x: x ** (1.0 + b) * math.exp(-a * x) * p2(x)
+
+
+def _quad(f):
+    return quad(f, 0.0, math.inf, limit=500, epsabs=0.0, epsrel=1e-13)[0]
 
 
 def test_normalize_exponential():
-    f = _sampled(lambda r: np.exp(-r))
-    assert normalize(f) == pytest.approx(math.sqrt(2.0), rel=1e-7)
+    # n = 0: int rho e^(-2 rho) drho = 1/4 (model A shape with s = 1, a = 0),
+    # int x^(1+b) e^(-a x) dx = Gamma(2+b)/a^(2+b) and
+    # int e^(-a x) (1-e^(-x))^(1+b) dx = B(a, 2+b)
+    n_exp = normalize("laguerre", 0, 0.0, log_scale=-2.0 * math.log(2.0))
+    assert n_exp == pytest.approx(2.0, rel=1e-14)
+    a, b = 2.5, 1.5
+    gamma = math.gamma(2.0 + b) / a ** (2.0 + b)
+    assert normalize("paper", 0, a, b) == pytest.approx(gamma**-0.5, rel=1e-13)
+    beta = math.gamma(a) * math.gamma(2.0 + b) / math.gamma(a + 2.0 + b)
+    assert normalize("xi", 0, a, b) == pytest.approx(beta**-0.5, rel=1e-13)
 
 
 def test_normalize_round_trip():
-    f = _sampled(lambda r: np.exp(-r) * (1 + r) ** 2)
-    scale = normalize(f)
-    check = simpson((scale * f.values) ** 2, x=f.grid.nodes)
-    assert check == pytest.approx(1.0, rel=1e-9)
+    # n = 0 and a length scale: (N U)^2 with U(rho) = u(x), x = 3 rho,
+    # integrates to 1
+    for form in ("laguerre", "xi", "paper"):
+        f = _integrand(form, 0, 1.5, 0.75)
+        scale = normalize(form, 0, 1.5, 0.75, log_scale=-math.log(3.0))
+        check = _quad(lambda rho: scale**2 * f(3.0 * rho))
+        assert check == pytest.approx(1.0, rel=1e-12)
 
 
-def test_normalize_stable_under_domain_doubling():
-    # 40 is already 20 decay lengths of e^-2rho; doubling must not move N
-    n40 = normalize(_sampled(lambda r: np.exp(-r), rho_max=40.0))
-    n80 = normalize(_sampled(lambda r: np.exp(-r), rho_max=80.0, n=40001))
-    assert abs(n40 - n80) <= 1e-8 * n40
+@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("a", [0.0, 1.3, 9.0])
+def test_laguerre_norm_matches_quad(n, a):
+    integral = normalize("laguerre", n, a) ** -2
+    assert integral == pytest.approx(_quad(_integrand("laguerre", n, a, 0.0)), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 9, 15])
+@pytest.mark.parametrize("kappa", [0.5, 5.0, 30.0])
+def test_xi_norm_matches_quad(n, kappa):
+    integral = normalize("xi", n, kappa, 2.0) ** -2
+    assert integral == pytest.approx(_quad(_integrand("xi", n, kappa, 2.0)), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("kappa", [0.5, 5.0, 60.0])
+def test_paper_norm_matches_quad(n, kappa):
+    for upsilon in (0.3, 2.0):
+        integral = normalize("paper", n, kappa, upsilon) ** -2
+        expected = _quad(_integrand("paper", n, kappa, upsilon))
+        assert integral == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [5, 20, 100])
+@pytest.mark.parametrize("alpha", [0.3, 1.7, 8.5])
+def test_gauss_laguerre_matches_scipy(m, alpha):
+    nodes, weights = specfun._gauss_laguerre(m, alpha)
+    ref_nodes, ref_weights = roots_genlaguerre(m, alpha)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-12)
+    np.testing.assert_allclose(weights * math.gamma(alpha + 1.0), ref_weights, rtol=1e-11)
+
+
+def test_normalize_stable_under_node_doubling():
+    # a plain rule in y = kappa x gives the same integral at 256 and at 512
+    # nodes, and the paper norm (another scale, its own stopping rule)
+    # agrees with it
+    n, kappa, upsilon = 3, 5.0, 2.0
+
+    def rule(m):
+        y, w = specfun._gauss_laguerre(m, 1.0 + upsilon)
+        f = jacobi(n, kappa, upsilon, 1.0 - 2.0 * np.exp(-y / kappa)) ** 2
+        return float(np.dot(w, f)) * math.gamma(2.0 + upsilon) / kappa ** (2.0 + upsilon)
+
+    assert abs(rule(256) - rule(512)) <= 1e-13 * rule(512)
+    assert normalize("paper", n, kappa, upsilon) ** -2 == pytest.approx(rule(512), rel=1e-13)
 
 
 def test_normalize_rejects_divergent_tail():
-    f = _sampled(lambda r: np.exp(0.1 * r))
-    with pytest.raises(NormalizationError, match="divergent"):
-        normalize(f)
+    for form in ("xi", "paper"):
+        with pytest.raises(NormalizationError, match="does not decay"):
+            normalize(form, 0, 0.0, 1.0)
+    # a model C state with kappa = 0 exactly: b0 = 0, kz = 1/2, V1 = 1/2 and
+    # delta = 1 give a1t - a2t + a4t = -3/16 + 3/8 - 1/2 + 1/4 + 1/16 = 0
+    params = PhysicalParams(b0=0.0, kz=0.5, v1=0.5, delta=1.0)
+    for form in ("xi", "paper"):
+        with pytest.raises(NormalizationError, match="does not decay"):
+            wavefunction(ModelKind.C, QuantumState(0, 0), params, 1.0, form=form)
 
 
-def test_normalize_rejects_coarse_grid():
-    f = _sampled(lambda r: np.exp(-r), n=101)
-    with pytest.raises(NormalizationError, match="finer grid"):
-        normalize(f)
+def test_normalize_rejects_coarse_grid(monkeypatch):
+    # a node budget too small for two rules to agree is rejected, not
+    # answered with the coarse rule
+    monkeypatch.setattr(specfun, "_MAX_NODES", 40)
+    with pytest.raises(NormalizationError, match="did not converge"):
+        normalize("paper", 0, 5.0, 2.0)
