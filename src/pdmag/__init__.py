@@ -20,6 +20,7 @@ from .models import (
     effective_potential,
     energy,
     greene_aldrich,
+    level_axis,
     mass_function,
     model_a_energy,
     model_b_energy,
@@ -54,6 +55,7 @@ __all__ = [
     "energy",
     "find_crossings",
     "greene_aldrich",
+    "level_axis",
     "m_tilde",
     "magnetic_field",
     "mass_function",

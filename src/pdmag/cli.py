@@ -173,13 +173,13 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(
         kind=kind, states=states, param_name=args.param, lo=args.lo, hi=args.hi, steps=args.steps
     )
-    lines = ["param,value,n_rho,m,E,valid"]
+    lines = ["param,value,n_rho,m,E,valid,reason"]
     for row in sweep(spec, params):
         e_text = _fmt(row.energy) if row.valid else ""
         valid_text = "true" if row.valid else "false"
         lines.append(
             f"{row.param_name},{_fmt(row.value)},{row.state.n_rho},{row.state.m},"
-            f"{e_text},{valid_text}"
+            f"{e_text},{valid_text},{row.reason or ''}"
         )
     _emit(lines, args.out)
     return 0
@@ -200,6 +200,8 @@ def _cmd_crossings(args) -> int:
             "E": point.energy,
             "state1": {"n_rho": s1.n_rho, "m": s1.m},
             "state2": {"n_rho": s2.n_rho, "m": s2.m},
+            "bracket_width": point.bracket_width,
+            "gap": point.gap,
         }
         for point in points
     ]

@@ -18,13 +18,14 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import BoundStateError, DomainError
 from .nu import NUCoefficients
-from .params import PhysicalParams, QuantumState, m_tilde
+from .params import PhysicalParams, QuantumState, m_tilde, s_squared_of
 from .specfun import jacobi, laguerre, normalize
 
 __all__ = [
@@ -46,8 +47,15 @@ __all__ = [
     "model_c_energy",
     "greene_aldrich",
     "energy",
+    "level_axis",
+    "Invalid",
+    "reason_text",
+    "SWEEPABLE",
     "wavefunction",
 ]
+
+# The fields a parameter axis (level_axis, and the sweeps built on it) may vary.
+SWEEPABLE = ("beta", "b0", "alpha_ab", "mu", "delta")
 
 
 class ModelKind(enum.Enum):
@@ -66,12 +74,12 @@ class ModelKind(enum.Enum):
 
 
 def _require_sigma_one(params: PhysicalParams) -> None:
-    if params.sigma != 1.0:
-        raise DomainError(f"closed-form models require sigma = 1, got sigma = {params.sigma}")
+    _raise_invalid(Invalid.SIGMA, params.sigma != 1.0, params.sigma)
 
 
 def _w(state: QuantumState, params: PhysicalParams) -> float:
-    """Shifted magnetic quantum number m_tilde - e B0 beta / 2."""
+    """Shifted magnetic quantum number m_tilde - e B0 beta / 2 (params may
+    hold an array in one field, see level_axis)."""
     return m_tilde(state, params) - params.e * params.b0 * params.beta / 2.0
 
 
@@ -190,27 +198,29 @@ def model_a_core(state: QuantumState, params: PhysicalParams, E: float) -> Model
     return ModelACore(alpha_tilde=alpha_tilde, ell_tilde_abs=ell)
 
 
+def _level_a(state: QuantumState, p, check):
+    """Level kernel of model A; returns (E, (|ell_tilde|,))."""
+    s2 = s_squared_of(p)
+    check(Invalid.NO_SCALE, s2 <= 0, s2)
+    mt = m_tilde(state, p)
+    e, b0, mu = p.e, p.b0, p.mu
+    w = _w(state, p)
+    ell = _sqrt(w * w + 1.0 / 16.0)
+    level = (
+        p.beta * mu * (e * e) * (b0 * b0)
+        - 2.0 * e * mt * b0 * mu
+        + 2.0 * _sqrt(s2) * (state.n_rho + 0.5 + ell)
+    ) / p.eta
+    return level, (ell,)
+
+
 def model_a_energy(state: QuantumState, params: PhysicalParams) -> float:
     """Bound level of the g = eta/rho profile.
 
     E = (1/eta)[beta mu e^2 B0^2 - 2 e mt B0 mu
                 + 2 sqrt(kz^2 + e^2 B0^2 mu^2) (n + 1/2 + |ell_tilde|)].
     """
-    _require_sigma_one(params)
-    if not params.radial_scale_ok:
-        raise BoundStateError(
-            "no bound spectrum: kz^2 + e^2 B0^2 mu^2 must be positive "
-            f"(got {params.s_squared})"
-        )
-    mt = m_tilde(state, params)
-    e, b0, mu, beta, eta = params.e, params.b0, params.mu, params.beta, params.eta
-    s = params.decay_rate
-    ell = math.sqrt(_w(state, params) ** 2 + 1.0 / 16.0)
-    return (
-        beta * mu * e**2 * b0**2
-        - 2.0 * e * mt * b0 * mu
-        + 2.0 * s * (state.n_rho + 0.5 + ell)
-    ) / eta
+    return _level(ModelKind.A, state, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +254,18 @@ def model_b_core(state: QuantumState, params: PhysicalParams, E: float) -> Model
     return ModelBCore(beta_acute=beta_acute, ell_acute_abs=math.sqrt(rad))
 
 
-def _model_b_ell(state: QuantumState, params: PhysicalParams) -> float:
-    """Quantized |ell_acute|; positive iff the state is bound."""
-    mt = m_tilde(state, params)
-    e, b0, mu, beta = params.e, params.b0, params.mu, params.beta
-    beta_acute = 2.0 * e * mt * b0 * mu - e**2 * b0**2 * mu * beta
-    return beta_acute / (2.0 * params.decay_rate) - state.n_rho - 0.5
+def _level_b(state: QuantumState, p, check):
+    """Level kernel of model B; returns (E, (|ell_acute|,)), where the
+    quantized |ell_acute| is positive iff the state is bound."""
+    s2 = s_squared_of(p)
+    check(Invalid.NO_SCALE, s2 <= 0, s2)
+    mt = m_tilde(state, p)
+    e, b0, mu = p.e, p.b0, p.mu
+    beta_acute = 2.0 * e * mt * b0 * mu - (e * e) * (b0 * b0) * mu * p.beta
+    ell = beta_acute / (2.0 * _sqrt(s2)) - state.n_rho - 0.5
+    check(Invalid.NOT_BOUND, ell <= 0, ell)
+    w = _w(state, p)
+    return (w * w + 0.25 - ell * ell) / p.eta, (ell,)
 
 
 def model_b_energy(state: QuantumState, params: PhysicalParams) -> float:
@@ -260,19 +276,7 @@ def model_b_energy(state: QuantumState, params: PhysicalParams) -> float:
     positive (Coulomb quantization needs positive effective angular
     momentum).
     """
-    _require_sigma_one(params)
-    if not params.radial_scale_ok:
-        raise BoundStateError(
-            "no bound spectrum: kz^2 + e^2 B0^2 mu^2 must be positive "
-            f"(got {params.s_squared})"
-        )
-    ell = _model_b_ell(state, params)
-    if ell <= 0:
-        raise BoundStateError(
-            "state not bound for these parameters: beta_acute/(2 s) - n_rho - 1/2 = "
-            f"{ell} <= 0"
-        )
-    return (_w(state, params) ** 2 + 0.25 - ell**2) / params.eta
+    return _level(ModelKind.B, state, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -324,34 +328,25 @@ class ModelCCore:
         return self.nu_coefficients().kappa
 
 
-def _model_c_radicals(state: QuantumState, params: PhysicalParams) -> tuple[float, float]:
-    """The quantization ingredients (eps1t, eps2t):
+def _level_c(state: QuantumState, p, check):
+    """Level kernel of model C; returns (E, (eps1t, eps2t)) with the
+    quantization ingredients
     eps1t = sqrt(r0) + delta G and
     eps2t = 2 sqrt(r0) G + 2 delta (w^2 + V2) - 2 e B0 mu w - V1,
-    with G = sqrt(w^2 + V2 + 1/16); both radicands must be non-negative."""
-    w = _w(state, params)
-    e, b0, mu, d = params.e, params.b0, params.mu, params.delta
-    r0 = (
-        d**2 * (w**2 + params.v2)
-        + d**2 / 4.0
-        - 2.0 * e * b0 * mu * w * d
-        - d * params.v1
-        + params.s_squared
-    )
-    if r0 < 0:
-        raise DomainError(f"no real bound level: radicand r0 = {r0} is negative")
-    g_rad = w**2 + params.v2 + 1.0 / 16.0
-    if g_rad < 0:
-        raise DomainError(f"no real bound level: radicand w^2 + V2 + 1/16 = {g_rad} is negative")
-    big_g = math.sqrt(g_rad)
-    eps1t = math.sqrt(r0) + d * big_g
-    eps2t = (
-        2.0 * math.sqrt(r0) * big_g
-        + 2.0 * d * (w**2 + params.v2)
-        - 2.0 * e * b0 * mu * w
-        - params.v1
-    )
-    return eps1t, eps2t
+    G = sqrt(w^2 + V2 + 1/16); both radicands must be non-negative."""
+    w = _w(state, p)
+    e, b0, mu, d = p.e, p.b0, p.mu, p.delta
+    w2v = w * w + p.v2
+    r0 = (d * d) * w2v + (d * d) / 4.0 - 2.0 * e * b0 * mu * w * d - d * p.v1 + s_squared_of(p)
+    check(Invalid.R0_NEGATIVE, r0 < 0, r0)
+    g_rad = w2v + 1.0 / 16.0
+    check(Invalid.G_NEGATIVE, g_rad < 0, g_rad)
+    root, big_g = _sqrt(r0), _sqrt(g_rad)
+    eps1t = root + d * big_g
+    eps2t = 2.0 * root * big_g + 2.0 * d * w2v - 2.0 * e * b0 * mu * w - p.v1
+    n = state.n_rho
+    level = ((n * n + n + 0.5) * d + (2 * n + 1) * eps1t + eps2t - p.v0) / p.eta
+    return level, (eps1t, eps2t)
 
 
 def model_c_coefficients(state: QuantumState, params: PhysicalParams, E: float) -> ModelCCore:
@@ -364,7 +359,7 @@ def model_c_coefficients(state: QuantumState, params: PhysicalParams, E: float) 
     a2 = e**2 * b0**2 * mu * params.beta - 2.0 * e * mt * b0 * mu + 3.0 * d / 8.0 - params.v1
     a3 = params.v0 + params.eta * E
     a4 = params.s_squared + d**2 / 16.0
-    eps1t, eps2t = _model_c_radicals(state, params)
+    eps1t, eps2t = _level(ModelKind.C, state, params)[1]
     return ModelCCore(a1=a1, a2=a2, a3=a3, a4=a4, eps1t=eps1t, eps2t=eps2t, delta=d)
 
 
@@ -375,10 +370,129 @@ def model_c_energy(state: QuantumState, params: PhysicalParams) -> float:
     computed through eps1t/eps2t so delta = 0 is a plain substitution (and
     reproduces Model A exactly when the confinement is off).
     """
+    return _level(ModelKind.C, state, params)[0]
+
+
+# ---------------------------------------------------------------------------
+# Levels: one kernel for a single point and for a parameter axis
+# ---------------------------------------------------------------------------
+
+
+class Invalid:
+    """Codes of level_axis's reason array: why a closed-form level is
+    missing at a point (NONE: it is not). Plain ints, cheap to look up in
+    the kernels that a single point runs."""
+
+    NONE = 0
+    NOT_FINITE = 1  # the swept value is inf or nan
+    NEGATIVE = 2  # a swept b0 or delta below 0
+    SIGMA = 3  # sigma != 1: no closed form
+    NO_SCALE = 4  # kz^2 + e^2 B0^2 mu^2 <= 0 (models A and B)
+    NOT_BOUND = 5  # model B: beta_acute/(2 s) - n_rho - 1/2 <= 0
+    R0_NEGATIVE = 6  # model C: radicand r0 < 0
+    G_NEGATIVE = 7  # model C: radicand w^2 + V2 + 1/16 < 0
+    NOT_FINITE_LEVEL = 8  # the level itself overflowed to inf or nan
+
+
+# Per reason: the error a single point raises, its message with the
+# offending value, and the value-free text of a sweep row ({name} is the
+# swept field). A single point never sees the first two: PhysicalParams
+# rejects such a value when it is built.
+_INVALID = {
+    Invalid.NOT_FINITE: (None, None, "{name} must be finite"),
+    Invalid.NEGATIVE: (None, None, "{name} must be >= 0"),
+    Invalid.SIGMA: (
+        DomainError,
+        "closed-form models require sigma = 1, got sigma = {value}",
+        "closed-form models require sigma = 1",
+    ),
+    Invalid.NO_SCALE: (
+        BoundStateError,
+        "no bound spectrum: kz^2 + e^2 B0^2 mu^2 must be positive (got {value})",
+        "no bound spectrum: kz^2 + e^2 B0^2 mu^2 <= 0",
+    ),
+    Invalid.NOT_BOUND: (
+        BoundStateError,
+        "state not bound for these parameters: beta_acute/(2 s) - n_rho - 1/2 = {value} <= 0",
+        "state not bound: beta_acute/(2 s) - n_rho - 1/2 <= 0",
+    ),
+    Invalid.R0_NEGATIVE: (
+        DomainError,
+        "no real bound level: radicand r0 = {value} is negative",
+        "no real bound level: radicand r0 < 0",
+    ),
+    Invalid.G_NEGATIVE: (
+        DomainError,
+        "no real bound level: radicand w^2 + V2 + 1/16 = {value} is negative",
+        "no real bound level: radicand w^2 + V2 + 1/16 < 0",
+    ),
+    Invalid.NOT_FINITE_LEVEL: (
+        DomainError,
+        "closed-form level is {value}: a parameter is too large for double precision",
+        "level not finite: a parameter is too large for double precision",
+    ),
+}
+
+_LEVELS = {ModelKind.A: _level_a, ModelKind.B: _level_b, ModelKind.C: _level_c}
+
+
+def reason_text(code: int, name: str) -> str | None:
+    """Value-free text of an Invalid code for a sweep row over field name."""
+    return _INVALID[code][2].format(name=name) if code else None
+
+
+def _sqrt(x):
+    """Correctly rounded square root of a float or an array, nan below 0 (a
+    single point checks its radicands before it takes their roots)."""
+    if isinstance(x, np.ndarray) or not x >= 0:
+        return np.sqrt(x)
+    return math.sqrt(x)
+
+
+def _raise_invalid(code: int, bad, value) -> None:
+    if bad:
+        error, message, _ = _INVALID[code]
+        raise error(message.format(value=value))
+
+
+def _level(kind: ModelKind, state: QuantumState, params: PhysicalParams):
+    """(E, kernel parts) of one point; raises the first failed condition."""
     _require_sigma_one(params)
-    eps1t, eps2t = _model_c_radicals(state, params)
-    n = state.n_rho
-    return ((n**2 + n + 0.5) * params.delta + (2 * n + 1) * eps1t + eps2t - params.v0) / params.eta
+    level, parts = _LEVELS[kind](state, params, _raise_invalid)
+    _raise_invalid(Invalid.NOT_FINITE_LEVEL, not math.isfinite(level), level)
+    return level, parts
+
+
+def level_axis(kind: ModelKind, state: QuantumState, params: PhysicalParams, name: str, values):
+    """Closed-form level of one state along one parameter axis.
+
+    params gives every field but name, which takes each of values in turn.
+    Returns (E, reason): float and int8 arrays shaped like values, reason
+    an Invalid code (0 where the level exists) and E nan wherever reason is
+    not 0. The arithmetic is the kernel a single point runs, operation for
+    operation, so E equals energy(kind, state, params.replace(name=v)) bit
+    for bit wherever that succeeds, and reason names the condition it
+    raises on where it does not.
+    """
+    if name not in SWEEPABLE:
+        raise DomainError(f"cannot sweep {name!r}; choose one of {', '.join(SWEEPABLE)}")
+    values = np.asarray(values, dtype=float)
+    reason = np.zeros(values.shape, dtype=np.int8)
+
+    def record(code: int, bad, value) -> None:
+        reason[(reason == 0) & bad] = code
+
+    record(Invalid.NOT_FINITE, ~np.isfinite(values), values)
+    if name in ("b0", "delta"):
+        record(Invalid.NEGATIVE, values < 0, values)
+    record(Invalid.SIGMA, params.sigma != 1.0, params.sigma)
+    point = SimpleNamespace(**{**vars(params), name: values})
+    with np.errstate(all="ignore"):
+        level, _ = _LEVELS[kind](state, point, record)
+        level = np.array(np.broadcast_to(level, values.shape))
+        record(Invalid.NOT_FINITE_LEVEL, ~np.isfinite(level), level)
+    level[reason != 0] = np.nan
+    return level, reason
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +527,15 @@ def _laguerre_form(state: QuantumState, s: float, ell: float, r_power: float) ->
 
 def _model_a_form(state: QuantumState, params: PhysicalParams, form: str) -> _ClosedForm:
     """R = N rho^(|ell_tilde|-1/2) e^(-s rho) L_n^(2|ell_tilde|)(2 s rho) = sqrt(eta) U / rho."""
-    model_a_energy(state, params)  # runs the validity checks
-    ell = math.sqrt(_w(state, params) ** 2 + 1.0 / 16.0)
+    (ell,) = _level(ModelKind.A, state, params)[1]
     return _laguerre_form(state, params.decay_rate, ell, 1.0)
 
 
 def _model_b_form(state: QuantumState, params: PhysicalParams, form: str) -> _ClosedForm:
     """R = N rho^(|ell_acute|-1) e^(-s rho) L_n^(2|ell_acute|)(2 s rho)
     = sqrt(eta) U / rho^(3/2)."""
-    model_b_energy(state, params)
-    return _laguerre_form(state, params.decay_rate, _model_b_ell(state, params), 1.5)
+    (ell,) = _level(ModelKind.B, state, params)[1]
+    return _laguerre_form(state, params.decay_rate, ell, 1.5)
 
 
 def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _ClosedForm:
@@ -525,8 +638,4 @@ def greene_aldrich(rho, delta):
 
 def energy(kind: ModelKind, state: QuantumState, params: PhysicalParams) -> float:
     """Closed-form level for any model tag."""
-    if kind is ModelKind.A:
-        return model_a_energy(state, params)
-    if kind is ModelKind.B:
-        return model_b_energy(state, params)
-    return model_c_energy(state, params)
+    return _level(kind, state, params)[0]

@@ -17,6 +17,7 @@ __all__ = [
     "QuantumState",
     "m_tilde",
     "e_tilde",
+    "s_squared_of",
     "load_config",
     "params_from_mapping",
 ]
@@ -72,7 +73,7 @@ class PhysicalParams:
     @property
     def s_squared(self) -> float:
         """kz**2 + (e*b0*mu)**2, the squared decay rate of the bound tails."""
-        return self.kz**2 + (self.e * self.b0 * self.mu) ** 2
+        return s_squared_of(self)
 
     @property
     def decay_rate(self) -> float:
@@ -119,6 +120,18 @@ def m_tilde(state: QuantumState, params: PhysicalParams) -> float:
     this (generally irrational) shift of m, the only place the flux enters.
     """
     return state.m - params.alpha_ab
+
+
+def s_squared_of(p):
+    """kz**2 + (e*b0*mu)**2 of anything with those fields, floats or arrays.
+
+    Squares are written as products: for floats and numpy arrays alike a
+    product is one correctly rounded operation, so a parameter axis and a
+    single point give the same bits, and a square too large for a double
+    becomes inf instead of raising OverflowError.
+    """
+    ebm = p.e * p.b0 * p.mu
+    return p.kz * p.kz + ebm * ebm
 
 
 def e_tilde(params: PhysicalParams) -> float:

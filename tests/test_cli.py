@@ -1,9 +1,13 @@
 """End-to-end checks of the command-line front end (via cli.run)."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmag.cli import run
 from pdmag.models import model_a_energy
@@ -96,13 +100,17 @@ class TestSweep:
         )
         assert code == 0
         out = lines_of(capsys.readouterr().out)
-        assert out[0] == "param,value,n_rho,m,E,valid"
-        flags = [row.rsplit(",", 1)[1] for row in out[1:]]
-        assert set(flags) == {"true", "false"}
-        for row in out[1:]:
+        assert out[0] == "param,value,n_rho,m,E,valid,reason"
+        rows = [row.split(",") for row in out[1:]]
+        assert {len(row) for row in rows} == {7}
+        assert {row[5] for row in rows} == {"true", "false"}
+        for row in rows:
             assert "nan" not in row
-            if row.endswith(",false"):
-                assert row.rsplit(",", 2)[1] == ""
+            if row[5] == "false":
+                assert row[4] == ""
+                assert row[6] == "state not bound: beta_acute/(2 s) - n_rho - 1/2 <= 0"
+            else:
+                assert row[6] == ""
 
     def test_multiple_states(self, capsys):
         code = run(
@@ -111,6 +119,26 @@ class TestSweep:
         )
         assert code == 0
         assert len(lines_of(capsys.readouterr().out)) == 1 + 6
+
+
+    @pytest.mark.parametrize("bounds", [["--lo=-inf", "--hi=0"], ["--lo=0", "--hi=nan"]])
+    def test_non_finite_range_is_a_validation_error(self, capsys, bounds):
+        code = run(["sweep", "--model", "a", "--state", "0,0", "--param", "beta",
+                    *bounds, "--steps", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        bound = "lo" if "inf" in bounds[0] else "hi"
+        assert f"bound {bound} must be finite" in captured.err
+
+    def test_huge_parameter_rows_carry_a_reason(self, capsys):
+        # mu = 1e200 squares past the largest double: the rows stay, invalid
+        code = run(["sweep", "--model", "a", "--state", "0,0", "--param", "mu",
+                    "--lo=1e200", "--hi=1e201", "--steps", "3"])
+        assert code == 0
+        rows = [row.split(",") for row in lines_of(capsys.readouterr().out)[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert row[4:] == ["", "false", "level not finite: a parameter is too large for double precision"]
 
 
 class TestCrossings:
@@ -123,7 +151,9 @@ class TestCrossings:
         records = json.loads(capsys.readouterr().out)
         assert len(records) == 1
         rec = records[0]
-        assert set(rec) == {"param", "value", "E", "state1", "state2"}
+        assert list(rec) == ["param", "value", "E", "state1", "state2", "bracket_width", "gap"]
+        assert 0.0 <= rec["bracket_width"] <= 1e-10
+        assert rec["gap"] <= 1e-9
         assert rec["param"] == "beta"
         assert rec["value"] == pytest.approx(1.0, abs=1e-9)
         assert rec["E"] == pytest.approx(4.0 + 2.0 * math.sqrt(0.3125), rel=1e-9)
@@ -137,6 +167,13 @@ class TestCrossings:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out) == []
+
+    def test_non_finite_range_is_a_validation_error(self, capsys):
+        code = run(["crossings", "--model", "a", "--s1", "2,1", "--s2", "1,0",
+                    "--param", "beta", "--lo=-inf", "--hi=3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "bound lo must be finite" in captured.err
 
 
 class TestVerify:
@@ -196,6 +233,89 @@ class TestGreeneAldrich:
     def test_needs_positive_delta(self, capsys):
         assert run(["greene-aldrich"]) == 1
         assert "delta > 0" in capsys.readouterr().err
+
+
+class TestNoSilentNonFiniteOutput:
+    """No command prints nan or inf and exits 0: every input either gets a
+    DomainError (exit 1), a skipped state or an invalid row with its
+    reason, or finite numbers."""
+
+    EXTREME = st.one_of(
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.sampled_from(
+            [0.0, 1e-300, -1e-300, 1e154, 1e200, -1e200, 1.7e308, -1.7e308,
+             math.inf, -math.inf, math.nan]
+        ),
+    )
+    FLAGS = ("e", "b0", "mu", "beta", "alpha", "kz", "eta", "delta", "v0", "v1", "v2")
+
+    @staticmethod
+    def _flags(values):
+        return [f"--{name}={value!r}" for name, value in values.items()]
+
+    @staticmethod
+    def _check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1), (argv, err.getvalue())
+        if code != 0:
+            return
+        text = out.getvalue()
+        if argv[0] == "crossings":
+            def reject(constant):
+                raise AssertionError(f"{constant} in {text!r} for {argv}")
+
+            json.loads(text, parse_constant=reject)
+            return
+        for line in text.splitlines()[1:]:
+            for field in line.split(","):
+                try:
+                    value = float(field)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (argv, line)
+
+    @settings(max_examples=80)
+    @given(model=st.sampled_from("abc"), values=st.dictionaries(st.sampled_from(FLAGS), EXTREME))
+    def test_spectrum(self, model, values):
+        self._check(["spectrum", "--model", model, "--nrho-max", "1", "--m-min", "-1",
+                     "--m-max", "1", *self._flags(values)])
+
+    @settings(max_examples=80)
+    @given(
+        model=st.sampled_from("abc"),
+        param=st.sampled_from(("beta", "b0", "alpha_ab", "mu", "delta")),
+        lo=EXTREME,
+        hi=EXTREME,
+        values=st.dictionaries(st.sampled_from(FLAGS), EXTREME, max_size=4),
+    )
+    def test_sweep(self, model, param, lo, hi, values):
+        self._check(["sweep", "--model", model, "--state", "0,1", "--state", "1,0",
+                     "--param", param, f"--lo={lo!r}", f"--hi={hi!r}", "--steps", "9",
+                     *self._flags(values)])
+
+    @settings(max_examples=60)
+    @given(
+        model=st.sampled_from("abc"),
+        param=st.sampled_from(("beta", "b0", "alpha_ab", "mu", "delta")),
+        lo=EXTREME,
+        hi=EXTREME,
+        values=st.dictionaries(st.sampled_from(FLAGS), EXTREME, max_size=4),
+    )
+    def test_crossings(self, model, param, lo, hi, values):
+        self._check(["crossings", "--model", model, "--s1", "0,1", "--s2", "1,0",
+                     "--param", param, f"--lo={lo!r}", f"--hi={hi!r}", "--scan-steps", "201",
+                     *self._flags(values)])
+
+    @pytest.mark.parametrize("model", ["a", "b", "c"])
+    def test_huge_field_skips_the_state(self, model, capsys):
+        code = run(["spectrum", "--model", model, "--mu", "1e200", "--beta=-1e200",
+                    "--delta", "0.1", "--nrho-max", "0", "--m-min", "0", "--m-max", "0"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert lines_of(captured.out) == ["n_rho,m,E"]
+        assert "# skipped n_rho=0 m=0" in captured.err
 
 
 class TestPlumbing:

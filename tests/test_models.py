@@ -17,8 +17,10 @@ from pdmag.models import (
     ModelKind,
     confining_potential,
     effective_potential,
+    Invalid,
     energy,
     greene_aldrich,
+    level_axis,
     mass_bracket,
     mass_function,
     model_a_core,
@@ -410,6 +412,32 @@ class TestExactNorms:
         assert abs(integral - 1.0) <= 1e-9
 
 
+class TestLevelAxis:
+    def test_shape_codes_and_nan_where_invalid(self):
+        values = np.array([-1.0, 0.0, 0.5, np.inf, 2.0])
+        levels, reasons = level_axis(
+            ModelKind.A, QuantumState(0, 1), PhysicalParams(kz=0.0), "b0", values
+        )
+        assert levels.shape == reasons.shape == values.shape
+        assert reasons.tolist() == [
+            Invalid.NEGATIVE, Invalid.NO_SCALE, Invalid.NONE, Invalid.NOT_FINITE, Invalid.NONE
+        ]
+        assert np.isnan(levels[reasons != 0]).all()
+        for value, level in zip(values[reasons == 0], levels[reasons == 0]):
+            assert level == model_a_energy(QuantumState(0, 1), PhysicalParams(kz=0.0, b0=value))
+
+    def test_a_field_the_level_ignores_broadcasts(self):
+        # model A does not depend on delta: one value, repeated
+        levels, reasons = level_axis(
+            ModelKind.A, QuantumState(0, 0), PhysicalParams(), "delta", [0.1, 0.2, -0.1]
+        )
+        assert levels[:2].tolist() == [1.5, 1.5] and reasons.tolist() == [0, 0, Invalid.NEGATIVE]
+
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(DomainError, match="cannot sweep 'eta'"):
+            level_axis(ModelKind.A, QuantumState(0, 0), PhysicalParams(), "eta", [1.0])
+
+
 class TestGreeneAldrich:
     def test_fields_and_exact_part(self):
         out = greene_aldrich(0.5, 1.0)
@@ -469,6 +497,19 @@ class TestDispatch:
             u = wavefunction(kind, state, params, rho, component="U")
             r = wavefunction(kind, state, params, rho, component="R")
             np.testing.assert_allclose(r, factor * u, rtol=1e-14)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_overflow_is_a_domain_error(self, kind):
+        # a square beyond the largest double (e B0 mu = 1e200 for A and C,
+        # w = 5e199 for B): a DomainError naming the cause, never an
+        # OverflowError or an inf/nan level
+        params = {
+            ModelKind.A: PhysicalParams(mu=1e200),
+            ModelKind.B: PhysicalParams(beta=-1e200),
+            ModelKind.C: PhysicalParams(mu=1e200, delta=0.1),
+        }[kind]
+        with pytest.raises(DomainError, match="too large for double precision"):
+            energy(kind, QuantumState(0, 0), params)
 
     def test_sigma_other_than_one_has_no_closed_form(self):
         params = PhysicalParams(sigma=0.5)

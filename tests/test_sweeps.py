@@ -1,14 +1,57 @@
 """Parameter sweeps and level-crossing detection."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pdmag.errors import DomainError
-from pdmag.models import ModelKind, model_a_energy, model_c_energy
+from pdmag.models import ModelKind, energy, model_a_energy, model_c_energy
 from pdmag.params import PhysicalParams, QuantumState
 from pdmag.sweeps import SWEEPABLE, CrossingPoint, SweepSpec, find_crossings, sweep
+
+# The sweep-row reason that goes with each error a single point raises,
+# keyed by the start of the error's message.
+REASON_OF_ERROR = (
+    ("b0 must be >= 0", "b0 must be >= 0"),
+    ("delta must be >= 0", "delta must be >= 0"),
+    ("closed-form models require sigma = 1", "closed-form models require sigma = 1"),
+    ("no bound spectrum", "no bound spectrum: kz^2 + e^2 B0^2 mu^2 <= 0"),
+    ("state not bound", "state not bound: beta_acute/(2 s) - n_rho - 1/2 <= 0"),
+    ("no real bound level: radicand r0", "no real bound level: radicand r0 < 0"),
+    ("no real bound level: radicand w^2", "no real bound level: radicand w^2 + V2 + 1/16 < 0"),
+    ("closed-form level is", "level not finite: a parameter is too large for double precision"),
+)
+
+# Base parameters and ranges per model that reach every invalid reason of
+# that model somewhere on some sweepable axis.
+SWEEP_CASES = {
+    ModelKind.A: (
+        (PhysicalParams(), (-3.0, 3.0)),
+        (PhysicalParams(kz=0.0, beta=-1.3, alpha_ab=0.2), (-1.0, 1.0)),
+        (PhysicalParams(kz=0.4, eta=0.7), (1e150, 1e160)),
+    ),
+    ModelKind.B: (
+        (PhysicalParams(beta=-6.0, kz=1.0), (-3.0, 3.0)),
+        (PhysicalParams(kz=0.0, beta=-2.5, alpha_ab=-0.3), (-1.0, 1.0)),
+        (PhysicalParams(beta=-3.0, kz=0.2), (1e150, 1e160)),
+    ),
+    ModelKind.C: (
+        (PhysicalParams(mu=0.15, delta=0.1), (-0.5, 0.5)),
+        (PhysicalParams(mu=0.4, delta=0.3, v1=6.0, alpha_ab=0.4), (-2.0, 2.0)),
+        (PhysicalParams(mu=0.4, delta=0.3, v2=-0.5, alpha_ab=0.4), (-2.0, 2.0)),
+        (PhysicalParams(mu=0.2, delta=0.2, v0=0.3), (1e150, 1e160)),
+    ),
+}
+
+
+def _direct(kind, state, params, name, value):
+    """(E, None) or (None, error message) straight from models.energy."""
+    try:
+        return energy(kind, state, dataclasses.replace(params, **{name: value})), None
+    except DomainError as err:
+        return None, str(err)
 
 
 class TestSweepSpec:
@@ -22,6 +65,12 @@ class TestSweepSpec:
             SweepSpec(ModelKind.A, (), "beta", -2.0, 2.0, 11)
         with pytest.raises(DomainError, match="cannot sweep"):
             SweepSpec(ModelKind.A, states, "eta", -2.0, 2.0, 11)
+        with pytest.raises(DomainError, match="bound lo must be finite"):
+            SweepSpec(ModelKind.A, states, "beta", -math.inf, 0.0, 3)
+        with pytest.raises(DomainError, match="bound hi must be finite"):
+            SweepSpec(ModelKind.A, states, "beta", 0.0, math.inf, 3)
+        with pytest.raises(DomainError, match="hi - lo must be finite"):
+            SweepSpec(ModelKind.A, states, "beta", -1e308, 1e308, 3)
 
     def test_delta_only_matters_for_the_screened_model(self):
         states = (QuantumState(0, 1),)
@@ -78,6 +127,54 @@ class TestSweep:
         assert rows[-1].valid
 
 
+class TestSweepMatchesSinglePoints:
+    """A mirror of the benchmark's sweep check: every row equals
+    models.energy at its point bit for bit, and every invalid row carries
+    the reason that goes with the error energy raises there."""
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [(k, n) for k in ModelKind for n in SWEEPABLE if n != "delta" or k is ModelKind.C],
+    )
+    def test_rows_equal_energy_and_reasons_match(self, kind, name):
+        states = (QuantumState(0, 0), QuantumState(1, -1), QuantumState(2, 3))
+        for params, (lo, hi) in SWEEP_CASES[kind]:
+            for row in sweep(SweepSpec(kind, states, name, lo, hi, 101), params):
+                want, message = _direct(kind, row.state, params, name, row.value)
+                assert row.energy == want, (params, row)
+                if message is None:
+                    assert row.reason is None
+                else:
+                    (reason,) = [r for start, r in REASON_OF_ERROR if message.startswith(start)]
+                    assert row.reason == reason, (message, row)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_every_reason_of_the_model_shows_up(self, kind):
+        expected = {
+            ModelKind.A: {"b0 must be >= 0", "no bound spectrum", "level not finite"},
+            ModelKind.B: {"b0 must be >= 0", "no bound spectrum", "state not bound",
+                          "level not finite"},
+            ModelKind.C: {"b0 must be >= 0", "delta must be >= 0", "radicand r0",
+                          "radicand w^2", "level not finite"},
+        }[kind]
+        seen = set()
+        states = (QuantumState(0, 0), QuantumState(1, -1), QuantumState(2, 3))
+        for name in SWEEPABLE:
+            if name == "delta" and kind is not ModelKind.C:
+                continue
+            for params, (lo, hi) in SWEEP_CASES[kind]:
+                rows = sweep(SweepSpec(kind, states, name, lo, hi, 101), params)
+                seen |= {r.reason for r in rows if r.reason is not None}
+        assert all(any(key in reason for reason in seen) for key in expected), seen
+
+    def test_sigma_other_than_one_marks_every_row(self):
+        spec = SweepSpec(ModelKind.A, (QuantumState(0, 0),), "beta", -1.0, 1.0, 5)
+        rows = sweep(spec, PhysicalParams(sigma=2.0))
+        assert {(r.energy, r.reason) for r in rows} == {
+            (None, "closed-form models require sigma = 1")
+        }
+
+
 class TestFindCrossings:
     def test_flux_sweep_crossing_location(self, unit_params):
         # the (2,1)/(1,0) pair meets exactly at beta = 1: the level gap
@@ -132,6 +229,31 @@ class TestFindCrossings:
         assert len(coarse) == len(fine) == 1
         assert coarse[0].param_value == pytest.approx(fine[0].param_value, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "param, prange, where",
+        [("beta", (-3.0, 3.0), 1.0), ("alpha_ab", (-1.0, 1.5), 0.5)],
+    )
+    def test_exact_readme_crossings(self, unit_params, param, prange, where):
+        # model A (2,1)-(1,0): exact degeneracy at beta = 1 and at alpha_ab = 1/2
+        (cp,) = find_crossings(
+            ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), param, prange, unit_params
+        )
+        assert abs(cp.param_value - where) <= 1e-9
+        p = unit_params.replace(**{param: cp.param_value})
+        e1 = model_a_energy(QuantumState(2, 1), p)
+        e2 = model_a_energy(QuantumState(1, 0), p)
+        assert cp.gap == abs(e1 - e2) <= 1e-9
+        assert 0.0 <= cp.bracket_width <= 1e-10
+
+    def test_exact_zero_on_the_scan_grid(self, unit_params):
+        # a 7-point scan of [-2, 4] has beta = 1 on its grid, where the
+        # (2,1)-(1,0) gap is exactly 0: reported as is, without bisection
+        (cp,) = find_crossings(
+            ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-2.0, 4.0),
+            unit_params, scan_steps=7,
+        )
+        assert (cp.param_value, cp.bracket_width, cp.gap) == (1.0, 0.0, 0.0)
+
     def test_validation(self, unit_params):
         s = QuantumState(0, 1)
         with pytest.raises(DomainError, match="different states"):
@@ -140,6 +262,11 @@ class TestFindCrossings:
             find_crossings(ModelKind.A, s, QuantumState(1, 0), "beta", (1.0, -1.0), unit_params)
         with pytest.raises(DomainError, match="cannot sweep"):
             find_crossings(ModelKind.A, s, QuantumState(1, 0), "kz", (-1.0, 1.0), unit_params)
+        for prange, bound in (((-math.inf, 3.0), "lo"), ((0.0, math.nan), "hi")):
+            with pytest.raises(DomainError, match=f"bound {bound} must be finite"):
+                find_crossings(ModelKind.A, s, QuantumState(1, 0), "beta", prange, unit_params)
+        with pytest.raises(DomainError, match="hi - lo must be finite"):
+            find_crossings(ModelKind.A, s, QuantumState(1, 0), "mu", (-1e308, 1e308), unit_params)
 
     def test_sweepable_names(self):
         assert SWEEPABLE == ("beta", "b0", "alpha_ab", "mu", "delta")
