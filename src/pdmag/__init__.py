@@ -21,11 +21,11 @@ from .models import (
     energy,
     greene_aldrich,
     level_axis,
-    mass_function,
     model_a_energy,
     model_b_energy,
     model_c_coefficients,
     model_c_energy,
+    reduced_equation,
     wavefunction,
 )
 from .nu import NUCoefficients, NUSolution, nu_quantize
@@ -58,7 +58,6 @@ __all__ = [
     "level_axis",
     "m_tilde",
     "magnetic_field",
-    "mass_function",
     "model_a_energy",
     "model_b_energy",
     "model_c_coefficients",
@@ -67,6 +66,7 @@ __all__ = [
     "nu_quantize",
     "oracle_energy",
     "radial_potential",
+    "reduced_equation",
     "residual",
     "shape_function",
     "sweep",

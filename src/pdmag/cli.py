@@ -107,7 +107,7 @@ def _state_range(args) -> list[QuantumState]:
     ]
 
 
-def _rho_grid(args) -> np.ndarray:
+def _radii(args) -> np.ndarray:
     if args.points < 2:
         raise DomainError(f"--points must be >= 2, got {args.points}")
     if not 0 < args.rho_min < args.rho_max:
@@ -144,7 +144,7 @@ def _cmd_wavefunction(args) -> int:
     params = _resolve_params(args)
     kind = ModelKind.parse(args.model)
     state = _parse_state(args.state)
-    rhos = _rho_grid(args)
+    rhos = _radii(args)
     r_values = wavefunction(kind, state, params, rhos, form=args.form, component="R")
     u_values = wavefunction(kind, state, params, rhos, form=args.form, component="U")
     lines = ["rho,R,U"]
@@ -156,7 +156,7 @@ def _cmd_wavefunction(args) -> int:
 
 def _cmd_field(args) -> int:
     params = _resolve_params(args)
-    rhos = _rho_grid(args)
+    rhos = _radii(args)
     lines = ["rho,S,Bz,Aphi"]
     for sample in field_table(rhos, params):
         lines.append(
@@ -240,7 +240,7 @@ def _cmd_greene_aldrich(args) -> int:
     params = _resolve_params(args)
     if params.delta <= 0:
         raise DomainError("greene-aldrich table requires delta > 0")
-    rhos = _rho_grid(args)
+    rhos = _radii(args)
     table = greene_aldrich(rhos, params.delta)
     lines = ["rho,exact,approx,rel_err"]
     for rho, exact, approx, rel in zip(rhos, table.exact, table.approx, table.rel_err):

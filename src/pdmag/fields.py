@@ -101,8 +101,9 @@ def verify_curl(rho: float, params: PhysicalParams, h: float | None = None) -> f
 
 
 def field_table(rhos, params: PhysicalParams) -> list[FieldSample]:
-    """Sample S, B_z and A_phi on a grid of radii."""
-    return [
+    """Sample S, B_z and A_phi on a grid of radii; a table that is not
+    finite is a DomainError."""
+    table = [
         FieldSample(
             rho=float(r),
             s=shape_function(float(r), params),
@@ -111,3 +112,6 @@ def field_table(rhos, params: PhysicalParams) -> list[FieldSample]:
         )
         for r in np.asarray(rhos, dtype=float)
     ]
+    if not np.all(np.isfinite([(x.s, x.b_z, x.a_phi) for x in table])):
+        raise DomainError("field table is not finite: a parameter is too large")
+    return table

@@ -5,10 +5,14 @@ convention hbar = 2 m0 = 1 throughout, so energies carry no extra
 prefactors.
 
 Profile tags:
-    A: g = eta / rho            (decaying linearly)
-    B: g = eta / rho^2
+    A: g = eta / rho            (V = 0)
+    B: g = eta / rho^2          (V = 0)
     C: g = eta exp(-delta rho) / rho, optionally with the
        Yukawa-plus-Kratzer confinement V(rho).
+
+Each model reduces to one radial equation -U'' + W U = Et U, whose
+coefficients come from one table (reduced_equation); effective_potential,
+the oracle and model_c_coefficients all read it.
 """
 
 from __future__ import annotations
@@ -30,18 +34,12 @@ from .specfun import jacobi, laguerre, normalize
 
 __all__ = [
     "ModelKind",
-    "ModelACore",
-    "ModelBCore",
     "ModelCCore",
     "GreeneAldrich",
-    "mass_function",
-    "mass_log_derivatives",
-    "mass_bracket",
-    "confining_potential",
+    "ReducedEquation",
+    "reduced_equation",
     "effective_potential",
-    "model_a_core",
     "model_a_energy",
-    "model_b_core",
     "model_b_energy",
     "model_c_coefficients",
     "model_c_energy",
@@ -83,123 +81,125 @@ def _w(state: QuantumState, params: PhysicalParams) -> float:
     return m_tilde(state, params) - params.e * params.b0 * params.beta / 2.0
 
 
-def mass_function(rho, kind: ModelKind, params: PhysicalParams):
-    """The radial mass profile g(rho) for the chosen model. Positive for rho > 0."""
+def _coulomb(state: QuantumState, params: PhysicalParams) -> float:
+    """Strength 2 e m_tilde B0 mu - e^2 B0^2 mu beta of the field's attractive
+    1/rho term (beta_acute of model B)."""
+    e, b0, mu = params.e, params.b0, params.mu
+    return 2.0 * e * m_tilde(state, params) * b0 * mu - (e * e) * (b0 * b0) * mu * params.beta
+
+
+def _positive(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
         raise DomainError("rho must be positive")
-    if kind is ModelKind.A:
-        out = params.eta / rho
-    elif kind is ModelKind.B:
-        out = params.eta / rho**2
-    else:
-        out = params.eta * np.exp(-params.delta * rho) / rho
-    return out if out.ndim else float(out)
+    return rho
 
 
-def mass_log_derivatives(rho, kind: ModelKind, params: PhysicalParams):
-    """(g'/g, g''/g) for the chosen profile, in closed form."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise DomainError("rho must be positive")
-    if kind is ModelKind.A:
-        l1 = -1.0 / rho
-        l2 = 2.0 / rho**2
-    elif kind is ModelKind.B:
-        l1 = -2.0 / rho
-        l2 = 6.0 / rho**2
-    else:
-        d = params.delta
-        l1 = -(d + 1.0 / rho)
-        l2 = (d + 1.0 / rho) ** 2 + 1.0 / rho**2
-    if np.ndim(rho):
-        return l1, l2
-    return float(l1), float(l2)
+def _inverse_rho(rho, delta, target: str):
+    """1/rho, or for target 'ga' its Greene-Aldrich surrogate delta/(1 - e^(-delta rho))."""
+    if target == "ga":
+        return delta / (-np.expm1(-delta * rho))
+    return 1.0 / rho
 
 
-def mass_bracket(rho, kind: ModelKind, params: PhysicalParams):
-    """Kinetic correction generated by the position dependence of the mass.
+# ---------------------------------------------------------------------------
+# The reduced radial equation: one coefficient table for the three models
+# ---------------------------------------------------------------------------
 
-    (5/16)(g'/g)^2 - (1/4)(g''/g) - (1/4)(g'/g)/rho, assembled from the
-    closed-form logarithmic derivatives.
+# Mass profile g = eta e^(-k rho) / rho^power of each model as
+# (power, whether k = delta; otherwise k = 0).
+_MASS = {ModelKind.A: (1, False), ModelKind.B: (2, False), ModelKind.C: (1, True)}
+
+
+class ReducedEquation(NamedTuple):
+    """The reduced radial equation -U'' + W(rho; E) U = Et U of one state at
+    sigma = 1, Et = -(kz^2 + e^2 B0^2 mu^2), split as
+
+        W = c2/rho^2 + c1/rho + b0 + v0 (1 - e^(-delta rho))/rho - E g(rho),
+        g = eta e^(-decay rho) / rho^power.
+
+    c2, c1 and b0 collect the field, the confining potential
+    V = -v0 e^(-delta rho)/rho - v1/rho + v2/rho^2 and the mass bracket.
+    target 'ga' reads every 1/rho as delta/(1 - e^(-delta rho)), the
+    Greene-Aldrich form whose spectrum model C's closed form solves exactly.
     """
-    rho_arr = np.asarray(rho, dtype=float)
-    l1, l2 = mass_log_derivatives(rho_arr, kind, params)
-    out = 0.3125 * np.asarray(l1) ** 2 - 0.25 * np.asarray(l2) - 0.25 * np.asarray(l1) / rho_arr
-    return out if np.ndim(rho) else float(out)
+
+    c2: float
+    c1: float
+    b0: float
+    v0: float
+    delta: float
+    eta: float
+    power: int
+    decay: float
+
+    def smooth(self, rho, target: str = "exact"):
+        """b0 + v0 (1 - e^(-delta rho))/rho, the part of W(rho; 0) bounded at 0."""
+        if not self.v0:
+            return self.b0
+        r = _inverse_rho(rho, self.delta, target)
+        return self.b0 + self.v0 * -np.expm1(-self.delta * rho) * r
+
+    def mass(self, rho, target: str = "exact"):
+        """The mass profile g(rho), which multiplies -E."""
+        g = self.eta * _inverse_rho(rho, self.delta, target) ** self.power
+        return g * np.exp(-self.decay * rho) if self.decay else g
+
+    def potential(self, rho, E: float, target: str = "exact"):
+        """W(rho; E)."""
+        r = _inverse_rho(rho, self.delta, target)
+        return self.c2 * r * r + self.c1 * r + self.smooth(rho, target) - E * self.mass(rho, target)
 
 
-def confining_potential(rho, params: PhysicalParams):
-    """-V0 e^(-delta rho)/rho - V1/rho + V2/rho^2."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise DomainError("rho must be positive")
-    out = (
-        -params.v0 * np.exp(-params.delta * rho) / rho
-        - params.v1 / rho
-        + params.v2 / rho**2
-    )
-    return out if out.ndim else float(out)
+def reduced_equation(kind: ModelKind, state: QuantumState, params: PhysicalParams):
+    """The coefficients of the reduced radial equation of one state.
 
-
-def effective_potential(rho, kind: ModelKind, state: QuantumState, params: PhysicalParams, E: float):
-    """Everything multiplying U in the reduced radial equation, at sigma = 1.
-
-    The equation reads -U'' + W(rho) U = Et U with
-    Et = -(kz^2 + e^2 B0^2 mu^2); this function returns W. Terms: the
-    centrifugal coefficient (mt^2 - 1/4 - e mt B0 beta + e^2 B0^2 beta^2/4)
-    over rho^2, the Coulomb-like -(2 e mt B0 mu - e^2 B0^2 mu beta)/rho,
-    -g(rho) E, the confining potential, and the mass bracket.
+    c2 = w^2 + b2 - 1/4 + v2 and c1 = -(2 e mt B0 mu - e^2 B0^2 mu beta) + b1 - v1 - v0,
+    summed in this order so that model C's a1 and a2 keep their bits. The
+    mass bracket b2/rho^2 + b1/rho + b0 = (5/16)(g'/g)^2 - (1/4)(g''/g) - (1/4)(g'/g)/rho
+    of g ~ e^(-k rho)/rho^power is b2 = power^2/16, b1 = k (power + 2)/8,
+    b0 = k^2/16: (1/16, 0, 0) for A, (1/4, 0, 0) for B and
+    (1/16, 3 delta/8, delta^2/16) for C.
     """
     _require_sigma_one(params)
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr <= 0):
-        raise DomainError("rho must be positive")
-    mt = m_tilde(state, params)
-    e, b0, mu, beta = params.e, params.b0, params.mu, params.beta
-    cent = mt**2 - 0.25 - e * mt * b0 * beta + (e * b0 * beta) ** 2 / 4.0
-    coul = 2.0 * e * mt * b0 * mu - e**2 * b0**2 * mu * beta
-    out = (
-        cent / rho_arr**2
-        - coul / rho_arr
-        - mass_function(rho_arr, kind, params) * E
-        + confining_potential(rho_arr, params)
-        + mass_bracket(rho_arr, kind, params)
+    power, decays = _MASS[kind]
+    k = params.delta if decays else 0.0
+    w = _w(state, params)
+    return ReducedEquation(
+        c2=w * w + (power * power / 16.0 - 0.25) + params.v2,
+        c1=-_coulomb(state, params) + k * (power + 2) / 8.0 - params.v1 - params.v0,
+        b0=k * k / 16.0,
+        v0=params.v0,
+        delta=params.delta,
+        eta=params.eta,
+        power=power,
+        decay=k,
     )
+
+
+def effective_potential(
+    rho, kind: ModelKind, state: QuantumState, params: PhysicalParams, E: float
+):
+    """W(rho; E) of the reduced radial equation of one state, at sigma = 1
+    (see ReducedEquation)."""
+    out = reduced_equation(kind, state, params).potential(_positive(rho), E)
     return out if np.ndim(rho) else float(out)
 
 
 # ---------------------------------------------------------------------------
-# Model A: g = eta / rho
+# Closed-form levels. Models A and B are the V = 0 models; each kernel is
+# written over a record whose fields are floats or arrays (see level_axis).
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelACore:
-    """Coulomb-problem parameters of the reduced Model A equation."""
-
-    alpha_tilde: float
-    ell_tilde_abs: float
-
-    def __post_init__(self):
-        if not self.ell_tilde_abs >= 0.25:
-            raise DomainError(
-                f"ell_tilde_abs = {self.ell_tilde_abs} < 1/4; construction is inconsistent"
-            )
-
-
-def model_a_core(state: QuantumState, params: PhysicalParams, E: float) -> ModelACore:
-    """alpha_tilde and |ell_tilde| at the given energy."""
-    _require_sigma_one(params)
-    mt = m_tilde(state, params)
-    e, b0, mu, beta, eta = params.e, params.b0, params.mu, params.beta, params.eta
-    alpha_tilde = 2.0 * e * mt * b0 * mu - e**2 * b0**2 * mu * beta + eta * E
-    ell = math.sqrt(_w(state, params) ** 2 + 1.0 / 16.0)
-    return ModelACore(alpha_tilde=alpha_tilde, ell_tilde_abs=ell)
+def _require_no_potential(p, check) -> None:
+    if p.v0 or p.v1 or p.v2:  # floats on a parameter axis too: they are not sweepable
+        check(Invalid.POTENTIAL, True, (p.v0, p.v1, p.v2))
 
 
 def _level_a(state: QuantumState, p, check):
     """Level kernel of model A; returns (E, (|ell_tilde|,))."""
+    _require_no_potential(p, check)
     s2 = s_squared_of(p)
     check(Invalid.NO_SCALE, s2 <= 0, s2)
     mt = m_tilde(state, p)
@@ -215,7 +215,7 @@ def _level_a(state: QuantumState, p, check):
 
 
 def model_a_energy(state: QuantumState, params: PhysicalParams) -> float:
-    """Bound level of the g = eta/rho profile.
+    """Bound level of the g = eta/rho profile (V = 0).
 
     E = (1/eta)[beta mu e^2 B0^2 - 2 e mt B0 mu
                 + 2 sqrt(kz^2 + e^2 B0^2 mu^2) (n + 1/2 + |ell_tilde|)].
@@ -223,53 +223,20 @@ def model_a_energy(state: QuantumState, params: PhysicalParams) -> float:
     return _level(ModelKind.A, state, params)[0]
 
 
-# ---------------------------------------------------------------------------
-# Model B: g = eta / rho^2
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModelBCore:
-    """Coulomb-problem parameters of the reduced Model B equation."""
-
-    beta_acute: float
-    ell_acute_abs: float
-
-    def __post_init__(self):
-        if not self.ell_acute_abs > 0:
-            raise DomainError(
-                f"ell_acute_abs = {self.ell_acute_abs} must be positive for a bound state"
-            )
-
-
-def model_b_core(state: QuantumState, params: PhysicalParams, E: float) -> ModelBCore:
-    """beta_acute and |ell_acute| at the given energy."""
-    _require_sigma_one(params)
-    mt = m_tilde(state, params)
-    e, b0, mu, beta, eta = params.e, params.b0, params.mu, params.beta, params.eta
-    beta_acute = 2.0 * e * mt * b0 * mu - e**2 * b0**2 * mu * beta
-    rad = _w(state, params) ** 2 + 0.25 - eta * E
-    if rad < 0:
-        raise DomainError(f"ell_acute^2 = {rad} is negative; no real solution at E = {E}")
-    return ModelBCore(beta_acute=beta_acute, ell_acute_abs=math.sqrt(rad))
-
-
 def _level_b(state: QuantumState, p, check):
     """Level kernel of model B; returns (E, (|ell_acute|,)), where the
     quantized |ell_acute| is positive iff the state is bound."""
+    _require_no_potential(p, check)
     s2 = s_squared_of(p)
     check(Invalid.NO_SCALE, s2 <= 0, s2)
-    mt = m_tilde(state, p)
-    e, b0, mu = p.e, p.b0, p.mu
-    beta_acute = 2.0 * e * mt * b0 * mu - (e * e) * (b0 * b0) * mu * p.beta
-    ell = beta_acute / (2.0 * _sqrt(s2)) - state.n_rho - 0.5
+    ell = _coulomb(state, p) / (2.0 * _sqrt(s2)) - state.n_rho - 0.5
     check(Invalid.NOT_BOUND, ell <= 0, ell)
     w = _w(state, p)
     return (w * w + 0.25 - ell * ell) / p.eta, (ell,)
 
 
 def model_b_energy(state: QuantumState, params: PhysicalParams) -> float:
-    """Bound level of the g = eta/rho^2 profile.
+    """Bound level of the g = eta/rho^2 profile (V = 0).
 
     E = (1/eta)[w^2 + 1/4 - (beta_acute/(2 s) - n - 1/2)^2] with
     w = mt - e B0 beta/2, valid only while the squared term's base stays
@@ -279,27 +246,17 @@ def model_b_energy(state: QuantumState, params: PhysicalParams) -> float:
     return _level(ModelKind.B, state, params)[0]
 
 
-# ---------------------------------------------------------------------------
-# Model C: g = eta e^(-delta rho) / rho with Yukawa + Kratzer confinement
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class ModelCCore:
-    """Coefficient assembly of the reduced Model C equation.
-
-    The exact reduced equation is
-        -U'' + [a1/rho^2 + a2/rho - a3 e^(-delta rho)/rho + a4] U = 0,
-    and eps1t/eps2t are the quantization ingredients of the closed-form
-    level. a3 carries the energy; everything else is E-independent.
+    """Model C's reduced equation in the form of the paper,
+        -U'' + [a1/rho^2 + a2/rho - a3 e^(-delta rho)/rho + a4] U = 0.
+    a3 carries the energy; everything else is E-independent.
     """
 
     a1: float
     a2: float
     a3: float
     a4: float
-    eps1t: float
-    eps2t: float
     delta: float
 
     def __post_init__(self):
@@ -308,31 +265,22 @@ class ModelCCore:
 
     def nu_coefficients(self) -> NUCoefficients:
         """The reduced (tilde) coefficients under xi = e^(-delta rho)."""
-        if self.delta == 0:
+        d = self.delta
+        if d**2 == 0:
             raise DomainError(
-                "coefficient reduction divides by delta; at delta = 0 "
+                f"coefficient reduction divides by delta^2 = 0 (delta = {d}); at delta = 0 "
                 "use model A reduction instead"
             )
-        d = self.delta
-        return NUCoefficients(self.a1, -self.a2 / d, self.a3 / d, self.a4 / d**2)
-
-    @property
-    def upsilon(self) -> float:
-        rad = 4.0 * self.a1 + 1.0
-        if rad < 0:
-            raise DomainError(f"4 a1 + 1 = {rad} is negative; upsilon is imaginary")
-        return math.sqrt(rad)
-
-    @property
-    def kappa(self) -> float:
-        return self.nu_coefficients().kappa
+        tilde = (self.a1, -self.a2 / d, self.a3 / d, self.a4 / d**2)
+        if not all(map(math.isfinite, tilde)):
+            raise DomainError(f"coefficient reduction overflows: delta = {d} is too small")
+        return NUCoefficients(*tilde)
 
 
 def _level_c(state: QuantumState, p, check):
-    """Level kernel of model C; returns (E, (eps1t, eps2t)) with the
-    quantization ingredients
-    eps1t = sqrt(r0) + delta G and
-    eps2t = 2 sqrt(r0) G + 2 delta (w^2 + V2) - 2 e B0 mu w - V1,
+    """Level kernel of model C; returns (E, ()) from the quantization
+    ingredients eps1 = sqrt(r0) + delta G and
+    eps2 = 2 sqrt(r0) G + 2 delta (w^2 + V2) - 2 e B0 mu w - V1,
     G = sqrt(w^2 + V2 + 1/16); both radicands must be non-negative."""
     w = _w(state, p)
     e, b0, mu, d = p.e, p.b0, p.mu, p.delta
@@ -342,32 +290,24 @@ def _level_c(state: QuantumState, p, check):
     g_rad = w2v + 1.0 / 16.0
     check(Invalid.G_NEGATIVE, g_rad < 0, g_rad)
     root, big_g = _sqrt(r0), _sqrt(g_rad)
-    eps1t = root + d * big_g
-    eps2t = 2.0 * root * big_g + 2.0 * d * w2v - 2.0 * e * b0 * mu * w - p.v1
+    eps1 = root + d * big_g
+    eps2 = 2.0 * root * big_g + 2.0 * d * w2v - 2.0 * e * b0 * mu * w - p.v1
     n = state.n_rho
-    level = ((n * n + n + 0.5) * d + (2 * n + 1) * eps1t + eps2t - p.v0) / p.eta
-    return level, (eps1t, eps2t)
+    return ((n * n + n + 0.5) * d + (2 * n + 1) * eps1 + eps2 - p.v0) / p.eta, ()
 
 
 def model_c_coefficients(state: QuantumState, params: PhysicalParams, E: float) -> ModelCCore:
-    """Assemble a1..a4 and the quantization ingredients at the given energy."""
-    _require_sigma_one(params)
-    w = _w(state, params)
-    mt = m_tilde(state, params)
-    e, b0, mu, d = params.e, params.b0, params.mu, params.delta
-    a1 = w**2 - 3.0 / 16.0 + params.v2
-    a2 = e**2 * b0**2 * mu * params.beta - 2.0 * e * mt * b0 * mu + 3.0 * d / 8.0 - params.v1
-    a3 = params.v0 + params.eta * E
-    a4 = params.s_squared + d**2 / 16.0
-    eps1t, eps2t = _level(ModelKind.C, state, params)[1]
-    return ModelCCore(a1=a1, a2=a2, a3=a3, a4=a4, eps1t=eps1t, eps2t=eps2t, delta=d)
+    """a1..a4 at the given energy, read off the reduced equation:
+    a1 = c2, a2 = c1 + v0, a3 = v0 + eta E, a4 = s^2 + b0."""
+    eq = reduced_equation(ModelKind.C, state, params)
+    return ModelCCore(eq.c2, eq.c1 + eq.v0, eq.v0 + eq.eta * E, params.s_squared + eq.b0, eq.delta)
 
 
 def model_c_energy(state: QuantumState, params: PhysicalParams) -> float:
     """Bound level of the Yukawa-mass profile with confinement.
 
-    E = (1/eta)[(n^2 + n + 1/2) delta + (2n + 1) eps1t + eps2t - V0],
-    computed through eps1t/eps2t so delta = 0 is a plain substitution (and
+    E = (1/eta)[(n^2 + n + 1/2) delta + (2n + 1) eps1 + eps2 - V0],
+    computed through eps1/eps2 so delta = 0 is a plain substitution (and
     reproduces Model A exactly when the confinement is off).
     """
     return _level(ModelKind.C, state, params)[0]
@@ -392,6 +332,7 @@ class Invalid:
     R0_NEGATIVE = 6  # model C: radicand r0 < 0
     G_NEGATIVE = 7  # model C: radicand w^2 + V2 + 1/16 < 0
     NOT_FINITE_LEVEL = 8  # the level itself overflowed to inf or nan
+    POTENTIAL = 9  # models A and B (the V = 0 models): v0, v1 or v2 is not 0
 
 
 # Per reason: the error a single point raises, its message with the
@@ -430,6 +371,12 @@ _INVALID = {
         DomainError,
         "closed-form level is {value}: a parameter is too large for double precision",
         "level not finite: a parameter is too large for double precision",
+    ),
+    Invalid.POTENTIAL: (
+        DomainError,
+        "models A and B have V = 0: their closed forms need v0 = v1 = v2 = 0, "
+        "got (v0, v1, v2) = {value}; use model C",
+        "models A and B need v0 = v1 = v2 = 0; use model C",
     ),
 }
 
@@ -559,7 +506,8 @@ def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _Cl
         poly = jacobi(n, kappa, upsilon, 1.0 - 2.0 * xi)
         if form == "xi":
             return xi ** (kappa / 2.0) * (-np.expm1(-d * rho)) ** p * poly
-        return d**p * rho**p * np.exp(-d * kappa * rho / 2.0) * poly
+        # np.float64 overflows to inf (a DomainError below), a float raises OverflowError
+        return np.float64(d) ** p * rho**p * np.exp(-d * kappa * rho / 2.0) * poly
 
     return _ClosedForm(u, 1.0, d / 2.0, (form, n, kappa, upsilon, -math.log(d)))
 
@@ -588,7 +536,9 @@ def wavefunction(
     function of the -U'' + W U = Et U equation (U = rho R / sqrt(eta) for
     A, rho^(3/2) R / sqrt(eta) for B, rho e^(delta rho/2) R / sqrt(eta)
     for C). form picks model C's 'paper' or 'xi' closed form. With
-    normalized=True the integral of U^2 over (0, inf) is exactly 1.
+    normalized=True the integral of U^2 over (0, inf) is exactly 1, and a
+    value that is not finite, or a table that is 0 at every rho (a state
+    too narrow for double precision), is a DomainError.
     """
     if form not in ("paper", "xi"):
         raise DomainError(f"form must be 'paper' or 'xi', got {form!r}")
@@ -597,9 +547,7 @@ def wavefunction(
     closed = _CLOSED_FORMS[kind](state, params, form)
     if component not in ("R", "U"):
         raise DomainError(f"component must be 'R' or 'U', got {component!r}")
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr <= 0):
-        raise DomainError("rho must be positive")
+    rho_arr = _positive(rho)
     u = closed.u(rho_arr)
     scale = _norm(kind, state, params, form) if normalized else 1.0
     if component == "U":
@@ -607,6 +555,12 @@ def wavefunction(
     else:
         tail = np.exp(-closed.tail * rho_arr) if closed.tail else 1.0
         out = scale * math.sqrt(params.eta) * tail * u / rho_arr**closed.r_power
+    if normalized:
+        peak = np.max(np.abs(out), initial=0.0)  # nan or inf if any value is
+        if not peak < math.inf:
+            raise DomainError("normalized wavefunction is not finite: a parameter is too large")
+        if peak == 0 and np.size(out) > 1:  # a table, not one point far in the tail
+            raise DomainError("normalized wavefunction table underflows to 0 at every rho")
     return out if np.ndim(rho) else float(out)
 
 
@@ -621,16 +575,18 @@ def greene_aldrich(rho, delta):
     """Compare 1/rho against its exponential surrogate delta/(1 - e^(-delta rho)).
 
     Returns (exact, approx, rel_err) with rel_err = |approx - exact| * rho,
-    the error relative to 1/rho. Good only for delta*rho << 1 (the error
-    grows like delta*rho/2).
+    the error relative to 1/rho (a DomainError where it overflows). Good
+    only for delta*rho << 1 (the error grows like delta*rho/2).
     """
     rho_arr = np.asarray(rho, dtype=float)
     delta_arr = np.asarray(delta, dtype=float)
     if np.any(rho_arr <= 0) or np.any(delta_arr <= 0):
         raise DomainError("rho and delta must be positive")
     exact = 1.0 / rho_arr
-    approx = delta_arr / (-np.expm1(-delta_arr * rho_arr))
+    approx = _inverse_rho(rho_arr, delta_arr, "ga")
     rel = np.abs(approx - exact) * rho_arr
+    if not np.all(np.isfinite(rel)):
+        raise DomainError("surrogate error overflows: delta rho is too large for double precision")
     if np.ndim(rho) or np.ndim(delta):
         return GreeneAldrich(exact, approx, rel)
     return GreeneAldrich(float(exact), float(approx), float(rel))

@@ -19,6 +19,11 @@ symmetric tridiagonal eigensolve. Solving on n and 2n cells and taking one
 Richardson step gives the level together with an estimate of its own
 error.
 
+The split of W0 into c2/rho^2 + c1/rho + a smooth part, and the mass
+profile g, come from models.reduced_equation, the one definition of the
+reduced equation; the oracle only decides how to discretize it, and never
+calls a closed-form level.
+
 Model B (g = eta/rho^2) puts E into c2 and so into p. There one pencil
 solve of the E = 0 split gives the start, and a safeguarded Newton
 iteration on F(E) = eig_n(E) - Et, with the Hellmann-Feynman slope
@@ -39,13 +44,10 @@ from .errors import BoundStateError, BracketingError, DomainError
 from .fields import shape_function
 from .models import (
     ModelKind,
-    confining_potential,
+    ReducedEquation,
     effective_potential,
     energy as closed_form_energy,
-    mass_bracket,
-    mass_function,
-    model_a_core,
-    model_c_coefficients,
+    reduced_equation,
     wavefunction as closed_form_wavefunction,
 )
 from .params import PhysicalParams, QuantumState, e_tilde, m_tilde
@@ -96,35 +98,19 @@ def spectral_target(params: PhysicalParams) -> float:
     return -params.kz**2
 
 
-def _ga_potential(core, delta: float):
-    a1, a2, a3 = core.a1, core.a2, core.a3
-
-    def w(rho):
-        rho = np.asarray(rho, dtype=float)
-        one_minus = -np.expm1(-delta * rho)
-        xi = np.exp(-delta * rho)
-        return (
-            a1 * delta**2 / one_minus**2
-            + a2 * delta / one_minus
-            - a3 * delta * xi / one_minus
-            + delta**2 / 16.0
-        )
-
-    return w
-
-
-def radial_potential(kind: ModelKind, state: QuantumState, params: PhysicalParams, E: float, target: str = "exact"):
+def radial_potential(
+    kind: ModelKind, state: QuantumState, params: PhysicalParams, E: float, target: str = "exact"
+):
     """Callable W(rho) for the reduced equation at a trial energy E.
 
     target 'exact' uses the true effective potential. target 'ga' replaces
-    every 1/rho in the singular terms by delta/(1 - e^(-delta rho)), the
-    form whose spectrum the model C closed formula reproduces exactly;
-    it needs model C with delta > 0.
+    every 1/rho by delta/(1 - e^(-delta rho)), the form whose spectrum the
+    model C closed formula reproduces exactly; it needs model C with
+    delta > 0. Both read models.reduced_equation.
 
-    For sigma = 1 this matches the closed-form assembly; other sigma values
-    are assembled from the field shape directly (no closed form exists,
-    only this numerical route). Pair with spectral_target for the matching
-    right-hand side.
+    Other sigma values have no closed form: there W is the field-free
+    reduced equation (B0 = 0) plus the field terms of the shape function.
+    Pair with spectral_target for the matching right-hand side.
     """
     if target not in ("exact", "ga"):
         raise DomainError(f"target must be 'exact' or 'ga', got {target!r}")
@@ -135,24 +121,20 @@ def radial_potential(kind: ModelKind, state: QuantumState, params: PhysicalParam
             raise DomainError("Greene-Aldrich target requires sigma = 1")
         if params.delta <= 0:
             raise DomainError("Greene-Aldrich target requires delta > 0")
-        return _ga_potential(model_c_coefficients(state, params, E), params.delta)
+        eq = reduced_equation(kind, state, params)
+        return lambda rho: eq.potential(np.asarray(rho, dtype=float), E, "ga")
     if params.sigma == 1.0:
         return lambda rho: effective_potential(rho, kind, state, params, E)
 
+    field_free = reduced_equation(kind, state, params.replace(b0=0.0, sigma=1.0))
     mt = m_tilde(state, params)
     e, b0 = params.e, params.b0
 
     def w(rho):
         rho = np.asarray(rho, dtype=float)
         s = shape_function(rho, params)
-        return (
-            (mt**2 - 0.25) / rho**2
-            - e * mt * b0 * s
-            + (e**2 * b0**2 / 4.0) * rho**2 * s**2
-            - mass_function(rho, kind, params) * E
-            + confining_potential(rho, params)
-            + mass_bracket(rho, kind, params)
-        )
+        field = -e * mt * b0 * s + (e**2 * b0**2 / 4.0) * rho**2 * s**2
+        return field_free.potential(rho, E) + field
 
     return w
 
@@ -240,10 +222,13 @@ def _pencil(diag, off, weight, index: int, with_vector: bool = False):
     b = off / (d[:-1] * d[1:])
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("finite-volume pencil must be finite on the grid")
-    found = eigh_tridiagonal(
-        a, b, eigvals_only=not with_vector, select="i",
-        select_range=(index, index), tol=_EIG_TOL,
-    )
+    try:
+        found = eigh_tridiagonal(
+            a, b, eigvals_only=not with_vector, select="i",
+            select_range=(index, index), tol=_EIG_TOL,
+        )
+    except np.linalg.LinAlgError as err:
+        raise DomainError(f"the pencil's tridiagonal eigensolve did not converge: {err}") from None
     if with_vector:
         vals, vecs = found
         return float(vals[0]), vecs[:, 0]
@@ -255,43 +240,23 @@ def _pencil(diag, off, weight, index: int, with_vector: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _singular_split(kind: ModelKind, state: QuantumState, params: PhysicalParams, target: str):
-    """Decompose W0 = W(rho; E = 0) as c2/rho^2 + c1/rho + smooth(rho).
+def _split(eq: ReducedEquation, target: str):
+    """W0 = W(rho; E = 0) as c2/rho^2 + c1/rho + smooth(rho), the form the
+    scheme integrates; the -g(rho) E term is left to the caller.
 
-    The constant part of W0 is kept inside `smooth`; the right-hand side is
-    always e_tilde(params). The -g(rho) E term is left to the caller.
+    For target 'ga', delta/(1 - e^(-delta rho)) = 1/rho + delta t(delta rho)
+    with t = _t_hat bounded, so its square adds delta c2 to the 1/rho term
+    and leaves the rest smooth.
     """
-    mt = m_tilde(state, params)
-    e, b0, mu, beta = params.e, params.b0, params.mu, params.beta
-    if kind is ModelKind.A:
-        core = model_a_core(state, params, 0.0)
-        return core.ell_tilde_abs**2 - 0.25, -core.alpha_tilde, None
-    if kind is ModelKind.B:
-        w = mt - e * b0 * beta / 2.0
-        beta_acute = 2.0 * e * mt * b0 * mu - e**2 * b0**2 * mu * beta
-        return w * w, -beta_acute, None
-    core = model_c_coefficients(state, params, 0.0)
-    d = params.delta
-    if target == "exact":
-        a3 = core.a3
-
-        def smooth(rho):
-            return a3 * (-np.expm1(-d * rho)) / rho + d**2 / 16.0
-
-        return core.a1, core.a2 - core.a3, smooth
-    a1, a2, a3 = core.a1, core.a2, core.a3
+    if target == "exact":  # without a Yukawa term, models A and B have no smooth part
+        return eq.c2, eq.c1, eq.smooth if eq.b0 or eq.v0 else None
+    c2, c1, d = eq.c2, eq.c1, eq.delta
 
     def smooth(rho):
         t = _t_hat(d * rho)
-        return (
-            2.0 * a1 * d * (t - 0.5) / rho
-            + a1 * d**2 * t**2
-            + a2 * d * t
-            - a3 * d * (t - 1.0)
-            + d**2 / 16.0
-        )
+        return c2 * (2.0 * d * (t - 0.5) / rho + (d * t) ** 2) + c1 * d * t + eq.smooth(rho, "ga")
 
-    return a1, a1 * d + a2 - a3, smooth
+    return c2, c1 + d * c2, smooth
 
 
 def _t_hat(x):
@@ -306,16 +271,6 @@ def _t_hat(x):
     series = 0.5 + x / 12.0 - x**3 / 720.0 + x**5 / 30240.0
     out = np.where(small, series, direct)
     return out if out.ndim else float(out)
-
-
-def _rho_g(kind: ModelKind, params: PhysicalParams, target: str, rho):
-    """rho g(rho) / eta for the profiles whose E term splits as 1/rho."""
-    if kind is ModelKind.A:
-        return np.ones_like(rho)
-    x = params.delta * rho
-    if target == "ga":
-        return x / np.expm1(x)
-    return np.exp(-x)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +293,9 @@ def _richardson(e_coarse: float, e_fine: float) -> OracleLevel:
 
 
 def _linear_level(kind, state, params, target, et, rho_max, n_points, refine) -> OracleLevel:
-    """Models A and C: E enters only as -E g with g = eta rho_g(rho)/rho."""
-    c2, c1, smooth = _singular_split(kind, state, params, target)
+    """Models A and C: E enters only as -E g with g ~ 1/rho."""
+    eq = reduced_equation(kind, state, params)
+    c2, c1, smooth = _split(eq, target)
     if c2 + 0.25 < 0:
         raise BoundStateError(
             f"fall to center: centrifugal strength c2 = {c2} is below -1/4, no lowest level"
@@ -349,7 +305,8 @@ def _linear_level(kind, state, params, target, et, rho_max, n_points, refine) ->
     def solve(n: int) -> float:
         grid = _FVGrid.build(p, rho_max, n)
         diag, off = grid.operator(c1, smooth)
-        weight = params.eta * grid.coul * _rho_g(kind, params, target, grid.centroid())
+        rho = grid.centroid()  # G_i: g rho at the centroid times the cell integral coul_i
+        weight = grid.coul * rho * eq.mass(rho, target)
         return _pencil(diag - et * grid.mass, off, weight, state.n_rho)
 
     e_coarse = solve(n_points)
@@ -363,7 +320,7 @@ def _inverse_square(grid: _FVGrid) -> np.ndarray:
     return _powint(grid.cell_lo, grid.cell_hi, 2.0 * grid.p - 2.0) / grid.h
 
 
-def _model_b_start(c2_0, c1, eta, et, rho_max, n_points, index) -> float:
+def _model_b_start(c2_0, c1, smooth, eta, et, rho_max, n_points, index) -> float:
     """Pencil estimate of the model B level from the E = 0 split.
 
     Solved in U = rho v (p = 1), where the whole c2(E)/rho^2 =
@@ -373,7 +330,7 @@ def _model_b_start(c2_0, c1, eta, et, rho_max, n_points, index) -> float:
     start can then land on the wrong level.
     """
     grid = _FVGrid.build(1.0, rho_max, n_points)
-    diag, off = grid.operator(c1)
+    diag, off = grid.operator(c1, smooth)
     inv_sq = _inverse_square(grid)
     return _pencil(diag + c2_0 * inv_sq - et * grid.mass, off, eta * inv_sq, index)
 
@@ -389,19 +346,19 @@ def _model_b_level(state, params, et, rho_max, n_points, tol, refine) -> OracleL
     so far, starting from (0, inf); a Newton step that leaves it is
     replaced by bisection.
     """
-    c2_0, c1, _ = _singular_split(ModelKind.B, state, params, "exact")
+    c2_0, c1, smooth = _split(reduced_equation(ModelKind.B, state, params), "exact")
     eta = params.eta
     u_sq_0 = c2_0 + 0.25  # E = (u_sq_0 - u^2) / eta
 
     def f_and_slope(u: float, n: int, with_slope: bool = True):
         grid = _FVGrid.build(0.5 + u, rho_max, n)
-        diag, off = grid.operator(c1)
+        diag, off = grid.operator(c1, smooth)
         if not with_slope:
             return _pencil(diag, off, grid.mass, state.n_rho) - et, None
         val, y = _pencil(diag, off, grid.mass, state.n_rho, with_vector=True)
         return val - et, 2.0 * u * float(np.sum(y * y * _inverse_square(grid) / grid.mass))
 
-    e_start = _model_b_start(c2_0, c1, eta, et, rho_max, n_points, state.n_rho)
+    e_start = _model_b_start(c2_0, c1, smooth, eta, et, rho_max, n_points, state.n_rho)
     u = math.sqrt(abs(u_sq_0 - eta * e_start))  # a start past the threshold is mirrored back
 
     lo, hi = 0.0, math.inf

@@ -150,15 +150,17 @@ def normalize(form: str, n: int, a: float, b: float = 0.0, log_scale: float = 0.
                     in closed form;
         'paper':    int_0^inf x^(1+b) e^(-a x) [P_n^(a,b)(1-2e^(-x))]^2 dx,
                     by Gauss-Laguerre quadrature.
-    The two Jacobi integrals diverge unless a = kappa > 0, and a rule
-    that does not converge within its node budget is rejected.
+    The two Jacobi integrals diverge unless a = kappa > 0; a rule that does
+    not converge within its node budget, and a norm outside the range of
+    double precision, are rejected.
     """
-    if form == "laguerre":
-        log_integral = _log_laguerre_integral(n, a)
-    else:
-        if not a > 0:
-            raise NormalizationError(
-                f"reduced function does not decay (kappa = {a}); cannot normalize"
-            )
-        log_integral = (_log_xi_integral if form == "xi" else _log_paper_integral)(n, a, b)
-    return math.exp(-0.5 * (log_scale + log_integral))
+    if form != "laguerre" and not a > 0:
+        raise NormalizationError(f"reduced function does not decay (kappa = {a}); cannot normalize")
+    try:
+        if form == "laguerre":
+            log_integral = _log_laguerre_integral(n, a)
+        else:
+            log_integral = (_log_xi_integral if form == "xi" else _log_paper_integral)(n, a, b)
+        return math.exp(-0.5 * (log_scale + log_integral))
+    except (ValueError, OverflowError) as err:  # math domain and range errors
+        raise NormalizationError(f"norm out of double-precision range ({err})") from None

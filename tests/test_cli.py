@@ -53,6 +53,16 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert "# params:" in err and "kz=2" in err
 
+    @pytest.mark.parametrize("model, flag", [("a", "--v1"), ("b", "--v2"), ("a", "--v0")])
+    def test_models_without_a_potential_skip_every_state(self, model, flag, capsys):
+        # models A and B are the V = 0 models: a confining potential is not
+        # silently dropped
+        assert run(["spectrum", "--model", model, flag, "0.5", "--nrho-max", "0"]) == 0
+        captured = capsys.readouterr()
+        assert lines_of(captured.out) == ["n_rho,m,E"]
+        assert captured.err.count("need v0 = v1 = v2 = 0") == 5
+        assert "use model C" in captured.err
+
 
 class TestWavefunction:
     def test_columns_and_component_relation(self, capsys):
@@ -76,6 +86,15 @@ class TestWavefunction:
         assert run(["wavefunction", "--model", "a", "--state", "0;1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_table_that_underflows_is_an_error(self, capsys):
+        # a decay rate of 1e150 leaves R = U = 0 at every printed rho
+        code = run(["wavefunction", "--model", "b", "--state", "0,1", "--mu", "1e150",
+                    "--beta=-1", "--points", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "underflows to 0 at every rho" in captured.err
+
 
 class TestField:
     def test_table_columns(self, capsys):
@@ -89,6 +108,13 @@ class TestField:
         # so the table cannot be produced
         assert run(["field", "--sigma", "2"]) == 1
         assert "sigma=2" in capsys.readouterr().err
+
+    def test_overflowing_table_is_an_error(self, capsys):
+        # B0 mu = 1e600 is inf in double precision
+        assert run(["field", "--b0", "1e300", "--mu", "1e300", "--points", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "field table is not finite" in captured.err
 
 
 class TestSweep:
@@ -139,6 +165,16 @@ class TestSweep:
         assert len(rows) == 3
         for row in rows:
             assert row[4:] == ["", "false", "level not finite: a parameter is too large for double precision"]
+
+    @pytest.mark.parametrize("model", ["a", "b"])
+    def test_potential_rows_of_models_a_and_b_carry_a_reason(self, model, capsys):
+        code = run(["sweep", "--model", model, "--state", "0,1", "--param", "beta",
+                    "--lo=-1", "--hi=1", "--steps", "3", "--v0", "0.2"])
+        assert code == 0
+        rows = [row.split(",") for row in lines_of(capsys.readouterr().out)[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert row[4:] == ["", "false", "models A and B need v0 = v1 = v2 = 0; use model C"]
 
 
 class TestCrossings:
@@ -217,6 +253,27 @@ class TestVerify:
         assert e_closed == pytest.approx(1.8, rel=1e-12)
         assert e_oracle == pytest.approx(1.5, rel=1e-5)
 
+    def test_model_a_with_a_potential_is_skipped(self, capsys):
+        # was: rows that passed on energy with a residual of 2.6, exit 0
+        code = run(["verify", "--model", "a", "--v1", "0.5", "--nrho-max", "1",
+                    "--m-min", "0", "--m-max", "1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert lines_of(captured.out) == [
+            "n_rho,m,E_closed,E_oracle,abs_err,residual,nodes,oracle_err"
+        ]
+        assert captured.err.count("# skipped") == 4
+        assert "need v0 = v1 = v2 = 0" in captured.err
+
+    def test_eigensolve_that_does_not_converge_is_a_validation_error(self, capsys):
+        # mu = 1e150 makes the pencil too wide for the tridiagonal solver
+        code = run(["verify", "--model", "a", "--nrho-max", "0", "--m-min", "0",
+                    "--m-max", "0", "--mu", "1e150"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "eigensolve did not converge" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestGreeneAldrich:
     def test_documented_table(self, capsys):
@@ -254,11 +311,11 @@ class TestNoSilentNonFiniteOutput:
         return [f"--{name}={value!r}" for name, value in values.items()]
 
     @staticmethod
-    def _check(argv):
+    def _check(argv, codes=(0, 1)):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
-        assert code in (0, 1), (argv, err.getvalue())
+        assert code in codes, (argv, err.getvalue())
         if code != 0:
             return
         text = out.getvalue()
@@ -307,6 +364,31 @@ class TestNoSilentNonFiniteOutput:
         self._check(["crossings", "--model", model, "--s1", "0,1", "--s2", "1,0",
                      "--param", param, f"--lo={lo!r}", f"--hi={hi!r}", "--scan-steps", "201",
                      *self._flags(values)])
+
+    @settings(max_examples=60)
+    @given(values=st.dictionaries(st.sampled_from(("b0", "mu", "beta", "sigma", "alpha", "e")),
+                                  EXTREME))
+    def test_field(self, values):
+        self._check(["field", "--points", "5", *self._flags(values)])
+
+    @settings(max_examples=40)
+    @given(values=st.dictionaries(st.sampled_from(("delta", "mu", "b0")), EXTREME))
+    def test_greene_aldrich(self, values):
+        self._check(["greene-aldrich", "--points", "5", *self._flags(values)])
+
+    @settings(max_examples=60)
+    @given(model=st.sampled_from("abc"), form=st.sampled_from(("paper", "xi")),
+           values=st.dictionaries(st.sampled_from(FLAGS), EXTREME))
+    def test_wavefunction(self, model, form, values):
+        self._check(["wavefunction", "--model", model, "--state", "1,1", "--form", form,
+                     "--points", "7", *self._flags(values)])
+
+    @settings(max_examples=25)
+    @given(model=st.sampled_from("abc"), values=st.dictionaries(st.sampled_from(FLAGS), EXTREME))
+    def test_verify(self, model, values):
+        # exit 2 (verification failed) is a loud failure too
+        self._check(["verify", "--model", model, "--nrho-max", "0", "--m-min", "1", "--m-max", "1",
+                     "--n-points", "200", *self._flags(values)], codes=(0, 1, 2))
 
     @pytest.mark.parametrize("model", ["a", "b", "c"])
     def test_huge_field_skips_the_state(self, model, capsys):

@@ -15,20 +15,16 @@ from scipy.integrate import quad, simpson
 from pdmag.errors import BoundStateError, DomainError
 from pdmag.models import (
     ModelKind,
-    confining_potential,
     effective_potential,
     Invalid,
     energy,
     greene_aldrich,
     level_axis,
-    mass_bracket,
-    mass_function,
-    model_a_core,
     model_a_energy,
-    model_b_core,
     model_b_energy,
     model_c_coefficients,
     model_c_energy,
+    reduced_equation,
     wavefunction,
 )
 from pdmag.params import PhysicalParams, QuantumState
@@ -64,44 +60,76 @@ class TestModelKind:
             ModelKind.parse("d")
 
 
+def w_of(state, params):
+    return state.m - params.alpha_ab - params.e * params.b0 * params.beta / 2.0
+
+
+def coulomb_of(state, params):
+    """2 e mt B0 mu - e^2 B0^2 mu beta, the strength of the field's -1/rho term."""
+    e, b0, mu, mt = params.e, params.b0, params.mu, state.m - params.alpha_ab
+    return 2.0 * e * mt * b0 * mu - e**2 * b0**2 * mu * params.beta
+
+
 class TestMassFunction:
     def test_values(self):
-        assert mass_function(2.0, ModelKind.A, PhysicalParams()) == 0.5
-        assert mass_function(1.0, ModelKind.C, PhysicalParams(delta=0.0)) == 1.0
-        assert mass_function(0.5, ModelKind.B, PhysicalParams(eta=2.0)) == 8.0
+        state = QuantumState(0, 0)
+        assert reduced_equation(ModelKind.A, state, PhysicalParams()).mass(2.0) == 0.5
+        assert reduced_equation(ModelKind.C, state, PhysicalParams(delta=0.0)).mass(1.0) == 1.0
+        assert reduced_equation(ModelKind.B, state, PhysicalParams(eta=2.0)).mass(0.5) == 8.0
+        params = PhysicalParams(eta=1.5, delta=0.4)
+        g = reduced_equation(ModelKind.C, state, params).mass(2.0)
+        assert g == pytest.approx(1.5 * math.exp(-0.8) / 2.0, rel=1e-15)
 
     @given(rho=st.floats(min_value=1e-3, max_value=50.0), eta=st.floats(min_value=0.1, max_value=5.0))
     def test_positive_everywhere(self, rho, eta):
         params = PhysicalParams(eta=eta, delta=0.3)
         for kind in ModelKind:
-            assert mass_function(rho, kind, params) > 0
+            assert reduced_equation(kind, QuantumState(0, 1), params).mass(rho) > 0
 
 
 class TestConfiningPotential:
     def test_values(self):
-        assert confining_potential(3.7, PhysicalParams()) == 0.0
-        assert confining_potential(1.0, PhysicalParams(delta=0.0, v0=1.0)) == -1.0
-        assert confining_potential(0.5, PhysicalParams(v1=1.0, v2=1.0)) == 2.0
+        # V = -v0 e^(-delta rho)/rho - v1/rho + v2/rho^2 is what W gains
+        # when the potential is switched on
+        state = QuantumState(0, 1)
+
+        def v_of(rho, **v):
+            base = PhysicalParams(delta=v.pop("delta", 0.0))
+            on = base.replace(**v)
+            return effective_potential(rho, ModelKind.C, state, on, 0.3) - effective_potential(
+                rho, ModelKind.C, state, base, 0.3
+            )
+
+        assert v_of(3.7) == 0.0
+        assert v_of(1.0, v0=1.0) == pytest.approx(-1.0, rel=1e-14)
+        assert v_of(0.5, v1=1.0, v2=1.0) == pytest.approx(2.0, rel=1e-14)
+        expected = -0.7 * math.exp(-0.6) / 2.0
+        assert v_of(2.0, v0=0.7, delta=0.3) == pytest.approx(expected, rel=1e-13)
 
 
 class TestEffectivePotential:
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     def test_model_a_collapses_to_coulomb_form(self, rho):
+        # W = (|ell_tilde|^2 - 1/4)/rho^2 - alpha_tilde/rho with
+        # |ell_tilde|^2 = w^2 + 1/16 and alpha_tilde = coulomb + eta E
         params = PhysicalParams(beta=0.4, alpha_ab=0.3, kz=1.0)
         state = QuantumState(1, 2)
         E = 0.8
-        core = model_a_core(state, params, E)
-        expected = (core.ell_tilde_abs**2 - 0.25) / rho**2 - core.alpha_tilde / rho
+        ell_sq = w_of(state, params) ** 2 + 1.0 / 16.0
+        alpha_tilde = coulomb_of(state, params) + params.eta * E
+        expected = (ell_sq - 0.25) / rho**2 - alpha_tilde / rho
         got = effective_potential(rho, ModelKind.A, state, params, E)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     def test_model_b_collapses_to_coulomb_form(self, rho):
+        # W = (|ell_acute|^2 - 1/4)/rho^2 - beta_acute/rho with
+        # |ell_acute|^2 = w^2 + 1/4 - eta E and beta_acute = coulomb
         params = PhysicalParams(beta=-0.5, mu=1.5)
         state = QuantumState(0, 2)
         E = 0.3
-        core = model_b_core(state, params, E)
-        expected = (core.ell_acute_abs**2 - 0.25) / rho**2 - core.beta_acute / rho
+        ell_sq = w_of(state, params) ** 2 + 0.25 - params.eta * E
+        expected = (ell_sq - 0.25) / rho**2 - coulomb_of(state, params) / rho
         got = effective_potential(rho, ModelKind.B, state, params, E)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -115,12 +143,32 @@ class TestEffectivePotential:
             assert got == pytest.approx((4.0 - 0.25 + 1.0 / 16.0) / rho**2, rel=1e-14)
 
     def test_mass_bracket_is_the_closed_form_difference(self):
-        # for model C the bracket carries the delta-dependent terms
-        params = PhysicalParams(delta=0.5)
+        # with the field off, E = 0 and V = 0 only the centrifugal
+        # (m^2 - 1/4)/rho^2 and the mass bracket are left; for model C the
+        # bracket carries the delta-dependent terms
+        params = PhysicalParams(b0=0.0, delta=0.5)
+        state = QuantumState(0, 2)
         rho = 1.3
         d = params.delta
-        expected = d**2 / 16.0 + 3.0 * d / (8.0 * rho) + 1.0 / (16.0 * rho**2)
-        assert mass_bracket(rho, ModelKind.C, params) == pytest.approx(expected, rel=1e-13)
+        bracket = d**2 / 16.0 + 3.0 * d / (8.0 * rho) + 1.0 / (16.0 * rho**2)
+        got = effective_potential(rho, ModelKind.C, state, params, 0.0)
+        assert got == pytest.approx(3.75 / rho**2 + bracket, rel=1e-13)
+        for kind, b2 in ((ModelKind.A, 1.0 / 16.0), (ModelKind.B, 0.25)):
+            got = effective_potential(rho, kind, state, params, 0.0)
+            assert got == pytest.approx((3.75 + b2) / rho**2, rel=1e-13)
+
+    def test_ga_target_replaces_every_inverse_rho(self):
+        # W_ga = a1 L^2 + a2 L - a3 xi L + delta^2/16 with L = delta/(1 - xi),
+        # xi = e^(-delta rho), in the coefficients of the paper's form
+        params = PhysicalParams(mu=0.3, delta=0.2, v0=0.4, v1=0.3, v2=0.2, kz=0.1)
+        state, E = QuantumState(1, 1), 0.7
+        core = model_c_coefficients(state, params, E)
+        eq = reduced_equation(ModelKind.C, state, params)
+        for rho in (0.05, 1.0, 7.0):
+            xi = math.exp(-0.2 * rho)
+            big_l = 0.2 / (1.0 - xi)
+            expected = core.a1 * big_l**2 + core.a2 * big_l - core.a3 * xi * big_l + 0.04 / 16.0
+            assert eq.potential(rho, E, "ga") == pytest.approx(expected, rel=1e-12)
 
 
 class TestModelAEnergy:
@@ -155,8 +203,9 @@ class TestModelAEnergy:
         assume(params.s_squared > 1e-12)
         state = QuantumState(n, m)
         E = model_a_energy(state, params)
-        core = model_a_core(state, params, E)
-        lhs = core.alpha_tilde / (2.0 * (n + core.ell_tilde_abs + 0.5))
+        alpha_tilde = coulomb_of(state, params) + eta * E
+        ell_tilde_abs = math.sqrt(w_of(state, params) ** 2 + 1.0 / 16.0)
+        lhs = alpha_tilde / (2.0 * (n + ell_tilde_abs + 0.5))
         assert lhs == pytest.approx(params.decay_rate, rel=1e-12)
 
     def test_strictly_increasing_in_n(self, unit_params):
@@ -232,9 +281,9 @@ class TestModelBEnergy:
         ell = beta_acute / (2.0 * params.decay_rate) - n - 0.5
         assume(ell > 1e-6)
         E = model_b_energy(state, params)
-        core = model_b_core(state, params, E)
-        assert core.ell_acute_abs**2 == pytest.approx(ell**2, rel=1e-12)
-        assert core.beta_acute == pytest.approx(beta_acute, rel=1e-12)
+        # |ell_acute|^2 = w^2 + 1/4 - eta E at the level
+        assert w_of(state, params) ** 2 + 0.25 - eta * E == pytest.approx(ell**2, rel=1e-12)
+        assert coulomb_of(state, params) == pytest.approx(beta_acute, rel=1e-12)
 
     def test_strictly_increasing_in_n(self):
         # at kz = 0 the bound condition is n < m - 1/2, so m = 5 admits n <= 4
@@ -260,7 +309,7 @@ class TestModelBWavefunction:
         params = PhysicalParams(mu=2.0, kz=1.0)
         state = QuantumState(0, 2)
         E = model_b_energy(state, params)
-        ell = model_b_core(state, params, E).ell_acute_abs
+        ell = math.sqrt(w_of(state, params) ** 2 + 0.25 - params.eta * E)
         r1, r2 = 1e-4, 2e-4
         v1 = wavefunction(ModelKind.B, state, params, r1)
         v2 = wavefunction(ModelKind.B, state, params, r2)
@@ -298,13 +347,19 @@ class TestModelCCoefficients:
         assert core.a4 == pytest.approx(1.0)  # plain coefficients still fine
         with pytest.raises(DomainError, match="model A reduction"):
             core.nu_coefficients()
+        # delta^2 underflows to 0, or a4/delta^2 overflows: no ZeroDivisionError
+        for delta in (1e-170, 1e-160):
+            core = model_c_coefficients(QuantumState(0, 0), PhysicalParams(delta=delta), 0.0)
+            with pytest.raises(DomainError, match="delta"):
+                core.nu_coefficients()
 
     def test_kappa_upsilon_real_across_decay_scan(self, weak_field_params):
         for delta in np.linspace(0.05, 0.30, 11):
             params = weak_field_params.replace(delta=float(delta))
             state = QuantumState(0, 1)
             core = model_c_coefficients(state, params, model_c_energy(state, params))
-            assert math.isfinite(core.kappa) and math.isfinite(core.upsilon)
+            c = core.nu_coefficients()
+            assert math.isfinite(c.kappa) and math.isfinite(c.upsilon)
 
 
 class TestModelCEnergy:
@@ -433,6 +488,14 @@ class TestLevelAxis:
         )
         assert levels[:2].tolist() == [1.5, 1.5] and reasons.tolist() == [0, 0, Invalid.NEGATIVE]
 
+    def test_models_a_and_b_mark_a_potential(self):
+        for kind in (ModelKind.A, ModelKind.B):
+            levels, reasons = level_axis(
+                kind, QuantumState(0, 1), PhysicalParams(v2=0.3), "beta", [-1.0, 0.0]
+            )
+            assert reasons.tolist() == [Invalid.POTENTIAL] * 2
+            assert np.isnan(levels).all()
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(DomainError, match="cannot sweep 'eta'"):
             level_axis(ModelKind.A, QuantumState(0, 0), PhysicalParams(), "eta", [1.0])
@@ -463,6 +526,11 @@ class TestGreeneAldrich:
         rho = np.linspace(0.01, 2.0, 400)
         rel = greene_aldrich(rho, 1.0).rel_err
         assert np.all(np.diff(rel) > 0)
+
+    def test_overflowing_error_is_rejected(self):
+        # the error grows like delta rho / 2: past the largest double it was inf
+        with pytest.raises(DomainError, match="overflows"):
+            greene_aldrich(np.array([0.5, 1.5]), 1.7e308)
 
     def test_rejects_nonpositive_inputs(self):
         for rho, delta in [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)]:
@@ -510,6 +578,33 @@ class TestDispatch:
         }[kind]
         with pytest.raises(DomainError, match="too large for double precision"):
             energy(kind, QuantumState(0, 0), params)
+
+    @pytest.mark.parametrize("kind", [ModelKind.A, ModelKind.B])
+    @pytest.mark.parametrize("v", [dict(v0=0.2), dict(v1=-0.5), dict(v2=0.1)])
+    def test_models_a_and_b_reject_a_potential(self, kind, v):
+        # the V = 0 models: a potential is not silently dropped
+        with pytest.raises(DomainError, match=r"need v0 = v1 = v2 = 0.*use model C"):
+            energy(kind, QuantumState(0, 1), PhysicalParams(**v))
+        with pytest.raises(DomainError, match="need v0 = v1 = v2 = 0"):
+            wavefunction(kind, QuantumState(0, 1), PhysicalParams(**v), 1.0)
+
+    def test_table_that_underflows_is_an_error(self):
+        # decay rate 1e150: every value of the table is 0 in double precision
+        params = PhysicalParams(mu=1e150, beta=-1.0)
+        rho = np.array([0.05, 15.0, 30.0])
+        with pytest.raises(DomainError, match="underflows to 0 at every rho"):
+            wavefunction(ModelKind.B, QuantumState(0, 1), params, rho)
+        # a single point far in the tail is a legitimate 0
+        assert wavefunction(ModelKind.A, QuantumState(0, 1), PhysicalParams(), 800.0) == 0.0
+
+    def test_paper_form_overflows_to_inf_not_an_exception(self):
+        # upsilon ~ 2e100 puts delta^((1+upsilon)/2) past the largest double;
+        # this was an OverflowError
+        params = PhysicalParams(e=8.0, delta=2.00001, v2=1e200, beta=-3.0, eta=1.7e308)
+        with np.errstate(all="ignore"):
+            u = wavefunction(ModelKind.C, QuantumState(1, 1), params, np.array([0.05, 1.0]),
+                             component="U", normalized=False)
+        assert not np.isfinite(u).any()
 
     def test_sigma_other_than_one_has_no_closed_form(self):
         params = PhysicalParams(sigma=0.5)

@@ -20,11 +20,13 @@ from pdmag.models import (
     model_a_energy,
     model_b_energy,
     model_c_energy,
+    reduced_equation,
     wavefunction,
 )
 from pdmag.oracle import (
     _FVGrid,
     _pencil,
+    _split,
     node_count,
     oracle_energy,
     radial_potential,
@@ -106,6 +108,17 @@ class TestFdEigenvalues:
         with pytest.raises(DomainError, match="exceeds"):
             oracle_energy(ModelKind.A, QuantumState(200, 0), unit_params, n_points=200)
 
+    def test_eigensolve_that_does_not_converge_is_a_domain_error(self, monkeypatch):
+        import pdmag.oracle
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("stebz (eigh_tridiagonal) did not converge")
+
+        monkeypatch.setattr(pdmag.oracle, "eigh_tridiagonal", fail)
+        diag, off, weight = coulomb_pencil(60.0, 100)
+        with pytest.raises(DomainError, match="eigensolve did not converge"):
+            _pencil(diag, off, weight, 0)
+
     def test_nonfinite_potential_rejected(self):
         with pytest.raises(DomainError, match="finite"):
             fv_levels(0.0, 10.0, 500, 1, smooth=lambda r: np.where(r < 5.0, 0.0, np.inf))
@@ -171,6 +184,58 @@ class TestRadialPotential:
         w_ex = radial_potential(ModelKind.C, state, params, E, target="exact")
         gaps = [abs(w_ga(rho) - w_ex(rho)) for rho in (0.05, 0.5, 2.0)]
         assert gaps[0] < 0.02 * abs(w_ex(0.05))
+
+
+class TestSplit:
+    """The oracle integrates W as c2/rho^2 + c1/rho + smooth - E g, all read
+    from models.reduced_equation; reassembled, that is radial_potential."""
+
+    PARAMS = PhysicalParams(mu=0.4, beta=-0.7, kz=0.3, alpha_ab=0.2, eta=1.3, delta=0.15,
+                            v0=0.3, v1=0.2, v2=0.1)
+
+    @pytest.mark.parametrize(
+        "kind, target",
+        [(ModelKind.A, "exact"), (ModelKind.B, "exact"), (ModelKind.C, "exact"),
+         (ModelKind.C, "ga")],
+    )
+    def test_assembled_potential_is_radial_potential(self, kind, target):
+        state, E = QuantumState(1, 2), 0.37
+        eq = reduced_equation(kind, state, self.PARAMS)
+        c2, c1, smooth = _split(eq, target)
+        rho = np.geomspace(1e-3, 80.0, 60)
+        assembled = c2 / rho**2 + c1 / rho + smooth(rho) - E * eq.mass(rho, target)
+        expected = radial_potential(kind, state, self.PARAMS, E, target=target)(rho)
+        scale = np.abs(c2) / rho**2 + np.abs(c1) / rho + 1.0
+        assert np.max(np.abs(assembled - expected) / scale) <= 1e-13
+
+    def test_model_a_with_a_potential_is_model_c_at_zero_delta(self):
+        # at delta = 0 the two profiles coincide, V included; the oracle used
+        # to drop V for model A
+        params = PhysicalParams(v0=0.3, v1=0.2, v2=0.1, beta=0.3, kz=0.5)
+        for state in (QuantumState(0, 1), QuantumState(2, -1)):
+            level_a = oracle_energy(ModelKind.A, state, params)
+            level_c = oracle_energy(ModelKind.C, state, params, target="exact")
+            closed = model_c_energy(state, params)
+            assert level_a.energy == pytest.approx(level_c.energy, rel=1e-12)
+            assert abs(level_a.energy - closed) <= level_a.error
+            assert abs(level_c.energy - closed) <= level_c.error
+
+    def test_model_a_oracle_keeps_the_potential(self):
+        level = oracle_energy(ModelKind.A, QuantumState(1, 1), PhysicalParams(v1=0.5))
+        assert level.energy == pytest.approx(2.5615528128088303, rel=1e-6)
+
+    def test_model_b_oracle_keeps_the_potential(self):
+        # at delta = 0, V shifts the Coulomb strength by v0 + v1 and w^2 by
+        # v2, so the model B formula with those shifts is exact
+        params = PhysicalParams(mu=1.5, beta=-1.0, kz=0.4, v0=0.2, v1=0.3, v2=0.25)
+        state = QuantumState(1, 2)
+        s = params.decay_rate
+        coulomb = 2.0 * 2 * 1.5 - 1.5 * -1.0 + 0.2 + 0.3
+        ell = coulomb / (2.0 * s) - 1.5
+        w_sq = (2.0 + 0.5) ** 2 + 0.25
+        expected = (w_sq + 0.25 - ell**2) / params.eta
+        level = oracle_energy(ModelKind.B, state, params)
+        assert abs(level.energy - expected) <= max(level.error, 1e-6 * abs(expected))
 
 
 class TestOracleEnergy:

@@ -267,6 +267,15 @@ def test_normalize_rejects_divergent_tail():
             wavefunction(ModelKind.C, QuantumState(0, 0), params, 1.0, form=form)
 
 
+def test_normalize_rejects_a_norm_out_of_double_range():
+    # was a math domain error (log of a ratio that underflows to 0) and an
+    # OverflowError (N = e^1000)
+    with pytest.raises(NormalizationError, match="double-precision range"):
+        normalize("xi", 1, 1e308, 0.0)
+    with pytest.raises(NormalizationError, match="double-precision range"):
+        normalize("laguerre", 0, 0.0, 0.0, -2000.0)
+
+
 def test_normalize_rejects_coarse_grid(monkeypatch):
     # a node budget too small for two rules to agree is rejected, not
     # answered with the coarse rule

@@ -22,6 +22,7 @@ REASON_OF_ERROR = (
     ("no real bound level: radicand r0", "no real bound level: radicand r0 < 0"),
     ("no real bound level: radicand w^2", "no real bound level: radicand w^2 + V2 + 1/16 < 0"),
     ("closed-form level is", "level not finite: a parameter is too large for double precision"),
+    ("models A and B have V = 0", "models A and B need v0 = v1 = v2 = 0; use model C"),
 )
 
 # Base parameters and ranges per model that reach every invalid reason of
@@ -31,11 +32,13 @@ SWEEP_CASES = {
         (PhysicalParams(), (-3.0, 3.0)),
         (PhysicalParams(kz=0.0, beta=-1.3, alpha_ab=0.2), (-1.0, 1.0)),
         (PhysicalParams(kz=0.4, eta=0.7), (1e150, 1e160)),
+        (PhysicalParams(kz=0.0, v1=0.5), (-1.0, 1.0)),
     ),
     ModelKind.B: (
         (PhysicalParams(beta=-6.0, kz=1.0), (-3.0, 3.0)),
         (PhysicalParams(kz=0.0, beta=-2.5, alpha_ab=-0.3), (-1.0, 1.0)),
         (PhysicalParams(beta=-3.0, kz=0.2), (1e150, 1e160)),
+        (PhysicalParams(beta=-3.0, v0=-0.2, v2=0.1), (-1.0, 1.0)),
     ),
     ModelKind.C: (
         (PhysicalParams(mu=0.15, delta=0.1), (-0.5, 0.5)),
@@ -151,9 +154,10 @@ class TestSweepMatchesSinglePoints:
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_every_reason_of_the_model_shows_up(self, kind):
         expected = {
-            ModelKind.A: {"b0 must be >= 0", "no bound spectrum", "level not finite"},
+            ModelKind.A: {"b0 must be >= 0", "no bound spectrum", "level not finite",
+                          "need v0 = v1 = v2 = 0"},
             ModelKind.B: {"b0 must be >= 0", "no bound spectrum", "state not bound",
-                          "level not finite"},
+                          "level not finite", "need v0 = v1 = v2 = 0"},
             ModelKind.C: {"b0 must be >= 0", "delta must be >= 0", "radicand r0",
                           "radicand w^2", "level not finite"},
         }[kind]
