@@ -2,8 +2,8 @@
 power-law magnetic field, hbar = 2*m0 = 1.
 
 Closed-form spectra and wavefunctions for three solvable mass profiles,
-the field machinery that generates the inverse-power magnetic field, a
-generic Nikiforov-Uvarov solver, an independent finite-volume oracle,
+the field machinery that generates the inverse-power magnetic field, the
+generic Nikiforov-Uvarov quantization, an independent finite-volume oracle,
 and sweep/crossing utilities, all behind one CLI (``pdmag``).
 """
 
@@ -12,7 +12,6 @@ from .errors import (
     BracketingError,
     DomainError,
     NormalizationError,
-    UnphysicalBranchError,
 )
 from .fields import magnetic_field, shape_function, vector_potential, verify_curl
 from .models import (
@@ -28,7 +27,7 @@ from .models import (
     reduced_equation,
     wavefunction,
 )
-from .nu import NUCoefficients, NUSolution, nu_quantize
+from .nu import NUCoefficients, nu_quantize
 from .oracle import OracleLevel, node_count, oracle_energy, radial_potential, residual
 from .params import PhysicalParams, QuantumState, e_tilde, m_tilde
 from .sweeps import CrossingPoint, SweepSpec, find_crossings, sweep
@@ -43,13 +42,11 @@ __all__ = [
     "DomainError",
     "ModelKind",
     "NUCoefficients",
-    "NUSolution",
     "NormalizationError",
     "OracleLevel",
     "PhysicalParams",
     "QuantumState",
     "SweepSpec",
-    "UnphysicalBranchError",
     "e_tilde",
     "effective_potential",
     "energy",

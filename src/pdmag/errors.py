@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """
 
 
-class UnphysicalBranchError(DomainError):
-    """The discarded root branch of the quantization machinery was requested."""
-
-
 class BoundStateError(DomainError):
     """No bound state exists for the requested quantum numbers and parameters."""
 

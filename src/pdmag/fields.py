@@ -103,15 +103,16 @@ def verify_curl(rho: float, params: PhysicalParams, h: float | None = None) -> f
 def field_table(rhos, params: PhysicalParams) -> list[FieldSample]:
     """Sample S, B_z and A_phi on a grid of radii; a table that is not
     finite is a DomainError."""
-    table = [
-        FieldSample(
-            rho=float(r),
-            s=shape_function(float(r), params),
-            b_z=magnetic_field(float(r), params),
-            a_phi=vector_potential(float(r), params),
-        )
-        for r in np.asarray(rhos, dtype=float)
-    ]
+    with np.errstate(all="ignore"):  # a value that is not finite is rejected below
+        table = [
+            FieldSample(
+                rho=float(r),
+                s=shape_function(float(r), params),
+                b_z=magnetic_field(float(r), params),
+                a_phi=vector_potential(float(r), params),
+            )
+            for r in np.asarray(rhos, dtype=float)
+        ]
     if not np.all(np.isfinite([(x.s, x.b_z, x.a_phi) for x in table])):
         raise DomainError("field table is not finite: a parameter is too large")
     return table

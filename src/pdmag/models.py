@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -548,13 +549,14 @@ def wavefunction(
     if component not in ("R", "U"):
         raise DomainError(f"component must be 'R' or 'U', got {component!r}")
     rho_arr = _positive(rho)
-    u = closed.u(rho_arr)
     scale = _norm(kind, state, params, form) if normalized else 1.0
-    if component == "U":
-        out = scale * u
-    else:
-        tail = np.exp(-closed.tail * rho_arr) if closed.tail else 1.0
-        out = scale * math.sqrt(params.eta) * tail * u / rho_arr**closed.r_power
+    with np.errstate(all="ignore") if normalized else nullcontext():  # checked below
+        u = closed.u(rho_arr)
+        if component == "U":
+            out = scale * u
+        else:
+            tail = np.exp(-closed.tail * rho_arr) if closed.tail else 1.0
+            out = scale * math.sqrt(params.eta) * tail * u / rho_arr**closed.r_power
     if normalized:
         peak = np.max(np.abs(out), initial=0.0)  # nan or inf if any value is
         if not peak < math.inf:
@@ -582,9 +584,10 @@ def greene_aldrich(rho, delta):
     delta_arr = np.asarray(delta, dtype=float)
     if np.any(rho_arr <= 0) or np.any(delta_arr <= 0):
         raise DomainError("rho and delta must be positive")
-    exact = 1.0 / rho_arr
-    approx = _inverse_rho(rho_arr, delta_arr, "ga")
-    rel = np.abs(approx - exact) * rho_arr
+    with np.errstate(all="ignore"):  # a value that is not finite is rejected below
+        exact = 1.0 / rho_arr
+        approx = _inverse_rho(rho_arr, delta_arr, "ga")
+        rel = np.abs(approx - exact) * rho_arr
     if not np.all(np.isfinite(rel)):
         raise DomainError("surrogate error overflows: delta rho is too large for double precision")
     if np.ndim(rho) or np.ndim(delta):

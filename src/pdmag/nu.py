@@ -1,4 +1,4 @@
-"""Parametric Nikiforov-Uvarov solver for hypergeometric-type equations.
+"""Parametric Nikiforov-Uvarov quantization for hypergeometric-type equations.
 
 Works on second-order equations brought to the standard form
 
@@ -11,8 +11,8 @@ with sigma(xi) = xi(1-xi), tau_tilde(xi) = 1-xi, and
 
 Everything here is generic in the four real coefficients a1t..a4t; no
 physics enters. Square roots always take the principal branch, and a
-negative radicand is a hard domain error rather than a complex
-continuation.
+negative radicand or a coefficient that is not finite is a hard domain
+error rather than a complex continuation or a nan.
 """
 
 from __future__ import annotations
@@ -20,24 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, UnphysicalBranchError
-from .specfun import jacobi
+from .errors import DomainError
 
 __all__ = [
     "NUCoefficients",
-    "NUSolution",
     "k_minus",
-    "k_plus",
-    "pi_minus",
     "tau_prime",
     "lambda_of",
     "lambda_n",
     "nu_quantize",
-    "nu_eigenfunction",
-    "weight_function",
-    "solve",
 ]
 
 
@@ -51,6 +42,9 @@ class NUCoefficients:
     a4t: float
 
     def __post_init__(self):
+        for name, value in self.__dict__.items():
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if 4.0 * self.a1t + 1.0 < 0:
             raise DomainError(
                 f"invariant 4*a1t + 1 >= 0 violated (a1t={self.a1t}); "
@@ -87,29 +81,11 @@ def k_minus(c: NUCoefficients) -> float:
 
     k_minus = -(2*a1t - a2t - a3t) - sqrt((a1t - a2t + a4t)(4*a1t + 1)).
     With this choice the quadratic under the pi(xi) square root becomes a
-    perfect square (its own discriminant vanishes).
+    perfect square (its own discriminant vanishes); the upper root would
+    make that square's leading coefficient negative (imaginary energies).
     """
-    rad = (c.a1t - c.a2t + c.a4t) * (4.0 * c.a1t + 1.0)
-    if rad < 0:
-        raise DomainError(f"negative radicand {rad} in k_minus; coefficient invariants violated")
+    rad = (c.a1t - c.a2t + c.a4t) * (4.0 * c.a1t + 1.0)  # both invariants, so >= 0
     return -(2.0 * c.a1t - c.a2t - c.a3t) - math.sqrt(rad)
-
-
-def k_plus(c: NUCoefficients) -> float:
-    """The upper root is never usable: it makes the leading coefficient of
-    the squared linear factor negative, i.e. imaginary energies."""
-    raise UnphysicalBranchError(
-        "unphysical branch: k_plus yields a negative perfect-square coefficient "
-        "(imaginary energy eigenvalues); use k_minus"
-    )
-
-
-def pi_minus(c: NUCoefficients) -> tuple[float, float]:
-    """Slope and intercept of the linear pi(xi) built on the k_minus branch.
-
-    pi(xi) = -xi/2 - [(sqrt_u + q) xi - sqrt_u].
-    """
-    return (-0.5 - c.sqrt_u - c.q, c.sqrt_u)
 
 
 def tau_prime(c: NUCoefficients) -> float:
@@ -118,9 +94,9 @@ def tau_prime(c: NUCoefficients) -> float:
 
 
 def lambda_of(c: NUCoefficients) -> float:
-    """Eigenvalue parameter lambda = k_minus + pi'."""
-    slope, _ = pi_minus(c)
-    return k_minus(c) + slope
+    """Eigenvalue parameter lambda = k_minus + pi', where
+    pi(xi) = -xi/2 - [(sqrt_u + q) xi - sqrt_u] on the k_minus branch."""
+    return k_minus(c) + (-0.5 - c.sqrt_u - c.q)
 
 
 def lambda_n(c: NUCoefficients, n: int) -> float:
@@ -138,76 +114,7 @@ def nu_quantize(a1t: float, a2t: float, a4t: float, n: int) -> float:
 
     lambda_of = a3t - 2 a1t + a2t - sqrt((a1t - a2t + a4t)(4 a1t + 1))
     - 1/2 - sqrt_u - q has slope 1 in a3t while lambda_n does not depend
-    on it, so the root is unique and in closed form.
+    on it, so the root is unique: lambda_n minus lambda_of at a3t = 0.
     """
-    c = NUCoefficients(a1t, a2t, 0.0, a4t)  # checks the invariants; a3t drops out
-    return (
-        lambda_n(c, n)
-        + 2.0 * a1t
-        - a2t
-        + math.sqrt((a1t - a2t + a4t) * (4.0 * a1t + 1.0))
-        + 0.5
-        + c.sqrt_u
-        + c.q
-    )
-
-
-def nu_eigenfunction(c: NUCoefficients, n: int, xi):
-    """Unnormalized bound solution U(xi) = phi(xi) * P_n^(kappa,upsilon)(1-2xi).
-
-    phi(xi) = xi^(kappa/2) * (1-xi)^((1+upsilon)/2). At kappa = 0 the xi=0
-    endpoint is finite (0^0 treated as 1).
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"n must be a non-negative integer, got {n!r}")
-    xi_arr = np.asarray(xi, dtype=float)
-    if np.any((xi_arr < 0) | (xi_arr > 1)):
-        raise DomainError("xi must lie in [0, 1]")
-    phi = np.power(xi_arr, 0.5 * c.kappa) * np.power(1.0 - xi_arr, 0.5 * (1.0 + c.upsilon))
-    out = phi * jacobi(n, c.kappa, c.upsilon, 1.0 - 2.0 * xi_arr)
-    return out if np.ndim(xi) else float(out)
-
-
-def weight_function(c: NUCoefficients, xi):
-    """Orthogonality weight omega(xi) = xi^kappa * (1-xi)^upsilon on (0,1)."""
-    xi_arr = np.asarray(xi, dtype=float)
-    if np.any((xi_arr <= 0) | (xi_arr >= 1)):
-        raise DomainError("xi must lie strictly inside (0, 1)")
-    out = np.power(xi_arr, c.kappa) * np.power(1.0 - xi_arr, c.upsilon)
-    return out if np.ndim(xi) else float(out)
-
-
-@dataclass(frozen=True)
-class NUSolution:
-    """Assembled solver output for one coefficient set."""
-
-    k_minus: float
-    pi_slope: float
-    pi_intercept: float
-    lam: float
-    kappa: float
-    upsilon: float
-
-    def __post_init__(self):
-        # tau' = 2*pi_slope - 1 must stay negative for bound solutions.
-        if not 2.0 * self.pi_slope - 1.0 < 0:
-            raise DomainError(f"tau' = {2.0 * self.pi_slope - 1.0} is not negative")
-
-
-def solve(c: NUCoefficients) -> NUSolution:
-    """Run the k_minus pipeline and bundle the results."""
-    k = k_minus(c)
-    slope, intercept = pi_minus(c)
-    a_minus = 0.25 - k + c.a3t + c.a4t
-    if a_minus < 0:
-        raise DomainError(
-            f"invariant A_minus >= 0 violated (A_minus={a_minus}); unphysical solution"
-        )
-    return NUSolution(
-        k_minus=k,
-        pi_slope=slope,
-        pi_intercept=intercept,
-        lam=k + slope,
-        kappa=c.kappa,
-        upsilon=c.upsilon,
-    )
+    c = NUCoefficients(a1t, a2t, 0.0, a4t)  # checks the invariants
+    return lambda_n(c, n) - lambda_of(c)

@@ -71,7 +71,8 @@ _EIG_TOL = 1e-14
 
 
 def _eval_potential(potential, x: np.ndarray) -> np.ndarray:
-    w = np.asarray(potential(x), dtype=float)
+    with np.errstate(all="ignore"):  # a value that is not finite is rejected below
+        w = np.asarray(potential(x), dtype=float)
     if w.ndim == 0:
         w = np.full(x.shape, float(w))
     if w.shape != x.shape:
@@ -98,6 +99,19 @@ def spectral_target(params: PhysicalParams) -> float:
     return -params.kz**2
 
 
+def _check_target(kind: ModelKind, params: PhysicalParams, target: str) -> None:
+    """target is 'exact', or 'ga' on model C at sigma = 1 with delta > 0."""
+    if target not in ("exact", "ga"):
+        raise DomainError(f"target must be 'exact' or 'ga', got {target!r}")
+    if target == "ga":
+        if kind is not ModelKind.C:
+            raise DomainError("Greene-Aldrich target applies to model C only")
+        if params.sigma != 1.0:
+            raise DomainError("Greene-Aldrich target requires sigma = 1")
+        if params.delta <= 0:
+            raise DomainError("Greene-Aldrich target requires delta > 0")
+
+
 def radial_potential(
     kind: ModelKind, state: QuantumState, params: PhysicalParams, E: float, target: str = "exact"
 ):
@@ -112,15 +126,8 @@ def radial_potential(
     reduced equation (B0 = 0) plus the field terms of the shape function.
     Pair with spectral_target for the matching right-hand side.
     """
-    if target not in ("exact", "ga"):
-        raise DomainError(f"target must be 'exact' or 'ga', got {target!r}")
+    _check_target(kind, params, target)
     if target == "ga":
-        if kind is not ModelKind.C:
-            raise DomainError("Greene-Aldrich target applies to model C only")
-        if params.sigma != 1.0:
-            raise DomainError("Greene-Aldrich target requires sigma = 1")
-        if params.delta <= 0:
-            raise DomainError("Greene-Aldrich target requires delta > 0")
         eq = reduced_equation(kind, state, params)
         return lambda rho: eq.potential(np.asarray(rho, dtype=float), E, "ga")
     if params.sigma == 1.0:
@@ -430,12 +437,7 @@ def oracle_energy(
             f"oracle_energy needs sigma = 1, got sigma = {params.sigma}: the "
             "singular split of the reduced equation exists only there"
         )
-    if target not in ("exact", "ga"):
-        raise DomainError(f"target must be 'exact' or 'ga', got {target!r}")
-    if target == "ga" and kind is not ModelKind.C:
-        raise DomainError("Greene-Aldrich target applies to model C only")
-    if target == "ga" and params.delta <= 0:
-        raise DomainError("Greene-Aldrich target requires delta > 0")
+    _check_target(kind, params, target)
     if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 1:
         raise DomainError(f"n_points must be a positive integer, got {n_points!r}")
     if state.n_rho >= n_points:
@@ -447,9 +449,10 @@ def oracle_energy(
         )
     if rho_max is None:
         rho_max = 25.0 / math.sqrt(-et)
-    if kind is ModelKind.B:
-        return _model_b_level(state, params, et, rho_max, n_points, tol, refine)
-    return _linear_level(kind, state, params, target, et, rho_max, n_points, refine)
+    with np.errstate(all="ignore"):  # _pencil rejects a pencil that is not finite
+        if kind is ModelKind.B:
+            return _model_b_level(state, params, et, rho_max, n_points, tol, refine)
+        return _linear_level(kind, state, params, target, et, rho_max, n_points, refine)
 
 
 # ---------------------------------------------------------------------------

@@ -79,17 +79,6 @@ class PhysicalParams:
     def decay_rate(self) -> float:
         return math.sqrt(self.s_squared)
 
-    @property
-    def radial_scale_ok(self) -> bool:
-        """Whether the Coulomb-like closed forms have a radial scale.
-
-        The inverse-linear-mass and inverse-quadratic-mass spectra need
-        kz**2 + (e*b0*mu)**2 > 0. Field-off/axial-off parameter sets are
-        still constructible (the field helpers allow them), so this is a
-        flag rather than a constructor error.
-        """
-        return self.s_squared > 0
-
     def replace(self, **changes) -> "PhysicalParams":
         return replace(self, **changes)
 
@@ -108,9 +97,6 @@ class QuantumState:
             raise DomainError(f"m must be an integer, got {self.m!r}")
         if self.n_rho < 0:
             raise DomainError(f"n_rho must be >= 0, got {self.n_rho}")
-
-    def m_tilde(self, params: PhysicalParams) -> float:
-        return m_tilde(self, params)
 
 
 def m_tilde(state: QuantumState, params: PhysicalParams) -> float:

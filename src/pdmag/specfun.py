@@ -117,7 +117,8 @@ def _log_paper_integral(n: int, kappa: float, upsilon: float) -> float:
     """log of int_0^inf x^(1+upsilon) e^(-kappa x) [P_n(1-2e^(-x))]^2 dx.
 
     Gauss-Laguerre in y = c x with weight y^(1+upsilon) e^(-y), from 2n+32
-    nodes up, doubled until two rules agree to 1e-13. P_n^2 holds e^(-jx)
+    nodes (at most half the budget) up, doubled until two rules agree to
+    1e-13; the last rule has exactly _MAX_NODES nodes. P_n^2 holds e^(-jx)
     for j = 0..2n, so the integrand decays at rates kappa to kappa+2n; the
     geometric mean c of the two ends keeps every term within reach of a
     rule of a few hundred nodes, where c = kappa needs thousands for
@@ -125,15 +126,17 @@ def _log_paper_integral(n: int, kappa: float, upsilon: float) -> float:
     """
     alpha = 1.0 + upsilon
     c = math.sqrt(kappa * (kappa + 2.0 * n))
-    m, last = 2 * n + 32, None
-    while m <= _MAX_NODES:
+    m, last = min(2 * n + 32, _MAX_NODES // 2), None
+    while True:
         y, w = _gauss_laguerre(m, alpha)
         with np.errstate(divide="ignore"):
             w = np.exp(np.log(w) + (1.0 - kappa / c) * y)
         total = float(np.dot(w, jacobi(n, kappa, upsilon, 1.0 - 2.0 * np.exp(-y / c)) ** 2))
         if last is not None and abs(total - last) <= 1e-13 * total:
             return math.log(total) + math.lgamma(alpha + 1.0) - (alpha + 1.0) * math.log(c)
-        m, last = 2 * m, total
+        if m == _MAX_NODES:
+            break
+        m, last = min(2 * m, _MAX_NODES), total
     raise NormalizationError(
         f"Gauss-Laguerre norm did not converge within {_MAX_NODES} nodes "
         f"(n = {n}, kappa = {kappa}, upsilon = {upsilon}); last two rules gave "

@@ -1,8 +1,9 @@
-"""The parametric hypergeometric-type solver.
+"""The parametric hypergeometric-type quantization.
 
-Tests follow the solver pipeline: branch selection for k, the linear
-pi(xi), the eigenvalue parameter lambda and its quantized counterpart,
-the quantization root-find, and the eigenfunction/weight factories.
+Tests follow the NU pipeline: branch selection for k, the linear pi(xi),
+the eigenvalue parameter lambda and its quantized counterpart, and the
+quantization root. The bound solution and the weight are written inline
+here; the library's copy of the solution is model C's 'xi' wavefunction.
 """
 
 import math
@@ -12,20 +13,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from pdmag.errors import DomainError, UnphysicalBranchError
-from pdmag.nu import (
-    NUCoefficients,
-    k_minus,
-    k_plus,
-    lambda_n,
-    lambda_of,
-    nu_eigenfunction,
-    nu_quantize,
-    pi_minus,
-    solve,
-    tau_prime,
-    weight_function,
-)
+from pdmag.errors import DomainError
+from pdmag.models import ModelKind, model_c_coefficients, model_c_energy, wavefunction
+from pdmag.nu import NUCoefficients, k_minus, lambda_n, lambda_of, nu_quantize, tau_prime
+from pdmag.params import PhysicalParams, QuantumState
 from pdmag.specfun import jacobi
 
 # A draw of valid coefficients: a2t is derived so that
@@ -46,6 +37,24 @@ def coefficient_sets(draw):
     # rounding can push the reconstructed u a few ulp below zero
     assume(a1t - a2t + a4t >= 0.0)
     return NUCoefficients(a1t, a2t, a3t, a4t)
+
+
+def pi_line(c):
+    """Slope and intercept of pi(xi) = -xi/2 - [(sqrt_u + q) xi - sqrt_u]
+    on the k_minus branch."""
+    return -0.5 - c.sqrt_u - c.q, c.sqrt_u
+
+
+def nu_solution(c, n, xi):
+    """Bound solution U = xi^(kappa/2) (1-xi)^((1+upsilon)/2) P_n^(kappa,upsilon)(1-2xi)."""
+    xi = np.asarray(xi, dtype=float)
+    phi = np.power(xi, 0.5 * c.kappa) * np.power(1.0 - xi, 0.5 * (1.0 + c.upsilon))
+    return phi * jacobi(n, c.kappa, c.upsilon, 1.0 - 2.0 * xi)
+
+
+def weight(c, xi):
+    """Orthogonality weight omega = xi^kappa (1-xi)^upsilon on (0, 1)."""
+    return xi**c.kappa * (1.0 - xi) ** c.upsilon
 
 
 def quadratic_under_root(c):
@@ -72,26 +81,25 @@ class TestKBranch:
         assert a >= 0
         assert abs(b * b - 4.0 * a * const) <= 1e-10 * max(1.0, b * b)
 
-    def test_k_plus_is_refused(self):
-        with pytest.raises(UnphysicalBranchError, match="k_plus"):
-            k_plus(NUCoefficients(0.0, 0.0, 0.0, 0.0))
-
 
 class TestPi:
+    # lambda = k_minus + pi', so the slope of pi is lambda_of - k_minus
     def test_all_zero(self):
-        assert pi_minus(NUCoefficients(0.0, 0.0, 0.0, 0.0)) == (-1.0, 0.0)
+        c = NUCoefficients(0.0, 0.0, 0.0, 0.0)
+        assert lambda_of(c) - k_minus(c) == -1.0
+        assert pi_line(c) == (-1.0, 0.0)
 
     def test_unit_u(self):
         # u = 1, q = 1/2: slope -1/2 - 1 - 1/2, intercept sqrt(u)
-        slope, intercept = pi_minus(NUCoefficients(0.0, -1.0, 0.0, 0.0))
-        assert slope == pytest.approx(-2.0, rel=1e-15)
-        assert intercept == pytest.approx(1.0, rel=1e-15)
+        c = NUCoefficients(0.0, -1.0, 0.0, 0.0)
+        assert lambda_of(c) - k_minus(c) == pytest.approx(-2.0, rel=1e-15)
+        assert c.sqrt_u == pytest.approx(1.0, rel=1e-15)
 
     @given(c=coefficient_sets())
     def test_squared_linear_factor_matches_quadratic(self, c):
         # (pi + xi/2)^2 must reproduce the quadratic under the root
         # pointwise; the principal square root only fixes |pi + xi/2|.
-        slope, intercept = pi_minus(c)
+        slope, intercept = pi_line(c)
         a, b, const = quadratic_under_root(c)
         xi = np.linspace(0.0, 1.0, 21)
         lhs = (slope * xi + intercept + xi / 2.0) ** 2
@@ -100,9 +108,15 @@ class TestPi:
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
     @given(c=coefficient_sets())
+    def test_slope_is_lambda_minus_k(self, c):
+        slope, _ = pi_line(c)
+        k = k_minus(c)
+        assert abs(lambda_of(c) - k - slope) <= 1e-14 * max(1.0, abs(k), abs(slope))
+
+    @given(c=coefficient_sets())
     def test_tau_prime_negative(self, c):
         assert tau_prime(c) < 0
-        slope, _ = pi_minus(c)
+        slope, _ = pi_line(c)
         assert tau_prime(c) == pytest.approx(2.0 * slope - 1.0, rel=1e-15)
 
 
@@ -152,21 +166,34 @@ class TestEigenfunction:
     @given(c=coefficient_sets(), n=st.integers(0, 5))
     def test_boundary_zeros(self, c, n):
         if c.kappa > 0:
-            assert nu_eigenfunction(c, n, 0.0) == 0.0
-        assert nu_eigenfunction(c, n, 1.0) == 0.0
+            assert nu_solution(c, n, 0.0) == 0.0
+        assert nu_solution(c, n, 1.0) == 0.0
 
     def test_kappa_zero_endpoint_is_finite(self):
         c = NUCoefficients(0.5, 1.0, 0.0, 0.5)  # u = 0 exactly
         assert c.kappa == 0.0
-        value = nu_eigenfunction(c, 0, 0.0)
+        value = nu_solution(c, 0, 0.0)
         assert math.isfinite(value) and value == 1.0
 
     @given(c=coefficient_sets())
     def test_first_excited_has_one_interior_zero(self, c):
         xi = np.linspace(1e-6, 1.0 - 1e-6, 2001)
-        u = nu_eigenfunction(c, 1, xi)
+        u = nu_solution(c, 1, xi)
         signs = np.sign(u[np.abs(u) > 1e-12 * np.max(np.abs(u))])
         assert int(np.count_nonzero(signs[1:] != signs[:-1])) == 1
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("delta", [0.05, 0.2])
+    def test_model_c_xi_form_is_the_nu_solution(self, n, delta):
+        # U(rho) of model C's 'xi' form is the NU solution at its own
+        # coefficients, xi = e^(-delta rho); it vanishes at both ends
+        state, params = QuantumState(n, 1), PhysicalParams(mu=0.15, delta=delta)
+        c = model_c_coefficients(state, params, model_c_energy(state, params)).nu_coefficients()
+        rho = np.array([1e-300, 0.3, 2.0, 9.0, 40.0, 1e5])
+        u = wavefunction(ModelKind.C, state, params, rho, form="xi", component="U", normalized=False)
+        expected = nu_solution(c, n, np.exp(-delta * rho[1:-1]))
+        assert np.allclose(u[1:-1], expected, rtol=1e-12, atol=0.0)
+        assert abs(u[0]) < 1e-140 and u[-1] == 0.0
 
     @pytest.mark.parametrize("n", range(6))
     def test_hypergeometric_equation_residual(self, n):
@@ -190,11 +217,11 @@ class TestEigenfunction:
 
 class TestWeight:
     def test_half_point(self):
-        assert weight_function(NUCoefficients(0.0, 0.0, 0.0, 0.0), 0.5) == 0.5
+        assert weight(NUCoefficients(0.0, 0.0, 0.0, 0.0), 0.5) == 0.5
 
     @given(c=coefficient_sets(), xi=st.floats(min_value=0.05, max_value=0.95))
     def test_nonnegative(self, c, xi):
-        assert weight_function(c, xi) >= 0.0
+        assert weight(c, xi) >= 0.0
 
     @given(c=coefficient_sets(), xi=st.floats(min_value=0.1, max_value=0.9))
     def test_pearson_relation(self, c, xi):
@@ -202,21 +229,15 @@ class TestWeight:
         h = 1e-5
 
         def sw(z):
-            return z * (1.0 - z) * weight_function(c, z)
+            return z * (1.0 - z) * weight(c, z)
 
         lhs = (sw(xi + h) - sw(xi - h)) / (2.0 * h)
         tau = (1.0 + c.kappa) - (2.0 + c.kappa + c.upsilon) * xi
-        rhs = tau * weight_function(c, xi)
+        rhs = tau * weight(c, xi)
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-8)
 
-    def test_rejects_endpoints(self):
-        c = NUCoefficients(0.0, 0.0, 0.0, 0.0)
-        for xi in (0.0, 1.0):
-            with pytest.raises(DomainError):
-                weight_function(c, xi)
 
-
-class TestInvariantsAndSolve:
+class TestInvariants:
     def test_imaginary_upsilon_rejected(self):
         with pytest.raises(DomainError, match="upsilon"):
             NUCoefficients(-0.5, 0.0, 0.0, 0.0)
@@ -225,11 +246,17 @@ class TestInvariantsAndSolve:
         with pytest.raises(DomainError, match="kappa"):
             NUCoefficients(0.0, 1.0, 0.0, 0.0)
 
-    @given(c=coefficient_sets())
-    def test_solve_bundles_the_pipeline(self, c):
-        sol = solve(c)
-        assert sol.k_minus == k_minus(c)
-        assert (sol.pi_slope, sol.pi_intercept) == pi_minus(c)
-        assert sol.lam == lambda_of(c)
-        assert (sol.kappa, sol.upsilon) == (c.kappa, c.upsilon)
-        assert 2.0 * sol.pi_slope - 1.0 < 0
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, index, value):
+        args = [0.0] * 4
+        args[index] = value
+        with pytest.raises(DomainError, match=f"a{index + 1}t must be finite"):
+            NUCoefficients(*args)
+
+    def test_quantize_rejects_non_finite_input(self):
+        # both returned nan without an error before the finiteness check
+        with pytest.raises(DomainError, match="a1t must be finite"):
+            nu_quantize(math.nan, 0.0, 0.0, 0)
+        with pytest.raises(DomainError, match="a4t must be finite"):
+            nu_quantize(0.0, 0.0, math.inf, 0)

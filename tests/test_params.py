@@ -56,10 +56,11 @@ class TestPhysicalParams:
         assert (p.beta, p.kz) == (0.0, 0.0)
 
     def test_radial_scale_flag(self):
-        assert PhysicalParams().radial_scale_ok
-        assert PhysicalParams(b0=0.0, kz=2.0).radial_scale_ok
-        assert not PhysicalParams(b0=0.0, kz=0.0).radial_scale_ok
-        assert not PhysicalParams(mu=0.0, kz=0.0).radial_scale_ok
+        # the Coulomb-like closed forms need a radial scale, s^2 > 0
+        assert PhysicalParams().s_squared > 0
+        assert PhysicalParams(b0=0.0, kz=2.0).s_squared > 0
+        assert not PhysicalParams(b0=0.0, kz=0.0).s_squared > 0
+        assert not PhysicalParams(mu=0.0, kz=0.0).s_squared > 0
 
     def test_decay_rate_is_sqrt_of_s_squared(self):
         p = PhysicalParams(e=2.0, b0=1.0, mu=0.5, kz=1.0)
@@ -103,7 +104,6 @@ class TestMTilde:
         state = QuantumState(0, m)
         params = PhysicalParams(alpha_ab=alpha)
         assert m_tilde(state, params) == expected
-        assert state.m_tilde(params) == expected
 
     @given(m=st.integers(-20, 20), k=st.integers(-5, 5))
     def test_integer_flux_keeps_m_tilde_integer(self, m, k):

@@ -278,7 +278,48 @@ def test_normalize_rejects_a_norm_out_of_double_range():
 
 def test_normalize_rejects_coarse_grid(monkeypatch):
     # a node budget too small for two rules to agree is rejected, not
-    # answered with the coarse rule
-    monkeypatch.setattr(specfun, "_MAX_NODES", 40)
+    # answered with the coarse rule (kappa = 0.5, n = 10 needs about 200
+    # nodes; the last two rules here have 32 and 64)
+    monkeypatch.setattr(specfun, "_MAX_NODES", 64)
     with pytest.raises(NormalizationError, match="did not converge"):
-        normalize("paper", 0, 5.0, 2.0)
+        normalize("paper", 10, 0.5, 2.0)
+
+
+def _record_rule_sizes(monkeypatch):
+    sizes = []
+    rule = specfun._gauss_laguerre
+
+    def recording(m, alpha):
+        sizes.append(m)
+        return rule(m, alpha)
+
+    monkeypatch.setattr(specfun, "_gauss_laguerre", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("n, kappa, upsilon", [(0, 2.0, 1.0), (3, 0.7, 2.5), (10, 0.5, 2.0)])
+def test_converged_paper_norm_doubles_from_2n_plus_32(monkeypatch, n, kappa, upsilon):
+    sizes = _record_rule_sizes(monkeypatch)
+    normalize("paper", n, kappa, upsilon)
+    assert sizes == [(2 * n + 32) * 2**k for k in range(len(sizes))]
+
+
+def test_unconverged_paper_norm_reaches_the_budget_and_reports_both_rules(monkeypatch):
+    # was: rules of 34 .. 544 nodes, then a stop short of the 1024-node
+    # budget, and the last total printed twice
+    sizes = _record_rule_sizes(monkeypatch)
+    params = PhysicalParams(
+        e=8.019819179537492, eta=1.7e308, delta=2.00001, v2=1e200, beta=-3.0375640604951073
+    )
+    with pytest.raises(NormalizationError, match="within 1024 nodes") as err:
+        wavefunction(ModelKind.C, QuantumState(1, 1), params, [0.5, 1.0])
+    assert sizes == [34, 68, 136, 272, 544, 1024]
+    last, total = str(err.value).rsplit("gave ", 1)[1].split(" and ")
+    assert float(last) != float(total)
+
+
+def test_paper_norm_of_a_high_degree_is_rejected_not_a_crash():
+    # from n = 497 on, 2n + 32 passed the budget before any rule ran, and
+    # the error message read an unbound total
+    with pytest.raises(NormalizationError, match="within 1024 nodes"):
+        normalize("paper", 500, 18.0, 2.0)

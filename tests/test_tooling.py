@@ -35,3 +35,10 @@ def test_perfbench_hooks_resolve():
     assert hooks
     for module_name, attr, _ in hooks:
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+
+
+def test_every_exported_name_resolves():
+    # a deleted function must not leave a dangling name in pdmag.__all__
+    pdmag = importlib.import_module("pdmag")
+    missing = [name for name in pdmag.__all__ if not hasattr(pdmag, name)]
+    assert missing == []
