@@ -84,8 +84,9 @@ def k_minus(c: NUCoefficients) -> float:
     perfect square (its own discriminant vanishes); the upper root would
     make that square's leading coefficient negative (imaginary energies).
     """
-    rad = (c.a1t - c.a2t + c.a4t) * (4.0 * c.a1t + 1.0)  # both invariants, so >= 0
-    return -(2.0 * c.a1t - c.a2t - c.a3t) - math.sqrt(rad)
+    # the root of the product taken as the product of the roots, which
+    # cannot overflow while each factor is finite
+    return -(2.0 * c.a1t - c.a2t - c.a3t) - c.sqrt_u * c.upsilon
 
 
 def tau_prime(c: NUCoefficients) -> float:
@@ -96,7 +97,7 @@ def tau_prime(c: NUCoefficients) -> float:
 def lambda_of(c: NUCoefficients) -> float:
     """Eigenvalue parameter lambda = k_minus + pi', where
     pi(xi) = -xi/2 - [(sqrt_u + q) xi - sqrt_u] on the k_minus branch."""
-    return k_minus(c) + (-0.5 - c.sqrt_u - c.q)
+    return _finite("lambda", k_minus(c) + (-0.5 - c.sqrt_u - c.q), c)
 
 
 def lambda_n(c: NUCoefficients, n: int) -> float:
@@ -117,4 +118,13 @@ def nu_quantize(a1t: float, a2t: float, a4t: float, n: int) -> float:
     on it, so the root is unique: lambda_n minus lambda_of at a3t = 0.
     """
     c = NUCoefficients(a1t, a2t, 0.0, a4t)  # checks the invariants
-    return lambda_n(c, n) - lambda_of(c)
+    return _finite("quantized a3t", lambda_n(c, n) - lambda_of(c), c)
+
+
+def _finite(name: str, value: float, c: NUCoefficients) -> float:
+    if not math.isfinite(value):
+        raise DomainError(
+            f"{name} is not finite ({value!r}) for a1t={c.a1t}, a2t={c.a2t}, "
+            f"a3t={c.a3t}, a4t={c.a4t}"
+        )
+    return value

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import BoundStateError, BracketingError, DomainError
 from .fields import shape_function
@@ -215,6 +214,18 @@ class _FVGrid:
     def centroid(self) -> np.ndarray:
         """rho-bar_i: centroid of the weight rho^(2p-1) over cell i."""
         return self.h * self.moment / self.coul
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """scipy.linalg.eigh_tridiagonal; scipy is loaded on the first call.
+
+    Only the oracle needs scipy, so importing pdmag and printing closed
+    forms loads numpy alone. _pencil looks this name up at call time, so it
+    can be replaced on the module (timing hooks, tests).
+    """
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(d, e, **kwargs)
 
 
 def _pencil(diag, off, weight, index: int, with_vector: bool = False):

@@ -260,3 +260,23 @@ class TestInvariants:
             nu_quantize(math.nan, 0.0, 0.0, 0)
         with pytest.raises(DomainError, match="a4t must be finite"):
             nu_quantize(0.0, 0.0, math.inf, 0)
+
+    def test_large_finite_coefficients_give_finite_values(self):
+        # the radicand (a1t - a2t + a4t)(4 a1t + 1) is 8e600 here, past the
+        # largest double, while both results are of order 1e300
+        root2 = math.sqrt(2.0)
+        assert nu_quantize(1e300, -1e300, 0.0, 0) == pytest.approx((3.0 + 2.0 * root2) * 1e300, rel=1e-15)
+        c = NUCoefficients(1e300, -1e300, -1e300, 0.0)
+        assert lambda_of(c) == pytest.approx(-(4.0 + 2.0 * root2) * 1e300, rel=1e-15)
+
+    def test_overflowing_lambda_rejected(self):
+        # 4 a1t + 1 overflows, so upsilon and lambda are infinite
+        with pytest.raises(DomainError, match="lambda is not finite"):
+            lambda_of(NUCoefficients(1e308, 0.0, 0.0, 0.0))
+        with pytest.raises(DomainError, match="lambda is not finite"):
+            nu_quantize(1e308, 0.0, 0.0, 0)
+
+    def test_overflowing_quantized_a3t_rejected(self):
+        # lambda is finite, but n (n - 1) in lambda_n is not
+        with pytest.raises(DomainError, match="quantized a3t is not finite"):
+            nu_quantize(0.0, 0.0, 0.0, 10**200)

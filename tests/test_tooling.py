@@ -11,17 +11,60 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_import_leaves_scipy_integrate_and_special_unloaded():
-    code = (
-        "import sys, pdmag; "
-        "print(','.join(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))"
-    )
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports pdmag from the source tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == ""
+
+
+_SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+
+
+def test_import_leaves_scipy_unloaded():
+    out = _fresh(f"import sys, pdmag, pdmag.cli; print({_SCIPY_LOADED})")
+    assert out.stdout.strip() == "False"
+
+
+# every command but verify prints closed forms, which need numpy alone
+_CLOSED_FORM_COMMANDS = [
+    ["spectrum", "--model", "c", "--nrho-max", "1", "--m-min", "0", "--m-max", "1", "--mu", "0.15",
+     "--delta", "0.1"],
+    ["wavefunction", "--model", "c", "--state", "0,1", "--mu", "0.15", "--delta", "0.1",
+     "--form", "paper", "--points", "5"],
+    ["field", "--sigma", "0.5", "--beta", "-1.5", "--points", "5"],
+    ["sweep", "--model", "b", "--state", "0,1", "--param", "mu", "--lo", "0.8", "--hi", "2.5",
+     "--steps", "5", "--beta", "-6", "--kz", "1"],
+    ["crossings", "--model", "a", "--s1", "2,1", "--s2", "1,0", "--param", "beta", "--lo", "-3",
+     "--hi", "3"],
+    ["greene-aldrich", "--delta", "1.0"],
+]
+
+
+def test_closed_form_commands_leave_scipy_unloaded():
+    code = (
+        "import contextlib, io, sys\n"
+        "from pdmag.cli import run\n"
+        f"for argv in {_CLOSED_FORM_COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = run(argv)\n"
+        f"    print(argv[0], code, {_SCIPY_LOADED})\n"
+    )
+    rows = _fresh(code).stdout.split("\n")[:-1]
+    assert rows == [f"{argv[0]} 0 False" for argv in _CLOSED_FORM_COMMANDS]
+
+
+def test_verify_loads_scipy_linalg_on_its_first_eigensolve():
+    code = (
+        "import contextlib, io, sys\n"
+        "from pdmag.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = run(['verify', '--model', 'a', '--nrho-max', '0', '--m-min', '0', '--m-max', '0'])\n"
+        "print(code, 'scipy.linalg' in sys.modules)\n"
+    )
+    assert _fresh(code).stdout.strip() == "0 True"
 
 
 def test_perfbench_hooks_resolve():
