@@ -12,7 +12,8 @@ with sigma(xi) = xi(1-xi), tau_tilde(xi) = 1-xi, and
 Everything here is generic in the four real coefficients a1t..a4t; no
 physics enters. Square roots always take the principal branch, and a
 negative radicand or a coefficient that is not finite is a hard domain
-error rather than a complex continuation or a nan.
+error rather than a complex continuation or a nan, and so is a radicand
+that overflows.
 """
 
 from __future__ import annotations
@@ -45,17 +46,15 @@ class NUCoefficients:
         for name, value in self.__dict__.items():
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
-        if 4.0 * self.a1t + 1.0 < 0:
-            raise DomainError(
-                f"invariant 4*a1t + 1 >= 0 violated (a1t={self.a1t}); "
-                "upsilon would be imaginary"
-            )
-        if self.a1t - self.a2t + self.a4t < 0:
-            raise DomainError(
-                "invariant a1t - a2t + a4t >= 0 violated "
-                f"(a1t={self.a1t}, a2t={self.a2t}, a4t={self.a4t}); "
-                "kappa would be imaginary"
-            )
+        for invariant, value, root in (
+            ("4*a1t + 1", 4.0 * self.a1t + 1.0, "upsilon"),
+            ("a1t - a2t + a4t", self.a1t - self.a2t + self.a4t, "kappa"),
+        ):
+            if not 0.0 <= value < math.inf:  # negative, or overflowed to inf
+                raise DomainError(
+                    f"invariant 0 <= {invariant} < inf violated (a1t={self.a1t}, a2t={self.a2t}, "
+                    f"a4t={self.a4t}); {root} would be {'imaginary' if value < 0 else 'infinite'}"
+                )
 
     @property
     def sqrt_u(self) -> float:

@@ -17,7 +17,10 @@ which keeps the power-law behaviour at the origin from degrading the
 second order of convergence. G is diagonal, so each grid costs one
 symmetric tridiagonal eigensolve. Solving on n and 2n cells and taking one
 Richardson step gives the level together with an estimate of its own
-error.
+error. Each eigensolve is a Sturm bisection; after a level's first grid it
+bisects only a narrow window around the coarse level (or around Et for
+model B), once a Sturm count confirms that the window holds the wanted
+index, and falls back to the full bisection otherwise.
 
 The split of W0 into c2/rho^2 + c1/rho + a smooth part, and the mass
 profile g, come from models.reduced_equation, the one definition of the
@@ -150,11 +153,11 @@ def radial_potential(
 # ---------------------------------------------------------------------------
 
 
-def _powint(a, b, q: float):
-    """Integral of s^q on [a, b], elementwise in the bounds."""
+def _powint(edges: np.ndarray, q: float) -> np.ndarray:
+    """Integral of s^q between consecutive edges, each power taken once."""
     if abs(q + 1.0) < 1e-14:
-        return np.log(b / a)
-    return (b ** (q + 1.0) - a ** (q + 1.0)) / (q + 1.0)
+        return np.log(edges[1:] / edges[:-1])
+    return np.diff(edges ** (q + 1.0)) / (q + 1.0)
 
 
 @dataclass(frozen=True)
@@ -171,25 +174,21 @@ class _FVGrid:
     p: float
     h: float
     index: np.ndarray
-    cell_lo: np.ndarray
-    cell_hi: np.ndarray
+    edges: np.ndarray
     coul: np.ndarray
     moment: np.ndarray
 
     @classmethod
     def build(cls, p: float, rho_max: float, n_points: int) -> "_FVGrid":
         i = np.arange(1, n_points + 1, dtype=float)
-        cell_lo = np.where(i == 1.0, 0.0, i - 0.5)
-        cell_hi = i + 0.5
-        twop = 2.0 * p
+        edges = np.concatenate(([0.0], i + 0.5))  # the n + 1 cell edges
         return cls(
             p=p,
             h=rho_max / n_points,
             index=i,
-            cell_lo=cell_lo,
-            cell_hi=cell_hi,
-            coul=_powint(cell_lo, cell_hi, twop - 1.0),
-            moment=_powint(cell_lo, cell_hi, twop),
+            edges=edges,
+            coul=_powint(edges, 2.0 * p - 1.0),
+            moment=_powint(edges, 2.0 * p),
         )
 
     @property
@@ -203,8 +202,8 @@ class _FVGrid:
 
     def operator(self, c1: float, smooth=None):
         """(diagonal, off-diagonal) of -(w v')' + w (c1/rho + smooth) v."""
-        i, h = self.index, self.h
-        aflux = 1.0 / _powint(i, i + 1.0, -2.0 * self.p)
+        h = self.h
+        aflux = 1.0 / _powint(np.arange(1.0, self.index.size + 2), -2.0 * self.p)  # nodes 1..n+1
         a_left = np.concatenate(([0.0], aflux[:-1]))
         diag = (a_left + aflux) / h + c1 * self.coul
         if smooth is not None:
@@ -216,24 +215,46 @@ class _FVGrid:
         return self.h * self.moment / self.coul
 
 
-def eigh_tridiagonal(d, e, **kwargs):
-    """scipy.linalg.eigh_tridiagonal; scipy is loaded on the first call.
+def eigh_tridiagonal(d, e, index: int, with_vector: bool = False, window=None):
+    """Eigenvalue `index` (from 0) of the symmetric tridiagonal matrix (d, e),
+    and its unit eigenvector if with_vector, by Sturm bisection to _EIG_TOL.
 
-    Only the oracle needs scipy, so importing pdmag and printing closed
-    forms loads numpy alone. _pencil looks this name up at call time, so it
-    can be replaced on the module (timing hooks, tests).
+    With window = (lo, hi), a Sturm count at lo (select="v" over (-inf, lo]
+    with an infinite tolerance, so that no bisection step runs) must find
+    exactly `index` eigenvalues at or below lo; then only (lo, hi] is
+    bisected and its lowest eigenvalue returned. Otherwise, or if (lo, hi]
+    is empty, select="i" bisects the whole Gershgorin interval: a window
+    changes the cost, never the eigenvalue.
+
+    scipy.linalg is loaded on the first call, so importing pdmag loads numpy
+    alone. _pencil looks this name up at call time, so it can be replaced on
+    the module (timing hooks, tests).
     """
     from scipy.linalg import eigh_tridiagonal as solve
 
-    return solve(d, e, **kwargs)
+    def bisect(select: str, select_range):
+        found = solve(d, e, eigvals_only=not with_vector, select=select,
+                      select_range=select_range, tol=_EIG_TOL)
+        return found if with_vector else (found, None)
+
+    vals = ()
+    if window is not None:
+        below = solve(d, e, eigvals_only=True, select="v", select_range=(-np.inf, window[0]),
+                      tol=np.inf)
+        if len(below) == index:
+            vals, vecs = bisect("v", window)
+    if not len(vals):
+        vals, vecs = bisect("i", (index, index))
+    return (float(vals[0]), vecs[:, 0]) if with_vector else float(vals[0])
 
 
-def _pencil(diag, off, weight, index: int, with_vector: bool = False):
+def _pencil(diag, off, weight, index: int, with_vector: bool = False, window=None):
     """Eigenvalue `index` of the tridiagonal pencil (diag, off) v = lam weight v.
 
     Scaled by weight^(-1/2) to a symmetric tridiagonal problem and solved by
-    bisection with Sturm counts. With with_vector=True also returns the
-    scaled eigenvector y = weight^(1/2) v, normalized to sum(y^2) = 1.
+    eigh_tridiagonal, bisecting only `window` when it checks out. With
+    with_vector=True also returns the scaled eigenvector y = weight^(1/2) v,
+    normalized to sum(y^2) = 1.
     """
     d = np.sqrt(weight)
     a = diag / weight
@@ -241,16 +262,9 @@ def _pencil(diag, off, weight, index: int, with_vector: bool = False):
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("finite-volume pencil must be finite on the grid")
     try:
-        found = eigh_tridiagonal(
-            a, b, eigvals_only=not with_vector, select="i",
-            select_range=(index, index), tol=_EIG_TOL,
-        )
+        return eigh_tridiagonal(a, b, index, with_vector, window)
     except np.linalg.LinAlgError as err:
         raise DomainError(f"the pencil's tridiagonal eigensolve did not converge: {err}") from None
-    if with_vector:
-        vals, vecs = found
-        return float(vals[0]), vecs[:, 0]
-    return float(found[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,22 +334,23 @@ def _linear_level(kind, state, params, target, et, rho_max, n_points, refine) ->
         )
     p = 0.5 + math.sqrt(c2 + 0.25)
 
-    def solve(n: int) -> float:
+    def solve(n: int, window=None) -> float:
         grid = _FVGrid.build(p, rho_max, n)
         diag, off = grid.operator(c1, smooth)
         rho = grid.centroid()  # G_i: g rho at the centroid times the cell integral coul_i
         weight = grid.coul * rho * eq.mass(rho, target)
-        return _pencil(diag - et * grid.mass, off, weight, state.n_rho)
+        return _pencil(diag - et * grid.mass, off, weight, state.n_rho, window=window)
 
     e_coarse = solve(n_points)
     if not refine:
         return OracleLevel(e_coarse, math.nan)
-    return _richardson(e_coarse, solve(2 * n_points))
+    half = 1e-2 * max(1.0, abs(e_coarse))  # the 2n level is within ~1e-4 of the n one
+    return _richardson(e_coarse, solve(2 * n_points, (e_coarse - half, e_coarse + half)))
 
 
 def _inverse_square(grid: _FVGrid) -> np.ndarray:
     """Cell integrals of rho^(2p-2) in the units of _FVGrid.mass."""
-    return _powint(grid.cell_lo, grid.cell_hi, 2.0 * grid.p - 2.0) / grid.h
+    return _powint(grid.edges, 2.0 * grid.p - 2.0) / grid.h
 
 
 def _model_b_start(c2_0, c1, smooth, eta, et, rho_max, n_points, index) -> float:
@@ -368,12 +383,15 @@ def _model_b_level(state, params, et, rho_max, n_points, tol, refine) -> OracleL
     eta = params.eta
     u_sq_0 = c2_0 + 0.25  # E = (u_sq_0 - u^2) / eta
 
-    def f_and_slope(u: float, n: int, with_slope: bool = True):
+    def f_and_slope(u: float, n: int, f_prev: float, with_slope: bool = True):
         grid = _FVGrid.build(0.5 + u, rho_max, n)
         diag, off = grid.operator(c1, smooth)
+        # Newton shrinks |F|, so only Et +- max(4 |F_prev|, 1e-2 max(1, |Et|)) is bisected
+        half = max(4.0 * abs(f_prev), 1e-2 * max(1.0, abs(et)))
+        found = _pencil(diag, off, grid.mass, state.n_rho, with_slope, (et - half, et + half))
         if not with_slope:
-            return _pencil(diag, off, grid.mass, state.n_rho) - et, None
-        val, y = _pencil(diag, off, grid.mass, state.n_rho, with_vector=True)
+            return found - et, None
+        val, y = found
         return val - et, 2.0 * u * float(np.sum(y * y * _inverse_square(grid) / grid.mass))
 
     e_start = _model_b_start(c2_0, c1, smooth, eta, et, rho_max, n_points, state.n_rho)
@@ -381,10 +399,11 @@ def _model_b_level(state, params, et, rho_max, n_points, tol, refine) -> OracleL
 
     lo, hi = 0.0, math.inf
     f_lo = f_hi = None
+    f = 0.025 * max(1.0, abs(et))  # a first window of half-width 1e-1 max(1, |Et|)
     for _ in range(100):
         if not lo < u < hi:
             u = 0.5 * (lo + hi) if hi < math.inf else lo + 1.0
-        f, slope = f_and_slope(u, n_points)
+        f, slope = f_and_slope(u, n_points, f)
         if f < 0:
             lo, f_lo = u, f
         else:
@@ -418,7 +437,7 @@ def _model_b_level(state, params, et, rho_max, n_points, tol, refine) -> OracleL
         return OracleLevel(e_coarse, math.nan)
     # One more solve on the halved spacing; the fine-grid root is one
     # Newton step away from the coarse one.
-    f_fine, _ = f_and_slope(u, 2 * n_points, with_slope=False)
+    f_fine, _ = f_and_slope(u, 2 * n_points, f, with_slope=False)
     u_fine = u - f_fine / slope
     return _richardson(e_coarse, (u_sq_0 - u_fine * u_fine) / eta)
 

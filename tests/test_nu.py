@@ -270,11 +270,25 @@ class TestInvariants:
         assert lambda_of(c) == pytest.approx(-(4.0 + 2.0 * root2) * 1e300, rel=1e-15)
 
     def test_overflowing_lambda_rejected(self):
-        # 4 a1t + 1 overflows, so upsilon and lambda are infinite
+        # both invariants are finite, but 2 a1t - a2t - a3t overflows, so
+        # k_minus and lambda are infinite
         with pytest.raises(DomainError, match="lambda is not finite"):
-            lambda_of(NUCoefficients(1e308, 0.0, 0.0, 0.0))
+            lambda_of(NUCoefficients(0.0, -1e308, -1e308, 0.0))
         with pytest.raises(DomainError, match="lambda is not finite"):
-            nu_quantize(1e308, 0.0, 0.0, 0)
+            nu_quantize(0.2e308, -1.5e308, 0.0, 0)
+
+    @pytest.mark.parametrize(
+        "args, invariant",
+        [((1e308, 0.0, 0.0, 0.0), "4\\*a1t \\+ 1 < inf violated.*upsilon would be infinite"),
+         ((0.0, -1e308, 0.0, 1e308), "a1t - a2t \\+ a4t < inf violated.*kappa would be infinite")],
+    )
+    @pytest.mark.parametrize(
+        "function", [k_minus, tau_prime, lambda c: lambda_n(c, 0)], ids=["k_minus", "tau_prime", "lambda_n"]
+    )
+    def test_overflowing_invariant_rejected(self, args, invariant, function):
+        # upsilon or kappa was inf here: lambda_n(c, 0) returned nan, tau_prime -inf
+        with pytest.raises(DomainError, match=invariant):
+            function(NUCoefficients(*args))
 
     def test_overflowing_quantized_a3t_rejected(self):
         # lambda is finite, but n (n - 1) in lambda_n is not

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from pdmag.errors import BoundStateError, DomainError
 from pdmag.models import (
@@ -24,9 +26,12 @@ from pdmag.models import (
     wavefunction,
 )
 from pdmag.oracle import (
+    _EIG_TOL,
     _FVGrid,
+    _inverse_square,
     _pencil,
     _split,
+    eigh_tridiagonal,
     node_count,
     oracle_energy,
     radial_potential,
@@ -124,6 +129,144 @@ class TestFdEigenvalues:
             fv_levels(0.0, 10.0, 500, 1, smooth=lambda r: np.where(r < 5.0, 0.0, np.inf))
         with pytest.raises(DomainError, match="one value per node"):
             fv_levels(0.0, 10.0, 500, 1, smooth=lambda r: np.array([1.0, 2.0]))
+
+
+class TestFVGrid:
+    @pytest.mark.parametrize("p", [0.5, 0.75, 1.0, 1.3, 2.7])
+    def test_cell_integrals_match_the_per_cell_formula(self, p):
+        # _powint takes each power once per edge; the cell integrals must
+        # equal the per-cell formula below bit for bit
+        def powint(a, b, q):
+            if abs(q + 1.0) < 1e-14:
+                return np.log(b / a)
+            return (b ** (q + 1.0) - a ** (q + 1.0)) / (q + 1.0)
+
+        grid = _FVGrid.build(p, 40.0, 4000)
+        i = grid.index
+        cell_lo, cell_hi = np.where(i == 1.0, 0.0, i - 0.5), i + 0.5
+        assert np.array_equal(grid.coul, powint(cell_lo, cell_hi, 2.0 * p - 1.0))
+        assert np.array_equal(grid.moment, powint(cell_lo, cell_hi, 2.0 * p))
+        # at p = 1/2 the flux and the inverse-square integrals take the log
+        # branch; the latter is infinite in the origin cell
+        _, off = grid.operator(0.0)
+        assert np.array_equal(off, -1.0 / powint(i, i + 1.0, -2.0 * p)[:-1] / grid.h)
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(
+                _inverse_square(grid), powint(cell_lo, cell_hi, 2.0 * p - 2.0) / grid.h
+            )
+
+
+WINDOW_CASES = ["contains", "below", "above", "several", "empty", "under_floor"]
+
+
+@st.composite
+def jacobi_problems(draw):
+    """A random Jacobi matrix (negative off-diagonal), an eigenvalue index
+    and a fraction in (0, 1) for placing windows.
+
+    Off-diagonals of at least 0.1 keep the norm at or above 0.1: on
+    smaller matrices the absolute tolerance 1e-14 is too coarse for the
+    inverse iteration behind the eigenvectors, which then fails to
+    converge with or without a window.
+    """
+    n = draw(st.integers(min_value=2, max_value=400))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    spread = draw(st.sampled_from([1e-3, 1.0, 5.0]))
+    d = rng.uniform(-spread, spread, n)
+    e = -rng.uniform(0.1, 5.0, n - 1)
+    return d, e, draw(st.integers(min_value=0, max_value=n - 1)), draw(st.floats(0.01, 0.99))
+
+
+def window_for(case, d, e, index, f):
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    lam = eigvalsh_tridiagonal(d, e)
+    n = len(lam)
+    gap_lo = lam[index] - lam[index - 1] if index > 0 else 1.0
+    gap_hi = lam[index + 1] - lam[index] if index < n - 1 else 1.0
+    radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
+    return {
+        "contains": (lam[index] - f * gap_lo, lam[index] + f * gap_hi),
+        "below": (lam[index] - f * gap_lo - 1.0, lam[index] - f * gap_lo),
+        "above": (lam[index] + f * gap_hi, lam[index] + 1.0 + f),
+        "several": (lam[max(index - 2, 0)] - f, lam[min(index + 2, n - 1)] + f),
+        "empty": (lam[index] + 0.5 * f * gap_hi, lam[index] + (0.5 + 0.5 * f) * gap_hi),
+        "under_floor": (float(np.min(d - radius)) - f, lam[index] + f * gap_hi),
+    }[case], min(gap_lo, gap_hi)
+
+
+class TestWindowedEigensolve:
+    """A window changes the cost of eigh_tridiagonal, never its answer."""
+
+    @staticmethod
+    def reference(d, e, index, with_vector=False):
+        from scipy.linalg import eigh_tridiagonal as solve
+
+        return solve(d, e, eigvals_only=not with_vector, select="i",
+                     select_range=(index, index), tol=_EIG_TOL)
+
+    @pytest.mark.parametrize("case", WINDOW_CASES)
+    @given(problem=jacobi_problems())
+    def test_eigenvalue_is_the_unwindowed_one(self, case, problem):
+        d, e, index, f = problem
+        window, _ = window_for(case, d, e, index, f)
+        got = eigh_tridiagonal(d, e, index, window=window)
+        assert abs(got - self.reference(d, e, index)[0]) <= _EIG_TOL
+
+    @pytest.mark.parametrize("case", WINDOW_CASES)
+    @given(problem=jacobi_problems())
+    def test_eigenvector_is_the_unwindowed_one(self, case, problem):
+        d, e, index, f = problem
+        window, gap = window_for(case, d, e, index, f)
+        assume(gap > 1e-3)  # closer neighbours leave the vector ill-conditioned
+        val, vec = eigh_tridiagonal(d, e, index, with_vector=True, window=window)
+        ref_vals, ref_vecs = self.reference(d, e, index, with_vector=True)
+        assert abs(val - ref_vals[0]) <= _EIG_TOL
+        ref = ref_vecs[:, 0]
+        assert min(np.max(np.abs(vec - ref)), np.max(np.abs(vec + ref))) <= 1e-10
+
+    def test_oracle_windows_hit(self, monkeypatch):
+        # every solve after a level's first grid is windowed; a window that
+        # missed would fall back to select="i" and keep the result but not
+        # the speed
+        import scipy.linalg
+
+        from test_acceptance import PROTOCOL_PARAMS, PROTOCOL_STATES
+
+        full = []
+        solve = scipy.linalg.eigh_tridiagonal
+        monkeypatch.setattr(
+            scipy.linalg, "eigh_tridiagonal",
+            lambda *a, **k: full.append(k["select"] == "i") or solve(*a, **k),
+        )
+        levels = [(ModelKind.A, s, p, "exact") for p in PROTOCOL_PARAMS for s in PROTOCOL_STATES]
+        levels += [
+            (ModelKind.B, s, p, "exact")
+            for p in PROTOCOL_PARAMS
+            for s in PROTOCOL_STATES
+            if model_b_bound(s, p)
+        ]
+        levels += [
+            (ModelKind.C, QuantumState(n, m), PhysicalParams(mu=0.15, delta=delta), "ga")
+            for delta in (0.05, 0.1, 0.2)
+            for n, m in ((0, 1), (1, 1), (0, 2), (1, 0), (2, 1))
+        ]
+        for kind, state, params, target in levels:
+            full.clear()
+            oracle_energy(kind, state, params, target=target)
+            # model B's start is a first grid too; one Newton iterate may miss
+            if kind is ModelKind.B:
+                assert sum(full) <= 2, (state, params)
+            else:
+                assert sum(full) == 1, (kind, state, params)
+
+
+def model_b_bound(state, params):
+    try:
+        model_b_energy(state, params)
+    except DomainError:
+        return False
+    return True
 
 
 class TestSpectralTarget:

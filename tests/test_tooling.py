@@ -80,6 +80,24 @@ def test_perfbench_hooks_resolve():
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
 
 
+def test_oracle_level_makes_one_eigensolve_call_per_grid(monkeypatch):
+    # perfbench's oracle.eigensolve_ms.n4000 / .n8000 spans wrap
+    # pdmag.oracle.eigh_tridiagonal and read the grid size from the length
+    # of its first positional argument, so the Sturm count and the windowed
+    # bisection must stay inside that one call
+    import pdmag.oracle
+    from pdmag.models import ModelKind
+    from pdmag.params import PhysicalParams, QuantumState
+
+    sizes = []
+    solve = pdmag.oracle.eigh_tridiagonal
+    monkeypatch.setattr(
+        pdmag.oracle, "eigh_tridiagonal", lambda *a, **k: sizes.append(len(a[0])) or solve(*a, **k)
+    )
+    pdmag.oracle.oracle_energy(ModelKind.A, QuantumState(1, 1), PhysicalParams())
+    assert sizes == [4000, 8000]
+
+
 def test_every_exported_name_resolves():
     # a deleted function must not leave a dangling name in pdmag.__all__
     pdmag = importlib.import_module("pdmag")
