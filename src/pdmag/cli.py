@@ -210,6 +210,8 @@ def _cmd_crossings(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise DomainError(f"--tol must be a positive finite number, got {args.tol}")
     params = _resolve_params(args)
     kind = ModelKind.parse(args.model)
     rows, skipped = verify_states(

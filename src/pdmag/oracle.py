@@ -18,20 +18,20 @@ second order of convergence. G is diagonal, so each grid costs one
 symmetric tridiagonal eigensolve. Solving on n and 2n cells and taking one
 Richardson step gives the level together with an estimate of its own
 error. Each eigensolve is a Sturm bisection; after a level's first grid it
-bisects only a narrow window around the coarse level (or around Et for
-model B), once a Sturm count confirms that the window holds the wanted
-index, and falls back to the full bisection otherwise.
+bisects only a narrow window around the level it expects, once a Sturm
+count confirms that the window holds the wanted index, and falls back to
+the full bisection otherwise.
 
 The split of W0 into c2/rho^2 + c1/rho + a smooth part, and the mass
 profile g, come from models.reduced_equation, the one definition of the
 reduced equation; the oracle only decides how to discretize it, and never
 calls a closed-form level.
 
-Model B (g = eta/rho^2) puts E into c2 and so into p. There one pencil
-solve of the E = 0 split gives the start, and a safeguarded Newton
-iteration on F(E) = eig_n(E) - Et, with the Hellmann-Feynman slope
--eta <rho^-2> taken from the eigenvector, takes it to the root (about five
-eigensolves a level).
+Model B (g = eta/rho^2) puts E into c2(E) = c2 - eta E and so into p. It
+takes the same pencil: at a trial energy Eg the grid's p absorbs all of
+c2(Eg)/rho^2, the weight eta/rho^2 carries the rest, and the eigenvalue
+is E - Eg. Starting at p = 1 and moving Eg to each new E until the step
+is at most tol takes about five eigensolves a level.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BoundStateError, BracketingError, DomainError
+from .errors import BoundStateError, DomainError
 from .fields import shape_function
 from .models import (
     ModelKind,
@@ -215,9 +215,9 @@ class _FVGrid:
         return self.h * self.moment / self.coul
 
 
-def eigh_tridiagonal(d, e, index: int, with_vector: bool = False, window=None):
+def eigh_tridiagonal(d, e, index: int, window=None):
     """Eigenvalue `index` (from 0) of the symmetric tridiagonal matrix (d, e),
-    and its unit eigenvector if with_vector, by Sturm bisection to _EIG_TOL.
+    by Sturm bisection to _EIG_TOL.
 
     With window = (lo, hi), a Sturm count at lo (select="v" over (-inf, lo]
     with an infinite tolerance, so that no bisection step runs) must find
@@ -232,29 +232,22 @@ def eigh_tridiagonal(d, e, index: int, with_vector: bool = False, window=None):
     """
     from scipy.linalg import eigh_tridiagonal as solve
 
-    def bisect(select: str, select_range):
-        found = solve(d, e, eigvals_only=not with_vector, select=select,
-                      select_range=select_range, tol=_EIG_TOL)
-        return found if with_vector else (found, None)
-
     vals = ()
     if window is not None:
         below = solve(d, e, eigvals_only=True, select="v", select_range=(-np.inf, window[0]),
                       tol=np.inf)
         if len(below) == index:
-            vals, vecs = bisect("v", window)
+            vals = solve(d, e, eigvals_only=True, select="v", select_range=window, tol=_EIG_TOL)
     if not len(vals):
-        vals, vecs = bisect("i", (index, index))
-    return (float(vals[0]), vecs[:, 0]) if with_vector else float(vals[0])
+        vals = solve(d, e, eigvals_only=True, select="i", select_range=(index, index), tol=_EIG_TOL)
+    return float(vals[0])
 
 
-def _pencil(diag, off, weight, index: int, with_vector: bool = False, window=None):
+def _pencil(diag, off, weight, index: int, window=None):
     """Eigenvalue `index` of the tridiagonal pencil (diag, off) v = lam weight v.
 
     Scaled by weight^(-1/2) to a symmetric tridiagonal problem and solved by
-    eigh_tridiagonal, bisecting only `window` when it checks out. With
-    with_vector=True also returns the scaled eigenvector y = weight^(1/2) v,
-    normalized to sum(y^2) = 1.
+    eigh_tridiagonal, bisecting only `window` when it checks out.
     """
     d = np.sqrt(weight)
     a = diag / weight
@@ -262,7 +255,7 @@ def _pencil(diag, off, weight, index: int, with_vector: bool = False, window=Non
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("finite-volume pencil must be finite on the grid")
     try:
-        return eigh_tridiagonal(a, b, index, with_vector, window)
+        return eigh_tridiagonal(a, b, index, window)
     except np.linalg.LinAlgError as err:
         raise DomainError(f"the pencil's tridiagonal eigensolve did not converge: {err}") from None
 
@@ -324,122 +317,66 @@ def _richardson(e_coarse: float, e_fine: float) -> OracleLevel:
     return OracleLevel(e_fine + shift, abs(shift))
 
 
-def _linear_level(kind, state, params, target, et, rho_max, n_points, refine) -> OracleLevel:
-    """Models A and C: E enters only as -E g with g ~ 1/rho."""
-    eq = reduced_equation(kind, state, params)
-    c2, c1, smooth = _split(eq, target)
-    if c2 + 0.25 < 0:
-        raise BoundStateError(
-            f"fall to center: centrifugal strength c2 = {c2} is below -1/4, no lowest level"
-        )
-    p = 0.5 + math.sqrt(c2 + 0.25)
-
-    def solve(n: int, window=None) -> float:
-        grid = _FVGrid.build(p, rho_max, n)
-        diag, off = grid.operator(c1, smooth)
-        rho = grid.centroid()  # G_i: g rho at the centroid times the cell integral coul_i
-        weight = grid.coul * rho * eq.mass(rho, target)
-        return _pencil(diag - et * grid.mass, off, weight, state.n_rho, window=window)
-
-    e_coarse = solve(n_points)
-    if not refine:
-        return OracleLevel(e_coarse, math.nan)
-    half = 1e-2 * max(1.0, abs(e_coarse))  # the 2n level is within ~1e-4 of the n one
-    return _richardson(e_coarse, solve(2 * n_points, (e_coarse - half, e_coarse + half)))
-
-
 def _inverse_square(grid: _FVGrid) -> np.ndarray:
     """Cell integrals of rho^(2p-2) in the units of _FVGrid.mass."""
     return _powint(grid.edges, 2.0 * grid.p - 2.0) / grid.h
 
 
-def _model_b_start(c2_0, c1, smooth, eta, et, rho_max, n_points, index) -> float:
-    """Pencil estimate of the model B level from the E = 0 split.
+def _level(kind, state, params, target, et, rho_max, n_points, tol, refine) -> OracleLevel:
+    """Level n_rho as the fixed point E = Eg + lam(Eg) of the weighted pencil.
 
-    Solved in U = rho v (p = 1), where the whole c2(E)/rho^2 =
-    (c2(0) - eta E)/rho^2 stays in the equation and the E term has weight
-    eta/rho^2. Freezing p at p(0) >= 1 instead leaves v ~ rho^(p* - p(0))
-    singular at the origin whenever the level has a smaller p*, and the
-    start can then land on the wrong level.
+    At a trial energy Eg the grid's p = 1/2 + u, u = sqrt(c2(Eg) + 1/4),
+    absorbs c2(Eg)/rho^2, and lam is the pencil eigenvalue. In models A
+    and C, c2 does not depend on E, so Eg = 0 and one solve is the level.
+    In model B one step is exact in the continuum and only the scheme's
+    dependence on p is left, so the iteration settles in a few solves. It
+    starts at p = 1 (Eg = c2/eta), not at p(0) >= 1, whose v ~ rho^(p* - p)
+    is singular at the origin for a level with a smaller p*; an iterate at
+    or past the fall-to-center threshold c2(E) = -1/4 halves u instead.
     """
-    grid = _FVGrid.build(1.0, rho_max, n_points)
-    diag, off = grid.operator(c1, smooth)
-    inv_sq = _inverse_square(grid)
-    return _pencil(diag + c2_0 * inv_sq - et * grid.mass, off, eta * inv_sq, index)
+    eq = reduced_equation(kind, state, params)
+    c2, c1, smooth = _split(eq, target)
+    eta = eq.eta if eq.power == 2 else 0.0  # E's share of the centrifugal strength
+    if not eta and c2 + 0.25 < 0:
+        raise BoundStateError(
+            f"fall to center: centrifugal strength c2 = {c2} is below -1/4, no lowest level"
+        )
 
-
-def _model_b_level(state, params, et, rho_max, n_points, tol, refine) -> OracleLevel:
-    """Model B: safeguarded Newton on F(E) = eig_n(E) - Et.
-
-    E sits in c2(E) = c2(0) - eta E, so the iteration runs in
-    u = p - 1/2 = sqrt(c2(E) + 1/4), which keeps F smooth up to the
-    fall-to-center threshold u = 0 where dF/dE diverges. F increases with
-    u; by Hellmann-Feynman dF/dE = -eta <rho^-2>, so dF/du = 2 u <rho^-2>.
-    The safeguard (lo, hi) holds the iterates with F < 0 and F > 0 seen
-    so far, starting from (0, inf); a Newton step that leaves it is
-    replaced by bisection.
-    """
-    c2_0, c1, smooth = _split(reduced_equation(ModelKind.B, state, params), "exact")
-    eta = params.eta
-    u_sq_0 = c2_0 + 0.25  # E = (u_sq_0 - u^2) / eta
-
-    def f_and_slope(u: float, n: int, f_prev: float, with_slope: bool = True):
+    def solve(n: int, u: float, e_g: float, window=None) -> float:
         grid = _FVGrid.build(0.5 + u, rho_max, n)
         diag, off = grid.operator(c1, smooth)
-        # Newton shrinks |F|, so only Et +- max(4 |F_prev|, 1e-2 max(1, |Et|)) is bisected
-        half = max(4.0 * abs(f_prev), 1e-2 * max(1.0, abs(et)))
-        found = _pencil(diag, off, grid.mass, state.n_rho, with_slope, (et - half, et + half))
-        if not with_slope:
-            return found - et, None
-        val, y = found
-        return val - et, 2.0 * u * float(np.sum(y * y * _inverse_square(grid) / grid.mass))
+        if eta:
+            weight = eta * _inverse_square(grid)
+        else:  # G_i: g rho at the centroid times the cell integral coul_i
+            rho = grid.centroid()
+            weight = grid.coul * rho * eq.mass(rho, target)
+        return e_g + _pencil(diag - et * grid.mass, off, weight, state.n_rho, window=window)
 
-    e_start = _model_b_start(c2_0, c1, smooth, eta, et, rho_max, n_points, state.n_rho)
-    u = math.sqrt(abs(u_sq_0 - eta * e_start))  # a start past the threshold is mirrored back
-
-    lo, hi = 0.0, math.inf
-    f_lo = f_hi = None
-    f = 0.025 * max(1.0, abs(et))  # a first window of half-width 1e-1 max(1, |Et|)
+    u, e_g = (0.5, c2 / eta) if eta else (math.sqrt(c2 + 0.25), 0.0)
+    window = None  # the first solve bisects the whole interval
     for _ in range(100):
-        if not lo < u < hi:
-            u = 0.5 * (lo + hi) if hi < math.inf else lo + 1.0
-        f, slope = f_and_slope(u, n_points, f)
-        if f < 0:
-            lo, f_lo = u, f
+        e = solve(n_points, u, e_g, window)
+        if not eta or abs(e - e_g) <= tol:
+            break
+        half = min(4.0 * abs(e - e_g), 0.1 * max(1.0, abs(e)))
+        u_sq = c2 + 0.25 - eta * e
+        if u_sq > 0:
+            u, e_g = math.sqrt(u_sq), e
         else:
-            hi, f_hi = u, f
-        usable = math.isfinite(slope) and slope > 0
-        if (hi - lo) * (hi + lo) <= eta * tol:  # safeguard narrower than tol in E
-            if f_lo is None:
+            u *= 0.5
+            e_g = (c2 + 0.25 - u * u) / eta
+            if u * u <= eta * tol:  # the threshold is within tol
                 raise BoundStateError(
                     f"model B has no level n_rho = {state.n_rho} (m = {state.m}) "
                     "above the fall-to-center threshold on this grid"
                 )
-            break
-        if not usable:
-            u = math.nan  # forces a bisection step
-            continue
-        step = -f / slope
-        u += step
-        if lo < u < hi and abs(step * (2.0 * u - step)) <= eta * tol:  # |E step| <= tol
-            break
+        window = (-half, half)  # in E - Eg
     else:
-        usable = False
-    if not usable:
-        raise BracketingError(
-            f"Newton iteration for model B state (n_rho={state.n_rho}, m={state.m}) "
-            "did not converge",
-            f_lo=f_lo,
-            f_hi=f_hi,
-        )
-    e_coarse = (u_sq_0 - u * u) / eta
+        raise DomainError(f"model B level {state} did not settle to tol = {tol} in 100 solves")
     if not refine:
-        return OracleLevel(e_coarse, math.nan)
-    # One more solve on the halved spacing; the fine-grid root is one
-    # Newton step away from the coarse one.
-    f_fine, _ = f_and_slope(u, 2 * n_points, f, with_slope=False)
-    u_fine = u - f_fine / slope
-    return _richardson(e_coarse, (u_sq_0 - u_fine * u_fine) / eta)
+        return OracleLevel(e, math.nan)
+    half = 1e-2 * max(1.0, abs(e))  # the 2n level is within ~1e-4 of the n one
+    return _richardson(e, solve(2 * n_points, u, e_g, (e - e_g - half, e - e_g + half)))
 
 
 def oracle_energy(
@@ -457,11 +394,14 @@ def oracle_energy(
 
     Returns OracleLevel(energy, error). Models A and C take one pencil
     eigensolve on n_points cells and one on 2 n_points cells; model B
-    iterates Newton on n_points cells until the step is below tol, then
-    adds one solve on 2 n_points cells. refine=True extrapolates the two
-    grids (Richardson) and reports |E_2n - E_n|/3 as the error;
-    refine=False returns the n_points level with error NaN (unknown).
+    repeats the pencil solve on n_points cells at the last level's p until
+    the energy step is at most tol, then adds one solve on 2 n_points
+    cells. refine=True extrapolates the two grids (Richardson) and reports
+    |E_2n - E_n|/3 as the error; refine=False returns the n_points level
+    with error NaN (unknown).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be a positive finite number, got {tol!r}")
     if params.sigma != 1.0:
         raise DomainError(
             f"oracle_energy needs sigma = 1, got sigma = {params.sigma}: the "
@@ -479,10 +419,10 @@ def oracle_energy(
         )
     if rho_max is None:
         rho_max = 25.0 / math.sqrt(-et)
+    elif not (math.isfinite(rho_max) and rho_max > 0):
+        raise DomainError(f"rho_max must be a positive finite number, got {rho_max!r}")
     with np.errstate(all="ignore"):  # _pencil rejects a pencil that is not finite
-        if kind is ModelKind.B:
-            return _model_b_level(state, params, et, rho_max, n_points, tol, refine)
-        return _linear_level(kind, state, params, target, et, rho_max, n_points, refine)
+        return _level(kind, state, params, target, et, rho_max, n_points, tol, refine)
 
 
 # ---------------------------------------------------------------------------

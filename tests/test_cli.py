@@ -234,6 +234,20 @@ class TestVerify:
         assert code == 2
         assert "verification failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_tol_must_be_positive_and_finite(self, capsys, monkeypatch, tol):
+        # --tol nan passed every row (worst > nan is false) and --tol -1 failed
+        # every row; both are now rejected before the oracle runs
+        import pdmag.cli
+
+        monkeypatch.setattr(pdmag.cli, "verify_states", lambda *a, **k: pytest.fail("oracle ran"))
+        code = run(["verify", "--model", "a", "--nrho-max", "0", "--m-min", "0",
+                    "--m-max", "0", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--tol must be a positive finite number" in captured.err
+        assert captured.out == ""
+
     def test_wrong_closed_form_fails_verification(self, capsys, monkeypatch):
         # the oracle is never seeded from the closed form it checks, so a
         # closed form 20 % off is a verification failure (exit 2), not a
