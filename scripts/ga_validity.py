@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from pdmag.models import ModelKind, greene_aldrich, model_c_energy
+from pdmag.models import ModelKind, energy, greene_aldrich
 from pdmag.oracle import oracle_energy
 from pdmag.params import PhysicalParams, QuantumState
 
@@ -31,7 +31,7 @@ def energy_table(state: QuantumState, deltas) -> None:
     print(f"{'delta':>7} {'E_closed':>14} {'E_exact_eq':>14} {'rel_gap':>10}")
     for delta in deltas:
         params = base.replace(delta=float(delta))
-        closed = model_c_energy(state, params)
+        closed = energy(ModelKind.C, state, params)
         exact = oracle_energy(ModelKind.C, state, params, target="exact").energy
         rel = abs(closed - exact) / max(1.0, abs(exact))
         print(f"{delta:>7g} {closed:>14.8f} {exact:>14.8f} {rel:>10.2e}")

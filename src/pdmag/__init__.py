@@ -16,14 +16,10 @@ from .errors import (
 from .fields import magnetic_field, shape_function, vector_potential, verify_curl
 from .models import (
     ModelKind,
-    effective_potential,
     energy,
     greene_aldrich,
     level_axis,
-    model_a_energy,
-    model_b_energy,
     model_c_coefficients,
-    model_c_energy,
     reduced_equation,
     wavefunction,
 )
@@ -48,17 +44,13 @@ __all__ = [
     "QuantumState",
     "SweepSpec",
     "e_tilde",
-    "effective_potential",
     "energy",
     "find_crossings",
     "greene_aldrich",
     "level_axis",
     "m_tilde",
     "magnetic_field",
-    "model_a_energy",
-    "model_b_energy",
     "model_c_coefficients",
-    "model_c_energy",
     "node_count",
     "nu_quantize",
     "oracle_energy",

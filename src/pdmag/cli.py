@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -50,6 +51,12 @@ def _fmt(x: float) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Python 3.11 takes "-1e-3", "-inf" and "-nan" for flags; read any
+        # argument that starts like a negative number as a value.
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+
     # argparse exits with status 2 on bad flags; the contract here is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -158,10 +165,8 @@ def _cmd_field(args) -> int:
     params = _resolve_params(args)
     rhos = _radii(args)
     lines = ["rho,S,Bz,Aphi"]
-    for sample in field_table(rhos, params):
-        lines.append(
-            f"{_fmt(sample.rho)},{_fmt(sample.s)},{_fmt(sample.b_z)},{_fmt(sample.a_phi)}"
-        )
+    for rho, s, b_z, a_phi in zip(rhos, *field_table(rhos, params)):
+        lines.append(f"{_fmt(rho)},{_fmt(s)},{_fmt(b_z)},{_fmt(a_phi)}")
     _emit(lines, args.out)
     return 0
 

@@ -14,18 +14,7 @@ class BoundStateError(DomainError):
 
 
 class BracketingError(RuntimeError):
-    """A root bracket did not contain a sign change.
-
-    Carries the objective values at both ends so the caller can see which
-    way to move the bracket.
-    """
-
-    def __init__(self, message: str, f_lo: float | None = None, f_hi: float | None = None):
-        if f_lo is not None or f_hi is not None:
-            message = f"{message} (F(lo)={f_lo!r}, F(hi)={f_hi!r})"
-        super().__init__(message)
-        self.f_lo = f_lo
-        self.f_hi = f_hi
+    """A root bracket did not contain a sign change."""
 
 
 class NormalizationError(RuntimeError):

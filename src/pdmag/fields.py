@@ -10,29 +10,18 @@ throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
 from .params import PhysicalParams
 
 __all__ = [
-    "FieldSample",
     "shape_function",
     "magnetic_field",
     "vector_potential",
     "verify_curl",
     "field_table",
 ]
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    rho: float
-    s: float
-    b_z: float
-    a_phi: float
 
 
 def _check_rho(rho) -> None:
@@ -100,19 +89,16 @@ def verify_curl(rho: float, params: PhysicalParams, h: float | None = None) -> f
     return abs(curl_z - magnetic_field(rho, params))
 
 
-def field_table(rhos, params: PhysicalParams) -> list[FieldSample]:
-    """Sample S, B_z and A_phi on a grid of radii; a table that is not
+def field_table(rhos, params: PhysicalParams):
+    """The arrays (S, B_z, A_phi) on a grid of radii; a table that is not
     finite is a DomainError."""
+    rhos = np.asarray(rhos, dtype=float)
     with np.errstate(all="ignore"):  # a value that is not finite is rejected below
-        table = [
-            FieldSample(
-                rho=float(r),
-                s=shape_function(float(r), params),
-                b_z=magnetic_field(float(r), params),
-                a_phi=vector_potential(float(r), params),
-            )
-            for r in np.asarray(rhos, dtype=float)
-        ]
-    if not np.all(np.isfinite([(x.s, x.b_z, x.a_phi) for x in table])):
+        table = (
+            shape_function(rhos, params),
+            magnetic_field(rhos, params),
+            vector_potential(rhos, params),
+        )
+    if not all(np.all(np.isfinite(column)) for column in table):
         raise DomainError("field table is not finite: a parameter is too large")
     return table

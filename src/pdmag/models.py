@@ -11,8 +11,8 @@ Profile tags:
        Yukawa-plus-Kratzer confinement V(rho).
 
 Each model reduces to one radial equation -U'' + W U = Et U, whose
-coefficients come from one table (reduced_equation); effective_potential,
-the oracle and model_c_coefficients all read it.
+coefficients come from one table (reduced_equation); the oracle and
+model_c_coefficients read it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -39,11 +38,7 @@ __all__ = [
     "GreeneAldrich",
     "ReducedEquation",
     "reduced_equation",
-    "effective_potential",
-    "model_a_energy",
-    "model_b_energy",
     "model_c_coefficients",
-    "model_c_energy",
     "greene_aldrich",
     "energy",
     "level_axis",
@@ -178,15 +173,6 @@ def reduced_equation(kind: ModelKind, state: QuantumState, params: PhysicalParam
     )
 
 
-def effective_potential(
-    rho, kind: ModelKind, state: QuantumState, params: PhysicalParams, E: float
-):
-    """W(rho; E) of the reduced radial equation of one state, at sigma = 1
-    (see ReducedEquation)."""
-    out = reduced_equation(kind, state, params).potential(_positive(rho), E)
-    return out if np.ndim(rho) else float(out)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form levels. Models A and B are the V = 0 models; each kernel is
 # written over a record whose fields are floats or arrays (see level_axis).
@@ -199,7 +185,12 @@ def _require_no_potential(p, check) -> None:
 
 
 def _level_a(state: QuantumState, p, check):
-    """Level kernel of model A; returns (E, (|ell_tilde|,))."""
+    """Level kernel of model A, the g = eta/rho profile (V = 0); returns
+    (E, (|ell_tilde|,)) with
+
+    E = (1/eta)[beta mu e^2 B0^2 - 2 e mt B0 mu
+                + 2 sqrt(kz^2 + e^2 B0^2 mu^2) (n + 1/2 + |ell_tilde|)].
+    """
     _require_no_potential(p, check)
     s2 = s_squared_of(p)
     check(Invalid.NO_SCALE, s2 <= 0, s2)
@@ -215,18 +206,16 @@ def _level_a(state: QuantumState, p, check):
     return level, (ell,)
 
 
-def model_a_energy(state: QuantumState, params: PhysicalParams) -> float:
-    """Bound level of the g = eta/rho profile (V = 0).
-
-    E = (1/eta)[beta mu e^2 B0^2 - 2 e mt B0 mu
-                + 2 sqrt(kz^2 + e^2 B0^2 mu^2) (n + 1/2 + |ell_tilde|)].
-    """
-    return _level(ModelKind.A, state, params)[0]
-
-
 def _level_b(state: QuantumState, p, check):
-    """Level kernel of model B; returns (E, (|ell_acute|,)), where the
-    quantized |ell_acute| is positive iff the state is bound."""
+    """Level kernel of model B, the g = eta/rho^2 profile (V = 0); returns
+    (E, (|ell_acute|,)) with
+
+    E = (1/eta)[w^2 + 1/4 - (beta_acute/(2 s) - n - 1/2)^2],
+
+    w = mt - e B0 beta/2. The quantized |ell_acute| (the squared term's
+    base) is positive iff the state is bound: Coulomb quantization needs
+    positive effective angular momentum.
+    """
     _require_no_potential(p, check)
     s2 = s_squared_of(p)
     check(Invalid.NO_SCALE, s2 <= 0, s2)
@@ -234,17 +223,6 @@ def _level_b(state: QuantumState, p, check):
     check(Invalid.NOT_BOUND, ell <= 0, ell)
     w = _w(state, p)
     return (w * w + 0.25 - ell * ell) / p.eta, (ell,)
-
-
-def model_b_energy(state: QuantumState, params: PhysicalParams) -> float:
-    """Bound level of the g = eta/rho^2 profile (V = 0).
-
-    E = (1/eta)[w^2 + 1/4 - (beta_acute/(2 s) - n - 1/2)^2] with
-    w = mt - e B0 beta/2, valid only while the squared term's base stays
-    positive (Coulomb quantization needs positive effective angular
-    momentum).
-    """
-    return _level(ModelKind.B, state, params)[0]
 
 
 @dataclass(frozen=True)
@@ -279,10 +257,17 @@ class ModelCCore:
 
 
 def _level_c(state: QuantumState, p, check):
-    """Level kernel of model C; returns (E, ()) from the quantization
-    ingredients eps1 = sqrt(r0) + delta G and
-    eps2 = 2 sqrt(r0) G + 2 delta (w^2 + V2) - 2 e B0 mu w - V1,
-    G = sqrt(w^2 + V2 + 1/16); both radicands must be non-negative."""
+    """Level kernel of model C, the Yukawa-mass profile with confinement;
+    returns (E, ()) with
+
+    E = (1/eta)[(n^2 + n + 1/2) delta + (2n + 1) eps1 + eps2 - V0],
+
+    eps1 = sqrt(r0) + delta G, eps2 = 2 sqrt(r0) G + 2 delta (w^2 + V2)
+    - 2 e B0 mu w - V1 and G = sqrt(w^2 + V2 + 1/16); both radicands must
+    be non-negative. Computed through eps1/eps2 so delta = 0 is a plain
+    substitution (and reproduces model A exactly when the confinement is
+    off).
+    """
     w = _w(state, p)
     e, b0, mu, d = p.e, p.b0, p.mu, p.delta
     w2v = w * w + p.v2
@@ -302,16 +287,6 @@ def model_c_coefficients(state: QuantumState, params: PhysicalParams, E: float) 
     a1 = c2, a2 = c1 + v0, a3 = v0 + eta E, a4 = s^2 + b0."""
     eq = reduced_equation(ModelKind.C, state, params)
     return ModelCCore(eq.c2, eq.c1 + eq.v0, eq.v0 + eq.eta * E, params.s_squared + eq.b0, eq.delta)
-
-
-def model_c_energy(state: QuantumState, params: PhysicalParams) -> float:
-    """Bound level of the Yukawa-mass profile with confinement.
-
-    E = (1/eta)[(n^2 + n + 1/2) delta + (2n + 1) eps1 + eps2 - V0],
-    computed through eps1/eps2 so delta = 0 is a plain substitution (and
-    reproduces Model A exactly when the confinement is off).
-    """
-    return _level(ModelKind.C, state, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +473,7 @@ def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _Cl
         raise DomainError(
             "model C wavefunction needs delta > 0; at delta = 0 use model A reduction"
         )
-    nu_c = model_c_coefficients(state, params, model_c_energy(state, params)).nu_coefficients()
+    nu_c = model_c_coefficients(state, params, energy(ModelKind.C, state, params)).nu_coefficients()
     n, d, kappa, upsilon = state.n_rho, params.delta, nu_c.kappa, nu_c.upsilon
     p = 0.5 * (1.0 + upsilon)
 
@@ -529,17 +504,16 @@ def wavefunction(
     *,
     form: str = "paper",
     component: str = "R",
-    normalized: bool = True,
 ):
     """Closed-form radial function of any model at its quantized energy.
 
     component 'R' gives the physical radial factor, 'U' the reduced
     function of the -U'' + W U = Et U equation (U = rho R / sqrt(eta) for
     A, rho^(3/2) R / sqrt(eta) for B, rho e^(delta rho/2) R / sqrt(eta)
-    for C). form picks model C's 'paper' or 'xi' closed form. With
-    normalized=True the integral of U^2 over (0, inf) is exactly 1, and a
-    value that is not finite, or a table that is 0 at every rho (a state
-    too narrow for double precision), is a DomainError.
+    for C). form picks model C's 'paper' or 'xi' closed form. The integral
+    of U^2 over (0, inf) is exactly 1; a value that is not finite, or a
+    table that is 0 at every rho (a state too narrow for double
+    precision), is a DomainError.
     """
     if form not in ("paper", "xi"):
         raise DomainError(f"form must be 'paper' or 'xi', got {form!r}")
@@ -549,20 +523,19 @@ def wavefunction(
     if component not in ("R", "U"):
         raise DomainError(f"component must be 'R' or 'U', got {component!r}")
     rho_arr = _positive(rho)
-    scale = _norm(kind, state, params, form) if normalized else 1.0
-    with np.errstate(all="ignore") if normalized else nullcontext():  # checked below
+    scale = _norm(kind, state, params, form)
+    with np.errstate(all="ignore"):  # checked below
         u = closed.u(rho_arr)
         if component == "U":
             out = scale * u
         else:
             tail = np.exp(-closed.tail * rho_arr) if closed.tail else 1.0
             out = scale * math.sqrt(params.eta) * tail * u / rho_arr**closed.r_power
-    if normalized:
-        peak = np.max(np.abs(out), initial=0.0)  # nan or inf if any value is
-        if not peak < math.inf:
-            raise DomainError("normalized wavefunction is not finite: a parameter is too large")
-        if peak == 0 and np.size(out) > 1:  # a table, not one point far in the tail
-            raise DomainError("normalized wavefunction table underflows to 0 at every rho")
+    peak = np.max(np.abs(out), initial=0.0)  # nan or inf if any value is
+    if not peak < math.inf:
+        raise DomainError("normalized wavefunction is not finite: a parameter is too large")
+    if peak == 0 and np.size(out) > 1:  # a table, not one point far in the tail
+        raise DomainError("normalized wavefunction table underflows to 0 at every rho")
     return out if np.ndim(rho) else float(out)
 
 
@@ -596,5 +569,6 @@ def greene_aldrich(rho, delta):
 
 
 def energy(kind: ModelKind, state: QuantumState, params: PhysicalParams) -> float:
-    """Closed-form level for any model tag."""
+    """Closed-form level of any model (the formulas are in _level_a,
+    _level_b and _level_c)."""
     return _level(kind, state, params)[0]

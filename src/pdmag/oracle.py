@@ -31,7 +31,7 @@ Model B (g = eta/rho^2) puts E into c2(E) = c2 - eta E and so into p. It
 takes the same pencil: at a trial energy Eg the grid's p absorbs all of
 c2(Eg)/rho^2, the weight eta/rho^2 carries the rest, and the eigenvalue
 is E - Eg. Starting at p = 1 and moving Eg to each new E until the step
-is at most tol takes about five eigensolves a level.
+is at most _FIXED_POINT_TOL takes about five eigensolves a level.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .fields import shape_function
 from .models import (
     ModelKind,
     ReducedEquation,
-    effective_potential,
+    _positive,
     energy as closed_form_energy,
     reduced_equation,
     wavefunction as closed_form_wavefunction,
@@ -70,6 +70,14 @@ __all__ = [
 # weight falls to ~1e-12 at the far end of the grid and so makes the
 # scaled matrix huge there while the wanted eigenvalues stay of order one.
 _EIG_TOL = 1e-14
+
+# Model B's level is settled once a fixed-point step E - Eg is at most this.
+_FIXED_POINT_TOL = 1e-8
+
+# The rho points at which residual and verify_states' node count check a
+# closed form.
+_CHECK_POINTS = np.linspace(0.05, 30.0, 4000)
+_CHECK_POINTS.flags.writeable = False
 
 
 def _eval_potential(potential, x: np.ndarray) -> np.ndarray:
@@ -119,21 +127,19 @@ def radial_potential(
 ):
     """Callable W(rho) for the reduced equation at a trial energy E.
 
-    target 'exact' uses the true effective potential. target 'ga' replaces
-    every 1/rho by delta/(1 - e^(-delta rho)), the form whose spectrum the
-    model C closed formula reproduces exactly; it needs model C with
-    delta > 0. Both read models.reduced_equation.
+    At sigma = 1, W is models.reduced_equation's potential. target 'exact'
+    uses it as it is. target 'ga' replaces every 1/rho by
+    delta/(1 - e^(-delta rho)), the form whose spectrum the model C closed
+    formula reproduces exactly; it needs model C with delta > 0.
 
     Other sigma values have no closed form: there W is the field-free
     reduced equation (B0 = 0) plus the field terms of the shape function.
     Pair with spectral_target for the matching right-hand side.
     """
     _check_target(kind, params, target)
-    if target == "ga":
-        eq = reduced_equation(kind, state, params)
-        return lambda rho: eq.potential(np.asarray(rho, dtype=float), E, "ga")
     if params.sigma == 1.0:
-        return lambda rho: effective_potential(rho, kind, state, params, E)
+        eq = reduced_equation(kind, state, params)
+        return lambda rho: eq.potential(_positive(rho), E, target)
 
     field_free = reduced_equation(kind, state, params.replace(b0=0.0, sigma=1.0))
     mt = m_tilde(state, params)
@@ -322,7 +328,7 @@ def _inverse_square(grid: _FVGrid) -> np.ndarray:
     return _powint(grid.edges, 2.0 * grid.p - 2.0) / grid.h
 
 
-def _level(kind, state, params, target, et, rho_max, n_points, tol, refine) -> OracleLevel:
+def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
     """Level n_rho as the fixed point E = Eg + lam(Eg) of the weighted pencil.
 
     At a trial energy Eg the grid's p = 1/2 + u, u = sqrt(c2(Eg) + 1/4),
@@ -356,7 +362,7 @@ def _level(kind, state, params, target, et, rho_max, n_points, tol, refine) -> O
     window = None  # the first solve bisects the whole interval
     for _ in range(100):
         e = solve(n_points, u, e_g, window)
-        if not eta or abs(e - e_g) <= tol:
+        if not eta or abs(e - e_g) <= _FIXED_POINT_TOL:
             break
         half = min(4.0 * abs(e - e_g), 0.1 * max(1.0, abs(e)))
         u_sq = c2 + 0.25 - eta * e
@@ -365,16 +371,16 @@ def _level(kind, state, params, target, et, rho_max, n_points, tol, refine) -> O
         else:
             u *= 0.5
             e_g = (c2 + 0.25 - u * u) / eta
-            if u * u <= eta * tol:  # the threshold is within tol
+            if u * u <= eta * _FIXED_POINT_TOL:  # the threshold is within the tolerance
                 raise BoundStateError(
                     f"model B has no level n_rho = {state.n_rho} (m = {state.m}) "
                     "above the fall-to-center threshold on this grid"
                 )
         window = (-half, half)  # in E - Eg
     else:
-        raise DomainError(f"model B level {state} did not settle to tol = {tol} in 100 solves")
-    if not refine:
-        return OracleLevel(e, math.nan)
+        raise DomainError(
+            f"model B level {state} did not settle to tol = {_FIXED_POINT_TOL} in 100 solves"
+        )
     half = 1e-2 * max(1.0, abs(e))  # the 2n level is within ~1e-4 of the n one
     return _richardson(e, solve(2 * n_points, u, e_g, (e - e_g - half, e - e_g + half)))
 
@@ -384,24 +390,18 @@ def oracle_energy(
     state: QuantumState,
     params: PhysicalParams,
     *,
-    tol: float = 1e-8,
     n_points: int = 4000,
-    rho_max: float | None = None,
     target: str = "exact",
-    refine: bool = True,
 ) -> OracleLevel:
     """Level n_rho of the reduced equation, found without a starting guess.
 
     Returns OracleLevel(energy, error). Models A and C take one pencil
     eigensolve on n_points cells and one on 2 n_points cells; model B
     repeats the pencil solve on n_points cells at the last level's p until
-    the energy step is at most tol, then adds one solve on 2 n_points
-    cells. refine=True extrapolates the two grids (Richardson) and reports
-    |E_2n - E_n|/3 as the error; refine=False returns the n_points level
-    with error NaN (unknown).
+    the energy step is at most _FIXED_POINT_TOL, then adds one solve on
+    2 n_points cells. The grid spans (0, 25/sqrt(-Et)]. The two grids are
+    extrapolated (Richardson) and |E_2n - E_n|/3 is reported as the error.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be a positive finite number, got {tol!r}")
     if params.sigma != 1.0:
         raise DomainError(
             f"oracle_energy needs sigma = 1, got sigma = {params.sigma}: the "
@@ -417,12 +417,8 @@ def oracle_energy(
         raise BoundStateError(
             "no bound spectrum: kz^2 + e^2 B0^2 mu^2 must be positive for a decaying tail"
         )
-    if rho_max is None:
-        rho_max = 25.0 / math.sqrt(-et)
-    elif not (math.isfinite(rho_max) and rho_max > 0):
-        raise DomainError(f"rho_max must be a positive finite number, got {rho_max!r}")
     with np.errstate(all="ignore"):  # _pencil rejects a pencil that is not finite
-        return _level(kind, state, params, target, et, rho_max, n_points, tol, refine)
+        return _level(kind, state, params, target, et, 25.0 / math.sqrt(-et), n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +426,13 @@ def oracle_energy(
 # ---------------------------------------------------------------------------
 
 
-def residual(f, potential, e_tilde_target: float, rho_points=None) -> float:
+def residual(f, potential, e_tilde_target: float, rho_points=_CHECK_POINTS) -> float:
     """Max-norm residual of -U'' + W U - Et U, scaled by max|U|.
 
     f is checked pointwise with five-point fourth-order stencils at a
     relative step of 1e-3, on rho_points (default: 4000 points spanning
     [0.05, 30]).
     """
-    if rho_points is None:
-        rho_points = np.linspace(0.05, 30.0, 4000)
     x = np.asarray(rho_points, dtype=float)
     if np.any(x <= 0):
         raise DomainError("rho_points must be positive")
@@ -506,7 +500,6 @@ def verify_states(
         target = "ga" if kind is ModelKind.C else "exact"
     rows: list[VerifyRow] = []
     skipped: list[tuple[QuantumState, str]] = []
-    check_points = np.linspace(0.05, 30.0, 4000)
     for state in states:
         try:
             e_closed = closed_form_energy(kind, state, params)
@@ -524,8 +517,8 @@ def verify_states(
             return closed_form_wavefunction(kind, _state, params, rho, **_kw)
 
         w = radial_potential(kind, state, params, e_closed, target=target)
-        res = residual(u, w, e_tilde(params), rho_points=check_points)
-        nodes = node_count(np.asarray(u(check_points)))
+        res = residual(u, w, e_tilde(params))
+        nodes = node_count(np.asarray(u(_CHECK_POINTS)))
         rows.append(
             VerifyRow(
                 state=state,

@@ -18,11 +18,9 @@ from pdmag.errors import DomainError
 from pdmag.fields import magnetic_field, shape_function, verify_curl
 from pdmag.models import (
     ModelKind,
+    energy,
     greene_aldrich,
-    model_a_energy,
-    model_b_energy,
     model_c_coefficients,
-    model_c_energy,
     wavefunction,
 )
 from pdmag.nu import NUCoefficients, k_minus, lambda_n, lambda_of, nu_quantize, tau_prime
@@ -80,11 +78,11 @@ def draw_coefficients(rng):
 
 def test_criterion_1_model_a_closed_form_vs_oracle():
     t0 = time.perf_counter()
-    anchor = model_a_energy(QuantumState(0, 0), PhysicalParams())
+    anchor = energy(ModelKind.A, QuantumState(0, 0), PhysicalParams())
     assert anchor == pytest.approx(1.5, rel=1e-12)
     for params in PROTOCOL_PARAMS:
         for state in PROTOCOL_STATES:
-            closed = model_a_energy(state, params)
+            closed = energy(ModelKind.A, state, params)
             assert oracle_matches(ModelKind.A, state, params, closed, 1e-5), (state, params)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"criterion 1 took {elapsed:.1f}s"
@@ -93,13 +91,13 @@ def test_criterion_1_model_a_closed_form_vs_oracle():
 
 def test_criterion_2_model_b_closed_form_vs_oracle():
     t0 = time.perf_counter()
-    anchor = model_b_energy(QuantumState(0, 1), PhysicalParams())
+    anchor = energy(ModelKind.B, QuantumState(0, 1), PhysicalParams())
     assert anchor == pytest.approx(1.0, rel=1e-12)
     checked = 0
     for params in PROTOCOL_PARAMS:
         for state in PROTOCOL_STATES:
             try:
-                closed = model_b_energy(state, params)
+                closed = energy(ModelKind.B, state, params)
             except DomainError:
                 continue  # outside the bound-state region for these parameters
             assert oracle_matches(ModelKind.B, state, params, closed, 1e-5), (state, params)
@@ -116,7 +114,7 @@ def test_criterion_3_screened_model_round_trip_and_oracle():
         params = FIG9_LIKE.replace(delta=delta)
         for n, m in ((0, 1), (1, 1), (0, 2), (1, 0), (2, 1)):
             state = QuantumState(n, m)
-            closed = model_c_energy(state, params)
+            closed = energy(ModelKind.C, state, params)
             c = model_c_coefficients(state, params, closed).nu_coefficients()
             quantized = nu_quantize(c.a1t, c.a2t, c.a4t, n)
             assert abs(quantized - c.a3t) <= 1e-9 * max(1.0, abs(c.a3t)), (state, delta)
@@ -134,8 +132,8 @@ def test_criterion_4_reduction_identity():
     for _ in range(1000):
         params = draw_params(rng)
         state = QuantumState(int(rng.integers(0, 5)), int(rng.integers(-4, 5)))
-        ea = model_a_energy(state, params)
-        ec = model_c_energy(state, params)  # delta = 0, V0 = V1 = V2 = 0
+        ea = energy(ModelKind.A, state, params)
+        ec = energy(ModelKind.C, state, params)  # delta = 0, V0 = V1 = V2 = 0
         assert abs(ec - ea) <= 1e-12 * max(1.0, abs(ea)), (state, params)
     print("CRITERION 4: PASS (1000 draws)")
 
@@ -189,11 +187,7 @@ def test_criterion_6_wavefunction_residuals_and_nodes():
             def u(rho):
                 return wavefunction(kind, state, params, rho, component="U", **extra)
 
-            closed = {
-                ModelKind.A: model_a_energy,
-                ModelKind.B: model_b_energy,
-                ModelKind.C: model_c_energy,
-            }[kind](state, params)
+            closed = energy(kind, state, params)
             w = radial_potential(kind, state, params, closed, target=target)
             res = residual(u, w, e_tilde(params), rho_points=grid)
             assert res <= 1e-6, (kind, n, res)
@@ -218,13 +212,7 @@ def test_criterion_7_level_crossings_all_sweepable_parameters():
         assert found, f"no {name} crossing for {s1} vs {s2}"
         for point in found:
             at = base.replace(**{name: point.param_value})
-            gap = {
-                ModelKind.A: model_a_energy,
-                ModelKind.C: model_c_energy,
-            }[kind](state1, at) - {
-                ModelKind.A: model_a_energy,
-                ModelKind.C: model_c_energy,
-            }[kind](state2, at)
+            gap = energy(kind, state1, at) - energy(kind, state2, at)
             assert abs(gap) <= 1e-9, (name, point.param_value, gap)
     print("CRITERION 7: PASS (beta, b0, alpha_ab, mu, delta)")
 

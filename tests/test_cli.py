@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmag.cli import run
-from pdmag.models import model_a_energy
+from pdmag.models import ModelKind, energy
 from pdmag.params import PhysicalParams, QuantumState
 
 
@@ -31,7 +31,7 @@ class TestSpectrum:
         params = PhysicalParams(beta=0.37, kz=0.9)
         for row in lines_of(capsys.readouterr().out)[1:]:
             n, m, e_text = row.split(",")
-            expected = model_a_energy(QuantumState(int(n), int(m)), params)
+            expected = energy(ModelKind.A, QuantumState(int(n), int(m)), params)
             assert float(e_text) == expected
 
     def test_byte_identical_reruns(self, capsys):
@@ -441,6 +441,26 @@ class TestPlumbing:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert target.read_text(encoding="utf-8").startswith("n_rho,m,E\n")
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["spectrum", "--model", "a", "--nrho-max", "1"], "--beta", "-1e-3"),
+            (["spectrum", "--model", "a", "--nrho-max", "1"], "--mu", "-.5"),
+            (["spectrum", "--model", "a", "--nrho-max", "1"], "--alpha", "-2E-1"),
+            (["spectrum", "--model", "a", "--nrho-max", "1"], "--kz", "-inf"),
+            (["spectrum", "--model", "a", "--nrho-max", "1"], "--kz", "-NaN"),
+            (["sweep", "--model", "a", "--state", "0,1", "--param", "beta", "--hi", "1",
+              "--steps", "3"], "--lo", "-1e300"),
+        ],
+    )
+    def test_negative_number_after_a_space_is_a_value(self, capsys, argv, flag, value):
+        # Python 3.11's argparse took "-1e-3", "-inf" and "-nan" for flags
+        # ("expected one argument"); only "--beta=-1e-3" worked
+        spaced = run([*argv, flag, value]), capsys.readouterr()
+        joined = run([*argv, f"{flag}={value}"]), capsys.readouterr()
+        assert "expected one argument" not in spaced[1].err
+        assert (spaced[0], spaced[1].out) == (joined[0], joined[1].out)
 
     def test_unknown_flag_is_a_usage_error(self, capsys):
         assert run(["spectrum", "--model", "a", "--frequency", "3"]) == 1

@@ -129,14 +129,15 @@ class TestCurlCheck:
 
 
 def test_field_table_matches_pointwise():
-    params = PhysicalParams(b0=1.2, mu=0.7, beta=0.4, sigma=0.5, alpha_ab=0.3)
-    rhos = [0.5, 1.0, 4.0]
-    samples = field_table(rhos, params)
-    assert [s.rho for s in samples] == rhos
-    for s in samples:
-        assert s.s == shape_function(s.rho, params)
-        assert s.b_z == magnetic_field(s.rho, params)
-        assert s.a_phi == vector_potential(s.rho, params)
+    # the table's array evaluation is bit for bit the scalar one, which
+    # keeps `pdmag field` output unchanged
+    rhos = np.geomspace(1e-3, 1e3, 401)
+    for sigma in (-1.0, 0.0, 0.5, 1.0, 1.5, 3.0):
+        params = PhysicalParams(b0=1.2, mu=0.7, beta=0.4, sigma=sigma, alpha_ab=0.3)
+        s, b_z, a_phi = field_table(rhos, params)
+        assert s.tolist() == [shape_function(float(r), params) for r in rhos]
+        assert b_z.tolist() == [magnetic_field(float(r), params) for r in rhos]
+        assert a_phi.tolist() == [vector_potential(float(r), params) for r in rhos]
 
 
 def test_array_evaluation_matches_scalars():

@@ -14,16 +14,13 @@ from scipy.integrate import quad, simpson
 
 from pdmag.errors import BoundStateError, DomainError
 from pdmag.models import (
-    ModelKind,
-    effective_potential,
+    _CLOSED_FORMS,
     Invalid,
+    ModelKind,
     energy,
     greene_aldrich,
     level_axis,
-    model_a_energy,
-    model_b_energy,
     model_c_coefficients,
-    model_c_energy,
     reduced_equation,
     wavefunction,
 )
@@ -96,9 +93,8 @@ class TestConfiningPotential:
         def v_of(rho, **v):
             base = PhysicalParams(delta=v.pop("delta", 0.0))
             on = base.replace(**v)
-            return effective_potential(rho, ModelKind.C, state, on, 0.3) - effective_potential(
-                rho, ModelKind.C, state, base, 0.3
-            )
+            w_on = reduced_equation(ModelKind.C, state, on).potential(rho, 0.3)
+            return w_on - reduced_equation(ModelKind.C, state, base).potential(rho, 0.3)
 
         assert v_of(3.7) == 0.0
         assert v_of(1.0, v0=1.0) == pytest.approx(-1.0, rel=1e-14)
@@ -118,7 +114,7 @@ class TestEffectivePotential:
         ell_sq = w_of(state, params) ** 2 + 1.0 / 16.0
         alpha_tilde = coulomb_of(state, params) + params.eta * E
         expected = (ell_sq - 0.25) / rho**2 - alpha_tilde / rho
-        got = effective_potential(rho, ModelKind.A, state, params, E)
+        got = reduced_equation(ModelKind.A, state, params).potential(rho, E)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
@@ -130,7 +126,7 @@ class TestEffectivePotential:
         E = 0.3
         ell_sq = w_of(state, params) ** 2 + 0.25 - params.eta * E
         expected = (ell_sq - 0.25) / rho**2 - coulomb_of(state, params) / rho
-        got = effective_potential(rho, ModelKind.B, state, params, E)
+        got = reduced_equation(ModelKind.B, state, params).potential(rho, E)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_field_off_pure_centrifugal(self):
@@ -139,7 +135,7 @@ class TestEffectivePotential:
         params = PhysicalParams(b0=0.0)
         state = QuantumState(0, 2)
         for rho in (0.5, 1.0, 2.0):
-            got = effective_potential(rho, ModelKind.A, state, params, 0.0)
+            got = reduced_equation(ModelKind.A, state, params).potential(rho, 0.0)
             assert got == pytest.approx((4.0 - 0.25 + 1.0 / 16.0) / rho**2, rel=1e-14)
 
     def test_mass_bracket_is_the_closed_form_difference(self):
@@ -151,10 +147,10 @@ class TestEffectivePotential:
         rho = 1.3
         d = params.delta
         bracket = d**2 / 16.0 + 3.0 * d / (8.0 * rho) + 1.0 / (16.0 * rho**2)
-        got = effective_potential(rho, ModelKind.C, state, params, 0.0)
+        got = reduced_equation(ModelKind.C, state, params).potential(rho, 0.0)
         assert got == pytest.approx(3.75 / rho**2 + bracket, rel=1e-13)
         for kind, b2 in ((ModelKind.A, 1.0 / 16.0), (ModelKind.B, 0.25)):
-            got = effective_potential(rho, kind, state, params, 0.0)
+            got = reduced_equation(kind, state, params).potential(rho, 0.0)
             assert got == pytest.approx((3.75 + b2) / rho**2, rel=1e-13)
 
     def test_ga_target_replaces_every_inverse_rho(self):
@@ -173,43 +169,43 @@ class TestEffectivePotential:
 
 class TestModelAEnergy:
     def test_anchor_level(self, unit_params):
-        assert model_a_energy(QuantumState(0, 0), unit_params) == pytest.approx(1.5, rel=1e-15)
+        assert energy(ModelKind.A, QuantumState(0, 0), unit_params) == pytest.approx(1.5, rel=1e-15)
 
     @pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (0, 2), (2, -1)])
     def test_field_off_reduction(self, n, m):
         # B0 = 0 leaves E = 2 kz (n + 1/2 + sqrt(m~^2 + 1/16)) in these units
         params = PhysicalParams(b0=0.0, kz=1.0)
         expected = 2.0 * (n + 0.5 + math.sqrt(m * m + 1.0 / 16.0))
-        assert model_a_energy(QuantumState(n, m), params) == pytest.approx(expected, rel=1e-14)
+        assert energy(ModelKind.A, QuantumState(n, m), params) == pytest.approx(expected, rel=1e-14)
 
     def test_zero_m_tilde_drops_the_linear_field_term(self):
         # at m~ = 0 the energy is even in mu; away from it it is not
         state = QuantumState(0, 1)
         sym = dict(alpha_ab=1.0, kz=1.0)
-        e_plus = model_a_energy(state, PhysicalParams(mu=0.7, **sym))
-        e_minus = model_a_energy(state, PhysicalParams(mu=-0.7, **sym))
+        e_plus = energy(ModelKind.A, state, PhysicalParams(mu=0.7, **sym))
+        e_minus = energy(ModelKind.A, state, PhysicalParams(mu=-0.7, **sym))
         assert e_plus == pytest.approx(e_minus, rel=1e-14)
-        e_plus = model_a_energy(state, PhysicalParams(mu=0.7, kz=1.0))
-        e_minus = model_a_energy(state, PhysicalParams(mu=-0.7, kz=1.0))
+        e_plus = energy(ModelKind.A, state, PhysicalParams(mu=0.7, kz=1.0))
+        e_minus = energy(ModelKind.A, state, PhysicalParams(mu=-0.7, kz=1.0))
         assert abs(e_plus - e_minus) > 0.1
 
     def test_no_radial_scale_is_an_error(self):
         with pytest.raises(BoundStateError, match="no bound spectrum"):
-            model_a_energy(QuantumState(0, 0), PhysicalParams(mu=0.0, kz=0.0))
+            energy(ModelKind.A, QuantumState(0, 0), PhysicalParams(mu=0.0, kz=0.0))
 
     @given(**param_draws)
     def test_quantization_self_consistency(self, e, b0, mu, beta, kz, eta, alpha, m, n):
         params = PhysicalParams(e=e, b0=b0, mu=mu, beta=beta, kz=kz, eta=eta, alpha_ab=alpha)
         assume(params.s_squared > 1e-12)
         state = QuantumState(n, m)
-        E = model_a_energy(state, params)
+        E = energy(ModelKind.A, state, params)
         alpha_tilde = coulomb_of(state, params) + eta * E
         ell_tilde_abs = math.sqrt(w_of(state, params) ** 2 + 1.0 / 16.0)
         lhs = alpha_tilde / (2.0 * (n + ell_tilde_abs + 0.5))
         assert lhs == pytest.approx(params.decay_rate, rel=1e-12)
 
     def test_strictly_increasing_in_n(self, unit_params):
-        levels = [model_a_energy(QuantumState(n, 1), unit_params) for n in range(6)]
+        levels = [energy(ModelKind.A, QuantumState(n, 1), unit_params) for n in range(6)]
         assert all(b > a for a, b in zip(levels, levels[1:]))
 
 
@@ -251,18 +247,18 @@ class TestModelAWavefunction:
 
 class TestModelBEnergy:
     def test_anchor_level(self, unit_params):
-        assert model_b_energy(QuantumState(0, 1), unit_params) == pytest.approx(1.0, rel=1e-15)
+        assert energy(ModelKind.B, QuantumState(0, 1), unit_params) == pytest.approx(1.0, rel=1e-15)
 
     def test_first_excited_not_bound_at_anchor_params(self, unit_params):
         with pytest.raises(BoundStateError, match="not bound"):
-            model_b_energy(QuantumState(1, 1), unit_params)
+            energy(ModelKind.B, QuantumState(1, 1), unit_params)
 
     def test_symmetric_point_has_no_bound_states(self):
         # w = 0 forces beta_acute = 2 e B0 mu w = 0, so the Coulomb
         # strength vanishes and no n_rho can satisfy the bound condition.
         params = PhysicalParams(beta=2.0)  # e = b0 = 1, m = 1 -> w = 0
         with pytest.raises(BoundStateError, match="not bound"):
-            model_b_energy(QuantumState(0, 1), params)
+            energy(ModelKind.B, QuantumState(0, 1), params)
 
     @given(
         m=st.integers(1, 6),
@@ -280,14 +276,14 @@ class TestModelBEnergy:
         beta_acute = 2.0 * mt * mu - mu * beta
         ell = beta_acute / (2.0 * params.decay_rate) - n - 0.5
         assume(ell > 1e-6)
-        E = model_b_energy(state, params)
+        E = energy(ModelKind.B, state, params)
         # |ell_acute|^2 = w^2 + 1/4 - eta E at the level
         assert w_of(state, params) ** 2 + 0.25 - eta * E == pytest.approx(ell**2, rel=1e-12)
         assert coulomb_of(state, params) == pytest.approx(beta_acute, rel=1e-12)
 
     def test_strictly_increasing_in_n(self):
         # at kz = 0 the bound condition is n < m - 1/2, so m = 5 admits n <= 4
-        levels = [model_b_energy(QuantumState(n, 5), PhysicalParams()) for n in range(4)]
+        levels = [energy(ModelKind.B, QuantumState(n, 5), PhysicalParams()) for n in range(4)]
         assert all(b > a for a, b in zip(levels, levels[1:]))
 
 
@@ -308,7 +304,7 @@ class TestModelBWavefunction:
     def test_small_rho_exponent(self):
         params = PhysicalParams(mu=2.0, kz=1.0)
         state = QuantumState(0, 2)
-        E = model_b_energy(state, params)
+        E = energy(ModelKind.B, state, params)
         ell = math.sqrt(w_of(state, params) ** 2 + 0.25 - params.eta * E)
         r1, r2 = 1e-4, 2e-4
         v1 = wavefunction(ModelKind.B, state, params, r1)
@@ -357,7 +353,7 @@ class TestModelCCoefficients:
         for delta in np.linspace(0.05, 0.30, 11):
             params = weak_field_params.replace(delta=float(delta))
             state = QuantumState(0, 1)
-            core = model_c_coefficients(state, params, model_c_energy(state, params))
+            core = model_c_coefficients(state, params, energy(ModelKind.C, state, params))
             c = core.nu_coefficients()
             assert math.isfinite(c.kappa) and math.isfinite(c.upsilon)
 
@@ -365,8 +361,8 @@ class TestModelCCoefficients:
 class TestModelCEnergy:
     def test_reduction_at_zero_delta(self, unit_params):
         state = QuantumState(0, 0)
-        assert model_c_energy(state, unit_params) == model_a_energy(state, unit_params)
-        assert model_c_energy(state, unit_params) == pytest.approx(1.5, rel=1e-15)
+        assert energy(ModelKind.C, state, unit_params) == energy(ModelKind.A, state, unit_params)
+        assert energy(ModelKind.C, state, unit_params) == pytest.approx(1.5, rel=1e-15)
 
     @given(**param_draws)
     @settings(max_examples=200)
@@ -374,31 +370,31 @@ class TestModelCEnergy:
         params = PhysicalParams(e=e, b0=b0, mu=mu, beta=beta, kz=kz, eta=eta, alpha_ab=alpha)
         assume(params.s_squared > 1e-12)
         state = QuantumState(n, m)
-        ec = model_c_energy(state, params)
-        ea = model_a_energy(state, params)
+        ec = energy(ModelKind.C, state, params)
+        ea = energy(ModelKind.A, state, params)
         assert ec == pytest.approx(ea, rel=1e-12)
 
     def test_constant_potential_shift(self, weak_field_params):
         state = QuantumState(1, 1)
         base = weak_field_params.replace(delta=0.1, eta=2.0)
-        e0 = model_c_energy(state, base)
-        e1 = model_c_energy(state, base.replace(v0=0.7))
+        e0 = energy(ModelKind.C, state, base)
+        e1 = energy(ModelKind.C, state, base.replace(v0=0.7))
         assert e1 - e0 == pytest.approx(-0.7 / 2.0, rel=1e-12)
 
     def test_weak_field_reference_level(self, weak_field_params):
         # frozen after cross-checking the quantization round trip and the
         # independent eigensolver (see the acceptance tests)
-        value = model_c_energy(QuantumState(0, 1), weak_field_params.replace(delta=0.1))
+        value = energy(ModelKind.C, QuantumState(0, 1), weak_field_params.replace(delta=0.1))
         assert value == pytest.approx(0.26956211613022885, rel=1e-12)
 
     def test_negative_radicand_rejected(self):
         params = PhysicalParams(delta=0.5, v1=10.0)
         with pytest.raises(DomainError, match="no real bound level"):
-            model_c_energy(QuantumState(0, 0), params)
+            energy(ModelKind.C, QuantumState(0, 0), params)
 
     def test_strictly_increasing_in_n(self, weak_field_params):
         params = weak_field_params.replace(delta=0.1)
-        levels = [model_c_energy(QuantumState(n, 1), params) for n in range(6)]
+        levels = [energy(ModelKind.C, QuantumState(n, 1), params) for n in range(6)]
         assert all(b > a for a, b in zip(levels, levels[1:]))
 
 
@@ -422,8 +418,9 @@ class TestModelCWavefunction:
         state = QuantumState(0, 1)
 
         def ratio(rho):
-            a = wavefunction(ModelKind.C, state, params, rho, form="paper", normalized=False)
-            b = wavefunction(ModelKind.C, state, params, rho, form="xi", normalized=False)
+            # the raw closed forms: the two normalizations differ
+            a = _CLOSED_FORMS[ModelKind.C](state, params, "paper").u(rho)
+            b = _CLOSED_FORMS[ModelKind.C](state, params, "xi").u(rho)
             return a / b
 
         assert abs(ratio(1e-3) - 1.0) <= 1e-4
@@ -479,7 +476,8 @@ class TestLevelAxis:
         ]
         assert np.isnan(levels[reasons != 0]).all()
         for value, level in zip(values[reasons == 0], levels[reasons == 0]):
-            assert level == model_a_energy(QuantumState(0, 1), PhysicalParams(kz=0.0, b0=value))
+            at = PhysicalParams(kz=0.0, b0=value)
+            assert level == energy(ModelKind.A, QuantumState(0, 1), at)
 
     def test_a_field_the_level_ignores_broadcasts(self):
         # model A does not depend on delta: one value, repeated
@@ -541,19 +539,17 @@ class TestGreeneAldrich:
 class TestDispatch:
     def test_energy_and_wavefunction_route_by_kind(self, unit_params):
         state = QuantumState(0, 1)
-        assert energy(ModelKind.A, state, unit_params) == model_a_energy(state, unit_params)
-        assert energy(ModelKind.B, state, unit_params) == model_b_energy(state, unit_params)
+        ell = math.sqrt(1.0 + 1.0 / 16.0)  # w = 1 at the unit parameters
+        assert energy(ModelKind.A, state, unit_params) == pytest.approx(2.0 * ell - 1.0, rel=1e-15)
+        assert energy(ModelKind.B, state, unit_params) == pytest.approx(1.0, rel=1e-15)
         params_c = unit_params.replace(delta=0.1, mu=0.15)
-        assert energy(ModelKind.C, state, params_c) == model_c_energy(state, params_c)
+        assert energy(ModelKind.C, state, params_c) != energy(ModelKind.A, state, params_c)
         # each kind gets its own closed form and its own R factor
         rho = np.array([1.0, 2.0])
-        ell = math.sqrt(1.0 + 1.0 / 16.0)  # w = 1 at the unit parameters
         s = unit_params.decay_rate
         explicit = rho ** (ell + 0.5) * np.exp(-s * rho) * (1.0 + 2.0 * ell - 2.0 * s * rho)
         np.testing.assert_allclose(
-            wavefunction(
-                ModelKind.A, QuantumState(1, 1), unit_params, rho, component="U", normalized=False
-            ),
+            _CLOSED_FORMS[ModelKind.A](QuantumState(1, 1), unit_params, "paper").u(rho),
             explicit,
             rtol=1e-14,
         )
@@ -602,11 +598,12 @@ class TestDispatch:
         # this was an OverflowError
         params = PhysicalParams(e=8.0, delta=2.00001, v2=1e200, beta=-3.0, eta=1.7e308)
         with np.errstate(all="ignore"):
-            u = wavefunction(ModelKind.C, QuantumState(1, 1), params, np.array([0.05, 1.0]),
-                             component="U", normalized=False)
+            u = _CLOSED_FORMS[ModelKind.C](QuantumState(1, 1), params, "paper").u(
+                np.array([0.05, 1.0])
+            )
         assert not np.isfinite(u).any()
 
     def test_sigma_other_than_one_has_no_closed_form(self):
         params = PhysicalParams(sigma=0.5)
         with pytest.raises(DomainError, match="sigma"):
-            model_a_energy(QuantumState(0, 0), params)
+            energy(ModelKind.A, QuantumState(0, 0), params)

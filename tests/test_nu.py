@@ -14,7 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pdmag.errors import DomainError
-from pdmag.models import ModelKind, model_c_coefficients, model_c_energy, wavefunction
+from pdmag.models import _CLOSED_FORMS, ModelKind, energy, model_c_coefficients
 from pdmag.nu import NUCoefficients, k_minus, lambda_n, lambda_of, nu_quantize, tau_prime
 from pdmag.params import PhysicalParams, QuantumState
 from pdmag.specfun import jacobi
@@ -188,9 +188,10 @@ class TestEigenfunction:
         # U(rho) of model C's 'xi' form is the NU solution at its own
         # coefficients, xi = e^(-delta rho); it vanishes at both ends
         state, params = QuantumState(n, 1), PhysicalParams(mu=0.15, delta=delta)
-        c = model_c_coefficients(state, params, model_c_energy(state, params)).nu_coefficients()
+        e = energy(ModelKind.C, state, params)
+        c = model_c_coefficients(state, params, e).nu_coefficients()
         rho = np.array([1e-300, 0.3, 2.0, 9.0, 40.0, 1e5])
-        u = wavefunction(ModelKind.C, state, params, rho, form="xi", component="U", normalized=False)
+        u = _CLOSED_FORMS[ModelKind.C](state, params, "xi").u(rho)
         expected = nu_solution(c, n, np.exp(-delta * rho[1:-1]))
         assert np.allclose(u[1:-1], expected, rtol=1e-12, atol=0.0)
         assert abs(u[0]) < 1e-140 and u[-1] == 0.0

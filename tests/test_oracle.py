@@ -18,10 +18,7 @@ from hypothesis import strategies as st
 from pdmag.errors import BoundStateError, DomainError
 from pdmag.models import (
     ModelKind,
-    effective_potential,
-    model_a_energy,
-    model_b_energy,
-    model_c_energy,
+    energy,
     reduced_equation,
     wavefunction,
 )
@@ -248,7 +245,7 @@ class TestWindowedEigensolve:
 
 def model_b_bound(state, params):
     try:
-        model_b_energy(state, params)
+        energy(ModelKind.B, state, params)
     except DomainError:
         return False
     return True
@@ -265,12 +262,20 @@ class TestSpectralTarget:
 
 
 class TestRadialPotential:
-    def test_matches_effective_potential_at_sigma_one(self):
+    def test_is_the_reduced_equation_at_sigma_one(self):
         params = PhysicalParams(beta=0.3, kz=0.5)
         state = QuantumState(1, 2)
         w = radial_potential(ModelKind.A, state, params, 0.7)
         for rho in (0.3, 1.0, 5.0):
-            assert w(rho) == effective_potential(rho, ModelKind.A, state, params, 0.7)
+            assert w(rho) == reduced_equation(ModelKind.A, state, params).potential(rho, 0.7)
+
+    def test_non_positive_rho_is_a_domain_error(self):
+        # the 'ga' form divided by zero at rho = 0 with a RuntimeWarning
+        params = PhysicalParams(delta=0.1)
+        for kind, target in ((ModelKind.A, "exact"), (ModelKind.C, "ga")):
+            w = radial_potential(kind, QuantumState(0, 1), params, 0.3, target=target)
+            with pytest.raises(DomainError, match="rho must be positive"):
+                w(np.array([1.0, 0.0]))
 
     def test_sigma_limit_shifts_by_the_absorbed_constant(self):
         # the generic-sigma assembly keeps e^2 B0^2 mu^2 in the potential,
@@ -307,7 +312,7 @@ class TestRadialPotential:
     def test_ga_approaches_exact_at_small_delta_rho(self):
         params = PhysicalParams(mu=0.15, delta=0.05)
         state = QuantumState(0, 1)
-        E = model_c_energy(state, params)
+        E = energy(ModelKind.C, state, params)
         w_ga = radial_potential(ModelKind.C, state, params, E, target="ga")
         w_ex = radial_potential(ModelKind.C, state, params, E, target="exact")
         gaps = [abs(w_ga(rho) - w_ex(rho)) for rho in (0.05, 0.5, 2.0)]
@@ -343,7 +348,7 @@ class TestSplit:
         for state in (QuantumState(0, 1), QuantumState(2, -1)):
             level_a = oracle_energy(ModelKind.A, state, params)
             level_c = oracle_energy(ModelKind.C, state, params, target="exact")
-            closed = model_c_energy(state, params)
+            closed = energy(ModelKind.C, state, params)
             assert level_a.energy == pytest.approx(level_c.energy, rel=1e-12)
             assert abs(level_a.energy - closed) <= level_a.error
             assert abs(level_c.energy - closed) <= level_c.error
@@ -378,7 +383,7 @@ class TestOracleEnergy:
     def test_model_c_greene_aldrich_matches_closed_form(self, weak_field_params):
         params = weak_field_params.replace(delta=0.1)
         state = QuantumState(0, 1)
-        closed = model_c_energy(state, params)
+        closed = energy(ModelKind.C, state, params)
         e = oracle_energy(ModelKind.C, state, params, target="ga").energy
         assert e == pytest.approx(closed, rel=1e-6)
 
@@ -391,24 +396,19 @@ class TestOracleEnergy:
         ],
     )
     def test_spot_checks_against_closed_forms(self, kind, state, params):
-        closed = (model_a_energy if kind is ModelKind.A else model_b_energy)(state, params)
+        closed = energy(kind, state, params)
         e = oracle_energy(kind, state, params).energy
         assert e == pytest.approx(closed, rel=1e-5)
-
-    def test_unrefined_root_is_coarser_but_close(self, unit_params):
-        level = oracle_energy(ModelKind.A, QuantumState(0, 0), unit_params, refine=False)
-        assert level.energy == pytest.approx(1.5, abs=1e-3)
-        assert math.isnan(level.error)
 
     def test_error_estimate_bounds_the_error(self, unit_params):
         for kind, state in ((ModelKind.A, QuantumState(1, 1)), (ModelKind.B, QuantumState(0, 2))):
             level = oracle_energy(kind, state, unit_params)
-            closed = (model_a_energy if kind is ModelKind.A else model_b_energy)(state, unit_params)
+            closed = energy(kind, state, unit_params)
             assert 0.0 < level.error < 1e-4
             assert abs(level.energy - closed) <= level.error
 
     def test_unbound_model_b_state_has_no_level(self, unit_params):
-        # model_b_energy rejects (1, 1) at unit parameters; the oracle finds
+        # the closed form rejects (1, 1) at unit parameters; the oracle finds
         # no level above the fall-to-center threshold on its own
         with pytest.raises(BoundStateError, match="no level n_rho = 1"):
             oracle_energy(ModelKind.B, QuantumState(1, 1), unit_params)
@@ -430,23 +430,13 @@ class TestOracleEnergy:
         oracle_energy(ModelKind.B, QuantumState(1, 3), PhysicalParams(mu=1.2))
         assert len(calls) <= 8
 
-    @pytest.mark.parametrize("kind", [ModelKind.A, ModelKind.B])
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
-    def test_tol_must_be_positive_and_finite(self, unit_params, kind, tol):
-        # model B ran 100 solves on such a tol, then reported "did not converge"
-        with pytest.raises(DomainError, match="tol must be a positive finite number"):
-            oracle_energy(kind, QuantumState(0, 1), unit_params, tol=tol)
+    def test_model_b_that_does_not_settle_is_a_domain_error(self, unit_params, monkeypatch):
+        # no step of the fixed-point iteration is below a tolerance under rounding
+        import pdmag.oracle
 
-    @pytest.mark.parametrize("rho_max", [-5.0, 0.0, math.nan, math.inf])
-    def test_rho_max_must_be_positive_and_finite(self, unit_params, rho_max):
-        # rho_max = -5 gave model A a finite level of -6.4e7
-        with pytest.raises(DomainError, match="rho_max must be a positive finite number"):
-            oracle_energy(ModelKind.A, QuantumState(0, 1), unit_params, rho_max=rho_max)
-
-    def test_model_b_that_does_not_settle_is_a_domain_error(self, unit_params):
-        # no step of the fixed-point iteration is below a tol under rounding
+        monkeypatch.setattr(pdmag.oracle, "_FIXED_POINT_TOL", 1e-300)
         with pytest.raises(DomainError, match="did not settle to tol = 1e-300 in 100 solves"):
-            oracle_energy(ModelKind.B, QuantumState(0, 1), unit_params, tol=1e-300, n_points=200)
+            oracle_energy(ModelKind.B, QuantumState(0, 1), unit_params, n_points=200)
 
     def test_validation(self, unit_params):
         state = QuantumState(0, 0)
@@ -487,7 +477,7 @@ class TestOracleEnergy:
     )
     def test_model_c_graded_weight(self, state, params):
         params = PhysicalParams(**params)
-        closed = model_c_energy(state, params)
+        closed = energy(ModelKind.C, state, params)
         e = oracle_energy(ModelKind.C, state, params, target="ga").energy
         assert e == pytest.approx(closed, rel=1e-5)
 
@@ -506,7 +496,7 @@ class TestOracleEnergy:
     )
     def test_model_b_near_fall_to_center(self, state, params):
         params = PhysicalParams(**params)
-        closed = model_b_energy(state, params)
+        closed = energy(ModelKind.B, state, params)
         level = oracle_energy(ModelKind.B, state, params)
         assert math.isfinite(level.error)
         assert level.energy == pytest.approx(closed, rel=1e-5)
@@ -515,7 +505,7 @@ class TestOracleEnergy:
 class TestResidual:
     def test_closed_form_callable_route(self, unit_params):
         state = QuantumState(1, 1)
-        E = model_a_energy(state, unit_params)
+        E = energy(ModelKind.A, state, unit_params)
         w = radial_potential(ModelKind.A, state, unit_params, E)
 
         def u(rho):
@@ -527,7 +517,7 @@ class TestResidual:
         # with the exact U, replacing Et by Et + 0.1 leaves exactly -0.1 U,
         # so the scaled max-norm residual is 0.1
         state = QuantumState(0, 1)
-        E = model_a_energy(state, unit_params)
+        E = energy(ModelKind.A, state, unit_params)
         w = radial_potential(ModelKind.A, state, unit_params, E)
 
         def u(rho):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pdmag.errors import DomainError
-from pdmag.models import ModelKind, energy, model_a_energy, model_c_energy
+from pdmag.models import ModelKind, energy
 from pdmag.params import PhysicalParams, QuantumState
 from pdmag.sweeps import SWEEPABLE, CrossingPoint, SweepSpec, find_crossings, sweep
 
@@ -99,7 +99,7 @@ class TestSweep:
     def test_rows_match_direct_evaluation(self, unit_params):
         spec = SweepSpec(ModelKind.A, (QuantumState(1, 1),), "b0", 0.5, 2.0, 7)
         for row in sweep(spec, unit_params):
-            direct = model_a_energy(row.state, unit_params.replace(b0=row.value))
+            direct = energy(ModelKind.A, row.state, unit_params.replace(b0=row.value))
             assert row.energy == direct
 
     def test_deterministic_ordering(self, unit_params):
@@ -200,7 +200,8 @@ class TestFindCrossings:
             ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-3.0, 3.0), unit_params
         ):
             p = unit_params.replace(beta=cp.param_value)
-            gap = model_a_energy(QuantumState(2, 1), p) - model_a_energy(QuantumState(1, 0), p)
+            e1, e2 = (energy(ModelKind.A, s, p) for s in (QuantumState(2, 1), QuantumState(1, 0)))
+            gap = e1 - e2
             assert abs(gap) <= 1e-9 * max(1.0, abs(cp.energy))
 
     def test_screened_model_delta_crossing(self, weak_field_params):
@@ -215,7 +216,8 @@ class TestFindCrossings:
         assert len(found) >= 1
         for cp in found:
             p = weak_field_params.replace(delta=cp.param_value)
-            gap = model_c_energy(QuantumState(0, 1), p) - model_c_energy(QuantumState(1, 0), p)
+            e1, e2 = (energy(ModelKind.C, s, p) for s in (QuantumState(0, 1), QuantumState(1, 0)))
+            gap = e1 - e2
             assert abs(gap) <= 1e-9 * max(1.0, abs(cp.energy))
 
     def test_same_m_levels_never_cross(self, unit_params):
@@ -244,8 +246,8 @@ class TestFindCrossings:
         )
         assert abs(cp.param_value - where) <= 1e-9
         p = unit_params.replace(**{param: cp.param_value})
-        e1 = model_a_energy(QuantumState(2, 1), p)
-        e2 = model_a_energy(QuantumState(1, 0), p)
+        e1 = energy(ModelKind.A, QuantumState(2, 1), p)
+        e2 = energy(ModelKind.A, QuantumState(1, 0), p)
         assert cp.gap == abs(e1 - e2) <= 1e-9
         assert 0.0 <= cp.bracket_width <= 1e-10
 

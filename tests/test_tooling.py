@@ -1,5 +1,5 @@
-"""Guards for the start-up cost of the package and for the names the
-benchmark's tracer wraps."""
+"""Guards for the start-up cost of the package, for the names the
+benchmark's tracer wraps and for the names the scripts import."""
 
 import importlib
 import importlib.util
@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,3 +105,14 @@ def test_every_exported_name_resolves():
     pdmag = importlib.import_module("pdmag")
     missing = [name for name in pdmag.__all__ if not hasattr(pdmag, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_script_loads(path):
+    # no other test imports scripts/, so a pdmag name a script uses and the
+    # package no longer has would break it silently; the __main__ guard
+    # keeps main() from running
+    spec = importlib.util.spec_from_file_location(f"pdmag_script_{path.stem}", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert callable(script.main)
