@@ -14,7 +14,6 @@ tolerance exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -191,6 +190,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_crossings(args) -> int:
+    import json  # only this command writes JSON; the others start without it
+
     params = _resolve_params(args)
     kind = ModelKind.parse(args.model)
     s1 = _parse_state(args.s1)

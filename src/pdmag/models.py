@@ -403,7 +403,9 @@ def level_axis(kind: ModelKind, state: QuantumState, params: PhysicalParams, nam
     reason = np.zeros(values.shape, dtype=np.int8)
 
     def record(code: int, bad, value) -> None:
-        reason[(reason == 0) & bad] = code
+        # most checks fail at no point: skip the masked write then
+        if bad.any() if isinstance(bad, np.ndarray) else bad:
+            reason[(reason == 0) & bad] = code
 
     record(Invalid.NOT_FINITE, ~np.isfinite(values), values)
     if name in ("b0", "delta"):

@@ -1,23 +1,29 @@
 """Parameter sweeps of the closed-form levels and level-crossing search.
 
-A sweep tabulates E over a parameter grid for a set of labeled states.
-Each state's column is one call of ``models.level_axis``, the array form
-of the closed-form kernel, so a row equals ``models.energy`` at its point
-bit for bit. Points where a state stops being bound (or the swept value
-itself is out of range) are reported as invalid rows with the reason,
-not as errors, since validity boundaries are part of the phenomenology.
+Both work on a parameter axis: an array of values of one field, evaluated
+with one ``models.level_axis`` call per state.
+
+A sweep tabulates E over a parameter grid for a set of labeled states, so
+a row equals ``models.energy`` at its point bit for bit. Points where a
+state stops being bound (or the swept value itself is out of range) are
+reported as invalid rows with the reason, not as errors, since validity
+boundaries are part of the phenomenology.
 
 A crossing is a sign change of E1(p) - E2(p): the difference is scanned
-with one ``level_axis`` call per state and each bracket is refined by
-scalar bisection through ``energy``. Tangential degeneracies (touching
-without sign change) are outside the detection scope.
+on a grid, and then all brackets are refined together, each step one
+``level_axis`` call per state over the points it puts into every bracket.
+Tangential degeneracies (touching without sign change) are outside the
+detection scope.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import cycle, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +32,16 @@ from .models import SWEEPABLE, ModelKind, energy, level_axis, reason_text
 from .params import PhysicalParams, QuantumState
 
 __all__ = ["SWEEPABLE", "SweepSpec", "SweepRow", "CrossingPoint", "sweep", "find_crossings"]
+
+# A refinement step puts 15 evenly spaced points into each bracket of width
+# w, which shrink it at least 16x, and 64 points within +-w/512 of its
+# regula-falsi estimate, which settle a smooth crossing in about two steps:
+# safeguarded interpolation, as in Brent, Algorithms for Minimization
+# without Derivatives (1973).
+_EVEN = np.arange(1, 16) / 16.0
+_NEAR = np.linspace(-1.0, 1.0, 64) / 512.0
+# 75 steps shrink a bracket at least as far as 300 bisections
+_MAX_STEPS = 75
 
 
 def _check_param_name(param_name: str, kind: ModelKind) -> None:
@@ -47,6 +63,12 @@ def _check_range(what: str, lo: float, hi: float) -> None:
         raise DomainError(f"{what} width hi - lo must be finite, got ({lo}, {hi})")
 
 
+def _check_steps(what: str, steps) -> None:
+    # numpy integers count; bool, an int subclass, does not
+    if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 2:
+        raise DomainError(f"{what} must be an integer >= 2, got {steps!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A parameter scan: which model, which states, which knob, which grid."""
@@ -64,16 +86,14 @@ class SweepSpec:
             raise DomainError("at least one state is required")
         _check_param_name(self.param_name, self.kind)
         _check_range("sweep range", self.lo, self.hi)
-        if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 2:
-            raise DomainError(f"steps must be an integer >= 2, got {self.steps!r}")
+        _check_steps("steps", self.steps)
 
     @property
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.steps)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One (grid point, state) evaluation; energy is None when invalid, and
     reason then says which condition failed."""
 
@@ -92,9 +112,9 @@ class SweepRow:
 class CrossingPoint:
     """A parameter value where two labeled levels meet.
 
-    bracket_width is the width of the last bisection bracket (0 for an
-    exact zero on the scan grid) and gap is |E1 - E2| at param_value;
-    None for a point built by hand.
+    bracket_width is the width of the final sign-change bracket around
+    param_value (0 for an exact zero of E1 - E2) and gap is |E1 - E2| at
+    param_value; None for a point built by hand.
     """
 
     param_value: float
@@ -106,7 +126,10 @@ class CrossingPoint:
 
 def _energy_at(kind: ModelKind, state: QuantumState, params: PhysicalParams, param_name: str, value: float):
     """Closed-form level with the named parameter overridden; None if the
-    point is not a bound state (or the parameter value itself is out of range)."""
+    point is not a bound state (or the parameter value itself is out of range).
+
+    The single-point path that spectrum uses; perfbench/spans.py times its
+    dataclasses.replace and energy calls under each crossing search."""
     try:
         p = dataclasses.replace(params, **{param_name: float(value)})
         return energy(kind, state, p)
@@ -121,20 +144,18 @@ def sweep(spec: SweepSpec, params: PhysicalParams) -> list[SweepRow]:
     (no bound state there) appear with energy None and their reason rather
     than being dropped, so a plot can show where a level terminates.
     """
-    name, values = spec.param_name, spec.values
-    columns = []
-    for state in sorted(spec.states):
-        levels, codes = level_axis(spec.kind, state, params, name, values)
-        codes = codes.tolist()
-        texts = {code: reason_text(code, name) for code in set(codes)}
-        columns.append(
-            [(state, None if code else e, texts[code]) for e, code in zip(levels.tolist(), codes)]
-        )
-    return [
-        SweepRow(name, value, *cell)
-        for value, cells in zip(values.tolist(), zip(*columns))
-        for cell in cells
-    ]
+    name, values, states = spec.param_name, spec.values, sorted(spec.states)
+    columns = [level_axis(spec.kind, state, params, name, values) for state in states]
+    # (value, state) order: one row per value, one column per state
+    levels = np.stack([e for e, _ in columns], axis=1).ravel()
+    codes = np.stack([c for _, c in columns], axis=1).ravel()
+    energies, reasons = levels.tolist(), [None] * len(levels)
+    bad = np.flatnonzero(codes).tolist()
+    texts = {code: reason_text(code, name) for code in set(codes[bad].tolist())}
+    for i in bad:
+        energies[i], reasons[i] = None, texts[codes.item(i)]
+    rows = zip(repeat(name), np.repeat(values, len(states)).tolist(), cycle(states), energies, reasons)
+    return list(map(SweepRow._make, rows))
 
 
 def find_crossings(
@@ -149,65 +170,71 @@ def find_crossings(
     """All sign-change crossings of E_s1(p) - E_s2(p) on the range.
 
     The difference is scanned on scan_steps points, one level_axis call
-    per state. A scan point where it is exactly 0 is a crossing; each
-    bracket whose two ends are valid for both states and differ in sign is
-    refined by bisection to |delta p| <= 1e-10 and
-    |E1 - E2| <= 1e-9 max(1, |E|). Brackets that run into an invalid
-    midpoint are discarded. An empty result just means no crossing was
-    detected, not an error.
+    per state. A scan point where it is exactly 0 is a crossing. The
+    brackets whose two ends are valid for both states and differ in sign
+    are refined together, a step at a time (see _EVEN and _NEAR), each to
+    the first sign change or exact zero among its points, until
+    |delta p| <= 1e-10 and |E1 - E2| <= 1e-9 max(1, |E|). A bracket with
+    an invalid point is discarded. Each crossing's E and gap are then
+    energy at the reported point; a point where that raises is dropped.
+    An empty result just means no crossing was detected, not an error.
     """
     if s1 == s2:
         raise DomainError("s1 and s2 must be different states")
     _check_param_name(param_name, kind)
     lo, hi = float(prange[0]), float(prange[1])
     _check_range("range", lo, hi)
-    if scan_steps < 2:
-        raise DomainError(f"scan_steps must be >= 2, got {scan_steps}")
+    _check_steps("scan_steps", scan_steps)
 
-    def diff(value: float):
-        e1 = _energy_at(kind, s1, params, param_name, value)
-        if e1 is None:
-            return None, None
-        e2 = _energy_at(kind, s2, params, param_name, value)
-        if e2 is None:
-            return None, None
+    def gap_axis(values):
+        """(E1 - E2, mean level) along values, nan where either is missing."""
+        e1, _ = level_axis(kind, s1, params, param_name, values)
+        e2, _ = level_axis(kind, s2, params, param_name, values)
+        # halves first, so the mean of two levels near the largest double stays finite
         return e1 - e2, 0.5 * e1 + 0.5 * e2
 
     grid = np.linspace(lo, hi, scan_steps)
-    e1, _ = level_axis(kind, s1, params, param_name, grid)
-    e2, _ = level_axis(kind, s2, params, param_name, grid)
+    d, _ = gap_axis(grid)
     # nan wherever either level is missing, so no comparison below holds there
-    d = e1 - e2
-    zero = d == 0.0
-    change = np.append(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0, False)
-    # halves first, so the mean of two levels near the largest double stays finite
-    grid, d, mid = grid.tolist(), d.tolist(), (0.5 * e1 + 0.5 * e2).tolist()
+    found = {i: (grid.item(i), 0.0) for i in np.flatnonzero(d == 0.0).tolist()}
+    cell = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
+    a, b, da, db = grid[cell], grid[cell + 1], d[cell], d[cell + 1]
+    for _ in range(_MAX_STEPS):
+        if not cell.size:
+            break
+        w = (b - a)[:, None]
+        # da/(da - db) lies in [0, 1]; it is nan only when an end's E1 - E2
+        # overflowed to inf, and fmin sends that to 1: the even points still
+        # cover the bracket
+        with np.errstate(invalid="ignore"):
+            t = np.fmin(da / (da - db), 1.0)[:, None]
+        near = np.clip(a[:, None] + w * t + w * _NEAR, a[:, None], b[:, None])
+        p = np.sort(np.concatenate([a[:, None], a[:, None] + w * _EVEN, near, b[:, None]], axis=1))
+        dp, ep = (x.reshape(p.shape) for x in gap_axis(p.ravel()))
+        # each bracket's first sign change or exact zero, left to right
+        j = ((np.sign(dp[:, :-1]) * np.sign(dp[:, 1:]) < 0.0) | (dp[:, 1:] == 0.0)).argmax(axis=1)
+        row = np.arange(j.size)
+        a, b, da, db = p[row, j], p[row, j + 1], dp[row, j], dp[row, j + 1]
+        right = np.abs(db) <= np.abs(da)
+        at = np.where(right, b, a)
+        gap, e = np.abs(np.where(right, db, da)), np.where(right, ep[row, j + 1], ep[row, j])
+        width = np.where(db == 0.0, 0.0, b - a)
+        # a bracket with an invalid point is dropped
+        valid = ~np.isnan(dp).any(axis=1)
+        done = valid & (width <= 1e-10) & (gap <= 1e-9 * np.maximum(1.0, np.abs(e)))
+        for i, value, size in zip(cell[done].tolist(), at[done].tolist(), width[done].tolist()):
+            found[i] = (value, size)
+        go = valid & ~done
+        cell, a, b, da, db = cell[go], a[go], b[go], da[go], db[go]
+    if cell.size:
+        raise BracketingError(f"crossing refinement did not converge on [{a[0]}, {b[0]}]")
+
     crossings: list[CrossingPoint] = []
-    for i in np.flatnonzero(zero | change).tolist():
-        if zero[i]:
-            point = CrossingPoint(grid[i], mid[i], (s1, s2), bracket_width=0.0, gap=0.0)
-        else:
-            point = _bisect_crossing(diff, grid[i], grid[i + 1], d[i], s1, s2)
-        if point is not None:
+    for i in sorted(found):
+        value, size = found[i]
+        e1 = _energy_at(kind, s1, params, param_name, value)
+        e2 = _energy_at(kind, s2, params, param_name, value)
+        if e1 is not None and e2 is not None:
+            point = CrossingPoint(value, 0.5 * e1 + 0.5 * e2, (s1, s2), size, abs(e1 - e2))
             crossings.append(point)
     return crossings
-
-
-def _bisect_crossing(diff, p_lo, p_hi, d_lo, s1, s2):
-    for _ in range(300):
-        mid = 0.5 * (p_lo + p_hi)
-        d_mid, e_mid = diff(mid)
-        if d_mid is None:
-            return None
-        width = p_hi - p_lo
-        if d_mid == 0.0 or (
-            width <= 1e-10 and abs(d_mid) <= 1e-9 * max(1.0, abs(e_mid))
-        ):
-            return CrossingPoint(mid, e_mid, (s1, s2), bracket_width=width, gap=abs(d_mid))
-        if (d_mid > 0) == (d_lo > 0):
-            p_lo, d_lo = mid, d_mid
-        else:
-            p_hi = mid
-    raise BracketingError(
-        f"crossing refinement did not converge on [{p_lo}, {p_hi}]"
-    )

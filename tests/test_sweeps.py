@@ -1,15 +1,34 @@
 """Parameter sweeps and level-crossing detection."""
 
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pdmag.errors import DomainError
-from pdmag.models import ModelKind, energy
+import pdmag.sweeps
+from pdmag.errors import BracketingError, DomainError
+from pdmag.models import Invalid, ModelKind, energy
 from pdmag.params import PhysicalParams, QuantumState
-from pdmag.sweeps import SWEEPABLE, CrossingPoint, SweepSpec, find_crossings, sweep
+from pdmag.sweeps import SWEEPABLE, CrossingPoint, SweepRow, SweepSpec, find_crossings, sweep
+
+
+def _readme_atlas():
+    """The README's documented crossing ranges, as scripts/crossing_atlas.py
+    holds them: (kind, s1, s2, param, range, base params)."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "crossing_atlas.py"
+    spec = importlib.util.spec_from_file_location("pdmag_script_crossing_atlas", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return [
+        (kind, QuantumState(*s1), QuantumState(*s2), name, prange, PhysicalParams(**overrides))
+        for kind, s1, s2, name, prange, overrides in script.ATLAS
+    ]
+
+
+ATLAS = _readme_atlas()
 
 # The sweep-row reason that goes with each error a single point raises,
 # keyed by the start of the error's message.
@@ -74,6 +93,10 @@ class TestSweepSpec:
             SweepSpec(ModelKind.A, states, "beta", 0.0, math.inf, 3)
         with pytest.raises(DomainError, match="hi - lo must be finite"):
             SweepSpec(ModelKind.A, states, "beta", -1e308, 1e308, 3)
+        for steps in (2.5, True):
+            with pytest.raises(DomainError, match=rf"steps must be an integer >= 2, got {steps}"):
+                SweepSpec(ModelKind.A, states, "beta", -2.0, 2.0, steps)
+        assert len(SweepSpec(ModelKind.A, states, "beta", -2.0, 2.0, np.int64(3)).values) == 3
 
     def test_delta_only_matters_for_the_screened_model(self):
         states = (QuantumState(0, 1),)
@@ -120,6 +143,18 @@ class TestSweep:
         flags = [r.valid for r in rows]
         assert any(flags) and not all(flags)
         assert all(r.energy is None for r in rows if not r.valid)
+
+    def test_rows_are_tuples(self, unit_params):
+        # a row unpacks and compares like the plain tuple of its fields
+        spec = SweepSpec(ModelKind.A, (QuantumState(0, 0),), "b0", -0.5, 0.5, 3)
+        rows = sweep(spec, unit_params)
+        name, value, state, e, reason = rows[2]
+        assert (name, value, state, reason) == ("b0", 0.5, QuantumState(0, 0), None)
+        assert rows[2] == ("b0", 0.5, QuantumState(0, 0), e, None)
+        assert rows[2].valid and e == energy(ModelKind.A, state, unit_params.replace(b0=0.5))
+        assert rows[0] == ("b0", -0.5, QuantumState(0, 0), None, "b0 must be >= 0")
+        assert not rows[0].valid
+        assert SweepRow("beta", 1.0, QuantumState(0, 0), 2.0) == ("beta", 1.0, QuantumState(0, 0), 2.0, None)
 
     def test_sweeping_into_invalid_parameter_values(self, unit_params):
         # eta stays fixed, but a b0 sweep may cross b0 < 0 which the
@@ -273,6 +308,56 @@ class TestFindCrossings:
                 find_crossings(ModelKind.A, s, QuantumState(1, 0), "beta", prange, unit_params)
         with pytest.raises(DomainError, match="hi - lo must be finite"):
             find_crossings(ModelKind.A, s, QuantumState(1, 0), "mu", (-1e308, 1e308), unit_params)
+        for steps in (2.5, True):
+            with pytest.raises(DomainError, match=rf"scan_steps must be an integer >= 2, got {steps}"):
+                find_crossings(
+                    ModelKind.A, s, QuantumState(1, 0), "beta", (-1.0, 1.0), unit_params,
+                    scan_steps=steps,
+                )
+        args = (ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-3.0, 3.0), unit_params)
+        assert find_crossings(*args, scan_steps=np.int64(501)) == find_crossings(*args, scan_steps=501)
+
+    @pytest.mark.parametrize("entry", ATLAS, ids=lambda e: f"{e[0].value}-{e[3]}")
+    def test_atlas_search_makes_few_level_axis_calls(self, monkeypatch, entry):
+        # the scan takes one level_axis call per state, and so does each
+        # refinement step; a smooth crossing settles in at most three steps
+        calls = []
+        level_axis = pdmag.sweeps.level_axis
+        monkeypatch.setattr(
+            pdmag.sweeps, "level_axis", lambda *a: calls.append(a) or level_axis(*a)
+        )
+        assert find_crossings(*entry)
+        assert 2 <= len(calls) <= 2 + 2 * 3
+
+    @pytest.mark.parametrize("entry", ATLAS, ids=lambda e: f"{e[0].value}-{e[3]}")
+    def test_atlas_points_meet_the_stopping_rule(self, entry):
+        for cp in find_crossings(*entry):
+            assert 0.0 <= cp.bracket_width <= 1e-10
+            assert cp.gap <= 1e-9 * max(1.0, abs(cp.energy))
+
+    def test_invalid_refinement_point_drops_the_bracket(self, monkeypatch, unit_params):
+        # the scan sees a valid bracket; every refinement point is then
+        # reported unbound, so the bracket is dropped without an error
+        calls = []
+        level_axis = pdmag.sweeps.level_axis
+
+        def scan_only(kind, state, params, name, values):
+            calls.append(len(values))
+            if len(calls) <= 2:
+                return level_axis(kind, state, params, name, values)
+            return np.full(len(values), np.nan), np.full(len(values), Invalid.NOT_BOUND, np.int8)
+
+        monkeypatch.setattr(pdmag.sweeps, "level_axis", scan_only)
+        args = (ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-3.0, 3.0), unit_params)
+        assert find_crossings(*args) == []
+        assert len(calls) == 4
+
+    def test_refinement_that_runs_out_of_steps_raises(self, monkeypatch, unit_params):
+        monkeypatch.setattr(pdmag.sweeps, "_MAX_STEPS", 1)
+        with pytest.raises(BracketingError, match="did not converge"):
+            find_crossings(
+                ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-3.0, 3.0), unit_params
+            )
 
     def test_sweepable_names(self):
         assert SWEEPABLE == ("beta", "b0", "alpha_ab", "mu", "delta")

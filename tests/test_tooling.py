@@ -82,6 +82,45 @@ def test_perfbench_hooks_resolve():
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
 
 
+def test_crossing_search_goes_through_the_traced_names(monkeypatch):
+    # perfbench/spans.py also swaps pdmag.sweeps.dataclasses for a namespace
+    # whose replace it times, and perfbench/layers.py reads the median of
+    # those params.replace spans and of the models.energy spans under each
+    # crossing search: a traced run needs one of each per search
+    import pdmag.sweeps
+    from pdmag.models import ModelKind
+    from pdmag.params import PhysicalParams, QuantumState
+
+    assert callable(pdmag.sweeps.dataclasses.replace)
+    calls = []
+    energy, replace = pdmag.sweeps.energy, pdmag.sweeps.dataclasses.replace
+    monkeypatch.setattr(
+        pdmag.sweeps, "energy", lambda *a, **k: calls.append("energy") or energy(*a, **k)
+    )
+    monkeypatch.setattr(
+        pdmag.sweeps.dataclasses, "replace", lambda *a, **k: calls.append("replace") or replace(*a, **k)
+    )
+    found = pdmag.sweeps.find_crossings(
+        ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-3.0, 3.0), PhysicalParams()
+    )
+    assert len(found) == 1
+    assert calls.count("energy") >= 1 and calls.count("replace") >= 1
+
+
+def test_only_the_crossings_command_loads_json():
+    commands = sorted(_CLOSED_FORM_COMMANDS, key=lambda argv: argv[0] == "crossings")
+    code = (
+        "import contextlib, io, sys\n"
+        "from pdmag.cli import run\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = run(argv)\n"
+        "    print(argv[0], code, 'json' in sys.modules)\n"
+    )
+    rows = _fresh(code).stdout.split("\n")[:-1]
+    assert rows == [f"{argv[0]} 0 {argv[0] == 'crossings'}" for argv in commands]
+
+
 def test_oracle_level_makes_one_eigensolve_call_per_grid(monkeypatch):
     # perfbench's oracle.eigensolve_ms.n4000 / .n8000 spans wrap
     # pdmag.oracle.eigh_tridiagonal and read the grid size from the length
