@@ -3,8 +3,11 @@
 
 Shows the relative error of the oracle level as n_points doubles, next
 to the oracle's own estimate of it, for one representative state of each
-model. Useful when picking n_points for a
-verification run at a tolerance other than the default.
+model. n_points is the finest grid of the oracle's ladder (n/4, n/2, n
+cells); a level whose three-grid fit is not settled to 1e-6 also solves
+2n cells, and its estimate is then |E_2n - E_n|/3 instead of the fit's
+|R23 - R12|. Useful when picking n_points for a verification run at a
+tolerance other than the default.
 """
 
 import argparse

@@ -15,12 +15,18 @@ U = rho^p v, with p = 1/2 + sqrt(c2 + 1/4) taken from the c2/rho^2 part of
 W0. Interface fluxes and power-law cell moments are integrated exactly,
 which keeps the power-law behaviour at the origin from degrading the
 second order of convergence. G is diagonal, so each grid costs one
-symmetric tridiagonal eigensolve. Solving on n and 2n cells and taking one
-Richardson step gives the level together with an estimate of its own
-error. Each eigensolve is a Sturm bisection; after a level's first grid it
-bisects only a narrow window around the level it expects, once a Sturm
-count confirms that the window holds the wanted index, and falls back to
-the full bisection otherwise.
+symmetric tridiagonal eigensolve.
+
+The grids form a ladder n/4, n/2, n, with n = n_points. Beyond h^2 the
+error's next term is h^(2p+1), from the rho^p factor at the origin, so
+the three levels are fitted to E* + a h^2 + b h^q with q = min(2p + 1, 4).
+When the fit's two Richardson values agree to _LADDER_TOL the fit is the
+level and their difference its error; otherwise a fourth grid of 2n
+cells is solved and one Richardson step on n and 2n gives the level and
+its error, |E_2n - E_n|/3. Each eigensolve is a Sturm bisection; after a
+level's first grid it bisects only a narrow window around the level of
+the grid before, once a Sturm count confirms that the window holds the
+wanted index, and falls back to the full bisection otherwise.
 
 The split of W0 into c2/rho^2 + c1/rho + a smooth part, and the mass
 profile g, come from models.reduced_equation, the one definition of the
@@ -31,7 +37,8 @@ Model B (g = eta/rho^2) puts E into c2(E) = c2 - eta E and so into p. It
 takes the same pencil: at a trial energy Eg the grid's p absorbs all of
 c2(Eg)/rho^2, the weight eta/rho^2 carries the rest, and the eigenvalue
 is E - Eg. Starting at p = 1 and moving Eg to each new E until the step
-is at most _FIXED_POINT_TOL takes about five eigensolves a level.
+is at most _FIXED_POINT_TOL takes about five eigensolves, all on the
+ladder's first grid; the finer grids keep its p.
 """
 
 from __future__ import annotations
@@ -73,6 +80,10 @@ _EIG_TOL = 1e-14
 
 # Model B's level is settled once a fixed-point step E - Eg is at most this.
 _FIXED_POINT_TOL = 1e-8
+
+# The grid ladder stops at n_points cells once its two Richardson values
+# agree to this, relative to max(1, |E|); otherwise it solves 2 n_points.
+_LADDER_TOL = 1e-6
 
 # The rho points at which residual and verify_states' node count check a
 # closed form.
@@ -310,17 +321,32 @@ def _t_hat(x):
 
 
 class OracleLevel(NamedTuple):
-    """A level from the oracle and the estimate |E_2n - E_n|/3 of its error."""
+    """A level from the oracle and the estimate of its error: |R23 - R12|
+    when the grid ladder stops at n_points cells (_ladder_fit), otherwise
+    |E_2n - E_n|/3 from the n and 2n grids (_richardson)."""
 
     energy: float
     error: float
 
 
 def _richardson(e_coarse: float, e_fine: float) -> OracleLevel:
-    # The scheme converges at second order, so one halving step of
-    # Richardson extrapolation cancels the leading error term.
+    """One halving step of Richardson extrapolation at order 2, the
+    scheme's leading order; the error is the size of the step,
+    |e_fine - e_coarse|/3."""
     shift = (e_fine - e_coarse) / 3.0
     return OracleLevel(e_fine + shift, abs(shift))
+
+
+def _ladder_fit(e1: float, e2: float, e3: float, q: float) -> OracleLevel:
+    """E* + a h^2 + b h^q fitted to the levels on h, h/2 and h/4.
+
+    R12 and R23 are the order-2 Richardson values of the two pairs; they
+    differ by the h^q term, which one more step at order q cancels. The
+    error is |R23 - R12|, the size of that step times 2^q - 1.
+    """
+    r12, r23 = (4.0 * e2 - e1) / 3.0, (4.0 * e3 - e2) / 3.0
+    f = 2.0**q
+    return OracleLevel((f * r23 - r12) / (f - 1.0), abs(r23 - r12))
 
 
 def _inverse_square(grid: _FVGrid) -> np.ndarray:
@@ -329,16 +355,23 @@ def _inverse_square(grid: _FVGrid) -> np.ndarray:
 
 
 def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
-    """Level n_rho as the fixed point E = Eg + lam(Eg) of the weighted pencil.
+    """Level n_rho on the grid ladder n/4, n/2, n (and 2n when needed), n = n_points.
 
-    At a trial energy Eg the grid's p = 1/2 + u, u = sqrt(c2(Eg) + 1/4),
-    absorbs c2(Eg)/rho^2, and lam is the pencil eigenvalue. In models A
-    and C, c2 does not depend on E, so Eg = 0 and one solve is the level.
-    In model B one step is exact in the continuum and only the scheme's
-    dependence on p is left, so the iteration settles in a few solves. It
-    starts at p = 1 (Eg = c2/eta), not at p(0) >= 1, whose v ~ rho^(p* - p)
-    is singular at the origin for a level with a smaller p*; an iterate at
-    or past the fall-to-center threshold c2(E) = -1/4 halves u instead.
+    On each grid the level is the fixed point E = Eg + lam(Eg) of the
+    weighted pencil. At a trial energy Eg the grid's p = 1/2 + u,
+    u = sqrt(c2(Eg) + 1/4), absorbs c2(Eg)/rho^2, and lam is the pencil
+    eigenvalue. In models A and C, c2 does not depend on E, so Eg = 0 and
+    one solve is the level. In model B one step is exact in the continuum
+    and only the scheme's dependence on p is left, so the iteration settles
+    in a few solves. It starts at p = 1 (Eg = c2/eta), not at p(0) >= 1,
+    whose v ~ rho^(p* - p) is singular at the origin for a level with a
+    smaller p*; an iterate at or past the fall-to-center threshold
+    c2(E) = -1/4 halves u instead.
+
+    The fixed point runs on the ladder's first grid, whose first solve is
+    the level's one full bisection; if model B has no level there, the
+    ladder starts one grid finer. Every finer grid keeps that grid's p and
+    Eg and bisects a window around the level of the grid before it.
     """
     eq = reduced_equation(kind, state, params)
     c2, c1, smooth = _split(eq, target)
@@ -358,31 +391,52 @@ def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
             weight = grid.coul * rho * eq.mass(rho, target)
         return e_g + _pencil(diag - et * grid.mass, off, weight, state.n_rho, window=window)
 
-    u, e_g = (0.5, c2 / eta) if eta else (math.sqrt(c2 + 0.25), 0.0)
-    window = None  # the first solve bisects the whole interval
-    for _ in range(100):
-        e = solve(n_points, u, e_g, window)
-        if not eta or abs(e - e_g) <= _FIXED_POINT_TOL:
-            break
-        half = min(4.0 * abs(e - e_g), 0.1 * max(1.0, abs(e)))
-        u_sq = c2 + 0.25 - eta * e
-        if u_sq > 0:
-            u, e_g = math.sqrt(u_sq), e
-        else:
-            u *= 0.5
-            e_g = (c2 + 0.25 - u * u) / eta
-            if u * u <= eta * _FIXED_POINT_TOL:  # the threshold is within the tolerance
-                raise BoundStateError(
-                    f"model B has no level n_rho = {state.n_rho} (m = {state.m}) "
-                    "above the fall-to-center threshold on this grid"
-                )
-        window = (-half, half)  # in E - Eg
-    else:
+    def fixed_point(n: int):
+        u, e_g = (0.5, c2 / eta) if eta else (math.sqrt(c2 + 0.25), 0.0)
+        window = None  # the first solve bisects the whole interval
+        for _ in range(100):
+            e = solve(n, u, e_g, window)
+            if not eta or abs(e - e_g) <= _FIXED_POINT_TOL:
+                return e, u, e_g
+            half = min(4.0 * abs(e - e_g), 0.1 * max(1.0, abs(e)))
+            u_sq = c2 + 0.25 - eta * e
+            if u_sq > 0:
+                u, e_g = math.sqrt(u_sq), e
+            else:
+                u *= 0.5
+                e_g = (c2 + 0.25 - u * u) / eta
+                if u * u <= eta * _FIXED_POINT_TOL:  # the threshold is within the tolerance
+                    raise BoundStateError(
+                        f"model B has no level n_rho = {state.n_rho} (m = {state.m}) "
+                        "above the fall-to-center threshold on this grid"
+                    )
+            window = (-half, half)  # in E - Eg
         raise DomainError(
             f"model B level {state} did not settle to tol = {_FIXED_POINT_TOL} in 100 solves"
         )
-    half = 1e-2 * max(1.0, abs(e))  # the 2n level is within ~1e-4 of the n one
-    return _richardson(e, solve(2 * n_points, u, e_g, (e - e_g - half, e - e_g + half)))
+
+    def refine(n: int, e: float) -> float:
+        half = 1e-2 * max(1.0, abs(e))  # the finer level is near e; a miss costs a full bisection
+        return solve(n, u, e_g, (e - e_g - half, e - e_g + half))
+
+    ladder = [n_points]
+    if n_points % 4 == 0 and n_points // 4 > state.n_rho:
+        ladder = [n_points // 4, n_points // 2, n_points]
+    for first, n in enumerate(ladder):
+        try:
+            e, u, e_g = fixed_point(n)
+            break
+        except BoundStateError:
+            if n == n_points:
+                raise
+    levels = [e]
+    for n in ladder[first + 1:]:
+        levels.append(refine(n, levels[-1]))
+    if len(levels) == 3:
+        fit = _ladder_fit(*levels, q=min(2.0 * u + 2.0, 4.0))  # q = 2p + 1, at most 4
+        if fit.error <= _LADDER_TOL * max(1.0, abs(fit.energy)):
+            return fit
+    return _richardson(levels[-1], refine(2 * n_points, levels[-1]))
 
 
 def oracle_energy(
@@ -395,12 +449,18 @@ def oracle_energy(
 ) -> OracleLevel:
     """Level n_rho of the reduced equation, found without a starting guess.
 
-    Returns OracleLevel(energy, error). Models A and C take one pencil
-    eigensolve on n_points cells and one on 2 n_points cells; model B
-    repeats the pencil solve on n_points cells at the last level's p until
-    the energy step is at most _FIXED_POINT_TOL, then adds one solve on
-    2 n_points cells. The grid spans (0, 25/sqrt(-Et)]. The two grids are
-    extrapolated (Richardson) and |E_2n - E_n|/3 is reported as the error.
+    Returns OracleLevel(energy, error). The grids span (0, 25/sqrt(-Et)]
+    and form a ladder of n_points/4, n_points/2 and n_points cells (only
+    n_points when it is not a multiple of 4 or n_points/4 cells cannot
+    hold the level). Models A and C take one pencil eigensolve per grid;
+    model B repeats the solve on the first grid at the last level's p
+    until the energy step is at most _FIXED_POINT_TOL, and starts one grid
+    finer when that grid has no level. If the fit of the three levels is
+    settled to _LADDER_TOL, it is returned with the difference of its two
+    Richardson values as the error. Otherwise one more solve on
+    2 n_points cells is extrapolated with the n_points one (Richardson)
+    and |E_2n - E_n|/3 is the error. So n_points is the finest grid of a
+    settled level and half the finest of any other.
     """
     if params.sigma != 1.0:
         raise DomainError(

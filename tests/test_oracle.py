@@ -243,6 +243,18 @@ class TestWindowedEigensolve:
                 assert sum(full) == 1, (kind, state, params)
 
 
+def grid_sizes(monkeypatch):
+    """Cell counts of the oracle's eigensolves, in call order, from here on."""
+    import pdmag.oracle
+
+    sizes = []
+    solve = pdmag.oracle.eigh_tridiagonal
+    monkeypatch.setattr(
+        pdmag.oracle, "eigh_tridiagonal", lambda *a, **k: sizes.append(len(a[0])) or solve(*a, **k)
+    )
+    return sizes
+
+
 def model_b_bound(state, params):
     try:
         energy(ModelKind.B, state, params)
@@ -414,21 +426,86 @@ class TestOracleEnergy:
             oracle_energy(ModelKind.B, QuantumState(1, 1), unit_params)
 
     def test_eigensolves_per_level(self, unit_params, weak_field_params, monkeypatch):
+        # the ladder solves 1000, 2000 and 4000 cells and stops when its
+        # three-grid fit is settled, else it goes on to 8000
         import pdmag.oracle
 
-        calls = []
-        solve = pdmag.oracle.eigh_tridiagonal
-        monkeypatch.setattr(
-            pdmag.oracle, "eigh_tridiagonal", lambda *a, **k: calls.append(1) or solve(*a, **k)
-        )
+        sizes = grid_sizes(monkeypatch)
         oracle_energy(ModelKind.A, QuantumState(2, 1), unit_params)
-        assert len(calls) == 2
-        calls.clear()
+        assert sizes == [1000, 2000, 4000]
+        sizes.clear()
+        # n/4 is not a whole number of cells: no ladder, n and 2n as before
+        oracle_energy(ModelKind.A, QuantumState(2, 1), unit_params, n_points=4002)
+        assert sizes == [4002, 8004]
+        sizes.clear()
         oracle_energy(ModelKind.C, QuantumState(1, 0), weak_field_params.replace(delta=0.1), target="ga")
-        assert len(calls) == 2
-        calls.clear()
-        oracle_energy(ModelKind.B, QuantumState(1, 3), PhysicalParams(mu=1.2))
-        assert len(calls) <= 8
+        assert sizes == [1000, 2000, 4000, 8000]
+        sizes.clear()
+        # model B's fixed point runs on the coarsest grid alone
+        level = oracle_energy(ModelKind.B, QuantumState(1, 3), PhysicalParams(mu=1.2))
+        assert level.error <= pdmag.oracle._LADDER_TOL * abs(level.energy)
+        assert sizes[-2:] == [2000, 4000]
+        assert set(sizes[:-2]) == {1000}
+        assert len(sizes) <= 8
+
+    def test_model_b_without_a_level_on_the_coarsest_grid_starts_one_finer(self, monkeypatch):
+        # the fixed point finds no level on 1000 cells and one on 2000; the
+        # ladder goes on from there to 4000 and 8000 cells
+        sizes = grid_sizes(monkeypatch)
+        state = QuantumState(3, 3)
+        params = PhysicalParams(mu=1.4793383804344895, beta=-1.8709133328376488,
+                                kz=0.40346526501395374, alpha_ab=0.30149235941985886,
+                                eta=1.3942226920130838)
+        assert energy(ModelKind.B, state, params) == pytest.approx(9.651013223195335, rel=1e-14)
+        e = oracle_energy(ModelKind.B, state, params).energy
+        assert e == pytest.approx(9.651013223195335, abs=1e-5)
+        assert 1000 in sizes and sizes[-2:] == [4000, 8000]
+
+    @pytest.mark.parametrize(
+        "state, params",
+        [
+            (QuantumState(3, 3), PhysicalParams(
+                mu=0.15472278921131682, delta=0.15411074030393254, beta=-3.953645854490092,
+                kz=0.0027117999011329053, alpha_ab=0.22806207906137155, eta=1.006926941592888)),
+            (QuantumState(0, 3), PhysicalParams(
+                mu=0.12527088041849926, delta=0.20550672642455942, beta=-4.982070841476778,
+                kz=0.38490724674432597, alpha_ab=0.12385007882440524, eta=1.4229632157816476)),
+        ],
+    )
+    def test_unsettled_three_grid_fit_goes_on_to_twice_the_cells(self, state, params, monkeypatch):
+        # high-p model C levels are far off on 1000 cells, so the three-grid
+        # fit misses the gate; the stop rule sees that and solves 8000 cells
+        import pdmag.oracle
+
+        closed = energy(ModelKind.C, state, params)
+        sizes = grid_sizes(monkeypatch)
+        e = oracle_energy(ModelKind.C, state, params, target="ga").energy
+        assert sizes[-1] == 8000
+        assert e == pytest.approx(closed, abs=1e-4)
+        monkeypatch.setattr(pdmag.oracle, "_LADDER_TOL", math.inf)
+        forced = oracle_energy(ModelKind.C, state, params, target="ga").energy
+        assert abs(forced - closed) > 1e-3
+
+    def test_ladder_fit_cancels_both_error_terms(self):
+        from pdmag.oracle import _ladder_fit
+
+        q = 3.4
+        e1, e2, e3 = (2.5 + 0.3 * h**2 - 0.7 * h**q for h in (0.4, 0.2, 0.1))
+        fit = _ladder_fit(e1, e2, e3, q)
+        assert fit.energy == pytest.approx(2.5, abs=1e-14)
+        r12, r23 = (4 * e2 - e1) / 3, (4 * e3 - e2) / 3
+        assert fit.error == pytest.approx(abs(r23 - r12), rel=1e-12)
+
+    def test_three_grid_fit_takes_its_order_from_the_origin_exponent(self, monkeypatch):
+        # p = 0.8 here, so the second error term is h^2.6; a fit at order 2
+        # instead misses by 5e-7
+        import pdmag.oracle
+
+        monkeypatch.setattr(pdmag.oracle, "_LADDER_TOL", math.inf)
+        params = PhysicalParams(alpha_ab=0.3)
+        closed = energy(ModelKind.A, QuantumState(0, 0), params)
+        e = oracle_energy(ModelKind.A, QuantumState(0, 0), params).energy
+        assert e == pytest.approx(closed, rel=5e-8)
 
     def test_model_b_that_does_not_settle_is_a_domain_error(self, unit_params, monkeypatch):
         # no step of the fixed-point iteration is below a tolerance under rounding

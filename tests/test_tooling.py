@@ -125,7 +125,8 @@ def test_oracle_level_makes_one_eigensolve_call_per_grid(monkeypatch):
     # perfbench's oracle.eigensolve_ms.n4000 / .n8000 spans wrap
     # pdmag.oracle.eigh_tridiagonal and read the grid size from the length
     # of its first positional argument, so the Sturm count and the windowed
-    # bisection must stay inside that one call
+    # bisection must stay inside that one call; a settled level stops at
+    # 4000 cells, an unsettled one goes on to 8000
     import pdmag.oracle
     from pdmag.models import ModelKind
     from pdmag.params import PhysicalParams, QuantumState
@@ -136,7 +137,11 @@ def test_oracle_level_makes_one_eigensolve_call_per_grid(monkeypatch):
         pdmag.oracle, "eigh_tridiagonal", lambda *a, **k: sizes.append(len(a[0])) or solve(*a, **k)
     )
     pdmag.oracle.oracle_energy(ModelKind.A, QuantumState(1, 1), PhysicalParams())
-    assert sizes == [4000, 8000]
+    assert sizes == [1000, 2000, 4000]
+    sizes.clear()
+    pdmag.oracle.oracle_energy(ModelKind.C, QuantumState(0, 0), PhysicalParams(delta=0.1),
+                               target="ga")
+    assert sizes == [1000, 2000, 4000, 8000]
 
 
 def test_every_exported_name_resolves():
