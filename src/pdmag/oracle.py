@@ -23,10 +23,11 @@ the three levels are fitted to E* + a h^2 + b h^q with q = min(2p + 1, 4).
 When the fit's two Richardson values agree to _LADDER_TOL the fit is the
 level and their difference its error; otherwise a fourth grid of 2n
 cells is solved and one Richardson step on n and 2n gives the level and
-its error, |E_2n - E_n|/3. Each eigensolve is a Sturm bisection; after a
-level's first grid it bisects only a narrow window around the level of
-the grid before, once a Sturm count confirms that the window holds the
-wanted index, and falls back to the full bisection otherwise.
+its error, |E_2n - E_n|/3. A level's first eigensolve is a Sturm
+bisection. Every later one runs Rayleigh-quotient iteration from the
+level it expects (the grid before's, or model B's last trial energy) and
+keeps the result only when two Sturm counts certify it as the wanted
+eigenvalue to _CERT_TOL; otherwise it falls back to the bisection.
 
 The split of W0 into c2/rho^2 + c1/rho + a smooth part, and the mass
 profile g, come from models.reduced_equation, the one definition of the
@@ -77,6 +78,13 @@ __all__ = [
 # weight falls to ~1e-12 at the far end of the grid and so makes the
 # scaled matrix huge there while the wanted eigenvalues stay of order one.
 _EIG_TOL = 1e-14
+
+# An eigenvalue sigma found from a guess is returned once Sturm counts at
+# sigma -/+ _CERT_TOL max(1, |sigma|) bracket the wanted index. Finding it
+# takes at most _RQ_SOLVES tridiagonal solves, about three on the oracle's
+# grids.
+_CERT_TOL = 1e-10
+_RQ_SOLVES = 5
 
 # Model B's level is settled once a fixed-point step E - Eg is at most this.
 _FIXED_POINT_TOL = 1e-8
@@ -232,39 +240,80 @@ class _FVGrid:
         return self.h * self.moment / self.coul
 
 
-def eigh_tridiagonal(d, e, index: int, window=None):
-    """Eigenvalue `index` (from 0) of the symmetric tridiagonal matrix (d, e),
-    by Sturm bisection to _EIG_TOL.
+def eigh_tridiagonal(d, e, index: int, guess=None):
+    """Eigenvalue `index` (from 0) of the symmetric tridiagonal matrix (d, e).
 
-    With window = (lo, hi), a Sturm count at lo (select="v" over (-inf, lo]
-    with an infinite tolerance, so that no bisection step runs) must find
-    exactly `index` eigenvalues at or below lo; then only (lo, hi] is
-    bisected and its lowest eigenvalue returned. Otherwise, or if (lo, hi]
-    is empty, select="i" bisects the whole Gershgorin interval: a window
-    changes the cost, never the eigenvalue.
+    Without a guess, LAPACK's dstebz bisects the whole Gershgorin interval
+    to _EIG_TOL. With one, Rayleigh-quotient iteration from the guess
+    (_rayleigh_quotient) gives sigma, returned only when two Sturm counts
+    certify it: dstebz over (-inf, t] with an infinite tolerance, so that
+    no bisection step runs, finds exactly `index` eigenvalues at or below
+    sigma - h and index + 1 at or below sigma + h, h = _CERT_TOL
+    max(1, |sigma|), so the wanted eigenvalue lies within h of sigma. Any
+    other outcome falls back to the bisection: a guess changes the cost,
+    never which eigenvalue is returned.
 
     scipy.linalg is loaded on the first call, so importing pdmag loads numpy
     alone. _pencil looks this name up at call time, so it can be replaced on
     the module (timing hooks, tests).
     """
-    from scipy.linalg import eigh_tridiagonal as solve
+    from scipy.linalg import lapack
 
-    vals = ()
-    if window is not None:
-        below = solve(d, e, eigvals_only=True, select="v", select_range=(-np.inf, window[0]),
-                      tol=np.inf)
-        if len(below) == index:
-            vals = solve(d, e, eigvals_only=True, select="v", select_range=window, tol=_EIG_TOL)
-    if not len(vals):
-        vals = solve(d, e, eigvals_only=True, select="i", select_range=(index, index), tol=_EIG_TOL)
-    return float(vals[0])
+    if len(d) == 1:  # the LAPACK wrappers take no empty off-diagonal
+        return float(d[0])
+    if guess is not None:
+        sigma = _rayleigh_quotient(lapack, d, e, guess)
+        h = _CERT_TOL * max(1.0, abs(sigma))
+        if math.isfinite(sigma) and (
+            _count(lapack, d, e, sigma - h) == index and _count(lapack, d, e, sigma + h) == index + 1
+        ):
+            return sigma
+    # range 2 selects by index, 1-based, from il = index + 1 to iu = index + 1
+    _, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, index + 1, index + 1, _EIG_TOL, "E")
+    if info:
+        raise np.linalg.LinAlgError(
+            f"stebz (eigh_tridiagonal) did not converge (LAPACK info={info})"
+        )
+    return float(w[0])
 
 
-def _pencil(diag, off, weight, index: int, window=None):
+def _rayleigh_quotient(lapack, d, e, guess: float) -> float:
+    """Eigenvalue near `guess` by Rayleigh-quotient iteration, or nan.
+
+    One inverse-iteration solve at shift = guess turns a vector of ones
+    towards the eigenvector; then each solve x = (T - sigma)^-1 y moves
+    sigma to the Rayleigh quotient x^T T x / x^T x. sigma is settled once
+    a step is below a tenth of the certificate's half-width (convergence is
+    cubic, so it is then exact to rounding) or a pivot is zero; nan when
+    _RQ_SOLVES solves do not settle it.
+    """
+    x, sigma = np.ones(len(d)), guess
+    with np.errstate(all="ignore"):  # a value that is not finite fails the certificate
+        for k in range(_RQ_SOLVES):
+            y = x / math.sqrt(x @ x)
+            *_, x, info = lapack.dgtsv(e, d - sigma, e, y)
+            if info:  # a zero pivot: sigma is an eigenvalue to rounding
+                return float(sigma)
+            if k:
+                step = float(x @ y / (x @ x))
+                sigma += step
+                if abs(step) <= 0.1 * _CERT_TOL * max(1.0, abs(sigma)):
+                    return float(sigma)
+    return math.nan
+
+
+def _count(lapack, d, e, t: float) -> int:
+    """Sturm count: the number of eigenvalues at or below t, -1 on failure."""
+    # range 1 selects by value, over (vl, vu] = (-inf, t]
+    m, *_, info = lapack.dstebz(d, e, 1, -np.inf, t, 0, 0, np.inf, "E")
+    return -1 if info else m
+
+
+def _pencil(diag, off, weight, index: int, guess=None):
     """Eigenvalue `index` of the tridiagonal pencil (diag, off) v = lam weight v.
 
     Scaled by weight^(-1/2) to a symmetric tridiagonal problem and solved by
-    eigh_tridiagonal, bisecting only `window` when it checks out.
+    eigh_tridiagonal, from `guess` when its result is certified.
     """
     d = np.sqrt(weight)
     a = diag / weight
@@ -272,7 +321,7 @@ def _pencil(diag, off, weight, index: int, window=None):
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("finite-volume pencil must be finite on the grid")
     try:
-        return eigh_tridiagonal(a, b, index, window)
+        return eigh_tridiagonal(a, b, index, guess)
     except np.linalg.LinAlgError as err:
         raise DomainError(f"the pencil's tridiagonal eigensolve did not converge: {err}") from None
 
@@ -371,7 +420,7 @@ def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
     The fixed point runs on the ladder's first grid, whose first solve is
     the level's one full bisection; if model B has no level there, the
     ladder starts one grid finer. Every finer grid keeps that grid's p and
-    Eg and bisects a window around the level of the grid before it.
+    Eg and takes the level of the grid before it as its guess.
     """
     eq = reduced_equation(kind, state, params)
     c2, c1, smooth = _split(eq, target)
@@ -381,7 +430,7 @@ def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
             f"fall to center: centrifugal strength c2 = {c2} is below -1/4, no lowest level"
         )
 
-    def solve(n: int, u: float, e_g: float, window=None) -> float:
+    def solve(n: int, u: float, e_g: float, guess=None) -> float:
         grid = _FVGrid.build(0.5 + u, rho_max, n)
         diag, off = grid.operator(c1, smooth)
         if eta:
@@ -389,16 +438,15 @@ def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
         else:  # G_i: g rho at the centroid times the cell integral coul_i
             rho = grid.centroid()
             weight = grid.coul * rho * eq.mass(rho, target)
-        return e_g + _pencil(diag - et * grid.mass, off, weight, state.n_rho, window=window)
+        return e_g + _pencil(diag - et * grid.mass, off, weight, state.n_rho, guess)
 
     def fixed_point(n: int):
         u, e_g = (0.5, c2 / eta) if eta else (math.sqrt(c2 + 0.25), 0.0)
-        window = None  # the first solve bisects the whole interval
+        guess = None  # the first solve bisects the whole interval
         for _ in range(100):
-            e = solve(n, u, e_g, window)
+            e = solve(n, u, e_g, guess)
             if not eta or abs(e - e_g) <= _FIXED_POINT_TOL:
                 return e, u, e_g
-            half = min(4.0 * abs(e - e_g), 0.1 * max(1.0, abs(e)))
             u_sq = c2 + 0.25 - eta * e
             if u_sq > 0:
                 u, e_g = math.sqrt(u_sq), e
@@ -410,14 +458,13 @@ def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
                         f"model B has no level n_rho = {state.n_rho} (m = {state.m}) "
                         "above the fall-to-center threshold on this grid"
                     )
-            window = (-half, half)  # in E - Eg
+            guess = 0.0  # E - Eg: the next level is near the last one
         raise DomainError(
             f"model B level {state} did not settle to tol = {_FIXED_POINT_TOL} in 100 solves"
         )
 
     def refine(n: int, e: float) -> float:
-        half = 1e-2 * max(1.0, abs(e))  # the finer level is near e; a miss costs a full bisection
-        return solve(n, u, e_g, (e - e_g - half, e - e_g + half))
+        return solve(n, u, e_g, e - e_g)  # the finer level is near e
 
     ladder = [n_points]
     if n_points % 4 == 0 and n_points // 4 > state.n_rho:

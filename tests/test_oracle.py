@@ -23,6 +23,7 @@ from pdmag.models import (
     wavefunction,
 )
 from pdmag.oracle import (
+    _CERT_TOL,
     _EIG_TOL,
     _FVGrid,
     _inverse_square,
@@ -151,13 +152,10 @@ class TestFVGrid:
             )
 
 
-WINDOW_CASES = ["contains", "below", "above", "several", "empty", "under_floor"]
-
-
 @st.composite
 def jacobi_problems(draw):
     """A random Jacobi matrix (negative off-diagonal), an eigenvalue index
-    and a fraction in (0, 1) for placing windows.
+    and a fraction in (0, 1) for placing guesses.
 
     Off-diagonals of at least 0.1 keep the norm at or above 0.1, well above
     the absolute tolerance 1e-14 of the bisection.
@@ -170,7 +168,7 @@ def jacobi_problems(draw):
     return d, e, draw(st.integers(min_value=0, max_value=n - 1)), draw(st.floats(0.01, 0.99))
 
 
-def window_for(case, d, e, index, f):
+def guess_for(case, d, e, index, f):
     from scipy.linalg import eigvalsh_tridiagonal
 
     lam = eigvalsh_tridiagonal(d, e)
@@ -178,69 +176,104 @@ def window_for(case, d, e, index, f):
     gap_lo = lam[index] - lam[index - 1] if index > 0 else 1.0
     gap_hi = lam[index + 1] - lam[index] if index < n - 1 else 1.0
     radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
+    lo, hi = float(np.min(d - radius)), float(np.max(d + radius))  # Gershgorin
     return {
-        "contains": (lam[index] - f * gap_lo, lam[index] + f * gap_hi),
-        "below": (lam[index] - f * gap_lo - 1.0, lam[index] - f * gap_lo),
-        "above": (lam[index] + f * gap_hi, lam[index] + 1.0 + f),
-        "several": (lam[max(index - 2, 0)] - f, lam[min(index + 2, n - 1)] + f),
-        "empty": (lam[index] + 0.5 * f * gap_hi, lam[index] + (0.5 + 0.5 * f) * gap_hi),
-        "under_floor": (float(np.min(d - radius)) - f, lam[index] + f * gap_hi),
+        "near": lam[index] + (f - 0.5) * min(gap_lo, gap_hi),
+        "other": lam[(index + 1 + int(f * (n - 1))) % n],
+        "outside": lo - 1.0 - f if f < 0.5 else hi + 1.0 + f,
+        "nan": math.nan,
     }[case]
 
 
-class TestWindowedEigensolve:
-    """A window changes the cost of eigh_tridiagonal, never its answer."""
+class TestGuessedEigensolve:
+    """A guess changes the cost of eigh_tridiagonal, never which eigenvalue
+    it returns: a result from the guess is certified to within
+    h = _CERT_TOL max(1, |result|), any other one is the full bisection's."""
 
     @staticmethod
-    def reference(d, e, index):
+    def bisection(d, e, index):
         from scipy.linalg import eigh_tridiagonal as solve
 
         return solve(d, e, eigvals_only=True, select="i", select_range=(index, index),
-                     tol=_EIG_TOL)
+                     tol=_EIG_TOL)[0]
 
-    @pytest.mark.parametrize("case", WINDOW_CASES)
     @given(problem=jacobi_problems())
-    def test_eigenvalue_is_the_unwindowed_one(self, case, problem):
+    def test_guess_near_the_eigenvalue_is_certified(self, problem):
+        from scipy.linalg import eigh_tridiagonal as solve
+
         d, e, index, f = problem
-        window = window_for(case, d, e, index, f)
-        got = eigh_tridiagonal(d, e, index, window=window)
-        assert abs(got - self.reference(d, e, index)[0]) <= _EIG_TOL
+        got = eigh_tridiagonal(d, e, index, guess_for("near", d, e, index, f))
+        h = _CERT_TOL * max(1.0, abs(got))
 
-    def test_oracle_windows_hit(self, monkeypatch):
-        # every solve after a level's first grid is windowed; a window that
-        # missed would fall back to select="i" and keep the result but not
-        # the speed
-        import scipy.linalg
+        def count(t):  # Sturm count: eigenvalues at or below t
+            return len(solve(d, e, eigvals_only=True, select="v", select_range=(-np.inf, t),
+                             tol=np.inf))
 
-        from test_acceptance import PROTOCOL_PARAMS, PROTOCOL_STATES
+        assert (count(got - h), count(got + h)) == (index, index + 1)
+        assert abs(got - self.bisection(d, e, index)) <= h + _EIG_TOL
+
+    @pytest.mark.parametrize("case", ["other", "outside", "nan"])
+    @given(problem=jacobi_problems())
+    def test_other_guesses_give_the_bisection(self, case, problem):
+        d, e, index, f = problem
+        got = eigh_tridiagonal(d, e, index, guess_for(case, d, e, index, f))
+        assert abs(got - self.bisection(d, e, index)) <= _EIG_TOL
+
+    def test_oracle_guesses_hit(self, monkeypatch):
+        # every solve after a level's first grid starts from a guess; a
+        # guess whose result is not certified falls back to the full
+        # bisection (dstebz over an index range) and keeps the result but
+        # not the speed
+        from scipy.linalg import lapack
 
         full = []
-        solve = scipy.linalg.eigh_tridiagonal
+        stebz = lapack.dstebz
         monkeypatch.setattr(
-            scipy.linalg, "eigh_tridiagonal",
-            lambda *a, **k: full.append(k["select"] == "i") or solve(*a, **k),
+            lapack, "dstebz", lambda d, e, rng, *a: full.append(rng == 2) or stebz(d, e, rng, *a)
         )
-        levels = [(ModelKind.A, s, p, "exact") for p in PROTOCOL_PARAMS for s in PROTOCOL_STATES]
-        levels += [
-            (ModelKind.B, s, p, "exact")
-            for p in PROTOCOL_PARAMS
-            for s in PROTOCOL_STATES
-            if model_b_bound(s, p)
-        ]
-        levels += [
-            (ModelKind.C, QuantumState(n, m), PhysicalParams(mu=0.15, delta=delta), "ga")
-            for delta in (0.05, 0.1, 0.2)
-            for n, m in ((0, 1), (1, 1), (0, 2), (1, 0), (2, 1))
-        ]
-        for kind, state, params, target in levels:
+        for kind, state, params, target in criterion_levels():
             full.clear()
             oracle_energy(kind, state, params, target=target)
             # model B's first solve bisects the whole interval too, and one
-            # later iterate's window may miss
+            # later iterate's guess may miss
             if kind is ModelKind.B:
                 assert sum(full) <= 2, (state, params)
             else:
                 assert sum(full) == 1, (kind, state, params)
+
+    def test_guess_path_moves_no_protocol_level(self, monkeypatch):
+        # the certificate bounds the guessed eigenvalues by _CERT_TOL, not
+        # by _EIG_TOL; run the levels of acceptance criteria 1-3 once as
+        # they are and once with every guess forced to the full bisection
+        import pdmag.oracle
+
+        levels = criterion_levels()
+        guessed = [oracle_energy(k, s, p, target=t).energy for k, s, p, t in levels]
+        monkeypatch.setattr(pdmag.oracle, "_RQ_SOLVES", 0)  # no guess is ever certified
+        bisected = [oracle_energy(k, s, p, target=t).energy for k, s, p, t in levels]
+        for level, g, b in zip(levels, guessed, bisected):
+            assert abs(g - b) <= 2 * _CERT_TOL * max(1.0, abs(b)), level
+
+
+def criterion_levels():
+    """(kind, state, params, target) of the oracle levels that acceptance
+    criteria 1-3 check: models A and B over the protocol grid (B where it
+    is bound) and model C against the Greene-Aldrich form."""
+    from test_acceptance import FIG9_LIKE, PROTOCOL_PARAMS, PROTOCOL_STATES
+
+    levels = [(ModelKind.A, s, p, "exact") for p in PROTOCOL_PARAMS for s in PROTOCOL_STATES]
+    levels += [
+        (ModelKind.B, s, p, "exact")
+        for p in PROTOCOL_PARAMS
+        for s in PROTOCOL_STATES
+        if model_b_bound(s, p)
+    ]
+    levels += [
+        (ModelKind.C, QuantumState(n, m), FIG9_LIKE.replace(delta=delta), "ga")
+        for delta in (0.05, 0.1, 0.2)
+        for n, m in ((0, 1), (1, 1), (0, 2), (1, 0), (2, 1))
+    ]
+    return levels
 
 
 def grid_sizes(monkeypatch):
@@ -508,11 +541,12 @@ class TestOracleEnergy:
         assert e == pytest.approx(closed, rel=5e-8)
 
     def test_model_b_that_does_not_settle_is_a_domain_error(self, unit_params, monkeypatch):
-        # no step of the fixed-point iteration is below a tolerance under rounding
+        # no step of the fixed-point iteration is below a negative tolerance;
+        # a positive one, however small, can be met by a step of exactly 0
         import pdmag.oracle
 
-        monkeypatch.setattr(pdmag.oracle, "_FIXED_POINT_TOL", 1e-300)
-        with pytest.raises(DomainError, match="did not settle to tol = 1e-300 in 100 solves"):
+        monkeypatch.setattr(pdmag.oracle, "_FIXED_POINT_TOL", -1e-300)
+        with pytest.raises(DomainError, match="did not settle to tol = -1e-300 in 100 solves"):
             oracle_energy(ModelKind.B, QuantumState(0, 1), unit_params, n_points=200)
 
     def test_validation(self, unit_params):

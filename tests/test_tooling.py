@@ -124,9 +124,10 @@ def test_only_the_crossings_command_loads_json():
 def test_oracle_level_makes_one_eigensolve_call_per_grid(monkeypatch):
     # perfbench's oracle.eigensolve_ms.n4000 / .n8000 spans wrap
     # pdmag.oracle.eigh_tridiagonal and read the grid size from the length
-    # of its first positional argument, so the Sturm count and the windowed
-    # bisection must stay inside that one call; a settled level stops at
-    # 4000 cells, an unsettled one goes on to 8000
+    # of its first positional argument, so the Rayleigh-quotient solves, the
+    # Sturm counts that certify them and any fallback bisection must stay
+    # inside that one call; a settled level stops at 4000 cells, an
+    # unsettled one goes on to 8000
     import pdmag.oracle
     from pdmag.models import ModelKind
     from pdmag.params import PhysicalParams, QuantumState
