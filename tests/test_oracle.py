@@ -179,7 +179,9 @@ def guess_for(case, d, e, index, f):
     lo, hi = float(np.min(d - radius)), float(np.max(d + radius))  # Gershgorin
     return {
         "near": lam[index] + (f - 0.5) * min(gap_lo, gap_hi),
-        "other": lam[(index + 1 + int(f * (n - 1))) % n],
+        "above": lam[(index + 1) % n],  # the next one up, the lowest from the top
+        "below": lam[index - 1],  # the next one down, the highest from the bottom
+        "several": lam[(index + 1 + int(f * (n - 1))) % n],  # any of the others
         "outside": lo - 1.0 - f if f < 0.5 else hi + 1.0 + f,
         "nan": math.nan,
     }[case]
@@ -212,7 +214,7 @@ class TestGuessedEigensolve:
         assert (count(got - h), count(got + h)) == (index, index + 1)
         assert abs(got - self.bisection(d, e, index)) <= h + _EIG_TOL
 
-    @pytest.mark.parametrize("case", ["other", "outside", "nan"])
+    @pytest.mark.parametrize("case", ["above", "below", "several", "outside", "nan"])
     @given(problem=jacobi_problems())
     def test_other_guesses_give_the_bisection(self, case, problem):
         d, e, index, f = problem
