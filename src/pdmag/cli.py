@@ -226,20 +226,24 @@ def _cmd_verify(args) -> int:
     for state, reason in skipped:
         print(f"# skipped n_rho={state.n_rho} m={state.m}: {reason}", file=sys.stderr)
     lines = ["n_rho,m,E_closed,E_oracle,abs_err,residual,nodes,oracle_err"]
-    worst = 0.0
+    worst, worst_rel = None, 0.0
     for row in rows:
         rel = row.abs_err / max(1e-12, abs(row.e_closed))
-        worst = max(worst, rel)
+        if rel > worst_rel:
+            worst, worst_rel = row, rel
         lines.append(
             f"{row.state.n_rho},{row.state.m},{_fmt(row.e_closed)},{_fmt(row.e_oracle)},"
             f"{_fmt(row.abs_err)},{_fmt(row.residual)},{row.nodes},{_fmt(row.oracle_err)}"
         )
     _emit(lines, args.out)
-    if worst > args.tol:
-        print(
-            f"verification failed: worst relative error {worst:.3e} exceeds {args.tol:.3e}",
-            file=sys.stderr,
-        )
+    if worst_rel > args.tol:
+        message = (f"verification failed: worst relative error {worst_rel:.3e} exceeds "
+                   f"{args.tol:.3e} at n_rho={worst.state.n_rho} m={worst.state.m}")
+        if worst.abs_err <= worst.oracle_err:
+            message += (f"; its abs_err {worst.abs_err:.3e} is within oracle_err "
+                        f"{worst.oracle_err:.3e}, so the level is oracle-limited: "
+                        "try a larger --n-points")
+        print(message, file=sys.stderr)
         return 2
     return 0
 

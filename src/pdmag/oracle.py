@@ -12,10 +12,11 @@ root-find in E is needed.
 
 The pencil is discretized by finite volumes on the transformed problem
 U = rho^p v, with p = 1/2 + sqrt(c2 + 1/4) taken from the c2/rho^2 part of
-W0. Interface fluxes and power-law cell moments are integrated exactly,
-which keeps the power-law behaviour at the origin from degrading the
-second order of convergence. G is diagonal, so each grid costs one
-symmetric tridiagonal eigensolve.
+W0. Only the singular powers are integrated exactly (the fluxes, c1/rho
+and rho^(2p - power) of a weight g ~ rho^(-power)) and the rest is taken
+pointwise, so the power law at the origin keeps the second order of
+convergence. G is diagonal, so each grid costs one symmetric tridiagonal
+eigensolve.
 
 The grids form a ladder n/4, n/2, n, with n = n_points. Beyond h^2 the
 error's next term is h^(2p+1), from the rho^p factor at the origin, so
@@ -29,10 +30,10 @@ level it expects (the grid before's, or model B's last trial energy) and
 keeps the result only when two Sturm counts certify it as the wanted
 eigenvalue to _CERT_TOL; otherwise it falls back to the bisection.
 
-The split of W0 into c2/rho^2 + c1/rho + a smooth part, and the mass
-profile g, come from models.reduced_equation, the one definition of the
-reduced equation; the oracle only decides how to discretize it, and never
-calls a closed-form level.
+The physics lives in models.reduced_equation alone: W0's coefficients
+c2 and c1, its potential (for either target) and the mass profile g. The
+smooth part of W0 is that potential less c2/rho^2 and c1/rho; the oracle
+only decides how to discretize, and never calls a closed-form level.
 
 Model B (g = eta/rho^2) puts E into c2(E) = c2 - eta E and so into p. It
 takes the same pencil: at a trial energy Eg the grid's p absorbs all of
@@ -193,7 +194,7 @@ class _FVGrid:
     except the origin cell [0, 3/2] h, which carries no flux through
     rho = 0. Cell integrals are kept in units of h, scaled by h^(-2p):
     coul_i and moment_i are the integrals of s^(2p-1) and s^(2p) over the
-    cell in s = rho/h.
+    cell in s = rho/h. Only powers of rho are integrated exactly.
     """
 
     p: float
@@ -235,9 +236,13 @@ class _FVGrid:
             diag = diag + _eval_potential(smooth, self.nodes) * self.mass
         return diag, -aflux[:-1] / h
 
-    def centroid(self) -> np.ndarray:
-        """rho-bar_i: centroid of the weight rho^(2p-1) over cell i."""
-        return self.h * self.moment / self.coul
+    def weight(self, power: int, g) -> np.ndarray:
+        """G_i: the exact cell integral of rho^(2p - power) times rho^power g at its centroid."""
+        lower, upper = self.coul, self.mass  # the integrals of rho^(2p - 1) and rho^(2p)
+        if power == 2:  # g ~ 1/rho^2: integrate rho^(2p - 2), its centroid needs rho^(2p - 1)
+            lower, upper = _powint(self.edges, 2.0 * self.p - 2.0) / self.h, lower
+        rho = upper / lower
+        return lower * rho**power * g(rho)
 
 
 def eigh_tridiagonal(d, e, index: int, guess=None):
@@ -335,33 +340,18 @@ def _split(eq: ReducedEquation, target: str):
     """W0 = W(rho; E = 0) as c2/rho^2 + c1/rho + smooth(rho), the form the
     scheme integrates; the -g(rho) E term is left to the caller.
 
-    For target 'ga', delta/(1 - e^(-delta rho)) = 1/rho + delta t(delta rho)
-    with t = _t_hat bounded, so its square adds delta c2 to the 1/rho term
-    and leaves the rest smooth.
+    For target 'ga', delta/(1 - e^(-delta rho)) = 1/rho + delta/2 + O(rho)
+    adds delta c2 to the 1/rho term; smooth is eq.potential less both
+    singular terms, which rounds at about eps |c2|/i^2 of diagonal entry i.
     """
     if target == "exact":  # without a Yukawa term, models A and B have no smooth part
         return eq.c2, eq.c1, eq.smooth if eq.b0 or eq.v0 else None
-    c2, c1, d = eq.c2, eq.c1, eq.delta
+    c2, c1 = eq.c2, eq.c1 + eq.delta * eq.c2
 
     def smooth(rho):
-        t = _t_hat(d * rho)
-        return c2 * (2.0 * d * (t - 0.5) / rho + (d * t) ** 2) + c1 * d * t + eq.smooth(rho, "ga")
+        return eq.potential(rho, 0.0, "ga") - c2 / rho**2 - c1 / rho
 
-    return c2, c1 + d * c2, smooth
-
-
-def _t_hat(x):
-    """1/(1 - e^(-x)) - 1/x, the smooth part of the Greene-Aldrich surrogate.
-
-    Tends to 1/2 at 0; the series branch avoids the 0/0 cancellation.
-    """
-    x = np.asarray(x, dtype=float)
-    small = x < 1e-3
-    xs = np.where(small, 1.0, x)
-    direct = (xs + np.expm1(-xs)) / (xs * (-np.expm1(-xs)))
-    series = 0.5 + x / 12.0 - x**3 / 720.0 + x**5 / 30240.0
-    out = np.where(small, series, direct)
-    return out if out.ndim else float(out)
+    return c2, c1, smooth
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +388,6 @@ def _ladder_fit(e1: float, e2: float, e3: float, q: float) -> OracleLevel:
     return OracleLevel((f * r23 - r12) / (f - 1.0), abs(r23 - r12))
 
 
-def _inverse_square(grid: _FVGrid) -> np.ndarray:
-    """Cell integrals of rho^(2p-2) in the units of _FVGrid.mass."""
-    return _powint(grid.edges, 2.0 * grid.p - 2.0) / grid.h
-
-
 def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
     """Level n_rho on the grid ladder n/4, n/2, n (and 2n when needed), n = n_points.
 
@@ -420,7 +405,8 @@ def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
     The fixed point runs on the ladder's first grid, whose first solve is
     the level's one full bisection; if model B has no level there, the
     ladder starts one grid finer. Every finer grid keeps that grid's p and
-    Eg and takes the level of the grid before it as its guess.
+    Eg and takes the level of the grid before it as its guess. Each grid's
+    pencil follows one rule (_split, _FVGrid.weight) for every model.
     """
     eq = reduced_equation(kind, state, params)
     c2, c1, smooth = _split(eq, target)
@@ -433,11 +419,7 @@ def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
     def solve(n: int, u: float, e_g: float, guess=None) -> float:
         grid = _FVGrid.build(0.5 + u, rho_max, n)
         diag, off = grid.operator(c1, smooth)
-        if eta:
-            weight = eta * _inverse_square(grid)
-        else:  # G_i: g rho at the centroid times the cell integral coul_i
-            rho = grid.centroid()
-            weight = grid.coul * rho * eq.mass(rho, target)
+        weight = grid.weight(eq.power, lambda rho: eq.mass(rho, target))
         return e_g + _pencil(diag - et * grid.mass, off, weight, state.n_rho, guess)
 
     def fixed_point(n: int):
@@ -603,6 +585,9 @@ def verify_states(
     measure the approximation error instead. The oracle never sees the
     closed-form level it is compared with.
     """
+    if kind is ModelKind.C and params.delta == 0:
+        raise DomainError("model C at delta = 0 is model A's equation (acceptance "
+                          "criterion 4): verify it with --model a, or take --delta > 0")
     if target is None:
         target = "ga" if kind is ModelKind.C else "exact"
     rows: list[VerifyRow] = []

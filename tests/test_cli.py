@@ -262,10 +262,33 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 2
         assert "verification failed" in captured.err
+        assert "at n_rho=0 m=0" in captured.err
+        assert "oracle-limited" not in captured.err  # abs_err is far beyond oracle_err
         assert "no sign change" not in captured.err
         e_closed, e_oracle = (float(x) for x in lines_of(captured.out)[1].split(",")[2:4])
         assert e_closed == pytest.approx(1.8, rel=1e-12)
         assert e_oracle == pytest.approx(1.5, rel=1e-5)
+
+    def test_oracle_limited_failure_says_so(self, capsys):
+        # state (2, 0) misses the 1e-5 gate with abs_err 3.4e-5, inside its own
+        # oracle_err of 1.1e-4: the message names it and suggests more cells
+        code = run(["verify", "--model", "c", "--mu", "0.15", "--delta", "0.1",
+                    "--nrho-max", "2", "--m-min", "0", "--m-max", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(lines_of(captured.out)) == 4
+        err = captured.err.splitlines()[-1]
+        assert err.startswith("verification failed: worst relative error 2.053e-05")
+        assert "at n_rho=2 m=0" in err
+        assert "oracle-limited" in err and "--n-points" in err
+
+    @pytest.mark.parametrize("target", [[], ["--target", "exact"]], ids=["ga", "exact"])
+    def test_model_c_at_zero_delta_points_to_model_a(self, capsys, target):
+        code = run(["verify", "--model", "c", *target])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "model C at delta = 0 is model A's equation" in captured.err
+        assert "--model a" in captured.err and "--delta > 0" in captured.err
 
     def test_model_a_with_a_potential_is_skipped(self, capsys):
         # was: rows that passed on energy with a residual of 2.6, exit 0

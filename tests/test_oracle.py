@@ -26,7 +26,6 @@ from pdmag.oracle import (
     _CERT_TOL,
     _EIG_TOL,
     _FVGrid,
-    _inverse_square,
     _pencil,
     _split,
     eigh_tridiagonal,
@@ -146,10 +145,21 @@ class TestFVGrid:
         # branch; the latter is infinite in the origin cell
         _, off = grid.operator(0.0)
         assert np.array_equal(off, -1.0 / powint(i, i + 1.0, -2.0 * p)[:-1] / grid.h)
-        with np.errstate(divide="ignore"):
-            assert np.array_equal(
-                _inverse_square(grid), powint(cell_lo, cell_hi, 2.0 * p - 2.0) / grid.h
-            )
+        # model B's weight g = eta/rho^2 is eta times the cell integral of
+        # rho^(2p-2), up to the rounding of rho-bar^2 g(rho-bar)
+        eq_b = reduced_equation(ModelKind.B, QuantumState(0, 1), PhysicalParams(eta=1.3))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weight = grid.weight(2, eq_b.mass)
+            expected = 1.3 * powint(cell_lo, cell_hi, 2.0 * p - 2.0) / grid.h
+        if p == 0.5:  # the origin cell's integral is infinite and its rho-bar is 0
+            assert not (np.isfinite(weight[0]) or np.isfinite(expected[0]))
+            weight, expected = weight[1:], expected[1:]
+        assert np.max(np.abs(weight / expected - 1.0)) <= 1e-14
+        # models A and C (g ~ 1/rho): coul times rho g at the centroid of
+        # rho^(2p-1), bit for bit
+        eq_c = reduced_equation(ModelKind.C, QuantumState(0, 1), PhysicalParams(delta=0.2))
+        rho = grid.h * grid.moment / grid.coul
+        assert np.array_equal(grid.weight(1, eq_c.mass), grid.coul * rho * eq_c.mass(rho))
 
 
 @st.composite
@@ -387,6 +397,33 @@ class TestSplit:
         expected = radial_potential(kind, state, self.PARAMS, E, target=target)(rho)
         scale = np.abs(c2) / rho**2 + np.abs(c1) / rho + 1.0
         assert np.max(np.abs(assembled - expected) / scale) <= 1e-13
+
+    @pytest.mark.parametrize("nodes", ["delta_rho_1e-8_to_50", "h_1e-6"])
+    def test_ga_smooth_part_is_the_expanded_surrogate(self, nodes):
+        # reference: delta/(1 - e^(-delta rho)) = 1/rho + delta t(delta rho)
+        # expanded by hand; the smooth part subtracted from the reduced
+        # equation's potential must equal that expansion to rounding
+        def t_hat(x):  # 1/(1 - e^(-x)) - 1/x, a series below x = 1e-3
+            small = x < 1e-3
+            xs = np.where(small, 1.0, x)
+            direct = (xs + np.expm1(-xs)) / (xs * (-np.expm1(-xs)))
+            series = 0.5 + x / 12.0 - x**3 / 720.0 + x**5 / 30240.0
+            return np.where(small, series, direct)
+
+        eq = reduced_equation(ModelKind.C, QuantumState(1, 2), self.PARAMS)
+        c2, c1, smooth = _split(eq, "ga")
+        d = eq.delta
+        if nodes == "h_1e-6":
+            grid = _FVGrid.build(1.0, 4e-3, 4000)
+            rho = grid.index * grid.h
+        else:
+            rho = np.geomspace(1e-8, 50.0, 400) / d
+        t = t_hat(d * rho)
+        expanded = eq.c2 * (2.0 * d * (t - 0.5) / rho + (d * t) ** 2) + eq.c1 * d * t
+        expanded = expanded + eq.smooth(rho, "ga")
+        assert (c2, c1) == (eq.c2, eq.c1 + d * eq.c2)
+        scale = np.abs(c2) / rho**2 + np.abs(c1) / rho + 1.0
+        assert np.max(np.abs(smooth(rho) - expanded) / scale) <= 1e-12
 
     def test_model_a_with_a_potential_is_model_c_at_zero_delta(self):
         # at delta = 0 the two profiles coincide, V included; the oracle used
@@ -690,3 +727,10 @@ class TestVerifyStates:
         assert skipped == []
         assert rows[0].abs_err <= 1e-6 * max(1.0, abs(rows[0].e_closed))
         assert rows[0].residual <= 1e-6
+
+    @pytest.mark.parametrize("target", [None, "exact"])
+    def test_model_c_at_zero_delta_names_model_a(self, unit_params, target):
+        # the default 'ga' target used to fail with "requires delta > 0" and
+        # 'exact' with the wavefunction's error; both now name the condition
+        with pytest.raises(DomainError, match="model C at delta = 0 is model A's equation"):
+            verify_states(ModelKind.C, [QuantumState(0, 0)], unit_params, target=target)
