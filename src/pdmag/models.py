@@ -46,6 +46,7 @@ __all__ = [
     "reason_text",
     "SWEEPABLE",
     "wavefunction",
+    "curvature",
 ]
 
 # The fields a parameter axis (level_axis, and the sweeps built on it) may vary.
@@ -426,16 +427,57 @@ def level_axis(kind: ModelKind, state: QuantumState, params: PhysicalParams, nam
 
 
 class _ClosedForm(NamedTuple):
-    """One closed-form radial function, up to its norm.
+    """One closed-form radial function U = A(rho) P(z(rho)), up to its norm.
 
-    u(rho) is the reduced function U and R = sqrt(eta) e^(-tail rho) U / rho^r_power;
-    norm holds the arguments of specfun.normalize for the integral of U^2.
+    factor(rho) gives A and z, and poly(z, k) the polynomial P with its
+    first k derivatives in z. slopes(rho) gives g = (ln A)', g', z' and z'',
+    so U'' is exact (curvature). U decays like e^(-decay rho) times a power
+    of rho, and R = sqrt(eta) e^(-tail rho) U / rho^r_power; norm holds the
+    arguments of specfun.normalize for the integral of U^2.
     """
 
-    u: Callable
+    factor: Callable
+    slopes: Callable
+    poly: Callable
     r_power: float
     tail: float
+    decay: float
     norm: tuple
+
+    def u(self, rho):
+        a, z = self.factor(rho)
+        return a * self.poly(z, 0)[0]
+
+    def curvature(self, rho):
+        """U and U'' = A [(g^2 + g') P + (2 g z' + z'') P' + z'^2 P''] at rho."""
+        a, z = self.factor(rho)
+        g, dg, dz, ddz = self.slopes(rho)
+        p0, p1, p2 = self.poly(z, 2)
+        return a * p0, a * ((g * g + dg) * p0 + (2.0 * g * dz + ddz) * p1 + dz * dz * p2)
+
+
+def _laguerre_poly(n: int, a: float):
+    """L_n^a and its derivatives, d^j/dz^j L_n^a = (-1)^j L_(n-j)^(a+j) (DLMF 18.9.23)."""
+
+    def poly(z, k: int):
+        return [(-1.0) ** j * laguerre(n - j, a + j, z) if j <= n else 0.0 for j in range(k + 1)]
+
+    return poly
+
+
+def _jacobi_poly(n: int, kappa: float, upsilon: float):
+    """P_n^(kappa,upsilon) and its derivatives, d^j/dz^j P_n = c_j
+    P_(n-j)^(kappa+j,upsilon+j) with c_j the product of (n + kappa + upsilon + i)/2
+    over i = 1..j (DLMF 18.9.15)."""
+
+    def poly(z, k: int):
+        out, c = [], 1.0
+        for j in range(k + 1):
+            out.append(c * jacobi(n - j, kappa + j, upsilon + j, z) if j <= n else 0.0)
+            c *= 0.5 * (n + kappa + upsilon + j + 1.0)
+        return out
+
+    return poly
 
 
 def _laguerre_form(state: QuantumState, s: float, ell: float, r_power: float) -> _ClosedForm:
@@ -444,10 +486,14 @@ def _laguerre_form(state: QuantumState, s: float, ell: float, r_power: float) ->
     'laguerre' integral."""
     n, p, a = state.n_rho, ell + 0.5, 2.0 * ell
 
-    def u(rho):
-        return rho**p * np.exp(-s * rho) * laguerre(n, a, 2.0 * s * rho)
+    def factor(rho):
+        return rho**p * np.exp(-s * rho), 2.0 * s * rho
 
-    return _ClosedForm(u, r_power, 0.0, ("laguerre", n, a, 0.0, -(a + 2.0) * math.log(2.0 * s)))
+    def slopes(rho):
+        return p / rho - s, -p / rho**2, 2.0 * s, 0.0
+
+    norm = ("laguerre", n, a, 0.0, -(a + 2.0) * math.log(2.0 * s))
+    return _ClosedForm(factor, slopes, _laguerre_poly(n, a), r_power, 0.0, s, norm)
 
 
 def _model_a_form(state: QuantumState, params: PhysicalParams, form: str) -> _ClosedForm:
@@ -469,8 +515,9 @@ def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _Cl
     factor delta^((1+upsilon)/2) so the two forms agree as delta rho -> 0;
     form 'xi': U = xi^(kappa/2) (1-xi)^((1+upsilon)/2) P_n^(kappa,upsilon)(1-2xi),
     xi = e^(-delta rho), which solves the approximated equation exactly.
-    R = sqrt(eta) e^(-delta rho/2) U / rho for either form; in x = delta rho,
-    int U^2 drho = 1/delta times the integral named by the form."""
+    R = sqrt(eta) e^(-delta rho/2) U / rho for either form, and U decays
+    like e^(-delta kappa rho/2); in x = delta rho, int U^2 drho = 1/delta
+    times the integral named by the form."""
     if params.delta <= 0:
         raise DomainError(
             "model C wavefunction needs delta > 0; at delta = 0 use model A reduction"
@@ -479,15 +526,26 @@ def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _Cl
     n, d, kappa, upsilon = state.n_rho, params.delta, nu_c.kappa, nu_c.upsilon
     p = 0.5 * (1.0 + upsilon)
 
-    def u(rho):
+    def factor(rho):
         xi = np.exp(-d * rho)
-        poly = jacobi(n, kappa, upsilon, 1.0 - 2.0 * xi)
         if form == "xi":
-            return xi ** (kappa / 2.0) * (-np.expm1(-d * rho)) ** p * poly
-        # np.float64 overflows to inf (a DomainError below), a float raises OverflowError
-        return np.float64(d) ** p * rho**p * np.exp(-d * kappa * rho / 2.0) * poly
+            a = xi ** (kappa / 2.0) * (-np.expm1(-d * rho)) ** p
+        else:  # np.float64 overflows to inf (a DomainError below), a float raises OverflowError
+            a = np.float64(d) ** p * rho**p * np.exp(-d * kappa * rho / 2.0)
+        return a, 1.0 - 2.0 * xi
 
-    return _ClosedForm(u, 1.0, d / 2.0, (form, n, kappa, upsilon, -math.log(d)))
+    def slopes(rho):
+        xi = np.exp(-d * rho)
+        if form == "xi":
+            q = 1.0 / np.expm1(d * rho)  # xi / (1 - xi)
+            g, dg = p * d * q - d * kappa / 2.0, -p * d * d * q * (1.0 + q)
+        else:
+            g, dg = p / rho - d * kappa / 2.0, -p / rho**2
+        return g, dg, 2.0 * d * xi, -2.0 * d * d * xi
+
+    poly = _jacobi_poly(n, kappa, upsilon)
+    return _ClosedForm(factor, slopes, poly, 1.0, d / 2.0, d * kappa / 2.0,
+                       (form, n, kappa, upsilon, -math.log(d)))
 
 
 _CLOSED_FORMS = {ModelKind.A: _model_a_form, ModelKind.B: _model_b_form, ModelKind.C: _model_c_form}
@@ -496,6 +554,24 @@ _CLOSED_FORMS = {ModelKind.A: _model_a_form, ModelKind.B: _model_b_form, ModelKi
 @lru_cache(maxsize=512)
 def _norm(kind: ModelKind, state: QuantumState, params: PhysicalParams, form: str) -> float:
     return normalize(*_CLOSED_FORMS[kind](state, params, form).norm)
+
+
+def _closed_form(kind: ModelKind, state: QuantumState, params: PhysicalParams, form: str):
+    if form not in ("paper", "xi"):
+        raise DomainError(f"form must be 'paper' or 'xi', got {form!r}")
+    if form != "paper" and kind is not ModelKind.C:
+        raise DomainError(f"form {form!r} applies to model C only")
+    return _CLOSED_FORMS[kind](state, params, form)
+
+
+def _peak(out) -> float:
+    """max|out| of a normalized table, which must be finite and not 0 at every rho."""
+    peak = np.max(np.abs(out), initial=0.0)  # nan or inf if any value is
+    if not peak < math.inf:
+        raise DomainError("normalized wavefunction is not finite: a parameter is too large")
+    if peak == 0 and np.size(out) > 1:  # a table, not one point far in the tail
+        raise DomainError("normalized wavefunction table underflows to 0 at every rho")
+    return peak
 
 
 def wavefunction(
@@ -517,11 +593,7 @@ def wavefunction(
     table that is 0 at every rho (a state too narrow for double
     precision), is a DomainError.
     """
-    if form not in ("paper", "xi"):
-        raise DomainError(f"form must be 'paper' or 'xi', got {form!r}")
-    if form != "paper" and kind is not ModelKind.C:
-        raise DomainError(f"form {form!r} applies to model C only")
-    closed = _CLOSED_FORMS[kind](state, params, form)
+    closed = _closed_form(kind, state, params, form)
     if component not in ("R", "U"):
         raise DomainError(f"component must be 'R' or 'U', got {component!r}")
     rho_arr = _positive(rho)
@@ -533,12 +605,58 @@ def wavefunction(
         else:
             tail = np.exp(-closed.tail * rho_arr) if closed.tail else 1.0
             out = scale * math.sqrt(params.eta) * tail * u / rho_arr**closed.r_power
-    peak = np.max(np.abs(out), initial=0.0)  # nan or inf if any value is
-    if not peak < math.inf:
-        raise DomainError("normalized wavefunction is not finite: a parameter is too large")
-    if peak == 0 and np.size(out) > 1:  # a table, not one point far in the tail
-        raise DomainError("normalized wavefunction table underflows to 0 at every rho")
+    _peak(out)
     return out if np.ndim(rho) else float(out)
+
+
+# The window where a closed form is checked: _CHECK_SIZE points from
+# _CHECK_LO to at least _CHECK_HI, and on until U is at most _CHECK_TAIL
+# times its peak. Every _PROBE_STRIDE-th point finds how far that is.
+_CHECK_LO, _CHECK_HI, _CHECK_SIZE, _CHECK_TAIL, _PROBE_STRIDE = 0.05, 30.0, 4000, 1e-12, 16
+
+
+def _check_window(closed: _ClosedForm) -> np.ndarray:
+    """The check window of a closed form, [0.05, hi] on _CHECK_SIZE points.
+
+    hi starts at the larger of 30 and ln(1/_CHECK_TAIL)/r, with r the
+    form's own decay rate, and moves out by (ln(|U(hi)| / (_CHECK_TAIL
+    max|U|)) + 1)/r until U has fallen to _CHECK_TAIL of its peak there.
+    The test evaluates U on every _PROBE_STRIDE-th point counted back from
+    hi, whose max|U| is at most the window's, so it holds on the window.
+    """
+    r = closed.decay
+    hi = max(_CHECK_HI, -math.log(_CHECK_TAIL) / r)
+    while True:
+        x = np.linspace(_CHECK_LO, hi, _CHECK_SIZE)
+        with np.errstate(all="ignore"):  # a table that is not finite is rejected later
+            u = np.abs(closed.u(x[::-_PROBE_STRIDE]))
+            tail = u[0] / np.max(u)
+        if not tail > _CHECK_TAIL:  # also nan: a table of zeros or of inf
+            return x
+        hi += (math.log(tail / _CHECK_TAIL) + 1.0) / r
+
+
+def curvature(kind: ModelKind, state: QuantumState, params: PhysicalParams, rho=None, *,
+              form: str = "paper"):
+    """(rho, U, U'') of the unit-norm reduced function, with U'' exact.
+
+    U'' comes from the derivative identities of the form's polynomial, so
+    -U'' + (W - Et) U is zero to rounding wherever U solves its equation.
+    rho defaults to the check window (_check_window), whose end comes from
+    the form's own decay rate: s for models A and B, delta kappa/2 for C.
+    Errors as in wavefunction.
+    """
+    closed = _closed_form(kind, state, params, form)
+    # A check evaluates each state once, so its norm bypasses _norm's cache;
+    # normalize also rejects a form that does not decay, before the window.
+    scale = normalize(*closed.norm)
+    x = _check_window(closed) if rho is None else _positive(rho)
+    with np.errstate(all="ignore"):  # checked below
+        u, upp = closed.curvature(x)
+        u, upp = scale * u, scale * upp
+    _peak(u)
+    _peak(upp)
+    return x, u, upp
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ cells is solved and one Richardson step on n and 2n gives the level and
 its error, |E_2n - E_n|/3. A level's first eigensolve is a Sturm
 bisection. Every later one runs Rayleigh-quotient iteration from the
 level it expects (the grid before's, or model B's last trial energy) and
-keeps the result only when two Sturm counts certify it as the wanted
-eigenvalue to _CERT_TOL; otherwise it falls back to the bisection.
+keeps the result only when a Sturm count on either side certifies it as
+the wanted eigenvalue to _CERT_TOL; one pass of LAPACK's dlarrc gives both
+counts. Otherwise it falls back to the bisection.
 
 The physics lives in models.reduced_equation alone: W0's coefficients
 c2 and c1, its potential (for either target) and the mass profile g. The
@@ -41,10 +42,16 @@ c2(Eg)/rho^2, the weight eta/rho^2 carries the rest, and the eigenvalue
 is E - Eg. Starting at p = 1 and moving Eg to each new E until the step
 is at most _FIXED_POINT_TOL takes about five eigensolves, all on the
 ladder's first grid; the finer grids keep its p.
+
+verify_states checks each closed form on its own, apart from the oracle:
+models.curvature evaluates U and its exact U'' once on the form's check
+window, residual measures -U'' + (W - Et) U on it, and node_count counts
+the sign changes of the same U.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,9 +64,10 @@ from .models import (
     ModelKind,
     ReducedEquation,
     _positive,
+    curvature as closed_form_curvature,
     energy as closed_form_energy,
     reduced_equation,
-    wavefunction as closed_form_wavefunction,
+    wavefunction as closed_form_wavefunction,  # noqa: F401 - hooked by name in perfbench/spans.py
 )
 from .params import PhysicalParams, QuantumState, e_tilde, m_tilde
 
@@ -93,11 +101,6 @@ _FIXED_POINT_TOL = 1e-8
 # The grid ladder stops at n_points cells once its two Richardson values
 # agree to this, relative to max(1, |E|); otherwise it solves 2 n_points.
 _LADDER_TOL = 1e-6
-
-# The rho points at which residual and verify_states' node count check a
-# closed form.
-_CHECK_POINTS = np.linspace(0.05, 30.0, 4000)
-_CHECK_POINTS.flags.writeable = False
 
 
 def _eval_potential(potential, x: np.ndarray) -> np.ndarray:
@@ -250,13 +253,12 @@ def eigh_tridiagonal(d, e, index: int, guess=None):
 
     Without a guess, LAPACK's dstebz bisects the whole Gershgorin interval
     to _EIG_TOL. With one, Rayleigh-quotient iteration from the guess
-    (_rayleigh_quotient) gives sigma, returned only when two Sturm counts
-    certify it: dstebz over (-inf, t] with an infinite tolerance, so that
-    no bisection step runs, finds exactly `index` eigenvalues at or below
-    sigma - h and index + 1 at or below sigma + h, h = _CERT_TOL
-    max(1, |sigma|), so the wanted eigenvalue lies within h of sigma. Any
-    other outcome falls back to the bisection: a guess changes the cost,
-    never which eigenvalue is returned.
+    (_rayleigh_quotient) gives sigma, returned only when a two-sided Sturm
+    count certifies it: one pass of LAPACK's dlarrc (_sturm_counts) finds
+    exactly `index` eigenvalues at or below sigma - h and index + 1 at or
+    below sigma + h, h = _CERT_TOL max(1, |sigma|), so the wanted
+    eigenvalue lies within h of sigma. Any other outcome falls back to the
+    bisection: a guess changes the cost, never which eigenvalue is returned.
 
     scipy.linalg is loaded on the first call, so importing pdmag loads numpy
     alone. _pencil looks this name up at call time, so it can be replaced on
@@ -269,9 +271,7 @@ def eigh_tridiagonal(d, e, index: int, guess=None):
     if guess is not None:
         sigma = _rayleigh_quotient(lapack, d, e, guess)
         h = _CERT_TOL * max(1.0, abs(sigma))
-        if math.isfinite(sigma) and (
-            _count(lapack, d, e, sigma - h) == index and _count(lapack, d, e, sigma + h) == index + 1
-        ):
+        if math.isfinite(sigma) and _sturm_counts(d, e, sigma - h, sigma + h) == (index, index + 1):
             return sigma
     # range 2 selects by index, 1-based, from il = index + 1 to iu = index + 1
     _, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, index + 1, index + 1, _EIG_TOL, "E")
@@ -307,11 +307,44 @@ def _rayleigh_quotient(lapack, d, e, guess: float) -> float:
     return math.nan
 
 
-def _count(lapack, d, e, t: float) -> int:
-    """Sturm count: the number of eigenvalues at or below t, -1 on failure."""
-    # range 1 selects by value, over (vl, vu] = (-inf, t]
-    m, *_, info = lapack.dstebz(d, e, 1, -np.inf, t, 0, 0, np.inf, "E")
-    return -1 if info else m
+@functools.cache
+def _dlarrc():
+    """LAPACK's dlarrc, which scipy.linalg.lapack does not wrap, bound once
+    by ctypes from the function table of scipy.linalg.cython_lapack."""
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dlarrc"]
+    api, obj, char_p, void_p = ctypes.pythonapi, ctypes.py_object, ctypes.c_char_p, ctypes.c_void_p
+    name = ctypes.PYFUNCTYPE(char_p, obj)(("PyCapsule_GetName", api))(capsule)
+    address = ctypes.PYFUNCTYPE(void_p, obj, char_p)(("PyCapsule_GetPointer", api))(capsule, name)
+    int_p, double_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    # (jobt, n, vl, vu, d, e, pivmin, eigcnt, lcnt, rcnt, info)
+    return ctypes.CFUNCTYPE(None, char_p, int_p, double_p, double_p, void_p, void_p, double_p,
+                            int_p, int_p, int_p, int_p)(address)
+
+
+def _sturm_counts(d, e, lo: float, hi: float) -> tuple[int, int]:
+    """The numbers of eigenvalues at or below lo and at or below hi, from
+    one pass of dlarrc over the two Sturm sequences of (d, e).
+
+    dlarrc's tridiagonal count has no pivot guard: a pivot of exactly +0
+    counts itself and turns the next into -inf, so a point t that makes
+    one (for instance t equal to a diagonal entry whose couplings are below
+    its ulp) counts one eigenvalue too many.
+    """
+    import ctypes
+
+    d = np.ascontiguousarray(d, dtype=float)
+    e = np.ascontiguousarray(e, dtype=float)
+    if e.size < d.size - 1:  # dlarrc reads n - 1 off-diagonal entries
+        raise ValueError(f"{d.size} diagonal entries need {d.size - 1} off-diagonal ones, "
+                         f"got {e.size}")
+    counts = [ctypes.c_int() for _ in range(4)]  # eigcnt, lcnt, rcnt, info
+    _dlarrc()(b"T", ctypes.c_int(len(d)), ctypes.c_double(lo), ctypes.c_double(hi), d.ctypes.data,
+              e.ctypes.data, ctypes.c_double(0.0), *counts)
+    return counts[1].value, counts[2].value
 
 
 def _pencil(diag, off, weight, index: int, guess=None):
@@ -515,28 +548,17 @@ def oracle_energy(
 # ---------------------------------------------------------------------------
 
 
-def residual(f, potential, e_tilde_target: float, rho_points=_CHECK_POINTS) -> float:
-    """Max-norm residual of -U'' + W U - Et U, scaled by max|U|.
+def residual(u, u_second, w, e_tilde_target: float) -> float:
+    """Max-norm residual of -U'' + (W - Et) U, scaled by max|U|.
 
-    f is checked pointwise with five-point fourth-order stencils at a
-    relative step of 1e-3, on rho_points (default: 4000 points spanning
-    [0.05, 30]).
+    u, u_second and w are U, its second derivative and W on the same
+    points. With the exact U'' of models.curvature the residual of a
+    correct closed form is rounding, about 1e-13, and a wrong exponent or
+    coefficient shows up in proportion to its error.
     """
-    x = np.asarray(rho_points, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("rho_points must be positive")
-    h = 1e-3 * x
-    u0 = np.asarray(f(x), dtype=float)
-    upp = (
-        -np.asarray(f(x - 2 * h), dtype=float)
-        + 16.0 * np.asarray(f(x - h), dtype=float)
-        - 30.0 * u0
-        + 16.0 * np.asarray(f(x + h), dtype=float)
-        - np.asarray(f(x + 2 * h), dtype=float)
-    ) / (12.0 * h**2)
-    w = _eval_potential(potential, x)
-    res = -upp + (w - e_tilde_target) * u0
-    return float(np.max(np.abs(res)) / np.max(np.abs(u0)))
+    u = np.asarray(u, dtype=float)
+    res = -np.asarray(u_second, dtype=float) + (np.asarray(w, dtype=float) - e_tilde_target) * u
+    return float(np.max(np.abs(res)) / np.max(np.abs(u)))
 
 
 def node_count(f) -> int:
@@ -601,16 +623,11 @@ def verify_states(
         e_oracle, oracle_err = oracle_energy(
             kind, state, params, n_points=n_points, target=target
         )
-        wf_kwargs = {"component": "U"}
-        if kind is ModelKind.C:
-            wf_kwargs["form"] = "xi"
-
-        def u(rho, _state=state, _kw=wf_kwargs):
-            return closed_form_wavefunction(kind, _state, params, rho, **_kw)
-
-        w = radial_potential(kind, state, params, e_closed, target=target)
-        res = residual(u, w, e_tilde(params))
-        nodes = node_count(np.asarray(u(_CHECK_POINTS)))
+        form = "xi" if kind is ModelKind.C else "paper"
+        rho, u, upp = closed_form_curvature(kind, state, params, form=form)
+        w = _eval_potential(radial_potential(kind, state, params, e_closed, target=target), rho)
+        res = residual(u, upp, w, e_tilde(params))
+        nodes = node_count(u)
         rows.append(
             VerifyRow(
                 state=state,

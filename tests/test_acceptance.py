@@ -18,10 +18,10 @@ from pdmag.errors import DomainError
 from pdmag.fields import magnetic_field, shape_function, verify_curl
 from pdmag.models import (
     ModelKind,
+    curvature,
     energy,
     greene_aldrich,
     model_c_coefficients,
-    wavefunction,
 )
 from pdmag.nu import NUCoefficients, k_minus, lambda_n, lambda_of, nu_quantize, tau_prime
 from pdmag.oracle import node_count, oracle_energy, radial_potential, residual
@@ -179,19 +179,16 @@ def test_criterion_6_wavefunction_residuals_and_nodes():
         (ModelKind.B, PhysicalParams(), 6, "exact", {}),
         (ModelKind.C, FIG9_LIKE.replace(delta=0.1), 1, "ga", {"form": "xi"}),
     )
-    grid = np.linspace(0.05, 30.0, 4000)
     for kind, params, m, target, extra in cases:
         for n in range(6):
             state = QuantumState(n, m)
-
-            def u(rho):
-                return wavefunction(kind, state, params, rho, component="U", **extra)
-
+            # U and its exact U'' on the closed form's own check window
+            rho, u, upp = curvature(kind, state, params, **extra)
             closed = energy(kind, state, params)
-            w = radial_potential(kind, state, params, closed, target=target)
-            res = residual(u, w, e_tilde(params), rho_points=grid)
+            w = radial_potential(kind, state, params, closed, target=target)(rho)
+            res = residual(u, upp, w, e_tilde(params))
             assert res <= 1e-6, (kind, n, res)
-            assert node_count(np.asarray(u(grid))) == n, (kind, n)
+            assert node_count(u) == n, (kind, n)
     print("CRITERION 6: PASS (3 models x n_rho 0..5)")
 
 

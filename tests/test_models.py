@@ -17,6 +17,7 @@ from pdmag.models import (
     _CLOSED_FORMS,
     Invalid,
     ModelKind,
+    curvature,
     energy,
     greene_aldrich,
     level_axis,
@@ -462,6 +463,60 @@ class TestExactNorms:
 
         integral = quad(u2, 0.0, np.inf, limit=1000, epsabs=0.0, epsrel=1e-12)[0]
         assert abs(integral - 1.0) <= 1e-9
+
+
+CURVATURE_CASES = [
+    (ModelKind.A, (2, -1), dict(kz=0.4, beta=-0.5), "paper"),
+    (ModelKind.B, (3, 2), dict(beta=-2.718, kz=0.191, alpha_ab=-0.164, eta=0.806, mu=1.719),
+     "paper"),
+    (ModelKind.C, (3, 0), dict(delta=0.268, mu=0.385), "xi"),
+    (ModelKind.C, (2, 1), dict(delta=0.05, mu=0.3), "paper"),
+]
+
+
+class TestCurvature:
+    """models.curvature: U from the same assembly as wavefunction, U'' from
+    the polynomial's derivative identities, on the closed form's own window."""
+
+    @pytest.mark.parametrize("kind, state, params, form", CURVATURE_CASES,
+                             ids=["A", "B", "C-xi", "C-paper"])
+    def test_u_is_the_wavefunction_and_u_second_its_curvature(self, kind, state, params, form):
+        params, state = PhysicalParams(**params), QuantumState(*state)
+        rho, u, upp = curvature(kind, state, params, form=form)
+        assert np.array_equal(u, wavefunction(kind, state, params, rho, form=form, component="U"))
+        # a five-point stencil of the wavefunction, accurate to about 1e-7 of max|U''|
+        x = rho[(rho > 0.5) & (rho < 20.0)]
+        h = 1e-3 * x
+
+        def f(r):
+            return wavefunction(kind, state, params, r, form=form, component="U")
+
+        stencil = (-f(x - 2 * h) + 16 * f(x - h) - 30 * f(x) + 16 * f(x + h) - f(x + 2 * h)) / (
+            12 * h * h)
+        _, _, exact = curvature(kind, state, params, x, form=form)
+        assert np.max(np.abs(exact - stencil)) <= 1e-6 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("kind, state, params, form", CURVATURE_CASES,
+                             ids=["A", "B", "C-xi", "C-paper"])
+    def test_window_ends_in_the_tail(self, kind, state, params, form):
+        params, state = PhysicalParams(**params), QuantumState(*state)
+        rho, u, _ = curvature(kind, state, params, form=form)
+        assert rho.size == 4000 and rho[0] == 0.05 and rho[-1] >= 30.0
+        assert abs(u[-1]) <= 1e-12 * np.max(np.abs(u))
+
+    def test_fast_tail_keeps_the_window_at_30(self):
+        # s = 3: U(30) is far below 1e-12 of its peak already
+        rho, _, _ = curvature(ModelKind.A, QuantumState(0, 0), PhysicalParams(mu=3.0))
+        assert rho[-1] == 30.0
+
+    def test_slow_tail_moves_the_window_out(self):
+        # C (3, 3) at mu = 0.15, delta = 0.05: U decays like e^(-0.025 rho)
+        # and is still 0.4 of its peak at rho = 30
+        state, params = QuantumState(3, 3), PhysicalParams(mu=0.15, delta=0.05)
+        rho, u, _ = curvature(ModelKind.C, state, params, form="xi")
+        assert rho[-1] > 1000.0
+        u30 = wavefunction(ModelKind.C, state, params, 30.0, form="xi", component="U")
+        assert abs(u30) >= 0.3 * np.max(np.abs(u))
 
 
 class TestLevelAxis:

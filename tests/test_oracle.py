@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pdmag import models
 from pdmag.errors import BoundStateError, DomainError
 from pdmag.models import (
     ModelKind,
+    curvature,
     energy,
     reduced_equation,
     wavefunction,
@@ -28,6 +30,7 @@ from pdmag.oracle import (
     _FVGrid,
     _pencil,
     _split,
+    _sturm_counts,
     eigh_tridiagonal,
     node_count,
     oracle_energy,
@@ -265,6 +268,107 @@ class TestGuessedEigensolve:
         bisected = [oracle_energy(k, s, p, target=t).energy for k, s, p, t in levels]
         for level, g, b in zip(levels, guessed, bisected):
             assert abs(g - b) <= 2 * _CERT_TOL * max(1.0, abs(b)), level
+
+
+@st.composite
+def count_problems(draw):
+    """A random Jacobi matrix, plain or graded (entries from 1e-12 to 1e15
+    in size), and two points lo <= hi, each an eigenvalue, one ulp below or
+    above one, or halfway to the next."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    n = draw(st.integers(min_value=2, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        d = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-12.0, 15.0, n)
+        e = -(10.0 ** rng.uniform(-12.0, 15.0, n - 1))
+    else:
+        d = rng.uniform(-5.0, 5.0, n)
+        e = -rng.uniform(0.1, 5.0, n - 1)
+    lam = eigvalsh_tridiagonal(d, e)  # ascending
+
+    def point():
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        where = draw(st.sampled_from(["at", "ulp_below", "ulp_above", "halfway"]))
+        if where == "halfway":
+            return 0.5 * (lam[k] + lam[k + 1]) if k + 1 < n else lam[k] + 1.0
+        return {"at": lam[k], "ulp_below": np.nextafter(lam[k], -np.inf),
+                "ulp_above": np.nextafter(lam[k], np.inf)}[where]
+
+    lo, hi = sorted((point(), point()))
+    return d, e, lam, lo, hi
+
+
+def stebz_count(d, e, t):
+    """dstebz's Sturm count over (-inf, t], the count the certificate used before."""
+    from scipy.linalg import lapack
+
+    m, *_, info = lapack.dstebz(d, e, 1, -np.inf, t, 0, 0, np.inf, "E")
+    assert info == 0
+    return m
+
+
+def zero_pivots(d, e, t):
+    """How many pivots of dlarrc's recurrence (d_i - t) - e_(i-1)^2/p_(i-1)
+    are exactly +0; each one counts an eigenvalue twice."""
+    zeros, p = 0, np.float64(d[0]) - t
+    with np.errstate(divide="ignore"):
+        for i in range(len(d)):
+            if i:
+                p = (np.float64(d[i]) - t) - np.float64(e[i - 1]) ** 2 / p
+            zeros += p == 0
+    return zeros
+
+
+class TestSturmCounts:
+    """_sturm_counts, the one dlarrc pass behind the certificate, against
+    dstebz's counts."""
+
+    @given(problem=count_problems())
+    def test_counts_equal_dstebz_outside_the_rounding_band(self, problem):
+        # Away from every eigenvalue by more than the rounding band delta,
+        # both counts are exact, so they are equal. Within the band the count
+        # depends on the order of the operations: dlarrc's lies between the
+        # exact counts at t -/+ delta, plus one for each pivot of exactly +0.
+        d, e, lam, lo, hi = problem
+        counts = _sturm_counts(d, e, lo, hi)
+        for t, count in zip((lo, hi), counts):
+            delta = 8.0 * np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)) + abs(t))
+            below, within = np.sum(lam <= t - delta), np.sum(lam <= t + delta)
+            if below == within:
+                assert count == stebz_count(d, e, t) == below
+            else:
+                assert below <= count <= within + zero_pivots(d, e, t)
+
+    def test_short_off_diagonal_is_rejected(self):
+        # dlarrc would read past the end of e
+        with pytest.raises(ValueError, match="off-diagonal"):
+            _sturm_counts(np.ones(4), -np.ones(2), 0.0, 1.0)
+
+    def test_counts_on_the_oracles_pencils(self, monkeypatch):
+        # every eigenproblem the oracle solves for three levels of each model,
+        # on grids of 1000 to 8000 cells, counted at its certificate points
+        import pdmag.oracle
+
+        problems = []
+        solve = pdmag.oracle.eigh_tridiagonal
+
+        def record(d, e, index, guess=None):
+            sigma = solve(d, e, index, guess)
+            problems.append((d, e, sigma))
+            return sigma
+
+        monkeypatch.setattr(pdmag.oracle, "eigh_tridiagonal", record)
+        for n_points in (4000, 8000):
+            oracle_energy(ModelKind.A, QuantumState(1, 1), PhysicalParams(), n_points=n_points)
+            oracle_energy(ModelKind.B, QuantumState(0, 2), PhysicalParams(kz=1.0), n_points=n_points)
+            oracle_energy(ModelKind.C, QuantumState(1, 1), PhysicalParams(mu=0.15, delta=0.1),
+                          n_points=n_points, target="ga")
+        assert {len(d) for d, _, _ in problems} >= {1000, 2000, 4000, 8000}
+        for d, e, sigma in problems:
+            h = _CERT_TOL * max(1.0, abs(sigma))
+            assert _sturm_counts(d, e, sigma - h, sigma + h) == (
+                stebz_count(d, e, sigma - h), stebz_count(d, e, sigma + h))
 
 
 def criterion_levels():
@@ -652,32 +756,76 @@ class TestOracleEnergy:
         assert level.energy == pytest.approx(closed, rel=1e-5)
 
 
+# The sets of acceptance criterion 6: (kind, params, m, target, form).
+CRITERION_6_SETS = (
+    (ModelKind.A, PhysicalParams(), 1, "exact", "paper"),
+    (ModelKind.B, PhysicalParams(), 6, "exact", "paper"),
+    (ModelKind.C, PhysicalParams(mu=0.15, delta=0.1), 1, "ga", "xi"),
+)
+
+
+def closed_form_residual(kind, state, params, target="exact", form="paper", shift=0.0):
+    """residual of the closed form on its check window, against Et + shift."""
+    rho, u, upp = curvature(kind, state, params, form=form)
+    w = radial_potential(kind, state, params, energy(kind, state, params), target=target)(rho)
+    return residual(u, upp, w, e_tilde(params) + shift)
+
+
+def power_moved(build, eps):
+    """The closed-form builder `build` with the power of U at the origin,
+    rho^p (models A and B) or (1 - xi)^p (model C), moved to p + eps. U''
+    stays exact for the moved U."""
+
+    def moved(state, params, form):
+        closed, d = build(state, params, form), params.delta
+
+        def lift(rho):  # the extra factor f, (ln f)' and (ln f)''
+            if not d:
+                return rho**eps, eps / rho, -eps / rho**2
+            q = 1.0 / np.expm1(d * rho)
+            return (-np.expm1(-d * rho)) ** eps, eps * d * q, -eps * d * d * q * (1.0 + q)
+
+        def factor(rho):
+            a, z = closed.factor(rho)
+            return a * lift(rho)[0], z
+
+        def slopes(rho):
+            g, dg, dz, ddz = closed.slopes(rho)
+            _, lg, ldg = lift(rho)
+            return g + lg, dg + ldg, dz, ddz
+
+        return closed._replace(factor=factor, slopes=slopes)
+
+    return moved
+
+
 class TestResidual:
-    def test_closed_form_callable_route(self, unit_params):
-        state = QuantumState(1, 1)
-        E = energy(ModelKind.A, state, unit_params)
-        w = radial_potential(ModelKind.A, state, unit_params, E)
-
-        def u(rho):
-            return wavefunction(ModelKind.A, state, unit_params, rho, component="U")
-
-        assert residual(u, w, e_tilde(unit_params)) <= 1e-6
+    def test_closed_form_curvature_route(self, unit_params):
+        # U and U'' from models.curvature, W from radial_potential
+        assert closed_form_residual(ModelKind.A, QuantumState(1, 1), unit_params) <= 1e-12
 
     def test_shifted_target_shows_up_linearly(self, unit_params):
-        # with the exact U, replacing Et by Et + 0.1 leaves exactly -0.1 U,
-        # so the scaled max-norm residual is 0.1
+        # with the exact U and U'', replacing Et by Et + 0.1 leaves exactly
+        # -0.1 U, so the scaled max-norm residual is 0.1 up to rounding
         state = QuantumState(0, 1)
-        E = energy(ModelKind.A, state, unit_params)
-        w = radial_potential(ModelKind.A, state, unit_params, E)
-
-        def u(rho):
-            return wavefunction(ModelKind.A, state, unit_params, rho, component="U")
-
-        assert residual(u, w, e_tilde(unit_params) + 0.1) == pytest.approx(0.1, rel=1e-4)
+        res = closed_form_residual(ModelKind.A, state, unit_params, shift=0.1)
+        assert res == pytest.approx(0.1, rel=1e-12)
 
     def test_custom_points_must_be_positive(self, unit_params):
         with pytest.raises(DomainError, match="positive"):
-            residual(lambda r: r, lambda r: r, -1.0, rho_points=np.array([-1.0, 1.0]))
+            curvature(ModelKind.A, QuantumState(0, 0), unit_params, np.array([-1.0, 1.0]))
+
+    @pytest.mark.parametrize("kind, params, m, target, form", CRITERION_6_SETS,
+                             ids=["A", "B", "C"])
+    def test_a_moved_exponent_shows_up(self, monkeypatch, kind, params, m, target, form):
+        # correct closed forms read rounding; one exponent moved by 1e-8
+        # reads at least 1e-9, below the 1e-8 floor of a five-point stencil
+        states = [QuantumState(n, m) for n in range(6)]
+        exact = [closed_form_residual(kind, s, params, target, form) for s in states]
+        assert max(exact) <= 1e-12, exact
+        monkeypatch.setitem(models._CLOSED_FORMS, kind, power_moved(models._CLOSED_FORMS[kind], 1e-8))
+        moved = [closed_form_residual(kind, s, params, target, form) for s in states]
+        assert min(moved) >= 1e-9, moved
 
 
 class TestNodeCount:
@@ -727,6 +875,25 @@ class TestVerifyStates:
         assert skipped == []
         assert rows[0].abs_err <= 1e-6 * max(1.0, abs(rows[0].e_closed))
         assert rows[0].residual <= 1e-6
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # seed-1 draw 191 of the oracle-verify benchmark: U(30) was its peak
+            PhysicalParams(beta=-1.1293547249167117, kz=0.10070386292335232,
+                           alpha_ab=-0.134068386080607, eta=0.8832372891803324,
+                           mu=0.14506865785204917, delta=0.02719169624799432),
+            # the C defect: its energy is still off, from the oracle's domain
+            PhysicalParams(mu=0.15, delta=0.05),
+        ],
+        ids=["draw_191", "c_defect"],
+    )
+    def test_check_window_holds_the_whole_state(self, params):
+        # the fixed window [0.05, 30] cut these slow tails off and read
+        # 2 nodes; the closed form's own window reads all 3
+        rows, _ = verify_states(ModelKind.C, [QuantumState(3, 3)], params)
+        assert rows[0].nodes == 3
+        assert rows[0].residual <= 1e-12
 
     @pytest.mark.parametrize("target", [None, "exact"])
     def test_model_c_at_zero_delta_names_model_a(self, unit_params, target):
