@@ -3,10 +3,12 @@
 
 Shows the relative error of the oracle level as n_points doubles, next
 to the oracle's own estimate of it, for one representative state of each
-model. n_points is the finest grid of the oracle's ladder (n/4, n/2, n
-cells); a level whose three-grid fit is not settled to 1e-6 also solves
-2n cells, and its estimate is then |E_2n - E_n|/3 instead of the fit's
-|R23 - R12|. Useful when picking n_points for a verification run at a
+model. n_points is the finest grid of a settled level: the oracle's
+ladder solves n/4, n/2 and n cells and stops once their fit is settled
+to 1e-6, with the fit's |R23 - R12| as its estimate. Otherwise it also
+solves 2n cells and takes the fit of n/2, n and 2n or the Richardson
+value of n and 2n, whichever estimate (|R23 - R12| or |E_2n - E_n|/3) is
+smaller. Useful when picking n_points for a verification run at a
 tolerance other than the default.
 """
 

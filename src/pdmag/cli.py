@@ -322,8 +322,8 @@ def _build_parser() -> _Parser:
     _add_state_range_flags(p)
     p.add_argument("--tol", type=float, default=1e-5, help="relative energy tolerance")
     p.add_argument("--n-points", type=int, default=4000,
-                   help="finest grid of the oracle's n/4, n/2, n ladder; a level whose "
-                        "fit is not settled there also solves 2n cells")
+                   help="finest grid of the oracle's n//4, n//2, n ladder (n//4 must exceed "
+                        "--nrho-max); a level whose fit is not settled there also solves 2n")
     p.add_argument("--target", choices=("exact", "ga"), default=None,
                    help="which equation the oracle solves (default: ga for C, exact otherwise)")
     p.set_defaults(func=_cmd_verify)

@@ -18,18 +18,18 @@ pointwise, so the power law at the origin keeps the second order of
 convergence. G is diagonal, so each grid costs one symmetric tridiagonal
 eigensolve.
 
-The grids form a ladder n/4, n/2, n, with n = n_points. Beyond h^2 the
-error's next term is h^(2p+1), from the rho^p factor at the origin, so
-the three levels are fitted to E* + a h^2 + b h^q with q = min(2p + 1, 4).
-When the fit's two Richardson values agree to _LADDER_TOL the fit is the
-level and their difference its error; otherwise a fourth grid of 2n
-cells is solved and one Richardson step on n and 2n gives the level and
-its error, |E_2n - E_n|/3. A level's first eigensolve is a Sturm
-bisection. Every later one runs Rayleigh-quotient iteration from the
-level it expects (the grid before's, or model B's last trial energy) and
-keeps the result only when a Sturm count on either side certifies it as
-the wanted eigenvalue to _CERT_TOL; one pass of LAPACK's dlarrc gives both
-counts. Otherwise it falls back to the bisection.
+The grids form a ladder n/4, n/2, n, 2n, with n = n_points. Beyond h^2
+the error's next term is h^(2p+1), from the rho^p factor at the origin,
+so the last three levels are fitted to E* + a h^2 + b h^q with
+q = min(2p + 1, 4). When the fit's two Richardson values agree to
+_LADDER_TOL at n cells the fit is the level and their difference its
+error; otherwise 2n cells are solved too, and the level is the new fit
+or the Richardson value of n and 2n, whichever error is smaller. A
+level's first eigensolve is a Sturm bisection. Every later one runs
+Rayleigh-quotient iteration from the level it expects (the grid before's,
+or model B's last trial energy) and keeps the result only when a Sturm
+count on either side certifies it as the wanted eigenvalue to _CERT_TOL;
+one pass of LAPACK's dlarrc gives both counts, else it bisects.
 
 The physics lives in models.reduced_equation alone: W0's coefficients
 c2 and c1, its potential (for either target) and the mass profile g. The
@@ -41,7 +41,8 @@ takes the same pencil: at a trial energy Eg the grid's p absorbs all of
 c2(Eg)/rho^2, the weight eta/rho^2 carries the rest, and the eigenvalue
 is E - Eg. Starting at p = 1 and moving Eg to each new E until the step
 is at most _FIXED_POINT_TOL takes about five eigensolves, all on the
-ladder's first grid; the finer grids keep its p.
+ladder's first grid (n/2 when n/4 cells have no level); the finer grids
+keep its p.
 
 verify_states checks each closed form on its own, apart from the oracle:
 models.curvature evaluates U and its exact U'' once on the form's check
@@ -393,36 +394,41 @@ def _split(eq: ReducedEquation, target: str):
 
 
 class OracleLevel(NamedTuple):
-    """A level from the oracle and the estimate of its error: |R23 - R12|
-    when the grid ladder stops at n_points cells (_ladder_fit), otherwise
-    |E_2n - E_n|/3 from the n and 2n grids (_richardson)."""
+    """A level from the oracle and the estimate of its error (_extrapolate):
+    |R23 - R12| for the three-grid fit, |R23 - E3| for the pair value."""
 
     energy: float
     error: float
 
 
-def _richardson(e_coarse: float, e_fine: float) -> OracleLevel:
-    """One halving step of Richardson extrapolation at order 2, the
-    scheme's leading order; the error is the size of the step,
-    |e_fine - e_coarse|/3."""
-    shift = (e_fine - e_coarse) / 3.0
-    return OracleLevel(e_fine + shift, abs(shift))
+def _extrapolate(sizes, levels, q: float) -> OracleLevel | None:
+    """The level from the last three `levels`, solved on the first rungs of
+    the ladder `sizes`, or None while the ladder goes on.
 
-
-def _ladder_fit(e1: float, e2: float, e3: float, q: float) -> OracleLevel:
-    """E* + a h^2 + b h^q fitted to the levels on h, h/2 and h/4.
-
-    R12 and R23 are the order-2 Richardson values of the two pairs; they
-    differ by the h^q term, which one more step at order q cancels. The
-    error is |R23 - R12|, the size of that step times 2^q - 1.
+    R12 = (r^2 E2 - E1)/(r^2 - 1), r = n2/n1, and R23 (s = n3/n2) are the
+    order-2 Richardson values of the two pairs. They differ by the h^q
+    term, which one more step cancels: the fit E* + a h^2 + b h^q, with the
+    error |R23 - R12|, stops the ladder once settled to _LADDER_TOL. On the
+    last rung the fit and R23 (error |R23 - E3|) compete, so that a level
+    still far from its asymptotic range keeps the plain step.
     """
-    r12, r23 = (4.0 * e2 - e1) / 3.0, (4.0 * e3 - e2) / 3.0
-    f = 2.0**q
-    return OracleLevel((f * r23 - r12) / (f - 1.0), abs(r23 - r12))
+    if len(levels) < 3:
+        return None
+    (n1, n2, n3), (e1, e2, e3) = sizes[len(levels) - 3:len(levels)], levels[-3:]
+    r, s = n2 / n1, n3 / n2
+    r12, r23 = (r * r * e2 - e1) / (r * r - 1.0), (s * s * e3 - e2) / (s * s - 1.0)
+    # (R12 - E*)/(R23 - E*) is s^q times the ratio of the pairs' h^q shares,
+    # 2^q when both halve h; at q = 2 both vanish, and any f but 1 keeps E*
+    share_r, share_s = ((x * x - x**q) / (x * x - 1.0) for x in (r, s))
+    f = s**q * (share_r / share_s if share_s else 1.0)
+    fit = OracleLevel((f * r23 - r12) / (f - 1.0), abs(r23 - r12))
+    if len(levels) < len(sizes):
+        return fit if fit.error <= _LADDER_TOL * max(1.0, abs(fit.energy)) else None
+    return min(fit, OracleLevel(r23, abs(r23 - e3)), key=lambda level: level.error)
 
 
 def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
-    """Level n_rho on the grid ladder n/4, n/2, n (and 2n when needed), n = n_points.
+    """Level n_rho on the grid ladder n/4, n/2, n, 2n (n = n_points), as far as it goes.
 
     On each grid the level is the fixed point E = Eg + lam(Eg) of the
     weighted pencil. At a trial energy Eg the grid's p = 1/2 + u,
@@ -437,8 +443,8 @@ def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
 
     The fixed point runs on the ladder's first grid, whose first solve is
     the level's one full bisection; if model B has no level there, the
-    ladder starts one grid finer. Every finer grid keeps that grid's p and
-    Eg and takes the level of the grid before it as its guess. Each grid's
+    ladder starts at n/2. Every finer grid keeps that grid's p and Eg and
+    takes the level of the grid before it as its guess. Each grid's
     pencil follows one rule (_split, _FVGrid.weight) for every model.
     """
     eq = reduced_equation(kind, state, params)
@@ -478,27 +484,17 @@ def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
             f"model B level {state} did not settle to tol = {_FIXED_POINT_TOL} in 100 solves"
         )
 
-    def refine(n: int, e: float) -> float:
-        return solve(n, u, e_g, e - e_g)  # the finer level is near e
-
-    ladder = [n_points]
-    if n_points % 4 == 0 and n_points // 4 > state.n_rho:
-        ladder = [n_points // 4, n_points // 2, n_points]
-    for first, n in enumerate(ladder):
-        try:
-            e, u, e_g = fixed_point(n)
-            break
-        except BoundStateError:
-            if n == n_points:
-                raise
+    sizes = [n_points // 4, n_points // 2, n_points, 2 * n_points]
+    try:
+        e, u, e_g = fixed_point(sizes[0])
+    except BoundStateError:
+        del sizes[0]
+        e, u, e_g = fixed_point(sizes[0])
+    q = min(2.0 * u + 2.0, 4.0)  # q = 2p + 1, at most 4
     levels = [e]
-    for n in ladder[first + 1:]:
-        levels.append(refine(n, levels[-1]))
-    if len(levels) == 3:
-        fit = _ladder_fit(*levels, q=min(2.0 * u + 2.0, 4.0))  # q = 2p + 1, at most 4
-        if fit.error <= _LADDER_TOL * max(1.0, abs(fit.energy)):
-            return fit
-    return _richardson(levels[-1], refine(2 * n_points, levels[-1]))
+    while (level := _extrapolate(sizes, levels, q)) is None:
+        levels.append(solve(sizes[len(levels)], u, e_g, levels[-1] - e_g))  # near the last level
+    return level
 
 
 def oracle_energy(
@@ -512,17 +508,17 @@ def oracle_energy(
     """Level n_rho of the reduced equation, found without a starting guess.
 
     Returns OracleLevel(energy, error). The grids span (0, 25/sqrt(-Et)]
-    and form a ladder of n_points/4, n_points/2 and n_points cells (only
-    n_points when it is not a multiple of 4 or n_points/4 cells cannot
-    hold the level). Models A and C take one pencil eigensolve per grid;
-    model B repeats the solve on the first grid at the last level's p
-    until the energy step is at most _FIXED_POINT_TOL, and starts one grid
-    finer when that grid has no level. If the fit of the three levels is
-    settled to _LADDER_TOL, it is returned with the difference of its two
-    Richardson values as the error. Otherwise one more solve on
-    2 n_points cells is extrapolated with the n_points one (Richardson)
-    and |E_2n - E_n|/3 is the error. So n_points is the finest grid of a
-    settled level and half the finest of any other.
+    and form a ladder of n_points // 4, n_points // 2, n_points and
+    2 n_points cells; the coarsest must hold the level. Models A and C
+    take one pencil eigensolve per grid; model B repeats the solve on the
+    first grid at the last level's p until the energy step is at most
+    _FIXED_POINT_TOL, and starts one grid finer when that grid has no
+    level. If the fit of the first three levels is settled to _LADDER_TOL,
+    it is returned with the difference of its two Richardson values as the
+    error. Otherwise the ladder solves 2 n_points too and returns the fit
+    of its last three levels, or the Richardson value of its last two with
+    |E_2n - E_n|/3 as the error, whichever error is smaller. So n_points is
+    the finest grid of a settled level and half the finest of any other.
     """
     if params.sigma != 1.0:
         raise DomainError(
@@ -532,8 +528,9 @@ def oracle_energy(
     _check_target(kind, params, target)
     if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 1:
         raise DomainError(f"n_points must be a positive integer, got {n_points!r}")
-    if state.n_rho >= n_points:
-        raise DomainError(f"n_rho = {state.n_rho} exceeds the {n_points} grid cells")
+    if state.n_rho >= n_points // 4:
+        raise DomainError(f"n_rho = {state.n_rho} exceeds n_points // 4 - 1 = "
+                          f"{n_points // 4 - 1}, the highest level the coarsest grid holds")
     et = e_tilde(params)
     if not et < 0:
         raise BoundStateError(

@@ -141,7 +141,7 @@ def test_criterion_4_reduction_identity():
 def test_criterion_5_nu_internal_identities():
     rng = np.random.default_rng(SEED + 1)
     xi = np.linspace(0.01, 0.99, 97)
-    h = 1e-3
+    z = 1.0 - 2.0 * xi
     for i in range(1000):
         c = draw_coefficients(rng)
         # the quadratic under the square root is a perfect square at k = k_minus
@@ -158,18 +158,20 @@ def test_criterion_5_nu_internal_identities():
         lam = lambda_of(quantized)
         lam_n = lambda_n(quantized, n_quant)
         assert abs(lam - lam_n) <= 1e-10 * max(1.0, abs(lam_n))
-        # polynomial part solves sigma chi'' + tau chi' + lambda_n chi = 0
-        # for every n; five-point stencils are exact through degree five
+        # polynomial part chi(xi) = P_n^(kappa,upsilon)(1 - 2 xi) solves
+        # sigma chi'' + tau chi' + lambda_n chi = 0 for every n; its
+        # derivatives in z = 1 - 2 xi are d^j/dz^j P_n = c_j P_(n-j)^(kappa+j,upsilon+j),
+        # c_j the product of (n + kappa + upsilon + i)/2 over i = 1..j (DLMF 18.9.15)
         for n in range(6):
-            chi = [
-                jacobi(n, c.kappa, c.upsilon, 1.0 - 2.0 * (xi + j * h))
-                for j in (-2, -1, 0, 1, 2)
-            ]
-            d1 = (chi[0] - 8 * chi[1] + 8 * chi[3] - chi[4]) / (12 * h)
-            d2 = (-chi[0] + 16 * chi[1] - 30 * chi[2] + 16 * chi[3] - chi[4]) / (12 * h * h)
+            half = 0.5 * (n + c.kappa + c.upsilon + 1.0)
+            chi, dz, dzz = (
+                jacobi(n - j, c.kappa + j, c.upsilon + j, z) if j <= n else 0.0 for j in range(3)
+            )
+            d1 = -2.0 * half * dz
+            d2 = 4.0 * half * (half + 0.5) * dzz
             tau = (1.0 + c.kappa) - (2.0 + c.kappa + c.upsilon) * xi
-            res = xi * (1.0 - xi) * d2 + tau * d1 + lambda_n(c, n) * chi[2]
-            assert np.max(np.abs(res)) <= 1e-7 * max(1.0, np.max(np.abs(chi[2])))
+            res = xi * (1.0 - xi) * d2 + tau * d1 + lambda_n(c, n) * chi
+            assert np.max(np.abs(res)) <= 1e-7 * max(1.0, np.max(np.abs(chi)))
     print("CRITERION 5: PASS (1000 draws, n <= 5 each)")
 
 

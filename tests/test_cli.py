@@ -282,6 +282,14 @@ class TestVerify:
         assert "at n_rho=2 m=0" in err
         assert "oracle-limited" in err and "--n-points" in err
 
+    def test_too_few_cells_for_the_coarsest_grid(self, capsys):
+        # n_points // 4 = 0 cells hold no level
+        code = run(["verify", "--model", "a", "--nrho-max", "0", "--m-min", "0", "--m-max", "0",
+                    "--n-points", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "n_rho = 0 exceeds n_points // 4 - 1 = -1" in captured.err
+
     @pytest.mark.parametrize("target", [[], ["--target", "exact"]], ids=["ga", "exact"])
     def test_model_c_at_zero_delta_points_to_model_a(self, capsys, target):
         code = run(["verify", "--model", "c", *target])

@@ -110,6 +110,13 @@ class TestFdEigenvalues:
             oracle_energy(ModelKind.A, state, unit_params, n_points=True)
         with pytest.raises(DomainError, match="exceeds"):
             oracle_energy(ModelKind.A, QuantumState(200, 0), unit_params, n_points=200)
+        # the coarsest grid, n_points // 4 cells, must hold the level
+        with pytest.raises(DomainError, match=r"n_rho = 2 exceeds n_points // 4 - 1 = 1"):
+            oracle_energy(ModelKind.A, QuantumState(2, 0), unit_params, n_points=11)
+        with pytest.raises(DomainError, match="exceeds"):
+            oracle_energy(ModelKind.A, state, unit_params, n_points=3)
+        assert math.isfinite(oracle_energy(ModelKind.A, QuantumState(1, 0), unit_params,
+                                           n_points=11).energy)
 
     def test_eigensolve_that_does_not_converge_is_a_domain_error(self, monkeypatch):
         import pdmag.oracle
@@ -348,27 +355,46 @@ class TestSturmCounts:
     def test_counts_on_the_oracles_pencils(self, monkeypatch):
         # every eigenproblem the oracle solves for three levels of each model,
         # on grids of 1000 to 8000 cells, counted at its certificate points
-        import pdmag.oracle
-
-        problems = []
-        solve = pdmag.oracle.eigh_tridiagonal
-
-        def record(d, e, index, guess=None):
-            sigma = solve(d, e, index, guess)
-            problems.append((d, e, sigma))
-            return sigma
-
-        monkeypatch.setattr(pdmag.oracle, "eigh_tridiagonal", record)
-        for n_points in (4000, 8000):
-            oracle_energy(ModelKind.A, QuantumState(1, 1), PhysicalParams(), n_points=n_points)
-            oracle_energy(ModelKind.B, QuantumState(0, 2), PhysicalParams(kz=1.0), n_points=n_points)
-            oracle_energy(ModelKind.C, QuantumState(1, 1), PhysicalParams(mu=0.15, delta=0.1),
-                          n_points=n_points, target="ga")
+        problems = oracle_pencils(monkeypatch)
         assert {len(d) for d, _, _ in problems} >= {1000, 2000, 4000, 8000}
         for d, e, sigma in problems:
             h = _CERT_TOL * max(1.0, abs(sigma))
             assert _sturm_counts(d, e, sigma - h, sigma + h) == (
                 stebz_count(d, e, sigma - h), stebz_count(d, e, sigma + h))
+
+    def test_oracles_couplings_are_far_above_the_ulp_of_their_diagonal(self, monkeypatch):
+        # dlarrc's +0 pivot comes from a point t at a diagonal entry whose
+        # couplings are below its ulp (TestSturmCounts' graded matrices); on
+        # the oracle's pencils every coupling exceeds 2^20 ulp of both of its
+        # diagonal entries (5e13 ulp at least over the levels of acceptance
+        # criteria 1-3 and 200 random levels), so that cannot arise
+        problems = oracle_pencils(monkeypatch)
+        assert {len(d) for d, _, _ in problems} >= {1000, 2000, 4000, 8000}
+        for d, e, _ in problems:
+            ulp = np.spacing(np.abs(d))
+            assert np.all(np.abs(e) >= 2.0**20 * np.maximum(ulp[:-1], ulp[1:])), len(d)
+
+
+def oracle_pencils(monkeypatch):
+    """(d, e, sigma) of every eigenproblem the oracle solves for three levels
+    of each model, with 4000 and 8000 as the finest settled grid."""
+    import pdmag.oracle
+
+    problems = []
+    solve = pdmag.oracle.eigh_tridiagonal
+
+    def record(d, e, index, guess=None):
+        sigma = solve(d, e, index, guess)
+        problems.append((d, e, sigma))
+        return sigma
+
+    monkeypatch.setattr(pdmag.oracle, "eigh_tridiagonal", record)
+    for n_points in (4000, 8000):
+        oracle_energy(ModelKind.A, QuantumState(1, 1), PhysicalParams(), n_points=n_points)
+        oracle_energy(ModelKind.B, QuantumState(0, 2), PhysicalParams(kz=1.0), n_points=n_points)
+        oracle_energy(ModelKind.C, QuantumState(1, 1), PhysicalParams(mu=0.15, delta=0.1),
+                      n_points=n_points, target="ga")
+    return problems
 
 
 def criterion_levels():
@@ -595,6 +621,14 @@ class TestOracleEnergy:
             assert 0.0 < level.error < 1e-4
             assert abs(level.energy - closed) <= level.error
 
+    def test_criterion_1_worst_level(self):
+        # A (3, 0) at the default parameters, acceptance criterion 1's worst
+        # level: its fit is not settled on 4000 cells, and the fit on 2000,
+        # 4000 and 8000 cells gives 2.4e-7 where one Richardson step gave 4.2e-6
+        closed = energy(ModelKind.A, QuantumState(3, 0), PhysicalParams())
+        e = oracle_energy(ModelKind.A, QuantumState(3, 0), PhysicalParams()).energy
+        assert abs(e - closed) <= 3e-7 * abs(closed)
+
     def test_unbound_model_b_state_has_no_level(self, unit_params):
         # the closed form rejects (1, 1) at unit parameters; the oracle finds
         # no level above the fall-to-center threshold on its own
@@ -610,9 +644,13 @@ class TestOracleEnergy:
         oracle_energy(ModelKind.A, QuantumState(2, 1), unit_params)
         assert sizes == [1000, 2000, 4000]
         sizes.clear()
-        # n/4 is not a whole number of cells: no ladder, n and 2n as before
-        oracle_energy(ModelKind.A, QuantumState(2, 1), unit_params, n_points=4002)
-        assert sizes == [4002, 8004]
+        # n/4 is not a whole number of cells: the ladder takes n // 4 and
+        # n // 2, and its fit the unequal steps (8004 if it is not settled)
+        level = oracle_energy(ModelKind.A, QuantumState(2, 1), unit_params, n_points=4002)
+        settled = level.error <= pdmag.oracle._LADDER_TOL * abs(level.energy)
+        assert sizes == [1000, 2001, 4002] + ([] if settled else [8004])
+        assert level.energy == pytest.approx(energy(ModelKind.A, QuantumState(2, 1), unit_params),
+                                             rel=1e-7)
         sizes.clear()
         oracle_energy(ModelKind.C, QuantumState(1, 0), weak_field_params.replace(delta=0.1), target="ga")
         assert sizes == [1000, 2000, 4000, 8000]
@@ -646,6 +684,14 @@ class TestOracleEnergy:
             (QuantumState(0, 3), PhysicalParams(
                 mu=0.12527088041849926, delta=0.20550672642455942, beta=-4.982070841476778,
                 kz=0.38490724674432597, alpha_ab=0.12385007882440524, eta=1.4229632157816476)),
+            # two more levels of the benchmark stream whose fit on 2000, 4000
+            # and 8000 cells is still 2e-3 off: the pair value must win there
+            (QuantumState(3, 3), PhysicalParams(
+                beta=-3.856014730755476, kz=0.2869924211249779, alpha_ab=-0.11240702163865701,
+                eta=1.3922114778625658, mu=0.1007229516813085, delta=0.24552620893008045)),
+            (QuantumState(2, 3), PhysicalParams(
+                beta=-4.343865043789799, kz=0.04989166350029306, alpha_ab=0.3409497363024747,
+                eta=1.2957158373041657, mu=0.10259141448655172, delta=0.1471668109700794)),
         ],
     )
     def test_unsettled_three_grid_fit_goes_on_to_twice_the_cells(self, state, params, monkeypatch):
@@ -663,14 +709,38 @@ class TestOracleEnergy:
         assert abs(forced - closed) > 1e-3
 
     def test_ladder_fit_cancels_both_error_terms(self):
-        from pdmag.oracle import _ladder_fit
+        # on equal and on unequal steps, below the last rung (settled or
+        # not) and on it, where the fit's error is below the pair's
+        from pdmag.oracle import _extrapolate
 
         q = 3.4
-        e1, e2, e3 = (2.5 + 0.3 * h**2 - 0.7 * h**q for h in (0.4, 0.2, 0.1))
-        fit = _ladder_fit(e1, e2, e3, q)
-        assert fit.energy == pytest.approx(2.5, abs=1e-14)
-        r12, r23 = (4 * e2 - e1) / 3, (4 * e3 - e2) / 3
-        assert fit.error == pytest.approx(abs(r23 - r12), rel=1e-12)
+        for sizes in ([1000, 2000, 4000], [1000, 2001, 4002]):
+            levels = [2.5 + 3e3 / n**2 - 7e5 / n**q for n in sizes]
+            fit = _extrapolate(sizes, levels, q)
+            assert fit.energy == pytest.approx(2.5, abs=1e-14)
+            (r, s), (e1, e2, e3) = (sizes[1] / sizes[0], sizes[2] / sizes[1]), levels
+            r12, r23 = (r * r * e2 - e1) / (r * r - 1), (s * s * e3 - e2) / (s * s - 1)
+            assert fit.error == pytest.approx(abs(r23 - r12), rel=1e-12)
+            assert abs(r23 - e3) > fit.error  # so the last rung keeps the fit
+            assert _extrapolate(sizes + [2 * sizes[-1]], levels, q) is None  # not settled
+            assert _extrapolate(sizes, levels[:2], q) is None
+        # h^2 alone: settled at once, below the last rung too
+        levels = [2.5 + 3e3 / n**2 for n in (1000, 2000, 4000)]
+        assert _extrapolate([1000, 2000, 4000, 8000], levels, q).energy == pytest.approx(2.5, abs=1e-14)
+        # q = 2 (p = 1/2, reached by model C with v2 = -w^2 - 1/16): h^q is h^2,
+        # the fit cannot tell the two apart, and E* must stay finite
+        levels = [2.5 + 3e3 / n**2 for n in (1000, 2001, 4002)]
+        assert _extrapolate([1000, 2001, 4002], levels, 2.0).energy == pytest.approx(2.5, abs=1e-14)
+
+    def test_last_rung_keeps_the_pair_value_when_the_fit_is_worse(self):
+        # a level far from its asymptotic range: the fit's two Richardson
+        # values disagree by more than the last pair's step
+        from pdmag.oracle import OracleLevel, _extrapolate
+
+        level = _extrapolate([2000, 4000, 8000], [1.0, 1.1, 1.0999], 3.4)
+        r23 = (4 * 1.0999 - 1.1) / 3
+        assert level == OracleLevel(r23, abs(r23 - 1.0999))
+        assert _extrapolate([2000, 4000, 8000, 16000], [1.0, 1.1, 1.0999], 3.4) is None
 
     def test_three_grid_fit_takes_its_order_from_the_origin_exponent(self, monkeypatch):
         # p = 0.8 here, so the second error term is h^2.6; a fit at order 2
