@@ -12,7 +12,8 @@ Profile tags:
 
 Each model reduces to one radial equation -U'' + W U = Et U, whose
 coefficients come from one table (reduced_equation); the oracle and
-model_c_coefficients read it.
+model_c_coefficients read it. The record also carries its target: the
+exact equation, or model C's Greene-Aldrich form and its singular split.
 """
 
 from __future__ import annotations
@@ -117,8 +118,9 @@ class ReducedEquation(NamedTuple):
 
     c2, c1 and b0 collect the field, the confining potential
     V = -v0 e^(-delta rho)/rho - v1/rho + v2/rho^2 and the mass bracket.
-    target 'ga' reads every 1/rho as delta/(1 - e^(-delta rho)), the
-    Greene-Aldrich form whose spectrum model C's closed form solves exactly.
+    With target 'ga' every 1/rho reads as delta/(1 - e^(-delta rho)), the
+    Greene-Aldrich form whose spectrum model C's closed form solves exactly;
+    smooth, mass, potential and split all follow the record's target.
     """
 
     c2: float
@@ -129,36 +131,60 @@ class ReducedEquation(NamedTuple):
     eta: float
     power: int
     decay: float
+    target: str
 
-    def smooth(self, rho, target: str = "exact"):
+    def smooth(self, rho):
         """b0 + v0 (1 - e^(-delta rho))/rho, the part of W(rho; 0) bounded at 0."""
         if not self.v0:
             return self.b0
-        r = _inverse_rho(rho, self.delta, target)
+        r = _inverse_rho(rho, self.delta, self.target)
         return self.b0 + self.v0 * -np.expm1(-self.delta * rho) * r
 
-    def mass(self, rho, target: str = "exact"):
+    def mass(self, rho):
         """The mass profile g(rho), which multiplies -E."""
-        g = self.eta * _inverse_rho(rho, self.delta, target) ** self.power
+        g = self.eta * _inverse_rho(rho, self.delta, self.target) ** self.power
         return g * np.exp(-self.decay * rho) if self.decay else g
 
-    def potential(self, rho, E: float, target: str = "exact"):
+    def potential(self, rho, E: float):
         """W(rho; E)."""
-        r = _inverse_rho(rho, self.delta, target)
-        return self.c2 * r * r + self.c1 * r + self.smooth(rho, target) - E * self.mass(rho, target)
+        r = _inverse_rho(rho, self.delta, self.target)
+        return self.c2 * r * r + self.c1 * r + self.smooth(rho) - E * self.mass(rho)
+
+    def split(self):
+        """(c2, c1, smooth) with W(rho; 0) = c2/rho^2 + c1/rho + smooth(rho),
+        the form the oracle's scheme integrates; smooth is None for target
+        'exact' when b0 = v0 = 0 (models A and B without a Yukawa term).
+
+        For 'ga', delta/(1 - e^(-delta rho)) = 1/rho + delta/2 + O(rho) adds
+        delta c2 to c1; smooth is W less both singular terms, which rounds
+        at about eps |c2|/i^2 of the scheme's diagonal entry i.
+        """
+        if self.target == "exact":
+            return self.c2, self.c1, self.smooth if self.b0 or self.v0 else None
+        c2, c1 = self.c2, self.c1 + self.delta * self.c2
+        return c2, c1, lambda rho: self.potential(rho, 0.0) - c2 / rho**2 - c1 / rho
 
 
-def reduced_equation(kind: ModelKind, state: QuantumState, params: PhysicalParams):
-    """The coefficients of the reduced radial equation of one state.
+def reduced_equation(
+    kind: ModelKind, state: QuantumState, params: PhysicalParams, target: str = "exact"
+):
+    """The reduced radial equation of one state, for target 'exact' or 'ga'.
 
     c2 = w^2 + b2 - 1/4 + v2 and c1 = -(2 e mt B0 mu - e^2 B0^2 mu beta) + b1 - v1 - v0,
     summed in this order so that model C's a1 and a2 keep their bits. The
     mass bracket b2/rho^2 + b1/rho + b0 = (5/16)(g'/g)^2 - (1/4)(g''/g) - (1/4)(g'/g)/rho
     of g ~ e^(-k rho)/rho^power is b2 = power^2/16, b1 = k (power + 2)/8,
     b0 = k^2/16: (1/16, 0, 0) for A, (1/4, 0, 0) for B and
-    (1/16, 3 delta/8, delta^2/16) for C.
+    (1/16, 3 delta/8, delta^2/16) for C. The Greene-Aldrich target 'ga'
+    needs model C with delta > 0.
     """
     _require_sigma_one(params)
+    if target not in ("exact", "ga"):
+        raise DomainError(f"target must be 'exact' or 'ga', got {target!r}")
+    if target == "ga" and kind is not ModelKind.C:
+        raise DomainError("Greene-Aldrich target applies to model C only")
+    if target == "ga" and params.delta <= 0:
+        raise DomainError("Greene-Aldrich target requires delta > 0")
     power, decays = _MASS[kind]
     k = params.delta if decays else 0.0
     w = _w(state, params)
@@ -171,6 +197,7 @@ def reduced_equation(kind: ModelKind, state: QuantumState, params: PhysicalParam
         eta=params.eta,
         power=power,
         decay=k,
+        target=target,
     )
 
 

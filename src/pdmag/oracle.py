@@ -31,10 +31,11 @@ or model B's last trial energy) and keeps the result only when a Sturm
 count on either side certifies it as the wanted eigenvalue to _CERT_TOL;
 one pass of LAPACK's dlarrc gives both counts, else it bisects.
 
-The physics lives in models.reduced_equation alone: W0's coefficients
-c2 and c1, its potential (for either target) and the mass profile g. The
-smooth part of W0 is that potential less c2/rho^2 and c1/rho; the oracle
-only decides how to discretize, and never calls a closed-form level.
+The physics lives in models.reduced_equation alone: one record per
+state and target ('exact', or model C's Greene-Aldrich 'ga') gives the
+mass profile g and W0 split as c2/rho^2 + c1/rho + smooth (its split
+method). The oracle only decides how to discretize, and never calls a
+closed-form level.
 
 Model B (g = eta/rho^2) puts E into c2(E) = c2 - eta E and so into p. It
 takes the same pencil: at a trial energy Eg the grid's p absorbs all of
@@ -46,8 +47,9 @@ keep its p.
 
 verify_states checks each closed form on its own, apart from the oracle:
 models.curvature evaluates U and its exact U'' once on the form's check
-window, residual measures -U'' + (W - Et) U on it, and node_count counts
-the sign changes of the same U.
+window, residual measures -U'' + (W - Et) U on it, with W from the
+reduced_equation record the oracle reads, and node_count counts the sign
+changes of the same U.
 """
 
 from __future__ import annotations
@@ -133,39 +135,27 @@ def spectral_target(params: PhysicalParams) -> float:
     return -params.kz**2
 
 
-def _check_target(kind: ModelKind, params: PhysicalParams, target: str) -> None:
-    """target is 'exact', or 'ga' on model C at sigma = 1 with delta > 0."""
-    if target not in ("exact", "ga"):
-        raise DomainError(f"target must be 'exact' or 'ga', got {target!r}")
-    if target == "ga":
-        if kind is not ModelKind.C:
-            raise DomainError("Greene-Aldrich target applies to model C only")
-        if params.sigma != 1.0:
-            raise DomainError("Greene-Aldrich target requires sigma = 1")
-        if params.delta <= 0:
-            raise DomainError("Greene-Aldrich target requires delta > 0")
-
-
 def radial_potential(
     kind: ModelKind, state: QuantumState, params: PhysicalParams, E: float, target: str = "exact"
 ):
     """Callable W(rho) for the reduced equation at a trial energy E.
 
-    At sigma = 1, W is models.reduced_equation's potential. target 'exact'
-    uses it as it is. target 'ga' replaces every 1/rho by
-    delta/(1 - e^(-delta rho)), the form whose spectrum the model C closed
-    formula reproduces exactly; it needs model C with delta > 0.
+    At sigma = 1, W is the potential of models.reduced_equation for the
+    target: 'exact', or 'ga' (model C with delta > 0), which replaces every
+    1/rho by delta/(1 - e^(-delta rho)), the form whose spectrum the model C
+    closed formula reproduces exactly.
 
-    Other sigma values have no closed form: there W is the field-free
-    reduced equation (B0 = 0) plus the field terms of the shape function.
-    Pair with spectral_target for the matching right-hand side.
+    Other sigma values have no closed form and no 'ga' target: there W is
+    the field-free reduced equation (B0 = 0) plus the field terms of the
+    shape function. Pair with spectral_target for the matching right-hand
+    side.
     """
-    _check_target(kind, params, target)
     if params.sigma == 1.0:
-        eq = reduced_equation(kind, state, params)
-        return lambda rho: eq.potential(_positive(rho), E, target)
-
-    field_free = reduced_equation(kind, state, params.replace(b0=0.0, sigma=1.0))
+        eq = reduced_equation(kind, state, params, target)
+        return lambda rho: eq.potential(_positive(rho), E)
+    if target == "ga" and kind is ModelKind.C:
+        raise DomainError("Greene-Aldrich target requires sigma = 1")
+    field_free = reduced_equation(kind, state, params.replace(b0=0.0, sigma=1.0), target)
     mt = m_tilde(state, params)
     e, b0 = params.e, params.b0
 
@@ -366,29 +356,6 @@ def _pencil(diag, off, weight, index: int, guess=None):
 
 
 # ---------------------------------------------------------------------------
-# The reduced equation split for the scheme
-# ---------------------------------------------------------------------------
-
-
-def _split(eq: ReducedEquation, target: str):
-    """W0 = W(rho; E = 0) as c2/rho^2 + c1/rho + smooth(rho), the form the
-    scheme integrates; the -g(rho) E term is left to the caller.
-
-    For target 'ga', delta/(1 - e^(-delta rho)) = 1/rho + delta/2 + O(rho)
-    adds delta c2 to the 1/rho term; smooth is eq.potential less both
-    singular terms, which rounds at about eps |c2|/i^2 of diagonal entry i.
-    """
-    if target == "exact":  # without a Yukawa term, models A and B have no smooth part
-        return eq.c2, eq.c1, eq.smooth if eq.b0 or eq.v0 else None
-    c2, c1 = eq.c2, eq.c1 + eq.delta * eq.c2
-
-    def smooth(rho):
-        return eq.potential(rho, 0.0, "ga") - c2 / rho**2 - c1 / rho
-
-    return c2, c1, smooth
-
-
-# ---------------------------------------------------------------------------
 # The oracle
 # ---------------------------------------------------------------------------
 
@@ -427,7 +394,7 @@ def _extrapolate(sizes, levels, q: float) -> OracleLevel | None:
     return min(fit, OracleLevel(r23, abs(r23 - e3)), key=lambda level: level.error)
 
 
-def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
+def _level(eq: ReducedEquation, state, et, rho_max, n_points) -> OracleLevel:
     """Level n_rho on the grid ladder n/4, n/2, n, 2n (n = n_points), as far as it goes.
 
     On each grid the level is the fixed point E = Eg + lam(Eg) of the
@@ -445,10 +412,9 @@ def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
     the level's one full bisection; if model B has no level there, the
     ladder starts at n/2. Every finer grid keeps that grid's p and Eg and
     takes the level of the grid before it as its guess. Each grid's
-    pencil follows one rule (_split, _FVGrid.weight) for every model.
+    pencil follows one rule (eq.split, _FVGrid.weight) for every model.
     """
-    eq = reduced_equation(kind, state, params)
-    c2, c1, smooth = _split(eq, target)
+    c2, c1, smooth = eq.split()
     eta = eq.eta if eq.power == 2 else 0.0  # E's share of the centrifugal strength
     if not eta and c2 + 0.25 < 0:
         raise BoundStateError(
@@ -458,7 +424,7 @@ def _level(kind, state, params, target, et, rho_max, n_points) -> OracleLevel:
     def solve(n: int, u: float, e_g: float, guess=None) -> float:
         grid = _FVGrid.build(0.5 + u, rho_max, n)
         diag, off = grid.operator(c1, smooth)
-        weight = grid.weight(eq.power, lambda rho: eq.mass(rho, target))
+        weight = grid.weight(eq.power, eq.mass)
         return e_g + _pencil(diag - et * grid.mass, off, weight, state.n_rho, guess)
 
     def fixed_point(n: int):
@@ -507,13 +473,15 @@ def oracle_energy(
 ) -> OracleLevel:
     """Level n_rho of the reduced equation, found without a starting guess.
 
-    Returns OracleLevel(energy, error). The grids span (0, 25/sqrt(-Et)]
-    and form a ladder of n_points // 4, n_points // 2, n_points and
-    2 n_points cells; the coarsest must hold the level. Models A and C
-    take one pencil eigensolve per grid; model B repeats the solve on the
-    first grid at the last level's p until the energy step is at most
-    _FIXED_POINT_TOL, and starts one grid finer when that grid has no
-    level. If the fit of the first three levels is settled to _LADDER_TOL,
+    The equation is models.reduced_equation(kind, state, params, target),
+    built once; it rejects a target other than 'exact' and 'ga' (model C
+    with delta > 0). Returns OracleLevel(energy, error). The grids span
+    (0, 25/sqrt(-Et)] and form a ladder of n_points // 4, n_points // 2,
+    n_points and 2 n_points cells; the coarsest must hold the level.
+    Models A and C take one pencil eigensolve per grid; model B repeats
+    the solve on the first grid at the last level's p until the energy
+    step is at most _FIXED_POINT_TOL, and starts one grid finer when that
+    grid has no level. If the fit of the first three levels is settled to _LADDER_TOL,
     it is returned with the difference of its two Richardson values as the
     error. Otherwise the ladder solves 2 n_points too and returns the fit
     of its last three levels, or the Richardson value of its last two with
@@ -525,7 +493,7 @@ def oracle_energy(
             f"oracle_energy needs sigma = 1, got sigma = {params.sigma}: the "
             "singular split of the reduced equation exists only there"
         )
-    _check_target(kind, params, target)
+    eq = reduced_equation(kind, state, params, target)
     if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 1:
         raise DomainError(f"n_points must be a positive integer, got {n_points!r}")
     if state.n_rho >= n_points // 4:
@@ -537,7 +505,7 @@ def oracle_energy(
             "no bound spectrum: kz^2 + e^2 B0^2 mu^2 must be positive for a decaying tail"
         )
     with np.errstate(all="ignore"):  # _pencil rejects a pencil that is not finite
-        return _level(kind, state, params, target, et, 25.0 / math.sqrt(-et), n_points)
+        return _level(eq, state, et, 25.0 / math.sqrt(-et), n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -617,12 +585,13 @@ def verify_states(
         except DomainError as err:
             skipped.append((state, str(err)))
             continue
+        eq = reduced_equation(kind, state, params, target)
         e_oracle, oracle_err = oracle_energy(
             kind, state, params, n_points=n_points, target=target
         )
         form = "xi" if kind is ModelKind.C else "paper"
         rho, u, upp = closed_form_curvature(kind, state, params, form=form)
-        w = _eval_potential(radial_potential(kind, state, params, e_closed, target=target), rho)
+        w = _eval_potential(lambda x: eq.potential(x, e_closed), rho)
         res = residual(u, upp, w, e_tilde(params))
         nodes = node_count(u)
         rows.append(

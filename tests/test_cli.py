@@ -290,13 +290,20 @@ class TestVerify:
         assert code == 1 and captured.out == ""
         assert "n_rho = 0 exceeds n_points // 4 - 1 = -1" in captured.err
 
-    @pytest.mark.parametrize("target", [[], ["--target", "exact"]], ids=["ga", "exact"])
+    @pytest.mark.parametrize("target", [[], ["--target", "exact"], ["--target", "ga"]],
+                             ids=["ga", "exact", "explicit_ga"])
     def test_model_c_at_zero_delta_points_to_model_a(self, capsys, target):
         code = run(["verify", "--model", "c", *target])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "model C at delta = 0 is model A's equation" in captured.err
         assert "--model a" in captured.err and "--delta > 0" in captured.err
+
+    def test_ga_target_on_model_a_is_a_validation_error(self, capsys):
+        code = run(["verify", "--model", "a", "--target", "ga"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "error: Greene-Aldrich target applies to model C only" in captured.err
 
     def test_model_a_with_a_potential_is_skipped(self, capsys):
         # was: rows that passed on energy with a residual of 2.6, exit 0

@@ -160,12 +160,12 @@ class TestEffectivePotential:
         params = PhysicalParams(mu=0.3, delta=0.2, v0=0.4, v1=0.3, v2=0.2, kz=0.1)
         state, E = QuantumState(1, 1), 0.7
         core = model_c_coefficients(state, params, E)
-        eq = reduced_equation(ModelKind.C, state, params)
+        eq = reduced_equation(ModelKind.C, state, params, "ga")
         for rho in (0.05, 1.0, 7.0):
             xi = math.exp(-0.2 * rho)
             big_l = 0.2 / (1.0 - xi)
             expected = core.a1 * big_l**2 + core.a2 * big_l - core.a3 * xi * big_l + 0.04 / 16.0
-            assert eq.potential(rho, E, "ga") == pytest.approx(expected, rel=1e-12)
+            assert eq.potential(rho, E) == pytest.approx(expected, rel=1e-12)
 
 
 class TestModelAEnergy:

@@ -29,7 +29,6 @@ from pdmag.oracle import (
     _EIG_TOL,
     _FVGrid,
     _pencil,
-    _split,
     _sturm_counts,
     eigh_tridiagonal,
     node_count,
@@ -487,14 +486,23 @@ class TestRadialPotential:
         assert np.all(np.diff(vals) > 0)
 
     def test_ga_target_guards(self):
+        # reduced_equation owns the target's rules; radial_potential passes
+        # its errors on unchanged and adds the sigma rule of its sigma != 1 branch
         params = PhysicalParams(delta=0.1)
         state = QuantumState(0, 1)
+        for build in (reduced_equation, lambda *a, target: radial_potential(*a, 0.0, target=target)):
+            with pytest.raises(DomainError, match="^Greene-Aldrich target applies to model C only$"):
+                build(ModelKind.A, state, params, target="ga")
+            with pytest.raises(DomainError, match="^Greene-Aldrich target requires delta > 0$"):
+                build(ModelKind.C, state, PhysicalParams(), target="ga")
+            with pytest.raises(DomainError, match="^target must be 'exact' or 'ga', got 'bogus'$"):
+                build(ModelKind.C, state, params, target="bogus")
+        with pytest.raises(DomainError, match="^Greene-Aldrich target requires sigma = 1$"):
+            radial_potential(ModelKind.C, state, params.replace(sigma=0.5), 0.0, target="ga")
         with pytest.raises(DomainError, match="model C only"):
-            radial_potential(ModelKind.A, state, params, 0.0, target="ga")
-        with pytest.raises(DomainError, match="delta > 0"):
-            radial_potential(ModelKind.C, state, PhysicalParams(), 0.0, target="ga")
-        with pytest.raises(DomainError, match="target"):
-            radial_potential(ModelKind.C, state, params, 0.0, target="bogus")
+            radial_potential(ModelKind.A, state, params.replace(sigma=0.5), 0.0, target="ga")
+        assert reduced_equation(ModelKind.C, state, params, "ga").target == "ga"
+        assert reduced_equation(ModelKind.C, state, params).target == "exact"
 
     def test_ga_approaches_exact_at_small_delta_rho(self):
         params = PhysicalParams(mu=0.15, delta=0.05)
@@ -508,7 +516,8 @@ class TestRadialPotential:
 
 class TestSplit:
     """The oracle integrates W as c2/rho^2 + c1/rho + smooth - E g, all read
-    from models.reduced_equation; reassembled, that is radial_potential."""
+    from the record of models.reduced_equation (its split and mass);
+    reassembled, that is radial_potential."""
 
     PARAMS = PhysicalParams(mu=0.4, beta=-0.7, kz=0.3, alpha_ab=0.2, eta=1.3, delta=0.15,
                             v0=0.3, v1=0.2, v2=0.1)
@@ -520,13 +529,21 @@ class TestSplit:
     )
     def test_assembled_potential_is_radial_potential(self, kind, target):
         state, E = QuantumState(1, 2), 0.37
-        eq = reduced_equation(kind, state, self.PARAMS)
-        c2, c1, smooth = _split(eq, target)
+        eq = reduced_equation(kind, state, self.PARAMS, target)
+        c2, c1, smooth = eq.split()
         rho = np.geomspace(1e-3, 80.0, 60)
-        assembled = c2 / rho**2 + c1 / rho + smooth(rho) - E * eq.mass(rho, target)
+        assembled = c2 / rho**2 + c1 / rho + smooth(rho) - E * eq.mass(rho)
         expected = radial_potential(kind, state, self.PARAMS, E, target=target)(rho)
         scale = np.abs(c2) / rho**2 + np.abs(c1) / rho + 1.0
         assert np.max(np.abs(assembled - expected) / scale) <= 1e-13
+
+    def test_no_smooth_part_without_a_yukawa_term(self):
+        # models A and B with b0 = v0 = 0 build the pencil without a smooth term
+        params = self.PARAMS.replace(v0=0.0)
+        for kind in (ModelKind.A, ModelKind.B):
+            eq = reduced_equation(kind, QuantumState(1, 2), params)
+            assert eq.split() == (eq.c2, eq.c1, None)
+        assert reduced_equation(ModelKind.C, QuantumState(1, 2), params).split()[2] is not None
 
     @pytest.mark.parametrize("nodes", ["delta_rho_1e-8_to_50", "h_1e-6"])
     def test_ga_smooth_part_is_the_expanded_surrogate(self, nodes):
@@ -540,8 +557,8 @@ class TestSplit:
             series = 0.5 + x / 12.0 - x**3 / 720.0 + x**5 / 30240.0
             return np.where(small, series, direct)
 
-        eq = reduced_equation(ModelKind.C, QuantumState(1, 2), self.PARAMS)
-        c2, c1, smooth = _split(eq, "ga")
+        eq = reduced_equation(ModelKind.C, QuantumState(1, 2), self.PARAMS, "ga")
+        c2, c1, smooth = eq.split()
         d = eq.delta
         if nodes == "h_1e-6":
             grid = _FVGrid.build(1.0, 4e-3, 4000)
@@ -550,7 +567,7 @@ class TestSplit:
             rho = np.geomspace(1e-8, 50.0, 400) / d
         t = t_hat(d * rho)
         expanded = eq.c2 * (2.0 * d * (t - 0.5) / rho + (d * t) ** 2) + eq.c1 * d * t
-        expanded = expanded + eq.smooth(rho, "ga")
+        expanded = expanded + eq.smooth(rho)
         assert (c2, c1) == (eq.c2, eq.c1 + d * eq.c2)
         scale = np.abs(c2) / rho**2 + np.abs(c1) / rho + 1.0
         assert np.max(np.abs(smooth(rho) - expanded) / scale) <= 1e-12
@@ -770,6 +787,10 @@ class TestOracleEnergy:
             oracle_energy(ModelKind.A, state, PhysicalParams(sigma=2.0))
         with pytest.raises(DomainError, match="model C only"):
             oracle_energy(ModelKind.A, state, unit_params, target="ga")
+        with pytest.raises(DomainError, match="^Greene-Aldrich target requires delta > 0$"):
+            oracle_energy(ModelKind.C, state, unit_params, target="ga")
+        with pytest.raises(DomainError, match="^target must be 'exact' or 'ga', got 'bogus'$"):
+            oracle_energy(ModelKind.C, state, unit_params, target="bogus")
         with pytest.raises(TypeError):
             oracle_energy(ModelKind.A, state, unit_params, (1.0, 2.0))
 

@@ -1,11 +1,15 @@
 """Guards for the start-up cost of the package, for the names the
-benchmark's tracer wraps and for the names the scripts import."""
+benchmark's tracer wraps, for the benchmark's workloads and for the
+scripts."""
 
 import importlib
 import importlib.util
+import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,20 +17,21 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _fresh(code: str) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports pdmag from the source tree."""
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with args that imports pdmag from the source
+    tree, and require exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done
 
 
 _SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
 
 
 def test_import_leaves_scipy_unloaded():
-    out = _fresh(f"import sys, pdmag, pdmag.cli; print({_SCIPY_LOADED})")
+    out = _fresh("-c", f"import sys, pdmag, pdmag.cli; print({_SCIPY_LOADED})")
     assert out.stdout.strip() == "False"
 
 
@@ -54,7 +59,7 @@ def test_closed_form_commands_leave_scipy_unloaded():
         "        code = run(argv)\n"
         f"    print(argv[0], code, {_SCIPY_LOADED})\n"
     )
-    rows = _fresh(code).stdout.split("\n")[:-1]
+    rows = _fresh("-c", code).stdout.split("\n")[:-1]
     assert rows == [f"{argv[0]} 0 False" for argv in _CLOSED_FORM_COMMANDS]
 
 
@@ -66,7 +71,7 @@ def test_verify_loads_scipy_linalg_on_its_first_eigensolve():
         "    code = run(['verify', '--model', 'a', '--nrho-max', '0', '--m-min', '0', '--m-max', '0'])\n"
         "print(code, 'scipy.linalg' in sys.modules)\n"
     )
-    assert _fresh(code).stdout.strip() == "0 True"
+    assert _fresh("-c", code).stdout.strip() == "0 True"
 
 
 def test_perfbench_hooks_resolve():
@@ -117,7 +122,7 @@ def test_only_the_crossings_command_loads_json():
         "        code = run(argv)\n"
         "    print(argv[0], code, 'json' in sys.modules)\n"
     )
-    rows = _fresh(code).stdout.split("\n")[:-1]
+    rows = _fresh("-c", code).stdout.split("\n")[:-1]
     assert rows == [f"{argv[0]} 0 {argv[0] == 'crossings'}" for argv in commands]
 
 
@@ -161,3 +166,33 @@ def test_script_loads(path):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert callable(script.main)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle_convergence.py", "--max-points", "2000"], ["ga_validity.py"], ["crossing_atlas.py"]],
+    ids=lambda argv: argv[0],
+)
+def test_script_runs(argv):
+    # each script drives oracle_energy or find_crossings end to end
+    _fresh(str(ROOT / "scripts" / argv[0]), *argv[1:])
+
+
+_BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in _BENCHMARK["workloads"]])
+def test_benchmark_workload_runs(workload, monkeypatch):
+    # the path perfbench/run.py drives: set-up with its warm-up operation,
+    # the timed loop (here one item) and the end-to-end metrics; an error on
+    # it fails the whole benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    t0 = time.perf_counter()
+    stream = workloads.setup(workload, 1)
+    setup_s = time.perf_counter() - t0
+    out = workloads.run_workload(workload, stream, 0.05)
+    metrics = workloads.end_to_end(workload, out, setup_s)
+    assert out.attempted >= 1 and out.unchecked == 0, out.reasons
+    for name in (m["name"] for m in _BENCHMARK["end_to_end"]):
+        assert math.isfinite(metrics[name][0]), (name, metrics)
