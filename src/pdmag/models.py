@@ -120,7 +120,7 @@ class ReducedEquation(NamedTuple):
     V = -v0 e^(-delta rho)/rho - v1/rho + v2/rho^2 and the mass bracket.
     With target 'ga' every 1/rho reads as delta/(1 - e^(-delta rho)), the
     Greene-Aldrich form whose spectrum model C's closed form solves exactly;
-    smooth, mass, potential and split all follow the record's target.
+    smooth, mass, potential, split and tail all follow the record's target.
     """
 
     c2: float
@@ -132,6 +132,7 @@ class ReducedEquation(NamedTuple):
     power: int
     decay: float
     target: str
+    et: float
 
     def smooth(self, rho):
         """b0 + v0 (1 - e^(-delta rho))/rho, the part of W(rho; 0) bounded at 0."""
@@ -163,6 +164,14 @@ class ReducedEquation(NamedTuple):
             return self.c2, self.c1, self.smooth if self.b0 or self.v0 else None
         c2, c1 = self.c2, self.c1 + self.delta * self.c2
         return c2, c1, lambda rho: self.potential(rho, 0.0) - c2 / rho**2 - c1 / rho
+
+    @property
+    def tail(self) -> float:
+        """W(inf) - Et, the squared decay rate of a bound U (model C's r0 for 'ga')."""
+        if self.target == "exact":
+            return self.b0 - self.et
+        d = self.delta
+        return self.c2 * d * d + self.c1 * d + self.b0 + self.v0 * d - self.et
 
 
 def reduced_equation(
@@ -198,6 +207,7 @@ def reduced_equation(
         power=power,
         decay=k,
         target=target,
+        et=-params.s_squared,
     )
 
 
@@ -312,9 +322,9 @@ def _level_c(state: QuantumState, p, check):
 
 def model_c_coefficients(state: QuantumState, params: PhysicalParams, E: float) -> ModelCCore:
     """a1..a4 at the given energy, read off the reduced equation:
-    a1 = c2, a2 = c1 + v0, a3 = v0 + eta E, a4 = s^2 + b0."""
+    a1 = c2, a2 = c1 + v0, a3 = v0 + eta E, a4 = W(inf) - Et = s^2 + b0."""
     eq = reduced_equation(ModelKind.C, state, params)
-    return ModelCCore(eq.c2, eq.c1 + eq.v0, eq.v0 + eq.eta * E, params.s_squared + eq.b0, eq.delta)
+    return ModelCCore(eq.c2, eq.c1 + eq.v0, eq.v0 + eq.eta * E, eq.tail, eq.delta)
 
 
 # ---------------------------------------------------------------------------

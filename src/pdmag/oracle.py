@@ -18,23 +18,24 @@ pointwise, so the power law at the origin keeps the second order of
 convergence. G is diagonal, so each grid costs one symmetric tridiagonal
 eigensolve.
 
-The grids form a ladder n/4, n/2, n, 2n, with n = n_points. Beyond h^2
-the error's next term is h^(2p+1), from the rho^p factor at the origin,
-so the last three levels are fitted to E* + a h^2 + b h^q with
-q = min(2p + 1, 4). When the fit's two Richardson values agree to
-_LADDER_TOL at n cells the fit is the level and their difference its
-error; otherwise 2n cells are solved too, and the level is the new fit
-or the Richardson value of n and 2n, whichever error is smaller. A
-level's first eigensolve is a Sturm bisection. Every later one runs
-Rayleigh-quotient iteration from the level it expects (the grid before's,
-or model B's last trial energy) and keeps the result only when a Sturm
-count on either side certifies it as the wanted eigenvalue to _CERT_TOL;
-one pass of LAPACK's dlarrc gives both counts, else it bisects.
+The grids span (0, 25/sqrt(W(inf) - Et)] and form a ladder n/4, n/2, n,
+2n, with n = n_points. Beyond h^2 the error's next term is h^(2p+1), from
+the rho^p factor at the origin, so the last three levels are fitted to
+E* + a h^2 + b h^q with q = min(2p + 1, 4). When the fit's two Richardson
+values agree to _LADDER_TOL at n cells the fit is the level and their
+difference its error; otherwise 2n cells are solved too, and the level is
+the new fit or the Richardson value of n and 2n, whichever error is
+smaller. A level's first eigensolve is a Sturm bisection. Every later one
+runs Rayleigh-quotient iteration from the level it expects (the grid
+before's, or model B's last trial energy) and keeps the result only when
+a Sturm count on either side certifies it as the wanted eigenvalue to
+_CERT_TOL; one pass of LAPACK's dlarrc gives both counts, else it bisects.
 
 The physics lives in models.reduced_equation alone: one record per
-state and target ('exact', or model C's Greene-Aldrich 'ga') gives the
-mass profile g and W0 split as c2/rho^2 + c1/rho + smooth (its split
-method). The oracle only decides how to discretize, and never calls a
+state and target ('exact', or model C's Greene-Aldrich 'ga') gives Et,
+the mass profile g, W0 split as c2/rho^2 + c1/rho + smooth (its split
+method) and the tail W(inf) - Et, without which (<= 0) there is no bound
+spectrum. The oracle only decides how to discretize, and never calls a
 closed-form level.
 
 Model B (g = eta/rho^2) puts E into c2(E) = c2 - eta E and so into p. It
@@ -47,9 +48,9 @@ keep its p.
 
 verify_states checks each closed form on its own, apart from the oracle:
 models.curvature evaluates U and its exact U'' once on the form's check
-window, residual measures -U'' + (W - Et) U on it, with W from the
-reduced_equation record the oracle reads, and node_count counts the sign
-changes of the same U.
+window, residual measures -U'' + (W - Et) U on it, with W and Et from
+the reduced_equation record the oracle reads, and node_count counts the
+sign changes of the same U.
 """
 
 from __future__ import annotations
@@ -394,7 +395,7 @@ def _extrapolate(sizes, levels, q: float) -> OracleLevel | None:
     return min(fit, OracleLevel(r23, abs(r23 - e3)), key=lambda level: level.error)
 
 
-def _level(eq: ReducedEquation, state, et, rho_max, n_points) -> OracleLevel:
+def _level(eq: ReducedEquation, state, n_points) -> OracleLevel:
     """Level n_rho on the grid ladder n/4, n/2, n, 2n (n = n_points), as far as it goes.
 
     On each grid the level is the fixed point E = Eg + lam(Eg) of the
@@ -415,6 +416,7 @@ def _level(eq: ReducedEquation, state, et, rho_max, n_points) -> OracleLevel:
     pencil follows one rule (eq.split, _FVGrid.weight) for every model.
     """
     c2, c1, smooth = eq.split()
+    et, rho_max = eq.et, 25.0 / math.sqrt(eq.tail)
     eta = eq.eta if eq.power == 2 else 0.0  # E's share of the centrifugal strength
     if not eta and c2 + 0.25 < 0:
         raise BoundStateError(
@@ -475,18 +477,13 @@ def oracle_energy(
 
     The equation is models.reduced_equation(kind, state, params, target),
     built once; it rejects a target other than 'exact' and 'ga' (model C
-    with delta > 0). Returns OracleLevel(energy, error). The grids span
-    (0, 25/sqrt(-Et)] and form a ladder of n_points // 4, n_points // 2,
-    n_points and 2 n_points cells; the coarsest must hold the level.
-    Models A and C take one pencil eigensolve per grid; model B repeats
-    the solve on the first grid at the last level's p until the energy
-    step is at most _FIXED_POINT_TOL, and starts one grid finer when that
-    grid has no level. If the fit of the first three levels is settled to _LADDER_TOL,
-    it is returned with the difference of its two Richardson values as the
-    error. Otherwise the ladder solves 2 n_points too and returns the fit
-    of its last three levels, or the Richardson value of its last two with
-    |E_2n - E_n|/3 as the error, whichever error is smaller. So n_points is
-    the finest grid of a settled level and half the finest of any other.
+    with delta > 0), and it has no bound spectrum (BoundStateError) unless
+    its tail W(inf) - Et is positive. Returns OracleLevel(energy, error)
+    from _level's grids on (0, 25/sqrt(W(inf) - Et)] at the record's Et:
+    n_points // 4, n_points // 2 and n_points cells, the coarsest of which
+    must hold the level, and 2 n_points too when the fit of the first three
+    levels is not settled to _LADDER_TOL (_extrapolate). So n_points is the
+    finest grid of a settled level and half the finest of any other.
     """
     if params.sigma != 1.0:
         raise DomainError(
@@ -499,13 +496,11 @@ def oracle_energy(
     if state.n_rho >= n_points // 4:
         raise DomainError(f"n_rho = {state.n_rho} exceeds n_points // 4 - 1 = "
                           f"{n_points // 4 - 1}, the highest level the coarsest grid holds")
-    et = e_tilde(params)
-    if not et < 0:
-        raise BoundStateError(
-            "no bound spectrum: kz^2 + e^2 B0^2 mu^2 must be positive for a decaying tail"
-        )
+    if not eq.tail > 0:
+        raise BoundStateError(f"no bound spectrum: W(inf) - Et = {eq.tail} must be positive "
+                              "for a decaying tail")
     with np.errstate(all="ignore"):  # _pencil rejects a pencil that is not finite
-        return _level(eq, state, et, 25.0 / math.sqrt(-et), n_points)
+        return _level(eq, state, n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +572,7 @@ def verify_states(
                           "criterion 4): verify it with --model a, or take --delta > 0")
     if target is None:
         target = "ga" if kind is ModelKind.C else "exact"
+    reduced_equation(kind, QuantumState(0, 0), params, target)  # the record's rules, checked once
     rows: list[VerifyRow] = []
     skipped: list[tuple[QuantumState, str]] = []
     for state in states:
@@ -592,7 +588,7 @@ def verify_states(
         form = "xi" if kind is ModelKind.C else "paper"
         rho, u, upp = closed_form_curvature(kind, state, params, form=form)
         w = _eval_potential(lambda x: eq.potential(x, e_closed), rho)
-        res = residual(u, upp, w, e_tilde(params))
+        res = residual(u, upp, w, eq.et)
         nodes = node_count(u)
         rows.append(
             VerifyRow(

@@ -270,15 +270,15 @@ class TestVerify:
         assert e_oracle == pytest.approx(1.5, rel=1e-5)
 
     def test_oracle_limited_failure_says_so(self, capsys):
-        # state (2, 0) misses the 1e-5 gate with abs_err 3.4e-5, inside its own
-        # oracle_err of 1.1e-4: the message names it and suggests more cells
+        # state (2, 0) misses the 1e-5 gate with abs_err 3.0e-5, inside its own
+        # oracle_err of 9.9e-5: the message names it and suggests more cells
         code = run(["verify", "--model", "c", "--mu", "0.15", "--delta", "0.1",
                     "--nrho-max", "2", "--m-min", "0", "--m-max", "0"])
         captured = capsys.readouterr()
         assert code == 2
         assert len(lines_of(captured.out)) == 4
         err = captured.err.splitlines()[-1]
-        assert err.startswith("verification failed: worst relative error 2.053e-05")
+        assert err.startswith("verification failed: worst relative error 1.806e-05")
         assert "at n_rho=2 m=0" in err
         assert "oracle-limited" in err and "--n-points" in err
 
@@ -304,6 +304,21 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "error: Greene-Aldrich target applies to model C only" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--target", "ga", "--v1", "0.5"], "Greene-Aldrich target applies to model C only"),
+         (["--sigma", "0.5"], "closed-form models require sigma = 1, got sigma = 0.5")],
+        ids=["ga_target", "sigma"],
+    )
+    def test_equation_rules_are_checked_before_any_state(self, capsys, argv, message):
+        # was: every state skipped (no closed form), only the header, exit 0
+        code = run(["verify", "--model", "a", *argv, "--nrho-max", "0", "--m-min", "0",
+                    "--m-max", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "# skipped" not in captured.err
+        assert f"error: {message}" in captured.err
 
     def test_model_a_with_a_potential_is_skipped(self, capsys):
         # was: rows that passed on energy with a residual of 2.6, exit 0

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pdmag import models
@@ -21,6 +21,7 @@ from pdmag.models import (
     ModelKind,
     curvature,
     energy,
+    model_c_coefficients,
     reduced_equation,
     wavefunction,
 )
@@ -537,6 +538,24 @@ class TestSplit:
         scale = np.abs(c2) / rho**2 + np.abs(c1) / rho + 1.0
         assert np.max(np.abs(assembled - expected) / scale) <= 1e-13
 
+    @pytest.mark.parametrize(
+        "kind, target",
+        [(ModelKind.A, "exact"), (ModelKind.B, "exact"), (ModelKind.C, "exact"),
+         (ModelKind.C, "ga")],
+    )
+    def test_tail_is_the_potential_far_out(self, kind, target):
+        # W(inf) - Et: at rho = 1e9 the mass term and every 1/rho have gone,
+        # or 1/rho has become delta for 'ga'
+        state = QuantumState(1, 2)
+        eq = reduced_equation(kind, state, self.PARAMS, target)
+        far = eq.potential(np.array([1e9]), 1.7)[0] - eq.et
+        assert eq.tail == pytest.approx(far, rel=1e-12, abs=1e-8)
+        assert eq.et == e_tilde(self.PARAMS)
+        if target == "ga":  # the closed form's radicand
+            assert eq.tail == pytest.approx(ga_radicand(state, self.PARAMS), rel=1e-13)
+        elif kind is ModelKind.C:  # a4, bit for bit s^2 + b0
+            assert model_c_coefficients(state, self.PARAMS, 1.7).a4 == self.PARAMS.s_squared + eq.b0
+
     def test_no_smooth_part_without_a_yukawa_term(self):
         # models A and B with b0 = v0 = 0 build the pencil without a smooth term
         params = self.PARAMS.replace(v0=0.0)
@@ -600,6 +619,29 @@ class TestSplit:
         expected = (w_sq + 0.25 - ell**2) / params.eta
         level = oracle_energy(ModelKind.B, state, params)
         assert abs(level.energy - expected) <= max(level.error, 1e-6 * abs(expected))
+
+
+@st.composite
+def ga_levels(draw):
+    """A model C state with a Greene-Aldrich potential, over the benchmark's
+    draw space widened by the Yukawa-plus-Kratzer terms; v1 up to 1 makes
+    the radicand r0 negative on about one draw in six."""
+    state = QuantumState(draw(st.integers(0, 3)), draw(st.integers(-3, 3)))
+    params = PhysicalParams(
+        mu=draw(st.floats(0.1, 0.5)), delta=draw(st.floats(0.02, 0.3)), beta=draw(st.floats(-5.0, 1.0)),
+        kz=draw(st.floats(0.0, 0.5)), alpha_ab=draw(st.floats(-0.5, 0.5)), eta=draw(st.floats(0.5, 1.5)),
+        v0=draw(st.floats(0.0, 0.5)), v1=draw(st.floats(0.0, 1.0)), v2=draw(st.floats(0.0, 0.5)),
+    )
+    return state, params
+
+
+def ga_radicand(state, params):
+    """The closed form's r0 = delta^2 (w^2 + V2) + delta^2/4 - 2 e B0 mu w delta
+    - delta V1 + kz^2 + (e B0 mu)^2, written out from the paper's level formula."""
+    e, b0, mu, d = params.e, params.b0, params.mu, params.delta
+    w = state.m - params.alpha_ab - e * b0 * params.beta / 2.0
+    return (d * d * (w * w + params.v2) + d * d / 4.0 - 2.0 * e * b0 * mu * w * d - d * params.v1
+            + params.kz**2 + (e * b0 * mu) ** 2)
 
 
 class TestOracleEnergy:
@@ -695,20 +737,21 @@ class TestOracleEnergy:
     @pytest.mark.parametrize(
         "state, params",
         [
+            # two levels of the benchmark stream (seeds 7 and 8)
             (QuantumState(3, 3), PhysicalParams(
-                mu=0.15472278921131682, delta=0.15411074030393254, beta=-3.953645854490092,
-                kz=0.0027117999011329053, alpha_ab=0.22806207906137155, eta=1.006926941592888)),
-            (QuantumState(0, 3), PhysicalParams(
-                mu=0.12527088041849926, delta=0.20550672642455942, beta=-4.982070841476778,
-                kz=0.38490724674432597, alpha_ab=0.12385007882440524, eta=1.4229632157816476)),
-            # two more levels of the benchmark stream whose fit on 2000, 4000
-            # and 8000 cells is still 2e-3 off: the pair value must win there
+                beta=-3.3751688983812915, kz=0.037376114739062105, alpha_ab=-0.04526065134694124,
+                eta=0.5370021706239231, mu=0.27402308878897974, delta=0.05612716898234739)),
             (QuantumState(3, 3), PhysicalParams(
-                beta=-3.856014730755476, kz=0.2869924211249779, alpha_ab=-0.11240702163865701,
-                eta=1.3922114778625658, mu=0.1007229516813085, delta=0.24552620893008045)),
+                beta=-3.8410352723180847, kz=0.04315628574666408, alpha_ab=-0.46131829505543787,
+                eta=1.3733005540624676, mu=0.4343432419851676, delta=0.15117176336492152)),
+            # two more whose fit on 2000, 4000 and 8000 cells is still 4e-3
+            # and 1e-2 off: the pair value must win there
             (QuantumState(2, 3), PhysicalParams(
-                beta=-4.343865043789799, kz=0.04989166350029306, alpha_ab=0.3409497363024747,
-                eta=1.2957158373041657, mu=0.10259141448655172, delta=0.1471668109700794)),
+                beta=-3.96163447768569, kz=0.05054744927449857, alpha_ab=-0.494894320451846,
+                eta=1.2962273903844266, mu=0.3731959034358705, delta=0.06808002435258807)),
+            (QuantumState(2, 3), PhysicalParams(
+                beta=-4.363214001872648, kz=0.01960535582523684, alpha_ab=-0.11040471570117794,
+                eta=0.8660390572621383, mu=0.2570442364166393, delta=0.051696366620370734)),
         ],
     )
     def test_unsettled_three_grid_fit_goes_on_to_twice_the_cells(self, state, params, monkeypatch):
@@ -793,6 +836,57 @@ class TestOracleEnergy:
             oracle_energy(ModelKind.C, state, unit_params, target="bogus")
         with pytest.raises(TypeError):
             oracle_energy(ModelKind.A, state, unit_params, (1.0, 2.0))
+
+    @pytest.mark.parametrize("delta", [0.1, 0.2])
+    def test_ga_equation_without_a_decaying_tail_has_no_level(self, delta):
+        # W(inf) - Et of the Greene-Aldrich equation is the closed form's r0.
+        # Where it is negative the closed form rejects the state, and the
+        # oracle, whose truncated grid once held box states there (for
+        # instance (0, 1) at -136 800 and (2, 1) at -179.3 for delta = 0.2),
+        # must reject it too
+        params = PhysicalParams(mu=0.3, v0=0.2, v1=0.3, v2=0.1, delta=delta)
+        rejected = 0
+        for state in (QuantumState(n, m) for n in range(4) for m in range(-3, 4)):
+            try:
+                energy(ModelKind.C, state, params)
+            except DomainError as err:
+                assert "radicand r0" in str(err)
+                with pytest.raises(BoundStateError, match=r"no bound spectrum: W\(inf\) - Et = -"):
+                    oracle_energy(ModelKind.C, state, params, target="ga")
+                rejected += 1
+        assert rejected == 8  # m = 2, 3 at delta = 0.1; m = 1, 2 at delta = 0.2
+
+    @given(case=ga_levels())
+    def test_ga_level_exists_exactly_where_the_radicand_is_positive(self, case):
+        state, params = case
+        r0 = ga_radicand(state, params)
+        assume(abs(r0) > 1e-9)  # the rounding band of r0 and of W(inf) - Et
+        if r0 > 0:
+            energy(ModelKind.C, state, params)
+            level = oracle_energy(ModelKind.C, state, params, n_points=400, target="ga")
+            assert math.isfinite(level.energy) and math.isfinite(level.error)
+        else:
+            with pytest.raises(BoundStateError, match=r"W\(inf\) - Et"):
+                oracle_energy(ModelKind.C, state, params, n_points=400, target="ga")
+
+    def test_model_c_exact_at_zero_delta_with_a_yukawa_term_has_a_level(self, weak_field_params):
+        # the record's W(inf) is b0 here, never W evaluated at rho = inf,
+        # where v0 (1 - e^(-delta rho))/rho is 0 * inf at delta = 0
+        params = weak_field_params.replace(v0=0.3)
+        closed = energy(ModelKind.C, QuantumState(0, 1), params)
+        level = oracle_energy(ModelKind.C, QuantumState(0, 1), params, target="exact")
+        assert math.isfinite(level.energy) and 0.0 < level.error < 1e-6
+        assert level.energy == pytest.approx(closed, rel=1e-6)
+
+    def test_slow_tail_model_c_level_is_within_its_estimate(self, weak_field_params):
+        # C (3, 3) at delta = 0.05, a known defect of the benchmark stream:
+        # its tail decays at sqrt(r0) = 0.025, so a domain of 25/sqrt(-Et)
+        # held 4.2 decay lengths and the level was 3.2e-3 off
+        params = weak_field_params.replace(delta=0.05)
+        closed = energy(ModelKind.C, QuantumState(3, 3), params)
+        level = oracle_energy(ModelKind.C, QuantumState(3, 3), params, target="ga")
+        assert abs(level.energy - closed) <= 1e-4 * max(1.0, abs(closed))
+        assert abs(level.energy - closed) <= level.error
 
     def test_exact_vs_ga_gap_grows_with_delta(self, weak_field_params):
         # the substituted form and the true exponential-mass equation drift

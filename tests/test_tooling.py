@@ -74,19 +74,6 @@ def test_verify_loads_scipy_linalg_on_its_first_eigensolve():
     assert _fresh("-c", code).stdout.strip() == "0 True"
 
 
-def test_perfbench_hooks_resolve():
-    # perfbench/spans.py swaps these module attributes for timing wrappers,
-    # so each one must exist under its name
-    path = ROOT / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    hooks = spans._hooks()
-    assert hooks
-    for module_name, attr, _ in hooks:
-        assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
-
-
 def test_crossing_search_goes_through_the_traced_names(monkeypatch):
     # perfbench/spans.py also swaps pdmag.sweeps.dataclasses for a namespace
     # whose replace it times, and perfbench/layers.py reads the median of
@@ -196,3 +183,25 @@ def test_benchmark_workload_runs(workload, monkeypatch):
     assert out.attempted >= 1 and out.unchecked == 0, out.reasons
     for name in (m["name"] for m in _BENCHMARK["end_to_end"]):
         assert math.isfinite(metrics[name][0]), (name, metrics)
+
+
+def test_traced_benchmark_run_gives_every_per_layer_metric(monkeypatch, tmp_path):
+    # perfbench/run.py --trace 1 swaps every module attribute that
+    # perfbench/spans.py hooks for a timing wrapper and prints each
+    # per-layer metric with a numeric format: a hooked name that is gone, or
+    # a metric that is None because nothing recorded its span
+    # (oracle.eigensolve_ms.n8000 when every level settles at 4000 cells),
+    # ends the traced run with an uncaught exception
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers, spans, workloads = (importlib.import_module(m) for m in ("layers", "spans", "workloads"))
+    hooks = spans._hooks()
+    assert hooks
+    for module_name, attr, _ in hooks:
+        assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+    metrics, out, _ = layers.traced_run("oracle-verify", 1, 25, workloads.setup("oracle-verify", 1),
+                                        tmp_path)
+    assert out.attempted >= 1 and out.unchecked == 0, out.reasons
+    assert {m["name"] for m in _BENCHMARK["per_layer"]} <= metrics.keys()
+    missing = [name for name, (value, _) in metrics.items()
+               if value is None or not math.isfinite(value)]
+    assert missing == []
