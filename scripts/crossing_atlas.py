@@ -4,12 +4,16 @@
 For each entry the scan range is the documented one from the README; the
 script re-evaluates both closed-form levels at every reported crossing
 and prints the residual degeneracy gap, so the table doubles as a check
-that detection is not returning spurious points.
+that detection is not returning spurious points. The oracle column is
+where the independent oracle's levels cross (oracle_crossing), less the
+closed-form crossing, against the bound that the oracle's own error
+estimates set on it.
 """
 
 import argparse
 
 from pdmag.models import ModelKind, energy
+from pdmag.oracle import oracle_energy
 from pdmag.params import PhysicalParams, QuantumState
 from pdmag.sweeps import find_crossings
 
@@ -27,12 +31,45 @@ ATLAS = (
 )
 
 
+def oracle_crossing(kind, state1, state2, name, base, p_c):
+    """Where the oracle's E1 - E2 changes sign near the closed-form crossing
+    p_c: bisected from p_c -+ 1e-3 max(1, |p_c|) to a width of 1e-12.
+    Returns (p, err, slope): the oracle crossing, the summed error
+    estimates of its two levels there and the secant slope of E1 - E2 over
+    the first bracket, so p lies within err/|slope| of the true crossing.
+    Model C reads the Greene-Aldrich equation that its closed form solves.
+    """
+    target = "ga" if kind is ModelKind.C else "exact"
+
+    def gap(p):
+        at = base.replace(**{name: p})
+        one, two = (oracle_energy(kind, s, at, target=target) for s in (state1, state2))
+        return one.energy - two.energy, one.error + two.error
+
+    half = 1e-3 * max(1.0, abs(p_c))
+    lo, hi = p_c - half, p_c + half
+    g_lo, g_hi = gap(lo)[0], gap(hi)[0]
+    if not g_lo * g_hi < 0:
+        raise ValueError(f"the oracle's levels do not cross on [{lo}, {hi}]")
+    slope = (g_hi - g_lo) / (hi - lo)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        g_mid = gap(mid)[0]
+        if (g_mid < 0) == (g_lo < 0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    p = 0.5 * (lo + hi)
+    return p, gap(p)[1], slope
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scan-steps", type=int, default=2001)
     args = parser.parse_args()
 
-    print(f"{'model':5} {'pair':12} {'param':9} {'range':16} {'crossing':>22} {'E':>22} {'|gap|':>9}")
+    print(f"{'model':5} {'pair':12} {'param':9} {'range':16} {'crossing':>22} {'E':>22} {'|gap|':>9} "
+          f"{'oracle-crossing':>15} {'bound':>8}")
     for kind, s1, s2, name, prange, overrides in ATLAS:
         state1, state2 = QuantumState(*s1), QuantumState(*s2)
         base = PhysicalParams(**overrides)
@@ -47,9 +84,11 @@ def main() -> None:
         for point in points:
             at = base.replace(**{name: point.param_value})
             gap = abs(energy(kind, state1, at) - energy(kind, state2, at))
+            p, err, slope = oracle_crossing(kind, state1, state2, name, base, point.param_value)
             print(
                 f"{kind.value:5} {pair:12} {name:9} {span:16} "
-                f"{point.param_value:>22.15g} {point.energy:>22.15g} {gap:>9.1e}"
+                f"{point.param_value:>22.15g} {point.energy:>22.15g} {gap:>9.1e} "
+                f"{p - point.param_value:>15.1e} {err / abs(slope):>8.1e}"
             )
 
 

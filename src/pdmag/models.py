@@ -12,8 +12,10 @@ Profile tags:
 
 Each model reduces to one radial equation -U'' + W U = Et U, whose
 coefficients come from one table (reduced_equation); the oracle and
-model_c_coefficients read it. The record also carries its target: the
-exact equation, or model C's Greene-Aldrich form and its singular split.
+model_c_coefficients, model C's Nikiforov-Uvarov reference, read it. The
+record also carries its target: the exact equation, or model C's
+Greene-Aldrich form and its singular split. Each closed-form wavefunction
+takes its exponents from its own level kernel.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -35,7 +36,6 @@ from .specfun import jacobi, laguerre, normalize
 
 __all__ = [
     "ModelKind",
-    "ModelCCore",
     "GreeneAldrich",
     "ReducedEquation",
     "reduced_equation",
@@ -263,40 +263,9 @@ def _level_b(state: QuantumState, p, check):
     return (w * w + 0.25 - ell * ell) / p.eta, (ell,)
 
 
-@dataclass(frozen=True)
-class ModelCCore:
-    """Model C's reduced equation in the form of the paper,
-        -U'' + [a1/rho^2 + a2/rho - a3 e^(-delta rho)/rho + a4] U = 0.
-    a3 carries the energy; everything else is E-independent.
-    """
-
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    delta: float
-
-    def __post_init__(self):
-        if not self.a4 > 0:
-            raise DomainError(f"a4 = {self.a4} must be positive (no decaying tail otherwise)")
-
-    def nu_coefficients(self) -> NUCoefficients:
-        """The reduced (tilde) coefficients under xi = e^(-delta rho)."""
-        d = self.delta
-        if d**2 == 0:
-            raise DomainError(
-                f"coefficient reduction divides by delta^2 = 0 (delta = {d}); at delta = 0 "
-                "use model A reduction instead"
-            )
-        tilde = (self.a1, -self.a2 / d, self.a3 / d, self.a4 / d**2)
-        if not all(map(math.isfinite, tilde)):
-            raise DomainError(f"coefficient reduction overflows: delta = {d} is too small")
-        return NUCoefficients(*tilde)
-
-
 def _level_c(state: QuantumState, p, check):
     """Level kernel of model C, the Yukawa-mass profile with confinement;
-    returns (E, ()) with
+    returns (E, (sqrt(r0), G)) with
 
     E = (1/eta)[(n^2 + n + 1/2) delta + (2n + 1) eps1 + eps2 - V0],
 
@@ -304,7 +273,8 @@ def _level_c(state: QuantumState, p, check):
     - 2 e B0 mu w - V1 and G = sqrt(w^2 + V2 + 1/16); both radicands must
     be non-negative. Computed through eps1/eps2 so delta = 0 is a plain
     substitution (and reproduces model A exactly when the confinement is
-    off).
+    off). The roots are the NU exponents' parts: kappa = 2 sqrt(r0)/delta
+    and upsilon = 2 G.
     """
     w = _w(state, p)
     e, b0, mu, d = p.e, p.b0, p.mu, p.delta
@@ -317,14 +287,28 @@ def _level_c(state: QuantumState, p, check):
     eps1 = root + d * big_g
     eps2 = 2.0 * root * big_g + 2.0 * d * w2v - 2.0 * e * b0 * mu * w - p.v1
     n = state.n_rho
-    return ((n * n + n + 0.5) * d + (2 * n + 1) * eps1 + eps2 - p.v0) / p.eta, ()
+    return ((n * n + n + 0.5) * d + (2 * n + 1) * eps1 + eps2 - p.v0) / p.eta, (root, big_g)
 
 
-def model_c_coefficients(state: QuantumState, params: PhysicalParams, E: float) -> ModelCCore:
-    """a1..a4 at the given energy, read off the reduced equation:
-    a1 = c2, a2 = c1 + v0, a3 = v0 + eta E, a4 = W(inf) - Et = s^2 + b0."""
+def model_c_coefficients(state: QuantumState, params: PhysicalParams, E: float) -> NUCoefficients:
+    """Model C's NU coefficients at energy E under xi = e^(-delta rho), read
+    off the reduced equation -U'' + [c2/rho^2 + (c1 + v0)/rho
+    - (v0 + eta E) e^(-delta rho)/rho + tail] U = 0 (the paper's a1..a4):
+    (c2, -(c1 + v0)/delta, (v0 + eta E)/delta, tail/delta^2). The closed
+    form takes kappa and upsilon from its level kernel; this is the
+    reference it is checked against.
+    """
     eq = reduced_equation(ModelKind.C, state, params)
-    return ModelCCore(eq.c2, eq.c1 + eq.v0, eq.v0 + eq.eta * E, eq.tail, eq.delta)
+    d = eq.delta
+    if d**2 == 0:
+        raise DomainError(
+            f"coefficient reduction divides by delta^2 = 0 (delta = {d}); at delta = 0 "
+            "use model A reduction instead"
+        )
+    tilde = (eq.c2, -(eq.c1 + eq.v0) / d, (eq.v0 + eq.eta * E) / d, eq.tail / d**2)
+    if not all(map(math.isfinite, tilde)):
+        raise DomainError(f"coefficient reduction overflows: delta = {d} is too small")
+    return NUCoefficients(*tilde)
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +501,18 @@ def _jacobi_poly(n: int, kappa: float, upsilon: float):
     return poly
 
 
-def _laguerre_form(state: QuantumState, s: float, ell: float, r_power: float) -> _ClosedForm:
+# r_power of models A and B: R = sqrt(eta) U / rho^r_power.
+_R_POWER = {ModelKind.A: 1.0, ModelKind.B: 1.5}
+
+
+def _laguerre_form(kind: ModelKind, state: QuantumState, params: PhysicalParams,
+                   form: str) -> _ClosedForm:
     """Models A and B: U = rho^p e^(-s rho) L_n^a(2 s rho) with p = ell + 1/2
-    and a = 2 ell; in x = 2 s rho, int U^2 drho = (2s)^-(a+2) times the
-    'laguerre' integral."""
-    n, p, a = state.n_rho, ell + 0.5, 2.0 * ell
+    and a = 2 ell, ell = |ell_tilde| (A) or |ell_acute| (B) from the level
+    kernel, so R = N rho^(p - r_power) e^(-s rho) L_n^a(2 s rho); in
+    x = 2 s rho, int U^2 drho = (2s)^-(a+2) times the 'laguerre' integral."""
+    (ell,) = _level(kind, state, params)[1]
+    n, s, p, a = state.n_rho, params.decay_rate, ell + 0.5, 2.0 * ell
 
     def factor(rho):
         return rho**p * np.exp(-s * rho), 2.0 * s * rho
@@ -530,20 +521,7 @@ def _laguerre_form(state: QuantumState, s: float, ell: float, r_power: float) ->
         return p / rho - s, -p / rho**2, 2.0 * s, 0.0
 
     norm = ("laguerre", n, a, 0.0, -(a + 2.0) * math.log(2.0 * s))
-    return _ClosedForm(factor, slopes, _laguerre_poly(n, a), r_power, 0.0, s, norm)
-
-
-def _model_a_form(state: QuantumState, params: PhysicalParams, form: str) -> _ClosedForm:
-    """R = N rho^(|ell_tilde|-1/2) e^(-s rho) L_n^(2|ell_tilde|)(2 s rho) = sqrt(eta) U / rho."""
-    (ell,) = _level(ModelKind.A, state, params)[1]
-    return _laguerre_form(state, params.decay_rate, ell, 1.0)
-
-
-def _model_b_form(state: QuantumState, params: PhysicalParams, form: str) -> _ClosedForm:
-    """R = N rho^(|ell_acute|-1) e^(-s rho) L_n^(2|ell_acute|)(2 s rho)
-    = sqrt(eta) U / rho^(3/2)."""
-    (ell,) = _level(ModelKind.B, state, params)[1]
-    return _laguerre_form(state, params.decay_rate, ell, 1.5)
+    return _ClosedForm(factor, slopes, _laguerre_poly(n, a), _R_POWER[kind], 0.0, s, norm)
 
 
 def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _ClosedForm:
@@ -552,6 +530,8 @@ def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _Cl
     factor delta^((1+upsilon)/2) so the two forms agree as delta rho -> 0;
     form 'xi': U = xi^(kappa/2) (1-xi)^((1+upsilon)/2) P_n^(kappa,upsilon)(1-2xi),
     xi = e^(-delta rho), which solves the approximated equation exactly.
+    kappa = 2 sqrt(r0)/delta and upsilon = 2 G come from the level kernel's
+    roots (_level_c); delta so small that kappa^2 overflows is a DomainError.
     R = sqrt(eta) e^(-delta rho/2) U / rho for either form, and U decays
     like e^(-delta kappa rho/2); in x = delta rho, int U^2 drho = 1/delta
     times the integral named by the form."""
@@ -559,8 +539,11 @@ def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _Cl
         raise DomainError(
             "model C wavefunction needs delta > 0; at delta = 0 use model A reduction"
         )
-    nu_c = model_c_coefficients(state, params, energy(ModelKind.C, state, params)).nu_coefficients()
-    n, d, kappa, upsilon = state.n_rho, params.delta, nu_c.kappa, nu_c.upsilon
+    root, big_g = _level(ModelKind.C, state, params)[1]
+    n, d = state.n_rho, params.delta
+    kappa, upsilon = 2.0 * root / d, 2.0 * big_g
+    if d * d == 0 or not math.isfinite(kappa * kappa):
+        raise DomainError(f"kappa = 2 sqrt(r0)/delta overflows: delta = {d} is too small")
     p = 0.5 * (1.0 + upsilon)
 
     def factor(rho):
@@ -585,12 +568,14 @@ def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _Cl
                        (form, n, kappa, upsilon, -math.log(d)))
 
 
-_CLOSED_FORMS = {ModelKind.A: _model_a_form, ModelKind.B: _model_b_form, ModelKind.C: _model_c_form}
+_CLOSED_FORMS = {**{kind: partial(_laguerre_form, kind) for kind in _R_POWER},
+                 ModelKind.C: _model_c_form}
 
 
 @lru_cache(maxsize=512)
-def _norm(kind: ModelKind, state: QuantumState, params: PhysicalParams, form: str) -> float:
-    return normalize(*_CLOSED_FORMS[kind](state, params, form).norm)
+def _norm(*norm) -> float:
+    """normalize(*norm), cached on a form's norm arguments."""
+    return normalize(*norm)
 
 
 def _closed_form(kind: ModelKind, state: QuantumState, params: PhysicalParams, form: str):
@@ -634,7 +619,7 @@ def wavefunction(
     if component not in ("R", "U"):
         raise DomainError(f"component must be 'R' or 'U', got {component!r}")
     rho_arr = _positive(rho)
-    scale = _norm(kind, state, params, form)
+    scale = _norm(*closed.norm)
     with np.errstate(all="ignore"):  # checked below
         u = closed.u(rho_arr)
         if component == "U":

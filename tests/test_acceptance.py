@@ -115,7 +115,7 @@ def test_criterion_3_screened_model_round_trip_and_oracle():
         for n, m in ((0, 1), (1, 1), (0, 2), (1, 0), (2, 1)):
             state = QuantumState(n, m)
             closed = energy(ModelKind.C, state, params)
-            c = model_c_coefficients(state, params, closed).nu_coefficients()
+            c = model_c_coefficients(state, params, closed)
             quantized = nu_quantize(c.a1t, c.a2t, c.a4t, n)
             assert abs(quantized - c.a3t) <= 1e-9 * max(1.0, abs(c.a3t)), (state, delta)
             assert oracle_matches(ModelKind.C, state, params, closed, 1e-4, target="ga"), (

@@ -95,6 +95,17 @@ class TestWavefunction:
         assert captured.out == ""
         assert "underflows to 0 at every rho" in captured.err
 
+    @pytest.mark.parametrize("form", ["paper", "xi"])
+    @pytest.mark.parametrize("delta", ["1e-170", "1e-160"])
+    def test_tiny_delta_names_delta(self, delta, form, capsys):
+        # kappa = 2 sqrt(r0)/delta overflows: a DomainError before the norm
+        code = run(["wavefunction", "--model", "c", "--state", "0,1", "--delta", delta,
+                    "--form", form])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"delta = {delta} is too small" in captured.err
+
 
 class TestField:
     def test_table_columns(self, capsys):

@@ -159,12 +159,13 @@ class TestEffectivePotential:
         # xi = e^(-delta rho), in the coefficients of the paper's form
         params = PhysicalParams(mu=0.3, delta=0.2, v0=0.4, v1=0.3, v2=0.2, kz=0.1)
         state, E = QuantumState(1, 1), 0.7
-        core = model_c_coefficients(state, params, E)
+        ex = reduced_equation(ModelKind.C, state, params)
+        a1, a2, a3 = ex.c2, ex.c1 + ex.v0, ex.v0 + ex.eta * E
         eq = reduced_equation(ModelKind.C, state, params, "ga")
         for rho in (0.05, 1.0, 7.0):
             xi = math.exp(-0.2 * rho)
             big_l = 0.2 / (1.0 - xi)
-            expected = core.a1 * big_l**2 + core.a2 * big_l - core.a3 * xi * big_l + 0.04 / 16.0
+            expected = a1 * big_l**2 + a2 * big_l - a3 * xi * big_l + 0.04 / 16.0
             assert eq.potential(rho, E) == pytest.approx(expected, rel=1e-12)
 
 
@@ -315,47 +316,48 @@ class TestModelBWavefunction:
 
 
 class TestModelCCoefficients:
+    """The paper's a1..a4 are the record's c2, c1 + v0, v0 + eta E and tail;
+    model_c_coefficients divides them into the NU coefficients."""
+
     def test_a1_at_zero_w(self):
-        core = model_c_coefficients(QuantumState(0, 0), PhysicalParams(delta=0.1), 0.0)
-        assert core.a1 == pytest.approx(-3.0 / 16.0, rel=1e-15)
+        eq = reduced_equation(ModelKind.C, QuantumState(0, 0), PhysicalParams(delta=0.1))
+        assert eq.c2 == pytest.approx(-3.0 / 16.0, rel=1e-15)
 
     def test_a4_assembly(self):
         params = PhysicalParams(b0=0.0, kz=1.0, delta=0.1)
-        core = model_c_coefficients(QuantumState(0, 0), params, 0.0)
-        assert core.a4 == pytest.approx(1.0 + 0.01 / 16.0, rel=1e-15)
+        eq = reduced_equation(ModelKind.C, QuantumState(0, 0), params)
+        assert eq.tail == pytest.approx(1.0 + 0.01 / 16.0, rel=1e-15)
 
     def test_a3_carries_the_energy(self):
         params = PhysicalParams(delta=0.1, v0=0.7, eta=2.0)
-        core = model_c_coefficients(QuantumState(0, 1), params, 1.3)
-        assert core.a3 == pytest.approx(0.7 + 2.0 * 1.3, rel=1e-15)
+        c = model_c_coefficients(QuantumState(0, 1), params, 1.3)
+        assert c.a3t * params.delta == pytest.approx(0.7 + 2.0 * 1.3, rel=1e-15)
 
     def test_tilde_map(self):
         params = PhysicalParams(mu=0.15, delta=0.1)
-        core = model_c_coefficients(QuantumState(0, 1), params, 0.5)
-        c = core.nu_coefficients()
+        eq = reduced_equation(ModelKind.C, QuantumState(0, 1), params)
+        c = model_c_coefficients(QuantumState(0, 1), params, 0.5)
         d = params.delta
-        assert c.a1t == core.a1
-        assert c.a2t == pytest.approx(-core.a2 / d, rel=1e-14)
-        assert c.a3t == pytest.approx(core.a3 / d, rel=1e-14)
-        assert c.a4t == pytest.approx(core.a4 / d**2, rel=1e-14)
+        assert c.a1t == eq.c2
+        assert c.a2t == pytest.approx(-(eq.c1 + eq.v0) / d, rel=1e-14)
+        assert c.a3t == pytest.approx((eq.v0 + eq.eta * 0.5) / d, rel=1e-14)
+        assert c.a4t == pytest.approx(eq.tail / d**2, rel=1e-14)
 
     def test_tilde_map_needs_positive_delta(self):
-        core = model_c_coefficients(QuantumState(0, 0), PhysicalParams(), 0.0)
-        assert core.a4 == pytest.approx(1.0)  # plain coefficients still fine
+        eq = reduced_equation(ModelKind.C, QuantumState(0, 0), PhysicalParams())
+        assert eq.tail == pytest.approx(1.0)  # plain coefficients still fine
         with pytest.raises(DomainError, match="model A reduction"):
-            core.nu_coefficients()
+            model_c_coefficients(QuantumState(0, 0), PhysicalParams(), 0.0)
         # delta^2 underflows to 0, or a4/delta^2 overflows: no ZeroDivisionError
         for delta in (1e-170, 1e-160):
-            core = model_c_coefficients(QuantumState(0, 0), PhysicalParams(delta=delta), 0.0)
             with pytest.raises(DomainError, match="delta"):
-                core.nu_coefficients()
+                model_c_coefficients(QuantumState(0, 0), PhysicalParams(delta=delta), 0.0)
 
     def test_kappa_upsilon_real_across_decay_scan(self, weak_field_params):
         for delta in np.linspace(0.05, 0.30, 11):
             params = weak_field_params.replace(delta=float(delta))
             state = QuantumState(0, 1)
-            core = model_c_coefficients(state, params, energy(ModelKind.C, state, params))
-            c = core.nu_coefficients()
+            c = model_c_coefficients(state, params, energy(ModelKind.C, state, params))
             assert math.isfinite(c.kappa) and math.isfinite(c.upsilon)
 
 
@@ -434,6 +436,35 @@ class TestModelCWavefunction:
     def test_zero_delta_needs_reduction(self, unit_params):
         with pytest.raises(DomainError, match="model A reduction"):
             wavefunction(ModelKind.C, QuantumState(0, 1), unit_params, 1.0)
+
+    @pytest.mark.parametrize("form", ["paper", "xi"])
+    @pytest.mark.parametrize("delta", [1e-170, 1e-160])
+    def test_tiny_delta_is_a_domain_error(self, delta, form):
+        # delta^2 underflows to 0, or kappa^2 = 4 r0/delta^2 overflows: the
+        # error names delta instead of a failed norm quadrature
+        with pytest.raises(DomainError, match=f"delta = {delta!r} is too small"):
+            wavefunction(ModelKind.C, QuantumState(0, 1), PhysicalParams(delta=delta), 1.0,
+                         form=form)
+
+    @given(
+        state=st.tuples(st.integers(0, 3), st.integers(-3, 3)),
+        mu=st.floats(0.1, 0.5), delta=st.floats(0.02, 0.3), beta=st.floats(-5.0, 1.0),
+        kz=st.floats(0.0, 1.0), alpha=st.floats(-0.5, 0.5), eta=st.floats(0.5, 1.5),
+        form=st.sampled_from(["paper", "xi"]),
+    )
+    def test_exponents_are_the_nu_solution(self, state, mu, delta, beta, kz, alpha, eta, form):
+        # the form's kappa = 2 sqrt(r0)/delta and upsilon = 2 G come from the
+        # level kernel; the NU reduction of the reduced equation gives them
+        # from other sums. Over the benchmark's model C draw space
+        # r0 = (delta w - mu)^2 + delta^2/4 + kz^2 >= delta^2/4, so the two
+        # roundings of r0 stay far below the bound
+        params = PhysicalParams(mu=mu, delta=delta, beta=beta, kz=kz, alpha_ab=alpha, eta=eta)
+        state = QuantumState(*state)
+        assume(reduced_equation(ModelKind.C, state, params, "ga").tail > 1e-9)
+        norm = _CLOSED_FORMS[ModelKind.C](state, params, form).norm
+        c = model_c_coefficients(state, params, energy(ModelKind.C, state, params))
+        assert norm[2] == pytest.approx(c.kappa, rel=1e-12, abs=0.0)
+        assert norm[3] == pytest.approx(c.upsilon, rel=1e-12, abs=0.0)
 
 
 class TestExactNorms:

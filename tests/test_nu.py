@@ -189,7 +189,7 @@ class TestEigenfunction:
         # coefficients, xi = e^(-delta rho); it vanishes at both ends
         state, params = QuantumState(n, 1), PhysicalParams(mu=0.15, delta=delta)
         e = energy(ModelKind.C, state, params)
-        c = model_c_coefficients(state, params, e).nu_coefficients()
+        c = model_c_coefficients(state, params, e)
         rho = np.array([1e-300, 0.3, 2.0, 9.0, 40.0, 1e5])
         u = _CLOSED_FORMS[ModelKind.C](state, params, "xi").u(rho)
         expected = nu_solution(c, n, np.exp(-delta * rho[1:-1]))

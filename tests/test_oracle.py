@@ -553,8 +553,9 @@ class TestSplit:
         assert eq.et == e_tilde(self.PARAMS)
         if target == "ga":  # the closed form's radicand
             assert eq.tail == pytest.approx(ga_radicand(state, self.PARAMS), rel=1e-13)
-        elif kind is ModelKind.C:  # a4, bit for bit s^2 + b0
-            assert model_c_coefficients(state, self.PARAMS, 1.7).a4 == self.PARAMS.s_squared + eq.b0
+        elif kind is ModelKind.C:  # a4 = a4t delta^2, bit for bit s^2 + b0
+            a4t = model_c_coefficients(state, self.PARAMS, 1.7).a4t
+            assert a4t == (self.PARAMS.s_squared + eq.b0) / eq.delta**2
 
     def test_no_smooth_part_without_a_yukawa_term(self):
         # models A and B with b0 = v0 = 0 build the pencil without a smooth term

@@ -15,20 +15,22 @@ from pdmag.params import PhysicalParams, QuantumState
 from pdmag.sweeps import SWEEPABLE, CrossingPoint, SweepRow, SweepSpec, find_crossings, sweep
 
 
-def _readme_atlas():
-    """The README's documented crossing ranges, as scripts/crossing_atlas.py
-    holds them: (kind, s1, s2, param, range, base params)."""
+def _atlas_script():
+    """scripts/crossing_atlas.py, which holds the README's documented
+    crossing ranges (the benchmark's perfbench/inputs.ATLAS copies them)."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "crossing_atlas.py"
     spec = importlib.util.spec_from_file_location("pdmag_script_crossing_atlas", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    return [
-        (kind, QuantumState(*s1), QuantumState(*s2), name, prange, PhysicalParams(**overrides))
-        for kind, s1, s2, name, prange, overrides in script.ATLAS
-    ]
+    return script
 
 
-ATLAS = _readme_atlas()
+ATLAS_SCRIPT = _atlas_script()
+# (kind, s1, s2, param, range, base params) of each documented crossing
+ATLAS = [
+    (kind, QuantumState(*s1), QuantumState(*s2), name, prange, PhysicalParams(**overrides))
+    for kind, s1, s2, name, prange, overrides in ATLAS_SCRIPT.ATLAS
+]
 
 # The sweep-row reason that goes with each error a single point raises,
 # keyed by the start of the error's message.
@@ -334,6 +336,15 @@ class TestFindCrossings:
         for cp in find_crossings(*entry):
             assert 0.0 <= cp.bracket_width <= 1e-10
             assert cp.gap <= 1e-9 * max(1.0, abs(cp.energy))
+
+    @pytest.mark.parametrize("entry", ATLAS, ids=lambda e: f"{e[0].value}-{e[3]}")
+    def test_the_oracle_confirms_each_atlas_crossing(self, entry):
+        # the independent oracle's E1 - E2 changes sign within its own error
+        # estimates, divided by the slope, of the closed-form crossing p_c
+        kind, s1, s2, name, _, base = entry
+        (cp,) = find_crossings(*entry)
+        p, err, slope = ATLAS_SCRIPT.oracle_crossing(kind, s1, s2, name, base, cp.param_value)
+        assert abs(p - cp.param_value) <= err / abs(slope)
 
     def test_invalid_refinement_point_drops_the_bracket(self, monkeypatch, unit_params):
         # the scan sees a valid bracket; every refinement point is then

@@ -185,7 +185,26 @@ def test_benchmark_workload_runs(workload, monkeypatch):
         assert math.isfinite(metrics[name][0]), (name, metrics)
 
 
-def test_traced_benchmark_run_gives_every_per_layer_metric(monkeypatch, tmp_path):
+# The traced closed-form-scan and cli-cold runs exit 1 (ROADMAP item 1, the
+# benchmark mend): their calibration pass, which every traced run appends,
+# records no oracle.eigensolve_ms.n8000 span, and an in-process cli-cold run
+# after another traced run finds models.wavefunction_cold_ms.A|B's tables in
+# the norm cache. So their short runs show the same gaps as full ones.
+_TRACE_GAPS = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: oracle.eigensolve_ms.n8000 (and for cli-cold "
+    "models.wavefunction_cold_ms.A|B) can be None in a traced run",
+)
+
+
+@pytest.mark.parametrize(
+    "workload, seconds",
+    [pytest.param("oracle-verify", 25, id="oracle-verify"),
+     pytest.param("closed-form-scan", 1, marks=_TRACE_GAPS, id="closed-form-scan"),
+     pytest.param("cli-cold", 1, marks=_TRACE_GAPS, id="cli-cold")],
+)
+def test_traced_benchmark_run_gives_every_per_layer_metric(monkeypatch, tmp_path, workload,
+                                                           seconds):
     # perfbench/run.py --trace 1 swaps every module attribute that
     # perfbench/spans.py hooks for a timing wrapper and prints each
     # per-layer metric with a numeric format: a hooked name that is gone, or
@@ -198,7 +217,7 @@ def test_traced_benchmark_run_gives_every_per_layer_metric(monkeypatch, tmp_path
     assert hooks
     for module_name, attr, _ in hooks:
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
-    metrics, out, _ = layers.traced_run("oracle-verify", 1, 25, workloads.setup("oracle-verify", 1),
+    metrics, out, _ = layers.traced_run(workload, 1, seconds, workloads.setup(workload, 1),
                                         tmp_path)
     assert out.attempted >= 1 and out.unchecked == 0, out.reasons
     assert {m["name"] for m in _BENCHMARK["per_layer"]} <= metrics.keys()
