@@ -187,6 +187,30 @@ class TestSweep:
         for row in rows:
             assert row[4:] == ["", "false", "models A and B need v0 = v1 = v2 = 0; use model C"]
 
+    @pytest.mark.parametrize(
+        "states, steps, message",
+        [
+            (["0,1"], "1000000000000", "steps must be at most 1000000 points, got 1000000000000"),
+            (["0,1", "1,0"], "500001", "steps x 2 states must be at most 1000000 points"),
+        ],
+        ids=["one-state", "two-states"],
+    )
+    def test_too_many_rows_is_a_validation_error(self, capsys, states, steps, message):
+        argv = ["sweep", "--model", "a", "--param", "mu", "--lo", "0.5", "--hi", "1", "--steps", steps]
+        for state in states:
+            argv += ["--state", state]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert message in captured.err
+
+    def test_repeated_state_is_a_validation_error(self, capsys):
+        code = run(["sweep", "--model", "a", "--state", "0,1", "--state", "1,0", "--state", "0,1",
+                    "--param", "beta", "--lo", "-1", "--hi", "1", "--steps", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "state (0, 1) is given more than once" in captured.err
+
 
 class TestCrossings:
     def test_flux_crossing_as_json(self, capsys):
@@ -221,6 +245,13 @@ class TestCrossings:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "bound lo must be finite" in captured.err
+
+    def test_too_many_scan_steps_is_a_validation_error(self, capsys):
+        code = run(["crossings", "--model", "a", "--s1", "2,1", "--s2", "1,0",
+                    "--param", "beta", "--lo=-3", "--hi=3", "--scan-steps", "1000000000000"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "scan_steps must be at most 1000000 points, got 1000000000000" in captured.err
 
 
 class TestVerify:

@@ -1,16 +1,21 @@
 """Parameter sweeps and level-crossing detection."""
 
 import dataclasses
+import gc
 import importlib.util
+import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import pdmag.sweeps
 from pdmag.errors import BracketingError, DomainError
-from pdmag.models import Invalid, ModelKind, energy
+from pdmag.models import Invalid, ModelKind, energy, reason_text
 from pdmag.params import PhysicalParams, QuantumState
 from pdmag.sweeps import SWEEPABLE, CrossingPoint, SweepRow, SweepSpec, find_crossings, sweep
 
@@ -44,6 +49,19 @@ REASON_OF_ERROR = (
     ("no real bound level: radicand w^2", "no real bound level: radicand w^2 + V2 + 1/16 < 0"),
     ("closed-form level is", "level not finite: a parameter is too large for double precision"),
     ("models A and B have V = 0", "models A and B need v0 = v1 = v2 = 0; use model C"),
+)
+
+# The Invalid code of each error a single point raises, keyed the same way.
+CODE_OF_ERROR = (
+    ("b0 must be >= 0", Invalid.NEGATIVE),
+    ("delta must be >= 0", Invalid.NEGATIVE),
+    ("closed-form models require sigma = 1", Invalid.SIGMA),
+    ("no bound spectrum", Invalid.NO_SCALE),
+    ("state not bound", Invalid.NOT_BOUND),
+    ("no real bound level: radicand r0", Invalid.R0_NEGATIVE),
+    ("no real bound level: radicand w^2", Invalid.G_NEGATIVE),
+    ("closed-form level is", Invalid.NOT_FINITE_LEVEL),
+    ("models A and B have V = 0", Invalid.POTENTIAL),
 )
 
 # Base parameters and ranges per model that reach every invalid reason of
@@ -99,6 +117,21 @@ class TestSweepSpec:
             with pytest.raises(DomainError, match=rf"steps must be an integer >= 2, got {steps}"):
                 SweepSpec(ModelKind.A, states, "beta", -2.0, 2.0, steps)
         assert len(SweepSpec(ModelKind.A, states, "beta", -2.0, 2.0, np.int64(3)).values) == 3
+
+    def test_grid_size_is_checked_before_anything_is_allocated(self):
+        # 10^12 points would not fit in memory: the spec refuses them itself
+        one, two = (QuantumState(0, 1),), (QuantumState(0, 1), QuantumState(1, 0))
+        for steps in (10**12, np.int64(10**12)):
+            with pytest.raises(DomainError, match="steps must be at most 1000000 points, got 1000000000000"):
+                SweepSpec(ModelKind.A, one, "mu", 0.5, 1.0, steps)
+        with pytest.raises(DomainError, match="steps x 2 states must be at most 1000000 points, got 500001"):
+            SweepSpec(ModelKind.A, two, "mu", 0.5, 1.0, 500_001)
+        assert SweepSpec(ModelKind.A, two, "mu", 0.5, 1.0, 500_000).steps == 500_000
+
+    def test_repeated_state(self):
+        states = (QuantumState(0, 1), QuantumState(1, 0), QuantumState(0, 1))
+        with pytest.raises(DomainError, match=r"state \(0, 1\) is given more than once"):
+            SweepSpec(ModelKind.A, states, "beta", -1.0, 1.0, 3)
 
     def test_delta_only_matters_for_the_screened_model(self):
         states = (QuantumState(0, 1),)
@@ -216,6 +249,122 @@ class TestSweepMatchesSinglePoints:
         }
 
 
+# Base parameters and a range per model. A drawn sweep runs from below the
+# range's midpoint to above it, so a b0 or delta sweep over a range centred
+# on 0 starts below 0, and model B's mu and beta sweeps often cross where a
+# state stops being bound.
+PROPERTY_CASES = {
+    ModelKind.A: (
+        (PhysicalParams(), (-3.0, 3.0)),
+        (PhysicalParams(kz=0.0, beta=-1.3, alpha_ab=0.2), (-1.0, 1.0)),
+    ),
+    ModelKind.B: (
+        (PhysicalParams(beta=-6.0, kz=1.0), (-3.0, 3.0)),
+        (PhysicalParams(beta=-25.0, kz=1.0), (0.01, 0.4)),
+        (PhysicalParams(kz=0.0, beta=-2.5, alpha_ab=-0.3), (-1.0, 1.0)),
+    ),
+    ModelKind.C: (
+        (PhysicalParams(mu=0.15, delta=0.1), (-0.5, 0.5)),
+        (PhysicalParams(mu=0.4, delta=0.3, v1=6.0, alpha_ab=0.4), (-2.0, 2.0)),
+    ),
+}
+STATES = (QuantumState(0, 0), QuantumState(1, -1), QuantumState(2, 3), QuantumState(0, 1))
+
+
+@st.composite
+def sweeps_over_invalid_regions(draw):
+    """(spec, params): a sweep whose lo lies below its case's midpoint and
+    whose hi lies above it."""
+    kind = draw(st.sampled_from(list(ModelKind)))
+    name = draw(st.sampled_from([n for n in SWEEPABLE if n != "delta" or kind is ModelKind.C]))
+    params, (a, b) = draw(st.sampled_from(PROPERTY_CASES[kind]))
+    mid = 0.5 * a + 0.5 * b
+    lo = draw(st.floats(a, mid, exclude_max=True))
+    hi = draw(st.floats(mid, b, exclude_min=True))
+    states = draw(st.lists(st.sampled_from(STATES), min_size=1, max_size=3, unique=True))
+    steps = draw(st.integers(2, 60))
+    return SweepSpec(kind, tuple(states), name, lo, hi, steps), params
+
+
+def _reference(kind, state, params, name, value):
+    """(E, None) from models.energy at the point, or (None, the reason of
+    the Invalid code that goes with the error it raises)."""
+    try:
+        return energy(kind, state, params.replace(**{name: value})), None
+    except DomainError as err:
+        (code,) = [c for start, c in CODE_OF_ERROR if str(err).startswith(start)]
+        return None, reason_text(code, name)
+
+
+class TestSweepRowsEqualSinglePoints:
+    """Every row, built in one pass over the whole grid, is the row a single
+    point gives: the same float bit for bit, or None and the same reason."""
+
+    @given(sweeps_over_invalid_regions())
+    @example((SweepSpec(ModelKind.B, (QuantumState(0, 0),), "mu", 0.01, 0.4, 21),
+              PhysicalParams(beta=-25.0, kz=1.0)))
+    @example((SweepSpec(ModelKind.B, (QuantumState(0, 0), QuantumState(2, 3)), "beta", -3.0, 0.0, 31),
+              PhysicalParams(beta=-6.0, kz=1.0)))
+    @example((SweepSpec(ModelKind.C, (QuantumState(1, -1),), "delta", -0.5, 0.5, 11),
+              PhysicalParams(mu=0.15, delta=0.1)))
+    @example((SweepSpec(ModelKind.A, (QuantumState(0, 1),), "b0", -3.0, 3.0, 7), PhysicalParams()))
+    def test_rows_equal_energy_at_each_point(self, case):
+        spec, params = case
+        rows = sweep(spec, params)
+        grid = itertools.product(spec.values.tolist(), sorted(spec.states))
+        assert [(r.param_name, r.value, r.state) for r in rows] == [
+            (spec.param_name, value, state) for value, state in grid
+        ]
+        for row in rows:
+            assert type(row) is SweepRow
+            want, reason = _reference(spec.kind, row.state, params, spec.param_name, row.value)
+            if reason is None:
+                assert type(row.energy) is float and row.energy.hex() == want.hex(), row
+                assert row.reason is None, row
+            else:
+                assert row.energy is None and row.reason == reason, row
+
+
+class TestSweepCallCount:
+    """Rows are built without a Python-level call per row: a sweep makes as
+    many calls at 4001 steps as at 41."""
+
+    @pytest.mark.parametrize(
+        "kind, params, name, lo, hi",
+        [
+            (ModelKind.A, PhysicalParams(), "b0", -1.0, 1.0),
+            (ModelKind.B, PhysicalParams(beta=-25.0, kz=1.0), "mu", 0.01, 0.4),
+            (ModelKind.C, PhysicalParams(mu=0.15, delta=0.1), "delta", -0.5, 0.5),
+        ],
+        ids=["A", "B", "C"],
+    )
+    def test_calls_do_not_grow_with_the_grid(self, kind, params, name, lo, hi):
+        states = (QuantumState(0, 1), QuantumState(2, -1))
+
+        def calls(steps):
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+
+            spec = SweepSpec(kind, states, name, lo, hi, steps)
+            saved, enabled = sys.getprofile(), gc.isenabled()
+            gc.disable()  # a collection could run Python finalizers mid-sweep
+            sys.setprofile(profile)
+            try:
+                rows = sweep(spec, params)
+            finally:
+                sys.setprofile(saved)
+                if enabled:
+                    gc.enable()
+            assert {r.energy is None for r in rows} == {True, False}
+            return count
+
+        calls(41)  # warm any first-call caches
+        assert calls(41) == calls(4001)
+
+
 class TestFindCrossings:
     def test_flux_sweep_crossing_location(self, unit_params):
         # the (2,1)/(1,0) pair meets exactly at beta = 1: the level gap
@@ -318,6 +467,9 @@ class TestFindCrossings:
                 )
         args = (ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-3.0, 3.0), unit_params)
         assert find_crossings(*args, scan_steps=np.int64(501)) == find_crossings(*args, scan_steps=501)
+        # checked before the scan grid is allocated
+        with pytest.raises(DomainError, match="scan_steps must be at most 1000000 points, got 1000000000000"):
+            find_crossings(*args, scan_steps=10**12)
 
     @pytest.mark.parametrize("entry", ATLAS, ids=lambda e: f"{e[0].value}-{e[3]}")
     def test_atlas_search_makes_few_level_axis_calls(self, monkeypatch, entry):
