@@ -25,7 +25,7 @@ from .fields import field_table
 from .models import ModelKind, energy, greene_aldrich, wavefunction
 from .oracle import verify_states
 from .params import PhysicalParams, QuantumState, load_config, params_from_mapping
-from .sweeps import SWEEPABLE, SweepSpec, find_crossings, sweep
+from .sweeps import _MAX_POINTS, SWEEPABLE, SweepSpec, find_crossings, sweep
 
 __all__ = ["run", "main"]
 
@@ -114,8 +114,8 @@ def _state_range(args) -> list[QuantumState]:
 
 
 def _radii(args) -> np.ndarray:
-    if args.points < 2:
-        raise DomainError(f"--points must be >= 2, got {args.points}")
+    if not 2 <= args.points <= _MAX_POINTS:
+        raise DomainError(f"--points must be between 2 and {_MAX_POINTS}, got {args.points}")
     if not 0 < args.rho_min < args.rho_max:
         raise DomainError(
             f"need 0 < --rho-min < --rho-max, got {args.rho_min}, {args.rho_max}"

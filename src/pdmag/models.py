@@ -32,7 +32,7 @@ import numpy as np
 from .errors import BoundStateError, DomainError
 from .nu import NUCoefficients
 from .params import PhysicalParams, QuantumState, m_tilde, s_squared_of
-from .specfun import jacobi, laguerre, normalize
+from .specfun import _golub_welsch, _jacobi_matrix, _laguerre_matrix, jacobi, laguerre, normalize
 
 __all__ = [
     "ModelKind",
@@ -448,57 +448,35 @@ def level_axis(kind: ModelKind, state: QuantumState, params: PhysicalParams, nam
 
 
 class _ClosedForm(NamedTuple):
-    """One closed-form radial function U = A(rho) P(z(rho)), up to its norm.
+    """One closed-form radial function U = A(rho) P(t(rho)), up to its norm.
 
-    factor(rho) gives A and z, and poly(z, k) the polynomial P with its
-    first k derivatives in z. slopes(rho) gives g = (ln A)', g', z' and z'',
-    so U'' is exact (curvature). U decays like e^(-decay rho) times a power
-    of rho, and R = sqrt(eta) e^(-tail rho) U / rho^r_power; norm holds the
-    arguments of specfun.normalize for the integral of U^2.
+    factor(rho) gives A and t, and poly(t, k) the list [P] for k = 0 or
+    [P, P', P''] in t for k = 2, P'' from P's differential equation (DLMF
+    18.8.1), which leaves U'' no rounding of its own to cancel. slopes(rho)
+    gives g = (ln A)', g', t' and t'', so U'' is exact (curvature). nodes(m)
+    is the m-point Gauss rule of P's family mapped to rho. R = sqrt(eta)
+    e^(-tail rho) U / rho^r_power; norm holds the arguments of
+    specfun.normalize for the integral of U^2.
     """
 
     factor: Callable
     slopes: Callable
     poly: Callable
+    nodes: Callable
     r_power: float
     tail: float
-    decay: float
     norm: tuple
 
     def u(self, rho):
-        a, z = self.factor(rho)
-        return a * self.poly(z, 0)[0]
+        a, t = self.factor(rho)
+        return a * self.poly(t, 0)[0]
 
     def curvature(self, rho):
-        """U and U'' = A [(g^2 + g') P + (2 g z' + z'') P' + z'^2 P''] at rho."""
-        a, z = self.factor(rho)
-        g, dg, dz, ddz = self.slopes(rho)
-        p0, p1, p2 = self.poly(z, 2)
-        return a * p0, a * ((g * g + dg) * p0 + (2.0 * g * dz + ddz) * p1 + dz * dz * p2)
-
-
-def _laguerre_poly(n: int, a: float):
-    """L_n^a and its derivatives, d^j/dz^j L_n^a = (-1)^j L_(n-j)^(a+j) (DLMF 18.9.23)."""
-
-    def poly(z, k: int):
-        return [(-1.0) ** j * laguerre(n - j, a + j, z) if j <= n else 0.0 for j in range(k + 1)]
-
-    return poly
-
-
-def _jacobi_poly(n: int, kappa: float, upsilon: float):
-    """P_n^(kappa,upsilon) and its derivatives, d^j/dz^j P_n = c_j
-    P_(n-j)^(kappa+j,upsilon+j) with c_j the product of (n + kappa + upsilon + i)/2
-    over i = 1..j (DLMF 18.9.15)."""
-
-    def poly(z, k: int):
-        out, c = [], 1.0
-        for j in range(k + 1):
-            out.append(c * jacobi(n - j, kappa + j, upsilon + j, z) if j <= n else 0.0)
-            c *= 0.5 * (n + kappa + upsilon + j + 1.0)
-        return out
-
-    return poly
+        """U and U'' = A [(g^2 + g') P + (2 g t' + t'') P' + t'^2 P''] at rho."""
+        a, t = self.factor(rho)
+        g, dg, dt, ddt = self.slopes(rho)
+        p0, p1, p2 = self.poly(t, 2)
+        return a * p0, a * ((g * g + dg) * p0 + (2.0 * g * dt + ddt) * p1 + dt * dt * p2)
 
 
 # r_power of models A and B: R = sqrt(eta) U / rho^r_power.
@@ -520,8 +498,18 @@ def _laguerre_form(kind: ModelKind, state: QuantumState, params: PhysicalParams,
     def slopes(rho):
         return p / rho - s, -p / rho**2, 2.0 * s, 0.0
 
+    def poly(x, k: int):  # P' = -L_(n-1)^(a+1) (DLMF 18.9.23)
+        pn = laguerre(n, a, x)
+        if not k:
+            return [pn]
+        dpn = -laguerre(n - 1, a + 1.0, x) if n else 0.0
+        return [pn, dpn, ((x - a - 1.0) * dpn - n * pn) / x]
+
+    def nodes(m):
+        return _golub_welsch(*_laguerre_matrix(m, a)) / (2.0 * s)
+
     norm = ("laguerre", n, a, 0.0, -(a + 2.0) * math.log(2.0 * s))
-    return _ClosedForm(factor, slopes, _laguerre_poly(n, a), _R_POWER[kind], 0.0, s, norm)
+    return _ClosedForm(factor, slopes, poly, nodes, _R_POWER[kind], 0.0, norm)
 
 
 def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _ClosedForm:
@@ -532,9 +520,10 @@ def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _Cl
     xi = e^(-delta rho), which solves the approximated equation exactly.
     kappa = 2 sqrt(r0)/delta and upsilon = 2 G come from the level kernel's
     roots (_level_c); delta so small that kappa^2 overflows is a DomainError.
-    R = sqrt(eta) e^(-delta rho/2) U / rho for either form, and U decays
-    like e^(-delta kappa rho/2); in x = delta rho, int U^2 drho = 1/delta
-    times the integral named by the form."""
+    R = sqrt(eta) e^(-delta rho/2) U / rho for either form; in x = delta rho,
+    int U^2 drho = 1/delta times the integral named by the form. P_n takes
+    y = 1 + z = -2 expm1(-delta rho) and xi^(kappa/2) is e^(-delta kappa rho/2),
+    both free of the rounding of xi that kappa ~ 1/delta amplifies."""
     if params.delta <= 0:
         raise DomainError(
             "model C wavefunction needs delta > 0; at delta = 0 use model A reduction"
@@ -547,12 +536,12 @@ def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _Cl
     p = 0.5 * (1.0 + upsilon)
 
     def factor(rho):
-        xi = np.exp(-d * rho)
+        y = -2.0 * np.expm1(-d * rho)
         if form == "xi":
-            a = xi ** (kappa / 2.0) * (-np.expm1(-d * rho)) ** p
+            a = np.exp(-d * kappa * rho / 2.0) * (0.5 * y) ** p
         else:  # np.float64 overflows to inf (a DomainError below), a float raises OverflowError
             a = np.float64(d) ** p * rho**p * np.exp(-d * kappa * rho / 2.0)
-        return a, 1.0 - 2.0 * xi
+        return a, y
 
     def slopes(rho):
         xi = np.exp(-d * rho)
@@ -563,8 +552,19 @@ def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _Cl
             g, dg = p / rho - d * kappa / 2.0, -p / rho**2
         return g, dg, 2.0 * d * xi, -2.0 * d * d * xi
 
-    poly = _jacobi_poly(n, kappa, upsilon)
-    return _ClosedForm(factor, slopes, poly, 1.0, d / 2.0, d * kappa / 2.0,
+    def poly(y, k: int):  # P' = lam/2 P_(n-1)^(kappa+1,upsilon+1) (DLMF 18.9.15)
+        pn = jacobi(n, kappa, upsilon, y)
+        if not k:
+            return [pn]
+        lam = n + kappa + upsilon + 1.0
+        dpn = 0.5 * lam * jacobi(n - 1, kappa + 1.0, upsilon + 1.0, y) if n else 0.0
+        tau = (kappa + upsilon + 2.0) * y - 2.0 * (upsilon + 1.0)
+        return [pn, dpn, (tau * dpn - n * lam * pn) / (y * (2.0 - y))]
+
+    def nodes(m):
+        return -np.log1p(-0.5 / kappa * _golub_welsch(*_jacobi_matrix(m, kappa, upsilon))) / d
+
+    return _ClosedForm(factor, slopes, poly, nodes, 1.0, d / 2.0,
                        (form, n, kappa, upsilon, -math.log(d)))
 
 
@@ -631,48 +631,22 @@ def wavefunction(
     return out if np.ndim(rho) else float(out)
 
 
-# The window where a closed form is checked: _CHECK_SIZE points from
-# _CHECK_LO to at least _CHECK_HI, and on until U is at most _CHECK_TAIL
-# times its peak. Every _PROBE_STRIDE-th point finds how far that is.
-_CHECK_LO, _CHECK_HI, _CHECK_SIZE, _CHECK_TAIL, _PROBE_STRIDE = 0.05, 30.0, 4000, 1e-12, 16
-
-
-def _check_window(closed: _ClosedForm) -> np.ndarray:
-    """The check window of a closed form, [0.05, hi] on _CHECK_SIZE points.
-
-    hi starts at the larger of 30 and ln(1/_CHECK_TAIL)/r, with r the
-    form's own decay rate, and moves out by (ln(|U(hi)| / (_CHECK_TAIL
-    max|U|)) + 1)/r until U has fallen to _CHECK_TAIL of its peak there.
-    The test evaluates U on every _PROBE_STRIDE-th point counted back from
-    hi, whose max|U| is at most the window's, so it holds on the window.
-    """
-    r = closed.decay
-    hi = max(_CHECK_HI, -math.log(_CHECK_TAIL) / r)
-    while True:
-        x = np.linspace(_CHECK_LO, hi, _CHECK_SIZE)
-        with np.errstate(all="ignore"):  # a table that is not finite is rejected later
-            u = np.abs(closed.u(x[::-_PROBE_STRIDE]))
-            tail = u[0] / np.max(u)
-        if not tail > _CHECK_TAIL:  # also nan: a table of zeros or of inf
-            return x
-        hi += (math.log(tail / _CHECK_TAIL) + 1.0) / r
-
-
 def curvature(kind: ModelKind, state: QuantumState, params: PhysicalParams, rho=None, *,
               form: str = "paper"):
     """(rho, U, U'') of the unit-norm reduced function, with U'' exact.
 
-    U'' comes from the derivative identities of the form's polynomial, so
-    -U'' + (W - Et) U is zero to rounding wherever U solves its equation.
-    rho defaults to the check window (_check_window), whose end comes from
-    the form's own decay rate: s for models A and B, delta kappa/2 for C.
-    Errors as in wavefunction.
+    U'' comes from the form's polynomial and its equation, so -U'' + (W - Et) U
+    is zero to rounding wherever U solves its equation. rho defaults to the
+    M = 2 n_rho + 16 Gauss nodes of the form's own polynomial family, mapped
+    to rho: by the separation theorem (Szego, Orthogonal Polynomials, 3.3)
+    each gap between zeros of P_n, and each end, holds one, so U changes sign
+    there exactly n_rho times. Errors as in wavefunction.
     """
     closed = _closed_form(kind, state, params, form)
     # A check evaluates each state once, so its norm bypasses _norm's cache;
-    # normalize also rejects a form that does not decay, before the window.
+    # normalize also rejects a form that does not decay, before its rule.
     scale = normalize(*closed.norm)
-    x = _check_window(closed) if rho is None else _positive(rho)
+    x = closed.nodes(2 * state.n_rho + 16) if rho is None else _positive(rho)
     with np.errstate(all="ignore"):  # checked below
         u, upp = closed.curvature(x)
         u, upp = scale * u, scale * upp

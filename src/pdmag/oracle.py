@@ -1,56 +1,44 @@
 """Independent numerical checks for the closed-form results.
 
-The energy enters the reduced radial equation only through the term
--g(rho) E, with a mass profile g > 0:
+The energy enters the reduced radial equation only through -g(rho) E, with
+a mass profile g > 0:
 
     -U'' + W0(rho) U - E g(rho) U = Et U,   Et = -(kz^2 + e^2 B0^2 mu^2).
 
-At the fixed spectral target Et every level is therefore an eigenvalue of
-the symmetric-definite Sturm-Liouville pencil (H0 - Et M) v = E G v with
-weight g, and level n_rho is the pencil eigenvalue with n_rho nodes. No
-root-find in E is needed.
+So at the fixed target Et every level is an eigenvalue of the symmetric-
+definite Sturm-Liouville pencil (H0 - Et M) v = E G v with weight g, level
+n_rho the one with n_rho nodes, and no root-find in E is needed.
 
-The pencil is discretized by finite volumes on the transformed problem
-U = rho^p v, with p = 1/2 + sqrt(c2 + 1/4) taken from the c2/rho^2 part of
-W0. Only the singular powers are integrated exactly (the fluxes, c1/rho
-and rho^(2p - power) of a weight g ~ rho^(-power)) and the rest is taken
-pointwise, so the power law at the origin keeps the second order of
-convergence. G is diagonal, so each grid costs one symmetric tridiagonal
-eigensolve.
+The pencil is discretized by finite volumes on U = rho^p v, with
+p = 1/2 + sqrt(c2 + 1/4) from the c2/rho^2 part of W0. Only the singular
+powers are integrated exactly (the fluxes, c1/rho and rho^(2p - power) of a
+weight g ~ rho^(-power)), so the power law at the origin keeps the second
+order of convergence. G is diagonal: each grid costs one symmetric
+tridiagonal eigensolve.
 
-The grids span (0, 25/sqrt(W(inf) - Et)] and form a ladder n/4, n/2, n,
-2n, with n = n_points. Beyond h^2 the error's next term is h^(2p+1), from
-the rho^p factor at the origin, so the last three levels are fitted to
-E* + a h^2 + b h^q with q = min(2p + 1, 4). When the fit's two Richardson
-values agree to _LADDER_TOL at n cells the fit is the level and their
-difference its error; otherwise 2n cells are solved too, and the level is
-the new fit or the Richardson value of n and 2n, whichever error is
-smaller. A level's first eigensolve is a Sturm bisection. Every later one
-runs Rayleigh-quotient iteration from the level it expects (the grid
-before's, or model B's last trial energy) and keeps the result only when
-a Sturm count on either side certifies it as the wanted eigenvalue to
-_CERT_TOL; one pass of LAPACK's dlarrc gives both counts, else it bisects.
+The grids span (0, 25/sqrt(W(inf) - Et)] and form a ladder n/4, n/2, n, 2n
+(n = n_points), extrapolated in h^2 and h^q, q = min(2p + 1, 4), to the
+level and its error (_extrapolate). A level's first eigensolve is a Sturm
+bisection; every later one runs Rayleigh-quotient iteration from the level
+it expects and keeps the result only when a two-sided Sturm count (one pass
+of LAPACK's dlarrc) certifies it to _CERT_TOL, else it bisects.
 
-The physics lives in models.reduced_equation alone: one record per
-state and target ('exact', or model C's Greene-Aldrich 'ga') gives Et,
-the mass profile g, W0 split as c2/rho^2 + c1/rho + smooth (its split
-method) and the tail W(inf) - Et, without which (<= 0) there is no bound
-spectrum. The oracle only decides how to discretize, and never calls a
-closed-form level.
+The physics lives in models.reduced_equation alone: one record per state
+and target ('exact', or model C's Greene-Aldrich 'ga') gives Et, the mass
+profile g, W0 split as c2/rho^2 + c1/rho + smooth (its split method) and
+the tail W(inf) - Et, without which (<= 0) there is no bound spectrum. The
+oracle only decides how to discretize, and never calls a closed-form level.
 
-Model B (g = eta/rho^2) puts E into c2(E) = c2 - eta E and so into p. It
-takes the same pencil: at a trial energy Eg the grid's p absorbs all of
-c2(Eg)/rho^2, the weight eta/rho^2 carries the rest, and the eigenvalue
-is E - Eg. Starting at p = 1 and moving Eg to each new E until the step
-is at most _FIXED_POINT_TOL takes about five eigensolves, all on the
-ladder's first grid (n/2 when n/4 cells have no level); the finer grids
-keep its p.
+Model B (g = eta/rho^2) puts E into c2(E) = c2 - eta E and so into p: at
+a trial energy Eg the grid's p absorbs c2(Eg)/rho^2 and the eigenvalue is
+E - Eg. Moving Eg to each new E until the step is at most _FIXED_POINT_TOL
+takes about five eigensolves on the ladder's first grid (_level).
 
 verify_states checks each closed form on its own, apart from the oracle:
-models.curvature evaluates U and its exact U'' once on the form's check
-window, residual measures -U'' + (W - Et) U on it, with W and Et from
-the reduced_equation record the oracle reads, and node_count counts the
-sign changes of the same U.
+models.curvature evaluates U and its exact U'' on the Gauss nodes of the
+form's own polynomial, where the sign changes of U (node_count) are
+exactly its zeros, and residual measures -U'' + (W - Et) U there, with W
+and Et from the reduced_equation record the oracle reads.
 """
 
 from __future__ import annotations
@@ -74,6 +62,7 @@ from .models import (
     wavefunction as closed_form_wavefunction,  # noqa: F401 - hooked by name in perfbench/spans.py
 )
 from .params import PhysicalParams, QuantumState, e_tilde, m_tilde
+from .sweeps import _MAX_POINTS
 
 __all__ = [
     "radial_potential",
@@ -493,6 +482,9 @@ def oracle_energy(
     eq = reduced_equation(kind, state, params, target)
     if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 1:
         raise DomainError(f"n_points must be a positive integer, got {n_points!r}")
+    if n_points > _MAX_POINTS // 2:  # the ladder's finest grid has 2 n_points cells
+        raise DomainError(f"n_points must be at most {_MAX_POINTS // 2} (2 n_points cells on the "
+                          f"finest grid), got {n_points}")
     if state.n_rho >= n_points // 4:
         raise DomainError(f"n_rho = {state.n_rho} exceeds n_points // 4 - 1 = "
                           f"{n_points // 4 - 1}, the highest level the coarsest grid holds")

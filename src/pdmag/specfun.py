@@ -1,8 +1,9 @@
-"""Orthogonal-polynomial evaluation and the exact norms of the closed forms.
+"""Orthogonal-polynomial evaluation, Gauss nodes and the exact norms of the
+closed forms.
 
 Both families are evaluated by their forward three-term recurrences, which
 are stable for the parameter ranges used here (parameters > -1, degrees of
-a few tens at most).
+a few tens), Jacobi's in y = 1 + x so that it stays accurate near x = -1.
 """
 
 from __future__ import annotations
@@ -38,32 +39,36 @@ def laguerre(n: int, a: float, x):
     return p if p.ndim else float(p)
 
 
-def jacobi(n: int, kappa: float, upsilon: float, x):
-    """Jacobi polynomial P_n^(kappa,upsilon)(x) by forward recurrence.
+def jacobi(n: int, kappa: float, upsilon: float, y):
+    """Jacobi polynomial P_n^(kappa,upsilon)(x) at x = y - 1, by the forward
+    recurrence DLMF 18.9.1 written in y.
 
-    Parameters must exceed -1 (classical orthogonality range) and the
-    argument must lie in [-1, 1].
+    Parameters must exceed -1 and y must lie in [0, 2]. With c = 2k + kappa
+    + upsilon, a2 + a3 x = s + a3 y has s = a2 - a3 = (c - 1)[2c - upsilon^2
+    - (2k + upsilon)(c + kappa)], of order kappa^2 where a2 and a3 are of
+    order kappa^3: nothing cancels, so P_n keeps its relative accuracy at
+    y ~ 1/kappa as kappa grows (model C as delta -> 0).
     """
     _check_degree(n)
     if kappa <= -1 or upsilon <= -1:
         raise DomainError(
             f"Jacobi parameters must be > -1, got kappa={kappa}, upsilon={upsilon}"
         )
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1 + 1e-12):
-        raise DomainError("Jacobi argument must lie in [-1, 1]")
+    y = np.asarray(y, dtype=float)
+    if np.any(np.abs(y - 1.0) > 1 + 1e-12):
+        raise DomainError("Jacobi argument y = 1 + x must lie in [0, 2]")
     a, b = kappa, upsilon
-    p_prev = np.ones_like(x)
+    p_prev = np.ones_like(y)
     if n == 0:
         return p_prev if p_prev.ndim else float(p_prev)
-    p = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    p = 0.5 * (a + b + 2.0) * y - (b + 1.0)
     for k in range(2, n + 1):
         c = 2.0 * k + a + b
         a1 = 2.0 * k * (k + a + b) * (c - 2.0)
-        a2 = (c - 1.0) * (a * a - b * b)
+        s = (c - 1.0) * (2.0 * c - b * b - (2.0 * k + b) * (c + a))
         a3 = (c - 2.0) * (c - 1.0) * c
         a4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * c
-        p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
+        p, p_prev = ((s + a3 * y) * p - a4 * p_prev) / a1, p
     return p if p.ndim else float(p)
 
 
@@ -71,20 +76,42 @@ def jacobi(n: int, kappa: float, upsilon: float, x):
 _MAX_NODES = 1024
 
 
+def _golub_welsch(diag, off) -> np.ndarray:
+    """Nodes of the Gauss rule with Jacobi matrix (diag, off): its eigenvalues."""
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+
+
+def _laguerre_matrix(m: int, alpha: float):
+    """The m x m Jacobi matrix of L^alpha, weight x^alpha e^(-x)."""
+    k = np.arange(m, dtype=float)
+    return 2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha))
+
+
+def _jacobi_matrix(m: int, kappa: float, upsilon: float):
+    """kappa times the m x m Jacobi matrix of P^(kappa,upsilon) in y = 1 + x
+    (kappa > 0, upsilon >= 0), of order one as kappa grows. With c = 2k +
+    kappa + upsilon, the diagonal 1 + (upsilon^2 - kappa^2)/(c(c + 2)) is
+    summed without cancellation, and kappa^2 must be finite."""
+    k = np.arange(m, dtype=float)
+    c = 2.0 * k + kappa + upsilon
+    diag = kappa * ((2.0 * k + upsilon) * (c + kappa) + 2.0 * c + upsilon * upsilon) / (
+        c * (c + 2.0))
+    k, c = k[1:], c[1:]
+    return diag, 2.0 * np.sqrt(k * (k + upsilon) * ((k + kappa) / c) * (kappa / c)
+                               * ((k + kappa + upsilon) / (c + 1.0)) * (kappa / (c - 1.0)))
+
+
 def _gauss_laguerre(m: int, alpha: float):
     """Nodes and weights of the m-point rule for the weight x^alpha e^(-x),
     with the weights scaled to sum to 1.
 
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    Laguerre recurrence. The weights come from the Christoffel function,
-    1 / sum_k p_k(x)^2 over the orthonormal polynomials, because eigenvector
-    components lose their relative accuracy exactly where the weights are
-    small. A weight whose sum overflows is below 1e-308 and set to 0.
+    The weights come from the Christoffel function, 1 / sum_k p_k(x)^2
+    over the orthonormal polynomials, because eigenvector components lose
+    their relative accuracy exactly where the weights are small. A weight
+    whose sum overflows is below 1e-308 and set to 0.
     """
-    k = np.arange(m, dtype=float)
-    diag = 2.0 * k + alpha + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    diag, off = _laguerre_matrix(m, alpha)
+    x = _golub_welsch(diag, off)
     p_prev, p, total = np.zeros(m), np.ones(m), np.ones(m)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m - 1):
@@ -104,13 +131,19 @@ def _log_xi_integral(n: int, kappa: float, upsilon: float) -> float:
     # int_0^1 xi^(kappa-1) (1-xi)^(1+upsilon) [P_n(1-2xi)]^2 dxi
     #   = Gamma(n+kappa+1) Gamma(n+upsilon+1) / (n! Gamma(n+kappa+upsilon+1))
     #     * [1/kappa - 1/(2n+kappa+upsilon+1)]
-    return (
-        math.lgamma(n + kappa + 1.0)
-        + math.lgamma(n + upsilon + 1.0)
-        - math.lgamma(n + 1.0)
-        - math.lgamma(n + kappa + upsilon + 1.0)
-        + math.log((2 * n + upsilon + 1.0) / (kappa * (2 * n + kappa + upsilon + 1.0)))
-    )
+    # lgamma(x) - lgamma(x + upsilon), x = n + kappa + 1 (2e14 at delta = 1e-14), cancels at
+    # eps x ln x: from x = 1e3 on, difference the Stirling series (DLMF 5.11.1; next term < 1e-24)
+    x, v = n + kappa + 1.0, upsilon
+    if x < 1e3:
+        ratio = math.lgamma(x) - math.lgamma(x + v)
+    else:
+        def stirling(t):  # 1/(12z) - 1/(360z^3) + 1/(1260z^5) at t = 1/z
+            return t * (1.0 / 12.0 - t * t * (1.0 / 360.0 - t * t / 1260.0))
+
+        ratio = (v - (x + v - 0.5) * math.log1p(v / x) - v * math.log(x)
+                 + stirling(1.0 / x) - stirling(1.0 / (x + v)))
+    return (ratio + math.lgamma(n + upsilon + 1.0) - math.lgamma(n + 1.0)
+            + math.log((2 * n + upsilon + 1.0) / (kappa * (2 * n + kappa + upsilon + 1.0))))
 
 
 def _log_paper_integral(n: int, kappa: float, upsilon: float) -> float:
@@ -131,7 +164,7 @@ def _log_paper_integral(n: int, kappa: float, upsilon: float) -> float:
         y, w = _gauss_laguerre(m, alpha)
         with np.errstate(divide="ignore"):
             w = np.exp(np.log(w) + (1.0 - kappa / c) * y)
-        total = float(np.dot(w, jacobi(n, kappa, upsilon, 1.0 - 2.0 * np.exp(-y / c)) ** 2))
+        total = float(np.dot(w, jacobi(n, kappa, upsilon, -2.0 * np.expm1(-y / c)) ** 2))
         if last is not None and abs(total - last) <= 1e-13 * total:
             return math.log(total) + math.lgamma(alpha + 1.0) - (alpha + 1.0) * math.log(c)
         if m == _MAX_NODES:

@@ -141,7 +141,7 @@ def test_criterion_4_reduction_identity():
 def test_criterion_5_nu_internal_identities():
     rng = np.random.default_rng(SEED + 1)
     xi = np.linspace(0.01, 0.99, 97)
-    z = 1.0 - 2.0 * xi
+    y = 2.0 - 2.0 * xi  # jacobi's argument y = 1 + z, z = 1 - 2 xi
     for i in range(1000):
         c = draw_coefficients(rng)
         # the quadratic under the square root is a perfect square at k = k_minus
@@ -160,12 +160,12 @@ def test_criterion_5_nu_internal_identities():
         assert abs(lam - lam_n) <= 1e-10 * max(1.0, abs(lam_n))
         # polynomial part chi(xi) = P_n^(kappa,upsilon)(1 - 2 xi) solves
         # sigma chi'' + tau chi' + lambda_n chi = 0 for every n; its
-        # derivatives in z = 1 - 2 xi are d^j/dz^j P_n = c_j P_(n-j)^(kappa+j,upsilon+j),
+        # derivatives in z = 1 - 2 xi (or y) are d^j/dz^j P_n = c_j P_(n-j)^(kappa+j,upsilon+j),
         # c_j the product of (n + kappa + upsilon + i)/2 over i = 1..j (DLMF 18.9.15)
         for n in range(6):
             half = 0.5 * (n + c.kappa + c.upsilon + 1.0)
             chi, dz, dzz = (
-                jacobi(n - j, c.kappa + j, c.upsilon + j, z) if j <= n else 0.0 for j in range(3)
+                jacobi(n - j, c.kappa + j, c.upsilon + j, y) if j <= n else 0.0 for j in range(3)
             )
             d1 = -2.0 * half * dz
             d2 = 4.0 * half * (half + 0.5) * dzz
@@ -184,7 +184,7 @@ def test_criterion_6_wavefunction_residuals_and_nodes():
     for kind, params, m, target, extra in cases:
         for n in range(6):
             state = QuantumState(n, m)
-            # U and its exact U'' on the closed form's own check window
+            # U and its exact U'' on the Gauss nodes of the closed form's own polynomial
             rho, u, upp = curvature(kind, state, params, **extra)
             closed = energy(kind, state, params)
             w = radial_potential(kind, state, params, closed, target=target)(rho)

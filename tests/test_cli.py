@@ -106,6 +106,15 @@ class TestWavefunction:
         assert captured.out == ""
         assert f"delta = {delta} is too small" in captured.err
 
+    @pytest.mark.parametrize("form", ["paper", "xi"])
+    def test_small_delta_table(self, form, capsys):
+        # the recurrence in z lost P_n near z = -1, and the paper norm's rules
+        # then missed their 1e-13 agreement: exit 1 with a NormalizationError
+        code = run(["wavefunction", "--model", "c", "--state", "2,-1", "--delta", "1e-4",
+                    "--form", form])
+        assert code == 0
+        assert len(lines_of(capsys.readouterr().out)) == 602
+
 
 class TestField:
     def test_table_columns(self, capsys):
@@ -332,6 +341,14 @@ class TestVerify:
         assert code == 1 and captured.out == ""
         assert "n_rho = 0 exceeds n_points // 4 - 1 = -1" in captured.err
 
+    def test_too_many_cells_is_a_validation_error(self, capsys):
+        # was a numpy _ArrayMemoryError traceback
+        code = run(["verify", "--model", "a", "--nrho-max", "0", "--m-min", "0", "--m-max", "0",
+                    "--n-points", "1000000000000"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "n_points must be at most 500000" in captured.err
+
     @pytest.mark.parametrize("target", [[], ["--target", "exact"], ["--target", "ga"]],
                              ids=["ga", "exact", "explicit_ga"])
     def test_model_c_at_zero_delta_points_to_model_a(self, capsys, target):
@@ -510,6 +527,15 @@ class TestNoSilentNonFiniteOutput:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("command", [["field"], ["greene-aldrich", "--delta", "0.1"],
+                                         ["wavefunction", "--model", "a", "--state", "0,1"]])
+    def test_too_many_points_is_a_validation_error(self, capsys, command):
+        # was a numpy _ArrayMemoryError traceback
+        code = run([*command, "--points", "1000000000000"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "--points must be between 2 and 1000000, got 1000000000000" in captured.err
+
     def test_non_finite_parameter_is_a_validation_error(self, capsys):
         assert run(["spectrum", "--model", "c", "--delta", "inf"]) == 1
         captured = capsys.readouterr()

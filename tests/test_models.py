@@ -8,9 +8,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
+from scipy.special import roots_genlaguerre, roots_jacobi
 
 from pdmag.errors import BoundStateError, DomainError
 from pdmag.models import (
@@ -25,6 +26,7 @@ from pdmag.models import (
     reduced_equation,
     wavefunction,
 )
+from pdmag.oracle import node_count, residual
 from pdmag.params import PhysicalParams, QuantumState
 
 
@@ -446,6 +448,32 @@ class TestModelCWavefunction:
             wavefunction(ModelKind.C, QuantumState(0, 1), PhysicalParams(delta=delta), 1.0,
                          form=form)
 
+    @pytest.mark.parametrize("form", ["paper", "xi"])
+    @pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-12, 1e-14, 1e-30])
+    def test_unit_norm_as_delta_vanishes(self, delta, form):
+        # the paper form's norm raised from delta = 1e-4 on, and the xi
+        # form's integral was off by 1.4e-7 at 1e-8 and 1.2e-3 at 1e-12
+        params = PhysicalParams(delta=delta)
+        for state in (QuantumState(n, m) for n in range(6) for m in range(-3, 4)):
+
+            def u2(rho):
+                return wavefunction(ModelKind.C, state, params, rho, form=form, component="U") ** 2
+
+            integral = quad(u2, 0.0, np.inf, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+            assert abs(integral - 1.0) <= 1e-12, (state, integral)
+
+    def test_tends_to_model_a_as_delta_vanishes(self):
+        # P_n^(kappa,upsilon)(1 - 2 e^(-delta rho)) -> (-1)^n L_n^upsilon(2 s rho)
+        # as kappa ~ 2 s/delta grows, and upsilon = 2 G is model A's a = 2 ell
+        rho = np.linspace(0.01, 40.0, 2000)
+        params = PhysicalParams(delta=1e-12)
+        for state in (QuantumState(n, m) for n in range(6) for m in range(-3, 4)):
+            u_a = wavefunction(ModelKind.A, state, PhysicalParams(), rho, component="U")
+            for form in ("paper", "xi"):
+                u_c = wavefunction(ModelKind.C, state, params, rho, form=form, component="U")
+                gap = np.max(np.abs((-1) ** state.n_rho * u_c - u_a)) / np.max(np.abs(u_a))
+                assert gap <= 1e-9, (state, form, gap)
+
     @given(
         state=st.tuples(st.integers(0, 3), st.integers(-3, 3)),
         mu=st.floats(0.1, 0.5), delta=st.floats(0.02, 0.3), beta=st.floats(-5.0, 1.0),
@@ -505,9 +533,40 @@ CURVATURE_CASES = [
 ]
 
 
+def polynomial_zeros(kind, state, params, form):
+    """The zeros of the closed form's P_n mapped to rho, from scipy's Gauss
+    rules: L_n^a in x = 2 s rho, or P_n^(kappa,upsilon) in y = 1 + z =
+    2 (1 - e^(-delta rho)) for model C."""
+    _, n, a, b, _ = _CLOSED_FORMS[kind](state, params, form).norm
+    if kind is not ModelKind.C:
+        return roots_genlaguerre(n, a)[0] / (2.0 * params.decay_rate)
+    return -np.log1p(-0.5 * (1.0 + roots_jacobi(n, a, b)[0])) / params.delta
+
+
+# Parameter draws of the Gauss-rule property: the closed-form identities'
+# ranges for models A and B, the oracle-verify benchmark's for model C.
+AB_DRAWS = st.fixed_dictionaries({name: param_draws[name if name != "alpha_ab" else "alpha"]
+                                  for name in ("e", "b0", "mu", "beta", "kz", "eta", "alpha_ab")})
+C_DRAWS = st.fixed_dictionaries(dict(
+    mu=st.floats(0.1, 0.5), delta=st.floats(0.02, 0.3), beta=st.floats(-5.0, 1.0),
+    kz=st.floats(0.0, 1.0), alpha_ab=st.floats(-0.5, 0.5), eta=st.floats(0.5, 1.5),
+))
+
+
+def rounding_scale(eq, rho, level, u):
+    """The largest term of (W - Et) U over rho, in units of max|U|: W and
+    the residual round at about eps times it."""
+    r = 1.0 / rho if eq.target == "exact" else eq.delta / -np.expm1(-eq.delta * rho)
+    terms = (abs(eq.c2) * r * r + abs(eq.c1) * r + np.abs(eq.smooth(rho))
+             + abs(level) * eq.mass(rho) + abs(eq.et))
+    return np.max(terms * np.abs(u)) / np.max(np.abs(u))
+
+
 class TestCurvature:
-    """models.curvature: U from the same assembly as wavefunction, U'' from
-    the polynomial's derivative identities, on the closed form's own window."""
+    """models.curvature: U from the same assembly as wavefunction, U'' exact
+    from the polynomial's derivative identity and differential equation, by
+    default on the Gauss nodes of the closed form's own polynomial. The
+    "window" of the test names is the span of those nodes."""
 
     @pytest.mark.parametrize("kind, state, params, form", CURVATURE_CASES,
                              ids=["A", "B", "C-xi", "C-paper"])
@@ -516,7 +575,7 @@ class TestCurvature:
         rho, u, upp = curvature(kind, state, params, form=form)
         assert np.array_equal(u, wavefunction(kind, state, params, rho, form=form, component="U"))
         # a five-point stencil of the wavefunction, accurate to about 1e-7 of max|U''|
-        x = rho[(rho > 0.5) & (rho < 20.0)]
+        x = np.linspace(0.5, 20.0, 400)
         h = 1e-3 * x
 
         def f(r):
@@ -530,22 +589,61 @@ class TestCurvature:
     @pytest.mark.parametrize("kind, state, params, form", CURVATURE_CASES,
                              ids=["A", "B", "C-xi", "C-paper"])
     def test_window_ends_in_the_tail(self, kind, state, params, form):
+        # M = 2 n + 16 nodes whose first and last bracket every zero of P_n,
+        # so U's monotone tails at both ends each hold a node
         params, state = PhysicalParams(**params), QuantumState(*state)
         rho, u, _ = curvature(kind, state, params, form=form)
-        assert rho.size == 4000 and rho[0] == 0.05 and rho[-1] >= 30.0
-        assert abs(u[-1]) <= 1e-12 * np.max(np.abs(u))
+        zeros = polynomial_zeros(kind, state, params, form)
+        assert rho.size == 2 * state.n_rho + 16 and np.all(np.diff(rho) > 0)
+        assert rho[0] < zeros[0] and zeros[-1] < rho[-1]
+        assert np.all(np.isfinite(u)) and np.all(rho > 0)
+
+    @settings(max_examples=150)
+    @example(kind_form=(ModelKind.A, "paper"), n=40, m=1, m_b=0, ab=dict(beta=0.5, kz=1.0), c={})
+    @example(kind_form=(ModelKind.A, "paper"), n=80, m=1, m_b=0, ab=dict(beta=0.5, kz=1.0), c={})
+    @example(kind_form=(ModelKind.C, "xi"), n=80, m=1, m_b=0, ab={}, c=dict(mu=0.15, delta=0.1))
+    @given(kind_form=st.sampled_from([(ModelKind.A, "paper"), (ModelKind.B, "paper"),
+                                      (ModelKind.C, "paper"), (ModelKind.C, "xi")]),
+           n=st.integers(0, 80), m=st.integers(-4, 4), m_b=st.integers(-85, 85),
+           ab=AB_DRAWS, c=C_DRAWS)
+    def test_nodes_count_n_rho_and_the_residual_is_rounding(self, kind_form, n, m, m_b, ab, c):
+        # The window from rho = 0.05 read 39, 79 and 68 nodes on the three
+        # examples. Model B takes |m| up to 85, so that high n_rho are bound.
+        # The residual is 1e-12 plus 32 roundings of the largest term of
+        # (W - Et) U: at n_rho ~ 80 the first node's W U alone rounds at up
+        # to 4e-12 of max|U|, and model B's c2/rho^2 - E eta/rho^2 at large
+        # |m| cancels to far less than either term.
+        kind, form = kind_form
+        params = PhysicalParams(**(c if kind is ModelKind.C else ab))
+        assume(params.s_squared > 1e-12)  # as in the quantization identities
+        state = QuantumState(n, m_b if kind is ModelKind.B else m)
+        try:
+            level = energy(kind, state, params)
+        except (BoundStateError, DomainError):  # not bound, or no real level
+            assume(False)
+        rho, u, upp = curvature(kind, state, params, form=form)
+        assert node_count(u) == n
+        if kind is ModelKind.C and (form == "paper" or n > 30):
+            return  # the paper form solves no equation; xi's residual is checked to n_rho = 30
+        eq = reduced_equation(kind, state, params, "ga" if kind is ModelKind.C else "exact")
+        res = residual(u, upp, eq.potential(rho, level), eq.et)
+        assert res <= 1e-12 + 32 * np.finfo(float).eps * rounding_scale(eq, rho, level, u)
 
     def test_fast_tail_keeps_the_window_at_30(self):
-        # s = 3: U(30) is far below 1e-12 of its peak already
-        rho, _, _ = curvature(ModelKind.A, QuantumState(0, 0), PhysicalParams(mu=3.0))
-        assert rho[-1] == 30.0
+        # s = 3: the 16 Gauss-Laguerre nodes in x = 2 s rho all lie below
+        # rho = 30, where U is far below 1e-12 of its peak already
+        params = PhysicalParams(mu=3.0)
+        rho, _, _ = curvature(ModelKind.A, QuantumState(0, 0), params)
+        a = _CLOSED_FORMS[ModelKind.A](QuantumState(0, 0), params, "paper").norm[2]
+        np.testing.assert_allclose(rho, roots_genlaguerre(16, a)[0] / 6.0, rtol=1e-12)
+        assert rho[-1] < 30.0
 
     def test_slow_tail_moves_the_window_out(self):
         # C (3, 3) at mu = 0.15, delta = 0.05: U decays like e^(-0.025 rho)
-        # and is still 0.4 of its peak at rho = 30
+        # and is still 0.4 of its peak at rho = 30; the Jacobi nodes follow it
         state, params = QuantumState(3, 3), PhysicalParams(mu=0.15, delta=0.05)
         rho, u, _ = curvature(ModelKind.C, state, params, form="xi")
-        assert rho[-1] > 1000.0
+        assert np.count_nonzero(rho > 30.0) >= 3
         u30 = wavefunction(ModelKind.C, state, params, 30.0, form="xi", component="U")
         assert abs(u30) >= 0.3 * np.max(np.abs(u))
 

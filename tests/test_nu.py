@@ -49,7 +49,7 @@ def nu_solution(c, n, xi):
     """Bound solution U = xi^(kappa/2) (1-xi)^((1+upsilon)/2) P_n^(kappa,upsilon)(1-2xi)."""
     xi = np.asarray(xi, dtype=float)
     phi = np.power(xi, 0.5 * c.kappa) * np.power(1.0 - xi, 0.5 * (1.0 + c.upsilon))
-    return phi * jacobi(n, c.kappa, c.upsilon, 1.0 - 2.0 * xi)
+    return phi * jacobi(n, c.kappa, c.upsilon, 2.0 - 2.0 * xi)  # y = 1 + z, z = 1 - 2 xi
 
 
 def weight(c, xi):
@@ -207,7 +207,7 @@ class TestEigenfunction:
             c = NUCoefficients(a1t, a1t + a4t - u, 0.0, a4t)
             xi = np.linspace(0.01, 0.99, 197)
             h = 1e-3
-            chi = [jacobi(n, c.kappa, c.upsilon, 1.0 - 2.0 * (xi + k * h)) for k in (-2, -1, 0, 1, 2)]
+            chi = [jacobi(n, c.kappa, c.upsilon, 2.0 - 2.0 * (xi + k * h)) for k in (-2, -1, 0, 1, 2)]
             d1 = (chi[0] - 8 * chi[1] + 8 * chi[3] - chi[4]) / (12 * h)
             d2 = (-chi[0] + 16 * chi[1] - 30 * chi[2] + 16 * chi[3] - chi[4]) / (12 * h * h)
             sigma = xi * (1.0 - xi)

@@ -837,6 +837,10 @@ class TestOracleEnergy:
             oracle_energy(ModelKind.C, state, unit_params, target="bogus")
         with pytest.raises(TypeError):
             oracle_energy(ModelKind.A, state, unit_params, (1.0, 2.0))
+        # the finest grid has 2 n_points cells; 10^12 was a numpy _ArrayMemoryError
+        with pytest.raises(DomainError, match=r"^n_points must be at most 500000 \(2 n_points"):
+            oracle_energy(ModelKind.A, state, unit_params, n_points=10**12)
+        assert oracle_energy(ModelKind.A, state, unit_params, n_points=400).error > 0
 
     @pytest.mark.parametrize("delta", [0.1, 0.2])
     def test_ga_equation_without_a_decaying_tail_has_no_level(self, delta):
@@ -951,7 +955,7 @@ CRITERION_6_SETS = (
 
 
 def closed_form_residual(kind, state, params, target="exact", form="paper", shift=0.0):
-    """residual of the closed form on its check window, against Et + shift."""
+    """residual of the closed form on its own Gauss nodes, against Et + shift."""
     rho, u, upp = curvature(kind, state, params, form=form)
     w = radial_potential(kind, state, params, energy(kind, state, params), target=target)(rho)
     return residual(u, upp, w, e_tilde(params) + shift)
@@ -1076,7 +1080,8 @@ class TestVerifyStates:
     )
     def test_check_window_holds_the_whole_state(self, params):
         # the fixed window [0.05, 30] cut these slow tails off and read
-        # 2 nodes; the closed form's own window reads all 3
+        # 2 nodes; the Gauss nodes of the closed form's own polynomial
+        # (the "check window" now) read all 3, the last of them beyond rho = 100
         rows, _ = verify_states(ModelKind.C, [QuantumState(3, 3)], params)
         assert rows[0].nodes == 3
         assert rows[0].residual <= 1e-12

@@ -3,6 +3,7 @@ classical orthogonality, and the exact norms of the closed forms."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +13,7 @@ from scipy.special import roots_genlaguerre
 
 from pdmag import specfun
 from pdmag.errors import DomainError, NormalizationError
-from pdmag.models import ModelKind, wavefunction
+from pdmag.models import _CLOSED_FORMS, ModelKind, wavefunction
 from pdmag.params import PhysicalParams, QuantumState
 from pdmag.specfun import jacobi, laguerre, normalize
 
@@ -91,8 +92,9 @@ def test_laguerre_rejects_bad_degree():
 
 @given(kappa=params_gt_minus_one, upsilon=params_gt_minus_one)
 def test_jacobi_endpoint_value(kappa, upsilon):
+    # the argument is y = 1 + x: y = 2 is the endpoint x = 1
     assert jacobi(0, kappa, upsilon, 0.3) == 1.0
-    assert jacobi(1, kappa, upsilon, 1.0) == pytest.approx(kappa + 1.0, rel=1e-13, abs=1e-13)
+    assert jacobi(1, kappa, upsilon, 2.0) == pytest.approx(kappa + 1.0, rel=1e-13, abs=1e-13)
 
 
 def test_jacobi_symmetry():
@@ -100,8 +102,8 @@ def test_jacobi_symmetry():
     x = rng.uniform(-1.0, 1.0, size=50)
     for n in range(11):
         for kappa, upsilon in [(0.0, 0.0), (0.5, 1.25), (2.0, 0.3)]:
-            left = jacobi(n, kappa, upsilon, x)
-            right = (-1.0) ** n * jacobi(n, upsilon, kappa, -x)
+            left = jacobi(n, kappa, upsilon, 1.0 + x)
+            right = (-1.0) ** n * jacobi(n, upsilon, kappa, 1.0 - x)
             np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-12)
 
 
@@ -135,7 +137,7 @@ def _rodrigues_fd(n, a, b, x, h=1e-2):
 def test_jacobi_matches_rodrigues_form(n, kappa, upsilon):
     for x in (-0.4, 0.1, 0.55):
         ref = _rodrigues_fd(n, kappa, upsilon, x)
-        assert jacobi(n, kappa, upsilon, x) == pytest.approx(ref, rel=1e-4, abs=1e-4)
+        assert jacobi(n, kappa, upsilon, 1.0 + x) == pytest.approx(ref, rel=1e-4, abs=1e-4)
 
 
 @given(
@@ -144,8 +146,8 @@ def test_jacobi_matches_rodrigues_form(n, kappa, upsilon):
     upsilon=st.floats(min_value=-0.5, max_value=3.0),
 )
 def test_jacobi_zero_count(n, kappa, upsilon):
-    x = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001)
-    values = jacobi(n, kappa, upsilon, x)
+    y = np.linspace(1e-9, 2.0 - 1e-9, 4001)
+    values = jacobi(n, kappa, upsilon, y)
     signs = np.sign(values[np.abs(values) > 1e-13 * np.max(np.abs(values))])
     changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
     assert changes == n
@@ -154,13 +156,28 @@ def test_jacobi_zero_count(n, kappa, upsilon):
 def test_jacobi_rejects_out_of_range():
     with pytest.raises(DomainError, match="> -1"):
         jacobi(2, -1.0, 0.0, 0.5)
-    with pytest.raises(DomainError, match=r"\[-1, 1\]"):
-        jacobi(2, 0.0, 0.0, 1.5)
+    with pytest.raises(DomainError, match=r"\[0, 2\]"):
+        jacobi(2, 0.0, 0.0, 2.5)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-12, 1e-14])
+@pytest.mark.parametrize("state", [(2, -1), (4, 1)])
+def test_jacobi_in_y_matches_mpmath_as_delta_vanishes(state, delta):
+    # model C's P_n^(kappa,upsilon) at y = -2 expm1(-delta rho), kappa ~ 2/delta:
+    # the recurrence in z = 1 - 2 e^(-delta rho) was off by 3.3e-11 at
+    # delta = 1e-4 and by 0.12 at 1e-14, of the largest |P|
+    state = QuantumState(*state)
+    _, n, kappa, upsilon, _ = _CLOSED_FORMS[ModelKind.C](state, PhysicalParams(delta=delta), "xi").norm
+    y = -2.0 * np.expm1(-delta * np.linspace(0.5, 5.0, 19))
+    with mpmath.workdps(60):
+        ref = np.array([float(mpmath.jacobi(n, kappa, upsilon, mpmath.mpf(float(t)) - 1)) for t in y])
+    got = jacobi(n, kappa, upsilon, y)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_polynomial_point_values():
     assert laguerre(2, 1.0, 2.0) == pytest.approx(-1.0)
-    assert jacobi(1, 0.5, 0.5, 1.0) == pytest.approx(1.5)
+    assert jacobi(1, 0.5, 0.5, 2.0) == pytest.approx(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +191,7 @@ def _integrand(form, n, a, b):
         return lambda x: x ** (a + 1.0) * math.exp(-x) * laguerre(n, a, x) ** 2
 
     def p2(x):
-        return jacobi(n, a, b, 1.0 - 2.0 * math.exp(-x)) ** 2
+        return jacobi(n, a, b, -2.0 * math.expm1(-x)) ** 2
 
     if form == "xi":
         return lambda x: math.exp(-a * x) * (-math.expm1(-x)) ** (1.0 + b) * p2(x)
@@ -222,6 +239,21 @@ def test_xi_norm_matches_quad(n, kappa):
     assert integral == pytest.approx(_quad(_integrand("xi", n, kappa, 2.0)), rel=1e-10)
 
 
+@pytest.mark.parametrize("kappa", [998.0, 1e6, 2e14, 1e30])
+def test_xi_norm_at_large_kappa_matches_mpmath(kappa):
+    # from n + kappa + 1 = 1e3 on, the differenced Stirling series replaces
+    # lgamma(n + kappa + 1) - lgamma(n + kappa + upsilon + 1), which was off
+    # by 1.6e-10 of the norm at kappa = 1e6 and by 0.31 at 2e14
+    n, upsilon = 3, 2.5
+    with mpmath.workdps(50):
+        k, u = mpmath.mpf(kappa), mpmath.mpf(upsilon)
+        log_integral = (mpmath.loggamma(n + k + 1) + mpmath.loggamma(n + u + 1)
+                        - mpmath.loggamma(n + 1) - mpmath.loggamma(n + k + u + 1)
+                        + mpmath.log((2 * n + u + 1) / (k * (2 * n + k + u + 1))))
+        ref = float(mpmath.exp(-log_integral / 2))
+    assert normalize("xi", n, kappa, upsilon) == pytest.approx(ref, rel=5e-14)
+
+
 @pytest.mark.parametrize("n", range(11))
 @pytest.mark.parametrize("kappa", [0.5, 5.0, 60.0])
 def test_paper_norm_matches_quad(n, kappa):
@@ -248,7 +280,7 @@ def test_normalize_stable_under_node_doubling():
 
     def rule(m):
         y, w = specfun._gauss_laguerre(m, 1.0 + upsilon)
-        f = jacobi(n, kappa, upsilon, 1.0 - 2.0 * np.exp(-y / kappa)) ** 2
+        f = jacobi(n, kappa, upsilon, -2.0 * np.expm1(-y / kappa)) ** 2
         return float(np.dot(w, f)) * math.gamma(2.0 + upsilon) / kappa ** (2.0 + upsilon)
 
     assert abs(rule(256) - rule(512)) <= 1e-13 * rule(512)
