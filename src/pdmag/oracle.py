@@ -241,12 +241,12 @@ def eigh_tridiagonal(d, e, index: int, guess=None):
     eigenvalue lies within h of sigma. Any other outcome falls back to the
     bisection: a guess changes the cost, never which eigenvalue is returned.
 
-    scipy.linalg is loaded on the first call, so importing pdmag loads numpy
-    alone. _pencil looks this name up at call time, so it can be replaced on
-    the module (timing hooks, tests).
+    The first call loads scipy.linalg's _flapack extension alone
+    (_linalg_extension), so importing pdmag loads numpy alone. _pencil looks
+    this name up at call time, so it can be replaced on the module (timing
+    hooks, tests).
     """
-    from scipy.linalg import lapack
-
+    lapack = _linalg_extension("_flapack")
     if len(d) == 1:  # the LAPACK wrappers take no empty off-diagonal
         return float(d[0])
     if guess is not None:
@@ -289,14 +289,37 @@ def _rayleigh_quotient(lapack, d, e, guess: float) -> float:
 
 
 @functools.cache
+def _linalg_extension(name: str):
+    """The extension module `name` of scipy's linalg directory, loaded from
+    its file, so that the scipy.linalg package, which imports scipy's
+    array-API layer, is never initialized for the three LAPACK routines the
+    oracle calls. The module is entered in sys.modules under its own name,
+    so a later import of scipy.linalg finds the same object."""
+    import importlib.machinery as machinery
+    import importlib.util
+    import os
+    import sys
+
+    scipy = importlib.util.find_spec("scipy")  # finds the package without importing it
+    directory = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    loaders = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+    spec = machinery.FileFinder(directory, loaders).find_spec(f"scipy.linalg.{name}")
+    if spec is None:
+        raise ImportError(f"no extension module {name} in {directory}", name=f"scipy.linalg.{name}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
 def _dlarrc():
     """LAPACK's dlarrc, which scipy.linalg.lapack does not wrap, bound once
-    by ctypes from the function table of scipy.linalg.cython_lapack."""
+    by ctypes from the function table of scipy.linalg's cython_lapack
+    extension (_linalg_extension)."""
     import ctypes
 
-    from scipy.linalg import cython_lapack
-
-    capsule = cython_lapack.__pyx_capi__["dlarrc"]
+    capsule = _linalg_extension("cython_lapack").__pyx_capi__["dlarrc"]
     api, obj, char_p, void_p = ctypes.pythonapi, ctypes.py_object, ctypes.c_char_p, ctypes.c_void_p
     name = ctypes.PYFUNCTYPE(char_p, obj)(("PyCapsule_GetName", api))(capsule)
     address = ctypes.PYFUNCTYPE(void_p, obj, char_p)(("PyCapsule_GetPointer", api))(capsule, name)

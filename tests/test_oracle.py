@@ -246,12 +246,13 @@ class TestGuessedEigensolve:
         # guess whose result is not certified falls back to the full
         # bisection (dstebz over an index range) and keeps the result but
         # not the speed
-        from scipy.linalg import lapack
+        from pdmag.oracle import _linalg_extension
 
         full = []
-        stebz = lapack.dstebz
+        flapack = _linalg_extension("_flapack")  # the module eigh_tridiagonal calls
+        stebz = flapack.dstebz
         monkeypatch.setattr(
-            lapack, "dstebz", lambda d, e, rng, *a: full.append(rng == 2) or stebz(d, e, rng, *a)
+            flapack, "dstebz", lambda d, e, rng, *a: full.append(rng == 2) or stebz(d, e, rng, *a)
         )
         for kind, state, params, target in criterion_levels():
             full.clear()

@@ -63,15 +63,57 @@ def test_closed_form_commands_leave_scipy_unloaded():
     assert rows == [f"{argv[0]} 0 False" for argv in _CLOSED_FORM_COMMANDS]
 
 
-def test_verify_loads_scipy_linalg_on_its_first_eigensolve():
+def test_verify_loads_only_the_lapack_extensions_it_calls():
+    # the oracle loads scipy.linalg's _flapack and cython_lapack extensions
+    # from their files; the scipy.linalg package, and with it scipy's
+    # array-API layer, stays unloaded
+    modules = ["scipy.linalg._flapack", "scipy.linalg.cython_lapack", "scipy.linalg",
+               "scipy._lib._array_api"]
     code = (
         "import contextlib, io, sys\n"
         "from pdmag.cli import run\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    code = run(['verify', '--model', 'a', '--nrho-max', '0', '--m-min', '0', '--m-max', '0'])\n"
-        "print(code, 'scipy.linalg' in sys.modules)\n"
+        "    code = run(['verify', '--model', 'a', '--nrho-max', '0', '--m-min', '1', '--m-max', '1'])\n"
+        f"print(code, *(m in sys.modules for m in {modules!r}))\n"
     )
-    assert _fresh("-c", code).stdout.strip() == "0 True"
+    assert _fresh("-c", code).stdout.split() == ["0", "True", "True", "False", "False"]
+
+
+_LEVEL = (
+    "from pdmag.models import ModelKind\n"
+    "from pdmag.oracle import oracle_energy\n"
+    "from pdmag.params import PhysicalParams, QuantumState\n"
+    "def level():\n"
+    "    return oracle_energy(ModelKind.A, QuantumState(1, 1), PhysicalParams()).energy.hex()\n"
+)
+
+
+def test_oracle_levels_do_not_depend_on_the_scipy_linalg_import_order(monkeypatch, tmp_path):
+    # a level before and after the scipy.linalg package is imported (and
+    # used), and one with the package imported first, call the same LAPACK
+    import pdmag.oracle
+    from pdmag.models import ModelKind
+    from pdmag.params import PhysicalParams, QuantumState
+
+    here = pdmag.oracle.oracle_energy(ModelKind.A, QuantumState(1, 1), PhysicalParams()).energy.hex()
+    level_first = _fresh("-c", _LEVEL + (
+        "first = level()\n"
+        "import numpy as np, scipy.linalg\n"
+        "scipy.linalg.eigh_tridiagonal(np.arange(3.0), np.ones(2), eigvals_only=True)\n"
+        "print(first, level())\n"
+    ))
+    package_first = _fresh("-c", "import scipy.linalg\n" + _LEVEL + "print(level())\n")
+    assert level_first.stdout.split() == [here, here]
+    assert package_first.stdout.split() == [here]
+
+    # an extension module missing from the directory searched is named
+    (tmp_path / "linalg").mkdir()
+    scipy = importlib.util.spec_from_loader("scipy", None, is_package=True)
+    scipy.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError, match="_flapack") as missing:
+        pdmag.oracle._linalg_extension.__wrapped__("_flapack")
+    assert str(tmp_path / "linalg") in str(missing.value)
 
 
 def test_crossing_search_goes_through_the_traced_names(monkeypatch):
