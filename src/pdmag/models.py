@@ -69,13 +69,9 @@ class ModelKind(enum.Enum):
             raise DomainError(f"unknown model {text!r}; expected one of A, B, C") from None
 
 
-def _require_sigma_one(params: PhysicalParams) -> None:
-    _raise_invalid(Invalid.SIGMA, params.sigma != 1.0, params.sigma)
-
-
 def _w(state: QuantumState, params: PhysicalParams) -> float:
-    """Shifted magnetic quantum number m_tilde - e B0 beta / 2 (params may
-    hold an array in one field, see level_axis)."""
+    """Shifted magnetic quantum number m_tilde - e B0 beta / 2 (state and
+    one field of params may hold arrays, see level_axis)."""
     return m_tilde(state, params) - params.e * params.b0 * params.beta / 2.0
 
 
@@ -187,7 +183,7 @@ def reduced_equation(
     (1/16, 3 delta/8, delta^2/16) for C. The Greene-Aldrich target 'ga'
     needs model C with delta > 0.
     """
-    _require_sigma_one(params)
+    _raise_invalid(Invalid.SIGMA, params.sigma != 1.0, params.sigma)
     if target not in ("exact", "ga"):
         raise DomainError(f"target must be 'exact' or 'ga', got {target!r}")
     if target == "ga" and kind is not ModelKind.C:
@@ -213,7 +209,7 @@ def reduced_equation(
 
 # ---------------------------------------------------------------------------
 # Closed-form levels. Models A and B are the V = 0 models; each kernel is
-# written over a record whose fields are floats or arrays (see level_axis).
+# written over a state and params of numbers or arrays (see level_axis).
 # ---------------------------------------------------------------------------
 
 
@@ -402,27 +398,31 @@ def _raise_invalid(code: int, bad, value) -> None:
 
 def _level(kind: ModelKind, state: QuantumState, params: PhysicalParams):
     """(E, kernel parts) of one point; raises the first failed condition."""
-    _require_sigma_one(params)
+    _raise_invalid(Invalid.SIGMA, params.sigma != 1.0, params.sigma)
     level, parts = _LEVELS[kind](state, params, _raise_invalid)
     _raise_invalid(Invalid.NOT_FINITE_LEVEL, not math.isfinite(level), level)
     return level, parts
 
 
-def level_axis(kind: ModelKind, state: QuantumState, params: PhysicalParams, name: str, values):
-    """Closed-form level of one state along one parameter axis.
+def level_axis(kind: ModelKind, states, params: PhysicalParams, name: str, values):
+    """Closed-form levels of k states along one parameter axis.
 
-    params gives every field but name, which takes each of values in turn.
-    Returns (E, reason): float and int8 arrays shaped like values, reason
-    an Invalid code (0 where the level exists) and E nan wherever reason is
-    not 0. The arithmetic is the kernel a single point runs, operation for
-    operation, so E equals energy(kind, state, params.replace(name=v)) bit
-    for bit wherever that succeeds, and reason names the condition it
-    raises on where it does not.
+    params gives every field but name, which takes each of the N values in
+    turn. Returns (E, reason): (k, N) float and int8 arrays, row i for
+    states[i], reason an Invalid code (0 where the level exists) and E nan
+    wherever reason is not 0. The kernel runs once, on (k, 1) int64 columns
+    of n_rho and m broadcast against the values (so n_rho^2 + n_rho must
+    stay below 2^63), with the arithmetic of a single point, so E[i, j] equals energy(kind,
+    states[i], params.replace(name=values[j])) bit for bit wherever that
+    succeeds, and reason names the condition it raises on where it does not.
     """
     if name not in SWEEPABLE:
         raise DomainError(f"cannot sweep {name!r}; choose one of {', '.join(SWEEPABLE)}")
+    if any(s.n_rho * (s.n_rho + 1) >= 2**63 or not -(2**63) <= s.m < 2**63 for s in states):
+        raise DomainError("a parameter axis takes n_rho^2 + n_rho below 2^63 and m in int64")
+    qn = np.array([(s.n_rho, s.m) for s in states], np.int64).reshape(-1, 2, 1)
     values = np.asarray(values, dtype=float)
-    reason = np.zeros(values.shape, dtype=np.int8)
+    reason = np.zeros((len(states), len(values)), dtype=np.int8)
 
     def record(code: int, bad, value) -> None:
         # most checks fail at no point: skip the masked write then
@@ -435,8 +435,8 @@ def level_axis(kind: ModelKind, state: QuantumState, params: PhysicalParams, nam
     record(Invalid.SIGMA, params.sigma != 1.0, params.sigma)
     point = SimpleNamespace(**{**vars(params), name: values})
     with np.errstate(all="ignore"):
-        level, _ = _LEVELS[kind](state, point, record)
-        level = np.array(np.broadcast_to(level, values.shape))
+        level, _ = _LEVELS[kind](SimpleNamespace(n_rho=qn[:, 0], m=qn[:, 1]), point, record)
+        level = np.array(np.broadcast_to(level, reason.shape))
         record(Invalid.NOT_FINITE_LEVEL, ~np.isfinite(level), level)
     level[reason != 0] = np.nan
     return level, reason

@@ -1,22 +1,22 @@
 """Parameter sweeps of the closed-form levels and level-crossing search.
 
 Both work on a parameter axis: an array of values of one field, evaluated
-with one ``models.level_axis`` call per state.
+for all of a grid's states with one ``models.level_axis`` call.
 
 A sweep tabulates E over a parameter grid for a set of labeled states, so
 a row equals ``models.energy`` at its point bit for bit. Points where a
 state stops being bound (or the swept value itself is out of range) are
 reported as invalid rows with the reason, not as errors, since validity
 boundaries are part of the phenomenology. The rows are built from the
-level_axis arrays in one C-level pass, with no Python call per row. A
-sweep has at most 10^6 rows and a crossing scan at most 10^6 points,
-checked before any grid is allocated.
+transposed level_axis arrays in one C-level pass, with no Python call
+per row. A sweep has at most 10^6 rows and a crossing scan at most 10^6
+points, checked before any grid is allocated.
 
 A crossing is a sign change of E1(p) - E2(p): the difference is scanned
 on a grid, and then all brackets are refined together, each step one
-``level_axis`` call per state over the points it puts into every bracket.
-Tangential degeneracies (touching without sign change) are outside the
-detection scope.
+``level_axis`` call for both states over the points it puts into every
+bracket. Tangential degeneracies (touching without sign change) are
+outside the detection scope.
 """
 
 from __future__ import annotations
@@ -161,16 +161,16 @@ def sweep(spec: SweepSpec, params: PhysicalParams) -> list[SweepRow]:
     (no bound state there) appear with energy None and their reason rather
     than being dropped, so a plot can show where a level terminates.
 
-    The rows are built with no Python call per row: the energies become
-    an object array with None at the invalid points, the codes index a
-    table of reason texts built once per sweep from Invalid, and
-    tuple.__new__ makes each SweepRow from the zipped columns.
+    One level_axis call evaluates every state; the rows come from its
+    transposed arrays with no Python call per row: None masks the invalid
+    energies in an object array, the codes index a table of reason texts
+    built once per sweep from Invalid, and tuple.__new__ makes each row.
     """
     name, values, states = spec.param_name, spec.values, sorted(spec.states)
-    columns = [level_axis(spec.kind, state, params, name, values) for state in states]
-    # (value, state) order: one row per value, one column per state
-    codes = np.stack([c for _, c in columns], axis=1).ravel()
-    energies = np.stack([e for e, _ in columns], axis=1).ravel().astype(object)
+    levels, codes = level_axis(spec.kind, states, params, name, values)
+    # (value, state) order: the transposed arrays, one row per value
+    codes = codes.T.ravel()
+    energies = levels.T.ravel().astype(object)
     energies[codes != Invalid.NONE] = None
     texts = np.array([reason_text(code, name) for code in _CODES], dtype=object)
     rows = zip(repeat(name), np.repeat(values, len(states)).tolist(), cycle(states),
@@ -190,14 +190,14 @@ def find_crossings(
     """All sign-change crossings of E_s1(p) - E_s2(p) on the range.
 
     The difference is scanned on scan_steps points, one level_axis call
-    per state. A scan point where it is exactly 0 is a crossing. The
+    for both states. A scan point where it is exactly 0 is a crossing. The
     brackets whose two ends are valid for both states and differ in sign
-    are refined together, a step at a time (see _EVEN and _NEAR), each to
-    the first sign change or exact zero among its points, until
-    |delta p| <= 1e-10 and |E1 - E2| <= 1e-9 max(1, |E|). A bracket with
-    an invalid point is discarded. Each crossing's E and gap are then
-    energy at the reported point; a point where that raises is dropped.
-    An empty result just means no crossing was detected, not an error.
+    are refined together, a step (one level_axis call) at a time (see
+    _EVEN and _NEAR), each to the first sign change or exact zero among
+    its points, until |delta p| <= 1e-10 and |E1 - E2| <= 1e-9 max(1, |E|).
+    A bracket with an invalid point is discarded. Each crossing's E and gap
+    are then energy at the reported point; a point where that raises is
+    dropped. An empty result just means no crossing was detected.
     """
     if s1 == s2:
         raise DomainError("s1 and s2 must be different states")
@@ -208,8 +208,7 @@ def find_crossings(
 
     def gap_axis(values):
         """(E1 - E2, mean level) along values, nan where either is missing."""
-        e1, _ = level_axis(kind, s1, params, param_name, values)
-        e2, _ = level_axis(kind, s2, params, param_name, values)
+        (e1, e2), _ = level_axis(kind, (s1, s2), params, param_name, values)
         # halves first, so the mean of two levels near the largest double stays finite
         return e1 - e2, 0.5 * e1 + 0.5 * e2
 

@@ -403,6 +403,33 @@ class TestModelCEnergy:
         assert all(b > a for a, b in zip(levels, levels[1:]))
 
 
+def _gauss_panels(count, order=24):
+    """Nodes and weights of count equal Gauss-Legendre panels on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    lo = np.arange(count)[:, None] / count
+    return (lo + (x + 1.0) / (2 * count)).ravel(), np.tile(w / (2 * count), count)
+
+
+GRADED_RULES = (_gauss_panels(8), _gauss_panels(16))
+
+
+def graded_norms(u_of, radius=16.0):
+    """(I_m, I_2m): the integral of u_of(rho)^2 over (0, R] in rho = R t^2,
+    by m = 8 and 2m = 16 Gauss-Legendre panels of 24 nodes in t. The rule
+    is graded towards rho = 0, where U ~ rho^p. R doubles from radius until
+    U(R)^2 <= 1e-30 max U^2; each R takes one vectorized u_of call on both
+    rules' nodes."""
+    t = np.concatenate([nodes for nodes, _ in GRADED_RULES])
+    while True:
+        u = u_of(np.append(radius * t * t, radius))
+        if u[-1] ** 2 <= 1e-30 * np.max(u * u):
+            break
+        radius *= 2.0
+    integrand = u[:-1] ** 2 * 2.0 * radius * t  # U^2 drho/dt
+    parts = np.split(integrand, [GRADED_RULES[0][0].size])
+    return [float(weights @ part) for (_, weights), part in zip(GRADED_RULES, parts)]
+
+
 class TestModelCWavefunction:
     def test_ground_state_nodeless_both_forms(self, weak_field_params):
         params = weak_field_params.replace(delta=0.1)
@@ -455,12 +482,11 @@ class TestModelCWavefunction:
         # form's integral was off by 1.4e-7 at 1e-8 and 1.2e-3 at 1e-12
         params = PhysicalParams(delta=delta)
         for state in (QuantumState(n, m) for n in range(6) for m in range(-3, 4)):
-
-            def u2(rho):
-                return wavefunction(ModelKind.C, state, params, rho, form=form, component="U") ** 2
-
-            integral = quad(u2, 0.0, np.inf, limit=200, epsabs=0.0, epsrel=1e-13)[0]
-            assert abs(integral - 1.0) <= 1e-12, (state, integral)
+            coarse, fine = graded_norms(
+                lambda rho: wavefunction(ModelKind.C, state, params, rho, form=form, component="U")
+            )
+            assert abs(coarse - fine) <= 1e-14, (state, coarse, fine)
+            assert abs(fine - 1.0) <= 1e-12, (state, fine)
 
     def test_tends_to_model_a_as_delta_vanishes(self):
         # P_n^(kappa,upsilon)(1 - 2 e^(-delta rho)) -> (-1)^n L_n^upsilon(2 s rho)
@@ -652,9 +678,10 @@ class TestLevelAxis:
     def test_shape_codes_and_nan_where_invalid(self):
         values = np.array([-1.0, 0.0, 0.5, np.inf, 2.0])
         levels, reasons = level_axis(
-            ModelKind.A, QuantumState(0, 1), PhysicalParams(kz=0.0), "b0", values
+            ModelKind.A, (QuantumState(0, 1),), PhysicalParams(kz=0.0), "b0", values
         )
-        assert levels.shape == reasons.shape == values.shape
+        assert levels.shape == reasons.shape == (1, values.size)
+        levels, reasons = levels[0], reasons[0]
         assert reasons.tolist() == [
             Invalid.NEGATIVE, Invalid.NO_SCALE, Invalid.NONE, Invalid.NOT_FINITE, Invalid.NONE
         ]
@@ -666,21 +693,67 @@ class TestLevelAxis:
     def test_a_field_the_level_ignores_broadcasts(self):
         # model A does not depend on delta: one value, repeated
         levels, reasons = level_axis(
-            ModelKind.A, QuantumState(0, 0), PhysicalParams(), "delta", [0.1, 0.2, -0.1]
+            ModelKind.A, (QuantumState(0, 0),), PhysicalParams(), "delta", [0.1, 0.2, -0.1]
         )
-        assert levels[:2].tolist() == [1.5, 1.5] and reasons.tolist() == [0, 0, Invalid.NEGATIVE]
+        assert levels[0, :2].tolist() == [1.5, 1.5]
+        assert reasons[0].tolist() == [0, 0, Invalid.NEGATIVE]
 
     def test_models_a_and_b_mark_a_potential(self):
         for kind in (ModelKind.A, ModelKind.B):
             levels, reasons = level_axis(
-                kind, QuantumState(0, 1), PhysicalParams(v2=0.3), "beta", [-1.0, 0.0]
+                kind, (QuantumState(0, 1),), PhysicalParams(v2=0.3), "beta", [-1.0, 0.0]
             )
-            assert reasons.tolist() == [Invalid.POTENTIAL] * 2
-            assert np.isnan(levels).all()
+            assert reasons[0].tolist() == [Invalid.POTENTIAL] * 2
+            assert np.isnan(levels[0]).all()
+
+    @pytest.mark.parametrize(
+        "kind, params, name, values",
+        [
+            (ModelKind.A, PhysicalParams(), "b0", [-1.0, 0.0, 0.5, np.inf, 2.0]),
+            (ModelKind.A, PhysicalParams(v2=0.3), "beta", [-1.0, 0.0, 2.5]),
+            # (0, 0) and (2, 1) are not bound at beta = 0, kz = 0.5
+            (ModelKind.B, PhysicalParams(kz=0.5), "mu", [-1.0, 0.0, 0.3, 1.0, 4.0, np.nan]),
+            (ModelKind.C, PhysicalParams(mu=0.15, delta=0.1, v0=0.1, v1=0.2), "delta",
+             [-0.5, 0.0, 0.05, 0.1, 1.0, 1e300]),
+        ],
+        ids=["A", "A-potential", "B", "C"],
+    )
+    def test_one_call_over_states_equals_one_call_per_state(self, kind, params, name, values):
+        states = (QuantumState(0, 0), QuantumState(2, 1), QuantumState(0, 1),
+                  QuantumState(1, -2), QuantumState(3, 4))
+        levels, reasons = level_axis(kind, states, params, name, values)
+        assert levels.shape == reasons.shape == (5, len(values))
+        for i, state in enumerate(states):
+            level, reason = level_axis(kind, (state,), params, name, values)
+            assert levels[i].tobytes() == level[0].tobytes()
+            assert reasons[i].tobytes() == reason[0].tobytes()
+        if kind is ModelKind.B:
+            assert (reasons[0] != 0).all() and (reasons[2, 2:5] == 0).all()
+
+    def test_quantum_numbers_are_exact_in_int64(self):
+        # n_rho enters the kernels as n^2 + n, 2n + 1 and n + 1/2, m only as
+        # m - alpha_ab: int64 columns give energy's floats while n^2 + n is
+        # below 2^63 and m is an int64
+        big_n, big_m = 3037000499, 2**63 - 1
+        params = PhysicalParams(mu=0.15, delta=0.1, alpha_ab=0.3)
+        states = (QuantumState(big_n, 0), QuantumState(0, 3_000_000_000),
+                  QuantumState(big_n, big_m), QuantumState(big_n, -big_m - 1))
+        for kind in (ModelKind.A, ModelKind.C):
+            levels, reasons = level_axis(kind, states, params.replace(delta=0.0)
+                                         if kind is ModelKind.A else params, "beta", [0.0, 0.5])
+            for state, row in zip(states, levels):
+                for beta, level in zip((0.0, 0.5), row):
+                    point = params.replace(beta=beta, delta=0.0 if kind is ModelKind.A else 0.1)
+                    assert level.hex() == energy(kind, state, point).hex()
+            assert (reasons == 0).all()
+        for state in (QuantumState(big_n + 1, 0), QuantumState(0, big_m + 1),
+                      QuantumState(0, -big_m - 2)):
+            with pytest.raises(DomainError, match="n_rho\\^2 \\+ n_rho below 2\\^63 and m in int64"):
+                level_axis(ModelKind.C, (state,), params, "beta", [0.0])
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(DomainError, match="cannot sweep 'eta'"):
-            level_axis(ModelKind.A, QuantumState(0, 0), PhysicalParams(), "eta", [1.0])
+            level_axis(ModelKind.A, (QuantumState(0, 0),), PhysicalParams(), "eta", [1.0])
 
 
 class TestGreeneAldrich:

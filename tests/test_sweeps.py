@@ -364,6 +364,19 @@ class TestSweepCallCount:
         calls(41)  # warm any first-call caches
         assert calls(41) == calls(4001)
 
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_one_level_axis_call_per_sweep(self, monkeypatch, count):
+        calls = []
+        level_axis = pdmag.sweeps.level_axis
+        monkeypatch.setattr(
+            pdmag.sweeps, "level_axis", lambda *a: calls.append(a) or level_axis(*a)
+        )
+        states = (QuantumState(0, 1), QuantumState(2, -1), QuantumState(1, 0),
+                  QuantumState(0, -3), QuantumState(4, 2))[:count]
+        rows = sweep(SweepSpec(ModelKind.A, states, "beta", -2.0, 2.0, 41), PhysicalParams())
+        assert len(calls) == 1 and len(calls[0][1]) == count
+        assert len(rows) == 41 * count
+
 
 class TestFindCrossings:
     def test_flux_sweep_crossing_location(self, unit_params):
@@ -473,15 +486,16 @@ class TestFindCrossings:
 
     @pytest.mark.parametrize("entry", ATLAS, ids=lambda e: f"{e[0].value}-{e[3]}")
     def test_atlas_search_makes_few_level_axis_calls(self, monkeypatch, entry):
-        # the scan takes one level_axis call per state, and so does each
-        # refinement step; a smooth crossing settles in at most three steps
+        # the scan takes one level_axis call for both states, and so does
+        # each refinement step; a smooth crossing settles in at most three
+        # steps
         calls = []
         level_axis = pdmag.sweeps.level_axis
         monkeypatch.setattr(
             pdmag.sweeps, "level_axis", lambda *a: calls.append(a) or level_axis(*a)
         )
         assert find_crossings(*entry)
-        assert 2 <= len(calls) <= 2 + 2 * 3
+        assert 1 <= len(calls) <= 1 + 3
 
     @pytest.mark.parametrize("entry", ATLAS, ids=lambda e: f"{e[0].value}-{e[3]}")
     def test_atlas_points_meet_the_stopping_rule(self, entry):
@@ -504,16 +518,17 @@ class TestFindCrossings:
         calls = []
         level_axis = pdmag.sweeps.level_axis
 
-        def scan_only(kind, state, params, name, values):
+        def scan_only(kind, states, params, name, values):
             calls.append(len(values))
-            if len(calls) <= 2:
-                return level_axis(kind, state, params, name, values)
-            return np.full(len(values), np.nan), np.full(len(values), Invalid.NOT_BOUND, np.int8)
+            if len(calls) == 1:
+                return level_axis(kind, states, params, name, values)
+            shape = (len(states), len(values))
+            return np.full(shape, np.nan), np.full(shape, Invalid.NOT_BOUND, np.int8)
 
         monkeypatch.setattr(pdmag.sweeps, "level_axis", scan_only)
         args = (ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-3.0, 3.0), unit_params)
         assert find_crossings(*args) == []
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_refinement_that_runs_out_of_steps_raises(self, monkeypatch, unit_params):
         monkeypatch.setattr(pdmag.sweeps, "_MAX_STEPS", 1)
