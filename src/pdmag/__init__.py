@@ -25,7 +25,7 @@ from .models import (
 )
 from .nu import NUCoefficients, nu_quantize
 from .oracle import OracleLevel, node_count, oracle_energy, radial_potential, residual
-from .params import PhysicalParams, QuantumState, e_tilde, m_tilde
+from .params import PhysicalParams, QuantumState, m_tilde
 from .sweeps import CrossingPoint, SweepSpec, find_crossings, sweep
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "PhysicalParams",
     "QuantumState",
     "SweepSpec",
-    "e_tilde",
     "energy",
     "find_crossings",
     "greene_aldrich",

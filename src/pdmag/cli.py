@@ -3,8 +3,9 @@
 Every command accepts the same physical-parameter flags, optionally
 seeded from a flat key=value config file (flags win over the file).
 Output is plot-ready CSV (JSON for `crossings`) on stdout or --out; the
-effective parameter set is echoed to stderr for reproducibility. Floats
-are printed with 17 significant digits, so identical invocations give
+effective parameter set is echoed to stderr for reproducibility. Every
+CSV table is written by one function (_csv): floats with 17 significant
+digits and integers in full, so identical invocations give
 byte-identical output.
 
 Exit status: 0 success, 1 validation or usage error, 2 verification
@@ -123,6 +124,17 @@ def _radii(args) -> np.ndarray:
     return np.linspace(args.rho_min, args.rho_max, args.points)
 
 
+def _csv(header: str, rows) -> list[str]:
+    """The CSV lines of a table: a str cell as is, None as an empty cell, an
+    int in full and a float through _fmt."""
+    def cell(x) -> str:
+        if isinstance(x, str):
+            return x
+        return "" if x is None else str(x) if isinstance(x, int) else _fmt(x)
+
+    return [header, *(",".join(map(cell, row)) for row in rows)]
+
+
 def _emit(lines, out_path) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -134,15 +146,13 @@ def _emit(lines, out_path) -> None:
 def _cmd_spectrum(args) -> int:
     params = _resolve_params(args)
     kind = ModelKind.parse(args.model)
-    lines = ["n_rho,m,E"]
+    rows = []
     for state in _state_range(args):
         try:
-            e = energy(kind, state, params)
+            rows.append((state.n_rho, state.m, energy(kind, state, params)))
         except DomainError as err:
             print(f"# skipped n_rho={state.n_rho} m={state.m}: {err}", file=sys.stderr)
-            continue
-        lines.append(f"{state.n_rho},{state.m},{_fmt(e)}")
-    _emit(lines, args.out)
+    _emit(_csv("n_rho,m,E", rows), args.out)
     return 0
 
 
@@ -153,20 +163,14 @@ def _cmd_wavefunction(args) -> int:
     rhos = _radii(args)
     r_values = wavefunction(kind, state, params, rhos, form=args.form, component="R")
     u_values = wavefunction(kind, state, params, rhos, form=args.form, component="U")
-    lines = ["rho,R,U"]
-    for rho, r, u in zip(rhos, r_values, u_values):
-        lines.append(f"{_fmt(rho)},{_fmt(r)},{_fmt(u)}")
-    _emit(lines, args.out)
+    _emit(_csv("rho,R,U", zip(rhos, r_values, u_values)), args.out)
     return 0
 
 
 def _cmd_field(args) -> int:
     params = _resolve_params(args)
     rhos = _radii(args)
-    lines = ["rho,S,Bz,Aphi"]
-    for rho, s, b_z, a_phi in zip(rhos, *field_table(rhos, params)):
-        lines.append(f"{_fmt(rho)},{_fmt(s)},{_fmt(b_z)},{_fmt(a_phi)}")
-    _emit(lines, args.out)
+    _emit(_csv("rho,S,Bz,Aphi", zip(rhos, *field_table(rhos, params))), args.out)
     return 0
 
 
@@ -177,15 +181,9 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(
         kind=kind, states=states, param_name=args.param, lo=args.lo, hi=args.hi, steps=args.steps
     )
-    lines = ["param,value,n_rho,m,E,valid,reason"]
-    for row in sweep(spec, params):
-        e_text = _fmt(row.energy) if row.valid else ""
-        valid_text = "true" if row.valid else "false"
-        lines.append(
-            f"{row.param_name},{_fmt(row.value)},{row.state.n_rho},{row.state.m},"
-            f"{e_text},{valid_text},{row.reason or ''}"
-        )
-    _emit(lines, args.out)
+    rows = ((row.param_name, row.value, row.state.n_rho, row.state.m, row.energy,
+             "true" if row.valid else "false", row.reason) for row in sweep(spec, params))
+    _emit(_csv("param,value,n_rho,m,E,valid,reason", rows), args.out)
     return 0
 
 
@@ -225,17 +223,14 @@ def _cmd_verify(args) -> int:
     )
     for state, reason in skipped:
         print(f"# skipped n_rho={state.n_rho} m={state.m}: {reason}", file=sys.stderr)
-    lines = ["n_rho,m,E_closed,E_oracle,abs_err,residual,nodes,oracle_err"]
     worst, worst_rel = None, 0.0
     for row in rows:
         rel = row.abs_err / max(1e-12, abs(row.e_closed))
         if rel > worst_rel:
             worst, worst_rel = row, rel
-        lines.append(
-            f"{row.state.n_rho},{row.state.m},{_fmt(row.e_closed)},{_fmt(row.e_oracle)},"
-            f"{_fmt(row.abs_err)},{_fmt(row.residual)},{row.nodes},{_fmt(row.oracle_err)}"
-        )
-    _emit(lines, args.out)
+    _emit(_csv("n_rho,m,E_closed,E_oracle,abs_err,residual,nodes,oracle_err",
+               ((row.state.n_rho, row.state.m, row.e_closed, row.e_oracle, row.abs_err,
+                 row.residual, row.nodes, row.oracle_err) for row in rows)), args.out)
     if worst_rel > args.tol:
         message = (f"verification failed: worst relative error {worst_rel:.3e} exceeds "
                    f"{args.tol:.3e} at n_rho={worst.state.n_rho} m={worst.state.m}")
@@ -254,10 +249,7 @@ def _cmd_greene_aldrich(args) -> int:
         raise DomainError("greene-aldrich table requires delta > 0")
     rhos = _radii(args)
     table = greene_aldrich(rhos, params.delta)
-    lines = ["rho,exact,approx,rel_err"]
-    for rho, exact, approx, rel in zip(rhos, table.exact, table.approx, table.rel_err):
-        lines.append(f"{_fmt(rho)},{_fmt(exact)},{_fmt(approx)},{_fmt(rel)}")
-    _emit(lines, args.out)
+    _emit(_csv("rho,exact,approx,rel_err", zip(rhos, *table)), args.out)
     return 0
 
 
@@ -344,10 +336,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DomainError, NormalizationError, BracketingError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (DomainError, NormalizationError, BracketingError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

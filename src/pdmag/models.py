@@ -454,17 +454,15 @@ class _ClosedForm(NamedTuple):
     [P, P', P''] in t for k = 2, P'' from P's differential equation (DLMF
     18.8.1), which leaves U'' no rounding of its own to cancel. slopes(rho)
     gives g = (ln A)', g', t' and t'', so U'' is exact (curvature). nodes(m)
-    is the m-point Gauss rule of P's family mapped to rho. R = sqrt(eta)
-    e^(-tail rho) U / rho^r_power; norm holds the arguments of
-    specfun.normalize for the integral of U^2.
+    is the m-point Gauss rule of P's family mapped to rho. norm holds the
+    arguments of specfun.normalize for the integral of U^2. R follows from
+    U and the model's mass profile alone (wavefunction).
     """
 
     factor: Callable
     slopes: Callable
     poly: Callable
     nodes: Callable
-    r_power: float
-    tail: float
     norm: tuple
 
     def u(self, rho):
@@ -479,16 +477,12 @@ class _ClosedForm(NamedTuple):
         return a * p0, a * ((g * g + dg) * p0 + (2.0 * g * dt + ddt) * p1 + dt * dt * p2)
 
 
-# r_power of models A and B: R = sqrt(eta) U / rho^r_power.
-_R_POWER = {ModelKind.A: 1.0, ModelKind.B: 1.5}
-
-
 def _laguerre_form(kind: ModelKind, state: QuantumState, params: PhysicalParams,
                    form: str) -> _ClosedForm:
     """Models A and B: U = rho^p e^(-s rho) L_n^a(2 s rho) with p = ell + 1/2
     and a = 2 ell, ell = |ell_tilde| (A) or |ell_acute| (B) from the level
-    kernel, so R = N rho^(p - r_power) e^(-s rho) L_n^a(2 s rho); in
-    x = 2 s rho, int U^2 drho = (2s)^-(a+2) times the 'laguerre' integral."""
+    kernel; in x = 2 s rho, int U^2 drho = (2s)^-(a+2) times the 'laguerre'
+    integral."""
     (ell,) = _level(kind, state, params)[1]
     n, s, p, a = state.n_rho, params.decay_rate, ell + 0.5, 2.0 * ell
 
@@ -509,7 +503,7 @@ def _laguerre_form(kind: ModelKind, state: QuantumState, params: PhysicalParams,
         return _golub_welsch(*_laguerre_matrix(m, a)) / (2.0 * s)
 
     norm = ("laguerre", n, a, 0.0, -(a + 2.0) * math.log(2.0 * s))
-    return _ClosedForm(factor, slopes, poly, nodes, _R_POWER[kind], 0.0, norm)
+    return _ClosedForm(factor, slopes, poly, nodes, norm)
 
 
 def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _ClosedForm:
@@ -520,10 +514,10 @@ def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _Cl
     xi = e^(-delta rho), which solves the approximated equation exactly.
     kappa = 2 sqrt(r0)/delta and upsilon = 2 G come from the level kernel's
     roots (_level_c); delta so small that kappa^2 overflows is a DomainError.
-    R = sqrt(eta) e^(-delta rho/2) U / rho for either form; in x = delta rho,
-    int U^2 drho = 1/delta times the integral named by the form. P_n takes
-    y = 1 + z = -2 expm1(-delta rho) and xi^(kappa/2) is e^(-delta kappa rho/2),
-    both free of the rounding of xi that kappa ~ 1/delta amplifies."""
+    In x = delta rho, int U^2 drho = 1/delta times the integral named by the
+    form. P_n takes y = 1 + z = -2 expm1(-delta rho) and xi^(kappa/2) is
+    e^(-delta kappa rho/2), both free of the rounding of xi that
+    kappa ~ 1/delta amplifies."""
     if params.delta <= 0:
         raise DomainError(
             "model C wavefunction needs delta > 0; at delta = 0 use model A reduction"
@@ -564,12 +558,11 @@ def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _Cl
     def nodes(m):
         return -np.log1p(-0.5 / kappa * _golub_welsch(*_jacobi_matrix(m, kappa, upsilon))) / d
 
-    return _ClosedForm(factor, slopes, poly, nodes, 1.0, d / 2.0,
-                       (form, n, kappa, upsilon, -math.log(d)))
+    return _ClosedForm(factor, slopes, poly, nodes, (form, n, kappa, upsilon, -math.log(d)))
 
 
-_CLOSED_FORMS = {**{kind: partial(_laguerre_form, kind) for kind in _R_POWER},
-                 ModelKind.C: _model_c_form}
+_CLOSED_FORMS = {ModelKind.A: partial(_laguerre_form, ModelKind.A),
+                 ModelKind.B: partial(_laguerre_form, ModelKind.B), ModelKind.C: _model_c_form}
 
 
 @lru_cache(maxsize=512)
@@ -608,9 +601,11 @@ def wavefunction(
     """Closed-form radial function of any model at its quantized energy.
 
     component 'R' gives the physical radial factor, 'U' the reduced
-    function of the -U'' + W U = Et U equation (U = rho R / sqrt(eta) for
-    A, rho^(3/2) R / sqrt(eta) for B, rho e^(delta rho/2) R / sqrt(eta)
-    for C). form picks model C's 'paper' or 'xi' closed form. The integral
+    function of the -U'' + W U = Et U equation. R = sqrt(g/rho) U with the
+    model's mass profile g = eta e^(-k rho)/rho^power (_MASS), that is
+    sqrt(eta) e^(-k rho/2) U / rho^((power + 1)/2): sqrt(eta) U/rho for A,
+    sqrt(eta) U/rho^(3/2) for B and sqrt(eta) e^(-delta rho/2) U/rho for C.
+    form picks model C's 'paper' or 'xi' closed form. The integral
     of U^2 over (0, inf) is exactly 1; a value that is not finite, or a
     table that is 0 at every rho (a state too narrow for double
     precision), is a DomainError.
@@ -625,18 +620,19 @@ def wavefunction(
         if component == "U":
             out = scale * u
         else:
-            tail = np.exp(-closed.tail * rho_arr) if closed.tail else 1.0
-            out = scale * math.sqrt(params.eta) * tail * u / rho_arr**closed.r_power
+            power, decays = _MASS[kind]
+            tail = np.exp(-(params.delta / 2.0) * rho_arr) if decays else 1.0
+            out = scale * math.sqrt(params.eta) * tail * u / rho_arr ** ((power + 1) / 2)
     _peak(out)
     return out if np.ndim(rho) else float(out)
 
 
-def curvature(kind: ModelKind, state: QuantumState, params: PhysicalParams, rho=None, *,
+def curvature(kind: ModelKind, state: QuantumState, params: PhysicalParams, *,
               form: str = "paper"):
     """(rho, U, U'') of the unit-norm reduced function, with U'' exact.
 
     U'' comes from the form's polynomial and its equation, so -U'' + (W - Et) U
-    is zero to rounding wherever U solves its equation. rho defaults to the
+    is zero to rounding wherever U solves its equation. rho is the
     M = 2 n_rho + 16 Gauss nodes of the form's own polynomial family, mapped
     to rho: by the separation theorem (Szego, Orthogonal Polynomials, 3.3)
     each gap between zeros of P_n, and each end, holds one, so U changes sign
@@ -646,7 +642,7 @@ def curvature(kind: ModelKind, state: QuantumState, params: PhysicalParams, rho=
     # A check evaluates each state once, so its norm bypasses _norm's cache;
     # normalize also rejects a form that does not decay, before its rule.
     scale = normalize(*closed.norm)
-    x = closed.nodes(2 * state.n_rho + 16) if rho is None else _positive(rho)
+    x = closed.nodes(2 * state.n_rho + 16)
     with np.errstate(all="ignore"):  # checked below
         u, upp = closed.curvature(x)
         u, upp = scale * u, scale * upp

@@ -61,7 +61,7 @@ from .models import (
     reduced_equation,
     wavefunction as closed_form_wavefunction,  # noqa: F401 - hooked by name in perfbench/spans.py
 )
-from .params import PhysicalParams, QuantumState, e_tilde, m_tilde
+from .params import PhysicalParams, QuantumState, m_tilde
 from .sweeps import _MAX_POINTS
 
 __all__ = [
@@ -117,11 +117,12 @@ def spectral_target(params: PhysicalParams) -> float:
     """The Et on the right-hand side matching radial_potential's convention.
 
     At sigma = 1 the constant e^2 B0^2 mu^2 generated by the field terms is
-    absorbed into Et; for other sigma it stays rho-dependent and only
-    -kz^2 moves across.
+    absorbed into Et = -(kz^2 + e^2 B0^2 mu^2), the et of every
+    reduced_equation record; for other sigma it stays rho-dependent and
+    only -kz^2 moves across.
     """
     if params.sigma == 1.0:
-        return e_tilde(params)
+        return -params.s_squared
     return -params.kz**2
 
 

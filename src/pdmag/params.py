@@ -16,7 +16,6 @@ __all__ = [
     "PhysicalParams",
     "QuantumState",
     "m_tilde",
-    "e_tilde",
     "s_squared_of",
     "load_config",
     "params_from_mapping",
@@ -118,15 +117,6 @@ def s_squared_of(p):
     """
     ebm = p.e * p.b0 * p.mu
     return p.kz * p.kz + ebm * ebm
-
-
-def e_tilde(params: PhysicalParams) -> float:
-    """Spectral parameter -(kz**2 + (e*b0*mu)**2) of the reduced radial problem.
-
-    Always <= 0: the radial eigenvalue problem is solved at this fixed value
-    while the physical energy E sits inside the potential term -g(rho)*E.
-    """
-    return -params.s_squared
 
 
 _FIELD_NAMES = tuple(f.name for f in fields(PhysicalParams))

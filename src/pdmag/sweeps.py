@@ -145,8 +145,9 @@ def _energy_at(kind: ModelKind, state: QuantumState, params: PhysicalParams, par
     """Closed-form level with the named parameter overridden; None if the
     point is not a bound state (or the parameter value itself is out of range).
 
-    The single-point path that spectrum uses; perfbench/spans.py times its
-    dataclasses.replace and energy calls under each crossing search."""
+    The single-point path of find_crossings' reported points, each level
+    through energy; perfbench/spans.py times its dataclasses.replace and
+    energy calls under each crossing search."""
     try:
         p = dataclasses.replace(params, **{param_name: float(value)})
         return energy(kind, state, p)

@@ -5,9 +5,11 @@ from hypothesis import HealthCheck, settings
 from pdmag.params import PhysicalParams
 
 # One shared profile: property tests here are numeric and occasionally slow
-# per example (eigensolves), so the wall-clock deadline is disabled.
+# per example (eigensolves), so the wall-clock deadline is disabled. The
+# draws are derandomized (which also turns off the example database), so
+# every run of the suite checks the same examples.
 settings.register_profile(
-    "pdmag", deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    "pdmag", deadline=None, suppress_health_check=[HealthCheck.too_slow], derandomize=True
 )
 settings.load_profile("pdmag")
 

@@ -22,10 +22,11 @@ from pdmag.models import (
     energy,
     greene_aldrich,
     model_c_coefficients,
+    reduced_equation,
 )
 from pdmag.nu import NUCoefficients, k_minus, lambda_n, lambda_of, nu_quantize, tau_prime
-from pdmag.oracle import node_count, oracle_energy, radial_potential, residual
-from pdmag.params import PhysicalParams, QuantumState, e_tilde
+from pdmag.oracle import node_count, oracle_energy, residual
+from pdmag.params import PhysicalParams, QuantumState
 from pdmag.specfun import jacobi
 from pdmag.sweeps import find_crossings
 
@@ -187,8 +188,9 @@ def test_criterion_6_wavefunction_residuals_and_nodes():
             # U and its exact U'' on the Gauss nodes of the closed form's own polynomial
             rho, u, upp = curvature(kind, state, params, **extra)
             closed = energy(kind, state, params)
-            w = radial_potential(kind, state, params, closed, target=target)(rho)
-            res = residual(u, upp, w, e_tilde(params))
+            # W and Et from one reduced-equation record
+            eq = reduced_equation(kind, state, params, target)
+            res = residual(u, upp, eq.potential(rho, closed), eq.et)
             assert res <= 1e-6, (kind, n, res)
             assert node_count(u) == n, (kind, n)
     print("CRITERION 6: PASS (3 models x n_rho 0..5)")

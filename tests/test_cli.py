@@ -48,6 +48,13 @@ class TestSpectrum:
         assert body  # the bound ones are still there
         assert all(int(row.split(",")[1]) != 0 for row in body)
 
+    def test_integer_cells_are_printed_in_full(self, capsys):
+        # m = 10^17 + 1 has 18 digits: through %.17g it would print as 1e+17
+        m = str(10**17 + 1)
+        assert run(["spectrum", "--model", "a", "--nrho-max", "0", "--m-min", m, "--m-max", m]) == 0
+        (row,) = lines_of(capsys.readouterr().out)[1:]
+        assert row.split(",")[:2] == ["0", m]
+
     def test_params_echoed_to_stderr(self, capsys):
         run(["spectrum", "--model", "a", "--kz", "2.0"])
         err = capsys.readouterr().err

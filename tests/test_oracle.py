@@ -39,7 +39,7 @@ from pdmag.oracle import (
     spectral_target,
     verify_states,
 )
-from pdmag.params import PhysicalParams, QuantumState, e_tilde
+from pdmag.params import PhysicalParams, QuantumState
 
 
 def oscillator(rho):
@@ -441,8 +441,10 @@ def model_b_bound(state, params):
 
 class TestSpectralTarget:
     def test_matches_e_tilde_for_coulomb_shape(self):
+        # at sigma = 1 the target is the Et of every reduced_equation record
         params = PhysicalParams(kz=1.0)
-        assert spectral_target(params) == e_tilde(params) == -2.0
+        et = reduced_equation(ModelKind.A, QuantumState(0, 0), params).et
+        assert spectral_target(params) == et == -2.0
 
     def test_general_shape_keeps_only_kz(self):
         params = PhysicalParams(sigma=0.5, kz=1.0)
@@ -464,6 +466,9 @@ class TestRadialPotential:
             w = radial_potential(kind, QuantumState(0, 1), params, 0.3, target=target)
             with pytest.raises(DomainError, match="rho must be positive"):
                 w(np.array([1.0, 0.0]))
+            # the closed-form wavefunction takes its rho through the same check
+            with pytest.raises(DomainError, match="rho must be positive"):
+                wavefunction(kind, QuantumState(0, 1), params, np.array([-1.0, 1.0]))
 
     def test_sigma_limit_shifts_by_the_absorbed_constant(self):
         # the generic-sigma assembly keeps e^2 B0^2 mu^2 in the potential,
@@ -551,7 +556,7 @@ class TestSplit:
         eq = reduced_equation(kind, state, self.PARAMS, target)
         far = eq.potential(np.array([1e9]), 1.7)[0] - eq.et
         assert eq.tail == pytest.approx(far, rel=1e-12, abs=1e-8)
-        assert eq.et == e_tilde(self.PARAMS)
+        assert eq.et == spectral_target(self.PARAMS)
         if target == "ga":  # the closed form's radicand
             assert eq.tail == pytest.approx(ga_radicand(state, self.PARAMS), rel=1e-13)
         elif kind is ModelKind.C:  # a4 = a4t delta^2, bit for bit s^2 + b0
@@ -875,6 +880,22 @@ class TestOracleEnergy:
             with pytest.raises(BoundStateError, match=r"W\(inf\) - Et"):
                 oracle_energy(ModelKind.C, state, params, n_points=400, target="ga")
 
+    @pytest.mark.xfail(
+        strict=True, raises=DomainError,
+        reason="ROADMAP item 3: the FV domain 25/sqrt(W(inf) - Et) reaches delta rho ~ 465 and "
+        "990, where the mass weight e^(-delta rho) is ~1e-202 or underflows to 0",
+    )
+    @pytest.mark.parametrize("mu", [0.1, 0.1015625])
+    def test_weightless_ga_level_is_within_the_oracle_estimate(self, mu):
+        # C (0, 1) with a tail far slower than its mass weight (W(inf) - Et is
+        # 3.4e-5 and 7.6e-6): the closed forms read 0.18157 and 0.16883, and
+        # the oracle raises "did not converge" and "must be finite on the grid"
+        state = QuantumState(0, 1)
+        params = PhysicalParams(mu=mu, delta=0.109375, v1=0.03125, v2=0.03125)
+        closed = energy(ModelKind.C, state, params)
+        level = oracle_energy(ModelKind.C, state, params, target="ga")
+        assert abs(level.energy - closed) <= level.error
+
     def test_model_c_exact_at_zero_delta_with_a_yukawa_term_has_a_level(self, weak_field_params):
         # the record's W(inf) is b0 here, never W evaluated at rho = inf,
         # where v0 (1 - e^(-delta rho))/rho is 0 * inf at delta = 0
@@ -956,10 +977,11 @@ CRITERION_6_SETS = (
 
 
 def closed_form_residual(kind, state, params, target="exact", form="paper", shift=0.0):
-    """residual of the closed form on its own Gauss nodes, against Et + shift."""
+    """residual of the closed form on its own Gauss nodes, against Et + shift,
+    with W and Et from one reduced_equation record."""
     rho, u, upp = curvature(kind, state, params, form=form)
-    w = radial_potential(kind, state, params, energy(kind, state, params), target=target)(rho)
-    return residual(u, upp, w, e_tilde(params) + shift)
+    eq = reduced_equation(kind, state, params, target)
+    return residual(u, upp, eq.potential(rho, energy(kind, state, params)), eq.et + shift)
 
 
 def power_moved(build, eps):
@@ -1001,10 +1023,6 @@ class TestResidual:
         state = QuantumState(0, 1)
         res = closed_form_residual(ModelKind.A, state, unit_params, shift=0.1)
         assert res == pytest.approx(0.1, rel=1e-12)
-
-    def test_custom_points_must_be_positive(self, unit_params):
-        with pytest.raises(DomainError, match="positive"):
-            curvature(ModelKind.A, QuantumState(0, 0), unit_params, np.array([-1.0, 1.0]))
 
     @pytest.mark.parametrize("kind, params, m, target, form", CRITERION_6_SETS,
                              ids=["A", "B", "C"])

@@ -10,7 +10,6 @@ from pdmag.errors import DomainError
 from pdmag.params import (
     PhysicalParams,
     QuantumState,
-    e_tilde,
     load_config,
     m_tilde,
     params_from_mapping,
@@ -126,11 +125,11 @@ class TestETilde:
         ],
     )
     def test_values(self, kwargs, expected):
-        assert e_tilde(PhysicalParams(**kwargs)) == expected
+        assert -PhysicalParams(**kwargs).s_squared == expected
 
     @given(e=finite, b0=finite.map(abs), mu=finite, kz=finite)
     def test_never_positive(self, e, b0, mu, kz):
-        assert e_tilde(PhysicalParams(e=e, b0=b0, mu=mu, kz=kz)) <= 0.0
+        assert -PhysicalParams(e=e, b0=b0, mu=mu, kz=kz).s_squared <= 0.0
 
 
 class TestConfig:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import pdmag.sweeps
 from pdmag.errors import BracketingError, DomainError
 from pdmag.models import Invalid, ModelKind, energy, reason_text
+from pdmag.oracle import oracle_energy
 from pdmag.params import PhysicalParams, QuantumState
 from pdmag.sweeps import SWEEPABLE, CrossingPoint, SweepRow, SweepSpec, find_crossings, sweep
 
@@ -511,6 +512,18 @@ class TestFindCrossings:
         (cp,) = find_crossings(*entry)
         p, err, slope = ATLAS_SCRIPT.oracle_crossing(kind, s1, s2, name, base, cp.param_value)
         assert abs(p - cp.param_value) <= err / abs(slope)
+
+    def test_the_model_c_crossing_belongs_to_the_surrogate(self):
+        # the atlas's C (0, 1)-(1, 0) crossing near delta = 0.4373 is one of
+        # the Greene-Aldrich 'ga' equation that the closed form solves; with
+        # every 1/rho kept (target 'exact') the oracle's E(0, 1) - E(1, 0)
+        # stays negative over the whole range, by more than its summed error
+        kind, s1, s2, name, (lo, hi), base = next(e for e in ATLAS if e[0] is ModelKind.C)
+        for value in np.linspace(lo, hi, 9).tolist():
+            at = base.replace(**{name: value})
+            one, two = (oracle_energy(kind, s, at, target="exact") for s in (s1, s2))
+            gap = one.energy - two.energy
+            assert gap < 0 and -gap > one.error + two.error, (value, gap)
 
     def test_invalid_refinement_point_drops_the_bracket(self, monkeypatch, unit_params):
         # the scan sees a valid bracket; every refinement point is then
