@@ -2,11 +2,11 @@
 
 Every command accepts the same physical-parameter flags, optionally
 seeded from a flat key=value config file (flags win over the file).
-Output is plot-ready CSV (JSON for `crossings`) on stdout or --out; the
-effective parameter set is echoed to stderr for reproducibility. Every
-CSV table is written by one function (_csv): floats with 17 significant
-digits and integers in full, so identical invocations give
-byte-identical output.
+Output is plot-ready CSV (JSON for `crossings`) on stdout or --out. run
+resolves the effective parameter set once, echoes it to stderr for
+reproducibility and hands it to the command. Every CSV table is written
+by one function (_csv): floats with 17 significant digits and integers
+in full, so identical invocations give byte-identical output.
 
 Exit status: 0 success, 1 validation or usage error, 2 verification
 tolerance exceeded.
@@ -143,8 +143,7 @@ def _emit(lines, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_spectrum(args) -> int:
-    params = _resolve_params(args)
+def _cmd_spectrum(args, params: PhysicalParams) -> int:
     kind = ModelKind.parse(args.model)
     rows = []
     for state in _state_range(args):
@@ -156,8 +155,7 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_wavefunction(args) -> int:
-    params = _resolve_params(args)
+def _cmd_wavefunction(args, params: PhysicalParams) -> int:
     kind = ModelKind.parse(args.model)
     state = _parse_state(args.state)
     rhos = _radii(args)
@@ -167,15 +165,13 @@ def _cmd_wavefunction(args) -> int:
     return 0
 
 
-def _cmd_field(args) -> int:
-    params = _resolve_params(args)
+def _cmd_field(args, params: PhysicalParams) -> int:
     rhos = _radii(args)
     _emit(_csv("rho,S,Bz,Aphi", zip(rhos, *field_table(rhos, params))), args.out)
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    params = _resolve_params(args)
+def _cmd_sweep(args, params: PhysicalParams) -> int:
     kind = ModelKind.parse(args.model)
     states = tuple(_parse_state(s) for s in args.state)
     spec = SweepSpec(
@@ -187,10 +183,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_crossings(args) -> int:
+def _cmd_crossings(args, params: PhysicalParams) -> int:
     import json  # only this command writes JSON; the others start without it
 
-    params = _resolve_params(args)
     kind = ModelKind.parse(args.model)
     s1 = _parse_state(args.s1)
     s2 = _parse_state(args.s2)
@@ -213,10 +208,9 @@ def _cmd_crossings(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, params: PhysicalParams) -> int:
     if not (np.isfinite(args.tol) and args.tol > 0):
         raise DomainError(f"--tol must be a positive finite number, got {args.tol}")
-    params = _resolve_params(args)
     kind = ModelKind.parse(args.model)
     rows, skipped = verify_states(
         kind, _state_range(args), params, n_points=args.n_points, target=args.target
@@ -243,10 +237,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_greene_aldrich(args) -> int:
-    params = _resolve_params(args)
-    if params.delta <= 0:
-        raise DomainError("greene-aldrich table requires delta > 0")
+def _cmd_greene_aldrich(args, params: PhysicalParams) -> int:
     rhos = _radii(args)
     table = greene_aldrich(rhos, params.delta)
     _emit(_csv("rho,exact,approx,rel_err", zip(rhos, *table)), args.out)
@@ -278,8 +269,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("wavefunction", parents=[parent], help="radial functions R and U as CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--state", required=True, help="'n_rho,m'")
-    p.add_argument("--form", choices=("paper", "xi"), default="paper",
-                   help="model C only: which closed form to evaluate")
+    p.add_argument("--form", choices=("paper", "xi"), default=None,
+                   help="model C only: 'xi', the eigenfunction (default), or 'paper', "
+                        "the paper's printed formula, which is not one")
     _add_rho_flags(p)
     p.set_defaults(func=_cmd_wavefunction)
 
@@ -335,7 +327,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_params(args))
     except (DomainError, NormalizationError, BracketingError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

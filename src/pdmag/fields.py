@@ -24,9 +24,13 @@ __all__ = [
 ]
 
 
-def _check_rho(rho) -> None:
-    if np.any(np.asarray(rho) <= 0):
-        raise DomainError("rho must be > 0; the field formulas are singular at the axis")
+def _positive(rho) -> np.ndarray:
+    """rho as a float array, which must be positive: every formula of the
+    field and of the radial equation is singular at the axis."""
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= 0):
+        raise DomainError("rho must be positive: the formulas are singular at the axis rho = 0")
+    return rho
 
 
 def shape_function(rho, params: PhysicalParams):
@@ -37,8 +41,7 @@ def shape_function(rho, params: PhysicalParams):
     """
     if params.sigma == 2:
         raise DomainError("generator undefined at sigma=2")
-    _check_rho(rho)
-    rho = np.asarray(rho, dtype=float)
+    rho = _positive(rho)
     out = (2.0 * params.mu / (2.0 - params.sigma)) * rho ** (-params.sigma) + params.beta / rho**2
     return out if out.ndim else float(out)
 
@@ -48,8 +51,7 @@ def magnetic_field(rho, params: PhysicalParams):
 
     Defined for every sigma (only the generating function excludes sigma=2).
     """
-    _check_rho(rho)
-    rho = np.asarray(rho, dtype=float)
+    rho = _positive(rho)
     out = params.b0 * params.mu / rho**params.sigma
     return out if out.ndim else float(out)
 
@@ -60,8 +62,7 @@ def vector_potential(rho, params: PhysicalParams):
     The second piece is the curl-free flux-line contribution, written via the
     flux quantum 2*pi/e so only the ratio alpha_ab appears.
     """
-    _check_rho(rho)
-    rho = np.asarray(rho, dtype=float)
+    rho = _positive(rho)
     a1 = 0.5 * params.b0 * rho * shape_function(rho, params)
     if params.alpha_ab != 0.0:
         if params.e == 0.0:

@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BoundStateError, DomainError
+from .fields import _positive
 from .nu import NUCoefficients
 from .params import PhysicalParams, QuantumState, m_tilde, s_squared_of
 from .specfun import _golub_welsch, _jacobi_matrix, _laguerre_matrix, jacobi, laguerre, normalize
@@ -52,6 +53,11 @@ __all__ = [
 
 # The fields a parameter axis (level_axis, and the sweeps built on it) may vary.
 SWEEPABLE = ("beta", "b0", "alpha_ab", "mu", "delta")
+
+
+def _check_sweepable(name: str) -> None:
+    if name not in SWEEPABLE:
+        raise DomainError(f"cannot sweep {name!r}; choose one of {', '.join(SWEEPABLE)}")
 
 
 class ModelKind(enum.Enum):
@@ -80,13 +86,6 @@ def _coulomb(state: QuantumState, params: PhysicalParams) -> float:
     1/rho term (beta_acute of model B)."""
     e, b0, mu = params.e, params.b0, params.mu
     return 2.0 * e * m_tilde(state, params) * b0 * mu - (e * e) * (b0 * b0) * mu * params.beta
-
-
-def _positive(rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise DomainError("rho must be positive")
-    return rho
 
 
 def _inverse_rho(rho, delta, target: str):
@@ -224,20 +223,25 @@ def _level_a(state: QuantumState, p, check):
 
     E = (1/eta)[beta mu e^2 B0^2 - 2 e mt B0 mu
                 + 2 sqrt(kz^2 + e^2 B0^2 mu^2) (n + 1/2 + |ell_tilde|)].
+
+    The two field terms are -2x, x = e B0 mu w, and s |ell_tilde| - x
+    cancels as |m| grows (at kz = 0, s |ell_tilde| and |x| agree to
+    s/(32 |w|)). Since s^2 |ell_tilde|^2 - x^2 = kz^2 w^2 + s^2/16, it is
+    taken as (kz^2 w^2 + s^2/16)/d + (|x| - x), d = s |ell_tilde| + |x|: a
+    sum of non-negative terms for either sign of x. kz^2 w^2/d is taken as
+    (kz w)(kz w/d): |kz w| <= s |ell_tilde|, so it overflows only where
+    s |ell_tilde| does.
     """
     _require_no_potential(p, check)
     s2 = s_squared_of(p)
     check(Invalid.NO_SCALE, s2 <= 0, s2)
-    mt = m_tilde(state, p)
-    e, b0, mu = p.e, p.b0, p.mu
     w = _w(state, p)
-    ell = _sqrt(w * w + 1.0 / 16.0)
-    level = (
-        p.beta * mu * (e * e) * (b0 * b0)
-        - 2.0 * e * mt * b0 * mu
-        + 2.0 * _sqrt(s2) * (state.n_rho + 0.5 + ell)
-    ) / p.eta
-    return level, (ell,)
+    s, ell = _sqrt(s2), _sqrt(w * w + 1.0 / 16.0)
+    x, kw = p.e * p.b0 * p.mu * w, p.kz * w
+    ax = abs(x)
+    d = s * ell + ax
+    field = kw * (kw / d) + s2 / 16.0 / d + (ax - x)
+    return 2.0 * (s * (state.n_rho + 0.5) + field) / p.eta, (ell,)
 
 
 def _level_b(state: QuantumState, p, check):
@@ -416,8 +420,7 @@ def level_axis(kind: ModelKind, states, params: PhysicalParams, name: str, value
     states[i], params.replace(name=values[j])) bit for bit wherever that
     succeeds, and reason names the condition it raises on where it does not.
     """
-    if name not in SWEEPABLE:
-        raise DomainError(f"cannot sweep {name!r}; choose one of {', '.join(SWEEPABLE)}")
+    _check_sweepable(name)
     if any(s.n_rho * (s.n_rho + 1) >= 2**63 or not -(2**63) <= s.m < 2**63 for s in states):
         raise DomainError("a parameter axis takes n_rho^2 + n_rho below 2^63 and m in int64")
     qn = np.array([(s.n_rho, s.m) for s in states], np.int64).reshape(-1, 2, 1)
@@ -486,8 +489,8 @@ def _laguerre_form(kind: ModelKind, state: QuantumState, params: PhysicalParams,
     (ell,) = _level(kind, state, params)[1]
     n, s, p, a = state.n_rho, params.decay_rate, ell + 0.5, 2.0 * ell
 
-    def factor(rho):
-        return rho**p * np.exp(-s * rho), 2.0 * s * rho
+    def factor(rho):  # one exp: rho^p alone can overflow where U does not
+        return np.exp(p * np.log(rho) - s * rho), 2.0 * s * rho
 
     def slopes(rho):
         return p / rho - s, -p / rho**2, 2.0 * s, 0.0
@@ -571,7 +574,11 @@ def _norm(*norm) -> float:
     return normalize(*norm)
 
 
-def _closed_form(kind: ModelKind, state: QuantumState, params: PhysicalParams, form: str):
+def _closed_form(kind: ModelKind, state: QuantumState, params: PhysicalParams, form: str | None):
+    """The closed form of a state; form None is model C's eigenfunction 'xi'
+    and the one form 'paper' of models A and B."""
+    if form is None:
+        form = "xi" if kind is ModelKind.C else "paper"
     if form not in ("paper", "xi"):
         raise DomainError(f"form must be 'paper' or 'xi', got {form!r}")
     if form != "paper" and kind is not ModelKind.C:
@@ -595,7 +602,7 @@ def wavefunction(
     params: PhysicalParams,
     rho,
     *,
-    form: str = "paper",
+    form: str | None = None,
     component: str = "R",
 ):
     """Closed-form radial function of any model at its quantized energy.
@@ -605,7 +612,10 @@ def wavefunction(
     model's mass profile g = eta e^(-k rho)/rho^power (_MASS), that is
     sqrt(eta) e^(-k rho/2) U / rho^((power + 1)/2): sqrt(eta) U/rho for A,
     sqrt(eta) U/rho^(3/2) for B and sqrt(eta) e^(-delta rho/2) U/rho for C.
-    form picks model C's 'paper' or 'xi' closed form. The integral
+    form picks model C's closed form: 'xi' (the default), the eigenfunction
+    of the Greene-Aldrich equation that its level solves, or 'paper', the
+    paper's printed formula, which is not an eigenfunction (its residual is
+    5e-3 at delta = 0.01 and grows to order 1 at delta = 0.5). The integral
     of U^2 over (0, inf) is exactly 1; a value that is not finite, or a
     table that is 0 at every rho (a state too narrow for double
     precision), is a DomainError.
@@ -628,7 +638,7 @@ def wavefunction(
 
 
 def curvature(kind: ModelKind, state: QuantumState, params: PhysicalParams, *,
-              form: str = "paper"):
+              form: str | None = None):
     """(rho, U, U'') of the unit-norm reduced function, with U'' exact.
 
     U'' comes from the form's polynomial and its equation, so -U'' + (W - Et) U
@@ -636,7 +646,7 @@ def curvature(kind: ModelKind, state: QuantumState, params: PhysicalParams, *,
     M = 2 n_rho + 16 Gauss nodes of the form's own polynomial family, mapped
     to rho: by the separation theorem (Szego, Orthogonal Polynomials, 3.3)
     each gap between zeros of P_n, and each end, holds one, so U changes sign
-    there exactly n_rho times. Errors as in wavefunction.
+    there exactly n_rho times. form and errors as in wavefunction.
     """
     closed = _closed_form(kind, state, params, form)
     # A check evaluates each state once, so its norm bypasses _norm's cache;
@@ -663,12 +673,13 @@ def greene_aldrich(rho, delta):
 
     Returns (exact, approx, rel_err) with rel_err = |approx - exact| * rho,
     the error relative to 1/rho (a DomainError where it overflows). Good
-    only for delta*rho << 1 (the error grows like delta*rho/2).
+    only for delta*rho << 1 (the error grows like delta*rho/2). rho and
+    delta must be positive.
     """
-    rho_arr = np.asarray(rho, dtype=float)
+    rho_arr = _positive(rho)
     delta_arr = np.asarray(delta, dtype=float)
-    if np.any(rho_arr <= 0) or np.any(delta_arr <= 0):
-        raise DomainError("rho and delta must be positive")
+    if np.any(delta_arr <= 0):
+        raise DomainError("the Greene-Aldrich surrogate delta/(1 - e^(-delta rho)) needs delta > 0")
     with np.errstate(all="ignore"):  # a value that is not finite is rejected below
         exact = 1.0 / rho_arr
         approx = _inverse_rho(rho_arr, delta_arr, "ga")

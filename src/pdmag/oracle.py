@@ -51,11 +51,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoundStateError, DomainError
-from .fields import shape_function
+from .fields import _positive, shape_function
 from .models import (
     ModelKind,
     ReducedEquation,
-    _positive,
     curvature as closed_form_curvature,
     energy as closed_form_energy,
     reduced_equation,
@@ -151,7 +150,7 @@ def radial_potential(
     e, b0 = params.e, params.b0
 
     def w(rho):
-        rho = np.asarray(rho, dtype=float)
+        rho = _positive(rho)
         s = shape_function(rho, params)
         field = -e * mt * b0 * s + (e**2 * b0**2 / 4.0) * rho**2 * s**2
         return field_free.potential(rho, E) + field
@@ -489,8 +488,9 @@ def oracle_energy(
     """Level n_rho of the reduced equation, found without a starting guess.
 
     The equation is models.reduced_equation(kind, state, params, target),
-    built once; it rejects a target other than 'exact' and 'ga' (model C
-    with delta > 0), and it has no bound spectrum (BoundStateError) unless
+    built once; it rejects sigma != 1 (the singular split exists only
+    there) and a target other than 'exact' and 'ga' (model C with
+    delta > 0), and it has no bound spectrum (BoundStateError) unless
     its tail W(inf) - Et is positive. Returns OracleLevel(energy, error)
     from _level's grids on (0, 25/sqrt(W(inf) - Et)] at the record's Et:
     n_points // 4, n_points // 2 and n_points cells, the coarsest of which
@@ -498,11 +498,6 @@ def oracle_energy(
     levels is not settled to _LADDER_TOL (_extrapolate). So n_points is the
     finest grid of a settled level and half the finest of any other.
     """
-    if params.sigma != 1.0:
-        raise DomainError(
-            f"oracle_energy needs sigma = 1, got sigma = {params.sigma}: the "
-            "singular split of the reduced equation exists only there"
-        )
     eq = reduced_equation(kind, state, params, target)
     if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 1:
         raise DomainError(f"n_points must be a positive integer, got {n_points!r}")
@@ -601,8 +596,7 @@ def verify_states(
         e_oracle, oracle_err = oracle_energy(
             kind, state, params, n_points=n_points, target=target
         )
-        form = "xi" if kind is ModelKind.C else "paper"
-        rho, u, upp = closed_form_curvature(kind, state, params, form=form)
+        rho, u, upp = closed_form_curvature(kind, state, params)
         w = _eval_potential(lambda x: eq.potential(x, e_closed), rho)
         res = residual(u, upp, w, eq.et)
         nodes = node_count(u)

@@ -31,7 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BracketingError, DomainError
-from .models import SWEEPABLE, Invalid, ModelKind, energy, level_axis, reason_text
+from .models import (SWEEPABLE, Invalid, ModelKind, _check_sweepable, energy, level_axis,
+                     reason_text)
 from .params import PhysicalParams, QuantumState
 
 __all__ = ["SWEEPABLE", "SweepSpec", "SweepRow", "CrossingPoint", "sweep", "find_crossings"]
@@ -54,10 +55,7 @@ _CODES = range(1 + max(v for k, v in vars(Invalid).items() if k.isupper()))
 
 
 def _check_param_name(param_name: str, kind: ModelKind) -> None:
-    if param_name not in SWEEPABLE:
-        raise DomainError(
-            f"cannot sweep {param_name!r}; choose one of {', '.join(SWEEPABLE)}"
-        )
+    _check_sweepable(param_name)
     if param_name == "delta" and kind is not ModelKind.C:
         raise DomainError(f"model {kind.value} energies do not depend on delta")
 

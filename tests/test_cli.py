@@ -84,6 +84,16 @@ class TestWavefunction:
         rho, r, u = map(float, out[1].split(","))
         assert u == pytest.approx(rho * r / math.sqrt(4.0), rel=1e-12)
 
+    def test_model_c_defaults_to_the_xi_form(self, capsys):
+        argv = ["wavefunction", "--model", "c", "--state", "1,0", "--mu", "0.3", "--v0", "0.2",
+                "--delta", "0.1", "--points", "9"]
+        assert run(argv) == 0
+        default = capsys.readouterr().out
+        assert run([*argv, "--form", "xi"]) == 0
+        assert capsys.readouterr().out == default
+        assert run([*argv, "--form", "paper"]) == 0
+        assert capsys.readouterr().out != default
+
     def test_form_flag_is_model_c_only(self, capsys):
         code = run(["wavefunction", "--model", "a", "--state", "0,1", "--form", "xi"])
         assert code == 1
@@ -534,6 +544,27 @@ class TestNoSilentNonFiniteOutput:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "a", "--nrho-max", "0"],
+        ["wavefunction", "--model", "a", "--state", "0,1", "--points", "3"],
+        ["field", "--points", "3"],
+        ["sweep", "--model", "a", "--state", "0,1", "--param", "mu", "--lo", "0.5", "--hi", "1",
+         "--steps", "3"],
+        ["crossings", "--model", "a", "--s1", "0,1", "--s2", "1,0", "--param", "beta",
+         "--lo", "-1", "--hi", "1", "--scan-steps", "11"],
+        ["verify", "--model", "a", "--nrho-max", "0", "--m-min", "0", "--m-max", "0"],
+        ["greene-aldrich", "--delta", "0.5", "--points", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_each_command_echoes_its_parameters_once(self, capsys, argv):
+        assert run(argv) == 0
+        assert capsys.readouterr().err.count("# params:") == 1
+
+    def test_parameters_are_echoed_before_a_command_error(self, capsys):
+        # run resolves the parameter set before the command validates its flags
+        assert run(["verify", "--model", "a", "--tol", "0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("# params: ") and err[1].startswith("error: --tol must be")
+
     @pytest.mark.parametrize("command", [["field"], ["greene-aldrich", "--delta", "0.1"],
                                          ["wavefunction", "--model", "a", "--state", "0,1"]])
     def test_too_many_points_is_a_validation_error(self, capsys, command):

@@ -61,6 +61,19 @@ class TestModelKind:
             ModelKind.parse("d")
 
 
+def model_a_level_mpmath(state, p):
+    """Model A's level, as printed, in 400-digit arithmetic (its terms
+    cancel to about 1/|m| of their size at kz = 0)."""
+    with mpmath.workdps(400):
+        e, b0, mu, beta, kz, eta = map(mpmath.mpf, (p.e, p.b0, p.mu, p.beta, p.kz, p.eta))
+        mt = state.m - mpmath.mpf(p.alpha_ab)
+        w = mt - e * b0 * beta / 2
+        s = mpmath.sqrt(kz * kz + (e * b0 * mu) ** 2)
+        ell = mpmath.sqrt(w * w + mpmath.mpf(1) / 16)
+        return float((beta * mu * e * e * b0 * b0 - 2 * e * mt * b0 * mu
+                      + 2 * s * (state.n_rho + mpmath.mpf(0.5) + ell)) / eta)
+
+
 def w_of(state, params):
     return state.m - params.alpha_ab - params.e * params.b0 * params.beta / 2.0
 
@@ -213,23 +226,27 @@ class TestModelAEnergy:
         levels = [energy(ModelKind.A, QuantumState(n, 1), unit_params) for n in range(6)]
         assert all(b > a for a, b in zip(levels, levels[1:]))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 18: at kz = 0, s = e B0 mu and -2 e mt B0 mu cancels against "
-        "2 s |ell_tilde|, losing about m eps; |ell_tilde| - w = (1/16)/(|ell_tilde| + w) mends it",
-    )
     def test_level_at_large_m_matches_mpmath(self):
-        # A (0, 10^7) at default parameters reads a relative error of 1.2e-9
+        # A (0, 10^7) at default parameters read a relative error of 1.2e-9
+        # while the field terms cancelled against 2 s |ell_tilde| (kz = 0)
         state, p = QuantumState(0, 10**7), PhysicalParams()
-        with mpmath.workdps(60):
-            e, b0, mu, beta, kz, eta = map(mpmath.mpf, (p.e, p.b0, p.mu, p.beta, p.kz, p.eta))
-            mt = state.m - mpmath.mpf(p.alpha_ab)
-            w = mt - e * b0 * beta / 2
-            s = mpmath.sqrt(kz * kz + (e * b0 * mu) ** 2)
-            ell = mpmath.sqrt(w * w + mpmath.mpf(1) / 16)
-            ref = float((beta * mu * e * e * b0 * b0 - 2 * e * mt * b0 * mu
-                         + 2 * s * (state.n_rho + mpmath.mpf(0.5) + ell)) / eta)
+        ref = model_a_level_mpmath(state, p)
         assert abs(energy(ModelKind.A, state, p) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("params", [
+        {}, dict(e=-1.3, b0=0.7, mu=1.7, beta=-2.0, kz=0.5, eta=1.3, alpha_ab=0.3),
+        dict(e=2.0, mu=0.4, beta=0.9, alpha_ab=-0.25), dict(kz=1e10)],
+        ids=["default", "kz", "kz0", "large-kz"])
+    def test_level_is_correctly_rounded_at_any_m(self, params):
+        # A (n, 10^16) at default parameters read E = 0 (true value 1.0); at
+        # kz = 1e10 and m = 10^150, (kz w)^2 is beyond the largest double
+        # while the level, 2e160, is not
+        p = PhysicalParams(**params)
+        for m in (0, 1, -3, 10**3, -(10**3), 10**7, -(10**7), 10**16, 10**150):
+            for n in (0, 3):
+                state = QuantumState(n, m)
+                ref = model_a_level_mpmath(state, p)
+                assert abs(energy(ModelKind.A, state, p) - ref) <= 1e-15 * abs(ref), (n, m)
 
 
 class TestModelAWavefunction:
@@ -672,6 +689,41 @@ class TestCurvature:
         eq = reduced_equation(kind, state, params, "ga" if kind is ModelKind.C else "exact")
         res = residual(u, upp, eq.potential(rho, level), eq.et)
         assert res <= 1e-12 + 32 * np.finfo(float).eps * rounding_scale(eq, rho, level, u)
+
+    def test_wide_model_b_state_stays_finite(self):
+        # B (0, -65) at e = -1, mu = 2^-9 (E = 65) has its Gauss nodes at
+        # rho ~ 1.9e4-6.0e4, where rho^p (p = 65.5) alone overflowed to inf
+        # before e^(-s rho) and the norm (2.3e-268) brought U back into range
+        state, params = QuantumState(0, -65), PhysicalParams(e=-1.0, mu=2.0**-9)
+        level = energy(ModelKind.B, state, params)
+        rho, u, upp = curvature(ModelKind.B, state, params)
+        eq = reduced_equation(ModelKind.B, state, params)
+        assert rho[0] > 1e4 and node_count(u) == 0
+        assert residual(u, upp, eq.potential(rho, level), eq.et) <= 1e-12
+
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.5])
+    def test_model_c_defaults_to_its_eigenfunction(self, delta):
+        # ROADMAP item 16: form None is 'xi' for model C, the eigenfunction of
+        # the 'ga' equation at its level; 'paper', the paper's printed
+        # formula, stays selectable and solves neither equation
+        params = PhysicalParams(mu=0.3, v0=0.2, delta=delta)
+        for state in (QuantumState(0, 1), QuantumState(2, -1), QuantumState(1, 0)):
+            eq = reduced_equation(ModelKind.C, state, params, "ga")
+            level = energy(ModelKind.C, state, params)
+
+            def res(form):
+                rho, u, upp = curvature(ModelKind.C, state, params, form=form)
+                return residual(u, upp, eq.potential(rho, level), eq.et)
+
+            assert res(None) == res("xi") <= 1e-12
+            assert res("paper") >= 1e-3
+            rho = np.linspace(0.05, 30.0, 7)
+            np.testing.assert_array_equal(wavefunction(ModelKind.C, state, params, rho),
+                                          wavefunction(ModelKind.C, state, params, rho, form="xi"))
+        # models A and B have the one form
+        rho, state, params = np.linspace(0.05, 30.0, 7), QuantumState(1, 1), PhysicalParams()
+        np.testing.assert_array_equal(wavefunction(ModelKind.A, state, params, rho),
+                                      wavefunction(ModelKind.A, state, params, rho, form="paper"))
 
     def test_fast_tail_keeps_the_window_at_30(self):
         # s = 3: the 16 Gauss-Laguerre nodes in x = 2 s rho all lie below

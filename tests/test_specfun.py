@@ -344,7 +344,7 @@ def test_unconverged_paper_norm_reaches_the_budget_and_reports_both_rules(monkey
         e=8.019819179537492, eta=1.7e308, delta=2.00001, v2=1e200, beta=-3.0375640604951073
     )
     with pytest.raises(NormalizationError, match="within 1024 nodes") as err:
-        wavefunction(ModelKind.C, QuantumState(1, 1), params, [0.5, 1.0])
+        wavefunction(ModelKind.C, QuantumState(1, 1), params, [0.5, 1.0], form="paper")
     assert sizes == [34, 68, 136, 272, 544, 1024]
     last, total = str(err.value).rsplit("gave ", 1)[1].split(" and ")
     assert float(last) != float(total)
