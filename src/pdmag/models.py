@@ -88,6 +88,12 @@ def _coulomb(state: QuantumState, params: PhysicalParams) -> float:
     return 2.0 * e * m_tilde(state, params) * b0 * mu - (e * e) * (b0 * b0) * mu * params.beta
 
 
+def _check_ga_delta(delta) -> None:
+    """The Greene-Aldrich surrogate delta/(1 - e^(-delta rho)) needs delta > 0."""
+    if np.any(np.asarray(delta) <= 0):
+        raise DomainError("Greene-Aldrich target requires delta > 0")
+
+
 def _inverse_rho(rho, delta, target: str):
     """1/rho, or for target 'ga' its Greene-Aldrich surrogate delta/(1 - e^(-delta rho))."""
     if target == "ga":
@@ -187,8 +193,8 @@ def reduced_equation(
         raise DomainError(f"target must be 'exact' or 'ga', got {target!r}")
     if target == "ga" and kind is not ModelKind.C:
         raise DomainError("Greene-Aldrich target applies to model C only")
-    if target == "ga" and params.delta <= 0:
-        raise DomainError("Greene-Aldrich target requires delta > 0")
+    if target == "ga":
+        _check_ga_delta(params.delta)
     power, decays = _MASS[kind]
     k = params.delta if decays else 0.0
     w = _w(state, params)
@@ -229,8 +235,9 @@ def _level_a(state: QuantumState, p, check):
     s/(32 |w|)). Since s^2 |ell_tilde|^2 - x^2 = kz^2 w^2 + s^2/16, it is
     taken as (kz^2 w^2 + s^2/16)/d + (|x| - x), d = s |ell_tilde| + |x|: a
     sum of non-negative terms for either sign of x. kz^2 w^2/d is taken as
-    (kz w)(kz w/d): |kz w| <= s |ell_tilde|, so it overflows only where
-    s |ell_tilde| does.
+    (kz w)(kz w/d): |kz w| and |x| are at most s |ell_tilde| <= d. Where d
+    (w^2 first) overflows, the quotients would read 0, so a d that is not
+    finite is the level's NOT_FINITE_LEVEL (the printed formula is inf there).
     """
     _require_no_potential(p, check)
     s2 = s_squared_of(p)
@@ -240,6 +247,8 @@ def _level_a(state: QuantumState, p, check):
     x, kw = p.e * p.b0 * p.mu * w, p.kz * w
     ax = abs(x)
     d = s * ell + ax
+    check(Invalid.NOT_FINITE_LEVEL,
+          ~np.isfinite(d) if isinstance(d, np.ndarray) else not math.isfinite(d), d)
     field = kw * (kw / d) + s2 / 16.0 / d + (ax - x)
     return 2.0 * (s * (state.n_rho + 0.5) + field) / p.eta, (ell,)
 
@@ -678,8 +687,7 @@ def greene_aldrich(rho, delta):
     """
     rho_arr = _positive(rho)
     delta_arr = np.asarray(delta, dtype=float)
-    if np.any(delta_arr <= 0):
-        raise DomainError("the Greene-Aldrich surrogate delta/(1 - e^(-delta rho)) needs delta > 0")
+    _check_ga_delta(delta_arr)
     with np.errstate(all="ignore"):  # a value that is not finite is rejected below
         exact = 1.0 / rho_arr
         approx = _inverse_rho(rho_arr, delta_arr, "ga")

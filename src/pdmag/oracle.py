@@ -150,8 +150,8 @@ def radial_potential(
     e, b0 = params.e, params.b0
 
     def w(rho):
-        rho = _positive(rho)
-        s = shape_function(rho, params)
+        rho = np.asarray(rho, dtype=float)
+        s = shape_function(rho, params)  # owns rho > 0
         field = -e * mt * b0 * s + (e**2 * b0**2 / 4.0) * rho**2 * s**2
         return field_free.potential(rho, E) + field
 

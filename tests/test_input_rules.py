@@ -2,7 +2,7 @@
 message every public entry that takes the input raises: sigma = 1
 (models.reduced_equation and the level kernels' Invalid.SIGMA), rho > 0
 (fields._positive), the sweepable names (models._check_sweepable) and the
-Greene-Aldrich surrogate's delta > 0 (models.greene_aldrich)."""
+Greene-Aldrich surrogate's delta > 0 (models._check_ga_delta)."""
 
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from pdmag.sweeps import SweepSpec, find_crossings
 SIGMA = "closed-form models require sigma = 1, got sigma = 2.0"
 RHO = "rho must be positive: the formulas are singular at the axis rho = 0"
 NAME = "cannot sweep 'eta'; choose one of beta, b0, alpha_ab, mu, delta"
-GA_DELTA = "the Greene-Aldrich surrogate delta/(1 - e^(-delta rho)) needs delta > 0"
+GA_DELTA = "Greene-Aldrich target requires delta > 0"
 
 STATE = QuantumState(0, 1)
 PARAMS = PhysicalParams(delta=0.1)
@@ -92,6 +92,14 @@ def test_unknown_axis_has_one_message(entry):
                          ids=["0", "negative", "array"])
 def test_greene_aldrich_delta_has_one_message(rho, delta):
     assert raised(lambda: greene_aldrich(rho, delta)) == GA_DELTA
+
+
+def test_greene_aldrich_target_raises_the_same_message():
+    # the 'ga' reduced equation uses the same surrogate, so the same rule
+    # (PhysicalParams itself rejects a negative delta)
+    p = PARAMS.replace(delta=0.0)
+    assert raised(lambda: reduced_equation(ModelKind.C, STATE, p, "ga")) == GA_DELTA
+    assert raised(lambda: oracle_energy(ModelKind.C, STATE, p, target="ga")) == GA_DELTA
 
 
 def test_greene_aldrich_command_raises_the_owners_message(capsys):

@@ -248,6 +248,22 @@ class TestModelAEnergy:
                 ref = model_a_level_mpmath(state, p)
                 assert abs(energy(ModelKind.A, state, p) - ref) <= 1e-15 * abs(ref), (n, m)
 
+    def test_level_past_the_largest_square_is_a_domain_error(self):
+        # w^2 beyond the largest double (m = 10^155): the stable form's
+        # quotients would read 0 there and give 1.41 for a level of 8.3e154
+        with pytest.raises(DomainError, match="^closed-form level is inf: .*too large for double"):
+            energy(ModelKind.A, QuantumState(0, 10**155), PhysicalParams(kz=1.0))
+
+    def test_axis_past_the_largest_square_records_a_non_finite_level(self):
+        # the same point on a parameter axis: w = -e B0 beta/2 = -5e299
+        p = PhysicalParams(kz=1.0)
+        level, reason = level_axis(ModelKind.A, [QuantumState(0, 1)], p, "beta", [1.0, 1e300])
+        assert reason.tolist() == [[Invalid.NONE, Invalid.NOT_FINITE_LEVEL]]
+        assert level[0, 0] == energy(ModelKind.A, QuantumState(0, 1), p.replace(beta=1.0))
+        assert np.isnan(level[0, 1])
+        with pytest.raises(DomainError, match="^closed-form level is inf: "):
+            energy(ModelKind.A, QuantumState(0, 1), p.replace(beta=1e300))
+
 
 class TestModelAWavefunction:
     def test_ground_state_nodeless(self, unit_params):
