@@ -213,8 +213,9 @@ def reduced_equation(
 
 
 # ---------------------------------------------------------------------------
-# Closed-form levels. Models A and B are the V = 0 models; each kernel is
-# written over a state and params of numbers or arrays (see level_axis).
+# Closed-form levels. Models A and B are the V = 0 models, and A's kernel is
+# C's at delta = 0; each kernel is written over a state and params of
+# numbers or arrays (see level_axis).
 # ---------------------------------------------------------------------------
 
 
@@ -224,79 +225,74 @@ def _require_no_potential(p, check) -> None:
 
 
 def _level_a(state: QuantumState, p, check):
-    """Level kernel of model A, the g = eta/rho profile (V = 0); returns
-    (E, (|ell_tilde|,)) with
-
-    E = (1/eta)[beta mu e^2 B0^2 - 2 e mt B0 mu
-                + 2 sqrt(kz^2 + e^2 B0^2 mu^2) (n + 1/2 + |ell_tilde|)].
-
-    The two field terms are -2x, x = e B0 mu w, and s |ell_tilde| - x
-    cancels as |m| grows (at kz = 0, s |ell_tilde| and |x| agree to
-    s/(32 |w|)). Since s^2 |ell_tilde|^2 - x^2 = kz^2 w^2 + s^2/16, it is
-    taken as (kz^2 w^2 + s^2/16)/d + (|x| - x), d = s |ell_tilde| + |x|: a
-    sum of non-negative terms for either sign of x. kz^2 w^2/d is taken as
-    (kz w)(kz w/d): |kz w| and |x| are at most s |ell_tilde| <= d. Where d
-    (w^2 first) overflows, the quotients would read 0, so a d that is not
-    finite is the level's NOT_FINITE_LEVEL (the printed formula is inf there).
-    """
+    """Level kernel of model A, the g = eta/rho profile (V = 0): model C's
+    at delta = 0, where E = (1/eta)[beta mu e^2 B0^2 - 2 e mt B0 mu
+    + 2 s (n + 1/2 + |ell_tilde|)] and the parts (sqrt(r0), G) are
+    (s, |ell_tilde|), s = sqrt(kz^2 + e^2 B0^2 mu^2)."""
     _require_no_potential(p, check)
     s2 = s_squared_of(p)
     check(Invalid.NO_SCALE, s2 <= 0, s2)
-    w = _w(state, p)
-    s, ell = _sqrt(s2), _sqrt(w * w + 1.0 / 16.0)
-    x, kw = p.e * p.b0 * p.mu * w, p.kz * w
-    ax = abs(x)
-    d = s * ell + ax
-    check(Invalid.NOT_FINITE_LEVEL,
-          ~np.isfinite(d) if isinstance(d, np.ndarray) else not math.isfinite(d), d)
-    field = kw * (kw / d) + s2 / 16.0 / d + (ax - x)
-    return 2.0 * (s * (state.n_rho + 0.5) + field) / p.eta, (ell,)
+    return _level_c(state, p, check, 0.0)
 
 
 def _level_b(state: QuantumState, p, check):
     """Level kernel of model B, the g = eta/rho^2 profile (V = 0); returns
-    (E, (|ell_acute|,)) with
-
-    E = (1/eta)[w^2 + 1/4 - (beta_acute/(2 s) - n - 1/2)^2],
-
-    w = mt - e B0 beta/2. The quantized |ell_acute| (the squared term's
-    base) is positive iff the state is bound: Coulomb quantization needs
-    positive effective angular momentum.
+    (E, (s, |ell_acute|)) with E = (1/eta)[w^2 + 1/4 - ell_acute^2],
+    ell_acute = t - n - 1/2 and t = beta_acute/(2 s) = e B0 mu w/s. The
+    state is bound iff ell_acute > 0. As w^2 - t^2 = (kz w/s)^2 and
+    t^2 - ell_acute^2 = (n + 1/2)(t + ell_acute), E is a sum of
+    non-negative terms, which nothing cancels at any |m|.
     """
     _require_no_potential(p, check)
     s2 = s_squared_of(p)
     check(Invalid.NO_SCALE, s2 <= 0, s2)
-    ell = _coulomb(state, p) / (2.0 * _sqrt(s2)) - state.n_rho - 0.5
+    check(Invalid.NOT_FINITE_LEVEL, s2 == math.inf, s2)  # t would read 0 there
+    w, s, half = _w(state, p), _sqrt(s2), state.n_rho + 0.5
+    t = p.e * p.b0 * p.mu / s * w
+    ell = t - half
     check(Invalid.NOT_BOUND, ell <= 0, ell)
-    w = _w(state, p)
-    return (w * w + 0.25 - ell * ell) / p.eta, (ell,)
+    kw = p.kz / s * w
+    return (kw * kw + 0.25 + half * (t + ell)) / p.eta, (s, ell)
 
 
-def _level_c(state: QuantumState, p, check):
-    """Level kernel of model C, the Yukawa-mass profile with confinement;
-    returns (E, (sqrt(r0), G)) with
+def _level_c(state: QuantumState, p, check, d):
+    """Level kernel of model C, the Yukawa-mass profile with confinement,
+    at mass decay rate d (p.delta, or 0 for model A); returns
+    (E, (sqrt(r0), G)) with
 
-    E = (1/eta)[(n^2 + n + 1/2) delta + (2n + 1) eps1 + eps2 - V0],
+    E = (1/eta)[(n^2 + n + 1/2) d + (2n + 1) eps1 + eps2 - V0],
 
-    eps1 = sqrt(r0) + delta G, eps2 = 2 sqrt(r0) G + 2 delta (w^2 + V2)
-    - 2 e B0 mu w - V1 and G = sqrt(w^2 + V2 + 1/16); both radicands must
-    be non-negative. Computed through eps1/eps2 so delta = 0 is a plain
-    substitution (and reproduces model A exactly when the confinement is
-    off). The roots are the NU exponents' parts: kappa = 2 sqrt(r0)/delta
-    and upsilon = 2 G.
+    eps1 = sqrt(r0) + d G, eps2 = 2 (sqrt(r0) G - y) - V1,
+    G = sqrt(w^2 + V2 + 1/16), y = e B0 mu w - d (w^2 + V2) and the
+    radicand r0 = (d w - e B0 mu)^2 + kz^2 + d (d (V2 + 1/4) - V1); both
+    radicands must be non-negative. sqrt(r0) G - y cancels as |m| grows, so
+    it is taken as D/a + (|y| - y), a = sqrt(r0) G + |y|, with D = r0 G^2 -
+    y^2 = kz^2 w^2 + s^2 V2 + d (d/4 - V1)(w^2 + V2) + r0/16 and kz^2 w^2/a
+    as (kz w)(kz w/a): non-negative terms at V = 0, and at d = 0 each term
+    of d or V is an exact 0. An a that is not finite (w^2 first) would read
+    the quotients as 0: it is the level's NOT_FINITE_LEVEL. a = 0 only where
+    D and |y| - y are 0 too, and reads 1 there. The roots give the NU
+    exponents kappa = 2 sqrt(r0)/d and upsilon = 2 G.
     """
     w = _w(state, p)
-    e, b0, mu, d = p.e, p.b0, p.mu, p.delta
-    w2v = w * w + p.v2
-    r0 = (d * d) * w2v + (d * d) / 4.0 - 2.0 * e * b0 * mu * w * d - d * p.v1 + s_squared_of(p)
+    kw, ww = p.kz * w, w * w
+    u = p.e * p.b0 * p.mu - d * w  # y = u w - d V2
+    r0 = u * u + (p.kz * p.kz + d * (d * (p.v2 + 0.25) - p.v1))
     check(Invalid.R0_NEGATIVE, r0 < 0, r0)
-    g_rad = w2v + 1.0 / 16.0
+    g_rad = ww + (p.v2 + 1.0 / 16.0)
     check(Invalid.G_NEGATIVE, g_rad < 0, g_rad)
     root, big_g = _sqrt(r0), _sqrt(g_rad)
-    eps1 = root + d * big_g
-    eps2 = 2.0 * root * big_g + 2.0 * d * w2v - 2.0 * e * b0 * mu * w - p.v1
+    y = u * w - d * p.v2
+    ay = abs(y)
+    a = root * big_g + ay
+    check(Invalid.NOT_FINITE_LEVEL,
+          ~np.isfinite(a) if isinstance(a, np.ndarray) else not math.isfinite(a), a)
+    a = a + (a == 0)
+    k = d * (d / 4.0 - p.v1)
+    diff = kw * (kw / a) + (k * ww + (s_squared_of(p) + k) * p.v2 + r0 / 16.0) / a + (ay - y)
     n = state.n_rho
-    return ((n * n + n + 0.5) * d + (2 * n + 1) * eps1 + eps2 - p.v0) / p.eta, (root, big_g)
+    base = (n * n + n + 0.5) * d - p.v1 - p.v0
+    return (base + 2.0 * ((n + 0.5) * (root + d * big_g) + diff)) / p.eta, (root, big_g)
 
 
 def model_c_coefficients(state: QuantumState, params: PhysicalParams, E: float) -> NUCoefficients:
@@ -387,7 +383,8 @@ _INVALID = {
     ),
 }
 
-_LEVELS = {ModelKind.A: _level_a, ModelKind.B: _level_b, ModelKind.C: _level_c}
+_LEVELS = {ModelKind.A: _level_a, ModelKind.B: _level_b,
+           ModelKind.C: lambda state, p, check: _level_c(state, p, check, p.delta)}
 
 
 def reason_text(code: int, name: str) -> str | None:
@@ -492,11 +489,11 @@ class _ClosedForm(NamedTuple):
 def _laguerre_form(kind: ModelKind, state: QuantumState, params: PhysicalParams,
                    form: str) -> _ClosedForm:
     """Models A and B: U = rho^p e^(-s rho) L_n^a(2 s rho) with p = ell + 1/2
-    and a = 2 ell, ell = |ell_tilde| (A) or |ell_acute| (B) from the level
-    kernel; in x = 2 s rho, int U^2 drho = (2s)^-(a+2) times the 'laguerre'
+    and a = 2 ell, s and ell = |ell_tilde| (A) or |ell_acute| (B) from the
+    level kernel; in x = 2 s rho, int U^2 drho = (2s)^-(a+2) times the 'laguerre'
     integral."""
-    (ell,) = _level(kind, state, params)[1]
-    n, s, p, a = state.n_rho, params.decay_rate, ell + 0.5, 2.0 * ell
+    s, ell = _level(kind, state, params)[1]
+    n, p, a = state.n_rho, ell + 0.5, 2.0 * ell
 
     def factor(rho):  # one exp: rho^p alone can overflow where U does not
         return np.exp(p * np.log(rho) - s * rho), 2.0 * s * rho

@@ -533,13 +533,12 @@ def residual(u, u_second, w, e_tilde_target: float) -> float:
 
 
 def node_count(f) -> int:
-    """Number of strict sign changes, ignoring entries below 1e-12 max|f|."""
-    v = np.asarray(f, dtype=float)
-    vmax = np.max(np.abs(v))
-    kept = v[np.abs(v) > 1e-12 * vmax]
-    if kept.size < 2:
-        return 0
-    signs = np.sign(kept)
+    """Number of strict sign changes, ignoring exact zeros. On a closed
+    form's own Gauss nodes (models.curvature) U = A P_n with A > 0, so every
+    nonzero entry carries the sign of P_n however small it is: a lobe 30
+    decades below max|U| still counts."""
+    signs = np.sign(np.asarray(f, dtype=float))
+    signs = signs[signs != 0]
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 

@@ -74,10 +74,6 @@ class PhysicalParams:
         """kz**2 + (e*b0*mu)**2, the squared decay rate of the bound tails."""
         return s_squared_of(self)
 
-    @property
-    def decay_rate(self) -> float:
-        return math.sqrt(self.s_squared)
-
     def replace(self, **changes) -> "PhysicalParams":
         return replace(self, **changes)
 

@@ -544,6 +544,25 @@ class TestNoSilentNonFiniteOutput:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("argv, message", [
+        (["wavefunction", "--model", "a", "--state", "1,x"],
+         "state must be two integers 'n_rho,m', got '1,x'"),
+        (["spectrum", "--model", "a", "--nrho-max", "-1"], "--nrho-max must be >= 0, got -1"),
+        (["spectrum", "--model", "a", "--m-min", "2", "--m-max", "1"],
+         "--m-min must not exceed --m-max, got 2 > 1"),
+        (["wavefunction", "--model", "a", "--state", "0,1", "--rho-min", "0"],
+         "need 0 < --rho-min < --rho-max, got 0.0, 30.0"),
+        (["field", "--rho-min", "3", "--rho-max", "3"],
+         "need 0 < --rho-min < --rho-max, got 3.0, 3.0"),
+        (["field", "--rho-min", "3", "--rho-max", "2"],
+         "need 0 < --rho-min < --rho-max, got 3.0, 2.0"),
+    ], ids=["state", "nrho-max", "m-range", "rho-min", "rho-equal", "rho-reversed"])
+    def test_argument_rules_name_the_condition(self, capsys, argv, message):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"error: {message}" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--model", "a", "--nrho-max", "0"],
         ["wavefunction", "--model", "a", "--state", "0,1", "--points", "3"],

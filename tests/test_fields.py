@@ -120,6 +120,11 @@ class TestCurlCheck:
         # the default h = 1e-4*rho must behave at large rho too
         assert verify_curl(200.0, PhysicalParams(sigma=0.5)) <= 1e-6
 
+    @pytest.mark.parametrize("h", [1.5, 2.0])
+    def test_step_that_leaves_the_half_line_is_rejected(self, h):
+        with pytest.raises(DomainError, match=f"^need rho - h > 0, got rho=1.5, h={h}$"):
+            verify_curl(1.5, PhysicalParams(), h=h)
+
     def test_second_order_in_h(self):
         # sigma=3 makes rho*A1 genuinely curved, so the h^2 error is visible
         params = PhysicalParams(sigma=3.0)

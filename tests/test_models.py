@@ -61,17 +61,45 @@ class TestModelKind:
             ModelKind.parse("d")
 
 
+def _mp_params(state, p):
+    """(e, B0, mu, beta, kz, eta, mt, w, s^2) of a point as 400-digit numbers."""
+    e, b0, mu, beta, kz, eta = map(mpmath.mpf, (p.e, p.b0, p.mu, p.beta, p.kz, p.eta))
+    mt = state.m - mpmath.mpf(p.alpha_ab)
+    return e, b0, mu, beta, kz, eta, mt, mt - e * b0 * beta / 2, kz * kz + (e * b0 * mu) ** 2
+
+
 def model_a_level_mpmath(state, p):
     """Model A's level, as printed, in 400-digit arithmetic (its terms
     cancel to about 1/|m| of their size at kz = 0)."""
     with mpmath.workdps(400):
-        e, b0, mu, beta, kz, eta = map(mpmath.mpf, (p.e, p.b0, p.mu, p.beta, p.kz, p.eta))
-        mt = state.m - mpmath.mpf(p.alpha_ab)
-        w = mt - e * b0 * beta / 2
-        s = mpmath.sqrt(kz * kz + (e * b0 * mu) ** 2)
+        e, b0, mu, beta, kz, eta, mt, w, s2 = _mp_params(state, p)
         ell = mpmath.sqrt(w * w + mpmath.mpf(1) / 16)
         return float((beta * mu * e * e * b0 * b0 - 2 * e * mt * b0 * mu
-                      + 2 * s * (state.n_rho + mpmath.mpf(0.5) + ell)) / eta)
+                      + 2 * mpmath.sqrt(s2) * (state.n_rho + mpmath.mpf(0.5) + ell)) / eta)
+
+
+def model_b_level_mpmath(state, p):
+    """Model B's level, as printed, in 400-digit arithmetic; None where
+    |ell_acute| <= 0 (not bound)."""
+    with mpmath.workdps(400):
+        e, b0, mu, beta, kz, eta, mt, w, s2 = _mp_params(state, p)
+        beta_acute = 2 * e * mt * b0 * mu - e * e * b0 * b0 * mu * beta
+        ell = beta_acute / (2 * mpmath.sqrt(s2)) - state.n_rho - mpmath.mpf(0.5)
+        return float((w * w + mpmath.mpf(1) / 4 - ell * ell) / eta) if ell > 0 else None
+
+
+def model_c_level_mpmath(state, p):
+    """Model C's level, as printed (eps1, eps2 and the radicand r0), in
+    400-digit arithmetic."""
+    with mpmath.workdps(400):
+        e, b0, mu, beta, kz, eta, mt, w, s2 = _mp_params(state, p)
+        d, v0, v1, v2 = map(mpmath.mpf, (p.delta, p.v0, p.v1, p.v2))
+        n = state.n_rho
+        root = mpmath.sqrt(d * d * (w * w + v2) + d * d / 4 - 2 * e * b0 * mu * w * d - d * v1 + s2)
+        big_g = mpmath.sqrt(w * w + v2 + mpmath.mpf(1) / 16)
+        eps1 = root + d * big_g
+        eps2 = 2 * root * big_g + 2 * d * (w * w + v2) - 2 * e * b0 * mu * w - v1
+        return float(((n * n + n + mpmath.mpf(0.5)) * d + (2 * n + 1) * eps1 + eps2 - v0) / eta)
 
 
 def w_of(state, params):
@@ -185,6 +213,27 @@ class TestEffectivePotential:
             assert eq.potential(rho, E) == pytest.approx(expected, rel=1e-12)
 
 
+# The parameter sets of the levels checked against 400-digit arithmetic:
+# model A's and B's, and model C's with small and moderate delta, with the
+# confinement on, and at delta = 0 (model A's kernel).
+LEVEL_SETS = {
+    "default": {},
+    "kz": dict(e=-1.3, b0=0.7, mu=1.7, beta=-2.0, kz=0.5, eta=1.3, alpha_ab=0.3),
+    "kz0": dict(e=2.0, mu=0.4, beta=0.9, alpha_ab=-0.25),
+    "large-kz": dict(kz=1e10),
+}
+C_LEVEL_SETS = {
+    "delta1e-6": dict(mu=0.15, delta=1e-6),
+    "delta0.05": dict(mu=0.15, delta=0.05),
+    "delta0.1-kz": dict(e=-1.3, b0=0.7, mu=1.7, beta=-2.0, kz=0.5, eta=1.3, alpha_ab=0.3,
+                        delta=0.1),
+    "V": dict(e=-1.0, mu=0.3, kz=0.7, delta=0.2, v0=0.5, v1=0.01, v2=0.4),
+    "delta0": dict(mu=0.15),
+}
+LEVEL_MPMATH = {ModelKind.A: model_a_level_mpmath, ModelKind.B: model_b_level_mpmath,
+                ModelKind.C: model_c_level_mpmath}
+
+
 class TestModelAEnergy:
     def test_anchor_level(self, unit_params):
         assert energy(ModelKind.A, QuantumState(0, 0), unit_params) == pytest.approx(1.5, rel=1e-15)
@@ -220,7 +269,7 @@ class TestModelAEnergy:
         alpha_tilde = coulomb_of(state, params) + eta * E
         ell_tilde_abs = math.sqrt(w_of(state, params) ** 2 + 1.0 / 16.0)
         lhs = alpha_tilde / (2.0 * (n + ell_tilde_abs + 0.5))
-        assert lhs == pytest.approx(params.decay_rate, rel=1e-12)
+        assert lhs == pytest.approx(math.sqrt(params.s_squared), rel=1e-12)
 
     def test_strictly_increasing_in_n(self, unit_params):
         levels = [energy(ModelKind.A, QuantumState(n, 1), unit_params) for n in range(6)]
@@ -233,20 +282,32 @@ class TestModelAEnergy:
         ref = model_a_level_mpmath(state, p)
         assert abs(energy(ModelKind.A, state, p) - ref) <= 1e-12 * abs(ref)
 
-    @pytest.mark.parametrize("params", [
-        {}, dict(e=-1.3, b0=0.7, mu=1.7, beta=-2.0, kz=0.5, eta=1.3, alpha_ab=0.3),
-        dict(e=2.0, mu=0.4, beta=0.9, alpha_ab=-0.25), dict(kz=1e10)],
-        ids=["default", "kz", "kz0", "large-kz"])
-    def test_level_is_correctly_rounded_at_any_m(self, params):
-        # A (n, 10^16) at default parameters read E = 0 (true value 1.0); at
-        # kz = 1e10 and m = 10^150, (kz w)^2 is beyond the largest double
-        # while the level, 2e160, is not
+    @pytest.mark.parametrize("kind, params", [
+        pytest.param(kind, params, id=f"{tag}{name}")
+        for kind, tag, sets in (
+            (ModelKind.A, "", LEVEL_SETS),
+            (ModelKind.B, "B-", {**LEVEL_SETS, "huge-beta": dict(beta=-1e200)}),
+            (ModelKind.C, "C-", C_LEVEL_SETS))
+        for name, params in sets.items()])
+    def test_level_is_correctly_rounded_at_any_m(self, kind, params):
+        # A (n, 10^16) at default parameters read E = 0 (true value 1.0), and
+        # B (1, 10^12) 3000034656256 against 2999999999998; at kz = 1e10 and
+        # m = 10^150, (kz w)^2 is beyond the largest double while the level,
+        # 2e160, is not. B at beta = -1e200, kz = 0 is bound with E = 5e199.
+        # C at delta = 0 is A: C (0, 10^9) at mu = 0.15 read 0.15 for
+        # 0.150000000009375
         p = PhysicalParams(**params)
-        for m in (0, 1, -3, 10**3, -(10**3), 10**7, -(10**7), 10**16, 10**150):
+        reference = LEVEL_MPMATH[kind]
+        for m in (0, 1, -3, 10**3, -(10**3), 10**7, -(10**7), 10**9, 10**16, -(10**16),
+                  10**150, -(10**150)):
             for n in (0, 3):
                 state = QuantumState(n, m)
-                ref = model_a_level_mpmath(state, p)
-                assert abs(energy(ModelKind.A, state, p) - ref) <= 1e-15 * abs(ref), (n, m)
+                ref = reference(state, p)
+                if ref is None:
+                    with pytest.raises(BoundStateError, match="not bound"):
+                        energy(kind, state, p)
+                    continue
+                assert abs(energy(kind, state, p) - ref) <= 1e-15 * abs(ref), (n, m)
 
     def test_level_past_the_largest_square_is_a_domain_error(self):
         # w^2 beyond the largest double (m = 10^155): the stable form's
@@ -285,7 +346,7 @@ class TestModelAWavefunction:
         u2 = wavefunction(ModelKind.A, state, params, r2, component="U")
         p = math.sqrt(1.0 + 1.0 / 16.0) + 0.5
         rate = -math.log((u2 / u1) / (r2 / r1) ** p) / (r2 - r1)
-        assert rate == pytest.approx(params.decay_rate, rel=1e-12)
+        assert rate == pytest.approx(math.sqrt(params.s_squared), rel=1e-12)
 
     def test_normalized_square_integral_is_one(self, unit_params):
         rho = np.linspace(1e-6, 60.0, 120001)
@@ -330,7 +391,7 @@ class TestModelBEnergy:
         state = QuantumState(n, m)
         mt = m - alpha
         beta_acute = 2.0 * mt * mu - mu * beta
-        ell = beta_acute / (2.0 * params.decay_rate) - n - 0.5
+        ell = beta_acute / (2.0 * math.sqrt(params.s_squared)) - n - 0.5
         assume(ell > 1e-6)
         E = energy(ModelKind.B, state, params)
         # |ell_acute|^2 = w^2 + 1/4 - eta E at the level
@@ -617,7 +678,7 @@ def polynomial_zeros(kind, state, params, form):
     2 (1 - e^(-delta rho)) for model C."""
     _, n, a, b, _ = _CLOSED_FORMS[kind](state, params, form).norm
     if kind is not ModelKind.C:
-        return roots_genlaguerre(n, a)[0] / (2.0 * params.decay_rate)
+        return roots_genlaguerre(n, a)[0] / (2.0 * math.sqrt(params.s_squared))
     return -np.log1p(-0.5 * (1.0 + roots_jacobi(n, a, b)[0])) / params.delta
 
 
@@ -889,7 +950,7 @@ class TestDispatch:
         assert energy(ModelKind.C, state, params_c) != energy(ModelKind.A, state, params_c)
         # each kind gets its own closed form and its own R factor
         rho = np.array([1.0, 2.0])
-        s = unit_params.decay_rate
+        s = math.sqrt(unit_params.s_squared)
         explicit = rho ** (ell + 0.5) * np.exp(-s * rho) * (1.0 + 2.0 * ell - 2.0 * s * rho)
         np.testing.assert_allclose(
             _CLOSED_FORMS[ModelKind.A](QuantumState(1, 1), unit_params, "paper").u(rho),
@@ -908,15 +969,23 @@ class TestDispatch:
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_overflow_is_a_domain_error(self, kind):
         # a square beyond the largest double (e B0 mu = 1e200 for A and C,
-        # w = 5e199 for B): a DomainError naming the cause, never an
-        # OverflowError or an inf/nan level
+        # (kz w/s)^2 with w = 5e199 for B): a DomainError naming the cause,
+        # never an OverflowError or an inf/nan level
         params = {
             ModelKind.A: PhysicalParams(mu=1e200),
-            ModelKind.B: PhysicalParams(beta=-1e200),
+            ModelKind.B: PhysicalParams(beta=-1e200, kz=1.0),
             ModelKind.C: PhysicalParams(mu=1e200, delta=0.1),
         }[kind]
         with pytest.raises(DomainError, match="too large for double precision"):
             energy(kind, QuantumState(0, 0), params)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(form="bad"), "form must be 'paper' or 'xi', got 'bad'"),
+        (dict(component="V"), "component must be 'R' or 'U', got 'V'"),
+    ], ids=["form", "component"])
+    def test_wavefunction_options_name_the_condition(self, kwargs, message, unit_params):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            wavefunction(ModelKind.A, QuantumState(0, 1), unit_params, 1.0, **kwargs)
 
     @pytest.mark.parametrize("kind", [ModelKind.A, ModelKind.B])
     @pytest.mark.parametrize("v", [dict(v0=0.2), dict(v1=-0.5), dict(v2=0.1)])

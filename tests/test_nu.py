@@ -255,6 +255,11 @@ class TestInvariants:
         with pytest.raises(DomainError, match=f"a{index + 1}t must be finite"):
             NUCoefficients(*args)
 
+    @pytest.mark.parametrize("n", [-1, 1.5, True])
+    def test_lambda_n_needs_a_non_negative_integer(self, n):
+        with pytest.raises(DomainError, match=f"^n must be a non-negative integer, got {n!r}$"):
+            lambda_n(NUCoefficients(0.0, 0.0, 0.0, 0.0), n)
+
     def test_quantize_rejects_non_finite_input(self):
         # both returned nan without an error before the finiteness check
         with pytest.raises(DomainError, match="a1t must be finite"):

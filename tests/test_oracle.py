@@ -619,7 +619,7 @@ class TestSplit:
         # v2, so the model B formula with those shifts is exact
         params = PhysicalParams(mu=1.5, beta=-1.0, kz=0.4, v0=0.2, v1=0.3, v2=0.25)
         state = QuantumState(1, 2)
-        s = params.decay_rate
+        s = math.sqrt(params.s_squared)
         coulomb = 2.0 * 2 * 1.5 - 1.5 * -1.0 + 0.2 + 0.3
         ell = coulomb / (2.0 * s) - 1.5
         w_sq = (2.0 + 0.5) ** 2 + 0.25
@@ -1047,6 +1047,15 @@ class TestNodeCount:
     def test_plain_oscillation(self):
         x = np.linspace(0.1, 16.0, 2000)
         assert node_count(np.sin(x)) == 5
+
+    @pytest.mark.parametrize("n, m", [(76, 21), (39, 54)])
+    def test_paper_form_lobes_far_below_the_peak_count(self, n, m):
+        # the paper form's lobes span 18-26 decades on its Gauss nodes; a
+        # count that dropped entries below 1e-12 max|U| read 67 and 21
+        params = PhysicalParams(mu=0.3, delta=0.286)
+        _, u, _ = curvature(ModelKind.C, QuantumState(n, m), params, form="paper")
+        assert np.min(np.abs(u)) < 1e-17 * np.max(np.abs(u))
+        assert node_count(u) == n
 
     def test_radial_function_input(self):
         # sampled radial functions (pencil eigenvectors) go in as plain arrays
