@@ -265,28 +265,31 @@ def _level_c(state: QuantumState, p, check, d):
     eps1 = sqrt(r0) + d G, eps2 = 2 (sqrt(r0) G - y) - V1,
     G = sqrt(w^2 + V2 + 1/16), y = e B0 mu w - d (w^2 + V2) and the
     radicand r0 = (d w - e B0 mu)^2 + kz^2 + d (d (V2 + 1/4) - V1); both
-    radicands must be non-negative. sqrt(r0) G - y cancels as |m| grows, so
-    it is taken as D/a + (|y| - y), a = sqrt(r0) G + |y|, with D = r0 G^2 -
-    y^2 = kz^2 w^2 + s^2 V2 + d (d/4 - V1)(w^2 + V2) + r0/16 and kz^2 w^2/a
-    as (kz w)(kz w/a): non-negative terms at V = 0, and at d = 0 each term
-    of d or V is an exact 0. An a that is not finite (w^2 first) would read
-    the quotients as 0: it is the level's NOT_FINITE_LEVEL. a = 0 only where
-    D and |y| - y are 0 too, and reads 1 there. The roots give the NU
-    exponents kappa = 2 sqrt(r0)/d and upsilon = 2 G.
+    radicands must be non-negative, which only V1 > 0 or V2 < -1/4 (r0) and
+    V2 < -1/16 (G) can break. sqrt(r0) G - y cancels as |m| grows, so it is
+    taken as D/a + (|y| - y), a = sqrt(r0) G + |y|, with D = r0 G^2 - y^2 =
+    kz^2 w^2 + s^2 V2 + d (d/4 - V1)(w^2 + V2) + r0/16 and kz^2 w^2/a as
+    (kz w)(kz w/a): non-negative terms at V = 0, and at d = 0 each term of
+    d or V is an exact 0. An infinite a (w^2 first) would read the
+    quotients as 0: it is the level's NOT_FINITE_LEVEL (a nan a makes the
+    level nan). a = 0 only where D and |y| - y are 0 too, and reads 1
+    there. The roots give the NU exponents kappa = 2 sqrt(r0)/d and
+    upsilon = 2 G.
     """
     w = _w(state, p)
     kw, ww = p.kz * w, w * w
     u = p.e * p.b0 * p.mu - d * w  # y = u w - d V2
     r0 = u * u + (p.kz * p.kz + d * (d * (p.v2 + 0.25) - p.v1))
-    check(Invalid.R0_NEGATIVE, r0 < 0, r0)
+    if p.v1 > 0 or p.v2 < -0.25:  # d >= 0
+        check(Invalid.R0_NEGATIVE, r0 < 0, r0)
     g_rad = ww + (p.v2 + 1.0 / 16.0)
-    check(Invalid.G_NEGATIVE, g_rad < 0, g_rad)
+    if p.v2 < -1.0 / 16.0:
+        check(Invalid.G_NEGATIVE, g_rad < 0, g_rad)
     root, big_g = _sqrt(r0), _sqrt(g_rad)
     y = u * w - d * p.v2
     ay = abs(y)
     a = root * big_g + ay
-    check(Invalid.NOT_FINITE_LEVEL,
-          ~np.isfinite(a) if isinstance(a, np.ndarray) else not math.isfinite(a), a)
+    check(Invalid.NOT_FINITE_LEVEL, np.isinf(a) if isinstance(a, np.ndarray) else math.isinf(a), a)
     a = a + (a == 0)
     k = d * (d / 4.0 - p.v1)
     diff = kw * (kw / a) + (k * ww + (s_squared_of(p) + k) * p.v2 + r0 / 16.0) / a + (ay - y)
@@ -445,9 +448,11 @@ def level_axis(kind: ModelKind, states, params: PhysicalParams, name: str, value
     point = SimpleNamespace(**{**vars(params), name: values})
     with np.errstate(all="ignore"):
         level, _ = _LEVELS[kind](SimpleNamespace(n_rho=qn[:, 0], m=qn[:, 1]), point, record)
-        level = np.array(np.broadcast_to(level, reason.shape))
+        if level.shape != reason.shape:  # the kernel's last operation made level
+            level = np.array(np.broadcast_to(level, reason.shape))
         record(Invalid.NOT_FINITE_LEVEL, ~np.isfinite(level), level)
-    level[reason != 0] = np.nan
+    if reason.any():
+        level[reason != 0] = np.nan
     return level, reason
 
 

@@ -533,10 +533,9 @@ def residual(u, u_second, w, e_tilde_target: float) -> float:
 
 
 def node_count(f) -> int:
-    """Number of strict sign changes, ignoring exact zeros. On a closed
-    form's own Gauss nodes (models.curvature) U = A P_n with A > 0, so every
-    nonzero entry carries the sign of P_n however small it is: a lobe 30
-    decades below max|U| still counts."""
+    """Number of strict sign changes, ignoring exact zeros: on a form's own
+    Gauss nodes (models.curvature) U = A P_n with A > 0, so each nonzero
+    entry has the sign of P_n however far below max|U| it lies."""
     signs = np.sign(np.asarray(f, dtype=float))
     signs = signs[signs != 0]
     return int(np.count_nonzero(signs[1:] != signs[:-1]))

@@ -492,6 +492,16 @@ class TestModelCEnergy:
         ea = energy(ModelKind.A, state, params)
         assert ec == pytest.approx(ea, rel=1e-12)
 
+    def test_level_where_both_roots_and_y_vanish(self):
+        # at delta = 0 with no field and kz = 0, sqrt(r0) = 0 and y = 0, so
+        # a = sqrt(r0) G + |y| is 0: the level is (-V1 - V0)/eta, without a
+        # ZeroDivisionError at a point or a nan on an axis
+        params = PhysicalParams(b0=0.0, v0=0.2, v1=0.3, v2=0.1, eta=2.0)
+        state = QuantumState(1, 2)
+        assert energy(ModelKind.C, state, params) == -0.25
+        level, reason = level_axis(ModelKind.C, [state], params, "beta", [0.0, 1.0])
+        assert level.tolist() == [[-0.25, -0.25]] and reason.tolist() == [[0, 0]]
+
     def test_constant_potential_shift(self, weak_field_params):
         state = QuantumState(1, 1)
         base = weak_field_params.replace(delta=0.1, eta=2.0)
