@@ -448,7 +448,7 @@ def level_axis(kind: ModelKind, states, params: PhysicalParams, name: str, value
     point = SimpleNamespace(**{**vars(params), name: values})
     with np.errstate(all="ignore"):
         level, _ = _LEVELS[kind](SimpleNamespace(n_rho=qn[:, 0], m=qn[:, 1]), point, record)
-        if level.shape != reason.shape:  # the kernel's last operation made level
+        if level.shape != reason.shape:  # else it is the kernel's own new array
             level = np.array(np.broadcast_to(level, reason.shape))
         record(Invalid.NOT_FINITE_LEVEL, ~np.isfinite(level), level)
     if reason.any():
