@@ -2,9 +2,9 @@
 power-law magnetic field, hbar = 2*m0 = 1.
 
 Closed-form spectra and wavefunctions for three solvable mass profiles,
-the field machinery that generates the inverse-power magnetic field, the
-generic Nikiforov-Uvarov quantization, an independent finite-volume oracle,
-and sweep/crossing utilities, all behind one CLI (``pdmag``).
+the field machinery that generates the inverse-power magnetic field, an
+independent finite-volume oracle, and sweep/crossing utilities, all behind
+one CLI (``pdmag``).
 """
 
 from .errors import (
@@ -13,17 +13,15 @@ from .errors import (
     DomainError,
     NormalizationError,
 )
-from .fields import magnetic_field, shape_function, vector_potential, verify_curl
+from .fields import magnetic_field, shape_function, vector_potential
 from .models import (
     ModelKind,
     energy,
     greene_aldrich,
     level_axis,
-    model_c_coefficients,
     reduced_equation,
     wavefunction,
 )
-from .nu import NUCoefficients, nu_quantize
 from .oracle import OracleLevel, node_count, oracle_energy, radial_potential, residual
 from .params import PhysicalParams, QuantumState, m_tilde
 from .sweeps import CrossingPoint, SweepSpec, find_crossings, sweep
@@ -37,7 +35,6 @@ __all__ = [
     "CrossingPoint",
     "DomainError",
     "ModelKind",
-    "NUCoefficients",
     "NormalizationError",
     "OracleLevel",
     "PhysicalParams",
@@ -49,9 +46,7 @@ __all__ = [
     "level_axis",
     "m_tilde",
     "magnetic_field",
-    "model_c_coefficients",
     "node_count",
-    "nu_quantize",
     "oracle_energy",
     "radial_potential",
     "reduced_equation",
@@ -59,6 +54,5 @@ __all__ = [
     "shape_function",
     "sweep",
     "vector_potential",
-    "verify_curl",
     "wavefunction",
 ]

@@ -107,6 +107,9 @@ def _state_range(args) -> list[QuantumState]:
         raise DomainError(f"--nrho-max must be >= 0, got {args.nrho_max}")
     if args.m_min > args.m_max:
         raise DomainError(f"--m-min must not exceed --m-max, got {args.m_min} > {args.m_max}")
+    count = (args.nrho_max + 1) * (args.m_max - args.m_min + 1)
+    if count > _MAX_POINTS:
+        raise DomainError(f"the state range must hold at most {_MAX_POINTS} states, got {count}")
     return [
         QuantumState(n_rho=n, m=m)
         for n in range(args.nrho_max + 1)
@@ -219,7 +222,7 @@ def _cmd_verify(args, params: PhysicalParams) -> int:
         print(f"# skipped n_rho={state.n_rho} m={state.m}: {reason}", file=sys.stderr)
     worst, worst_rel = None, 0.0
     for row in rows:
-        rel = row.abs_err / max(1e-12, abs(row.e_closed))
+        rel = row.abs_err / max(1.0, abs(row.e_closed))
         if rel > worst_rel:
             worst, worst_rel = row, rel
     _emit(_csv("n_rho,m,E_closed,E_oracle,abs_err,residual,nodes,oracle_err",
@@ -304,7 +307,8 @@ def _build_parser() -> _Parser:
                        help="closed forms vs numerical oracle; exit 2 beyond tolerance")
     p.add_argument("--model", required=True)
     _add_state_range_flags(p)
-    p.add_argument("--tol", type=float, default=1e-5, help="relative energy tolerance")
+    p.add_argument("--tol", type=float, default=1e-5,
+                   help="tolerance on abs_err / max(1, |E_closed|)")
     p.add_argument("--n-points", type=int, default=4000,
                    help="finest grid of the oracle's n//4, n//2, n ladder (n//4 must exceed "
                         "--nrho-max); a level whose fit is not settled there also solves 2n")

@@ -19,7 +19,6 @@ __all__ = [
     "shape_function",
     "magnetic_field",
     "vector_potential",
-    "verify_curl",
     "field_table",
 ]
 
@@ -69,25 +68,6 @@ def vector_potential(rho, params: PhysicalParams):
             raise DomainError("alpha_ab != 0 requires a nonzero charge e")
         a1 = a1 + params.alpha_ab / (params.e * rho)
     return a1 if a1.ndim else float(a1)
-
-
-def verify_curl(rho: float, params: PhysicalParams, h: float | None = None) -> float:
-    """Residual |(1/rho) d(rho*A1_phi)/drho - B_z| by central differences.
-
-    Only the field-generating part A1 = (b0/2)*rho*S enters; the flux-line
-    part is curl-free and excluded. The default step is relative,
-    h = 1e-4*rho, which avoids cancellation at large rho.
-    """
-    if h is None:
-        h = 1e-4 * rho
-    if rho - h <= 0:
-        raise DomainError(f"need rho - h > 0, got rho={rho}, h={h}")
-
-    def rho_a1(r: float) -> float:
-        return r * 0.5 * params.b0 * r * shape_function(r, params)
-
-    curl_z = (rho_a1(rho + h) - rho_a1(rho - h)) / (2.0 * h * rho)
-    return abs(curl_z - magnetic_field(rho, params))
 
 
 def field_table(rhos, params: PhysicalParams):

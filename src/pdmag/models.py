@@ -11,9 +11,8 @@ Profile tags:
        Yukawa-plus-Kratzer confinement V(rho).
 
 Each model reduces to one radial equation -U'' + W U = Et U, whose
-coefficients come from one table (reduced_equation); the oracle and
-model_c_coefficients, model C's Nikiforov-Uvarov reference, read it. The
-record also carries its target: the exact equation, or model C's
+coefficients come from one table (reduced_equation), which the oracle
+reads. The record also carries its target: the exact equation, or model C's
 Greene-Aldrich form and its singular split. Each closed-form wavefunction
 takes its exponents from its own level kernel.
 """
@@ -31,7 +30,6 @@ import numpy as np
 
 from .errors import BoundStateError, DomainError
 from .fields import _positive
-from .nu import NUCoefficients
 from .params import PhysicalParams, QuantumState, m_tilde, s_squared_of
 from .specfun import _golub_welsch, _jacobi_matrix, _laguerre_matrix, jacobi, laguerre, normalize
 
@@ -40,7 +38,6 @@ __all__ = [
     "GreeneAldrich",
     "ReducedEquation",
     "reduced_equation",
-    "model_c_coefficients",
     "greene_aldrich",
     "energy",
     "level_axis",
@@ -296,27 +293,6 @@ def _level_c(state: QuantumState, p, check, d):
     n = state.n_rho
     base = (n * n + n + 0.5) * d - p.v1 - p.v0
     return (base + 2.0 * ((n + 0.5) * (root + d * big_g) + diff)) / p.eta, (root, big_g)
-
-
-def model_c_coefficients(state: QuantumState, params: PhysicalParams, E: float) -> NUCoefficients:
-    """Model C's NU coefficients at energy E under xi = e^(-delta rho), read
-    off the reduced equation -U'' + [c2/rho^2 + (c1 + v0)/rho
-    - (v0 + eta E) e^(-delta rho)/rho + tail] U = 0 (the paper's a1..a4):
-    (c2, -(c1 + v0)/delta, (v0 + eta E)/delta, tail/delta^2). The closed
-    form takes kappa and upsilon from its level kernel; this is the
-    reference it is checked against.
-    """
-    eq = reduced_equation(ModelKind.C, state, params)
-    d = eq.delta
-    if d**2 == 0:
-        raise DomainError(
-            f"coefficient reduction divides by delta^2 = 0 (delta = {d}); at delta = 0 "
-            "use model A reduction instead"
-        )
-    tilde = (eq.c2, -(eq.c1 + eq.v0) / d, (eq.v0 + eq.eta * E) / d, eq.tail / d**2)
-    if not all(map(math.isfinite, tilde)):
-        raise DomainError(f"coefficient reduction overflows: delta = {d} is too small")
-    return NUCoefficients(*tilde)
 
 
 # ---------------------------------------------------------------------------

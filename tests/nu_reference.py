@@ -9,11 +9,16 @@ with sigma(xi) = xi(1-xi), tau_tilde(xi) = 1-xi, and
     sigma_tilde(xi) = -(a1t - a2t + a4t) + (a3t + 2 a4t - a2t) xi
                       - (a3t + a4t) xi^2.
 
-Everything here is generic in the four real coefficients a1t..a4t; no
-physics enters. Square roots always take the principal branch, and a
+The NU steps are generic in the four real coefficients a1t..a4t; no
+physics enters them. Square roots always take the principal branch, and a
 negative radicand or a coefficient that is not finite is a hard domain
 error rather than a complex continuation or a nan, and so is a radicand
 that overflows.
+
+Two test references close the file: model_c_coefficients reads model C's
+a1t..a4t off pdmag's reduced equation, and verify_curl checks the field
+identity by central differences. pdmag's closed forms take nothing from
+here; the tests check them against it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from pdmag.errors import DomainError
+from pdmag.fields import magnetic_field, shape_function
+from pdmag.models import ModelKind, reduced_equation
+from pdmag.params import PhysicalParams, QuantumState
 
 __all__ = [
     "NUCoefficients",
@@ -30,6 +38,8 @@ __all__ = [
     "lambda_of",
     "lambda_n",
     "nu_quantize",
+    "model_c_coefficients",
+    "verify_curl",
 ]
 
 
@@ -127,3 +137,43 @@ def _finite(name: str, value: float, c: NUCoefficients) -> float:
             f"a3t={c.a3t}, a4t={c.a4t}"
         )
     return value
+
+
+def model_c_coefficients(state: QuantumState, params: PhysicalParams, E: float) -> NUCoefficients:
+    """Model C's NU coefficients at energy E under xi = e^(-delta rho), read
+    off the reduced equation -U'' + [c2/rho^2 + (c1 + v0)/rho
+    - (v0 + eta E) e^(-delta rho)/rho + tail] U = 0 (the paper's a1..a4):
+    (c2, -(c1 + v0)/delta, (v0 + eta E)/delta, tail/delta^2). The closed
+    form takes kappa and upsilon from its level kernel; this is the
+    reference it is checked against.
+    """
+    eq = reduced_equation(ModelKind.C, state, params)
+    d = eq.delta
+    if d**2 == 0:
+        raise DomainError(
+            f"coefficient reduction divides by delta^2 = 0 (delta = {d}); at delta = 0 "
+            "use model A reduction instead"
+        )
+    tilde = (eq.c2, -(eq.c1 + eq.v0) / d, (eq.v0 + eq.eta * E) / d, eq.tail / d**2)
+    if not all(map(math.isfinite, tilde)):
+        raise DomainError(f"coefficient reduction overflows: delta = {d} is too small")
+    return NUCoefficients(*tilde)
+
+
+def verify_curl(rho: float, params: PhysicalParams, h: float | None = None) -> float:
+    """Residual |(1/rho) d(rho*A1_phi)/drho - B_z| by central differences.
+
+    Only the field-generating part A1 = (b0/2)*rho*S enters; the flux-line
+    part is curl-free and excluded. The default step is relative,
+    h = 1e-4*rho, which avoids cancellation at large rho.
+    """
+    if h is None:
+        h = 1e-4 * rho
+    if rho - h <= 0:
+        raise DomainError(f"need rho - h > 0, got rho={rho}, h={h}")
+
+    def rho_a1(r: float) -> float:
+        return r * 0.5 * params.b0 * r * shape_function(r, params)
+
+    curl_z = (rho_a1(rho + h) - rho_a1(rho - h)) / (2.0 * h * rho)
+    return abs(curl_z - magnetic_field(rho, params))

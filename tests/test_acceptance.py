@@ -13,18 +13,26 @@ import time
 import numpy as np
 import pytest
 
+from nu_reference import (
+    NUCoefficients,
+    k_minus,
+    lambda_n,
+    lambda_of,
+    model_c_coefficients,
+    nu_quantize,
+    tau_prime,
+    verify_curl,
+)
 from pdmag.cli import run as cli_run
 from pdmag.errors import DomainError
-from pdmag.fields import magnetic_field, shape_function, verify_curl
+from pdmag.fields import magnetic_field, shape_function
 from pdmag.models import (
     ModelKind,
     curvature,
     energy,
     greene_aldrich,
-    model_c_coefficients,
     reduced_equation,
 )
-from pdmag.nu import NUCoefficients, k_minus, lambda_n, lambda_of, nu_quantize, tau_prime
 from pdmag.oracle import node_count, oracle_energy, residual
 from pdmag.params import PhysicalParams, QuantumState
 from pdmag.specfun import jacobi

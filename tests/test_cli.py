@@ -350,6 +350,39 @@ class TestVerify:
         assert "at n_rho=2 m=0" in err
         assert "oracle-limited" in err and "--n-points" in err
 
+    # model C's level at v0 = 0.5312071897723665 is 0, and at v0 = 0.5312 it
+    # is 7.19e-6; each abs_err is 5.6e-9, inside its oracle_err of 1.4e-6
+    _NEAR_ZERO = ["verify", "--model", "c", "--mu", "0.3", "--delta", "0.1", "--nrho-max", "0",
+                  "--m-min", "0", "--m-max", "0"]
+
+    @pytest.mark.parametrize("v0", ["0.5312071897723665", "0.5312"])
+    def test_level_near_zero_is_gated_on_the_criteria_scale(self, capsys, v0):
+        # the gate is abs_err / max(1, |E|), as in the acceptance criteria; an
+        # error over max(1e-12, |E|) read 5.6e3 and 7.8e-4 at these levels
+        code = run([*self._NEAR_ZERO, "--v0", v0])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "verification failed" not in captured.err
+        assert len(lines_of(captured.out)) == 2
+
+    def test_level_near_zero_moved_by_ten_tolerances_fails(self, capsys, monkeypatch):
+        # the oracle level -5.6e-9 moved by 1e-4: abs_err 9.9994e-5 on the scale 1
+        import pdmag.oracle
+
+        tol = 1e-5
+        level = pdmag.oracle.oracle_energy
+
+        def moved(*args, **kwargs):
+            found = level(*args, **kwargs)
+            return found._replace(energy=found.energy + 10 * tol)
+
+        monkeypatch.setattr(pdmag.oracle, "oracle_energy", moved)
+        code = run([*self._NEAR_ZERO, "--v0", "0.5312071897723665", "--tol", str(tol)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "verification failed: worst relative error 9.999e-05 exceeds 1.000e-05" in captured.err
+        assert "oracle-limited" not in captured.err
+
     def test_too_few_cells_for_the_coarsest_grid(self, capsys):
         # n_points // 4 = 0 cells hold no level
         code = run(["verify", "--model", "a", "--nrho-max", "0", "--m-min", "0", "--m-max", "0",
@@ -577,6 +610,20 @@ class TestPlumbing:
     def test_each_command_echoes_its_parameters_once(self, capsys, argv):
         assert run(argv) == 0
         assert capsys.readouterr().err.count("# params:") == 1
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_too_many_states_is_a_validation_error(self, capsys, monkeypatch, command):
+        # was a MemoryError traceback from building the state list
+        import pdmag.cli
+
+        monkeypatch.setattr(pdmag.cli, "verify_states", lambda *a, **k: pytest.fail("oracle ran"))
+        code = run([command, "--model", "a", "--nrho-max", "0", "--m-min", "-1000000000000",
+                    "--m-max", "1000000000000"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert ("error: the state range must hold at most 1000000 states, got 2000000000001"
+                in captured.err)
+        assert "Traceback" not in captured.err
 
     def test_parameters_are_echoed_before_a_command_error(self, capsys):
         # run resolves the parameter set before the command validates its flags

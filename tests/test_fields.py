@@ -10,13 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from nu_reference import verify_curl
 from pdmag.errors import DomainError
 from pdmag.fields import (
     field_table,
     magnetic_field,
     shape_function,
     vector_potential,
-    verify_curl,
 )
 from pdmag.params import PhysicalParams
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 from scipy.special import roots_genlaguerre, roots_jacobi
 
+from nu_reference import model_c_coefficients
 from pdmag.errors import BoundStateError, DomainError
 from pdmag.models import (
     _CLOSED_FORMS,
@@ -23,7 +24,6 @@ from pdmag.models import (
     energy,
     greene_aldrich,
     level_axis,
-    model_c_coefficients,
     reduced_equation,
     wavefunction,
 )

@@ -13,9 +13,17 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from nu_reference import (
+    NUCoefficients,
+    k_minus,
+    lambda_n,
+    lambda_of,
+    model_c_coefficients,
+    nu_quantize,
+    tau_prime,
+)
 from pdmag.errors import DomainError
-from pdmag.models import _CLOSED_FORMS, ModelKind, energy, model_c_coefficients
-from pdmag.nu import NUCoefficients, k_minus, lambda_n, lambda_of, nu_quantize, tau_prime
+from pdmag.models import _CLOSED_FORMS, ModelKind, energy
 from pdmag.params import PhysicalParams, QuantumState
 from pdmag.specfun import jacobi
 

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from nu_reference import model_c_coefficients
 from pdmag import models
 from pdmag.errors import BoundStateError, DomainError
 from pdmag.models import (
     ModelKind,
     curvature,
     energy,
-    model_c_coefficients,
     reduced_equation,
     wavefunction,
 )

@@ -31,8 +31,15 @@ _SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules
 
 
 def test_import_leaves_scipy_unloaded():
-    out = _fresh("-c", f"import sys, pdmag, pdmag.cli; print({_SCIPY_LOADED})")
-    assert out.stdout.strip() == "False"
+    # import pdmag loads its eight modules and no scipy module; the
+    # Nikiforov-Uvarov reference lives under tests/
+    out = _fresh("-c", "import sys, pdmag\n"
+                       "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'pdmag'))\n"
+                       f"import pdmag.cli\nprint({_SCIPY_LOADED})")
+    modules, scipy_loaded = out.stdout.splitlines()
+    assert modules.split() == ["pdmag", "pdmag.errors", "pdmag.fields", "pdmag.models",
+                               "pdmag.oracle", "pdmag.params", "pdmag.specfun", "pdmag.sweeps"]
+    assert scipy_loaded == "False"
 
 
 # every command but verify prints closed forms, which need numpy alone
