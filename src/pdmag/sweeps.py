@@ -212,7 +212,8 @@ def find_crossings(
         return e1 - e2, 0.5 * e1 + 0.5 * e2
 
     grid = np.linspace(lo, hi, scan_steps)
-    d, _ = gap_axis(grid)
+    (e1, e2), _ = level_axis(kind, (s1, s2), params, param_name, grid)
+    d = e1 - e2
     # nan wherever either level is missing, so no comparison below holds there
     found = {i: (grid.item(i), 0.0) for i in np.flatnonzero(d == 0.0).tolist()}
     cell = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)

@@ -450,6 +450,30 @@ class TestVerify:
         assert "eigensolve did not converge" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_surrogate_level_error_and_grid_convergence(self, capsys):
+        # README's two study commands: how far the Greene-Aldrich surrogate
+        # moves model C's level from the stated Hamiltonian's, and how the
+        # oracle's error falls as the grid is refined
+        def rows(*argv):
+            assert run(["verify", *argv, "--tol", "1"]) == 0
+            header, *body = lines_of(capsys.readouterr().out)
+            return [dict(zip(header.split(","), map(float, row.split(",")))) for row in body]
+
+        for delta, rel in (("0.01", 1.58e-2), ("0.1", 0.166)):
+            (row,) = rows("--model", "c", "--nrho-max", "0", "--m-min", "1", "--m-max", "1",
+                          "--mu", "0.15", "--delta", delta, "--target", "exact")
+            assert row["abs_err"] / max(1.0, abs(row["E_closed"])) == pytest.approx(rel, rel=0.01)
+
+        ladder = []
+        for n in ("1000", "2000", "4000", "8000"):
+            ladder += [row for row in rows("--model", "a", "--nrho-max", "1", "--m-min", "1",
+                                           "--m-max", "1", "--beta", "0.5", "--kz", "1",
+                                           "--n-points", n)
+                       if row["n_rho"] == 1]
+        errs = [row["oracle_err"] for row in ladder]
+        assert len(errs) == 4 and errs == sorted(errs, reverse=True) and errs[-1] < errs[0]
+        assert all(row["abs_err"] <= row["oracle_err"] for row in ladder)
+
 
 class TestGreeneAldrich:
     def test_documented_table(self, capsys):
