@@ -22,7 +22,7 @@ from .models import (
     reduced_equation,
     wavefunction,
 )
-from .oracle import OracleLevel, node_count, oracle_energy, radial_potential, residual
+from .oracle import OracleLevel, node_count, oracle_energy, residual
 from .params import PhysicalParams, QuantumState, m_tilde
 from .sweeps import CrossingPoint, SweepSpec, find_crossings, sweep
 
@@ -48,7 +48,6 @@ __all__ = [
     "magnetic_field",
     "node_count",
     "oracle_energy",
-    "radial_potential",
     "reduced_equation",
     "residual",
     "shape_function",

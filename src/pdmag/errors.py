@@ -14,7 +14,7 @@ class BoundStateError(DomainError):
 
 
 class BracketingError(RuntimeError):
-    """A root bracket did not contain a sign change."""
+    """A crossing refinement (sweeps.find_crossings) ran out of steps unconverged."""
 
 
 class NormalizationError(RuntimeError):

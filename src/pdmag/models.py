@@ -145,7 +145,8 @@ class ReducedEquation(NamedTuple):
         return g * np.exp(-self.decay * rho) if self.decay else g
 
     def potential(self, rho, E: float):
-        """W(rho; E)."""
+        """W(rho; E) at rho > 0 (fields._positive)."""
+        rho = _positive(rho)
         r = _inverse_rho(rho, self.delta, self.target)
         return self.c2 * r * r + self.c1 * r + self.smooth(rho) - E * self.mass(rho)
 

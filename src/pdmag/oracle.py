@@ -51,7 +51,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoundStateError, DomainError
-from .fields import _positive, shape_function
 from .models import (
     ModelKind,
     ReducedEquation,
@@ -60,12 +59,10 @@ from .models import (
     reduced_equation,
     wavefunction as closed_form_wavefunction,  # noqa: F401 - hooked by name in perfbench/spans.py
 )
-from .params import PhysicalParams, QuantumState, m_tilde
+from .params import PhysicalParams, QuantumState
 from .sweeps import _MAX_POINTS
 
 __all__ = [
-    "radial_potential",
-    "spectral_target",
     "OracleLevel",
     "oracle_energy",
     "residual",
@@ -104,57 +101,6 @@ def _eval_potential(potential, x: np.ndarray) -> np.ndarray:
         raise DomainError("potential must return one value per node")
     if not np.all(np.isfinite(w)):
         raise DomainError("potential must be finite on the grid")
-    return w
-
-
-# ---------------------------------------------------------------------------
-# Potentials and spectral targets
-# ---------------------------------------------------------------------------
-
-
-def spectral_target(params: PhysicalParams) -> float:
-    """The Et on the right-hand side matching radial_potential's convention.
-
-    At sigma = 1 the constant e^2 B0^2 mu^2 generated by the field terms is
-    absorbed into Et = -(kz^2 + e^2 B0^2 mu^2), the et of every
-    reduced_equation record; for other sigma it stays rho-dependent and
-    only -kz^2 moves across.
-    """
-    if params.sigma == 1.0:
-        return -params.s_squared
-    return -params.kz**2
-
-
-def radial_potential(
-    kind: ModelKind, state: QuantumState, params: PhysicalParams, E: float, target: str = "exact"
-):
-    """Callable W(rho) for the reduced equation at a trial energy E.
-
-    At sigma = 1, W is the potential of models.reduced_equation for the
-    target: 'exact', or 'ga' (model C with delta > 0), which replaces every
-    1/rho by delta/(1 - e^(-delta rho)), the form whose spectrum the model C
-    closed formula reproduces exactly.
-
-    Other sigma values have no closed form and no 'ga' target: there W is
-    the field-free reduced equation (B0 = 0) plus the field terms of the
-    shape function. Pair with spectral_target for the matching right-hand
-    side.
-    """
-    if params.sigma == 1.0:
-        eq = reduced_equation(kind, state, params, target)
-        return lambda rho: eq.potential(_positive(rho), E)
-    if target == "ga" and kind is ModelKind.C:
-        raise DomainError("Greene-Aldrich target requires sigma = 1")
-    field_free = reduced_equation(kind, state, params.replace(b0=0.0, sigma=1.0), target)
-    mt = m_tilde(state, params)
-    e, b0 = params.e, params.b0
-
-    def w(rho):
-        rho = np.asarray(rho, dtype=float)
-        s = shape_function(rho, params)  # owns rho > 0
-        field = -e * mt * b0 * s + (e**2 * b0**2 / 4.0) * rho**2 * s**2
-        return field_free.potential(rho, E) + field
-
     return w
 
 

@@ -1,8 +1,10 @@
 """Each input rule of the reduced radial equation has one owner, whose
 message every public entry that takes the input raises: sigma = 1
 (models.reduced_equation and the level kernels' Invalid.SIGMA), rho > 0
-(fields._positive), the sweepable names (models._check_sweepable) and the
-Greene-Aldrich surrogate's delta > 0 (models._check_ga_delta)."""
+(fields._positive, for the wavefunctions, the field functions, the
+Greene-Aldrich surrogate and the radial potential W of
+ReducedEquation.potential), the sweepable names (models._check_sweepable)
+and the Greene-Aldrich surrogate's delta > 0 (models._check_ga_delta)."""
 
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from pdmag.models import (
     reduced_equation,
     wavefunction,
 )
-from pdmag.oracle import oracle_energy, radial_potential, verify_states
+from pdmag.oracle import oracle_energy, verify_states
 from pdmag.params import PhysicalParams, QuantumState
 from pdmag.sweeps import SweepSpec, find_crossings
 
@@ -65,13 +67,11 @@ def test_sigma_on_a_parameter_axis_is_the_same_rule():
     lambda rho: shape_function(rho, PARAMS),
     lambda rho: magnetic_field(rho, PARAMS),
     lambda rho: vector_potential(rho, PARAMS),
-    lambda rho: radial_potential(ModelKind.A, STATE, PARAMS, 0.3)(rho),
-    lambda rho: radial_potential(ModelKind.C, STATE, PARAMS, 0.3, target="ga")(rho),
-    lambda rho: radial_potential(ModelKind.A, STATE, PARAMS.replace(sigma=0.5), 0.3)(rho),
+    lambda rho: reduced_equation(ModelKind.A, STATE, PARAMS).potential(rho, 0.3),
+    lambda rho: reduced_equation(ModelKind.C, STATE, PARAMS, "ga").potential(rho, 0.3),
     lambda rho: greene_aldrich(rho, 1.0),
 ], ids=["wavefunction-A", "wavefunction-C", "shape_function", "magnetic_field",
-        "vector_potential", "radial_potential", "radial_potential-ga",
-        "radial_potential-sigma", "greene_aldrich"])
+        "vector_potential", "radial_potential", "radial_potential-ga", "greene_aldrich"])
 @pytest.mark.parametrize("rho", [0.0, -1.0, np.array([1.0, 0.0])], ids=["0", "-1", "array"])
 def test_non_positive_rho_has_one_message(entry, rho):
     assert raised(lambda: entry(rho)) == RHO

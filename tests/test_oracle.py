@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from nu_reference import model_c_coefficients
 from pdmag import models
 from pdmag.errors import BoundStateError, DomainError
+from pdmag.fields import shape_function
 from pdmag.models import (
     ModelKind,
     curvature,
@@ -34,12 +35,10 @@ from pdmag.oracle import (
     eigh_tridiagonal,
     node_count,
     oracle_energy,
-    radial_potential,
     residual,
-    spectral_target,
     verify_states,
 )
-from pdmag.params import PhysicalParams, QuantumState
+from pdmag.params import PhysicalParams, QuantumState, m_tilde
 
 
 def oscillator(rho):
@@ -439,75 +438,79 @@ def model_b_bound(state, params):
     return True
 
 
+def general_sigma_equation(kind, state, params, E):
+    """(W(rho), Et) of the reduced equation at any sigma, without the field
+    coefficients of reduced_equation: the field-free record (B0 = 0, so
+    Et = -kz^2) plus the field terms of fields.shape_function, which owns
+    rho > 0. At sigma = 1 its W keeps e^2 B0^2 mu^2, which reduced_equation
+    moves into Et."""
+    field_free = reduced_equation(kind, state, params.replace(b0=0.0, sigma=1.0))
+    mt, e, b0 = m_tilde(state, params), params.e, params.b0
+
+    def w(rho):
+        s = shape_function(rho, params)
+        return field_free.potential(rho, E) - e * mt * b0 * s + (e**2 * b0**2 / 4.0) * rho**2 * s**2
+
+    return w, field_free.et
+
+
 class TestSpectralTarget:
     def test_matches_e_tilde_for_coulomb_shape(self):
         # at sigma = 1 the target is the Et of every reduced_equation record
         params = PhysicalParams(kz=1.0)
         et = reduced_equation(ModelKind.A, QuantumState(0, 0), params).et
-        assert spectral_target(params) == et == -2.0
+        assert et == -params.s_squared == -2.0
 
     def test_general_shape_keeps_only_kz(self):
         params = PhysicalParams(sigma=0.5, kz=1.0)
-        assert spectral_target(params) == -1.0
+        assert general_sigma_equation(ModelKind.A, QuantumState(0, 0), params, 0.0)[1] == -1.0
 
 
 class TestRadialPotential:
-    def test_is_the_reduced_equation_at_sigma_one(self):
-        params = PhysicalParams(beta=0.3, kz=0.5)
-        state = QuantumState(1, 2)
-        w = radial_potential(ModelKind.A, state, params, 0.7)
-        for rho in (0.3, 1.0, 5.0):
-            assert w(rho) == reduced_equation(ModelKind.A, state, params).potential(rho, 0.7)
-
     def test_non_positive_rho_is_a_domain_error(self):
         # the 'ga' form divided by zero at rho = 0 with a RuntimeWarning
         params = PhysicalParams(delta=0.1)
         for kind, target in ((ModelKind.A, "exact"), (ModelKind.C, "ga")):
-            w = radial_potential(kind, QuantumState(0, 1), params, 0.3, target=target)
+            eq = reduced_equation(kind, QuantumState(0, 1), params, target)
             with pytest.raises(DomainError, match="rho must be positive"):
-                w(np.array([1.0, 0.0]))
+                eq.potential(np.array([1.0, 0.0]), 0.3)
             # the closed-form wavefunction takes its rho through the same check
             with pytest.raises(DomainError, match="rho must be positive"):
                 wavefunction(kind, QuantumState(0, 1), params, np.array([-1.0, 1.0]))
 
     def test_sigma_limit_shifts_by_the_absorbed_constant(self):
         # the generic-sigma assembly keeps e^2 B0^2 mu^2 in the potential,
-        # the sigma=1 closed form moves it into the spectral target; the
-        # two conventions must agree about W - Et
+        # the sigma=1 record moves it into the spectral target; the two
+        # conventions must agree about W - Et, which checks the record's
+        # field coefficients against fields.shape_function
         base = PhysicalParams(mu=1.3, kz=0.5, beta=0.2)
         near = base.replace(sigma=1.0 - 1e-12)
         state = QuantumState(0, 1)
-        w_exact = radial_potential(ModelKind.A, state, base, 0.4)
-        w_general = radial_potential(ModelKind.A, state, near, 0.4)
-        shift = spectral_target(near) - spectral_target(base)
+        exact = reduced_equation(ModelKind.A, state, base)
+        w_general, et_general = general_sigma_equation(ModelKind.A, state, near, 0.4)
+        shift = et_general - exact.et
         for rho in (0.5, 1.0, 3.0, 10.0):
-            assert w_general(rho) - w_exact(rho) == pytest.approx(shift, rel=1e-9)
+            assert w_general(rho) - exact.potential(rho, 0.4) == pytest.approx(shift, rel=1e-9)
 
     def test_generic_sigma_spectrum_is_finite_and_ordered(self):
         params = PhysicalParams(sigma=0.5, kz=1.0)
         state = QuantumState(0, 1)
-        w = radial_potential(ModelKind.A, state, params, 0.0)
+        w, _ = general_sigma_equation(ModelKind.A, state, params, 0.0)
         # m_tilde = 1 puts 3/4 rho^-2 in W, i.e. p = 3/2; the rest is smooth
         vals = fv_levels(0.0, 30.0, 4000, 3, smooth=lambda r: w(r) - 0.75 / r**2, p=1.5)
         assert np.all(np.isfinite(vals))
         assert np.all(np.diff(vals) > 0)
 
     def test_ga_target_guards(self):
-        # reduced_equation owns the target's rules; radial_potential passes
-        # its errors on unchanged and adds the sigma rule of its sigma != 1 branch
+        # reduced_equation owns the target's rules
         params = PhysicalParams(delta=0.1)
         state = QuantumState(0, 1)
-        for build in (reduced_equation, lambda *a, target: radial_potential(*a, 0.0, target=target)):
-            with pytest.raises(DomainError, match="^Greene-Aldrich target applies to model C only$"):
-                build(ModelKind.A, state, params, target="ga")
-            with pytest.raises(DomainError, match="^Greene-Aldrich target requires delta > 0$"):
-                build(ModelKind.C, state, PhysicalParams(), target="ga")
-            with pytest.raises(DomainError, match="^target must be 'exact' or 'ga', got 'bogus'$"):
-                build(ModelKind.C, state, params, target="bogus")
-        with pytest.raises(DomainError, match="^Greene-Aldrich target requires sigma = 1$"):
-            radial_potential(ModelKind.C, state, params.replace(sigma=0.5), 0.0, target="ga")
-        with pytest.raises(DomainError, match="model C only"):
-            radial_potential(ModelKind.A, state, params.replace(sigma=0.5), 0.0, target="ga")
+        with pytest.raises(DomainError, match="^Greene-Aldrich target applies to model C only$"):
+            reduced_equation(ModelKind.A, state, params, target="ga")
+        with pytest.raises(DomainError, match="^Greene-Aldrich target requires delta > 0$"):
+            reduced_equation(ModelKind.C, state, PhysicalParams(), target="ga")
+        with pytest.raises(DomainError, match="^target must be 'exact' or 'ga', got 'bogus'$"):
+            reduced_equation(ModelKind.C, state, params, target="bogus")
         assert reduced_equation(ModelKind.C, state, params, "ga").target == "ga"
         assert reduced_equation(ModelKind.C, state, params).target == "exact"
 
@@ -515,16 +518,16 @@ class TestRadialPotential:
         params = PhysicalParams(mu=0.15, delta=0.05)
         state = QuantumState(0, 1)
         E = energy(ModelKind.C, state, params)
-        w_ga = radial_potential(ModelKind.C, state, params, E, target="ga")
-        w_ex = radial_potential(ModelKind.C, state, params, E, target="exact")
-        gaps = [abs(w_ga(rho) - w_ex(rho)) for rho in (0.05, 0.5, 2.0)]
-        assert gaps[0] < 0.02 * abs(w_ex(0.05))
+        w_ga = reduced_equation(ModelKind.C, state, params, "ga").potential
+        w_ex = reduced_equation(ModelKind.C, state, params, "exact").potential
+        gaps = [abs(w_ga(rho, E) - w_ex(rho, E)) for rho in (0.05, 0.5, 2.0)]
+        assert gaps[0] < 0.02 * abs(w_ex(0.05, E))
 
 
 class TestSplit:
     """The oracle integrates W as c2/rho^2 + c1/rho + smooth - E g, all read
     from the record of models.reduced_equation (its split and mass);
-    reassembled, that is radial_potential."""
+    reassembled, that is the record's potential."""
 
     PARAMS = PhysicalParams(mu=0.4, beta=-0.7, kz=0.3, alpha_ab=0.2, eta=1.3, delta=0.15,
                             v0=0.3, v1=0.2, v2=0.1)
@@ -540,7 +543,7 @@ class TestSplit:
         c2, c1, smooth = eq.split()
         rho = np.geomspace(1e-3, 80.0, 60)
         assembled = c2 / rho**2 + c1 / rho + smooth(rho) - E * eq.mass(rho)
-        expected = radial_potential(kind, state, self.PARAMS, E, target=target)(rho)
+        expected = eq.potential(rho, E)
         scale = np.abs(c2) / rho**2 + np.abs(c1) / rho + 1.0
         assert np.max(np.abs(assembled - expected) / scale) <= 1e-13
 
@@ -556,7 +559,7 @@ class TestSplit:
         eq = reduced_equation(kind, state, self.PARAMS, target)
         far = eq.potential(np.array([1e9]), 1.7)[0] - eq.et
         assert eq.tail == pytest.approx(far, rel=1e-12, abs=1e-8)
-        assert eq.et == spectral_target(self.PARAMS)
+        assert eq.et == -self.PARAMS.s_squared
         if target == "ga":  # the closed form's radicand
             assert eq.tail == pytest.approx(ga_radicand(state, self.PARAMS), rel=1e-13)
         elif kind is ModelKind.C:  # a4 = a4t delta^2, bit for bit s^2 + b0
@@ -700,6 +703,27 @@ class TestOracleEnergy:
         # no level above the fall-to-center threshold on its own
         with pytest.raises(BoundStateError, match="no level n_rho = 1"):
             oracle_energy(ModelKind.B, QuantumState(1, 1), unit_params)
+
+    @pytest.mark.parametrize("kind, params", [(ModelKind.A, PhysicalParams(v2=-1.0)),
+                                              (ModelKind.C, PhysicalParams(v2=-1.0, delta=0.1))],
+                             ids=["A", "C"])
+    def test_fall_to_center_has_no_level(self, kind, params):
+        # c2 = m_tilde^2 + 1/16 - 1/4 + v2 below -1/4: without model B's E in
+        # c2 no grid power p = 1/2 + sqrt(c2 + 1/4) exists
+        message = "fall to center: centrifugal strength c2 = -1.1875 is below -1/4, no lowest level"
+        with pytest.raises(BoundStateError, match=f"^{message}$"):
+            oracle_energy(kind, QuantumState(0, 0), params)
+
+    def test_one_cell_grid_is_its_diagonal_entry(self, unit_params, monkeypatch):
+        # n_points = 4 starts the ladder on one cell, which eigh_tridiagonal
+        # answers without LAPACK; the coarse level's error estimate still
+        # bounds its error
+        assert eigh_tridiagonal(np.array([2.5]), np.array([]), 0) == 2.5
+        sizes = grid_sizes(monkeypatch)
+        (row,), _ = verify_states(ModelKind.A, [QuantumState(0, 0)], unit_params, n_points=4)
+        assert sizes == [1, 2, 4, 8]
+        assert row.e_closed == 1.5 and row.e_oracle == pytest.approx(2.3435, abs=1e-4)
+        assert row.abs_err <= row.oracle_err == pytest.approx(0.8747, abs=1e-4)
 
     def test_eigensolves_per_level(self, unit_params, weak_field_params, monkeypatch):
         # the ladder solves 1000, 2000 and 4000 cells and stops when its
@@ -1014,7 +1038,7 @@ def power_moved(build, eps):
 
 class TestResidual:
     def test_closed_form_curvature_route(self, unit_params):
-        # U and U'' from models.curvature, W from radial_potential
+        # U and U'' from models.curvature, W and Et from reduced_equation
         assert closed_form_residual(ModelKind.A, QuantumState(1, 1), unit_params) <= 1e-12
 
     def test_shifted_target_shows_up_linearly(self, unit_params):

@@ -187,9 +187,14 @@ def test_oracle_level_makes_one_eigensolve_call_per_grid(monkeypatch):
 
 
 def test_every_exported_name_resolves():
-    # a deleted function must not leave a dangling name in pdmag.__all__
-    pdmag = importlib.import_module("pdmag")
-    missing = [name for name in pdmag.__all__ if not hasattr(pdmag, name)]
+    # a deleted function must not leave a dangling name in the __all__ of
+    # pdmag or of any of its modules (errors has none; __main__ runs the CLI)
+    stems = [path.stem for path in sorted((ROOT / "src" / "pdmag").glob("*.py"))]
+    modules = [importlib.import_module("pdmag")] + [
+        importlib.import_module(f"pdmag.{stem}") for stem in stems
+        if stem not in ("__init__", "__main__", "errors")]
+    missing = [f"{module.__name__}.{name}" for module in modules for name in module.__all__
+               if not hasattr(module, name)]
     assert missing == []
 
 
