@@ -94,11 +94,7 @@ _LADDER_TOL = 1e-6
 
 def _eval_potential(potential, x: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):  # a value that is not finite is rejected below
-        w = np.asarray(potential(x), dtype=float)
-    if w.ndim == 0:
-        w = np.full(x.shape, float(w))
-    if w.shape != x.shape:
-        raise DomainError("potential must return one value per node")
+        w = np.broadcast_to(np.asarray(potential(x), dtype=float), x.shape)  # a constant too
     if not np.all(np.isfinite(w)):
         raise DomainError("potential must be finite on the grid")
     return w
@@ -116,65 +112,6 @@ def _powint(edges: np.ndarray, q: float) -> np.ndarray:
     return np.diff(edges ** (q + 1.0)) / (q + 1.0)
 
 
-@dataclass(frozen=True)
-class _FVGrid:
-    """Cells of the finite-volume scheme for U = rho^p v on (0, rho_max].
-
-    Nodes sit at rho_i = i h, i = 1..n; cell i spans [i - 1/2, i + 1/2] h
-    except the origin cell [0, 3/2] h, which carries no flux through
-    rho = 0. Cell integrals are kept in units of h, scaled by h^(-2p):
-    coul_i and moment_i are the integrals of s^(2p-1) and s^(2p) over the
-    cell in s = rho/h. Only powers of rho are integrated exactly.
-    """
-
-    p: float
-    h: float
-    index: np.ndarray
-    edges: np.ndarray
-    coul: np.ndarray
-    moment: np.ndarray
-
-    @classmethod
-    def build(cls, p: float, rho_max: float, n_points: int) -> "_FVGrid":
-        i = np.arange(1, n_points + 1, dtype=float)
-        edges = np.concatenate(([0.0], i + 0.5))  # the n + 1 cell edges
-        return cls(
-            p=p,
-            h=rho_max / n_points,
-            index=i,
-            edges=edges,
-            coul=_powint(edges, 2.0 * p - 1.0),
-            moment=_powint(edges, 2.0 * p),
-        )
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.index * self.h
-
-    @property
-    def mass(self) -> np.ndarray:
-        """Cell integral of the weight rho^(2p): the M of the pencil."""
-        return self.moment * self.h
-
-    def operator(self, c1: float, smooth=None):
-        """(diagonal, off-diagonal) of -(w v')' + w (c1/rho + smooth) v."""
-        h = self.h
-        aflux = 1.0 / _powint(np.arange(1.0, self.index.size + 2), -2.0 * self.p)  # nodes 1..n+1
-        a_left = np.concatenate(([0.0], aflux[:-1]))
-        diag = (a_left + aflux) / h + c1 * self.coul
-        if smooth is not None:
-            diag = diag + _eval_potential(smooth, self.nodes) * self.mass
-        return diag, -aflux[:-1] / h
-
-    def weight(self, power: int, g) -> np.ndarray:
-        """G_i: the exact cell integral of rho^(2p - power) times rho^power g at its centroid."""
-        lower, upper = self.coul, self.mass  # the integrals of rho^(2p - 1) and rho^(2p)
-        if power == 2:  # g ~ 1/rho^2: integrate rho^(2p - 2), its centroid needs rho^(2p - 1)
-            lower, upper = _powint(self.edges, 2.0 * self.p - 2.0) / self.h, lower
-        rho = upper / lower
-        return lower * rho**power * g(rho)
-
-
 def eigh_tridiagonal(d, e, index: int, guess=None):
     """Eigenvalue `index` (from 0) of the symmetric tridiagonal matrix (d, e).
 
@@ -188,7 +125,7 @@ def eigh_tridiagonal(d, e, index: int, guess=None):
     bisection: a guess changes the cost, never which eigenvalue is returned.
 
     The first call loads scipy.linalg's _flapack extension alone
-    (_linalg_extension), so importing pdmag loads numpy alone. _pencil looks
+    (_linalg_extension), so importing pdmag loads numpy alone. _rung looks
     this name up at call time, so it can be replaced on the module (timing
     hooks, tests).
     """
@@ -297,15 +234,39 @@ def _sturm_counts(d, e, lo: float, hi: float) -> tuple[int, int]:
     return counts[1].value, counts[2].value
 
 
-def _pencil(diag, off, weight, index: int, guess=None):
-    """Eigenvalue `index` of the tridiagonal pencil (diag, off) v = lam weight v.
+def _rung(n: int, p: float, rho_max: float, c1: float, smooth, mass, power: int, et: float,
+          index: int, guess=None) -> float:
+    """Eigenvalue `index` of one rung's pencil (H - et M) v = lam G v for
+    U = rho^p v on n cells of (0, rho_max], H v = -(w v')' + w (c1/rho +
+    smooth) v with w = rho^(2p), and G the weight of g = mass, g ~ rho^(-power).
 
-    Scaled by weight^(-1/2) to a symmetric tridiagonal problem and solved by
-    eigh_tridiagonal, from `guess` when its result is certified.
+    Nodes sit at rho_i = i h, i = 1..n; cell i spans [i - 1/2, i + 1/2] h
+    except the origin cell [0, 3/2] h, which carries no flux through
+    rho = 0. Cell integrals are kept in units of h, scaled by h^(-2p), and
+    only powers of rho are integrated exactly: coul and moment are the
+    integrals of s^(2p-1) and s^(2p) over a cell in s = rho/h, and G_i is
+    the exact cell integral of rho^(2p - power) times rho^power g at its
+    centroid. The pencil is scaled by G^(-1/2) to a symmetric tridiagonal
+    problem and solved by eigh_tridiagonal, from `guess` when its result
+    is certified.
     """
+    h = rho_max / n
+    i = np.arange(1, n + 1, dtype=float)
+    edges = np.concatenate(([0.0], i + 0.5))  # the n + 1 cell edges
+    coul, moment = _powint(edges, 2.0 * p - 1.0), _powint(edges, 2.0 * p)
+    cell = moment * h  # the cell integral of rho^(2p): the M of the pencil
+    aflux = 1.0 / _powint(np.arange(1.0, n + 2), -2.0 * p)  # nodes 1..n+1
+    diag = (np.concatenate(([0.0], aflux[:-1])) + aflux) / h + c1 * coul
+    if smooth is not None:
+        diag = diag + _eval_potential(smooth, i * h) * cell
+    lower, upper = coul, cell  # the integrals of rho^(2p - 1) and rho^(2p)
+    if power == 2:  # g ~ 1/rho^2: integrate rho^(2p - 2), its centroid needs rho^(2p - 1)
+        lower, upper = _powint(edges, 2.0 * p - 2.0) / h, lower
+    rho = upper / lower
+    weight = lower * rho**power * mass(rho)
     d = np.sqrt(weight)
-    a = diag / weight
-    b = off / (d[:-1] * d[1:])
+    a = (diag - et * cell) / weight
+    b = -aflux[:-1] / h / (d[:-1] * d[1:])
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("finite-volume pencil must be finite on the grid")
     try:
@@ -371,7 +332,7 @@ def _level(eq: ReducedEquation, state, n_points) -> OracleLevel:
     the level's one full bisection; if model B has no level there, the
     ladder starts at n/2. Every finer grid keeps that grid's p and Eg and
     takes the level of the grid before it as its guess. Each grid's
-    pencil follows one rule (eq.split, _FVGrid.weight) for every model.
+    pencil follows one rule (eq.split, _rung) for every model.
     """
     c2, c1, smooth = eq.split()
     et, rho_max = eq.et, 25.0 / math.sqrt(eq.tail)
@@ -382,10 +343,7 @@ def _level(eq: ReducedEquation, state, n_points) -> OracleLevel:
         )
 
     def solve(n: int, u: float, e_g: float, guess=None) -> float:
-        grid = _FVGrid.build(0.5 + u, rho_max, n)
-        diag, off = grid.operator(c1, smooth)
-        weight = grid.weight(eq.power, eq.mass)
-        return e_g + _pencil(diag - et * grid.mass, off, weight, state.n_rho, guess)
+        return e_g + _rung(n, 0.5 + u, rho_max, c1, smooth, eq.mass, eq.power, et, state.n_rho, guess)
 
     def fixed_point(n: int):
         u, e_g = (0.5, c2 / eta) if eta else (math.sqrt(c2 + 0.25), 0.0)
@@ -456,7 +414,7 @@ def oracle_energy(
     if not eq.tail > 0:
         raise BoundStateError(f"no bound spectrum: W(inf) - Et = {eq.tail} must be positive "
                               "for a decaying tail")
-    with np.errstate(all="ignore"):  # _pencil rejects a pencil that is not finite
+    with np.errstate(all="ignore"):  # _rung rejects a pencil that is not finite
         return _level(eq, state, n_points)
 
 

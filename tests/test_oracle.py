@@ -29,8 +29,7 @@ from pdmag.models import (
 from pdmag.oracle import (
     _CERT_TOL,
     _EIG_TOL,
-    _FVGrid,
-    _pencil,
+    _rung,
     _sturm_counts,
     eigh_tridiagonal,
     node_count,
@@ -46,17 +45,56 @@ def oscillator(rho):
 
 
 def fv_levels(c1, rho_max, n_points, count, smooth=None, p=1.0):
-    """Lowest levels of -U'' + [p(p-1)/rho^2 + c1/rho + smooth] U = Et U."""
-    grid = _FVGrid.build(p, rho_max, n_points)
-    diag, off = grid.operator(c1, smooth)
-    return np.array([_pencil(diag, off, grid.mass, k) for k in range(count)])
+    """Lowest levels of -U'' + [p(p-1)/rho^2 + c1/rho + smooth] U = Et U: the
+    rung's pencil at et = 0 with g = 1, whose weight is M."""
+    return np.array([_rung(n_points, p, rho_max, c1, smooth, np.ones_like, 1, 0.0, k)
+                     for k in range(count)])
 
 
-def coulomb_pencil(rho_max, n_points):
-    """(diag, off, weight) of -U'' + U/4 = Z U/rho on the finite-volume cells (p = 1)."""
-    grid = _FVGrid.build(1.0, rho_max, n_points)
-    diag, off = grid.operator(0.0)
-    return diag + 0.25 * grid.mass, off, grid.coul
+def coulomb_charges(n_points, count):
+    """Lowest charges Z of -U'' + U/4 = Z U/rho on (0, 60] (p = 1): the rung's
+    pencil at et = -1/4 with g = 1/rho."""
+    return np.array([_rung(n_points, 1.0, 60.0, 0.0, None, np.reciprocal, 1, -0.25, k)
+                     for k in range(count)])
+
+
+def powint(a, b, q):
+    """The integral of s^q from a to b, cell by cell."""
+    if abs(q + 1.0) < 1e-14:
+        return np.log(b / a)
+    return (b ** (q + 1.0) - a ** (q + 1.0)) / (q + 1.0)
+
+
+def per_cell_pencil(p, rho_max, n_points, c1=0.0, et=0.0, power=1, mass=np.reciprocal):
+    """(diag, off, weight) of the rung's pencil, cell by cell from the scheme:
+    the flux rho^(2p) integrated inverse between nodes, c1 times the cell
+    integral of rho^(2p-1), -et times that of rho^(2p), and the weight of
+    g = mass, the cell integral of rho^(2p - power) times rho^power g at its
+    centroid. Cell integrals are in units of h, scaled by h^(-2p)."""
+    h = rho_max / n_points
+    i = np.arange(1, n_points + 1, dtype=float)
+    lo, hi = np.where(i == 1.0, 0.0, i - 0.5), i + 0.5
+    coul, cell = powint(lo, hi, 2.0 * p - 1.0), powint(lo, hi, 2.0 * p) * h
+    flux = 1.0 / powint(np.arange(1.0, n_points + 1), np.arange(2.0, n_points + 2), -2.0 * p)
+    diag = (np.concatenate(([0.0], flux[:-1])) + flux) / h + c1 * coul
+    lower, upper = coul, cell
+    if power == 2:
+        lower, upper = powint(lo, hi, 2.0 * p - 2.0) / h, coul
+    rho = upper / lower
+    return diag - et * cell, -flux[:-1] / h, lower * rho**power * mass(rho)
+
+
+def rung_matrix(monkeypatch, *args):
+    """The symmetric tridiagonal (a, b) the rung hands to eigh_tridiagonal."""
+    import pdmag.oracle
+
+    seen = []
+    solve = pdmag.oracle.eigh_tridiagonal
+    monkeypatch.setattr(pdmag.oracle, "eigh_tridiagonal",
+                        lambda a, b, *rest: seen.append((a, b)) or solve(a, b, *rest))
+    _rung(*args, 0)
+    monkeypatch.undo()
+    return seen[0]
 
 
 class TestFdEigenvalues:
@@ -72,9 +110,7 @@ class TestFdEigenvalues:
         np.testing.assert_allclose(vals, exact, rtol=1e-4)
 
     def test_coulomb_charges_as_pencil_eigenvalues(self):
-        diag, off, weight = coulomb_pencil(60.0, 8000)
-        charges = [_pencil(diag, off, weight, k) for k in range(3)]
-        np.testing.assert_allclose(charges, [1.0, 2.0, 3.0], rtol=1e-4)
+        np.testing.assert_allclose(coulomb_charges(8000, 3), [1.0, 2.0, 3.0], rtol=1e-4)
 
     def test_second_order_convergence(self):
         exact = 3.0
@@ -95,11 +131,10 @@ class TestFdEigenvalues:
         # with the dense generalized problem T v = Z diag(weight) v
         from scipy.linalg import eigh
 
-        diag, off, weight = coulomb_pencil(60.0, 300)
+        diag, off, weight = per_cell_pencil(1.0, 60.0, 300, et=-0.25)
         dense = eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), np.diag(weight),
                      eigvals_only=True)
-        for k in range(2):
-            assert _pencil(diag, off, weight, k) == pytest.approx(dense[k], rel=1e-10)
+        np.testing.assert_allclose(coulomb_charges(300, 2), dense[:2], rtol=1e-10)
 
     def test_count_validation(self, unit_params):
         state = QuantumState(0, 0)
@@ -124,51 +159,44 @@ class TestFdEigenvalues:
             raise np.linalg.LinAlgError("stebz (eigh_tridiagonal) did not converge")
 
         monkeypatch.setattr(pdmag.oracle, "eigh_tridiagonal", fail)
-        diag, off, weight = coulomb_pencil(60.0, 100)
         with pytest.raises(DomainError, match="eigensolve did not converge"):
-            _pencil(diag, off, weight, 0)
+            coulomb_charges(100, 1)
 
     def test_nonfinite_potential_rejected(self):
         with pytest.raises(DomainError, match="finite"):
             fv_levels(0.0, 10.0, 500, 1, smooth=lambda r: np.where(r < 5.0, 0.0, np.inf))
-        with pytest.raises(DomainError, match="one value per node"):
-            fv_levels(0.0, 10.0, 500, 1, smooth=lambda r: np.array([1.0, 2.0]))
 
 
 class TestFVGrid:
     @pytest.mark.parametrize("p", [0.5, 0.75, 1.0, 1.3, 2.7])
-    def test_cell_integrals_match_the_per_cell_formula(self, p):
-        # _powint takes each power once per edge; the cell integrals must
-        # equal the per-cell formula below bit for bit
-        def powint(a, b, q):
-            if abs(q + 1.0) < 1e-14:
-                return np.log(b / a)
-            return (b ** (q + 1.0) - a ** (q + 1.0)) / (q + 1.0)
+    def test_cell_integrals_match_the_per_cell_formula(self, p, monkeypatch):
+        # _powint takes each power once per edge; the scaled pencil the rung
+        # solves must equal the one built from the per-cell formula. At
+        # p = 1/2 the flux and the inverse-square integrals take the log branch
+        def scaled(diag, off, weight):
+            d = np.sqrt(weight)
+            return diag / weight, off / (d[:-1] * d[1:])
 
-        grid = _FVGrid.build(p, 40.0, 4000)
-        i = grid.index
-        cell_lo, cell_hi = np.where(i == 1.0, 0.0, i - 0.5), i + 0.5
-        assert np.array_equal(grid.coul, powint(cell_lo, cell_hi, 2.0 * p - 1.0))
-        assert np.array_equal(grid.moment, powint(cell_lo, cell_hi, 2.0 * p))
-        # at p = 1/2 the flux and the inverse-square integrals take the log
-        # branch; the latter is infinite in the origin cell
-        _, off = grid.operator(0.0)
-        assert np.array_equal(off, -1.0 / powint(i, i + 1.0, -2.0 * p)[:-1] / grid.h)
-        # model B's weight g = eta/rho^2 is eta times the cell integral of
-        # rho^(2p-2), up to the rounding of rho-bar^2 g(rho-bar)
-        eq_b = reduced_equation(ModelKind.B, QuantumState(0, 1), PhysicalParams(eta=1.3))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weight = grid.weight(2, eq_b.mass)
-            expected = 1.3 * powint(cell_lo, cell_hi, 2.0 * p - 2.0) / grid.h
-        if p == 0.5:  # the origin cell's integral is infinite and its rho-bar is 0
-            assert not (np.isfinite(weight[0]) or np.isfinite(expected[0]))
-            weight, expected = weight[1:], expected[1:]
-        assert np.max(np.abs(weight / expected - 1.0)) <= 1e-14
         # models A and C (g ~ 1/rho): coul times rho g at the centroid of
         # rho^(2p-1), bit for bit
         eq_c = reduced_equation(ModelKind.C, QuantumState(0, 1), PhysicalParams(delta=0.2))
-        rho = grid.h * grid.moment / grid.coul
-        assert np.array_equal(grid.weight(1, eq_c.mass), grid.coul * rho * eq_c.mass(rho))
+        a, b = rung_matrix(monkeypatch, 4000, p, 40.0, 0.7, None, eq_c.mass, 1, -0.3)
+        a_ref, b_ref = scaled(*per_cell_pencil(p, 40.0, 4000, 0.7, -0.3, 1, eq_c.mass))
+        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+        # model B's weight g = eta/rho^2 is eta times the cell integral of
+        # rho^(2p-2), up to the rounding of rho-bar^2 g(rho-bar)
+        eq_b = reduced_equation(ModelKind.B, QuantumState(0, 1), PhysicalParams(eta=1.3))
+        if p == 0.5:  # the origin cell's integral is infinite and its rho-bar is 0
+            with np.errstate(divide="ignore", invalid="ignore"), \
+                    pytest.raises(DomainError, match="must be finite on the grid"):
+                _rung(4000, p, 40.0, 0.7, None, eq_b.mass, 2, -0.3, 0)
+            return
+        a, b = rung_matrix(monkeypatch, 4000, p, 40.0, 0.7, None, eq_b.mass, 2, -0.3)
+        i = np.arange(1, 4001, dtype=float)
+        weight = 1.3 * powint(np.where(i == 1.0, 0.0, i - 0.5), i + 0.5, 2.0 * p - 2.0) / 0.01
+        a_ref, b_ref = scaled(*per_cell_pencil(p, 40.0, 4000, 0.7, -0.3)[:2], weight)
+        assert np.max(np.abs(a / a_ref - 1.0)) <= 1e-14
+        assert np.max(np.abs(b / b_ref - 1.0)) <= 1e-14
 
 
 @st.composite
@@ -589,9 +617,10 @@ class TestSplit:
         eq = reduced_equation(ModelKind.C, QuantumState(1, 2), self.PARAMS, "ga")
         c2, c1, smooth = eq.split()
         d = eq.delta
-        if nodes == "h_1e-6":
-            grid = _FVGrid.build(1.0, 4e-3, 4000)
-            rho = grid.index * grid.h
+        if nodes == "h_1e-6":  # the nodes of a rung of 4000 cells on (0, 4e-3]
+            seen = []
+            _rung(4000, 1.0, 4e-3, c1, lambda r: seen.append(r) or smooth(r), eq.mass, 1, eq.et, 0)
+            (rho,) = seen
         else:
             rho = np.geomspace(1e-8, 50.0, 400) / d
         t = t_hat(d * rho)
@@ -1085,7 +1114,7 @@ class TestNodeCount:
         # sampled radial functions (pencil eigenvectors) go in as plain arrays
         from scipy.linalg import eigh_tridiagonal as solve
 
-        diag, off, weight = coulomb_pencil(60.0, 2000)
+        diag, off, weight = per_cell_pencil(1.0, 60.0, 2000, et=-0.25)
         d = np.sqrt(weight)
         _, vecs = solve(diag / weight, off / (d[:-1] * d[1:]), select="i", select_range=(0, 2))
         assert [node_count(vecs[:, k]) for k in range(3)] == [0, 1, 2]
