@@ -16,9 +16,13 @@ weight g ~ rho^(-power)), so the power law at the origin keeps the second
 order of convergence. G is diagonal: each grid costs one symmetric
 tridiagonal eigensolve.
 
-The grids span (0, 25/sqrt(W(inf) - Et)] and form a ladder n/4, n/2, n, 2n
-(n = n_points), extrapolated in h^2 and h^q, q = min(2p + 1, 4), to the
-level and its error (_extrapolate). A level's first eigensolve is a Sturm
+The oracle solves the record in canonical units (oracle_energy): rho in
+decay lengths 1/kappa, kappa^2 = W(inf) - Et, and eta = 1, so a level and
+its error estimate do not depend on the units of eta or of 1/rho, and
+E = lam kappa^(2 - power) / eta. There one function (_rung) assembles and
+solves each grid's pencil. The grids span 25 decay lengths, (0, 25], and
+form a ladder n/4, n/2, n, 2n (n = n_points), extrapolated in h^2 and h^q,
+q = min(2p + 1, 4), to the level and its error (_extrapolate). A level's first eigensolve is a Sturm
 bisection; every later one runs Rayleigh-quotient iteration from the level
 it expects and keeps the result only when a two-sided Sturm count (one pass
 of LAPACK's dlarrc) certifies it to _CERT_TOL, else it bisects.
@@ -31,8 +35,9 @@ oracle only decides how to discretize, and never calls a closed-form level.
 
 Model B (g = eta/rho^2) puts E into c2(E) = c2 - eta E and so into p: at
 a trial energy Eg the grid's p absorbs c2(Eg)/rho^2 and the eigenvalue is
-E - Eg. Moving Eg to each new E until the step is at most _FIXED_POINT_TOL
-takes about five eigensolves on the ladder's first grid (_level).
+E - Eg. Moving Eg to each new E until the step in eta E is at most
+_FIXED_POINT_TOL takes about five eigensolves on the ladder's first grid
+(_level).
 
 verify_states checks each closed form on its own, apart from the oracle:
 models.curvature evaluates U and its exact U'' on the Gauss nodes of the
@@ -315,18 +320,20 @@ def _extrapolate(sizes, levels, q: float) -> OracleLevel | None:
 
 
 def _level(eq: ReducedEquation, state, n_points) -> OracleLevel:
-    """Level n_rho on the grid ladder n/4, n/2, n, 2n (n = n_points), as far as it goes.
+    """Level n_rho of a record in canonical units (eta = 1, W(inf) - Et = 1,
+    see oracle_energy) on the grid ladder n/4, n/2, n, 2n (n = n_points)
+    over (0, 25], 25 decay lengths, as far as it goes.
 
     On each grid the level is the fixed point E = Eg + lam(Eg) of the
     weighted pencil. At a trial energy Eg the grid's p = 1/2 + u,
     u = sqrt(c2(Eg) + 1/4), absorbs c2(Eg)/rho^2, and lam is the pencil
     eigenvalue. In models A and C, c2 does not depend on E, so Eg = 0 and
-    one solve is the level. In model B one step is exact in the continuum
-    and only the scheme's dependence on p is left, so the iteration settles
-    in a few solves. It starts at p = 1 (Eg = c2/eta), not at p(0) >= 1,
-    whose v ~ rho^(p* - p) is singular at the origin for a level with a
-    smaller p*; an iterate at or past the fall-to-center threshold
-    c2(E) = -1/4 halves u instead.
+    one solve is the level. In model B, c2(E) = c2 - E: one step is exact
+    in the continuum and only the scheme's dependence on p is left, so the
+    iteration settles in a few solves. It starts at p = 1 (Eg = c2), not
+    at p(0) >= 1, whose v ~ rho^(p* - p) is singular at the origin for a
+    level with a smaller p*; an iterate at or past the fall-to-center
+    threshold c2(E) = -1/4 halves u instead.
 
     The fixed point runs on the ladder's first grid, whose first solve is
     the level's one full bisection; if model B has no level there, the
@@ -335,30 +342,29 @@ def _level(eq: ReducedEquation, state, n_points) -> OracleLevel:
     pencil follows one rule (eq.split, _rung) for every model.
     """
     c2, c1, smooth = eq.split()
-    et, rho_max = eq.et, 25.0 / math.sqrt(eq.tail)
-    eta = eq.eta if eq.power == 2 else 0.0  # E's share of the centrifugal strength
-    if not eta and c2 + 0.25 < 0:
+    in_c2 = eq.power == 2  # model B: the level enters the centrifugal strength
+    if not in_c2 and c2 + 0.25 < 0:
         raise BoundStateError(
             f"fall to center: centrifugal strength c2 = {c2} is below -1/4, no lowest level"
         )
 
     def solve(n: int, u: float, e_g: float, guess=None) -> float:
-        return e_g + _rung(n, 0.5 + u, rho_max, c1, smooth, eq.mass, eq.power, et, state.n_rho, guess)
+        return e_g + _rung(n, 0.5 + u, 25.0, c1, smooth, eq.mass, eq.power, eq.et, state.n_rho, guess)
 
     def fixed_point(n: int):
-        u, e_g = (0.5, c2 / eta) if eta else (math.sqrt(c2 + 0.25), 0.0)
+        u, e_g = (0.5, c2) if in_c2 else (math.sqrt(c2 + 0.25), 0.0)
         guess = None  # the first solve bisects the whole interval
         for _ in range(100):
             e = solve(n, u, e_g, guess)
-            if not eta or abs(e - e_g) <= _FIXED_POINT_TOL:
+            if not in_c2 or abs(e - e_g) <= _FIXED_POINT_TOL:
                 return e, u, e_g
-            u_sq = c2 + 0.25 - eta * e
+            u_sq = c2 + 0.25 - e
             if u_sq > 0:
                 u, e_g = math.sqrt(u_sq), e
             else:
                 u *= 0.5
-                e_g = (c2 + 0.25 - u * u) / eta
-                if u * u <= eta * _FIXED_POINT_TOL:  # the threshold is within the tolerance
+                e_g = c2 + 0.25 - u * u
+                if u * u <= _FIXED_POINT_TOL:  # the threshold is within the tolerance
                     raise BoundStateError(
                         f"model B has no level n_rho = {state.n_rho} (m = {state.m}) "
                         "above the fall-to-center threshold on this grid"
@@ -395,12 +401,17 @@ def oracle_energy(
     built once; it rejects sigma != 1 (the singular split exists only
     there) and a target other than 'exact' and 'ga' (model C with
     delta > 0), and it has no bound spectrum (BoundStateError) unless
-    its tail W(inf) - Et is positive. Returns OracleLevel(energy, error)
-    from _level's grids on (0, 25/sqrt(W(inf) - Et)] at the record's Et:
-    n_points // 4, n_points // 2 and n_points cells, the coarsest of which
-    must hold the level, and 2 n_points too when the fit of the first three
-    levels is not settled to _LADDER_TOL (_extrapolate). So n_points is the
-    finest grid of a settled level and half the finest of any other.
+    its tail W(inf) - Et = kappa^2 is positive.
+
+    The record is rescaled to canonical units, where W(inf) - Et = 1 and
+    eta = 1: c1/kappa, b0/kappa^2, v0/kappa, delta/kappa, decay/kappa and
+    Et/kappa^2, with c2 and power unchanged. _level's grids there span 25
+    decay lengths, (0, 25]: n_points // 4, n_points // 2 and n_points
+    cells, the coarsest of which must hold the level, and 2 n_points too
+    when the fit of the first three levels is not settled to _LADDER_TOL
+    (_extrapolate). So n_points is the finest grid of a settled level and
+    half the finest of any other. Returns OracleLevel(energy, error) from
+    the canonical level lam and its error, each times kappa^(2 - power) / eta.
     """
     eq = reduced_equation(kind, state, params, target)
     if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 1:
@@ -414,8 +425,14 @@ def oracle_energy(
     if not eq.tail > 0:
         raise BoundStateError(f"no bound spectrum: W(inf) - Et = {eq.tail} must be positive "
                               "for a decaying tail")
+    kappa = math.sqrt(eq.tail)  # the decay rate of U, the unit of 1/rho
+    unit = eq._replace(c1=eq.c1 / kappa, b0=eq.b0 / eq.tail, v0=eq.v0 / kappa,
+                       delta=eq.delta / kappa, decay=eq.decay / kappa, eta=1.0,
+                       et=eq.et / eq.tail)
     with np.errstate(all="ignore"):  # _rung rejects a pencil that is not finite
-        return _level(eq, state, n_points)
+        level = _level(unit, state, n_points)
+    scale = kappa ** (2 - eq.power) / eq.eta
+    return OracleLevel(level.energy * scale, level.error * scale)
 
 
 # ---------------------------------------------------------------------------

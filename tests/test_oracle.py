@@ -719,6 +719,34 @@ class TestOracleEnergy:
             assert 0.0 < level.error < 1e-4
             assert abs(level.energy - closed) <= level.error
 
+    @pytest.mark.parametrize(
+        "kind, state, params, target",
+        [
+            (ModelKind.A, QuantumState(1, 1), PhysicalParams(), "exact"),
+            (ModelKind.B, QuantumState(0, 2), PhysicalParams(kz=1.0), "exact"),
+            (ModelKind.C, QuantumState(1, 0), PhysicalParams(mu=0.15, delta=0.1, v0=0.2), "ga"),
+        ],
+        ids=["A", "B", "C"],
+    )
+    @pytest.mark.parametrize("eta", [1e-12, 1e-3, 0.7, 1e3, 1e12])
+    def test_level_and_estimate_scale_as_one_over_eta(self, kind, state, params, target, eta):
+        # the mass is eta f(rho) e^(-delta rho), so eta only rescales a level:
+        # the pencil the oracle solves does not depend on it
+        base = oracle_energy(kind, state, params, target=target)
+        level = oracle_energy(kind, state, params.replace(eta=eta), target=target)
+        assert level.energy * eta == pytest.approx(base.energy, rel=1e-13)
+        assert level.error * eta == pytest.approx(base.error, rel=1e-13)
+
+    @pytest.mark.parametrize("n_rho", [0, 1])
+    def test_weak_field_level_is_within_the_oracle_estimate(self, n_rho):
+        # at mu = 1e-12 the decay rate is 1e-12; in fixed units the level
+        # read 3.4e-3 and 3.9e-4 off, against estimates of 1.1e-4 and 1.5e-4
+        state, params = QuantumState(n_rho, 1), PhysicalParams(mu=1e-12)
+        closed = energy(ModelKind.A, state, params)
+        level = oracle_energy(ModelKind.A, state, params)
+        assert level.energy == pytest.approx(closed, rel=1e-7)
+        assert abs(level.energy - closed) <= level.error
+
     def test_criterion_1_worst_level(self):
         # A (3, 0) at the default parameters, acceptance criterion 1's worst
         # level: its fit is not settled on 4000 cells, and the fit on 2000,
