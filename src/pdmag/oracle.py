@@ -22,10 +22,11 @@ its error estimate do not depend on the units of eta or of 1/rho, and
 E = lam kappa^(2 - power) / eta. There one function (_rung) assembles and
 solves each grid's pencil. The grids span 25 decay lengths, (0, 25], and
 form a ladder n/4, n/2, n, 2n (n = n_points), extrapolated in h^2 and h^q,
-q = min(2p + 1, 4), to the level and its error (_extrapolate). A level's first eigensolve is a Sturm
-bisection; every later one runs Rayleigh-quotient iteration from the level
-it expects and keeps the result only when a two-sided Sturm count (one pass
-of LAPACK's dlarrc) certifies it to _CERT_TOL, else it bisects.
+q = min(2p + 1, 4), to the level and its error (_extrapolate). A level's
+first eigensolve is a Sturm bisection; every later one runs
+Rayleigh-quotient iteration from the level it expects and keeps the result
+only when a two-sided Sturm count (one pass of LAPACK's dlarrc) certifies
+it to _CERT_TOL, else it bisects.
 
 The physics lives in models.reduced_equation alone: one record per state
 and target ('exact', or model C's Greene-Aldrich 'ga') gives Et, the mass
@@ -349,7 +350,8 @@ def _level(eq: ReducedEquation, state, n_points) -> OracleLevel:
         )
 
     def solve(n: int, u: float, e_g: float, guess=None) -> float:
-        return e_g + _rung(n, 0.5 + u, 25.0, c1, smooth, eq.mass, eq.power, eq.et, state.n_rho, guess)
+        p = 0.5 + u
+        return e_g + _rung(n, p, 25.0, c1, smooth, eq.mass, eq.power, eq.et, state.n_rho, guess)
 
     def fixed_point(n: int):
         u, e_g = (0.5, c2) if in_c2 else (math.sqrt(c2 + 0.25), 0.0)
