@@ -28,7 +28,7 @@ from .oracle import verify_states
 from .params import PhysicalParams, QuantumState, load_config, params_from_mapping
 from .sweeps import _MAX_POINTS, SWEEPABLE, SweepSpec, find_crossings, sweep
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 _PARAM_FLAGS = (
     ("--e", "e", "particle charge (signed)"),
@@ -192,9 +192,7 @@ def _cmd_crossings(args, params: PhysicalParams) -> int:
     kind = ModelKind.parse(args.model)
     s1 = _parse_state(args.s1)
     s2 = _parse_state(args.s2)
-    points = find_crossings(
-        kind, s1, s2, args.param, (args.lo, args.hi), params, scan_steps=args.scan_steps
-    )
+    points = find_crossings(kind, s1, s2, args.param, (args.lo, args.hi), params)
     records = [
         {
             "param": args.param,
@@ -300,7 +298,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--param", required=True, choices=SWEEPABLE)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--scan-steps", type=int, default=2001)
     p.set_defaults(func=_cmd_crossings)
 
     p = sub.add_parser("verify", parents=[parent],
@@ -338,9 +335,5 @@ def run(argv=None) -> int:
         return 1
 
 
-def main() -> None:
-    sys.exit(run())
-
-
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run())

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BoundStateError, DomainError
 from .fields import _positive
-from .params import PhysicalParams, QuantumState, m_tilde, s_squared_of
+from .params import _NON_NEGATIVE, PhysicalParams, QuantumState, m_tilde, s_squared_of
 from .specfun import _golub_welsch, _jacobi_matrix, _laguerre_matrix, jacobi, laguerre, normalize
 
 __all__ = [
@@ -246,6 +246,7 @@ def _level_b(state: QuantumState, p, check):
     check(Invalid.NO_SCALE, s2 <= 0, s2)
     check(Invalid.NOT_FINITE_LEVEL, s2 == math.inf, s2)  # t would read 0 there
     w, s, half = _w(state, p), _sqrt(s2), state.n_rho + 0.5
+    s = s + (s == 0)  # NO_SCALE there; a float s of 0 would raise ZeroDivisionError
     t = p.e * p.b0 * p.mu / s * w
     ell = t - half
     check(Invalid.NOT_BOUND, ell <= 0, ell)
@@ -302,9 +303,9 @@ def _level_c(state: QuantumState, p, check, d):
 
 
 class Invalid:
-    """Codes of level_axis's reason array: why a closed-form level is
-    missing at a point (NONE: it is not). Plain ints, cheap to look up in
-    the kernels that a single point runs."""
+    """Codes of level_axis's reason array: why a point has no closed-form
+    level (NONE: it has one). Plain ints, cheap to look up in the kernels
+    that a single point runs."""
 
     NONE = 0
     NOT_FINITE = 1  # the swept value is inf or nan
@@ -318,49 +319,21 @@ class Invalid:
     POTENTIAL = 9  # models A and B (the V = 0 models): v0, v1 or v2 is not 0
 
 
-# Per reason: the error a single point raises, its message with the
-# offending value, and the value-free text of a sweep row ({name} is the
-# swept field). A single point never sees the first two: PhysicalParams
-# rejects such a value when it is built.
+# Per reason: the error a single point raises and the rule's text, which
+# a sweep row carries as its reason ({name} is the swept field) and a single
+# point raises as "<text>, got <value>". A single point never sees the
+# first two: PhysicalParams rejects such a value when it is built.
 _INVALID = {
-    Invalid.NOT_FINITE: (None, None, "{name} must be finite"),
-    Invalid.NEGATIVE: (None, None, "{name} must be >= 0"),
-    Invalid.SIGMA: (
-        DomainError,
-        "closed-form models require sigma = 1, got sigma = {value}",
-        "closed-form models require sigma = 1",
-    ),
-    Invalid.NO_SCALE: (
-        BoundStateError,
-        "no bound spectrum: kz^2 + e^2 B0^2 mu^2 must be positive (got {value})",
-        "no bound spectrum: kz^2 + e^2 B0^2 mu^2 <= 0",
-    ),
-    Invalid.NOT_BOUND: (
-        BoundStateError,
-        "state not bound for these parameters: beta_acute/(2 s) - n_rho - 1/2 = {value} <= 0",
-        "state not bound: beta_acute/(2 s) - n_rho - 1/2 <= 0",
-    ),
-    Invalid.R0_NEGATIVE: (
-        DomainError,
-        "no real bound level: radicand r0 = {value} is negative",
-        "no real bound level: radicand r0 < 0",
-    ),
-    Invalid.G_NEGATIVE: (
-        DomainError,
-        "no real bound level: radicand w^2 + V2 + 1/16 = {value} is negative",
-        "no real bound level: radicand w^2 + V2 + 1/16 < 0",
-    ),
+    Invalid.NOT_FINITE: (None, "{name} must be finite"),
+    Invalid.NEGATIVE: (None, "{name} must be >= 0"),
+    Invalid.SIGMA: (DomainError, "closed-form models require sigma = 1"),
+    Invalid.NO_SCALE: (BoundStateError, "no bound spectrum: kz^2 + e^2 B0^2 mu^2 <= 0"),
+    Invalid.NOT_BOUND: (BoundStateError, "state not bound: beta_acute/(2 s) - n_rho - 1/2 <= 0"),
+    Invalid.R0_NEGATIVE: (DomainError, "no real bound level: radicand r0 < 0"),
+    Invalid.G_NEGATIVE: (DomainError, "no real bound level: radicand w^2 + V2 + 1/16 < 0"),
     Invalid.NOT_FINITE_LEVEL: (
-        DomainError,
-        "closed-form level is {value}: a parameter is too large for double precision",
-        "level not finite: a parameter is too large for double precision",
-    ),
-    Invalid.POTENTIAL: (
-        DomainError,
-        "models A and B have V = 0: their closed forms need v0 = v1 = v2 = 0, "
-        "got (v0, v1, v2) = {value}; use model C",
-        "models A and B need v0 = v1 = v2 = 0; use model C",
-    ),
+        DomainError, "level not finite: a parameter is too large for double precision"),
+    Invalid.POTENTIAL: (DomainError, "models A and B need v0 = v1 = v2 = 0; use model C"),
 }
 
 _LEVELS = {ModelKind.A: _level_a, ModelKind.B: _level_b,
@@ -368,8 +341,8 @@ _LEVELS = {ModelKind.A: _level_a, ModelKind.B: _level_b,
 
 
 def reason_text(code: int, name: str) -> str | None:
-    """Value-free text of an Invalid code for a sweep row over field name."""
-    return _INVALID[code][2].format(name=name) if code else None
+    """Text of an Invalid code's rule for a sweep row over field name."""
+    return _INVALID[code][1].format(name=name) if code else None
 
 
 def _sqrt(x):
@@ -382,8 +355,8 @@ def _sqrt(x):
 
 def _raise_invalid(code: int, bad, value) -> None:
     if bad:
-        error, message, _ = _INVALID[code]
-        raise error(message.format(value=value))
+        error, text = _INVALID[code]
+        raise error(f"{text}, got {value}")
 
 
 def _level(kind: ModelKind, state: QuantumState, params: PhysicalParams):
@@ -419,7 +392,7 @@ def level_axis(kind: ModelKind, states, params: PhysicalParams, name: str, value
             reason[(reason == 0) & bad] = code
 
     record(Invalid.NOT_FINITE, ~np.isfinite(values), values)
-    if name in ("b0", "delta"):
+    if name in _NON_NEGATIVE:
         record(Invalid.NEGATIVE, values < 0, values)
     record(Invalid.SIGMA, params.sigma != 1.0, params.sigma)
     point = SimpleNamespace(**{**vars(params), name: values})

@@ -22,6 +22,11 @@ __all__ = [
 ]
 
 
+# The fields that must be >= 0: PhysicalParams rejects a negative one, in
+# this order, and a parameter axis records it (models.level_axis)
+_NON_NEGATIVE = ("delta", "b0")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """All physical constants of a scenario.
@@ -64,10 +69,9 @@ class PhysicalParams:
             raise DomainError(f"{name} must be finite, got {value!r}")
         if not self.eta > 0:
             raise DomainError(f"eta must be positive (mass scale), got {self.eta}")
-        if self.delta < 0:
-            raise DomainError(f"delta must be >= 0, got {self.delta}")
-        if self.b0 < 0:
-            raise DomainError(f"b0 must be >= 0, got {self.b0}")
+        for name in _NON_NEGATIVE:
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property
     def s_squared(self) -> float:

@@ -9,13 +9,13 @@ state stops being bound (or the swept value itself is out of range) are
 reported as invalid rows with the reason, not as errors, since validity
 boundaries are part of the phenomenology. The rows are built from the
 transposed level_axis arrays in one C-level pass, with no Python call
-per row. A sweep has at most 10^6 rows and a crossing scan at most 10^6
-points, checked before any grid is allocated.
+per row. A sweep has at most 10^6 rows, checked before any grid is
+allocated.
 
 A crossing is a sign change of E1(p) - E2(p): the difference is scanned
-on a grid, and then all brackets are refined together, each step one
-``level_axis`` call for both states over the points it puts into every
-bracket. Tangential degeneracies (touching without sign change) are
+on a fixed grid of the range, and then all brackets are refined together,
+each step one ``level_axis`` call for both states over the points it puts
+into every bracket. Tangential degeneracies (touching without sign change) are
 outside the detection scope.
 """
 
@@ -46,10 +46,12 @@ _EVEN = np.arange(1, 16) / 16.0
 _NEAR = np.linspace(-1.0, 1.0, 64) / 512.0
 # 75 steps shrink a bracket at least as far as 300 bisections
 _MAX_STEPS = 75
-# The most grid points a sweep (steps x states rows) or a crossing scan
-# evaluates: a sweep of 10^6 rows takes about 1.4 s and peaks at 240 MB
-# on a 2-vCPU x86-64 VM; a far larger grid would fail in numpy's allocator.
+# The most grid points a sweep (steps x states rows) evaluates: a sweep of
+# 10^6 rows takes about 1.4 s and peaks at 240 MB on a 2-vCPU x86-64 VM; a
+# far larger grid would fail in numpy's allocator.
 _MAX_POINTS = 10**6
+# The points of a crossing search's scan; a narrower range gives a finer scan
+_SCAN_POINTS = 2001
 # Every Invalid code, NONE (0) first: the rows of a sweep's reason table
 _CODES = range(1 + max(v for k, v in vars(Invalid).items() if k.isupper()))
 
@@ -68,17 +70,6 @@ def _check_range(what: str, lo: float, hi: float) -> None:
         raise DomainError(f"{what} must satisfy lo < hi, got ({lo}, {hi})")
     if not math.isfinite(hi - lo):
         raise DomainError(f"{what} width hi - lo must be finite, got ({lo}, {hi})")
-
-
-def _check_steps(what: str, steps, states: int = 1) -> None:
-    """steps is an integer >= 2, and steps x states grid points fit in
-    _MAX_POINTS; checked before the grid is allocated."""
-    # numpy integers count; bool, an int subclass, does not
-    if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 2:
-        raise DomainError(f"{what} must be an integer >= 2, got {steps!r}")
-    if int(steps) * states > _MAX_POINTS:
-        per = f" x {states} states" if states > 1 else ""
-        raise DomainError(f"{what}{per} must be at most {_MAX_POINTS} points, got {steps}{per}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,14 @@ class SweepSpec:
                 raise DomainError(f"state ({state.n_rho}, {state.m}) is given more than once")
         _check_param_name(self.param_name, self.kind)
         _check_range("sweep range", self.lo, self.hi)
-        _check_steps("steps", self.steps, len(self.states))
+        # numpy integers count; bool, an int subclass, does not. The grid
+        # size is checked before any grid is allocated.
+        steps, states = self.steps, len(self.states)
+        if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 2:
+            raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
+        if int(steps) * states > _MAX_POINTS:
+            per = f" x {states} states" if states > 1 else ""
+            raise DomainError(f"steps{per} must be at most {_MAX_POINTS} points, got {steps}{per}")
 
     @property
     def values(self) -> np.ndarray:
@@ -184,11 +182,10 @@ def find_crossings(
     param_name: str,
     prange: tuple[float, float],
     params: PhysicalParams,
-    scan_steps: int = 2001,
 ) -> list[CrossingPoint]:
     """All sign-change crossings of E_s1(p) - E_s2(p) on the range.
 
-    The difference is scanned on scan_steps points, one level_axis call
+    The difference is scanned on _SCAN_POINTS points, one level_axis call
     for both states. A scan point where it is exactly 0 is a crossing. The
     brackets whose two ends are valid for both states and differ in sign
     are refined together, a step (one level_axis call) at a time (see
@@ -203,7 +200,6 @@ def find_crossings(
     _check_param_name(param_name, kind)
     lo, hi = float(prange[0]), float(prange[1])
     _check_range("range", lo, hi)
-    _check_steps("scan_steps", scan_steps)
 
     def gap_axis(values):
         """(E1 - E2, mean level) along values, nan where either is missing."""
@@ -211,7 +207,7 @@ def find_crossings(
         # halves first, so the mean of two levels near the largest double stays finite
         return e1 - e2, 0.5 * e1 + 0.5 * e2
 
-    grid = np.linspace(lo, hi, scan_steps)
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
     (e1, e2), _ = level_axis(kind, (s1, s2), params, param_name, grid)
     d = e1 - e2
     # nan wherever either level is missing, so no comparison below holds there

@@ -28,7 +28,7 @@ from pdmag.oracle import oracle_energy, verify_states
 from pdmag.params import PhysicalParams, QuantumState
 from pdmag.sweeps import SweepSpec, find_crossings
 
-SIGMA = "closed-form models require sigma = 1, got sigma = 2.0"
+SIGMA = "closed-form models require sigma = 1, got 2.0"
 RHO = "rho must be positive: the formulas are singular at the axis rho = 0"
 NAME = "cannot sweep 'eta'; choose one of beta, b0, alpha_ab, mu, delta"
 GA_DELTA = "Greene-Aldrich target requires delta > 0"
@@ -109,10 +109,11 @@ def test_greene_aldrich_command_raises_the_owners_message(capsys):
 
 
 @pytest.mark.parametrize("message",
-                         ["sigma = 1, got sigma = {value}", RHO, "cannot sweep", GA_DELTA])
+                         ["closed-form models require sigma = 1", RHO, "cannot sweep", GA_DELTA])
 def test_each_message_is_written_once(message):
     # one owner per rule: no copy of its check, and so of its text, elsewhere
-    # in the package (the sigma text is Invalid.SIGMA's, which _raise_invalid raises)
+    # in the package (the sigma text is Invalid.SIGMA's, which _raise_invalid raises
+    # and a sweep row carries)
     src = Path(__file__).resolve().parent.parent / "src" / "pdmag"
     source = "\n".join(path.read_text(encoding="utf-8") for path in src.glob("*.py"))
     assert source.count(message) == 1

@@ -914,7 +914,7 @@ class TestOracleEnergy:
         state = QuantumState(0, 0)
         with pytest.raises(BoundStateError, match="no bound spectrum"):
             oracle_energy(ModelKind.A, state, PhysicalParams(b0=0.0))
-        with pytest.raises(DomainError, match="sigma = 1, got sigma = 2.0"):
+        with pytest.raises(DomainError, match="sigma = 1, got 2.0"):
             oracle_energy(ModelKind.A, state, PhysicalParams(sigma=2.0))
         with pytest.raises(DomainError, match="model C only"):
             oracle_energy(ModelKind.A, state, unit_params, target="ga")

@@ -38,54 +38,60 @@ ATLAS = [
     for kind, s1, s2, name, prange, overrides in ATLAS_SCRIPT.ATLAS
 ]
 
-# The sweep-row reason that goes with each error a single point raises,
-# keyed by the start of the error's message.
-REASON_OF_ERROR = (
-    ("b0 must be >= 0", "b0 must be >= 0"),
-    ("delta must be >= 0", "delta must be >= 0"),
-    ("closed-form models require sigma = 1", "closed-form models require sigma = 1"),
-    ("no bound spectrum", "no bound spectrum: kz^2 + e^2 B0^2 mu^2 <= 0"),
-    ("state not bound", "state not bound: beta_acute/(2 s) - n_rho - 1/2 <= 0"),
-    ("no real bound level: radicand r0", "no real bound level: radicand r0 < 0"),
-    ("no real bound level: radicand w^2", "no real bound level: radicand w^2 + V2 + 1/16 < 0"),
-    ("closed-form level is", "level not finite: a parameter is too large for double precision"),
-    ("models A and B have V = 0", "models A and B need v0 = v1 = v2 = 0; use model C"),
-)
+def _reason_of(message):
+    """The sweep-row reason of an error a single point raises: a rule's
+    message is "<text>, got <value>", and a row carries the text."""
+    text, got, _ = message.partition(", got ")
+    assert got, message
+    return text
 
-# The Invalid code of each error a single point raises, keyed the same way.
-CODE_OF_ERROR = (
-    ("b0 must be >= 0", Invalid.NEGATIVE),
-    ("delta must be >= 0", Invalid.NEGATIVE),
-    ("closed-form models require sigma = 1", Invalid.SIGMA),
-    ("no bound spectrum", Invalid.NO_SCALE),
-    ("state not bound", Invalid.NOT_BOUND),
-    ("no real bound level: radicand r0", Invalid.R0_NEGATIVE),
-    ("no real bound level: radicand w^2", Invalid.G_NEGATIVE),
-    ("closed-form level is", Invalid.NOT_FINITE_LEVEL),
-    ("models A and B have V = 0", Invalid.POTENTIAL),
-)
 
 # Base parameters and ranges per model that reach every invalid reason of
-# that model somewhere on some sweepable axis.
+# that model somewhere on some sweepable axis. The last two of each model
+# have no field scale: e = 0, or e b0 mu underflowing to 0 on every axis
+# but b0's.
 SWEEP_CASES = {
     ModelKind.A: (
         (PhysicalParams(), (-3.0, 3.0)),
         (PhysicalParams(kz=0.0, beta=-1.3, alpha_ab=0.2), (-1.0, 1.0)),
         (PhysicalParams(kz=0.4, eta=0.7), (1e150, 1e160)),
         (PhysicalParams(kz=0.0, v1=0.5), (-1.0, 1.0)),
+        (PhysicalParams(e=0.0, beta=-1.3), (-1.0, 1.0)),
+        (PhysicalParams(b0=1e-200, beta=-1.3), (0.5, 2.0)),
     ),
     ModelKind.B: (
         (PhysicalParams(beta=-6.0, kz=1.0), (-3.0, 3.0)),
         (PhysicalParams(kz=0.0, beta=-2.5, alpha_ab=-0.3), (-1.0, 1.0)),
         (PhysicalParams(beta=-3.0, kz=0.2), (1e150, 1e160)),
         (PhysicalParams(beta=-3.0, v0=-0.2, v2=0.1), (-1.0, 1.0)),
+        (PhysicalParams(e=0.0, beta=-3.0), (-1.0, 1.0)),
+        (PhysicalParams(b0=1e-200, beta=-3.0), (0.5, 2.0)),
     ),
     ModelKind.C: (
         (PhysicalParams(mu=0.15, delta=0.1), (-0.5, 0.5)),
         (PhysicalParams(mu=0.4, delta=0.3, v1=6.0, alpha_ab=0.4), (-2.0, 2.0)),
         (PhysicalParams(mu=0.4, delta=0.3, v2=-0.5, alpha_ab=0.4), (-2.0, 2.0)),
         (PhysicalParams(mu=0.2, delta=0.2, v0=0.3), (1e150, 1e160)),
+        (PhysicalParams(e=0.0, delta=0.2), (-1.0, 1.0)),
+        (PhysicalParams(b0=1e-200), (0.5, 2.0)),
     ),
+}
+
+
+# For each Invalid code, a single point that fails its rule, as (model,
+# state, params, the value its message quotes); PhysicalParams itself
+# rejects the first two.
+SINGLE_POINT_FAILURES = {
+    "NOT_FINITE": (ModelKind.A, (0, 1), {"beta": math.inf}, math.inf),
+    "NEGATIVE": (ModelKind.A, (0, 1), {"b0": -0.5}, -0.5),
+    "SIGMA": (ModelKind.A, (0, 1), {"sigma": 2.0}, 2.0),
+    "NO_SCALE": (ModelKind.B, (0, 1), {"e": 0.0}, 0.0),
+    "NOT_BOUND": (ModelKind.B, (0, 0), {}, -0.5),
+    # w = 0, so r0 = delta (delta (v2 + 1/4) - v1) + (e B0 mu)^2 and G^2 = v2 + 1/16
+    "R0_NEGATIVE": (ModelKind.C, (0, 0), {"delta": 0.5, "v1": 4.0, "mu": 0.0}, -1.9375),
+    "G_NEGATIVE": (ModelKind.C, (0, 0), {"delta": 0.5, "v2": -0.5}, -0.4375),
+    "NOT_FINITE_LEVEL": (ModelKind.B, (0, 1), {"b0": 1e200}, math.inf),
+    "POTENTIAL": (ModelKind.A, (0, 1), {"v1": 0.5}, (0.0, 0.5, 0.0)),
 }
 
 
@@ -216,11 +222,15 @@ class TestSweepMatchesSinglePoints:
             for row in sweep(SweepSpec(kind, states, name, lo, hi, 101), params):
                 want, message = _direct(kind, row.state, params, name, row.value)
                 assert row.energy == want, (params, row)
-                if message is None:
-                    assert row.reason is None
-                else:
-                    (reason,) = [r for start, r in REASON_OF_ERROR if message.startswith(start)]
-                    assert row.reason == reason, (message, row)
+                assert row.reason == (message and _reason_of(message)), (message, row)
+
+    @pytest.mark.parametrize("code", [k for k, v in vars(Invalid).items() if k.isupper() and v])
+    def test_a_single_point_raises_the_rows_reason_and_its_value(self, code):
+        kind, state, params, value = SINGLE_POINT_FAILURES[code]
+        name = next(iter(params), "beta")
+        with pytest.raises(DomainError) as info:
+            energy(kind, QuantumState(*state), PhysicalParams(**params))
+        assert str(info.value) == reason_text(getattr(Invalid, code), name) + ", got " + str(value)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_every_reason_of_the_model_shows_up(self, kind):
@@ -288,13 +298,12 @@ def sweeps_over_invalid_regions(draw):
 
 
 def _reference(kind, state, params, name, value):
-    """(E, None) from models.energy at the point, or (None, the reason of
-    the Invalid code that goes with the error it raises)."""
+    """(E, None) from models.energy at the point, or (None, the reason that
+    goes with the error it raises)."""
     try:
         return energy(kind, state, params.replace(**{name: value})), None
     except DomainError as err:
-        (code,) = [c for start, c in CODE_OF_ERROR if str(err).startswith(start)]
-        return None, reason_text(code, name)
+        return None, _reason_of(str(err))
 
 
 class TestSweepRowsEqualSinglePoints:
@@ -428,13 +437,6 @@ class TestFindCrossings:
         )
         assert found == []
 
-    def test_scan_resolution_does_not_change_the_answer(self, unit_params):
-        args = (ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-3.0, 3.0), unit_params)
-        coarse = find_crossings(*args, scan_steps=501)
-        fine = find_crossings(*args, scan_steps=4001)
-        assert len(coarse) == len(fine) == 1
-        assert coarse[0].param_value == pytest.approx(fine[0].param_value, abs=1e-9)
-
     @pytest.mark.parametrize(
         "param, prange, where",
         [("beta", (-3.0, 3.0), 1.0), ("alpha_ab", (-1.0, 1.5), 0.5)],
@@ -452,11 +454,10 @@ class TestFindCrossings:
         assert 0.0 <= cp.bracket_width <= 1e-10
 
     def test_exact_zero_on_the_scan_grid(self, unit_params):
-        # a 7-point scan of [-2, 4] has beta = 1 on its grid, where the
+        # the 2001-point scan of [-2, 4] has beta = 1 on its grid, where the
         # (2,1)-(1,0) gap is exactly 0: reported as is, without bisection
         (cp,) = find_crossings(
-            ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-2.0, 4.0),
-            unit_params, scan_steps=7,
+            ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-2.0, 4.0), unit_params
         )
         assert (cp.param_value, cp.bracket_width, cp.gap) == (1.0, 0.0, 0.0)
 
@@ -473,17 +474,6 @@ class TestFindCrossings:
                 find_crossings(ModelKind.A, s, QuantumState(1, 0), "beta", prange, unit_params)
         with pytest.raises(DomainError, match="hi - lo must be finite"):
             find_crossings(ModelKind.A, s, QuantumState(1, 0), "mu", (-1e308, 1e308), unit_params)
-        for steps in (2.5, True):
-            with pytest.raises(DomainError, match=rf"scan_steps must be an integer >= 2, got {steps}"):
-                find_crossings(
-                    ModelKind.A, s, QuantumState(1, 0), "beta", (-1.0, 1.0), unit_params,
-                    scan_steps=steps,
-                )
-        args = (ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-3.0, 3.0), unit_params)
-        assert find_crossings(*args, scan_steps=np.int64(501)) == find_crossings(*args, scan_steps=501)
-        # checked before the scan grid is allocated
-        with pytest.raises(DomainError, match="scan_steps must be at most 1000000 points, got 1000000000000"):
-            find_crossings(*args, scan_steps=10**12)
 
     @pytest.mark.parametrize("entry", ATLAS, ids=lambda e: f"{e[0].value}-{e[3]}")
     def test_atlas_search_makes_few_level_axis_calls(self, monkeypatch, entry):
