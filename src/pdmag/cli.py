@@ -25,8 +25,8 @@ from .errors import BracketingError, DomainError, NormalizationError
 from .fields import field_table
 from .models import ModelKind, energy, greene_aldrich, wavefunction
 from .oracle import verify_states
-from .params import PhysicalParams, QuantumState, load_config, params_from_mapping
-from .sweeps import _MAX_POINTS, SWEEPABLE, SweepSpec, find_crossings, sweep
+from .params import _MAX_POINTS, PhysicalParams, QuantumState, load_config, params_from_mapping
+from .sweeps import SWEEPABLE, SweepSpec, find_crossings, sweep
 
 __all__ = ["run"]
 

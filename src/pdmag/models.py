@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import BoundStateError, DomainError
 from .fields import _positive
-from .params import _NON_NEGATIVE, PhysicalParams, QuantumState, m_tilde, s_squared_of
+from .params import (_MAX_POINTS, _NON_NEGATIVE, PhysicalParams, QuantumState, m_tilde,
+                     s_squared_of)
 from .specfun import _golub_welsch, _jacobi_matrix, _laguerre_matrix, jacobi, laguerre, normalize
 
 __all__ = [
@@ -544,6 +545,9 @@ def _closed_form(kind: ModelKind, state: QuantumState, params: PhysicalParams, f
         raise DomainError(f"form must be 'paper' or 'xi', got {form!r}")
     if form != "paper" and kind is not ModelKind.C:
         raise DomainError(f"form {form!r} applies to model C only")
+    if state.n_rho > _MAX_POINTS:  # the polynomial's recurrence takes n_rho steps
+        raise DomainError(f"n_rho must be at most {_MAX_POINTS} for a closed-form wavefunction, "
+                          f"got {state.n_rho}")
     return _CLOSED_FORMS[kind](state, params, form)
 
 

@@ -65,8 +65,7 @@ from .models import (
     reduced_equation,
     wavefunction as closed_form_wavefunction,  # noqa: F401 - hooked by name in perfbench/spans.py
 )
-from .params import PhysicalParams, QuantumState
-from .sweeps import _MAX_POINTS
+from .params import _MAX_POINTS, PhysicalParams, QuantumState
 
 __all__ = [
     "OracleLevel",

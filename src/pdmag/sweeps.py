@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BracketingError, DomainError
 from .models import (SWEEPABLE, Invalid, ModelKind, _check_sweepable, energy, level_axis,
                      reason_text)
-from .params import PhysicalParams, QuantumState
+from .params import _MAX_POINTS, PhysicalParams, QuantumState
 
 __all__ = ["SWEEPABLE", "SweepSpec", "SweepRow", "CrossingPoint", "sweep", "find_crossings"]
 
@@ -46,10 +46,6 @@ _EVEN = np.arange(1, 16) / 16.0
 _NEAR = np.linspace(-1.0, 1.0, 64) / 512.0
 # 75 steps shrink a bracket at least as far as 300 bisections
 _MAX_STEPS = 75
-# The most grid points a sweep (steps x states rows) evaluates: a sweep of
-# 10^6 rows takes about 1.4 s and peaks at 240 MB on a 2-vCPU x86-64 VM; a
-# far larger grid would fail in numpy's allocator.
-_MAX_POINTS = 10**6
 # The points of a crossing search's scan; a narrower range gives a finer scan
 _SCAN_POINTS = 2001
 # Every Invalid code, NONE (0) first: the rows of a sweep's reason table

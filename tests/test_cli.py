@@ -4,12 +4,14 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import readme_doc
 from pdmag.cli import run
 from pdmag.models import ModelKind, energy
 from pdmag.params import PhysicalParams, QuantumState
@@ -99,6 +101,17 @@ class TestWavefunction:
         code = run(["wavefunction", "--model", "a", "--state", "0,1", "--form", "xi"])
         assert code == 1
         assert "model C only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["a", "c"])
+    def test_huge_radial_number_is_rejected_at_once(self, model, capsys):
+        # the polynomial recurrence ran n_rho steps and never returned
+        start = time.perf_counter()
+        code = run(["wavefunction", "--model", model, "--state", f"{10**23},0", "--delta", "0.1"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "error: n_rho must be at most 1000000 for a closed-form wavefunction" in captured.err
+        assert elapsed < 1.0
 
     def test_malformed_state(self, capsys):
         assert run(["wavefunction", "--model", "a", "--state", "0;1"]) == 1
@@ -699,6 +712,14 @@ class TestPlumbing:
         assert run(["spectrum", "--model", "a", "--config", str(cfg)]) == 1
         assert f"{cfg}:2" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_a_validation_error(self, tmp_path, capsys):
+        # was a UnicodeDecodeError traceback
+        cfg = tmp_path / "params.cfg"
+        cfg.write_bytes(b"\xff\xfe mu=1")
+        assert run(["spectrum", "--model", "a", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {cfg}: not UTF-8 text" in captured.err
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "spectrum.csv"
         code = run(["spectrum", "--model", "a", "--out", str(target)])
@@ -735,3 +756,35 @@ class TestPlumbing:
 
     def test_missing_subcommand(self, capsys):
         assert run([]) == 1
+
+
+# README's verify command for the target-'exact' gap of model C at mu =
+# 0.15, less its --delta value, and the gap E(0,1) - E(1,0) it documents
+# at each delta
+_GAP_COMMAND = ("verify --model c --mu 0.15 --nrho-max 1 --m-min 0 --m-max 1 --target exact "
+                "--tol 1 --delta").split()
+_EXACT_GAPS = {"0.01": -0.408930, "0.1325": -0.783233, "0.43875": -1.161529, "0.5": -1.205323}
+
+
+def test_readme_commands_exit_as_documented(capsys):
+    # every pdmag line in README's sh blocks exits with its documented
+    # status, a failing one's last stderr line starts with its documented
+    # message, and the four exact-target gaps read as README's table
+    wrong, gaps = [], {}
+    for argv, status, message in readme_doc.commands():
+        code = run(argv)
+        captured = capsys.readouterr()
+        last = (captured.err.splitlines() or [""])[-1]
+        if code != status or (message is not None and not last.startswith(message)):
+            wrong.append((argv, code, last))
+        if argv[:-1] == _GAP_COMMAND:
+            header, *body = lines_of(captured.out)
+            rows = {(int(row[0]), int(row[1])): dict(zip(header.split(","), map(float, row)))
+                    for row in (line.split(",") for line in body)}
+            one, two = rows[0, 1], rows[1, 0]
+            gaps[argv[-1]] = (one["E_oracle"] - two["E_oracle"],
+                              one["oracle_err"] + two["oracle_err"])
+    assert wrong == []
+    assert gaps.keys() == _EXACT_GAPS.keys()
+    for delta, (gap, err) in gaps.items():
+        assert gap == pytest.approx(_EXACT_GAPS[delta], abs=5e-7) and err <= 7.3e-4, delta

@@ -1006,6 +1006,17 @@ class TestDispatch:
         with pytest.raises(DomainError, match="need v0 = v1 = v2 = 0"):
             wavefunction(kind, QuantumState(0, 1), PhysicalParams(**v), 1.0)
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_radial_number_beyond_the_size_rule_is_rejected(self, kind, unit_params):
+        # the Laguerre (A, B) and Jacobi (C) recurrences take n_rho steps,
+        # about 11 s and 17 s at n_rho = 10^6; the rule runs before them
+        state, params = QuantumState(10**6 + 1, 0), unit_params.replace(delta=0.1)
+        message = "^n_rho must be at most 1000000 for a closed-form wavefunction, got 1000001$"
+        with pytest.raises(DomainError, match=message):
+            wavefunction(kind, state, params, 1.0)
+        with pytest.raises(DomainError, match=message):
+            curvature(kind, state, params)
+
     def test_table_that_underflows_is_an_error(self):
         # decay rate 1e150: every value of the table is 0 in double precision
         params = PhysicalParams(mu=1e150, beta=-1.0)

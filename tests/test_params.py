@@ -167,6 +167,13 @@ class TestConfig:
         with pytest.raises(DomainError, match="much"):
             load_config(cfg)
 
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        # was a UnicodeDecodeError from the file's decoding
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe mu=1")
+        with pytest.raises(DomainError, match=r"bad\.cfg: not UTF-8 text \(invalid start byte"):
+            load_config(cfg)
+
     def test_mapping_with_unknown_key_rejected(self):
         with pytest.raises(DomainError, match="unknown"):
             params_from_mapping({"e": 1.0, "charge": 2.0})

@@ -2,9 +2,10 @@
 
 import dataclasses
 import gc
-import importlib.util
+import importlib
 import itertools
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import pdmag.sweeps
+import readme_doc
 from pdmag.errors import BracketingError, DomainError
 from pdmag.models import Invalid, ModelKind, energy, reason_text
 from pdmag.oracle import oracle_energy
@@ -21,22 +23,24 @@ from pdmag.params import PhysicalParams, QuantumState
 from pdmag.sweeps import SWEEPABLE, CrossingPoint, SweepRow, SweepSpec, find_crossings, sweep
 
 
-def _atlas_script():
-    """scripts/crossing_atlas.py, which holds the README's documented
-    crossing ranges (the benchmark's perfbench/inputs.ATLAS copies them)."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "crossing_atlas.py"
-    spec = importlib.util.spec_from_file_location("pdmag_script_crossing_atlas", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
+# README's documented crossing ranges, (kind, s1, s2, param, range, base
+# params) each; the benchmark's perfbench/inputs.ATLAS copies them
+ATLAS = (
+    (ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-3.0, 3.0), PhysicalParams()),
+    (ModelKind.A, QuantumState(1, 0), QuantumState(0, 2), "b0", (0.0, 2.0), PhysicalParams(kz=1.0)),
+    (ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "alpha_ab", (-1.0, 1.5), PhysicalParams()),
+    (ModelKind.A, QuantumState(1, 0), QuantumState(0, 2), "mu", (0.1, 1.0), PhysicalParams(kz=1.0)),
+    (ModelKind.B, QuantumState(0, 1), QuantumState(1, 0), "beta", (-6.0, -3.5),
+     PhysicalParams(mu=2.0, kz=1.0)),
+    (ModelKind.B, QuantumState(0, 1), QuantumState(1, 0), "b0", (1.8, 4.0),
+     PhysicalParams(beta=-2.0, kz=1.0)),
+    (ModelKind.B, QuantumState(0, 1), QuantumState(1, 0), "alpha_ab", (-2.5, -0.8),
+     PhysicalParams(b0=2.0, beta=-1.0, kz=1.0)),
+    (ModelKind.B, QuantumState(0, 1), QuantumState(1, 0), "mu", (0.8, 2.5),
+     PhysicalParams(beta=-6.0, kz=1.0)),
+    (ModelKind.C, QuantumState(0, 1), QuantumState(1, 0), "delta", (0.01, 0.5), PhysicalParams(mu=0.15)),
+)
 
-
-ATLAS_SCRIPT = _atlas_script()
-# (kind, s1, s2, param, range, base params) of each documented crossing
-ATLAS = [
-    (kind, QuantumState(*s1), QuantumState(*s2), name, prange, PhysicalParams(**overrides))
-    for kind, s1, s2, name, prange, overrides in ATLAS_SCRIPT.ATLAS
-]
 
 def _reason_of(message):
     """The sweep-row reason of an error a single point raises: a rule's
@@ -498,12 +502,52 @@ class TestFindCrossings:
 
     @pytest.mark.parametrize("entry", ATLAS, ids=lambda e: f"{e[0].value}-{e[3]}")
     def test_the_oracle_confirms_each_atlas_crossing(self, entry):
-        # the independent oracle's E1 - E2 changes sign within its own error
-        # estimates, divided by the slope, of the closed-form crossing p_c
+        # at the closed-form crossing p_c the independent oracle's two levels
+        # agree within their summed error estimates; model C's closed form
+        # solves the Greene-Aldrich equation, so its oracle reads target 'ga'
         kind, s1, s2, name, _, base = entry
         (cp,) = find_crossings(*entry)
-        p, err, slope = ATLAS_SCRIPT.oracle_crossing(kind, s1, s2, name, base, cp.param_value)
-        assert abs(p - cp.param_value) <= err / abs(slope)
+        at = base.replace(**{name: cp.param_value})
+        target = "ga" if kind is ModelKind.C else "exact"
+        one, two = (oracle_energy(kind, s, at, target=target) for s in (s1, s2))
+        assert abs(one.energy - two.energy) <= one.error + two.error
+
+    def test_the_atlas_copies_agree(self, monkeypatch):
+        # ATLAS, README's table and `pdmag crossings` commands and the
+        # benchmark's perfbench/inputs.ATLAS list the same nine entries, and
+        # each closed-form crossing lies within the benchmark's tolerance of
+        # README's "crossing near"
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        bench = importlib.import_module("inputs").ATLAS
+        default = vars(PhysicalParams())
+        ours = [(kind.value, (s1.n_rho, s1.m), (s2.n_rho, s2.m), name, prange,
+                 {k: v for k, v in vars(base).items() if v != default[k]})
+                for kind, s1, s2, name, prange, base in ATLAS]
+        table = readme_doc.crossing_table()
+        documented = []
+        for row in table:
+            n1, m1, n2, m2 = map(int, re.findall(r"-?\d+", row["pair"]))
+            lo, hi = map(float, row["range"].strip("[]").split(", "))
+            extras = row["extra parameters"]
+            extras = {} if extras == "defaults" else dict(
+                (key, float(value)) for key, value in (item.split("=") for item in extras.split(", ")))
+            documented.append((row["model"].upper(), (n1, m1), (n2, m2), row["parameter"], (lo, hi),
+                               extras))
+        commands = []
+        for argv, _, _ in readme_doc.commands(readme_doc.section("Documented crossing ranges")):
+            if argv[0] == "crossings":
+                flags = dict(zip(argv[1::2], argv[2::2]))
+                s1, s2 = (tuple(map(int, flags.pop(f).split(","))) for f in ("--s1", "--s2"))
+                head = (flags.pop("--model").upper(), s1, s2, flags.pop("--param"),
+                        (float(flags.pop("--lo")), float(flags.pop("--hi"))))
+                commands.append((*head, {{"--alpha": "alpha_ab"}.get(flag, flag[2:]): float(value)
+                                         for flag, value in flags.items()}))
+        assert [entry[:6] for entry in bench] == ours == documented == commands
+        for entry, row, (*_, where, tol) in zip(ATLAS, table, bench):
+            near = float(row["crossing near"].split()[0])
+            assert near == where
+            (cp,) = find_crossings(*entry)
+            assert abs(cp.param_value - near) <= tol, (entry[3], cp.param_value)
 
     def test_the_model_c_crossing_belongs_to_the_surrogate(self):
         # the atlas's C (0, 1)-(1, 0) crossing near delta = 0.4373 is one of

@@ -1,6 +1,5 @@
 """Guards for the start-up cost of the package, for the names the
-benchmark's tracer wraps, for the benchmark's workloads and for the
-scripts."""
+benchmark's tracer wraps and for the benchmark's workloads."""
 
 import importlib
 import importlib.util
@@ -196,34 +195,6 @@ def test_every_exported_name_resolves():
     missing = [f"{module.__name__}.{name}" for module in modules for name in module.__all__
                if not hasattr(module, name)]
     assert missing == []
-
-
-@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
-def test_script_loads(path):
-    # no other test imports scripts/, so a pdmag name a script uses and the
-    # package no longer has would break it silently; the __main__ guard
-    # keeps main() from running
-    spec = importlib.util.spec_from_file_location(f"pdmag_script_{path.stem}", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert callable(script.main)
-
-
-# the command line of each script's run; every scripts/*.py file needs one
-_SCRIPT_RUNS = [["crossing_atlas.py"]]
-
-
-@pytest.mark.parametrize("argv", _SCRIPT_RUNS, ids=lambda argv: argv[0])
-def test_script_runs(argv):
-    # each script drives oracle_energy or find_crossings end to end
-    _fresh(str(ROOT / "scripts" / argv[0]), *argv[1:])
-
-
-def test_every_script_has_a_run_case():
-    # a study without a test_script_runs case would drop out of the suite
-    # unnoticed
-    scripts = sorted(path.name for path in (ROOT / "scripts").glob("*.py"))
-    assert scripts == sorted(argv[0] for argv in _SCRIPT_RUNS)
 
 
 _BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
