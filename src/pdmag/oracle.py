@@ -22,11 +22,13 @@ its error estimate do not depend on the units of eta or of 1/rho, and
 E = lam kappa^(2 - power) / eta. There one function (_rung) assembles and
 solves each grid's pencil. The grids span 25 decay lengths, (0, 25], and
 form a ladder n/4, n/2, n, 2n (n = n_points), extrapolated in h^2 and h^q,
-q = min(2p + 1, 4), to the level and its error (_extrapolate). A level's
-first eigensolve is a Sturm bisection; every later one runs
-Rayleigh-quotient iteration from the level it expects and keeps the result
+q = min(2p + 1, 4), to the level and its error (_extrapolate). Every
+eigensolve of a level runs Rayleigh-quotient iteration and keeps the result
 only when a two-sided Sturm count (one pass of LAPACK's dlarrc) certifies
-it to _CERT_TOL, else it bisects.
+it to _CERT_TOL, else it bisects the whole matrix (eigh_tridiagonal). The
+first solve takes its guess from a coarse bisection of the leading half of
+its matrix; every later one starts from the level it expects and from the
+last solve's eigenvector (_level).
 
 The physics lives in models.reduced_equation alone: one record per state
 and target ('exact', or model C's Greene-Aldrich 'ga') gives Et, the mass
@@ -82,10 +84,15 @@ __all__ = [
 # scaled matrix huge there while the wanted eigenvalues stay of order one.
 _EIG_TOL = 1e-14
 
+# The absolute tolerance of the leading-half bisection that gives a level's
+# first eigensolve its guess (eigh_tridiagonal); Rayleigh-quotient iteration
+# takes the guess the rest of the way.
+_HALF_TOL = 1e-3
+
 # An eigenvalue sigma found from a guess is returned once Sturm counts at
 # sigma -/+ _CERT_TOL max(1, |sigma|) bracket the wanted index. Finding it
-# takes at most _RQ_SOLVES tridiagonal solves, about three on the oracle's
-# grids.
+# takes at most _RQ_SOLVES tridiagonal solves: about 3.3 from a level's
+# first guess and a vector of ones, 2.3 from a warm start vector.
 _CERT_TOL = 1e-10
 _RQ_SOLVES = 5
 
@@ -117,17 +124,25 @@ def _powint(edges: np.ndarray, q: float) -> np.ndarray:
     return np.diff(edges ** (q + 1.0)) / (q + 1.0)
 
 
-def eigh_tridiagonal(d, e, index: int, guess=None):
-    """Eigenvalue `index` (from 0) of the symmetric tridiagonal matrix (d, e).
+def eigh_tridiagonal(d, e, index: int, guess=None, start=None):
+    """Eigenvalue `index` (from 0) of the symmetric tridiagonal matrix (d, e)
+    and its unit eigenvector, or None for the vector when the full
+    bisection found the value.
 
-    Without a guess, LAPACK's dstebz bisects the whole Gershgorin interval
-    to _EIG_TOL. With one, Rayleigh-quotient iteration from the guess
-    (_rayleigh_quotient) gives sigma, returned only when a two-sided Sturm
-    count certifies it: one pass of LAPACK's dlarrc (_sturm_counts) finds
-    exactly `index` eigenvalues at or below sigma - h and index + 1 at or
-    below sigma + h, h = _CERT_TOL max(1, |sigma|), so the wanted
-    eigenvalue lies within h of sigma. Any other outcome falls back to the
-    bisection: a guess changes the cost, never which eigenvalue is returned.
+    Rayleigh-quotient iteration (_rayleigh_quotient) from the shift `guess`
+    and the vector `start` (a vector of ones without one) gives sigma,
+    returned only when a two-sided Sturm count certifies it: one pass of
+    LAPACK's dlarrc (_sturm_counts) finds exactly `index` eigenvalues at or
+    below sigma - h and index + 1 at or below sigma + h,
+    h = _CERT_TOL max(1, |sigma|), so the wanted eigenvalue lies within h of
+    sigma. Without a guess, the shift is eigenvalue `index` of the leading
+    half of (d, e), bisected by LAPACK's dstebz to _HALF_TOL; by Cauchy
+    interlacing it lies at or above the wanted one. On the oracle's pencils
+    the far cells left out are the ones of tiny weight, whose huge entries
+    widen the Gershgorin interval that a bisection of the whole matrix
+    spends its passes on. Any other outcome falls back to dstebz over the
+    whole interval to _EIG_TOL: a guess or a start vector changes the cost,
+    never which eigenvalue is returned.
 
     The first call loads scipy.linalg's _flapack extension alone
     (_linalg_extension), so importing pdmag loads numpy alone. _rung looks
@@ -136,14 +151,22 @@ def eigh_tridiagonal(d, e, index: int, guess=None):
     """
     lapack = _linalg_extension("_flapack")
     if len(d) == 1:  # the LAPACK wrappers take no empty off-diagonal
-        return float(d[0])
+        return float(d[0]), np.ones(1)
+    half = len(d) // 2
+    if guess is None and 1 < half and index < half:  # a half of one entry has no off-diagonal
+        guess = _bisect(lapack, d[:half], e[:half - 1], index, _HALF_TOL)
     if guess is not None:
-        sigma = _rayleigh_quotient(lapack, d, e, guess)
+        sigma, vector = _rayleigh_quotient(lapack, d, e, guess, start)
         h = _CERT_TOL * max(1.0, abs(sigma))
         if math.isfinite(sigma) and _sturm_counts(d, e, sigma - h, sigma + h) == (index, index + 1):
-            return sigma
+            return sigma, vector
+    return _bisect(lapack, d, e, index, _EIG_TOL), None
+
+
+def _bisect(lapack, d, e, index: int, tol: float) -> float:
+    """Eigenvalue `index` of (d, e) by dstebz's bisection to the absolute tolerance tol."""
     # range 2 selects by index, 1-based, from il = index + 1 to iu = index + 1
-    _, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, index + 1, index + 1, _EIG_TOL, "E")
+    _, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, index + 1, index + 1, tol, "E")
     if info:
         raise np.linalg.LinAlgError(
             f"stebz (eigh_tridiagonal) did not converge (LAPACK info={info})"
@@ -151,29 +174,32 @@ def eigh_tridiagonal(d, e, index: int, guess=None):
     return float(w[0])
 
 
-def _rayleigh_quotient(lapack, d, e, guess: float) -> float:
-    """Eigenvalue near `guess` by Rayleigh-quotient iteration, or nan.
+def _rayleigh_quotient(lapack, d, e, guess: float, start=None):
+    """(sigma, x): an eigenvalue near `guess` and its unit eigenvector, by
+    Rayleigh-quotient iteration, or (nan, None).
 
-    One inverse-iteration solve at shift = guess turns a vector of ones
-    towards the eigenvector; then each solve x = (T - sigma)^-1 y moves
-    sigma to the Rayleigh quotient x^T T x / x^T x. sigma is settled once
-    a step is below a tenth of the certificate's half-width (convergence is
-    cubic, so it is then exact to rounding) or a pivot is zero; nan when
-    _RQ_SOLVES solves do not settle it.
+    Each solve x = (T - sigma)^-1 y, y the last vector normalized
+    (`start` at first), moves sigma to the Rayleigh quotient
+    x^T T x / x^T x. Without a start vector the first solve, from a vector
+    of ones at shift = guess, only turns the vector towards the
+    eigenvector. sigma is settled once a step is below a tenth of the
+    certificate's half-width (convergence is cubic, so it is then exact to
+    rounding) or a pivot is zero; nan when _RQ_SOLVES solves do not settle
+    it.
     """
-    x, sigma = np.ones(len(d)), guess
+    x, sigma = (np.ones(len(d)) if start is None else start), guess
     with np.errstate(all="ignore"):  # a value that is not finite fails the certificate
         for k in range(_RQ_SOLVES):
             y = x / math.sqrt(x @ x)
             *_, x, info = lapack.dgtsv(e, d - sigma, e, y)
             if info:  # a zero pivot: sigma is an eigenvalue to rounding
-                return float(sigma)
-            if k:
+                return float(sigma), y
+            if k or start is not None:
                 step = float(x @ y / (x @ x))
                 sigma += step
                 if abs(step) <= 0.1 * _CERT_TOL * max(1.0, abs(sigma)):
-                    return float(sigma)
-    return math.nan
+                    return float(sigma), x / math.sqrt(x @ x)
+    return math.nan, None
 
 
 @functools.cache
@@ -239,34 +265,55 @@ def _sturm_counts(d, e, lo: float, hi: float) -> tuple[int, int]:
     return counts[1].value, counts[2].value
 
 
+def _cell_integrals(n: int, p: float, power: int):
+    """The singular-power integrals of a grid of n cells, in s = rho/h:
+    coul and moment, those of s^(2p-1) and s^(2p) over each cell; aflux,
+    one over that of s^(-2p) between consecutive nodes 1..n+1; and for
+    power 2 inverse_square, that of s^(2p-2) over each cell (else None).
+
+    They do not depend on h, and the cells of a coarser grid are the first
+    ones of a finer grid with the same edges in s, so a rung of k <= n
+    cells takes the first k entries of each: the same numbers it would
+    compute itself.
+    """
+    edges = np.concatenate(([0.0], np.arange(1, n + 1, dtype=float) + 0.5))  # the n + 1 cell edges
+    coul, moment = _powint(edges, 2.0 * p - 1.0), _powint(edges, 2.0 * p)
+    aflux = 1.0 / _powint(np.arange(1.0, n + 2), -2.0 * p)  # nodes 1..n+1
+    inverse_square = _powint(edges, 2.0 * p - 2.0) if power == 2 else None
+    return coul, moment, aflux, inverse_square
+
+
 def _rung(n: int, p: float, rho_max: float, c1: float, smooth, mass, power: int, et: float,
-          index: int, guess=None) -> float:
-    """Eigenvalue `index` of one rung's pencil (H - et M) v = lam G v for
-    U = rho^p v on n cells of (0, rho_max], H v = -(w v')' + w (c1/rho +
-    smooth) v with w = rho^(2p), and G the weight of g = mass, g ~ rho^(-power).
+          index: int, guess=None, start=None, integrals=None):
+    """(lam, y): eigenvalue `index` of one rung's pencil (H - et M) v =
+    lam G v for U = rho^p v on n cells of (0, rho_max], H v = -(w v')' +
+    w (c1/rho + smooth) v with w = rho^(2p), and G the weight of g = mass,
+    g ~ rho^(-power), with y = G^(1/2) v its unit eigenvector (None when
+    the full bisection found lam).
 
     Nodes sit at rho_i = i h, i = 1..n; cell i spans [i - 1/2, i + 1/2] h
     except the origin cell [0, 3/2] h, which carries no flux through
     rho = 0. Cell integrals are kept in units of h, scaled by h^(-2p), and
-    only powers of rho are integrated exactly: coul and moment are the
-    integrals of s^(2p-1) and s^(2p) over a cell in s = rho/h, and G_i is
-    the exact cell integral of rho^(2p - power) times rho^power g at its
+    only powers of rho are integrated exactly (_cell_integrals, of this
+    grid or the first n cells of `integrals` from a finer one): G_i is the
+    exact cell integral of rho^(2p - power) times rho^power g at its
     centroid. The pencil is scaled by G^(-1/2) to a symmetric tridiagonal
-    problem and solved by eigh_tridiagonal, from `guess` when its result
-    is certified.
+    problem and solved by eigh_tridiagonal, from `guess` and the start
+    vector `start` when its result is certified.
     """
     h = rho_max / n
     i = np.arange(1, n + 1, dtype=float)
-    edges = np.concatenate(([0.0], i + 0.5))  # the n + 1 cell edges
-    coul, moment = _powint(edges, 2.0 * p - 1.0), _powint(edges, 2.0 * p)
+    if integrals is None:
+        integrals = _cell_integrals(n, p, power)
+    coul, moment, aflux, inverse_square = integrals
+    coul, moment, aflux = coul[:n], moment[:n], aflux[:n]
     cell = moment * h  # the cell integral of rho^(2p): the M of the pencil
-    aflux = 1.0 / _powint(np.arange(1.0, n + 2), -2.0 * p)  # nodes 1..n+1
     diag = (np.concatenate(([0.0], aflux[:-1])) + aflux) / h + c1 * coul
     if smooth is not None:
         diag = diag + _eval_potential(smooth, i * h) * cell
     lower, upper = coul, cell  # the integrals of rho^(2p - 1) and rho^(2p)
     if power == 2:  # g ~ 1/rho^2: integrate rho^(2p - 2), its centroid needs rho^(2p - 1)
-        lower, upper = _powint(edges, 2.0 * p - 2.0) / h, lower
+        lower, upper = inverse_square[:n] / h, lower
     rho = upper / lower
     weight = lower * rho**power * mass(rho)
     d = np.sqrt(weight)
@@ -275,9 +322,18 @@ def _rung(n: int, p: float, rho_max: float, c1: float, smooth, mass, power: int,
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("finite-volume pencil must be finite on the grid")
     try:
-        return eigh_tridiagonal(a, b, index, guess)
+        return eigh_tridiagonal(a, b, index, guess, start)
     except np.linalg.LinAlgError as err:
         raise DomainError(f"the pencil's tridiagonal eigensolve did not converge: {err}") from None
+
+
+def _prolong(y: np.ndarray) -> np.ndarray:
+    """y on the nodes i h, i = 1..n, interpolated linearly to the nodes
+    i h/2, i = 1..2n of the grid of twice the cells (y = 0 at the origin)."""
+    fine = np.empty(2 * len(y))
+    fine[1::2] = y
+    fine[0::2] = 0.5 * (np.concatenate(([0.0], y[:-1])) + y)
+    return fine
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +391,18 @@ def _level(eq: ReducedEquation, state, n_points) -> OracleLevel:
     level with a smaller p*; an iterate at or past the fall-to-center
     threshold c2(E) = -1/4 halves u instead.
 
-    The fixed point runs on the ladder's first grid, whose first solve is
-    the level's one full bisection; if model B has no level there, the
-    ladder starts at n/2. Every finer grid keeps that grid's p and Eg and
-    takes the level of the grid before it as its guess. Each grid's
-    pencil follows one rule (eq.split, _rung) for every model.
+    The fixed point runs on the ladder's first grid, whose first solve
+    guesses from the leading half of its matrix (eigh_tridiagonal); if
+    model B has no level there, the ladder starts at n/2. Every later solve
+    starts warm: its guess is the level it expects and its start vector the
+    last solve's eigenvector, as it is on the fixed point's grid and
+    prolonged (_prolong) to a grid of twice the cells; a grid that does not
+    double the last (n_points = 4002: 1000, then 2001 cells) starts from a
+    vector of ones. Every finer grid keeps the first grid's p and Eg. The
+    cell integrals of that p are computed once, on the finest grid, and
+    each rung takes its leading cells (_cell_integrals); model B's trial
+    p's build their own on the fixed point's grid. Each grid's pencil
+    follows one rule (eq.split, _rung) for every model.
     """
     c2, c1, smooth = eq.split()
     in_c2 = eq.power == 2  # model B: the level enters the centrifugal strength
@@ -348,17 +411,20 @@ def _level(eq: ReducedEquation, state, n_points) -> OracleLevel:
             f"fall to center: centrifugal strength c2 = {c2} is below -1/4, no lowest level"
         )
 
-    def solve(n: int, u: float, e_g: float, guess=None) -> float:
-        p = 0.5 + u
-        return e_g + _rung(n, p, 25.0, c1, smooth, eq.mass, eq.power, eq.et, state.n_rho, guess)
+    u0, e_g0 = (0.5, c2) if in_c2 else (math.sqrt(c2 + 0.25), 0.0)  # model B starts at p = 1
 
-    def fixed_point(n: int):
-        u, e_g = (0.5, c2) if in_c2 else (math.sqrt(c2 + 0.25), 0.0)
-        guess = None  # the first solve bisects the whole interval
+    def solve(n: int, u: float, e_g: float, guess, start, integrals):
+        value, vector = _rung(n, 0.5 + u, 25.0, c1, smooth, eq.mass, eq.power, eq.et, state.n_rho,
+                              guess, start, integrals)
+        return e_g + value, vector
+
+    def fixed_point(n: int, integrals):
+        u, e_g = u0, e_g0
+        guess = vector = None  # the first solve guesses from the leading half
         for _ in range(100):
-            e = solve(n, u, e_g, guess)
+            e, vector = solve(n, u, e_g, guess, vector, integrals)
             if not in_c2 or abs(e - e_g) <= _FIXED_POINT_TOL:
-                return e, u, e_g
+                return e, vector, u, e_g
             u_sq = c2 + 0.25 - e
             if u_sq > 0:
                 u, e_g = math.sqrt(u_sq), e
@@ -376,16 +442,35 @@ def _level(eq: ReducedEquation, state, n_points) -> OracleLevel:
         )
 
     sizes = [n_points // 4, n_points // 2, n_points, 2 * n_points]
+    # the cell integrals of the level's p on the finest grid; model B's
+    # trial p's build their own on the fixed point's grid
+    shared = None if in_c2 else _cell_integrals(sizes[-1], 0.5 + u0, eq.power)
     try:
-        e, u, e_g = fixed_point(sizes[0])
+        e, vector, u, e_g = fixed_point(sizes[0], shared)
     except BoundStateError:
         del sizes[0]
-        e, u, e_g = fixed_point(sizes[0])
+        e, vector, u, e_g = fixed_point(sizes[0], shared)
+    if shared is None:
+        shared = _cell_integrals(sizes[-1], 0.5 + u, eq.power)
     q = min(2.0 * u + 2.0, 4.0)  # q = 2p + 1, at most 4
     levels = [e]
     while (level := _extrapolate(sizes, levels, q)) is None:
-        levels.append(solve(sizes[len(levels)], u, e_g, levels[-1] - e_g))  # near the last level
+        n = sizes[len(levels)]
+        # the last grid's eigenvector, where the grid doubles
+        start = _prolong(vector) if vector is not None and n == 2 * len(vector) else None
+        e, vector = solve(n, u, e_g, levels[-1] - e_g, start, shared)  # near the last level
+        levels.append(e)
     return level
+
+
+def _check_n_points(n_points) -> None:
+    """oracle_energy's rules for n_points, which verify_states also checks
+    before its first state."""
+    if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 1:
+        raise DomainError(f"n_points must be a positive integer, got {n_points!r}")
+    if n_points > _MAX_POINTS // 2:  # the ladder's finest grid has 2 n_points cells
+        raise DomainError(f"n_points must be at most {_MAX_POINTS // 2} (2 n_points cells on the "
+                          f"finest grid), got {n_points}")
 
 
 def oracle_energy(
@@ -415,11 +500,7 @@ def oracle_energy(
     the canonical level lam and its error, each times kappa^(2 - power) / eta.
     """
     eq = reduced_equation(kind, state, params, target)
-    if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 1:
-        raise DomainError(f"n_points must be a positive integer, got {n_points!r}")
-    if n_points > _MAX_POINTS // 2:  # the ladder's finest grid has 2 n_points cells
-        raise DomainError(f"n_points must be at most {_MAX_POINTS // 2} (2 n_points cells on the "
-                          f"finest grid), got {n_points}")
+    _check_n_points(n_points)
     if state.n_rho >= n_points // 4:
         raise DomainError(f"n_rho = {state.n_rho} exceeds n_points // 4 - 1 = "
                           f"{n_points // 4 - 1}, the highest level the coarsest grid holds")
@@ -504,6 +585,7 @@ def verify_states(
     if target is None:
         target = "ga" if kind is ModelKind.C else "exact"
     reduced_equation(kind, QuantumState(0, 0), params, target)  # the record's rules, checked once
+    _check_n_points(n_points)  # here too, so that a run whose every state is skipped checks it
     rows: list[VerifyRow] = []
     skipped: list[tuple[QuantumState, str]] = []
     for state in states:

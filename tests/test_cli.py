@@ -406,6 +406,15 @@ class TestVerify:
         assert code == 1 and captured.out == ""
         assert "n_rho = 0 exceeds n_points // 4 - 1 = -1" in captured.err
 
+    def test_n_points_is_checked_when_every_state_is_skipped(self, capsys):
+        # B (0, -3) is not bound, so no state reaches the oracle; this exited
+        # 0 with an empty table, the same flag with a bound state 1
+        code = run(["verify", "--model", "b", "--nrho-max", "0", "--m-min", "-3", "--m-max", "-3",
+                    "--n-points", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "n_points must be a positive integer, got 0" in captured.err
+
     def test_too_many_cells_is_a_validation_error(self, capsys):
         # was a numpy _ArrayMemoryError traceback
         code = run(["verify", "--model", "a", "--nrho-max", "0", "--m-min", "0", "--m-max", "0",

@@ -8,7 +8,9 @@ in the Coulomb strength, -U'' - (Z/rho) U = -U/4 has the charges
 Z = n + 1.
 """
 
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,14 +49,14 @@ def oscillator(rho):
 def fv_levels(c1, rho_max, n_points, count, smooth=None, p=1.0):
     """Lowest levels of -U'' + [p(p-1)/rho^2 + c1/rho + smooth] U = Et U: the
     rung's pencil at et = 0 with g = 1, whose weight is M."""
-    return np.array([_rung(n_points, p, rho_max, c1, smooth, np.ones_like, 1, 0.0, k)
+    return np.array([_rung(n_points, p, rho_max, c1, smooth, np.ones_like, 1, 0.0, k)[0]
                      for k in range(count)])
 
 
 def coulomb_charges(n_points, count):
     """Lowest charges Z of -U'' + U/4 = Z U/rho on (0, 60] (p = 1): the rung's
     pencil at et = -1/4 with g = 1/rho."""
-    return np.array([_rung(n_points, 1.0, 60.0, 0.0, None, np.reciprocal, 1, -0.25, k)
+    return np.array([_rung(n_points, 1.0, 60.0, 0.0, None, np.reciprocal, 1, -0.25, k)[0]
                      for k in range(count)])
 
 
@@ -84,7 +86,7 @@ def per_cell_pencil(p, rho_max, n_points, c1=0.0, et=0.0, power=1, mass=np.recip
     return diag - et * cell, -flux[:-1] / h, lower * rho**power * mass(rho)
 
 
-def rung_matrix(monkeypatch, *args):
+def rung_matrix(monkeypatch, *args, integrals=None):
     """The symmetric tridiagonal (a, b) the rung hands to eigh_tridiagonal."""
     import pdmag.oracle
 
@@ -92,7 +94,7 @@ def rung_matrix(monkeypatch, *args):
     solve = pdmag.oracle.eigh_tridiagonal
     monkeypatch.setattr(pdmag.oracle, "eigh_tridiagonal",
                         lambda a, b, *rest: seen.append((a, b)) or solve(a, b, *rest))
-    _rung(*args, 0)
+    _rung(*args, 0, integrals=integrals)
     monkeypatch.undo()
     return seen[0]
 
@@ -198,6 +200,32 @@ class TestFVGrid:
         assert np.max(np.abs(a / a_ref - 1.0)) <= 1e-14
         assert np.max(np.abs(b / b_ref - 1.0)) <= 1e-14
 
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("p", [0.5, 0.75, 1.0, 1.6, 3.0])
+    def test_shared_cell_integrals_are_each_rungs_own(self, p, power, monkeypatch):
+        # a level computes its cell integrals once, on the finest grid's 8000
+        # cells; the leading entries of each are the rung's own _powint, bit
+        # for bit (p = 1/2 runs the log branch of the flux integral, and of
+        # model B's s^(2p-2), whose origin cell is then infinite)
+        from pdmag.oracle import _cell_integrals, _powint
+
+        with np.errstate(divide="ignore"):
+            shared = _cell_integrals(8000, p, power)
+            for n in (1000, 2000, 4000, 8000):
+                edges = np.concatenate(([0.0], np.arange(1, n + 1, dtype=float) + 0.5))
+                own = [_powint(edges, 2.0 * p - 1.0), _powint(edges, 2.0 * p),
+                       1.0 / _powint(np.arange(1.0, n + 2), -2.0 * p),
+                       _powint(edges, 2.0 * p - 2.0) if power == 2 else None]
+                for whole, part in zip(shared, own):
+                    assert (whole is part is None) or np.array_equal(whole[:n], part), (n, p)
+        if p == 0.5 and power == 2:  # the pencil is not finite (test_cell_integrals_...)
+            return
+        # so the rung's matrix is the same with the shared integrals as without
+        args = (1000, p, 25.0, 0.7, None, np.reciprocal, power, -0.3)
+        a, b = rung_matrix(monkeypatch, *args)
+        a_shared, b_shared = rung_matrix(monkeypatch, *args, integrals=shared)
+        assert np.array_equal(a, a_shared) and np.array_equal(b, b_shared)
+
 
 @st.composite
 def jacobi_problems(draw):
@@ -251,7 +279,7 @@ class TestGuessedEigensolve:
         from scipy.linalg import eigh_tridiagonal as solve
 
         d, e, index, f = problem
-        got = eigh_tridiagonal(d, e, index, guess_for("near", d, e, index, f))
+        got, _ = eigh_tridiagonal(d, e, index, guess_for("near", d, e, index, f))
         h = _CERT_TOL * max(1.0, abs(got))
 
         def count(t):  # Sturm count: eigenvalues at or below t
@@ -265,44 +293,153 @@ class TestGuessedEigensolve:
     @given(problem=jacobi_problems())
     def test_other_guesses_give_the_bisection(self, case, problem):
         d, e, index, f = problem
-        got = eigh_tridiagonal(d, e, index, guess_for(case, d, e, index, f))
+        got, _ = eigh_tridiagonal(d, e, index, guess_for(case, d, e, index, f))
         assert abs(got - self.bisection(d, e, index)) <= _EIG_TOL
 
-    def test_oracle_guesses_hit(self, monkeypatch):
-        # every solve after a level's first grid starts from a guess; a
-        # guess whose result is not certified falls back to the full
-        # bisection (dstebz over an index range) and keeps the result but
-        # not the speed
-        from pdmag.oracle import _linalg_extension
+    @given(problem=jacobi_problems())
+    def test_no_guess_gives_the_bisection_to_the_certificate(self, problem):
+        # the leading half's eigenvalue `index` is the guess; where it is
+        # far off, or index is past the half, the full bisection answers
+        d, e, index, _ = problem
+        got, vector = eigh_tridiagonal(d, e, index)
+        bisected = self.bisection(d, e, index)
+        tol = _EIG_TOL if vector is None else _CERT_TOL * max(1.0, abs(got)) + _EIG_TOL
+        assert abs(got - bisected) <= tol
 
-        full = []
+    @pytest.mark.parametrize("start", ["own", "neighbour", "random"])
+    @given(problem=jacobi_problems())
+    def test_a_start_vector_changes_no_eigenvalue(self, start, problem):
+        # Rayleigh-quotient iteration from another eigenvector settles on
+        # that one's eigenvalue, which the certificate rejects; a vector
+        # returned is a unit eigenvector of the value
+        from scipy.linalg import eigh_tridiagonal as solve
+
+        d, e, index, f = problem
+        _, vectors = solve(d, e)
+        x = {"own": vectors[:, index], "neighbour": vectors[:, (index + 1) % len(d)],
+             "random": np.random.default_rng(len(d)).uniform(-1.0, 1.0, len(d))}[start]
+        got, vector = eigh_tridiagonal(d, e, index, guess_for("near", d, e, index, f), x)
+        h = _CERT_TOL * max(1.0, abs(got))
+        assert abs(got - self.bisection(d, e, index)) <= h + _EIG_TOL
+        if vector is not None:
+            tv = d * vector + np.append(e * vector[1:], 0.0) + np.append(0.0, e * vector[:-1])
+            scale = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
+            assert np.linalg.norm(vector) == pytest.approx(1.0, rel=1e-12)
+            assert np.linalg.norm(tv - got * vector) <= 1e-8 * scale
+
+    def test_oracle_guesses_hit(self, monkeypatch):
+        # a level's first solve guesses from one coarse bisection of the
+        # leading half of its matrix, every later one from the level it
+        # expects; a result that is not certified falls back to the full
+        # bisection (dstebz to _EIG_TOL) and keeps the result but not the speed
+        from pdmag.oracle import _HALF_TOL, _linalg_extension
+
+        tolerances = []
         flapack = _linalg_extension("_flapack")  # the module eigh_tridiagonal calls
         stebz = flapack.dstebz
         monkeypatch.setattr(
-            flapack, "dstebz", lambda d, e, rng, *a: full.append(rng == 2) or stebz(d, e, rng, *a)
+            flapack, "dstebz", lambda d, e, *a: tolerances.append(a[-2]) or stebz(d, e, *a)
         )
         for kind, state, params, target in criterion_levels():
-            full.clear()
+            tolerances.clear()
             oracle_energy(kind, state, params, target=target)
-            # model B's first solve bisects the whole interval too, and one
-            # later iterate's guess may miss
-            if kind is ModelKind.B:
-                assert sum(full) <= 2, (state, params)
-            else:
-                assert sum(full) == 1, (kind, state, params)
+            # one of model B's later iterates may miss
+            full = tolerances.count(_EIG_TOL)
+            assert tolerances.count(_HALF_TOL) == 1 and full <= (kind is ModelKind.B), \
+                (kind, state, params)
+
+    @pytest.mark.parametrize("kind, state, params, target", [
+        (ModelKind.A, QuantumState(1, 1), PhysicalParams(), "exact"),
+        (ModelKind.B, QuantumState(0, 2), PhysicalParams(kz=1.0), "exact"),
+        (ModelKind.C, QuantumState(1, 1), PhysicalParams(mu=0.15, delta=0.1), "ga"),
+    ], ids=["A", "B", "C"])
+    @pytest.mark.parametrize("miss", ["neighbour", "nan"])
+    def test_a_first_guess_that_is_not_certified_falls_back_to_the_bisection(
+            self, monkeypatch, kind, state, params, target, miss):
+        # Rayleigh-quotient iteration from the leading-half guess settles on
+        # the next eigenvalue up, or not at all: the certificate rejects it
+        # and the full bisection gives the first rung, so the level is the
+        # one of the warm chain to the tolerance of the two solves
+        import pdmag.oracle
+        from pdmag.oracle import _HALF_TOL, _linalg_extension
+
+        warm = oracle_energy(kind, state, params, target=target)
+        flapack = _linalg_extension("_flapack")
+        rayleigh_quotient, stebz = pdmag.oracle._rayleigh_quotient, flapack.dstebz
+        tolerances, first = [], []
+
+        def missed(lapack, d, e, guess, start=None):
+            if first:  # a later solve
+                return rayleigh_quotient(lapack, d, e, guess, start)
+            first.append(guess)
+            if miss == "nan":
+                return math.nan, None
+            k = state.n_rho + 2  # the next eigenvalue up, 1-based
+            return float(stebz(d, e, 2, 0.0, 0.0, k, k, _EIG_TOL, "E")[1][0]), np.ones(len(d))
+
+        monkeypatch.setattr(pdmag.oracle, "_rayleigh_quotient", missed)
+        monkeypatch.setattr(flapack, "dstebz",
+                            lambda d, e, *a: tolerances.append(a[-2]) or stebz(d, e, *a))
+        level = oracle_energy(kind, state, params, target=target)
+        # the leading-half guess, then the fallback; every later solve is certified
+        assert tolerances == [_HALF_TOL, _EIG_TOL]
+        assert abs(level.energy - warm.energy) <= 2e-11 * max(1.0, abs(warm.energy))
+        assert level.error == pytest.approx(warm.error, rel=1e-3)
 
     def test_guess_path_moves_no_protocol_level(self, monkeypatch):
         # the certificate bounds the guessed eigenvalues by _CERT_TOL, not
-        # by _EIG_TOL; run the levels of acceptance criteria 1-3 once as
-        # they are and once with every guess forced to the full bisection
-        import pdmag.oracle
+        # by _EIG_TOL; solve every rung of the levels of acceptance criteria
+        # 1-3 (criterion 1's 224 among them) once warm and once with every
+        # rung's solve forced to the full bisection
+        assert_warm_ladder_is_the_bisected_one(monkeypatch, criterion_levels())
 
-        levels = criterion_levels()
-        guessed = [oracle_energy(k, s, p, target=t).energy for k, s, p, t in levels]
-        monkeypatch.setattr(pdmag.oracle, "_RQ_SOLVES", 0)  # no guess is ever certified
-        bisected = [oracle_energy(k, s, p, target=t).energy for k, s, p, t in levels]
-        for level, g, b in zip(levels, guessed, bisected):
-            assert abs(g - b) <= 2 * _CERT_TOL * max(1.0, abs(b)), level
+    def test_guess_path_moves_no_stream_level(self, monkeypatch):
+        # the same on the first 90 levels of the benchmark's seed-1 stream
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from inputs import oracle_levels
+
+        kinds = {"A": ModelKind.A, "B": ModelKind.B, "C": ModelKind.C}
+        levels = [(kinds[kind], QuantumState(*state), PhysicalParams(**params),
+                   "ga" if kind == "C" else "exact")
+                  for kind, state, params in itertools.islice(oracle_levels(1), 90)]
+        assert_warm_ladder_is_the_bisected_one(monkeypatch, levels)
+
+
+def assert_warm_ladder_is_the_bisected_one(monkeypatch, levels):
+    """Each level's rungs, solved warm and once more with no guess ever
+    certified (_RQ_SOLVES = 0: every solve is the full bisection): the same
+    grids, the same eigenvalue index on each (their values agree far inside
+    the level gaps) and a level within 2e-11 max(1, |E|)."""
+    import pdmag.oracle
+
+    solve = pdmag.oracle.eigh_tridiagonal
+
+    def ladder(kind, state, params, target):
+        rungs = []
+
+        def record(d, e, index, guess=None, start=None):
+            value, vector = solve(d, e, index, guess, start)
+            rungs.append((len(d), value))
+            return value, vector
+
+        monkeypatch.setattr(pdmag.oracle, "eigh_tridiagonal", record)
+        try:
+            return oracle_energy(kind, state, params, target=target), rungs
+        except DomainError as err:  # a known defect of the stream fails both ways
+            return str(err), rungs
+
+    for level in levels:
+        monkeypatch.setattr(pdmag.oracle, "_RQ_SOLVES", 5)
+        warm, warm_rungs = ladder(*level)
+        monkeypatch.setattr(pdmag.oracle, "_RQ_SOLVES", 0)
+        bisected, bisected_rungs = ladder(*level)
+        if isinstance(bisected, str):
+            assert warm == bisected, level
+            continue
+        assert [n for n, _ in warm_rungs] == [n for n, _ in bisected_rungs], level
+        for (n, w), (_, b) in zip(warm_rungs, bisected_rungs):
+            assert abs(w - b) <= 2e-11 * max(1.0, abs(b)), (level, n)
+        assert abs(warm.energy - bisected.energy) <= 2e-11 * max(1.0, abs(bisected.energy)), level
 
 
 @st.composite
@@ -411,10 +548,10 @@ def oracle_pencils(monkeypatch):
     problems = []
     solve = pdmag.oracle.eigh_tridiagonal
 
-    def record(d, e, index, guess=None):
-        sigma = solve(d, e, index, guess)
+    def record(d, e, index, guess=None, start=None):
+        sigma, vector = solve(d, e, index, guess, start)
         problems.append((d, e, sigma))
-        return sigma
+        return sigma, vector
 
     monkeypatch.setattr(pdmag.oracle, "eigh_tridiagonal", record)
     for n_points in (4000, 8000):
@@ -775,7 +912,8 @@ class TestOracleEnergy:
         # n_points = 4 starts the ladder on one cell, which eigh_tridiagonal
         # answers without LAPACK; the coarse level's error estimate still
         # bounds its error
-        assert eigh_tridiagonal(np.array([2.5]), np.array([]), 0) == 2.5
+        value, vector = eigh_tridiagonal(np.array([2.5]), np.array([]), 0)
+        assert value == 2.5 and np.array_equal(vector, [1.0])
         sizes = grid_sizes(monkeypatch)
         (row,), _ = verify_states(ModelKind.A, [QuantumState(0, 0)], unit_params, n_points=4)
         assert sizes == [1, 2, 4, 8]
@@ -808,6 +946,38 @@ class TestOracleEnergy:
         assert sizes[-2:] == [2000, 4000]
         assert set(sizes[:-2]) == {1000}
         assert len(sizes) <= 8
+
+    def test_each_solve_starts_from_the_last_eigenvector(self, unit_params, monkeypatch):
+        # (cells, the guess, the start vector's length) of each solve: the
+        # first one guesses from the leading half and starts from ones, a
+        # grid that doubles starts from the last vector prolonged, model B's
+        # fixed point from the last vector as it is, and a ladder that does
+        # not double (n_points = 4002: 1000 to 2001 cells) from ones
+        import pdmag.oracle
+
+        solves = []
+        solve = pdmag.oracle.eigh_tridiagonal
+
+        def record(d, e, index, guess=None, start=None):
+            solves.append((len(d), guess, None if start is None else len(start)))
+            return solve(d, e, index, guess, start)
+
+        monkeypatch.setattr(pdmag.oracle, "eigh_tridiagonal", record)
+        oracle_energy(ModelKind.A, QuantumState(2, 1), unit_params)
+        assert [(n, guess is None, start) for n, guess, start in solves] == [
+            (1000, True, None), (2000, False, 2000), (4000, False, 4000)]
+        solves.clear()
+        oracle_energy(ModelKind.B, QuantumState(1, 3), PhysicalParams(mu=1.2))
+        fixed_point = [(n, guess, start) for n, guess, start in solves if n == 1000]
+        assert fixed_point[0] == (1000, None, None) and len(fixed_point) >= 3
+        assert all(step == (1000, 0.0, 1000) for step in fixed_point[1:])
+        solves.clear()
+        state = QuantumState(2, 1)
+        level = oracle_energy(ModelKind.A, state, unit_params, n_points=4002)
+        assert [(n, start) for n, _, start in solves][:3] == [
+            (1000, None), (2001, None), (4002, 4002)]
+        assert level.energy == pytest.approx(energy(ModelKind.A, state, unit_params), rel=1e-7)
+        assert abs(level.energy - energy(ModelKind.A, state, unit_params)) <= level.error
 
     def test_model_b_without_a_level_on_the_coarsest_grid_starts_one_finer(self, monkeypatch):
         # the fixed point finds no level on 1000 cells and one on 2000; the
@@ -1205,6 +1375,18 @@ class TestVerifyStates:
         rows, _ = verify_states(ModelKind.C, [QuantumState(3, 3)], params)
         assert rows[0].nodes == 3
         assert rows[0].residual <= 1e-12
+
+    @pytest.mark.parametrize("n_points, message", [
+        (0, "^n_points must be a positive integer, got 0$"),
+        (True, "^n_points must be a positive integer, got True$"),
+        (10**12, r"^n_points must be at most 500000 \(2 n_points"),
+    ])
+    def test_n_points_is_checked_when_every_state_is_skipped(self, n_points, message):
+        # B (0, -3) is not bound at the default parameters, so no state
+        # reaches oracle_energy; the run still rejects its n_points
+        assert not model_b_bound(QuantumState(0, -3), PhysicalParams())
+        with pytest.raises(DomainError, match=message):
+            verify_states(ModelKind.B, [QuantumState(0, -3)], PhysicalParams(), n_points=n_points)
 
     @pytest.mark.parametrize("target", [None, "exact"])
     def test_model_c_at_zero_delta_names_model_a(self, unit_params, target):
