@@ -307,9 +307,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-5,
                    help="tolerance on abs_err / max(1, |E_closed|)")
     p.add_argument("--n-points", type=int, default=4000,
-                   help="finest grid of the oracle's n//4, n//2, n ladder over 25 decay "
-                        "lengths (n//4 must exceed --nrho-max); a level whose fit is not "
-                        "settled there also solves 2n")
+                   help="finest grid of the oracle's m, 2m, 4m ladder over 25 decay "
+                        "lengths, m = n//4, so n rounds down to a multiple of 4 (m must "
+                        "exceed --nrho-max); a level whose fit is not settled there also "
+                        "solves 8m")
     p.add_argument("--target", choices=("exact", "ga"), default=None,
                    help="which equation the oracle solves (default: ga for C, exact otherwise)")
     p.set_defaults(func=_cmd_verify)

@@ -21,14 +21,14 @@ decay lengths 1/kappa, kappa^2 = W(inf) - Et, and eta = 1, so a level and
 its error estimate do not depend on the units of eta or of 1/rho, and
 E = lam kappa^(2 - power) / eta. There one function (_rung) assembles and
 solves each grid's pencil. The grids span 25 decay lengths, (0, 25], and
-form a ladder n/4, n/2, n, 2n (n = n_points), extrapolated in h^2 and h^q,
-q = min(2p + 1, 4), to the level and its error (_extrapolate). Every
-eigensolve of a level runs Rayleigh-quotient iteration and keeps the result
-only when a two-sided Sturm count (one pass of LAPACK's dlarrc) certifies
-it to _CERT_TOL, else it bisects the whole matrix (eigh_tridiagonal). The
-first solve takes its guess from a coarse bisection of the leading half of
-its matrix; every later one starts from the level it expects and from the
-last solve's eigenvector (_level).
+form a ladder of m, 2m, 4m and 8m cells (m = n_points // 4), extrapolated
+in h^2 and h^q, q = min(2p + 1, 4), to the level and its error
+(_extrapolate). Every eigensolve of a level runs Rayleigh-quotient
+iteration and keeps the result only when a two-sided Sturm count (one pass
+of LAPACK's dlarrc) certifies it to _CERT_TOL, else it bisects the whole
+matrix (eigh_tridiagonal). The first solve takes its guess from a coarse
+bisection of the leading half of its matrix; every later one starts from
+the level it expects and from the last solve's eigenvector (_level).
 
 The physics lives in models.reduced_equation alone: one record per state
 and target ('exact', or model C's Greene-Aldrich 'ga') gives Et, the mass
@@ -99,8 +99,8 @@ _RQ_SOLVES = 5
 # Model B's level is settled once a fixed-point step E - Eg is at most this.
 _FIXED_POINT_TOL = 1e-8
 
-# The grid ladder stops at n_points cells once its two Richardson values
-# agree to this, relative to max(1, |E|); otherwise it solves 2 n_points.
+# The grid ladder stops at 4m cells once its two Richardson values agree
+# to this, relative to max(1, |E|); otherwise it solves 8m (_level).
 _LADDER_TOL = 1e-6
 
 
@@ -183,9 +183,13 @@ def _rayleigh_quotient(lapack, d, e, guess: float, start=None):
     x^T T x / x^T x. Without a start vector the first solve, from a vector
     of ones at shift = guess, only turns the vector towards the
     eigenvector. sigma is settled once a step is below a tenth of the
-    certificate's half-width (convergence is cubic, so it is then exact to
-    rounding) or a pivot is zero; nan when _RQ_SOLVES solves do not settle
-    it.
+    certificate's half-width or a pivot is zero; nan when _RQ_SOLVES
+    solves do not settle it. Convergence is cubic, so a settled sigma is
+    exact to rounding at the scale of the matrix's entries, about
+    1/h^2 = 1e5 on the oracle's 8000-cell grids, not at that of sigma: it
+    can differ from dstebz's bisection to _EIG_TOL by up to about
+    1.5e-11 max(1, |sigma|). The bound that the certificate guarantees for
+    a kept sigma is _CERT_TOL max(1, |sigma|) (eigh_tridiagonal).
     """
     x, sigma = (np.ones(len(d)) if start is None else start), guess
     with np.errstate(all="ignore"):  # a value that is not finite fails the certificate
@@ -349,36 +353,32 @@ class OracleLevel(NamedTuple):
     error: float
 
 
-def _extrapolate(sizes, levels, q: float) -> OracleLevel | None:
-    """The level from the last three `levels`, solved on the first rungs of
-    the ladder `sizes`, or None while the ladder goes on.
+def _extrapolate(levels, q: float, last: bool) -> OracleLevel | None:
+    """The level from the last three `levels`, each on twice the cells of
+    the one before, or None while the ladder goes on (`last`: it has no
+    finer rung).
 
-    R12 = (r^2 E2 - E1)/(r^2 - 1), r = n2/n1, and R23 (s = n3/n2) are the
-    order-2 Richardson values of the two pairs. They differ by the h^q
-    term, which one more step cancels: the fit E* + a h^2 + b h^q, with the
-    error |R23 - R12|, stops the ladder once settled to _LADDER_TOL. On the
-    last rung the fit and R23 (error |R23 - E3|) compete, so that a level
-    still far from its asymptotic range keeps the plain step.
+    R12 = (4 E2 - E1)/3 and R23 = (4 E3 - E2)/3, the order-2 Richardson
+    values of the two pairs, differ by the h^q term: R12 - E* is 2^q times
+    R23 - E*. The fit E* + a h^2 + b h^q, with the error |R23 - R12|,
+    stops the ladder once settled to _LADDER_TOL. On the last rung the fit
+    and R23 (error |R23 - E3|) compete, so that a level still far from its
+    asymptotic range keeps the plain step.
     """
     if len(levels) < 3:
         return None
-    (n1, n2, n3), (e1, e2, e3) = sizes[len(levels) - 3:len(levels)], levels[-3:]
-    r, s = n2 / n1, n3 / n2
-    r12, r23 = (r * r * e2 - e1) / (r * r - 1.0), (s * s * e3 - e2) / (s * s - 1.0)
-    # (R12 - E*)/(R23 - E*) is s^q times the ratio of the pairs' h^q shares,
-    # 2^q when both halve h; at q = 2 both vanish, and any f but 1 keeps E*
-    share_r, share_s = ((x * x - x**q) / (x * x - 1.0) for x in (r, s))
-    f = s**q * (share_r / share_s if share_s else 1.0)
+    e1, e2, e3 = levels[-3:]
+    r12, r23, f = (4.0 * e2 - e1) / 3.0, (4.0 * e3 - e2) / 3.0, 2.0**q
     fit = OracleLevel((f * r23 - r12) / (f - 1.0), abs(r23 - r12))
-    if len(levels) < len(sizes):
+    if not last:
         return fit if fit.error <= _LADDER_TOL * max(1.0, abs(fit.energy)) else None
     return min(fit, OracleLevel(r23, abs(r23 - e3)), key=lambda level: level.error)
 
 
 def _level(eq: ReducedEquation, state, n_points) -> OracleLevel:
     """Level n_rho of a record in canonical units (eta = 1, W(inf) - Et = 1,
-    see oracle_energy) on the grid ladder n/4, n/2, n, 2n (n = n_points)
-    over (0, 25], 25 decay lengths, as far as it goes.
+    see oracle_energy) on the grid ladder of m, 2m, 4m and 8m cells
+    (m = n_points // 4) over (0, 25], 25 decay lengths, as far as it goes.
 
     On each grid the level is the fixed point E = Eg + lam(Eg) of the
     weighted pencil. At a trial energy Eg the grid's p = 1/2 + u,
@@ -393,16 +393,15 @@ def _level(eq: ReducedEquation, state, n_points) -> OracleLevel:
 
     The fixed point runs on the ladder's first grid, whose first solve
     guesses from the leading half of its matrix (eigh_tridiagonal); if
-    model B has no level there, the ladder starts at n/2. Every later solve
+    model B has no level there, the ladder starts at 2m. Every later solve
     starts warm: its guess is the level it expects and its start vector the
     last solve's eigenvector, as it is on the fixed point's grid and
-    prolonged (_prolong) to a grid of twice the cells; a grid that does not
-    double the last (n_points = 4002: 1000, then 2001 cells) starts from a
-    vector of ones. Every finer grid keeps the first grid's p and Eg. The
-    cell integrals of that p are computed once, on the finest grid, and
-    each rung takes its leading cells (_cell_integrals); model B's trial
-    p's build their own on the fixed point's grid. Each grid's pencil
-    follows one rule (eq.split, _rung) for every model.
+    prolonged (_prolong) to the next rung's twice the cells. Every finer
+    grid keeps the first grid's p and Eg. The cell integrals of that p are
+    computed once, on the finest grid, and each rung takes its leading
+    cells (_cell_integrals); model B's trial p's build their own on the
+    fixed point's grid. Each grid's pencil follows one rule (eq.split,
+    _rung) for every model.
     """
     c2, c1, smooth = eq.split()
     in_c2 = eq.power == 2  # model B: the level enters the centrifugal strength
@@ -441,23 +440,23 @@ def _level(eq: ReducedEquation, state, n_points) -> OracleLevel:
             f"model B level {state} did not settle to tol = {_FIXED_POINT_TOL} in 100 solves"
         )
 
-    sizes = [n_points // 4, n_points // 2, n_points, 2 * n_points]
+    n = n_points // 4  # m, the first rung's cells
+    finest = 8 * n
     # the cell integrals of the level's p on the finest grid; model B's
     # trial p's build their own on the fixed point's grid
-    shared = None if in_c2 else _cell_integrals(sizes[-1], 0.5 + u0, eq.power)
+    shared = None if in_c2 else _cell_integrals(finest, 0.5 + u0, eq.power)
     try:
-        e, vector, u, e_g = fixed_point(sizes[0], shared)
+        e, vector, u, e_g = fixed_point(n, shared)
     except BoundStateError:
-        del sizes[0]
-        e, vector, u, e_g = fixed_point(sizes[0], shared)
+        n *= 2
+        e, vector, u, e_g = fixed_point(n, shared)
     if shared is None:
-        shared = _cell_integrals(sizes[-1], 0.5 + u, eq.power)
+        shared = _cell_integrals(finest, 0.5 + u, eq.power)
     q = min(2.0 * u + 2.0, 4.0)  # q = 2p + 1, at most 4
     levels = [e]
-    while (level := _extrapolate(sizes, levels, q)) is None:
-        n = sizes[len(levels)]
-        # the last grid's eigenvector, where the grid doubles
-        start = _prolong(vector) if vector is not None and n == 2 * len(vector) else None
+    while (level := _extrapolate(levels, q, last=n == finest)) is None:
+        n *= 2
+        start = None if vector is None else _prolong(vector)  # the last grid's eigenvector
         e, vector = solve(n, u, e_g, levels[-1] - e_g, start, shared)  # near the last level
         levels.append(e)
     return level
@@ -468,7 +467,7 @@ def _check_n_points(n_points) -> None:
     before its first state."""
     if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 1:
         raise DomainError(f"n_points must be a positive integer, got {n_points!r}")
-    if n_points > _MAX_POINTS // 2:  # the ladder's finest grid has 2 n_points cells
+    if n_points > _MAX_POINTS // 2:  # the ladder's finest grid has up to 2 n_points cells
         raise DomainError(f"n_points must be at most {_MAX_POINTS // 2} (2 n_points cells on the "
                           f"finest grid), got {n_points}")
 
@@ -492,12 +491,13 @@ def oracle_energy(
     The record is rescaled to canonical units, where W(inf) - Et = 1 and
     eta = 1: c1/kappa, b0/kappa^2, v0/kappa, delta/kappa, decay/kappa and
     Et/kappa^2, with c2 and power unchanged. _level's grids there span 25
-    decay lengths, (0, 25]: n_points // 4, n_points // 2 and n_points
-    cells, the coarsest of which must hold the level, and 2 n_points too
-    when the fit of the first three levels is not settled to _LADDER_TOL
-    (_extrapolate). So n_points is the finest grid of a settled level and
-    half the finest of any other. Returns OracleLevel(energy, error) from
-    the canonical level lam and its error, each times kappa^(2 - power) / eta.
+    decay lengths, (0, 25]: m = n_points // 4, 2m and 4m cells, the
+    coarsest of which must hold the level, and 8m too when the fit of the
+    first three levels is not settled to _LADDER_TOL (_extrapolate). So
+    n_points rounds down to a multiple of 4, 4m, the finest grid of a
+    settled level and half the finest of any other. Returns
+    OracleLevel(energy, error) from the canonical level lam and its error,
+    each times kappa^(2 - power) / eta.
     """
     eq = reduced_equation(kind, state, params, target)
     _check_n_points(n_points)

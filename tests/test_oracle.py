@@ -929,13 +929,10 @@ class TestOracleEnergy:
         oracle_energy(ModelKind.A, QuantumState(2, 1), unit_params)
         assert sizes == [1000, 2000, 4000]
         sizes.clear()
-        # n/4 is not a whole number of cells: the ladder takes n // 4 and
-        # n // 2, and its fit the unequal steps (8004 if it is not settled)
+        # n_points rounds down to a multiple of 4: 4002 climbs the ladder of 4000
         level = oracle_energy(ModelKind.A, QuantumState(2, 1), unit_params, n_points=4002)
-        settled = level.error <= pdmag.oracle._LADDER_TOL * abs(level.energy)
-        assert sizes == [1000, 2001, 4002] + ([] if settled else [8004])
-        assert level.energy == pytest.approx(energy(ModelKind.A, QuantumState(2, 1), unit_params),
-                                             rel=1e-7)
+        assert sizes == [1000, 2000, 4000]
+        assert level == oracle_energy(ModelKind.A, QuantumState(2, 1), unit_params)
         sizes.clear()
         oracle_energy(ModelKind.C, QuantumState(1, 0), weak_field_params.replace(delta=0.1), target="ga")
         assert sizes == [1000, 2000, 4000, 8000]
@@ -950,9 +947,9 @@ class TestOracleEnergy:
     def test_each_solve_starts_from_the_last_eigenvector(self, unit_params, monkeypatch):
         # (cells, the guess, the start vector's length) of each solve: the
         # first one guesses from the leading half and starts from ones, a
-        # grid that doubles starts from the last vector prolonged, model B's
-        # fixed point from the last vector as it is, and a ladder that does
-        # not double (n_points = 4002: 1000 to 2001 cells) from ones
+        # finer rung starts from the last vector prolonged, model B's fixed
+        # point from the last vector as it is, and n_points = 4002 climbs
+        # the ladder of 4000
         import pdmag.oracle
 
         solves = []
@@ -974,8 +971,7 @@ class TestOracleEnergy:
         solves.clear()
         state = QuantumState(2, 1)
         level = oracle_energy(ModelKind.A, state, unit_params, n_points=4002)
-        assert [(n, start) for n, _, start in solves][:3] == [
-            (1000, None), (2001, None), (4002, 4002)]
+        assert [(n, start) for n, _, start in solves] == [(1000, None), (2000, 2000), (4000, 4000)]
         assert level.energy == pytest.approx(energy(ModelKind.A, state, unit_params), rel=1e-7)
         assert abs(level.energy - energy(ModelKind.A, state, unit_params)) <= level.error
 
@@ -1027,38 +1023,36 @@ class TestOracleEnergy:
         assert abs(forced - closed) > 1e-3
 
     def test_ladder_fit_cancels_both_error_terms(self):
-        # on equal and on unequal steps, below the last rung (settled or
-        # not) and on it, where the fit's error is below the pair's
+        # below the last rung (settled or not) and on it, where the fit's
+        # error is below the pair's
         from pdmag.oracle import _extrapolate
 
         q = 3.4
-        for sizes in ([1000, 2000, 4000], [1000, 2001, 4002]):
-            levels = [2.5 + 3e3 / n**2 - 7e5 / n**q for n in sizes]
-            fit = _extrapolate(sizes, levels, q)
-            assert fit.energy == pytest.approx(2.5, abs=1e-14)
-            (r, s), (e1, e2, e3) = (sizes[1] / sizes[0], sizes[2] / sizes[1]), levels
-            r12, r23 = (r * r * e2 - e1) / (r * r - 1), (s * s * e3 - e2) / (s * s - 1)
-            assert fit.error == pytest.approx(abs(r23 - r12), rel=1e-12)
-            assert abs(r23 - e3) > fit.error  # so the last rung keeps the fit
-            assert _extrapolate(sizes + [2 * sizes[-1]], levels, q) is None  # not settled
-            assert _extrapolate(sizes, levels[:2], q) is None
+        levels = [2.5 + 3e3 / n**2 - 7e5 / n**q for n in (1000, 2000, 4000)]
+        fit = _extrapolate(levels, q, last=True)
+        assert fit.energy == pytest.approx(2.5, abs=1e-14)
+        e1, e2, e3 = levels
+        r12, r23 = (4 * e2 - e1) / 3, (4 * e3 - e2) / 3
+        assert fit.error == pytest.approx(abs(r23 - r12), rel=1e-12)
+        assert abs(r23 - e3) > fit.error  # so the last rung keeps the fit
+        assert _extrapolate(levels, q, last=False) is None  # not settled
+        assert _extrapolate(levels[:2], q, last=True) is None
         # h^2 alone: settled at once, below the last rung too
         levels = [2.5 + 3e3 / n**2 for n in (1000, 2000, 4000)]
-        assert _extrapolate([1000, 2000, 4000, 8000], levels, q).energy == pytest.approx(2.5, abs=1e-14)
+        assert _extrapolate(levels, q, last=False).energy == pytest.approx(2.5, abs=1e-14)
         # q = 2 (p = 1/2, reached by model C with v2 = -w^2 - 1/16): h^q is h^2,
         # the fit cannot tell the two apart, and E* must stay finite
-        levels = [2.5 + 3e3 / n**2 for n in (1000, 2001, 4002)]
-        assert _extrapolate([1000, 2001, 4002], levels, 2.0).energy == pytest.approx(2.5, abs=1e-14)
+        assert _extrapolate(levels, 2.0, last=True).energy == pytest.approx(2.5, abs=1e-14)
 
     def test_last_rung_keeps_the_pair_value_when_the_fit_is_worse(self):
         # a level far from its asymptotic range: the fit's two Richardson
         # values disagree by more than the last pair's step
         from pdmag.oracle import OracleLevel, _extrapolate
 
-        level = _extrapolate([2000, 4000, 8000], [1.0, 1.1, 1.0999], 3.4)
+        level = _extrapolate([1.0, 1.1, 1.0999], 3.4, last=True)
         r23 = (4 * 1.0999 - 1.1) / 3
         assert level == OracleLevel(r23, abs(r23 - 1.0999))
-        assert _extrapolate([2000, 4000, 8000, 16000], [1.0, 1.1, 1.0999], 3.4) is None
+        assert _extrapolate([1.0, 1.1, 1.0999], 3.4, last=False) is None
 
     def test_three_grid_fit_takes_its_order_from_the_origin_exponent(self, monkeypatch):
         # p = 0.8 here, so the second error term is h^2.6; a fit at order 2
@@ -1339,6 +1333,20 @@ class TestVerifyStates:
         # A (0, 10) at default parameters: E_oracle 3.523 against E_closed 1.00625
         (row,), _ = verify_states(ModelKind.A, [QuantumState(0, 10)], PhysicalParams())
         assert row.abs_err <= 1e-5 * abs(row.e_closed)
+        assert row.abs_err <= row.oracle_err
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: the FV domain ends at 25 decay lengths, which keeps this "
+        "level's abs_err at 2.9e-4 on every grid while its oracle_err falls",
+    )
+    def test_cut_limited_level_is_within_the_oracle_estimate(self):
+        # seed 6's oracle-verify level 57, A (3, 3): abs_err 2.88e-4 against
+        # an oracle_err of 6.6e-7
+        params = PhysicalParams(mu=1.1931743419986636, beta=-4.328794129194238,
+                                kz=0.9421934146537781, alpha_ab=-0.17133264335371523,
+                                eta=0.7923173567035384)
+        (row,), _ = verify_states(ModelKind.A, [QuantumState(3, 3)], params)
         assert row.abs_err <= row.oracle_err
 
     def test_model_b_skips_unbound_states(self, unit_params):
