@@ -13,10 +13,10 @@ per row. A sweep has at most 10^6 rows, checked before any grid is
 allocated.
 
 A crossing is a sign change of E1(p) - E2(p): the difference is scanned
-on a fixed grid of the range, and then all brackets are refined together,
-each step one ``level_axis`` call for both states over the points it puts
-into every bracket. Tangential degeneracies (touching without sign change) are
-outside the detection scope.
+on a fixed grid of the range with one ``level_axis`` call, and then each
+bracket is refined on its own by a scalar bracketing secant, one ``energy``
+call per state at each point it tries. Tangential degeneracies (touching
+without sign change) are outside the detection scope.
 """
 
 from __future__ import annotations
@@ -37,15 +37,11 @@ from .params import _MAX_POINTS, PhysicalParams, QuantumState
 
 __all__ = ["SWEEPABLE", "SweepSpec", "SweepRow", "CrossingPoint", "sweep", "find_crossings"]
 
-# A refinement step puts 15 evenly spaced points into each bracket of width
-# w, which shrink it at least 16x, and 64 points within +-w/512 of its
-# regula-falsi estimate, which settle a smooth crossing in about two steps:
-# safeguarded interpolation, as in Brent, Algorithms for Minimization
-# without Derivatives (1973).
-_EVEN = np.arange(1, 16) / 16.0
-_NEAR = np.linspace(-1.0, 1.0, 64) / 512.0
-# 75 steps shrink a bracket at least as far as 300 bisections
-_MAX_STEPS = 75
+# A crossing's final bracket is at most this wide
+_WIDTH = 1e-10
+# The bracket at least halves every three evaluations (see _refine), so 900
+# evaluations shrink it at least as far as 300 bisections
+_MAX_EVALS = 900
 # The points of a crossing search's scan; a narrower range gives a finer scan
 _SCAN_POINTS = 2001
 # Every Invalid code, NONE (0) first: the rows of a sweep's reason table
@@ -133,20 +129,6 @@ class CrossingPoint:
     gap: float | None = None
 
 
-def _energy_at(kind: ModelKind, state: QuantumState, params: PhysicalParams, param_name: str, value: float):
-    """Closed-form level with the named parameter overridden; None if the
-    point is not a bound state (or the parameter value itself is out of range).
-
-    The single-point path of find_crossings' reported points, each level
-    through energy; perfbench/spans.py times its dataclasses.replace and
-    energy calls under each crossing search."""
-    try:
-        p = dataclasses.replace(params, **{param_name: float(value)})
-        return energy(kind, state, p)
-    except DomainError:
-        return None
-
-
 def sweep(spec: SweepSpec, params: PhysicalParams) -> list[SweepRow]:
     """Tabulate the closed-form levels over the grid.
 
@@ -171,6 +153,49 @@ def sweep(spec: SweepSpec, params: PhysicalParams) -> list[SweepRow]:
     return list(map(tuple.__new__, repeat(SweepRow), rows))
 
 
+def _refine(at, a: float, b: float, at_a, at_b):
+    """(value, bracket width, (f, E) there) for the sign-change bracket
+    [a, b] of f = E1 - E2, given (f, E) at its ends; (f, E) is None where
+    at() finds a point invalid, which drops the bracket.
+
+    An Anderson-Bjorck bracketing secant (BIT 13 (1973) 253): b is the
+    latest point, and a step that keeps a again scales a's secant weight by
+    1 - f(c)/f(b), or by 1/2 if that is not positive. A step after one that
+    left the bracket over half as wide as two steps before bisects, so the
+    bracket halves at least every three evaluations. A secant point stays
+    min(_WIDTH, width)/4 inside, so a settled point's next one lands across
+    the crossing (Dekker's step). It stops at an exact zero (width 0), or
+    with the end of smaller |f| once the bracket is within _WIDTH and
+    |f| <= 1e-9 max(1, |E|) there.
+    """
+    (fa, ea), (fb, eb) = at_a, at_b
+    weight, widths, halve = fa, (b - a, b - a), False
+    for _ in range(_MAX_EVALS):
+        left, right = min(a, b), max(a, b)
+        value, f, e = (b, fb, eb) if abs(fb) <= abs(fa) else (a, fa, ea)
+        if right - left <= _WIDTH and abs(f) <= 1e-9 * max(1.0, abs(e)):
+            return value, right - left, (f, e)
+        c = b - fb * ((b - a) / (fb - weight))
+        # nan (an end's f overflowed to inf) fails the test too
+        if halve or not left < c < right:
+            c = 0.5 * a + 0.5 * b
+        else:
+            step = 0.25 * min(_WIDTH, right - left)
+            c = min(max(c, left + step), right - step)
+        point = at(c)
+        if point is None or point[0] == 0.0:
+            return c, 0.0, point
+        if (point[0] < 0.0) == (fb < 0.0):
+            m = 1.0 - point[0] / fb
+            weight *= m if m > 0.0 else 0.5
+        else:
+            a, fa, ea, weight = b, fb, eb, fb
+        b, (fb, eb) = c, point
+        halve = abs(b - a) > 0.5 * widths[0]
+        widths = widths[1], abs(b - a)
+    raise BracketingError(f"crossing refinement did not converge on [{min(a, b)}, {max(a, b)}]")
+
+
 def find_crossings(
     kind: ModelKind,
     s1: QuantumState,
@@ -182,14 +207,13 @@ def find_crossings(
     """All sign-change crossings of E_s1(p) - E_s2(p) on the range.
 
     The difference is scanned on _SCAN_POINTS points, one level_axis call
-    for both states. A scan point where it is exactly 0 is a crossing. The
-    brackets whose two ends are valid for both states and differ in sign
-    are refined together, a step (one level_axis call) at a time (see
-    _EVEN and _NEAR), each to the first sign change or exact zero among
-    its points, until |delta p| <= 1e-10 and |E1 - E2| <= 1e-9 max(1, |E|).
-    A bracket with an invalid point is discarded. Each crossing's E and gap
-    are then energy at the reported point; a point where that raises is
-    dropped. An empty result just means no crossing was detected.
+    for both states. A scan point where it is exactly 0 is a crossing. Each
+    bracket whose ends are valid for both states and differ in sign is
+    refined by _refine to |delta p| <= 1e-10 with |E1 - E2| <= 1e-9
+    max(1, |E|) at the reported end; one with an invalid point is dropped.
+    Each point tried, and each exact zero, is one dataclasses.replace and
+    one energy call per state (the names perfbench/spans.py times), which
+    give its E and gap. An empty result just means no crossing was detected.
     """
     if s1 == s2:
         raise DomainError("s1 and s2 must be different states")
@@ -197,55 +221,28 @@ def find_crossings(
     lo, hi = float(prange[0]), float(prange[1])
     _check_range("range", lo, hi)
 
-    def gap_axis(values):
-        """(E1 - E2, mean level) along values, nan where either is missing."""
-        (e1, e2), _ = level_axis(kind, (s1, s2), params, param_name, values)
+    def at(value: float):
+        """(E1 - E2, mean level) at value; None where either level is missing."""
+        try:
+            p = dataclasses.replace(params, **{param_name: value})
+            e1, e2 = energy(kind, s1, p), energy(kind, s2, p)
+        except DomainError:
+            return None
         # halves first, so the mean of two levels near the largest double stays finite
         return e1 - e2, 0.5 * e1 + 0.5 * e2
 
     grid = np.linspace(lo, hi, _SCAN_POINTS)
     (e1, e2), _ = level_axis(kind, (s1, s2), params, param_name, grid)
-    d = e1 - e2
+    d, e = e1 - e2, 0.5 * e1 + 0.5 * e2
     # nan wherever either level is missing, so no comparison below holds there
-    found = {i: (grid.item(i), 0.0) for i in np.flatnonzero(d == 0.0).tolist()}
-    cell = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
-    a, b, da, db = grid[cell], grid[cell + 1], d[cell], d[cell + 1]
-    for _ in range(_MAX_STEPS):
-        if not cell.size:
-            break
-        w = (b - a)[:, None]
-        # da/(da - db) lies in [0, 1]; it is nan only when an end's E1 - E2
-        # overflowed to inf, and fmin sends that to 1: the even points still
-        # cover the bracket
-        with np.errstate(invalid="ignore"):
-            t = np.fmin(da / (da - db), 1.0)[:, None]
-        near = np.clip(a[:, None] + w * t + w * _NEAR, a[:, None], b[:, None])
-        p = np.sort(np.concatenate([a[:, None], a[:, None] + w * _EVEN, near, b[:, None]], axis=1))
-        dp, ep = (x.reshape(p.shape) for x in gap_axis(p.ravel()))
-        # each bracket's first sign change or exact zero, left to right
-        j = ((np.sign(dp[:, :-1]) * np.sign(dp[:, 1:]) < 0.0) | (dp[:, 1:] == 0.0)).argmax(axis=1)
-        row = np.arange(j.size)
-        a, b, da, db = p[row, j], p[row, j + 1], dp[row, j], dp[row, j + 1]
-        right = np.abs(db) <= np.abs(da)
-        at = np.where(right, b, a)
-        gap, e = np.abs(np.where(right, db, da)), np.where(right, ep[row, j + 1], ep[row, j])
-        width = np.where(db == 0.0, 0.0, b - a)
-        # a bracket with an invalid point is dropped
-        valid = ~np.isnan(dp).any(axis=1)
-        done = valid & (width <= 1e-10) & (gap <= 1e-9 * np.maximum(1.0, np.abs(e)))
-        for i, value, size in zip(cell[done].tolist(), at[done].tolist(), width[done].tolist()):
-            found[i] = (value, size)
-        go = valid & ~done
-        cell, a, b, da, db = cell[go], a[go], b[go], da[go], db[go]
-    if cell.size:
-        raise BracketingError(f"crossing refinement did not converge on [{a[0]}, {b[0]}]")
-
+    cells = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0).tolist()
     crossings: list[CrossingPoint] = []
-    for i in sorted(found):
-        value, size = found[i]
-        e1 = _energy_at(kind, s1, params, param_name, value)
-        e2 = _energy_at(kind, s2, params, param_name, value)
-        if e1 is not None and e2 is not None:
-            point = CrossingPoint(value, 0.5 * e1 + 0.5 * e2, (s1, s2), size, abs(e1 - e2))
-            crossings.append(point)
+    for i in sorted(np.flatnonzero(d == 0.0).tolist() + cells):
+        if d[i] == 0.0:
+            value, width, point = grid.item(i), 0.0, at(grid.item(i))
+        else:
+            value, width, point = _refine(at, grid.item(i), grid.item(i + 1),
+                                          (d.item(i), e.item(i)), (d.item(i + 1), e.item(i + 1)))
+        if point is not None:
+            crossings.append(CrossingPoint(value, point[1], (s1, s2), width, abs(point[0])))
     return crossings

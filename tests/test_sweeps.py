@@ -7,6 +7,7 @@ import itertools
 import math
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 import pdmag.sweeps
 import readme_doc
-from pdmag.errors import BracketingError, DomainError
-from pdmag.models import Invalid, ModelKind, energy, reason_text
+from pdmag.errors import BoundStateError, BracketingError, DomainError
+from pdmag.models import Invalid, ModelKind, energy, level_axis, reason_text
 from pdmag.oracle import oracle_energy
 from pdmag.params import PhysicalParams, QuantumState
 from pdmag.sweeps import SWEEPABLE, CrossingPoint, SweepRow, SweepSpec, find_crossings, sweep
@@ -480,19 +481,42 @@ class TestFindCrossings:
             find_crossings(ModelKind.A, s, QuantumState(1, 0), "mu", (-1e308, 1e308), unit_params)
 
     @pytest.mark.parametrize("entry", ATLAS, ids=lambda e: f"{e[0].value}-{e[3]}")
-    def test_atlas_search_makes_few_level_axis_calls(self, monkeypatch, entry):
-        # the scan takes one level_axis call for both states, and so does
-        # each refinement step; a smooth crossing settles in two steps, and
-        # the A alpha_ab crossing at 0.5 is an exact zero of the scan, so it
-        # needs no step
+    def test_atlas_search_makes_one_scan_and_few_energy_calls(self, monkeypatch, entry):
+        # the scan is one level_axis call for both states, and each point the
+        # refinement tries is one energy call per state; an atlas bracket
+        # settles within 4 points (2 to 4 measured), and the A alpha_ab
+        # crossing at 0.5 is an exact zero of the scan, evaluated once
         kind, _, _, name, _, _ = entry
-        calls = []
-        level_axis = pdmag.sweeps.level_axis
-        monkeypatch.setattr(
-            pdmag.sweeps, "level_axis", lambda *a: calls.append(a) or level_axis(*a)
-        )
-        assert find_crossings(*entry)
-        assert len(calls) == (1 if (kind, name) == (ModelKind.A, "alpha_ab") else 1 + 2)
+        scans, energies = [], []
+        level_axis, energy_ = pdmag.sweeps.level_axis, pdmag.sweeps.energy
+        monkeypatch.setattr(pdmag.sweeps, "level_axis", lambda *a: scans.append(a) or level_axis(*a))
+        monkeypatch.setattr(pdmag.sweeps, "energy", lambda *a: energies.append(a) or energy_(*a))
+        assert len(find_crossings(*entry)) == 1
+        assert len(scans) == 1
+        if (kind, name) == (ModelKind.A, "alpha_ab"):
+            assert len(energies) == 2
+        else:
+            assert 2 * 2 <= len(energies) <= 2 * 4
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: math.exp(20.0 * x) - math.exp(6.0), 0.0, 1.0),
+        (lambda x: math.atan(1e6 * (x - 0.123456789)), 0.0, 1.0),
+        (lambda x: (x - 0.3) ** 9 + 1e-12 * (x - 0.3), 0.0, 1.0),
+    ], ids=["convex", "steep", "flat"])
+    def test_the_secant_halves_the_bracket_every_three_points(self, f, lo, hi):
+        # functions on which plain regula falsi keeps one end for many steps:
+        # the bisection safeguard halves the bracket at least every three
+        # points, so the refinement ends within 3 log2(width / 1e-10) points
+        points = []
+
+        def at(value):
+            points.append(value)
+            return f(value), 1.0
+
+        value, width, (gap, _) = pdmag.sweeps._refine(at, lo, hi, (f(lo), 1.0), (f(hi), 1.0))
+        assert len(points) <= 3 * math.ceil(math.log2((hi - lo) / 1e-10))
+        assert width <= 1e-10 and abs(gap) <= 1e-9 and f(value) == gap
+        assert all(lo < p < hi for p in points)
 
     @pytest.mark.parametrize("entry", ATLAS, ids=lambda e: f"{e[0].value}-{e[3]}")
     def test_atlas_points_meet_the_stopping_rule(self, entry):
@@ -549,6 +573,31 @@ class TestFindCrossings:
             (cp,) = find_crossings(*entry)
             assert abs(cp.param_value - near) <= tol, (entry[3], cp.param_value)
 
+    def test_the_benchmark_searches_meet_the_stopping_rule(self, monkeypatch):
+        # the first 200 crossing searches of the benchmark's seed-1 stream:
+        # each search reports one point per sign-change cell or exact zero of
+        # its scan, and each point's E and gap are energy's at that point
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        inputs = importlib.import_module("inputs")
+        start = time.perf_counter()
+        for b in range(200):
+            task = inputs.crossing_task(1, b)
+            kind, name, params = ModelKind.parse(task["kind"]), task["param"], PhysicalParams(**task["params"])
+            s1, s2 = QuantumState(*task["s1"]), QuantumState(*task["s2"])
+            points = find_crossings(kind, s1, s2, name, task["range"], params)
+            grid = np.linspace(*task["range"], pdmag.sweeps._SCAN_POINTS)
+            (e1, e2), _ = level_axis(kind, (s1, s2), params, name, grid)
+            d = e1 - e2
+            scanned = np.count_nonzero(d == 0.0) + np.count_nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
+            assert len(points) == scanned, (b, points)
+            for cp in points:
+                at = params.replace(**{name: cp.param_value})
+                one, two = energy(kind, s1, at), energy(kind, s2, at)
+                assert (cp.energy, cp.gap) == (0.5 * one + 0.5 * two, abs(one - two)), (b, cp)
+                assert 0.0 <= cp.bracket_width <= 1e-10, (b, cp)
+                assert cp.gap <= 1e-9 * max(1.0, abs(cp.energy)), (b, cp)
+        assert time.perf_counter() - start < 1.0
+
     def test_the_model_c_crossing_belongs_to_the_surrogate(self):
         # the atlas's C (0, 1)-(1, 0) crossing near delta = 0.4373 is one of
         # the Greene-Aldrich 'ga' equation that the closed form solves; with
@@ -562,25 +611,21 @@ class TestFindCrossings:
             assert gap < 0 and -gap > one.error + two.error, (value, gap)
 
     def test_invalid_refinement_point_drops_the_bracket(self, monkeypatch, unit_params):
-        # the scan sees a valid bracket; every refinement point is then
-        # reported unbound, so the bracket is dropped without an error
+        # the scan sees a valid bracket; the first point the refinement tries
+        # is then reported unbound, so the bracket is dropped without an error
         calls = []
-        level_axis = pdmag.sweeps.level_axis
 
-        def scan_only(kind, states, params, name, values):
-            calls.append(len(values))
-            if len(calls) == 1:
-                return level_axis(kind, states, params, name, values)
-            shape = (len(states), len(values))
-            return np.full(shape, np.nan), np.full(shape, Invalid.NOT_BOUND, np.int8)
+        def unbound(kind, state, params):
+            calls.append(params.beta)
+            raise BoundStateError("state not bound")
 
-        monkeypatch.setattr(pdmag.sweeps, "level_axis", scan_only)
+        monkeypatch.setattr(pdmag.sweeps, "energy", unbound)
         args = (ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-3.0, 3.0), unit_params)
         assert find_crossings(*args) == []
-        assert len(calls) == 2
+        assert len(calls) == 1 and -3.0 < calls[0] < 3.0
 
-    def test_refinement_that_runs_out_of_steps_raises(self, monkeypatch, unit_params):
-        monkeypatch.setattr(pdmag.sweeps, "_MAX_STEPS", 1)
+    def test_refinement_that_runs_out_of_evaluations_raises(self, monkeypatch, unit_params):
+        monkeypatch.setattr(pdmag.sweeps, "_MAX_EVALS", 1)
         with pytest.raises(BracketingError, match="did not converge"):
             find_crossings(
                 ModelKind.A, QuantumState(2, 1), QuantumState(1, 0), "beta", (-3.0, 3.0), unit_params
