@@ -4,10 +4,9 @@ Every command accepts the same physical-parameter flags, optionally
 seeded from a flat key=value config file (flags win over the file).
 Output is plot-ready CSV (JSON for `crossings`) on stdout or --out. run
 resolves the effective parameter set once, echoes it to stderr for
-reproducibility and hands it to the command. Every CSV cell follows one
-rule (_csv's; sweep applies it column-wise): floats with 17 significant
-digits and integers in full, so identical invocations give byte-identical
-output.
+reproducibility and hands it to the command. Every CSV table is written
+by one function (_csv): floats with 17 significant digits and integers
+in full, so identical invocations give byte-identical output.
 
 Exit status: 0 success, 1 validation or usage error, 2 verification
 tolerance exceeded.
@@ -181,19 +180,9 @@ def _cmd_sweep(args, params: PhysicalParams) -> int:
     spec = SweepSpec(
         kind=kind, states=states, param_name=args.param, lo=args.lo, hi=args.hi, steps=args.steps
     )
-    rows = sweep(spec, params)
-    # _csv's cells, column-wise: rows come in (value, state) order, so each
-    # value, state and reason is formatted once and only the energies per row
-    k = len(states)
-    values = [f"{spec.param_name},{_fmt(row.value)}," for row in rows[::k]]
-    pairs = [f"{row.state.n_rho},{row.state.m}," for row in rows[:k]]
-    tails = {reason: ",true," if reason is None else f",false,{reason}"
-             for reason in {row.reason for row in rows}}
-    lines = ["param,value,n_rho,m,E,valid,reason"]
-    for i, row in enumerate(rows):
-        energy_cell = "" if row.energy is None else _fmt(row.energy)
-        lines.append(values[i // k] + pairs[i % k] + energy_cell + tails[row.reason])
-    _emit(lines, args.out)
+    rows = ((row.param_name, row.value, row.state.n_rho, row.state.m, row.energy,
+             "true" if row.valid else "false", row.reason) for row in sweep(spec, params))
+    _emit(_csv("param,value,n_rho,m,E,valid,reason", rows), args.out)
     return 0
 
 
