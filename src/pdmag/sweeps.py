@@ -3,14 +3,15 @@
 Both work on a parameter axis: an array of values of one field, evaluated
 for all of a grid's states with one ``models.level_axis`` call.
 
-A sweep tabulates E over a parameter grid for a set of labeled states, so
-a row equals ``models.energy`` at its point bit for bit. Points where a
-state stops being bound (or the swept value itself is out of range) are
-reported as invalid rows with the reason, not as errors, since validity
-boundaries are part of the phenomenology. The rows are built from the
-transposed level_axis arrays in one C-level pass, with no Python call
-per row. A sweep has at most 10^6 rows, checked before any grid is
-allocated.
+A sweep tabulates E over a parameter grid for a set of labeled states: it
+keeps level_axis's (E, reason) arrays as they are, so each entry equals
+``models.energy`` at its point bit for bit. Points where a state stops
+being bound (or the swept value itself is out of range) are invalid
+entries with a reason code, not errors, since validity boundaries are
+part of the phenomenology. Its rows are a view built only when read:
+iterating makes them from the transposed arrays in one C-level pass, with
+no Python call per row. A sweep has at most 10^6 rows, checked before any
+grid is allocated.
 
 A crossing is a sign change of E1(p) - E2(p): the difference is scanned
 on a fixed grid of the range with one ``level_axis`` call, and then each
@@ -24,6 +25,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import cycle, repeat
 from typing import NamedTuple
@@ -35,7 +38,8 @@ from .models import (SWEEPABLE, Invalid, ModelKind, _check_sweepable, energy, le
                      reason_text)
 from .params import _MAX_POINTS, PhysicalParams, QuantumState
 
-__all__ = ["SWEEPABLE", "SweepSpec", "SweepRow", "CrossingPoint", "sweep", "find_crossings"]
+__all__ = ["SWEEPABLE", "SweepSpec", "Sweep", "SweepRow", "CrossingPoint", "sweep",
+           "find_crossings"]
 
 # A crossing's final bracket is at most this wide
 _WIDTH = 1e-10
@@ -79,9 +83,11 @@ class SweepSpec:
         object.__setattr__(self, "states", tuple(self.states))
         if not self.states:
             raise DomainError("at least one state is required")
-        for i, state in enumerate(self.states):
-            if state in self.states[:i]:
+        seen = set()
+        for state in self.states:
+            if state in seen:
                 raise DomainError(f"state ({state.n_rho}, {state.m}) is given more than once")
+            seen.add(state)
         _check_param_name(self.param_name, self.kind)
         _check_range("sweep range", self.lo, self.hi)
         # numpy integers count; bool, an int subclass, does not. The grid
@@ -113,6 +119,54 @@ class SweepRow(NamedTuple):
         return self.energy is not None
 
 
+@dataclass(frozen=True, eq=False)
+class Sweep(Sequence):
+    """A sweep's levels as level_axis gives them, and its rows as a view.
+
+    energies and codes are (states, values) arrays: energies[i, j] is the
+    level of states[i] at param_name = values[j], nan wherever codes[i, j],
+    an Invalid code, is not 0. As a read-only sequence a Sweep is its
+    values x states SweepRows in (value, state) order, built only when
+    read: iteration makes them all in one C-level pass, an index builds
+    one and a slice returns a list.
+    """
+
+    param_name: str
+    values: np.ndarray
+    states: tuple[QuantumState, ...]
+    energies: np.ndarray
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        if not -len(self) <= index < len(self):
+            raise IndexError(f"sweep row {index} out of range for {len(self)} rows")
+        j, i = divmod(index % len(self), len(self.states))
+        code = self.codes.item(i, j)
+        level = None if code else self.energies.item(i, j)
+        return SweepRow(self.param_name, self.values.item(j), self.states[i], level,
+                        reason_text(code, self.param_name))
+
+    def __iter__(self):
+        # (value, state) order: the transposed arrays, one row per value.
+        # None masks the invalid energies in an object array, the codes index
+        # a table of reason texts built once from Invalid, and tuple.__new__
+        # makes each row, so there is no Python call per row.
+        name, states = self.param_name, self.states
+        codes = self.codes.T.ravel()
+        energies = self.energies.T.ravel().astype(object)
+        energies[codes != Invalid.NONE] = None
+        texts = np.array([reason_text(code, name) for code in _CODES], dtype=object)
+        rows = zip(repeat(name), np.repeat(self.values, len(states)).tolist(), cycle(states),
+                   energies.tolist(), texts[codes].tolist())
+        return map(tuple.__new__, repeat(SweepRow), rows)
+
+
 @dataclass(frozen=True)
 class CrossingPoint:
     """A parameter value where two labeled levels meet.
@@ -129,28 +183,18 @@ class CrossingPoint:
     gap: float | None = None
 
 
-def sweep(spec: SweepSpec, params: PhysicalParams) -> list[SweepRow]:
+def sweep(spec: SweepSpec, params: PhysicalParams) -> Sweep:
     """Tabulate the closed-form levels over the grid.
 
-    Rows are ordered by (value, state) deterministically. Invalid points
-    (no bound state there) appear with energy None and their reason rather
-    than being dropped, so a plot can show where a level terminates.
-
-    One level_axis call evaluates every state; the rows come from its
-    transposed arrays with no Python call per row: None masks the invalid
-    energies in an object array, the codes index a table of reason texts
-    built once per sweep from Invalid, and tuple.__new__ makes each row.
+    One level_axis call evaluates every state, sorted, at every grid value,
+    and the result keeps its arrays: there is no per-row work. Its rows are
+    ordered by (value, state) deterministically. Invalid points (no bound
+    state there) stay in, with energy None and their reason, rather than
+    being dropped, so a plot can show where a level terminates.
     """
-    name, values, states = spec.param_name, spec.values, sorted(spec.states)
-    levels, codes = level_axis(spec.kind, states, params, name, values)
-    # (value, state) order: the transposed arrays, one row per value
-    codes = codes.T.ravel()
-    energies = levels.T.ravel().astype(object)
-    energies[codes != Invalid.NONE] = None
-    texts = np.array([reason_text(code, name) for code in _CODES], dtype=object)
-    rows = zip(repeat(name), np.repeat(values, len(states)).tolist(), cycle(states),
-               energies.tolist(), texts[codes].tolist())
-    return list(map(tuple.__new__, repeat(SweepRow), rows))
+    name, values, states = spec.param_name, spec.values, tuple(sorted(spec.states))
+    energies, codes = level_axis(spec.kind, states, params, name, values)
+    return Sweep(name, values, states, energies, codes)
 
 
 def _refine(at, a: float, b: float, at_a, at_b):

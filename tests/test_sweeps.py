@@ -7,6 +7,7 @@ import itertools
 import math
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -340,8 +341,8 @@ class TestSweepRowsEqualSinglePoints:
 
 
 class TestSweepCallCount:
-    """Rows are built without a Python-level call per row: a sweep makes as
-    many calls at 4001 steps as at 41."""
+    """Neither a sweep nor reading all its rows makes a Python-level call per
+    row: each makes as many calls at 4001 steps as at 41."""
 
     @pytest.mark.parametrize(
         "kind, params, name, lo, hi",
@@ -355,25 +356,31 @@ class TestSweepCallCount:
     def test_calls_do_not_grow_with_the_grid(self, kind, params, name, lo, hi):
         states = (QuantumState(0, 1), QuantumState(2, -1))
 
-        def calls(steps):
+        def counted(fn, *args):
+            """(fn(*args), the Python calls it made)."""
             count = 0
 
             def profile(frame, event, arg):
                 nonlocal count
                 count += event == "call"
 
-            spec = SweepSpec(kind, states, name, lo, hi, steps)
             saved, enabled = sys.getprofile(), gc.isenabled()
-            gc.disable()  # a collection could run Python finalizers mid-sweep
+            gc.disable()  # a collection could run Python finalizers mid-call
             sys.setprofile(profile)
             try:
-                rows = sweep(spec, params)
+                result = fn(*args)
             finally:
                 sys.setprofile(saved)
                 if enabled:
                     gc.enable()
+            return result, count
+
+        def calls(steps):
+            result, in_sweep = counted(sweep, SweepSpec(kind, states, name, lo, hi, steps), params)
+            rows, in_rows = counted(list, result)
+            assert len(rows) == 2 * steps
             assert {r.energy is None for r in rows} == {True, False}
-            return count
+            return in_sweep, in_rows
 
         calls(41)  # warm any first-call caches
         assert calls(41) == calls(4001)
@@ -390,6 +397,68 @@ class TestSweepCallCount:
         rows = sweep(SweepSpec(ModelKind.A, states, "beta", -2.0, 2.0, 41), PhysicalParams())
         assert len(calls) == 1 and len(calls[0][1]) == count
         assert len(rows) == 41 * count
+
+
+class TestSweepArrays:
+    """A sweep keeps level_axis's arrays, and its rows are a view of them."""
+
+    CASES = [
+        (SweepSpec(ModelKind.B, (QuantumState(1, 1), QuantumState(0, 0)), "mu", 0.01, 0.4, 21),
+         PhysicalParams(beta=-25.0, kz=1.0)),
+        (SweepSpec(ModelKind.A, (QuantumState(0, 1), QuantumState(2, -1), QuantumState(0, 0)),
+                   "b0", -1.0, 1.0, 9), PhysicalParams()),
+        (SweepSpec(ModelKind.C, (QuantumState(1, -1),), "delta", -0.5, 0.5, 11),
+         PhysicalParams(mu=0.15, delta=0.1)),
+    ]
+
+    @pytest.mark.parametrize("spec, params", CASES, ids=["B", "A", "C"])
+    def test_indexing_builds_the_rows_that_iteration_does(self, spec, params):
+        s = sweep(spec, params)
+        rows = list(s)
+        assert len(s) == len(rows) == spec.steps * len(spec.states)
+        assert [s[i] for i in range(len(s))] == rows
+        assert [s[i] for i in range(-len(s), 0)] == rows
+        assert all(type(s[i]) is SweepRow for i in (0, -1))
+        assert s[-1] == rows[-1] and s[np.int64(1)] == rows[1]
+        assert s[:-1] == rows[:-1] and s[3:1:-1] == rows[3:1:-1] and s[::5] == rows[::5]
+        assert type(s[:2]) is list
+        for index in (len(s), -len(s) - 1):
+            with pytest.raises(IndexError):
+                s[index]
+        with pytest.raises(TypeError):
+            s[1.0]
+        assert list(reversed(s)) == rows[::-1] and rows[-1] in s
+
+    @pytest.mark.parametrize("spec, params", CASES, ids=["B", "A", "C"])
+    def test_energies_are_nan_exactly_where_a_code_is_set(self, spec, params):
+        s = sweep(spec, params)
+        assert s.energies.shape == s.codes.shape == (len(spec.states), spec.steps)
+        assert np.array_equal(np.isnan(s.energies), s.codes != Invalid.NONE)
+        assert 0 < np.count_nonzero(s.codes) < s.codes.size
+
+    @pytest.mark.parametrize("spec, params", CASES, ids=["B", "A", "C"])
+    def test_the_arrays_are_level_axis(self, spec, params):
+        s = sweep(spec, params)
+        assert (s.param_name, s.states) == (spec.param_name, tuple(sorted(spec.states)))
+        assert s.values.tobytes() == spec.values.tobytes()
+        energies, codes = level_axis(spec.kind, s.states, params, spec.param_name, spec.values)
+        assert s.energies.tobytes() == energies.tobytes()
+        assert s.codes.dtype == codes.dtype and np.array_equal(s.codes, codes)
+        for row in s:
+            i, j = s.states.index(row.state), s.values.tolist().index(row.value)
+            code = codes.item(i, j)
+            assert row.reason == reason_text(code, spec.param_name)
+            assert row.energy == (None if code else energies.item(i, j))
+
+    def test_many_distinct_states_validate_quickly(self):
+        # the repeated-state check is one pass; a quadratic one takes minutes here
+        states = tuple(QuantumState(n, m) for n in range(1000) for m in range(100))
+        start = time.perf_counter()
+        spec = SweepSpec(ModelKind.A, states, "beta", 0.0, 1.0, 2)
+        assert time.perf_counter() - start < 1.0
+        assert len(spec.states) == 10**5
+        with pytest.raises(DomainError, match=r"state \(999, 99\) is given more than once"):
+            SweepSpec(ModelKind.A, states + states[-1:] + states[:1], "beta", 0.0, 1.0, 2)
 
 
 class TestFindCrossings:
