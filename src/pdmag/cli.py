@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BracketingError, DomainError, NormalizationError
 from .fields import field_table
-from .models import ModelKind, energy, greene_aldrich, reason_text, wavefunction
+from .models import ModelKind, energy, greene_aldrich, wavefunction
 from .oracle import verify_states
 from .params import _MAX_POINTS, PhysicalParams, QuantumState, load_config, params_from_mapping
 from .sweeps import SWEEPABLE, SweepSpec, find_crossings, sweep
@@ -180,17 +180,8 @@ def _cmd_sweep(args, params: PhysicalParams) -> int:
     spec = SweepSpec(
         kind=kind, states=states, param_name=args.param, lo=args.lo, hi=args.hi, steps=args.steps
     )
-    result = sweep(spec, params)
-    # column-wise, as str cells: each value, state and reason is formatted
-    # once, and only the valid energies one cell at a time
-    name = result.param_name
-    values = [_fmt(value) for value in result.values.tolist()]
-    states = [(str(state.n_rho), str(state.m)) for state in result.states]
-    ends = {code: ("false", reason_text(code, name)) if code else ("true", None)
-            for code in np.unique(result.codes).tolist()}
-    columns = zip(values, result.energies.T.tolist(), result.codes.T.tolist())
-    rows = ((name, value, *state, None if code else _fmt(level), *ends[code])
-            for value, levels, codes in columns for state, level, code in zip(states, levels, codes))
+    rows = ((row.param_name, row.value, row.state.n_rho, row.state.m, row.energy,
+             "true" if row.valid else "false", row.reason) for row in sweep(spec, params))
     _emit(_csv("param,value,n_rho,m,E,valid,reason", rows), args.out)
     return 0
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import cycle, repeat
@@ -127,8 +126,8 @@ class Sweep(Sequence):
     level of states[i] at param_name = values[j], nan wherever codes[i, j],
     an Invalid code, is not 0. As a read-only sequence a Sweep is its
     values x states SweepRows in (value, state) order, built only when
-    read: iteration makes them all in one C-level pass, an index builds
-    one and a slice returns a list.
+    read: iteration makes them all in one C-level pass, and an index, a
+    slice or reversed() reads them from that list.
     """
 
     param_name: str
@@ -141,16 +140,10 @@ class Sweep(Sequence):
         return self.codes.size
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        index = operator.index(index)
-        if not -len(self) <= index < len(self):
-            raise IndexError(f"sweep row {index} out of range for {len(self)} rows")
-        j, i = divmod(index % len(self), len(self.states))
-        code = self.codes.item(i, j)
-        level = None if code else self.energies.item(i, j)
-        return SweepRow(self.param_name, self.values.item(j), self.states[i], level,
-                        reason_text(code, self.param_name))
+        return list(self)[index]
+
+    def __reversed__(self):
+        return reversed(list(self))
 
     def __iter__(self):
         # (value, state) order: the transposed arrays, one row per value.

@@ -7,7 +7,6 @@ import itertools
 import math
 import re
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +339,26 @@ class TestSweepRowsEqualSinglePoints:
                 assert row.energy is None and row.reason == reason, row
 
 
+def _counted(fn, *args):
+    """(fn(*args), the Python-level calls it made)."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    saved, enabled = sys.getprofile(), gc.isenabled()
+    gc.disable()  # a collection could run Python finalizers mid-call
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(saved)
+        if enabled:
+            gc.enable()
+    return result, count
+
+
 class TestSweepCallCount:
     """Neither a sweep nor reading all its rows makes a Python-level call per
     row: each makes as many calls at 4001 steps as at 41."""
@@ -356,28 +375,9 @@ class TestSweepCallCount:
     def test_calls_do_not_grow_with_the_grid(self, kind, params, name, lo, hi):
         states = (QuantumState(0, 1), QuantumState(2, -1))
 
-        def counted(fn, *args):
-            """(fn(*args), the Python calls it made)."""
-            count = 0
-
-            def profile(frame, event, arg):
-                nonlocal count
-                count += event == "call"
-
-            saved, enabled = sys.getprofile(), gc.isenabled()
-            gc.disable()  # a collection could run Python finalizers mid-call
-            sys.setprofile(profile)
-            try:
-                result = fn(*args)
-            finally:
-                sys.setprofile(saved)
-                if enabled:
-                    gc.enable()
-            return result, count
-
         def calls(steps):
-            result, in_sweep = counted(sweep, SweepSpec(kind, states, name, lo, hi, steps), params)
-            rows, in_rows = counted(list, result)
+            result, in_sweep = _counted(sweep, SweepSpec(kind, states, name, lo, hi, steps), params)
+            rows, in_rows = _counted(list, result)
             assert len(rows) == 2 * steps
             assert {r.energy is None for r in rows} == {True, False}
             return in_sweep, in_rows
@@ -450,13 +450,19 @@ class TestSweepArrays:
             assert row.reason == reason_text(code, spec.param_name)
             assert row.energy == (None if code else energies.item(i, j))
 
-    def test_many_distinct_states_validate_quickly(self):
-        # the repeated-state check is one pass; a quadratic one takes minutes here
+    def test_the_repeated_state_check_is_one_pass(self):
+        # a check that compares each state with all the earlier ones makes
+        # n^2 / 2 QuantumState.__eq__ calls; one set pass makes O(n) calls
+        def calls(n):
+            states = tuple(QuantumState(k // 10, k % 10) for k in range(n))
+            spec, count = _counted(SweepSpec, ModelKind.A, states, "beta", 0.0, 1.0, 2)
+            assert spec.states == states
+            return count
+
+        calls(10)  # warm any first-call caches
+        assert calls(2000) - calls(1000) <= 4 * 1000
         states = tuple(QuantumState(n, m) for n in range(1000) for m in range(100))
-        start = time.perf_counter()
-        spec = SweepSpec(ModelKind.A, states, "beta", 0.0, 1.0, 2)
-        assert time.perf_counter() - start < 1.0
-        assert len(spec.states) == 10**5
+        assert len(SweepSpec(ModelKind.A, states, "beta", 0.0, 1.0, 2).states) == 10**5
         with pytest.raises(DomainError, match=r"state \(999, 99\) is given more than once"):
             SweepSpec(ModelKind.A, states + states[-1:] + states[:1], "beta", 0.0, 1.0, 2)
 
