@@ -418,7 +418,8 @@ class _ClosedForm(NamedTuple):
     factor(rho) gives A and t, and poly(t, k) the list [P] for k = 0 or
     [P, P', P''] in t for k = 2, P'' from P's differential equation (DLMF
     18.8.1), which leaves U'' no rounding of its own to cancel. slopes(rho)
-    gives g = (ln A)', g', t' and t'', so U'' is exact (curvature). nodes(m)
+    gives g = (ln A)', g', t' and t'', so U'' is exact (curvature); it is
+    None for model C's 'paper' form, which solves no equation. nodes(m)
     is the m-point Gauss rule of P's family mapped to rho. norm holds the
     arguments of specfun.normalize for the integral of U^2. R follows from
     U and the model's mass profile alone (wavefunction).
@@ -504,11 +505,8 @@ def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _Cl
 
     def slopes(rho):
         xi = np.exp(-d * rho)
-        if form == "xi":
-            q = 1.0 / np.expm1(d * rho)  # xi / (1 - xi)
-            g, dg = p * d * q - d * kappa / 2.0, -p * d * d * q * (1.0 + q)
-        else:
-            g, dg = p / rho - d * kappa / 2.0, -p / rho**2
+        q = 1.0 / np.expm1(d * rho)  # xi / (1 - xi)
+        g, dg = p * d * q - d * kappa / 2.0, -p * d * d * q * (1.0 + q)
         return g, dg, 2.0 * d * xi, -2.0 * d * d * xi
 
     def poly(y, k: int):  # P' = lam/2 P_(n-1)^(kappa+1,upsilon+1) (DLMF 18.9.15)
@@ -523,7 +521,8 @@ def _model_c_form(state: QuantumState, params: PhysicalParams, form: str) -> _Cl
     def nodes(m):
         return -np.log1p(-0.5 / kappa * _golub_welsch(*_jacobi_matrix(m, kappa, upsilon))) / d
 
-    return _ClosedForm(factor, slopes, poly, nodes, (form, n, kappa, upsilon, -math.log(d)))
+    return _ClosedForm(factor, slopes if form == "xi" else None, poly, nodes,
+                       (form, n, kappa, upsilon, -math.log(d)))
 
 
 _CLOSED_FORMS = {ModelKind.A: partial(_laguerre_form, ModelKind.A),
@@ -602,20 +601,20 @@ def wavefunction(
     return out if np.ndim(rho) else float(out)
 
 
-def curvature(kind: ModelKind, state: QuantumState, params: PhysicalParams, *,
-              form: str | None = None):
-    """(rho, U, U'') of the unit-norm reduced function, with U'' exact.
+def curvature(kind: ModelKind, state: QuantumState, params: PhysicalParams):
+    """(rho, U, U'') of the unit-norm reduced eigenfunction, with U'' exact.
 
-    U'' comes from the form's polynomial and its equation, so -U'' + (W - Et) U
+    U is the closed form of wavefunction's default (model C's 'xi'). U''
+    comes from the form's polynomial and its equation, so -U'' + (W - Et) U
     is zero to rounding wherever U solves its equation. rho is the
     M = 2 n_rho + 16 Gauss nodes of the form's own polynomial family, mapped
     to rho: by the separation theorem (Szego, Orthogonal Polynomials, 3.3)
     each gap between zeros of P_n, and each end, holds one, so U changes sign
-    there exactly n_rho times. form and errors as in wavefunction.
+    there exactly n_rho times. Errors as in wavefunction.
     """
-    closed = _closed_form(kind, state, params, form)
+    closed = _closed_form(kind, state, params, None)
     # A check evaluates each state once, so its norm bypasses _norm's cache;
-    # normalize also rejects a form that does not decay, before its rule.
+    # normalize also rejects a form that does not decay.
     scale = normalize(*closed.norm)
     x = closed.nodes(2 * state.n_rho + 16)
     with np.errstate(all="ignore"):  # checked below

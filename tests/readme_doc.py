@@ -1,5 +1,5 @@
-"""README.md as data: the `pdmag` commands of its sh blocks and its table
-of documented crossing ranges, for the tests that hold README to the code."""
+"""README.md as data: the `pdmag` commands of its sh blocks and its
+tables, for the tests that hold README to the code."""
 
 import re
 import shlex
@@ -32,10 +32,20 @@ def commands(text=TEXT):
     return found
 
 
-def crossing_table():
-    """The rows of the "Documented crossing ranges" table, each a dict
-    keyed by the table's header."""
-    table = re.search(r"^(\|.*\n)+", section("Documented crossing ranges"), re.M)[0]
-    header, _, *rows = ([cell.strip() for cell in line.strip("|").split("|")]
-                        for line in table.splitlines())
-    return [dict(zip(header, row)) for row in rows]
+def tables(text):
+    """The tables of text in order, each a list of its rows, each row a
+    dict keyed by the table's header."""
+    found = []
+    for table in re.findall(r"^(?:\|.*\n)+", text, re.M):
+        header, _, *rows = ([cell.strip() for cell in line.strip("|").split("|")]
+                            for line in table.splitlines())
+        found.append([dict(zip(header, row)) for row in rows])
+    return found
+
+
+def agrees(value, printed):
+    """Whether value rounds to the number README prints as `printed`: within
+    half a unit of its last printed digit ("-0.7832569", "1.58e-2")."""
+    mantissa, _, exponent = printed.lower().partition("e")
+    unit = 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+    return abs(value - float(printed)) <= 0.5 * unit

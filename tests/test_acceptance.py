@@ -194,15 +194,15 @@ def test_criterion_5_nu_internal_identities():
 
 def test_criterion_6_wavefunction_residuals_and_nodes():
     cases = (
-        (ModelKind.A, PhysicalParams(), 1, "exact", {}),
-        (ModelKind.B, PhysicalParams(), 6, "exact", {}),
-        (ModelKind.C, FIG9_LIKE.replace(delta=0.1), 1, "ga", {"form": "xi"}),
+        (ModelKind.A, PhysicalParams(), 1, "exact"),
+        (ModelKind.B, PhysicalParams(), 6, "exact"),
+        (ModelKind.C, FIG9_LIKE.replace(delta=0.1), 1, "ga"),
     )
-    for kind, params, m, target, extra in cases:
+    for kind, params, m, target in cases:
         for n in range(6):
             state = QuantumState(n, m)
             # U and its exact U'' on the Gauss nodes of the closed form's own polynomial
-            rho, u, upp = curvature(kind, state, params, **extra)
+            rho, u, upp = curvature(kind, state, params)
             closed = energy(kind, state, params)
             # W and Et from one reduced-equation record
             eq = reduced_equation(kind, state, params, target)

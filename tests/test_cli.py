@@ -768,17 +768,16 @@ class TestPlumbing:
 
 
 # README's verify command for the target-'exact' gap of model C at mu =
-# 0.15, less its --delta value, and the gap E(0,1) - E(1,0) it documents
-# at each delta
+# 0.15, less its --delta value
 _GAP_COMMAND = ("verify --model c --mu 0.15 --nrho-max 1 --m-min 0 --m-max 1 --target exact "
                 "--tol 1 --delta").split()
-_EXACT_GAPS = {"0.01": -0.408930, "0.1325": -0.783233, "0.43875": -1.161529, "0.5": -1.205323}
 
 
 def test_readme_commands_exit_as_documented(capsys):
     # every pdmag line in README's sh blocks exits with its documented
     # status, a failing one's last stderr line starts with its documented
-    # message, and the four exact-target gaps read as README's table
+    # message, and the four exact-target gaps and their summed oracle_err
+    # read as README's table prints them
     wrong, gaps = [], {}
     for argv, status, message in readme_doc.commands():
         code = run(argv)
@@ -794,6 +793,9 @@ def test_readme_commands_exit_as_documented(capsys):
             gaps[argv[-1]] = (one["E_oracle"] - two["E_oracle"],
                               one["oracle_err"] + two["oracle_err"])
     assert wrong == []
-    assert gaps.keys() == _EXACT_GAPS.keys()
+    rows = {row["delta"]: row
+            for row in readme_doc.tables(readme_doc.section("Documented crossing ranges"))[1]}
+    assert list(gaps) == list(rows["gap, oracle"])[1:]
     for delta, (gap, err) in gaps.items():
-        assert gap == pytest.approx(_EXACT_GAPS[delta], abs=5e-7) and err <= 7.3e-4, delta
+        assert readme_doc.agrees(gap, rows["gap, oracle"][delta]), delta
+        assert readme_doc.agrees(err, rows["summed `oracle_err`"][delta]) and err <= 7.3e-4, delta

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 from scipy.special import roots_genlaguerre, roots_jacobi
 
+import paper_form
+import readme_doc
 from nu_reference import model_c_coefficients
 from pdmag.errors import BoundStateError, DomainError
 from pdmag.models import (
@@ -674,19 +676,17 @@ class TestExactNorms:
 
 
 CURVATURE_CASES = [
-    (ModelKind.A, (2, -1), dict(kz=0.4, beta=-0.5), "paper"),
-    (ModelKind.B, (3, 2), dict(beta=-2.718, kz=0.191, alpha_ab=-0.164, eta=0.806, mu=1.719),
-     "paper"),
-    (ModelKind.C, (3, 0), dict(delta=0.268, mu=0.385), "xi"),
-    (ModelKind.C, (2, 1), dict(delta=0.05, mu=0.3), "paper"),
+    (ModelKind.A, (2, -1), dict(kz=0.4, beta=-0.5)),
+    (ModelKind.B, (3, 2), dict(beta=-2.718, kz=0.191, alpha_ab=-0.164, eta=0.806, mu=1.719)),
+    (ModelKind.C, (3, 0), dict(delta=0.268, mu=0.385)),
 ]
 
 
-def polynomial_zeros(kind, state, params, form):
+def polynomial_zeros(kind, state, params):
     """The zeros of the closed form's P_n mapped to rho, from scipy's Gauss
     rules: L_n^a in x = 2 s rho, or P_n^(kappa,upsilon) in y = 1 + z =
     2 (1 - e^(-delta rho)) for model C."""
-    _, n, a, b, _ = _CLOSED_FORMS[kind](state, params, form).norm
+    _, n, a, b, _ = _CLOSED_FORMS[kind](state, params, "xi").norm
     if kind is not ModelKind.C:
         return roots_genlaguerre(n, a)[0] / (2.0 * math.sqrt(params.s_squared))
     return -np.log1p(-0.5 * (1.0 + roots_jacobi(n, a, b)[0])) / params.delta
@@ -717,11 +717,17 @@ class TestCurvature:
     the Gauss nodes of the closed form's own polynomial. The "window" of the
     test names is the span of those nodes."""
 
-    @pytest.mark.parametrize("kind, state, params, form", CURVATURE_CASES,
-                             ids=["A", "B", "C-xi", "C-paper"])
+    @pytest.mark.parametrize("kind, state, params, form", [
+        *((kind, state, params, None) for kind, state, params in CURVATURE_CASES),
+        (ModelKind.C, (2, 1), dict(delta=0.05, mu=0.3), "paper"),
+    ], ids=["A", "B", "C-xi", "C-paper"])
     def test_u_is_the_wavefunction_and_u_second_its_curvature(self, kind, state, params, form):
+        # C-paper: the printed formula's U'' in tests/paper_form.py
         params, state = PhysicalParams(**params), QuantumState(*state)
-        rho, u, upp = curvature(kind, state, params, form=form)
+        if form == "paper":
+            rho, u, upp = paper_form.curvature(state, params)
+        else:
+            rho, u, upp = curvature(kind, state, params)
         assert np.array_equal(u, wavefunction(kind, state, params, rho, form=form, component="U"))
         # a five-point stencil of the wavefunction at the same Gauss nodes,
         # accurate to about 1e-7 of max|U''|
@@ -734,34 +740,30 @@ class TestCurvature:
                    - f(rho + 2 * h)) / (12 * h * h)
         assert np.max(np.abs(upp - stencil)) <= 1e-6 * np.max(np.abs(upp))
 
-    @pytest.mark.parametrize("kind, state, params, form", CURVATURE_CASES,
-                             ids=["A", "B", "C-xi", "C-paper"])
-    def test_window_ends_in_the_tail(self, kind, state, params, form):
+    @pytest.mark.parametrize("kind, state, params", CURVATURE_CASES, ids=["A", "B", "C-xi"])
+    def test_window_ends_in_the_tail(self, kind, state, params):
         # M = 2 n + 16 nodes whose first and last bracket every zero of P_n,
         # so U's monotone tails at both ends each hold a node
         params, state = PhysicalParams(**params), QuantumState(*state)
-        rho, u, _ = curvature(kind, state, params, form=form)
-        zeros = polynomial_zeros(kind, state, params, form)
+        rho, u, _ = curvature(kind, state, params)
+        zeros = polynomial_zeros(kind, state, params)
         assert rho.size == 2 * state.n_rho + 16 and np.all(np.diff(rho) > 0)
         assert rho[0] < zeros[0] and zeros[-1] < rho[-1]
         assert np.all(np.isfinite(u)) and np.all(rho > 0)
 
     @settings(max_examples=150)
-    @example(kind_form=(ModelKind.A, "paper"), n=40, m=1, m_b=0, ab=dict(beta=0.5, kz=1.0), c={})
-    @example(kind_form=(ModelKind.A, "paper"), n=80, m=1, m_b=0, ab=dict(beta=0.5, kz=1.0), c={})
-    @example(kind_form=(ModelKind.C, "xi"), n=80, m=1, m_b=0, ab={}, c=dict(mu=0.15, delta=0.1))
-    @given(kind_form=st.sampled_from([(ModelKind.A, "paper"), (ModelKind.B, "paper"),
-                                      (ModelKind.C, "paper"), (ModelKind.C, "xi")]),
-           n=st.integers(0, 80), m=st.integers(-4, 4), m_b=st.integers(-85, 85),
-           ab=AB_DRAWS, c=C_DRAWS)
-    def test_nodes_count_n_rho_and_the_residual_is_rounding(self, kind_form, n, m, m_b, ab, c):
+    @example(kind=ModelKind.A, n=40, m=1, m_b=0, ab=dict(beta=0.5, kz=1.0), c={})
+    @example(kind=ModelKind.A, n=80, m=1, m_b=0, ab=dict(beta=0.5, kz=1.0), c={})
+    @example(kind=ModelKind.C, n=80, m=1, m_b=0, ab={}, c=dict(mu=0.15, delta=0.1))
+    @given(kind=st.sampled_from(list(ModelKind)), n=st.integers(0, 80), m=st.integers(-4, 4),
+           m_b=st.integers(-85, 85), ab=AB_DRAWS, c=C_DRAWS)
+    def test_nodes_count_n_rho_and_the_residual_is_rounding(self, kind, n, m, m_b, ab, c):
         # The window from rho = 0.05 read 39, 79 and 68 nodes on the three
         # examples. Model B takes |m| up to 85, so that high n_rho are bound.
         # The residual is 1e-12 plus 32 roundings of the largest term of
         # (W - Et) U: at n_rho ~ 80 the first node's W U alone rounds at up
         # to 4e-12 of max|U|, and model B's c2/rho^2 - E eta/rho^2 at large
         # |m| cancels to far less than either term.
-        kind, form = kind_form
         params = PhysicalParams(**(c if kind is ModelKind.C else ab))
         assume(params.s_squared > 1e-12)  # as in the quantization identities
         state = QuantumState(n, m_b if kind is ModelKind.B else m)
@@ -769,10 +771,10 @@ class TestCurvature:
             level = energy(kind, state, params)
         except (BoundStateError, DomainError):  # not bound, or no real level
             assume(False)
-        rho, u, upp = curvature(kind, state, params, form=form)
+        rho, u, upp = curvature(kind, state, params)
         assert node_count(u) == n
-        if kind is ModelKind.C and (form == "paper" or n > 30):
-            return  # the paper form solves no equation; xi's residual is checked to n_rho = 30
+        if kind is ModelKind.C and n > 30:
+            return  # model C's residual is checked to n_rho = 30
         eq = reduced_equation(kind, state, params, "ga" if kind is ModelKind.C else "exact")
         res = residual(u, upp, eq.potential(rho, level), eq.et)
         assert res <= 1e-12 + 32 * np.finfo(float).eps * rounding_scale(eq, rho, level, u)
@@ -791,22 +793,26 @@ class TestCurvature:
     @pytest.mark.parametrize("delta", [0.01, 0.1, 0.5])
     def test_model_c_defaults_to_its_eigenfunction(self, delta):
         # ROADMAP item 16: form None is 'xi' for model C, the eigenfunction of
-        # the 'ga' equation at its level; 'paper', the paper's printed
-        # formula, stays selectable and solves neither equation
+        # the 'ga' equation at its level, and curvature's one form; 'paper',
+        # the paper's printed formula (tests/paper_form.py), solves neither
+        # equation: README's form table, its range to the digits printed
         params = PhysicalParams(mu=0.3, v0=0.2, delta=delta)
+        (row,) = [row for row in readme_doc.tables(readme_doc.section("Command line"))[0]
+                  if float(row["delta"]) == delta]
+        paper = []
         for state in (QuantumState(0, 1), QuantumState(2, -1), QuantumState(1, 0)):
             eq = reduced_equation(ModelKind.C, state, params, "ga")
             level = energy(ModelKind.C, state, params)
-
-            def res(form):
-                rho, u, upp = curvature(ModelKind.C, state, params, form=form)
-                return residual(u, upp, eq.potential(rho, level), eq.et)
-
-            assert res(None) == res("xi") <= 1e-12
-            assert res("paper") >= 1e-3
+            rho, u, upp = curvature(ModelKind.C, state, params)
+            assert residual(u, upp, eq.potential(rho, level), eq.et) <= 1e-12
+            rho, u, upp = paper_form.curvature(state, params)
+            paper.append(residual(u, upp, eq.potential(rho, level), eq.et))
             rho = np.linspace(0.05, 30.0, 7)
             np.testing.assert_array_equal(wavefunction(ModelKind.C, state, params, rho),
                                           wavefunction(ModelKind.C, state, params, rho, form="xi"))
+        low, high = row["`paper`"].split(" – ")
+        assert min(paper) >= 1e-3
+        assert readme_doc.agrees(min(paper), low) and readme_doc.agrees(max(paper), high)
         # models A and B have the one form
         rho, state, params = np.linspace(0.05, 30.0, 7), QuantumState(1, 1), PhysicalParams()
         np.testing.assert_array_equal(wavefunction(ModelKind.A, state, params, rho),
@@ -825,7 +831,7 @@ class TestCurvature:
         # C (3, 3) at mu = 0.15, delta = 0.05: U decays like e^(-0.025 rho)
         # and is still 0.4 of its peak at rho = 30; the Jacobi nodes follow it
         state, params = QuantumState(3, 3), PhysicalParams(mu=0.15, delta=0.05)
-        rho, u, _ = curvature(ModelKind.C, state, params, form="xi")
+        rho, u, _ = curvature(ModelKind.C, state, params)
         assert np.count_nonzero(rho > 30.0) >= 3
         u30 = wavefunction(ModelKind.C, state, params, 30.0, form="xi", component="U")
         assert abs(u30) >= 0.3 * np.max(np.abs(u))

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import paper_form
 from nu_reference import model_c_coefficients
 from pdmag import models
 from pdmag.errors import BoundStateError, DomainError
@@ -1213,18 +1214,18 @@ class TestOracleEnergy:
         assert level.energy == pytest.approx(closed, rel=1e-5)
 
 
-# The sets of acceptance criterion 6: (kind, params, m, target, form).
+# The sets of acceptance criterion 6: (kind, params, m, target).
 CRITERION_6_SETS = (
-    (ModelKind.A, PhysicalParams(), 1, "exact", "paper"),
-    (ModelKind.B, PhysicalParams(), 6, "exact", "paper"),
-    (ModelKind.C, PhysicalParams(mu=0.15, delta=0.1), 1, "ga", "xi"),
+    (ModelKind.A, PhysicalParams(), 1, "exact"),
+    (ModelKind.B, PhysicalParams(), 6, "exact"),
+    (ModelKind.C, PhysicalParams(mu=0.15, delta=0.1), 1, "ga"),
 )
 
 
-def closed_form_residual(kind, state, params, target="exact", form="paper", shift=0.0):
+def closed_form_residual(kind, state, params, target="exact", shift=0.0):
     """residual of the closed form on its own Gauss nodes, against Et + shift,
     with W and Et from one reduced_equation record."""
-    rho, u, upp = curvature(kind, state, params, form=form)
+    rho, u, upp = curvature(kind, state, params)
     eq = reduced_equation(kind, state, params, target)
     return residual(u, upp, eq.potential(rho, energy(kind, state, params)), eq.et + shift)
 
@@ -1269,16 +1270,15 @@ class TestResidual:
         res = closed_form_residual(ModelKind.A, state, unit_params, shift=0.1)
         assert res == pytest.approx(0.1, rel=1e-12)
 
-    @pytest.mark.parametrize("kind, params, m, target, form", CRITERION_6_SETS,
-                             ids=["A", "B", "C"])
-    def test_a_moved_exponent_shows_up(self, monkeypatch, kind, params, m, target, form):
+    @pytest.mark.parametrize("kind, params, m, target", CRITERION_6_SETS, ids=["A", "B", "C"])
+    def test_a_moved_exponent_shows_up(self, monkeypatch, kind, params, m, target):
         # correct closed forms read rounding; one exponent moved by 1e-8
         # reads at least 1e-9, below the 1e-8 floor of a five-point stencil
         states = [QuantumState(n, m) for n in range(6)]
-        exact = [closed_form_residual(kind, s, params, target, form) for s in states]
+        exact = [closed_form_residual(kind, s, params, target) for s in states]
         assert max(exact) <= 1e-12, exact
         monkeypatch.setitem(models._CLOSED_FORMS, kind, power_moved(models._CLOSED_FORMS[kind], 1e-8))
-        moved = [closed_form_residual(kind, s, params, target, form) for s in states]
+        moved = [closed_form_residual(kind, s, params, target) for s in states]
         assert min(moved) >= 1e-9, moved
 
 
@@ -1298,7 +1298,7 @@ class TestNodeCount:
         # the paper form's lobes span 18-26 decades on its Gauss nodes; a
         # count that dropped entries below 1e-12 max|U| read 67 and 21
         params = PhysicalParams(mu=0.3, delta=0.286)
-        _, u, _ = curvature(ModelKind.C, QuantumState(n, m), params, form="paper")
+        _, u, _ = paper_form.curvature(QuantumState(n, m), params)
         assert np.min(np.abs(u)) < 1e-17 * np.max(np.abs(u))
         assert node_count(u) == n
 

@@ -621,7 +621,7 @@ class TestFindCrossings:
         ours = [(kind.value, (s1.n_rho, s1.m), (s2.n_rho, s2.m), name, prange,
                  {k: v for k, v in vars(base).items() if v != default[k]})
                 for kind, s1, s2, name, prange, base in ATLAS]
-        table = readme_doc.crossing_table()
+        table = readme_doc.tables(readme_doc.section("Documented crossing ranges"))[0]
         documented = []
         for row in table:
             n1, m1, n2, m2 = map(int, re.findall(r"-?\d+", row["pair"]))

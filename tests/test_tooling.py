@@ -1,6 +1,8 @@
 """Guards for the start-up cost of the package, for the names the
-benchmark's tracer wraps and for the benchmark's workloads."""
+benchmark's tracer wraps, for the benchmark's workloads and for the
+independence of the test-side references."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -195,6 +197,46 @@ def test_every_exported_name_resolves():
     missing = [f"{module.__name__}.{name}" for module in modules for name in module.__all__
                if not hasattr(module, name)]
     assert missing == []
+
+
+def _pdmag_imports(path):
+    """(module, name) of each pdmag name that a file imports; name is None
+    for a plain `import pdmag...`."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pdmag":
+            found |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {(alias.name, None) for alias in node.names
+                      if alias.name.split(".")[0] == "pdmag"}
+    return found
+
+
+def test_references_take_nothing_from_the_oracle(monkeypatch):
+    # the Galerkin reference reads the reduced equation and a Gauss rule
+    # only, and neither reference imports the finite-volume oracle it
+    # stands beside; with every closed-form level patched to raise, the
+    # Galerkin reference still returns its levels
+    import galerkin_reference
+    import pdmag.models
+    from pdmag.models import ModelKind
+    from pdmag.params import PhysicalParams, QuantumState
+
+    assert _pdmag_imports(ROOT / "tests" / "galerkin_reference.py") == {
+        ("pdmag.models", "reduced_equation"), ("pdmag.specfun", "_gauss_laguerre")}
+    paper_form = _pdmag_imports(ROOT / "tests" / "paper_form.py")
+    assert paper_form and not any(module == "pdmag.oracle" or name == "oracle"
+                                  for module, name in paper_form)
+
+    def closed_form_level(*args, **kwargs):
+        raise AssertionError("the reference read a closed-form level")
+
+    monkeypatch.setattr(pdmag.models, "energy", closed_form_level)
+    monkeypatch.setattr(pdmag.models, "_level", closed_form_level)
+    for kind, target, params in ((ModelKind.A, "exact", PhysicalParams()),
+                                 (ModelKind.C, "ga", PhysicalParams(mu=0.15, delta=0.1))):
+        level = galerkin_reference.level(kind, QuantumState(1, 1), params, target)
+        assert math.isfinite(level.energy) and level.error < 1e-9
 
 
 _BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
