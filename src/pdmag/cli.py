@@ -25,7 +25,7 @@ from .errors import BracketingError, DomainError, NormalizationError
 from .fields import field_table
 from .models import ModelKind, energy, greene_aldrich, wavefunction
 from .oracle import verify_states
-from .params import _MAX_POINTS, PhysicalParams, QuantumState, load_config, params_from_mapping
+from .params import _MAX_POINTS, PhysicalParams, QuantumState, load_config
 from .sweeps import SWEEPABLE, SweepSpec, find_crossings, sweep
 
 __all__ = ["run"]
@@ -85,7 +85,7 @@ def _resolve_params(args) -> PhysicalParams:
         value = getattr(args, dest)
         if value is not None:
             mapping[dest] = value
-    params = params_from_mapping(mapping)
+    params = PhysicalParams(**mapping)
     echo = " ".join(f"{dest}={_fmt(getattr(params, dest))}" for _, dest, _ in _PARAM_FLAGS)
     print(f"# params: {echo}", file=sys.stderr)
     return params

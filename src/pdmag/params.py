@@ -18,7 +18,6 @@ __all__ = [
     "m_tilde",
     "s_squared_of",
     "load_config",
-    "params_from_mapping",
 ]
 
 
@@ -155,11 +154,3 @@ def load_config(path) -> dict[str, float]:
         except ValueError:
             raise DomainError(f"{path}:{lineno}: {value.strip()!r} is not a number") from None
     return values
-
-
-def params_from_mapping(mapping) -> PhysicalParams:
-    """Build PhysicalParams from a mapping, rejecting unknown keys."""
-    unknown = set(mapping) - set(_FIELD_NAMES)
-    if unknown:
-        raise DomainError(f"unknown parameter(s): {sorted(unknown)}")
-    return PhysicalParams(**{k: float(v) for k, v in mapping.items()})

@@ -1,5 +1,5 @@
 """A Laguerre-Galerkin solver of the reduced radial equation on (0, inf),
-the test-side reference for the levels of models A and C.
+the test-side reference for the levels of models A, B and C.
 
 A level of `models.reduced_equation`'s record, -U'' + W(rho; E) U = Et U
 with W = c2/rho^2 + c1/rho + smooth(rho) - E g(rho), is an eigenvalue of
@@ -88,13 +88,31 @@ def _ritz(sigma, L, G, n_rho: int) -> float:
 
 
 def level(kind, state, params, target="exact", *, lam=None, size=None) -> Level:
-    """Level n_rho of the state's reduced equation, with its nested estimate."""
+    """Level n_rho of the state's reduced equation, with its nested estimate.
+
+    Model B's mass eta/rho^2 puts the level into the centrifugal term, so
+    its level is a fixed point on p: at a trial energy Eg the pencil of the
+    record with c2 - eta Eg as its c2 has p = 1/2 + u, u^2 = c2 + 1/4 - eta Eg,
+    and E = Eg + its Ritz value. It starts at u = 1/2, takes u from E while
+    c2 + 1/4 - eta E > 0 and halves u otherwise, and stops at
+    |E - Eg| <= 1e-14 max(1, |E|). Models A and C have Eg = 0 and one solve.
+    """
     eq = reduced_equation(kind, state, params, target)
     if lam is None:
         lam = math.sqrt(eq.tail) + 2.0 * eq.decay
     size = state.n_rho + 40 if size is None else size
-    K, G = pencil(eq, lam, size)
-    sigma, L = _shift_factor(K, G)
-    e = _ritz(sigma, L, G, state.n_rho)
     small = size - NESTED
-    return Level(e, abs(e - _ritz(sigma, L[:small, :small], G[:small, :small], state.n_rho)))
+    in_c2 = eq.power == 2  # model B
+    u, e_g = 0.5, eq.c2 / eq.eta if in_c2 else 0.0
+    for _ in range(100):
+        K, G = pencil(eq._replace(c2=eq.c2 - eq.eta * e_g), lam, size)
+        sigma, L = _shift_factor(K, G)
+        ritz = _ritz(sigma, L, G, state.n_rho)
+        e = e_g + ritz
+        if not in_c2 or abs(ritz) <= 1e-14 * max(1.0, abs(e)):
+            return Level(e, abs(ritz - _ritz(sigma, L[:small, :small], G[:small, :small],
+                                             state.n_rho)))
+        u_sq = eq.c2 + 0.25 - eq.eta * e
+        u = math.sqrt(u_sq) if u_sq > 0 else 0.5 * u
+        e_g = (eq.c2 + 0.25 - u * u) / eq.eta
+    raise ValueError(f"model B level {state} did not settle in 100 solves")

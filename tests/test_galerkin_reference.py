@@ -1,6 +1,7 @@
 """The Laguerre-Galerkin reference (tests/galerkin_reference.py) against the
-closed forms of models A and C, where the finite-volume oracle cannot
-check them, and README's target-'exact' numbers against the reference."""
+closed forms of models A, B and C, where the finite-volume oracle cannot
+check them, on the acceptance criteria's level sets, and README's
+target-'exact' numbers against the reference."""
 
 import math
 import re
@@ -12,8 +13,9 @@ import galerkin_reference as reference
 import readme_doc
 from pdmag.models import ModelKind, energy, reduced_equation
 from pdmag.params import PhysicalParams, QuantumState
+from test_oracle import criterion_levels
 
-A, C = ModelKind.A, ModelKind.C
+A, B, C = ModelKind.A, ModelKind.B, ModelKind.C
 
 # README's third "Known limits" command, A (3, 3) of seed 6's oracle-verify
 # level 57, whose finite-volume level the cut at 25 decay lengths limits
@@ -21,20 +23,31 @@ LEVEL_57 = PhysicalParams(mu=1.1931743419986636, beta=-4.328794129194238, kz=0.9
                           alpha_ab=-0.17133264335371523, eta=0.7923173567035384)
 # README's slow-tail command: model C at target 'ga', n_rho = 0..3, m = 0
 SLOW_TAIL = PhysicalParams(mu=0.15, delta=0.1, v0=0.1, v1=0.2)
+# Model B's edge: B (1, 0) at beta = -6, kz = 1 is bound for mu above
+# 1/sqrt(3), where its ell_acute vanishes
+EDGE = [PhysicalParams(beta=-6.0, kz=1.0, mu=1.0 / math.sqrt(3.0) + above)
+        for above in (1e-3, 3e-4, 3e-5, 1e-5, 1e-6)]
+SCALES = pytest.mark.parametrize("scale", [None, 0.7, 1.5], ids=["kappa", "0.7kappa", "1.5kappa"])
 
 
-@pytest.mark.parametrize("scale", [None, 0.7, 1.5], ids=["kappa", "0.7kappa", "1.5kappa"])
+def _rel_err(kind, state, params, scale=None, target="exact"):
+    """The reference's level against the closed form, relative to max(1, |E|),
+    at the default scale or at scale times kappa."""
+    lam = None if scale is None else scale * math.sqrt(
+        reduced_equation(kind, state, params, target).tail)
+    closed = energy(kind, state, params)
+    found = reference.level(kind, state, params, target, lam=lam)
+    return abs(found.energy - closed) / max(1.0, abs(closed))
+
+
+@SCALES
 def test_model_a_high_m_and_high_n_rho(scale):
     # A (0, M) for M <= 40, where the FV oracle reads 3.52 for 1.00625 at
     # M = 10 and exits 1 at M = 40, and A (n_rho, 1) for n_rho <= 30, at
     # the default scale lam = kappa and off it
     states = [QuantumState(0, m) for m in range(41)] + [QuantumState(n, 1) for n in range(31)]
     for state in states:
-        lam = None if scale is None else scale * math.sqrt(
-            reduced_equation(A, state, PhysicalParams()).tail)
-        closed = energy(A, state, PhysicalParams())
-        found = reference.level(A, state, PhysicalParams(), lam=lam)
-        assert abs(found.energy - closed) <= 1e-12 * abs(closed), (state, found, closed)
+        assert _rel_err(A, state, PhysicalParams(), scale) <= 1e-12, state
 
 
 def test_cut_limited_level_is_within_the_reference_estimate():
@@ -53,6 +66,45 @@ def test_slow_tail_levels(n_rho):
     closed = energy(C, state, SLOW_TAIL)
     found = reference.level(C, state, SLOW_TAIL, "ga")
     assert abs(found.energy - closed) <= min(1e-12 * max(1.0, abs(closed)), found.error), found
+
+
+@SCALES
+def test_criterion_2_model_b_levels(scale):
+    # criterion 2's 35 bound levels read <= 4.4e-15 here; model B's fixed
+    # point on p takes a median of 4 and at most 10 solves a level
+    cases = [(state, params) for kind, state, params, _ in criterion_levels() if kind is B]
+    assert len(cases) == 35
+    for state, params in cases:
+        assert _rel_err(B, state, params, scale) <= 1e-12, (state, params)
+
+
+@SCALES
+def test_model_b_edge(scale):
+    # B (1, 0) down to 1e-6 above its edge, where the FV oracle raises
+    # BoundStateError from 3e-5 above it: <= 5.8e-16 in 14-22 solves
+    for params in EDGE:
+        assert _rel_err(B, QuantumState(1, 0), params, scale) <= 1e-12, params.mu
+
+
+def test_criteria_1_and_3_level_sets():
+    # criterion 1's 224 model A levels read <= 2.0e-14 here (the FV oracle
+    # 2.4e-7), and criterion 3's 15 model C levels at target 'ga' <= 1.3e-15
+    # (the FV oracle 1.1e-5)
+    for kind, state, params, target in criterion_levels():
+        if kind is not B:
+            assert _rel_err(kind, state, params, target=target) <= 1e-12, (kind, state, params)
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.1015625])
+def test_weightless_ga_level_is_within_the_reference_estimate(mu):
+    # C (0, 1) with a tail far slower than its mass weight, where the FV
+    # oracle raises: at lam = 3 kappa and N = 80 the errors read 8.8e-15
+    # and 5.0e-8 against estimates of 7.7e-13 and 8.6e-7
+    state = QuantumState(0, 1)
+    params = PhysicalParams(mu=mu, delta=0.109375, v1=0.03125, v2=0.03125)
+    lam = 3.0 * math.sqrt(reduced_equation(C, state, params, "ga").tail)
+    found = reference.level(C, state, params, "ga", lam=lam, size=80)
+    assert abs(found.energy - energy(C, state, params)) <= found.error, found
 
 
 @pytest.mark.parametrize("state", [QuantumState(0, 1), QuantumState(0, 5), QuantumState(3, -2)])

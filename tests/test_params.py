@@ -7,13 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pdmag.errors import DomainError
-from pdmag.params import (
-    PhysicalParams,
-    QuantumState,
-    load_config,
-    m_tilde,
-    params_from_mapping,
-)
+from pdmag.params import PhysicalParams, QuantumState, load_config, m_tilde
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -144,7 +138,7 @@ class TestConfig:
         )
         values = load_config(cfg)
         assert values == {"e": 2.0, "b0": 1.5, "kz": 1.0}
-        params = params_from_mapping(values)
+        params = PhysicalParams(**values)
         assert (params.e, params.b0, params.kz) == (2.0, 1.5, 1.0)
         # untouched fields keep their defaults
         assert params.mu == 1.0
@@ -173,7 +167,3 @@ class TestConfig:
         cfg.write_bytes(b"\xff\xfe mu=1")
         with pytest.raises(DomainError, match=r"bad\.cfg: not UTF-8 text \(invalid start byte"):
             load_config(cfg)
-
-    def test_mapping_with_unknown_key_rejected(self):
-        with pytest.raises(DomainError, match="unknown"):
-            params_from_mapping({"e": 1.0, "charge": 2.0})
